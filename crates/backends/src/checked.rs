@@ -1,8 +1,8 @@
 //! The `checked` backend: a runtime sanitizer for compiled plans.
 //!
-//! An instrumented interpreter over the *lowered* form — the same bytecode
-//! kernels, cursor classes, regions and barrier phases every compiled
-//! backend executes — that validates at run time exactly the two
+//! An instrumented interpreter over the *lowered* form — the same closed
+//! forms and bytecode, cursor classes, regions and barrier phases every
+//! compiled backend executes — that validates at run time exactly the two
 //! properties the static verifier (`crate::verify`) proves at plan time:
 //!
 //! * **no out-of-bounds access** — every read and write's flat index is
@@ -15,9 +15,10 @@
 //!   run concurrently).
 //!
 //! Execution order per point is kept **bitwise identical** to the
-//! sequential backend: the linear/poly/bytecode accumulation orders below
-//! mirror `crate::exec` term for term, so `checked` ≡ `seq` exactly on
-//! every grid — the sanitizer only observes. Static and dynamic analyses
+//! sequential backend: each point evaluates the kernel's closed form
+//! through `SpecKernel::eval` (the per-element operation sequence every
+//! executor follows) or interprets its bytecode, so `checked` ≡ `seq`
+//! exactly on every grid — the sanitizer only observes. Static and dynamic analyses
 //! must agree: any plan `verify_plan` certifies must run here with zero
 //! violations, and every seeded violation the verifier witnesses must also
 //! trip these checks.
@@ -26,9 +27,8 @@ use std::collections::HashMap;
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
+use snowflake_ir::{LowerOptions, Lowered, LoweredKernel, Op};
 
-use crate::exec::check_limits;
 use crate::metrics::RunReport;
 use crate::{Backend, Executable};
 
@@ -58,10 +58,7 @@ impl Backend for CheckedBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let lowered = lower_group(group, shapes, &self.options)?;
-        for k in &lowered.kernels {
-            check_limits(k)?;
-        }
+        let lowered = crate::exec::lower(group, shapes, &self.options)?;
         Ok(Box::new(CheckedExecutable { lowered }))
     }
 
@@ -95,7 +92,7 @@ fn oob_violation(
 }
 
 /// Evaluate one iteration point with range-checked reads, in the exact
-/// accumulation order of `crate::exec` (bitwise parity with `seq`).
+/// operation order of `crate::exec` (bitwise parity with `seq`).
 fn eval_point(
     kernel: &LoweredKernel,
     cur: &[isize],
@@ -111,25 +108,8 @@ fn eval_point(
             Ok(bufs[g][idx as usize])
         }
     };
-    if let Some(lf) = &kernel.linear {
-        let mut acc = lf.bias;
-        for &(c, d, k) in &lf.terms {
-            acc += k * read(c as usize, d)?;
-        }
-        Ok(acc)
-    } else if let Some(pf) = &kernel.poly {
-        let mut acc = pf.bias;
-        let mut r = 0usize;
-        for (t, &coeff) in pf.flat_coeffs.iter().enumerate() {
-            let mut prod = coeff;
-            let len = pf.flat_lens[t] as usize;
-            for &(c, d) in &pf.flat_reads[r..r + len] {
-                prod *= read(c as usize, d)?;
-            }
-            r += len;
-            acc += prod;
-        }
-        Ok(acc)
+    if let Some(spec) = &kernel.spec {
+        spec.eval(|c, d| read(c as usize, d))
     } else {
         stack.clear();
         for op in &kernel.program.ops {
@@ -362,6 +342,7 @@ mod tests {
     use crate::SequentialBackend;
     use snowflake_core::{DomainUnion, Expr, RectDomain, Stencil};
     use snowflake_grid::Grid;
+    use snowflake_ir::lower_group;
 
     fn red_black_group() -> StencilGroup {
         let m = |i: i64, j: i64| Expr::read_at("mesh", &[i, j]);

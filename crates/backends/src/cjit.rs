@@ -6,6 +6,11 @@
 //! shared object, and wraps the entry point in an [`Executable`] — the
 //! Rust equivalent of the paper's GCC + Python-FFI flow.
 //!
+//! Objects are linked with `-z nodelete`, so `dlclose` never unmaps them:
+//! an OpenMP artifact's worker threads stay parked in the OpenMP runtime
+//! after a run, and unloading it under them (the last artifact dropped
+//! releasing libgomp) would crash the next parallel region.
+//!
 //! The backend degrades gracefully: [`CJitBackend::available`] reports
 //! whether a working C compiler exists, and `compile` returns a
 //! `CoreError::Backend` otherwise, so callers (benchmarks, examples) can
@@ -14,7 +19,7 @@
 //! ## Persistent artifact cache
 //!
 //! Every successful compile is persisted as a shared object keyed by the
-//! FNV-1a content hash of (compiler, flags, OpenMP availability, emitted
+//! FNV-1a content hash of (compiler, its complete argument list, emitted
 //! C99). A later compile of the same key — in this process or any future
 //! one — `dlopen`s the cached `.so` and skips `cc` entirely, so repeated
 //! figure runs pay compilation once per machine, not once per process.
@@ -55,10 +60,6 @@ pub struct CJitBackend {
     pub cache_dir: Option<PathBuf>,
     /// Use the persistent artifact cache (on by default).
     pub disk_cache: bool,
-    /// Emit specialized closed-form value expressions plus `#pragma omp
-    /// simd` inner loops for kernels the specialization pass matched (see
-    /// `crate::specialize`); on by default, bitwise-neutral.
-    pub specialize: bool,
     /// Compiles served from the artifact cache (shared across clones).
     disk_hits: Arc<AtomicU64>,
     /// Compiles that invoked the C compiler (shared across clones).
@@ -80,7 +81,6 @@ impl Default for CJitBackend {
             ],
             cache_dir: None,
             disk_cache: true,
-            specialize: true,
             disk_hits: Arc::new(AtomicU64::new(0)),
             disk_misses: Arc::new(AtomicU64::new(0)),
         }
@@ -114,12 +114,6 @@ impl CJitBackend {
     /// Enable or disable the persistent artifact cache (builder style).
     pub fn with_disk_cache(mut self, on: bool) -> Self {
         self.disk_cache = on;
-        self
-    }
-
-    /// Enable or disable kernel specialization (builder style).
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.specialize = on;
         self
     }
 
@@ -186,18 +180,27 @@ impl CJitBackend {
             .unwrap_or_else(|| std::env::temp_dir().join("snowflake-cjit-cache"))
     }
 
-    /// Content hash of everything that determines the built artifact: the
-    /// compiler, its flags (including `-fopenmp` availability) and the
-    /// emitted source. Changing any of them invalidates the cached `.so`.
-    fn artifact_key(&self, source: &str) -> u64 {
-        let mut h = fnv1a(FNV_OFFSET, self.cc.as_bytes());
-        for flag in &self.opt_flags {
-            h = fnv1a(h, flag.as_bytes());
-            h = fnv1a(h, b"\0");
-        }
+    /// Every argument passed to the C compiler before the output and
+    /// input paths.
+    fn cc_args(&self) -> Vec<&str> {
+        let mut args: Vec<&str> = self.opt_flags.iter().map(String::as_str).collect();
+        args.extend(["-std=c99", "-fPIC", "-shared", "-Wl,-z,nodelete"]);
         if self.openmp_available() {
-            h = fnv1a(h, b"-fopenmp");
+            args.push("-fopenmp");
         }
+        args
+    }
+
+    /// Content hash of everything that determines the built artifact: the
+    /// compiler, the exact argument list it runs with and the emitted
+    /// source. Changing any of them invalidates the cached `.so`.
+    fn artifact_key(&self, args: &[&str], source: &str) -> u64 {
+        let mut h = fnv1a(FNV_OFFSET, self.cc.as_bytes());
+        for arg in args {
+            h = fnv1a(h, b"\0");
+            h = fnv1a(h, arg.as_bytes());
+        }
+        h = fnv1a(h, b"\0");
         fnv1a(h, source.as_bytes())
     }
 
@@ -220,10 +223,11 @@ impl CJitBackend {
     }
 
     fn build(&self, source: &str) -> Result<libloading::Library> {
+        let args = self.cc_args();
         let cached: Option<PathBuf> = self.disk_cache.then(|| {
             self.resolved_cache_dir().join(format!(
                 "cjit_{:016x}_{}.so",
-                self.artifact_key(source),
+                self.artifact_key(&args, source),
                 source.len()
             ))
         });
@@ -251,14 +255,11 @@ impl CJitBackend {
         std::fs::write(&c_path, source)
             .map_err(|e| CoreError::Backend(format!("writing JIT source: {e}")))?;
 
-        let mut cmd = Command::new(&self.cc);
-        cmd.args(&self.opt_flags)
-            .args(["-std=c99", "-fPIC", "-shared"]);
-        if self.openmp_available() {
-            cmd.arg("-fopenmp");
-        }
-        cmd.arg("-o").arg(&so_path).arg(&c_path);
-        let output = cmd
+        let output = Command::new(&self.cc)
+            .args(&args)
+            .arg("-o")
+            .arg(&so_path)
+            .arg(&c_path)
             .output()
             .map_err(|e| CoreError::Backend(format!("running {}: {e}", self.cc)))?;
         if !output.status.success() {
@@ -334,9 +335,7 @@ impl Backend for CJitBackend {
             )));
         }
         let mut lowered = lower_group(group, shapes, &self.options)?;
-        if self.specialize {
-            crate::specialize::specialize_lowered(&mut lowered);
-        }
+        crate::specialize::specialize_lowered(&mut lowered);
         let source = emit_c(&lowered, "snowflake_run");
         let lib = self.build(&source)?;
         // SAFETY: the symbol exists in the generated translation unit with
@@ -383,7 +382,6 @@ impl Executable for CJitExecutable {
             }
         }
         report.kernels.points += self.points_per_run();
-        report.spec += crate::specialize::spec_stats_of(&self.lowered);
         report.finish_run(dt);
         Ok(())
     }

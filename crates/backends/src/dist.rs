@@ -28,9 +28,9 @@ use rayon::prelude::*;
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{Grid, GridSet};
-use snowflake_ir::{intersect_box, lower_group, LowerOptions, Lowered};
+use snowflake_ir::{intersect_box, LowerOptions, Lowered};
 
-use crate::exec::{check_limits, run_kernel_region};
+use crate::exec::run_kernel_region;
 use crate::metrics::RunReport;
 use crate::view::GridPtrs;
 use crate::{Backend, Executable};
@@ -44,11 +44,6 @@ pub struct DistBackend {
     pub ranks: usize,
     /// Lowering options.
     pub options: LowerOptions,
-    /// Attach closed-form specialization records at compile time (see
-    /// `crate::specialize`); on by default, bitwise-neutral. The dist
-    /// prototype only accepts parallel-safe kernels, so every kernel is a
-    /// specialization candidate.
-    pub specialize: bool,
 }
 
 impl Default for DistBackend {
@@ -66,14 +61,7 @@ impl DistBackend {
         DistBackend {
             ranks,
             options: LowerOptions::default(),
-            specialize: true,
         }
-    }
-
-    /// Enable or disable kernel specialization (builder style).
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.specialize = on;
-        self
     }
 
     /// Set the simulated rank count (builder style).
@@ -121,13 +109,7 @@ impl DistBackend {
     /// As [`Backend::compile`], returning the concrete executable so
     /// callers can read [`DistExecutable::comm_stats`].
     pub fn compile_dist(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<DistExecutable> {
-        let mut lowered = lower_group(group, shapes, &self.options)?;
-        for k in &lowered.kernels {
-            check_limits(k)?;
-        }
-        if self.specialize {
-            crate::specialize::specialize_lowered(&mut lowered);
-        }
+        let lowered = crate::exec::lower(group, shapes, &self.options)?;
         // Prototype restrictions.
         let n0 = lowered.grid_shapes[0][0];
         for shape in &lowered.grid_shapes {
@@ -360,7 +342,6 @@ impl Executable for DistExecutable {
         let t0 = std::time::Instant::now();
         self.run_impl(grids, Some(report))?;
         report.kernels.points += self.points_per_run();
-        report.spec += crate::specialize::spec_stats_of(&self.lowered);
         report.finish_run(t0.elapsed().as_secs_f64());
         Ok(())
     }

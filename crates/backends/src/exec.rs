@@ -1,10 +1,15 @@
-//! The shared kernel executor: runs one lowered kernel over one region.
+//! The shared kernel executor: runs lowered kernels over one region.
 //!
-//! All CPU backends (sequential, OpenMP-like, OpenCL-simulator) funnel into
-//! [`run_kernel_region`]. The loop nest walks the region in row-major
-//! order, keeping one linear *cursor* per access class; the innermost loop
-//! advances the cursors by precomputed steps and evaluates either the
-//! linear-form fast path (fused multiply-adds) or the bytecode program.
+//! All CPU backends (sequential, OpenMP-like, OpenCL-simulator,
+//! distributed) funnel into [`run_fused_region`]; [`run_kernel_region`] is
+//! its one-kernel case. The loop nest walks the region in row-major order,
+//! keeping one linear *cursor* per access class, and hands every row to one
+//! dispatch:
+//!
+//! * a kernel with a closed form (see [`crate::specialize`]) runs its
+//!   record — chunked over unit-stride or strided rows when it is
+//!   parallel-safe, point by point in canonical order when it is not;
+//! * a kernel without one interprets its bytecode point by point.
 //!
 //! Execution order within a region is canonical row-major, which defines
 //! the semantics of kernels that are *not* parallel-safe (lexicographic
@@ -13,10 +18,14 @@
 
 #![allow(clippy::needless_range_loop)] // cursor bumps index parallel fixed arrays
 
+use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::Region;
-use snowflake_ir::bytecode::LinearForm;
-use snowflake_ir::{LoweredKernel, Op};
+use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
 
+use crate::metrics::RunReport;
+use crate::specialize::{
+    run_row_spec_points, run_row_spec_strided, run_row_spec_unit, specialize_lowered,
+};
 use crate::view::GridPtrs;
 
 /// Maximum cursor classes per kernel (grids × distinct scales).
@@ -26,7 +35,7 @@ pub const MAX_STACK: usize = 32;
 
 /// Check executor limits for a kernel; backends call this at compile time
 /// so `run_kernel_region` can use fixed-size scratch arrays.
-pub fn check_limits(kernel: &LoweredKernel) -> snowflake_core::Result<()> {
+pub fn check_limits(kernel: &LoweredKernel) -> Result<()> {
     if kernel.classes.len() > MAX_CLASSES {
         return Err(snowflake_core::CoreError::Backend(format!(
             "kernel {:?} uses {} access classes (limit {MAX_CLASSES})",
@@ -43,6 +52,21 @@ pub fn check_limits(kernel: &LoweredKernel) -> snowflake_core::Result<()> {
     Ok(())
 }
 
+/// Lower `group` for these executors: lowering, the executor limits and
+/// the closed-form pass.
+pub(crate) fn lower(
+    group: &StencilGroup,
+    shapes: &ShapeMap,
+    options: &LowerOptions,
+) -> Result<Lowered> {
+    let mut lowered = lower_group(group, shapes, options)?;
+    for k in &lowered.kernels {
+        check_limits(k)?;
+    }
+    specialize_lowered(&mut lowered);
+    Ok(lowered)
+}
+
 /// Execute `kernel` over `region` through `view`.
 ///
 /// # Safety
@@ -53,147 +77,7 @@ pub fn check_limits(kernel: &LoweredKernel) -> snowflake_core::Result<()> {
 /// * no other thread concurrently accesses any cell this invocation
 ///   touches (established by the dependence analysis / barrier phases).
 pub unsafe fn run_kernel_region(kernel: &LoweredKernel, view: &GridPtrs<'_>, region: &Region) {
-    if region.is_empty() {
-        return;
-    }
-    let nd = region.ndim();
-    let last = nd - 1;
-    let ncls = kernel.classes.len();
-    debug_assert!(ncls <= MAX_CLASSES);
-
-    // Per-class grid table and innermost steps.
-    let mut class_grid = [0usize; MAX_CLASSES];
-    let mut inner_step = [0isize; MAX_CLASSES];
-    for (c, cl) in kernel.classes.iter().enumerate() {
-        class_grid[c] = cl.grid;
-        inner_step[c] = cl.step(last, region.stride[last]);
-    }
-    let out_class = kernel.out_class as usize;
-    let out_grid = kernel.out_grid;
-    let out_delta = kernel.out_delta;
-    let e_last = region.extent(last);
-
-    // Odometer over the outer dimensions; cursors recomputed per row (the
-    // row interior is the hot path).
-    let mut p: Vec<i64> = region.lo.clone();
-    loop {
-        let mut cur = [0isize; MAX_CLASSES];
-        for (c, cl) in kernel.classes.iter().enumerate() {
-            cur[c] = cl.cursor_at(&p);
-        }
-        let mut out_idx = cur[out_class] + out_delta;
-        let out_step = inner_step[out_class];
-
-        // Unit-stride rows of parallel-safe kernels take the vectorized
-        // executors: per-term slice passes the compiler can SIMD. (The
-        // chunked read-all-then-write-all order is safe exactly because
-        // the Diophantine analysis proved no iteration reads another
-        // iteration's write.)
-        let unit =
-            kernel.parallel_safe && out_step == 1 && inner_step[..ncls].iter().all(|&st| st == 1);
-        // Specialized kernels (closed-form record attached by the plan-time
-        // specialization pass) take the tight fused/strided executors;
-        // everything below remains the generic interpreter fallback.
-        if let Some(spec) = kernel.spec.as_ref().filter(|_| kernel.parallel_safe) {
-            if unit {
-                crate::specialize::run_row_spec_unit(
-                    spec,
-                    view,
-                    &cur,
-                    &class_grid,
-                    e_last,
-                    out_grid,
-                    out_idx,
-                );
-            } else {
-                crate::specialize::run_row_spec_strided(
-                    spec,
-                    view,
-                    &cur,
-                    &class_grid,
-                    &inner_step,
-                    e_last,
-                    out_grid,
-                    out_idx,
-                    out_step,
-                );
-            }
-        } else if let Some(lf) = &kernel.linear {
-            if unit {
-                run_row_linear_unit(lf, view, &cur, &class_grid, e_last, out_grid, out_idx);
-            } else {
-                run_row_linear(
-                    lf,
-                    view,
-                    &mut cur,
-                    &class_grid,
-                    &inner_step,
-                    ncls,
-                    e_last,
-                    {
-                        RowOut {
-                            grid: out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        }
-                    },
-                );
-            }
-        } else if let Some(pf) = &kernel.poly {
-            if unit {
-                run_row_poly_unit(pf, view, &cur, &class_grid, e_last, out_grid, out_idx);
-            } else {
-                run_row_poly(
-                    pf,
-                    view,
-                    &mut cur,
-                    &class_grid,
-                    &inner_step,
-                    ncls,
-                    e_last,
-                    {
-                        RowOut {
-                            grid: out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        }
-                    },
-                );
-            }
-        } else {
-            for _ in 0..e_last {
-                let v = eval_bytecode(kernel, &cur, &class_grid, view);
-                view.write(out_grid, out_idx, v);
-                for s in 0..ncls {
-                    cur[s] += inner_step[s];
-                }
-                out_idx += out_step;
-            }
-        }
-
-        // Advance the outer odometer.
-        if nd == 1 {
-            return;
-        }
-        let mut d = last - 1;
-        loop {
-            p[d] += region.stride[d];
-            if p[d] < region.hi[d] {
-                break;
-            }
-            p[d] = region.lo[d];
-            if d == 0 {
-                return;
-            }
-            d -= 1;
-        }
-    }
-}
-
-struct RowOut<'a> {
-    grid: usize,
-    idx: &'a mut isize,
-    step: isize,
+    run_fused_region(std::slice::from_ref(&kernel), view, region);
 }
 
 /// Execute several kernels *fused* over one shared region: a single
@@ -209,139 +93,26 @@ pub unsafe fn run_fused_region(kernels: &[&LoweredKernel], view: &GridPtrs<'_>, 
     if region.is_empty() || kernels.is_empty() {
         return;
     }
+    // A lone kernel keeps its row state on the stack: no allocation.
+    let one: [Row<'_>; 1];
+    let many: Vec<Row<'_>>;
+    let rows: &[Row<'_>] = if let [kernel] = kernels {
+        one = [Row::new(kernel, region)];
+        &one
+    } else {
+        many = kernels.iter().map(|k| Row::new(k, region)).collect();
+        &many
+    };
     let nd = region.ndim();
     let last = nd - 1;
     let e_last = region.extent(last);
 
-    // Per-kernel row context.
-    struct Ctx<'k> {
-        kernel: &'k LoweredKernel,
-        class_grid: [usize; MAX_CLASSES],
-        inner_step: [isize; MAX_CLASSES],
-        unit: bool,
-    }
-    let ctxs: Vec<Ctx<'_>> = kernels
-        .iter()
-        .map(|kernel| {
-            let mut class_grid = [0usize; MAX_CLASSES];
-            let mut inner_step = [0isize; MAX_CLASSES];
-            for (c, cl) in kernel.classes.iter().enumerate() {
-                class_grid[c] = cl.grid;
-                inner_step[c] = cl.step(last, region.stride[last]);
-            }
-            let ncls = kernel.classes.len();
-            let out_step = inner_step[kernel.out_class as usize];
-            let unit = kernel.parallel_safe
-                && out_step == 1
-                && inner_step[..ncls].iter().all(|&st| st == 1);
-            Ctx {
-                kernel,
-                class_grid,
-                inner_step,
-                unit,
-            }
-        })
-        .collect();
-
+    // Odometer over the outer dimensions; cursors recomputed per row (the
+    // row interior is the hot path).
     let mut p: Vec<i64> = region.lo.clone();
     loop {
-        for ctx in &ctxs {
-            let kernel = ctx.kernel;
-            let ncls = kernel.classes.len();
-            let mut cur = [0isize; MAX_CLASSES];
-            for (c, cl) in kernel.classes.iter().enumerate() {
-                cur[c] = cl.cursor_at(&p);
-            }
-            let mut out_idx = cur[kernel.out_class as usize] + kernel.out_delta;
-            let out_step = ctx.inner_step[kernel.out_class as usize];
-            if let Some(spec) = kernel.spec.as_ref().filter(|_| kernel.parallel_safe) {
-                if ctx.unit {
-                    crate::specialize::run_row_spec_unit(
-                        spec,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                    );
-                } else {
-                    crate::specialize::run_row_spec_strided(
-                        spec,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        &ctx.inner_step,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                        out_step,
-                    );
-                }
-            } else if let Some(lf) = &kernel.linear {
-                if ctx.unit {
-                    run_row_linear_unit(
-                        lf,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                    );
-                } else {
-                    run_row_linear(
-                        lf,
-                        view,
-                        &mut cur,
-                        &ctx.class_grid,
-                        &ctx.inner_step,
-                        ncls,
-                        e_last,
-                        RowOut {
-                            grid: kernel.out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        },
-                    );
-                }
-            } else if let Some(pf) = &kernel.poly {
-                if ctx.unit {
-                    run_row_poly_unit(
-                        pf,
-                        view,
-                        &cur,
-                        &ctx.class_grid,
-                        e_last,
-                        kernel.out_grid,
-                        out_idx,
-                    );
-                } else {
-                    run_row_poly(
-                        pf,
-                        view,
-                        &mut cur,
-                        &ctx.class_grid,
-                        &ctx.inner_step,
-                        ncls,
-                        e_last,
-                        RowOut {
-                            grid: kernel.out_grid,
-                            idx: &mut out_idx,
-                            step: out_step,
-                        },
-                    );
-                }
-            } else {
-                for _ in 0..e_last {
-                    let v = eval_bytecode(kernel, &cur, &ctx.class_grid, view);
-                    view.write(kernel.out_grid, out_idx, v);
-                    for s in 0..ncls {
-                        cur[s] += ctx.inner_step[s];
-                    }
-                    out_idx += out_step;
-                }
-            }
+        for row in rows {
+            row.run(view, &p, e_last);
         }
         if nd == 1 {
             return;
@@ -361,154 +132,120 @@ pub unsafe fn run_fused_region(kernels: &[&LoweredKernel], view: &GridPtrs<'_>, 
     }
 }
 
-/// Row chunk length for the vectorized executors: long enough to amortize
-/// per-term loop overhead, short enough to stay in L1.
-const CHUNK: usize = 128;
-
-/// Vectorized row executor for linear kernels on unit-stride rows: one
-/// axpy-style pass over the row per term, which the compiler turns into
-/// SIMD loops (the per-point interpreted path cannot be vectorized).
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_row_linear_unit(
-    lf: &LinearForm,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    count: i64,
-    out_grid: usize,
-    out_start: isize,
-) {
-    let mut done = 0usize;
-    // count is a non-negative region extent; the cast is exact.
-    #[allow(clippy::cast_possible_truncation)]
-    let total = count as usize;
-    let mut acc = [0.0f64; CHUNK];
-    while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(lf.bias);
-        for &(c, d, k) in &lf.terms {
-            let src = view.row(
-                class_grid[c as usize],
-                cur[c as usize] + d + done as isize,
-                len,
-            );
-            for (a, &s) in acc[..len].iter_mut().zip(src) {
-                *a += k * s;
-            }
-        }
-        let dst = view.row_mut(out_grid, out_start + done as isize, len);
-        dst.copy_from_slice(&acc[..len]);
-        done += len;
-    }
+/// One kernel's row state over one region.
+struct Row<'k> {
+    kernel: &'k LoweredKernel,
+    class_grid: [usize; MAX_CLASSES],
+    inner_step: [isize; MAX_CLASSES],
+    /// Parallel-safe with every cursor at unit stride: contiguous chunks.
+    unit: bool,
 }
 
-/// Vectorized row executor for sum-of-products kernels on unit-stride
-/// rows: per term, an elementwise product pass then an accumulate pass.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_row_poly_unit(
-    pf: &snowflake_ir::bytecode::PolyForm,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    count: i64,
-    out_grid: usize,
-    out_start: isize,
-) {
-    let mut done = 0usize;
-    // count is a non-negative region extent; the cast is exact.
-    #[allow(clippy::cast_possible_truncation)]
-    let total = count as usize;
-    let mut acc = [0.0f64; CHUNK];
-    let mut prod = [0.0f64; CHUNK];
-    while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(pf.bias);
-        let mut r = 0usize;
-        for (t, &coeff) in pf.flat_coeffs.iter().enumerate() {
-            let deg = pf.flat_lens[t] as usize;
-            prod[..len].fill(coeff);
-            for &(c, d) in &pf.flat_reads[r..r + deg] {
-                let src = view.row(
-                    class_grid[c as usize],
-                    cur[c as usize] + d + done as isize,
-                    len,
+impl<'k> Row<'k> {
+    fn new(kernel: &'k LoweredKernel, region: &Region) -> Self {
+        let last = region.ndim() - 1;
+        let mut class_grid = [0usize; MAX_CLASSES];
+        let mut inner_step = [0isize; MAX_CLASSES];
+        for (c, cl) in kernel.classes.iter().enumerate() {
+            class_grid[c] = cl.grid;
+            inner_step[c] = cl.step(last, region.stride[last]);
+        }
+        // The output class is one of the classes, so this covers its step.
+        let unit =
+            kernel.parallel_safe && inner_step[..kernel.classes.len()].iter().all(|&st| st == 1);
+        Row {
+            kernel,
+            class_grid,
+            inner_step,
+            unit,
+        }
+    }
+
+    /// Execute the `count` points of the row starting at point `p`: the
+    /// closed form picks the arithmetic, parallel safety the loop shape.
+    ///
+    /// # Safety
+    /// As [`run_kernel_region`], with `p` a row start of the region this
+    /// state was built for.
+    #[inline(always)]
+    unsafe fn run(&self, view: &GridPtrs<'_>, p: &[i64], count: i64) {
+        let kernel = self.kernel;
+        let mut cur = [0isize; MAX_CLASSES];
+        for (c, cl) in kernel.classes.iter().enumerate() {
+            cur[c] = cl.cursor_at(p);
+        }
+        let (grids, steps) = (&self.class_grid, &self.inner_step);
+        let out_class = kernel.out_class as usize;
+        let (out, mut out_idx, out_step) = (
+            kernel.out_grid,
+            cur[out_class] + kernel.out_delta,
+            steps[out_class],
+        );
+        match &kernel.spec {
+            Some(spec) if self.unit => {
+                run_row_spec_unit(spec, view, &cur, grids, count, out, out_idx);
+            }
+            Some(spec) if kernel.parallel_safe => {
+                run_row_spec_strided(
+                    spec, view, &cur, grids, steps, count, out, out_idx, out_step,
                 );
-                for (p, &s) in prod[..len].iter_mut().zip(src) {
-                    *p *= s;
+            }
+            Some(spec) => {
+                run_row_spec_points(
+                    spec, view, &cur, grids, steps, count, out, out_idx, out_step,
+                );
+            }
+            None => {
+                for _ in 0..count {
+                    let v = eval_bytecode(kernel, &cur, grids, view);
+                    view.write(out, out_idx, v);
+                    for s in 0..kernel.classes.len() {
+                        cur[s] += steps[s];
+                    }
+                    out_idx += out_step;
                 }
             }
-            r += deg;
-            for (a, &p) in acc[..len].iter_mut().zip(&prod[..len]) {
-                *a += p;
-            }
         }
-        let dst = view.row_mut(out_grid, out_start + done as isize, len);
-        dst.copy_from_slice(&acc[..len]);
-        done += len;
     }
 }
 
-/// Hot loop for linear-form kernels: pure FMA chain per point.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_row_linear(
-    lf: &LinearForm,
-    view: &GridPtrs<'_>,
-    cur: &mut [isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    inner_step: &[isize; MAX_CLASSES],
-    ncls: usize,
-    count: i64,
-    out: RowOut<'_>,
-) {
-    let RowOut { grid, idx, step } = out;
-    for _ in 0..count {
-        let mut acc = lf.bias;
-        for &(c, d, k) in &lf.terms {
-            acc += k * view.read(class_grid[c as usize], cur[c as usize] + d);
-        }
-        view.write(grid, *idx, acc);
-        for s in 0..ncls {
-            cur[s] += inner_step[s];
-        }
-        *idx += step;
-    }
+/// One schedulable unit of a phase: `kernels` (several only when fused)
+/// run over each of `regions` in turn — one tile, one tile's worth of
+/// every color, or the whole union of a sequential kernel in union order.
+pub(crate) struct Task {
+    pub(crate) kernels: Vec<usize>,
+    pub(crate) regions: Vec<Region>,
 }
 
-/// Hot loop for sum-of-products kernels (variable-coefficient operators):
-/// a flat multiply-accumulate chain per point.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-unsafe fn run_row_poly(
-    pf: &snowflake_ir::bytecode::PolyForm,
-    view: &GridPtrs<'_>,
-    cur: &mut [isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    inner_step: &[isize; MAX_CLASSES],
-    ncls: usize,
-    count: i64,
-    out: RowOut<'_>,
-) {
-    let RowOut { grid, idx, step } = out;
-    for _ in 0..count {
-        let mut acc = pf.bias;
-        let mut r = 0usize;
-        for (t, &coeff) in pf.flat_coeffs.iter().enumerate() {
-            let mut p = coeff;
-            let len = pf.flat_lens[t] as usize;
-            for &(c, d) in &pf.flat_reads[r..r + len] {
-                p *= view.read(class_grid[c as usize], cur[c as usize] + d);
+impl Task {
+    /// Execute the task.
+    ///
+    /// # Safety
+    /// As [`run_fused_region`], for every region of the task.
+    pub(crate) unsafe fn run(&self, lowered: &Lowered, view: &GridPtrs<'_>) {
+        if let [k] = self.kernels[..] {
+            let kernel = &lowered.kernels[k];
+            for region in &self.regions {
+                run_kernel_region(kernel, view, region);
             }
-            r += len;
-            acc += p;
+        } else {
+            let kernels: Vec<&LoweredKernel> =
+                self.kernels.iter().map(|&k| &lowered.kernels[k]).collect();
+            for region in &self.regions {
+                run_fused_region(&kernels, view, region);
+            }
         }
-        view.write(grid, *idx, acc);
-        for s in 0..ncls {
-            cur[s] += inner_step[s];
+    }
+
+    /// Count this task's dispatch into `report`.
+    pub(crate) fn record(&self, lowered: &Lowered, report: &mut RunReport) {
+        report.kernels.tiles += 1;
+        report.kernels.fused += (self.kernels.len() as u64).saturating_sub(1);
+        if lowered.kernels[self.kernels[0]].parallel_safe {
+            report.kernels.parallel_tasks += 1;
+        } else {
+            report.kernels.sequential_tasks += 1;
         }
-        *idx += step;
     }
 }
 
@@ -560,7 +297,9 @@ mod tests {
     use super::*;
     use snowflake_core::{weights2, Component, Expr, RectDomain, ShapeMap, Stencil, StencilGroup};
     use snowflake_grid::{Grid, GridSet};
-    use snowflake_ir::{lower_group, LowerOptions};
+    use snowflake_ir::spec::SpecForm;
+
+    use crate::specialize::CHUNK;
 
     fn setup(n: usize) -> (GridSet, ShapeMap) {
         let mut gs = GridSet::new();
@@ -575,12 +314,15 @@ mod tests {
         (gs, shapes)
     }
 
+    fn lowered(group: &StencilGroup, gs: &GridSet) -> Lowered {
+        lower(group, &gs.shapes(), &LowerOptions::default()).unwrap()
+    }
+
     fn run_one(group: &StencilGroup, gs: &mut GridSet) {
-        let lowered = lower_group(group, &gs.shapes(), &LowerOptions::default()).unwrap();
+        let lowered = lowered(group, gs);
         let (ptrs, lens) = crate::check_and_ptrs(&lowered, gs).unwrap();
         let view = GridPtrs::new(&ptrs, &lens);
         for k in &lowered.kernels {
-            check_limits(k).unwrap();
             for r in &k.regions {
                 unsafe { run_kernel_region(k, &view, r) };
             }
@@ -613,16 +355,19 @@ mod tests {
     }
 
     #[test]
-    fn variable_coefficient_bytecode_path() {
+    fn variable_coefficient_poly_path() {
         let n = 10;
         let (mut gs, _) = setup(n);
-        // y = beta * (x[+1] - x[-1]) — not linearizable.
+        // y = beta * (x[+1] - x[-1]) — not linear, a sum of products.
         let e = Expr::read_at("beta", &[0, 0])
             * (Expr::read_at("x", &[0, 1]) - Expr::read_at("x", &[0, -1]));
         let s = Stencil::new(e.clone(), "y", RectDomain::interior(2));
         let group = StencilGroup::from(s);
-        let lowered = lower_group(&group, &gs.shapes(), &LowerOptions::default()).unwrap();
-        assert!(lowered.kernels[0].linear.is_none(), "must not linearize");
+        let spec = lowered(&group, &gs).kernels[0].spec.clone().unwrap();
+        assert!(
+            matches!(spec.form, SpecForm::Poly(_)),
+            "must expand to poly"
+        );
         let (x, beta) = (
             gs.get("x").unwrap().clone(),
             gs.get("beta").unwrap().clone(),
@@ -638,13 +383,33 @@ mod tests {
     }
 
     #[test]
+    fn division_by_a_read_runs_bytecode() {
+        let n = 10;
+        let (mut gs, _) = setup(n);
+        let e = Expr::read_at("x", &[0, 1]) / Expr::read_at("beta", &[0, 0]);
+        let group = StencilGroup::from(Stencil::new(e, "y", RectDomain::interior(2)));
+        assert!(lowered(&group, &gs).kernels[0].spec.is_none());
+        let (x, beta) = (
+            gs.get("x").unwrap().clone(),
+            gs.get("beta").unwrap().clone(),
+        );
+        run_one(&group, &mut gs);
+        let y = gs.get("y").unwrap();
+        for i in 1..n - 1 {
+            for j in 1..n - 1 {
+                assert_eq!(y.get(&[i, j]), x.get(&[i, j + 1]) / beta.get(&[i, j]));
+            }
+        }
+    }
+
+    #[test]
     fn linear_fast_path_is_used_and_correct() {
         let n = 10;
         let (mut gs, _) = setup(n);
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
         let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
-        let lowered = lower_group(&group, &gs.shapes(), &LowerOptions::default()).unwrap();
-        assert!(lowered.kernels[0].linear.is_some(), "should linearize");
+        let spec = lowered(&group, &gs).kernels[0].spec.clone().unwrap();
+        assert!(matches!(spec.form, SpecForm::Linear(_)), "should linearize");
         let x = gs.get("x").unwrap().clone();
         run_one(&group, &mut gs);
         let y = gs.get("y").unwrap();

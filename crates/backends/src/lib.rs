@@ -9,7 +9,7 @@
 //! | Backend | Paper counterpart | Notes |
 //! |---|---|---|
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
-//! | [`seq::SequentialBackend`] | sequential C | bytecode kernels, single thread |
+//! | [`seq::SequentialBackend`] | sequential C | closed-form kernels (bytecode where no closed form exists), single thread |
 //! | [`omp::OmpBackend`] | C + OpenMP | rayon task farm; greedy barrier phases, arbitrary-dimension tiling, multicolor reordering |
 //! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | tall-skinny 2-D blocking rolled through the remaining dimension, work-groups executed on CPU threads |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |
@@ -59,7 +59,7 @@ pub use dist::DistBackend;
 pub use interp::InterpreterBackend;
 pub use lint::{lint_plan, lint_stats, lints_to_error, LintingBackend};
 pub use metrics::{
-    CacheStats, CommStats, KernelCounters, LintStats, PhaseSample, RunReport, SpecStats, TuneStats,
+    CacheStats, CommStats, KernelCounters, LintStats, PhaseSample, RunReport, TuneStats,
     VerifyStats,
 };
 pub use oclsim::OclSimBackend;

@@ -40,24 +40,6 @@ pub struct CacheStats {
     pub disk_misses: u64,
 }
 
-/// Plan-time specialization counters: per run, how many kernels executed
-/// through the closed-form specialized paths (see `crate::specialize`)
-/// versus the generic interpreter fallback.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpecStats {
-    /// Kernel executions served by a specialized closed-form executor.
-    pub kernels_specialized: u64,
-    /// Kernel executions that fell back to the generic interpreter paths.
-    pub kernels_interpreted: u64,
-}
-
-impl std::ops::AddAssign for SpecStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.kernels_specialized += rhs.kernels_specialized;
-        self.kernels_interpreted += rhs.kernels_interpreted;
-    }
-}
-
 /// Tile auto-tuner counters (see `crate::tune`): how tile decisions for
 /// this plan were obtained.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -158,8 +140,6 @@ pub struct RunReport {
     pub comm: CommStats,
     /// Static-verification counters (zero unless the plan was verified).
     pub verify: VerifyStats,
-    /// Specialization counters (zero when the backend ran unspecialized).
-    pub spec: SpecStats,
     /// Tile auto-tuner counters (zero unless tuning was requested).
     pub tune: TuneStats,
     /// Semantic-lint counters (zero unless the plan was linted).
@@ -239,11 +219,6 @@ impl RunReport {
             self.verify.accesses_proved,
             self.verify.phases_certified,
             self.verify.witnesses
-        );
-        let _ = write!(
-            s,
-            ",\"spec\":{{\"kernels_specialized\":{},\"kernels_interpreted\":{}}}",
-            self.spec.kernels_specialized, self.spec.kernels_interpreted
         );
         let _ = write!(
             s,
@@ -591,10 +566,6 @@ mod tests {
             phases_certified: 9,
             witnesses: 0,
         };
-        r.spec = SpecStats {
-            kernels_specialized: 6,
-            kernels_interpreted: 2,
-        };
         r.tune = TuneStats {
             disk_hits: 1,
             disk_misses: 1,
@@ -646,9 +617,6 @@ mod tests {
         assert_eq!(v.get("accesses_proved").unwrap().as_u64(), Some(96));
         assert_eq!(v.get("phases_certified").unwrap().as_u64(), Some(9));
         assert_eq!(v.get("witnesses").unwrap().as_u64(), Some(0));
-        let sp = doc.get("spec").unwrap();
-        assert_eq!(sp.get("kernels_specialized").unwrap().as_u64(), Some(6));
-        assert_eq!(sp.get("kernels_interpreted").unwrap().as_u64(), Some(2));
         let t = doc.get("tune").unwrap();
         assert_eq!(t.get("disk_hits").unwrap().as_u64(), Some(1));
         assert_eq!(t.get("disk_misses").unwrap().as_u64(), Some(1));

@@ -14,10 +14,10 @@
 use rayon::prelude::*;
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
-use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{lower_group, tile_region, LowerOptions, Lowered};
+use snowflake_grid::GridSet;
+use snowflake_ir::{tile_region, LowerOptions, Lowered};
 
-use crate::exec::{check_limits, run_kernel_region};
+use crate::exec::Task;
 use crate::metrics::RunReport;
 use crate::view::GridPtrs;
 use crate::{check_and_ptrs, Backend, Executable};
@@ -40,25 +40,12 @@ impl Default for WorkGroupShape {
 }
 
 /// OpenCL execution-model simulator backend.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct OclSimBackend {
     /// Lowering options.
     pub options: LowerOptions,
     /// Work-group tile shape.
     pub workgroup: WorkGroupShape,
-    /// Attach closed-form specialization records at compile time (see
-    /// `crate::specialize`); on by default, bitwise-neutral.
-    pub specialize: bool,
-}
-
-impl Default for OclSimBackend {
-    fn default() -> Self {
-        OclSimBackend {
-            options: LowerOptions::default(),
-            workgroup: WorkGroupShape::default(),
-            specialize: true,
-        }
-    }
 }
 
 impl OclSimBackend {
@@ -72,22 +59,11 @@ impl OclSimBackend {
         self.workgroup = WorkGroupShape { tall, wide };
         self
     }
-
-    /// Enable or disable kernel specialization (builder style).
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.specialize = on;
-        self
-    }
-}
-
-struct OclTask {
-    kernel: usize,
-    region: Region,
 }
 
 struct OclExecutable {
     lowered: Lowered,
-    phases: Vec<Vec<OclTask>>,
+    phases: Vec<Vec<Task>>,
 }
 
 impl Backend for OclSimBackend {
@@ -100,13 +76,7 @@ impl Backend for OclSimBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let mut lowered = lower_group(group, shapes, &self.options)?;
-        for k in &lowered.kernels {
-            check_limits(k)?;
-        }
-        if self.specialize {
-            crate::specialize::specialize_lowered(&mut lowered);
-        }
+        let lowered = crate::exec::lower(group, shapes, &self.options)?;
         let mut phases = Vec::with_capacity(lowered.phases.len());
         for phase in &lowered.phases {
             let mut tasks = Vec::new();
@@ -114,24 +84,23 @@ impl Backend for OclSimBackend {
                 let kernel = &lowered.kernels[ki];
                 if !kernel.parallel_safe {
                     // The GPU model has no ordered fallback; serialize the
-                    // kernel as one task (a single "work-item", as a real
-                    // port would be forced to do).
-                    for region in &kernel.regions {
-                        tasks.push(OclTask {
-                            kernel: ki,
-                            region: region.clone(),
-                        });
-                    }
+                    // kernel as one task walking its regions in union order
+                    // (a single "work-item", as a real port would be
+                    // forced to do).
+                    tasks.push(Task {
+                        kernels: vec![ki],
+                        regions: kernel.regions.clone(),
+                    });
                     continue;
                 }
+                // Tall-skinny: tile the two fastest dims, keep outer dims
+                // whole so the work-group rolls through them.
+                let tile = tall_skinny_tile(kernel.ndim, self.workgroup);
                 for region in &kernel.regions {
-                    // Tall-skinny: tile the two fastest dims, keep outer
-                    // dims whole so the work-group rolls through them.
-                    let tile = tall_skinny_tile(kernel.ndim, self.workgroup);
                     for t in tile_region(region, &tile) {
-                        tasks.push(OclTask {
-                            kernel: ki,
-                            region: t,
+                        tasks.push(Task {
+                            kernels: vec![ki],
+                            regions: vec![t],
                         });
                     }
                 }
@@ -165,20 +134,17 @@ impl OclExecutable {
             let t0 = report.as_ref().map(|_| std::time::Instant::now());
             // Every phase is one "kernel launch batch"; the join is the
             // inter-launch dependency the OpenCL queue would enforce.
-            // SAFETY: see module docs; disjointness established statically.
-            phase.par_iter().for_each(|task| {
-                let kernel = &self.lowered.kernels[task.kernel];
-                unsafe { run_kernel_region(kernel, &view, &task.region) };
-            });
+            // SAFETY: tasks within a phase are mutually independent (greedy
+            // grouping), tiles of a parallel-safe kernel are iteration-
+            // disjoint, and a sequential kernel is one task; bounds are
+            // proven by validation.
+            phase
+                .par_iter()
+                .for_each(|task| unsafe { task.run(&self.lowered, &view) });
             if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
                 r.record_phase(pi, t0.elapsed().as_secs_f64(), phase.len() as u64);
                 for task in phase {
-                    r.kernels.tiles += 1;
-                    if self.lowered.kernels[task.kernel].parallel_safe {
-                        r.kernels.parallel_tasks += 1;
-                    } else {
-                        r.kernels.sequential_tasks += 1;
-                    }
+                    task.record(&self.lowered, r);
                 }
             }
         }
@@ -196,7 +162,6 @@ impl Executable for OclExecutable {
         let t0 = std::time::Instant::now();
         self.run_impl(grids, Some(report))?;
         report.kernels.points += self.points_per_run();
-        report.spec += crate::specialize::spec_stats_of(&self.lowered);
         report.finish_run(t0.elapsed().as_secs_f64());
         Ok(())
     }
@@ -282,5 +247,41 @@ mod tests {
             .run(&mut b)
             .unwrap();
         assert_eq!(a.get("x").unwrap().max_abs_diff(b.get("x").unwrap()), 0.0);
+    }
+
+    /// A kernel that is not parallel-safe runs as one task walking its
+    /// regions in union order, so the second region reads what the first
+    /// one wrote, exactly as in `seq`.
+    #[test]
+    fn sequential_kernel_over_a_union_runs_as_one_ordered_task() {
+        let n = 65_536usize;
+        let half = (n / 2) as i64;
+        let union = RectDomain::new(&[1], &[half], &[1]) + RectDomain::new(&[half], &[0], &[1]);
+        let group = StencilGroup::from(Stencil::new(Expr::read_at("x", &[-1]), "x", union));
+        let mut base = GridSet::new();
+        let mut x = Grid::new(&[n]);
+        x.fill_random(5, 0.0, 1.0);
+        base.insert("x", x);
+        let shapes = base.shapes();
+        let mut want = base.clone();
+        SequentialBackend::new()
+            .compile(&group, &shapes)
+            .unwrap()
+            .run(&mut want)
+            .unwrap();
+        let exe = OclSimBackend::new().compile(&group, &shapes).unwrap();
+        for _ in 0..20 {
+            let mut got = base.clone();
+            let mut report = RunReport::new();
+            exe.run_with_report(&mut got, &mut report).unwrap();
+            let (got, want) = (got.get("x").unwrap(), want.get("x").unwrap());
+            let first_diff = got
+                .as_slice()
+                .iter()
+                .zip(want.as_slice())
+                .position(|(a, b)| a != b);
+            assert_eq!(first_diff, None, "oclsim diverged from seq");
+            assert_eq!(report.kernels.sequential_tasks, 1);
+        }
     }
 }

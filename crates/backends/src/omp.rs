@@ -19,9 +19,9 @@ use rayon::prelude::*;
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{intersect_box, lower_group, tile_region, LowerOptions, Lowered};
+use snowflake_ir::{intersect_box, tile_region, LowerOptions, Lowered};
 
-use crate::exec::{check_limits, run_fused_region, run_kernel_region};
+use crate::exec::Task;
 use crate::metrics::RunReport;
 use crate::view::GridPtrs;
 use crate::{check_and_ptrs, Backend, Executable};
@@ -43,9 +43,6 @@ pub struct OmpOptions {
     /// traversal (§VII "mark stencils for fusion", executed). Defaults to
     /// on: same-phase kernels are mutually independent by construction.
     pub fuse: bool,
-    /// Attach closed-form specialization records at compile time (see
-    /// `crate::specialize`); on by default, bitwise-neutral.
-    pub specialize: bool,
     /// Consult the persisted tile auto-tuner when no explicit tile is set:
     /// time candidate tile shapes once per (program, shapes, threads) and
     /// serve the winner from disk thereafter. Off by default (plan builds
@@ -60,7 +57,6 @@ impl Default for OmpOptions {
             multicolor_reorder: true,
             parallel: true,
             fuse: true,
-            specialize: true,
             tune: false,
         }
     }
@@ -105,12 +101,6 @@ impl OmpBackend {
     /// schedule, for ablations).
     pub fn with_parallel(mut self, on: bool) -> Self {
         self.omp.parallel = on;
-        self
-    }
-
-    /// Enable or disable kernel specialization (builder style).
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.omp.specialize = on;
         self
     }
 
@@ -226,14 +216,6 @@ fn tune_candidates(ndim: usize, regions: &[Region], threads: usize) -> Vec<Vec<i
     cands
 }
 
-/// One schedulable unit: one or more fused kernels plus the sub-regions
-/// they execute consecutively (one tile's worth of every color, or a
-/// whole serial kernel).
-struct Task {
-    kernels: Vec<usize>,
-    regions: Vec<Region>,
-}
-
 struct OmpExecutable {
     lowered: Lowered,
     /// Tasks per phase.
@@ -255,13 +237,7 @@ impl Backend for OmpBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let mut lowered = lower_group(group, shapes, &self.options)?;
-        for k in &lowered.kernels {
-            check_limits(k)?;
-        }
-        if self.omp.specialize {
-            crate::specialize::specialize_lowered(&mut lowered);
-        }
+        let lowered = crate::exec::lower(group, shapes, &self.options)?;
         let threads = rayon::current_num_threads().max(1);
         // Tuner consult only fills the gap left by an unset explicit tile;
         // `autotune_tile`'s probe compiles carry `tile: Some(..)` and so
@@ -429,23 +405,7 @@ impl OmpExecutable {
             // SAFETY: tasks within a phase are mutually independent (greedy
             // grouping) and tiles of a parallel-safe kernel are iteration-
             // disjoint; bounds are proven by validation.
-            let run_task = |task: &Task| {
-                if task.kernels.len() == 1 {
-                    let kernel = &self.lowered.kernels[task.kernels[0]];
-                    for region in &task.regions {
-                        unsafe { run_kernel_region(kernel, &view, region) };
-                    }
-                } else {
-                    let kernels: Vec<&snowflake_ir::LoweredKernel> = task
-                        .kernels
-                        .iter()
-                        .map(|&k| &self.lowered.kernels[k])
-                        .collect();
-                    for region in &task.regions {
-                        unsafe { run_fused_region(&kernels, &view, region) };
-                    }
-                }
-            };
+            let run_task = |task: &Task| unsafe { task.run(&self.lowered, &view) };
             if self.parallel {
                 phase.par_iter().for_each(run_task);
             } else {
@@ -455,13 +415,7 @@ impl OmpExecutable {
             if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
                 r.record_phase(pi, t0.elapsed().as_secs_f64(), phase.len() as u64);
                 for task in phase {
-                    r.kernels.tiles += 1;
-                    r.kernels.fused += (task.kernels.len() as u64).saturating_sub(1);
-                    if self.lowered.kernels[task.kernels[0]].parallel_safe {
-                        r.kernels.parallel_tasks += 1;
-                    } else {
-                        r.kernels.sequential_tasks += 1;
-                    }
+                    task.record(&self.lowered, r);
                 }
             }
         }
@@ -479,7 +433,6 @@ impl Executable for OmpExecutable {
         let t0 = std::time::Instant::now();
         self.run_impl(grids, Some(report))?;
         report.kernels.points += self.points_per_run();
-        report.spec += crate::specialize::spec_stats_of(&self.lowered);
         report.finish_run(t0.elapsed().as_secs_f64());
         Ok(())
     }

@@ -69,13 +69,6 @@ pub struct BackendOptions {
     /// list, warn-level findings accumulate into the `lint{}` metrics block
     /// stamped by [`crate::SolverPlan::stamp`].
     pub lint: bool,
-    /// Kernel specialization (see `crate::specialize`): `None` keeps each
-    /// backend's default (on for every stock compiled backend),
-    /// `Some(false)` forces the bytecode interpreter, `Some(true)` demands
-    /// specialization — which the `checked` sanitizer backend rejects with
-    /// [`CoreError::UnsupportedOption`], since its purpose is the
-    /// instrumented reference interpreter.
-    pub specialize: Option<bool>,
     /// Consult the persisted tile auto-tuner at compile time (omp; only
     /// effective when no explicit tile is set).
     pub tune: bool,
@@ -100,7 +93,6 @@ impl Default for BackendOptions {
             disk_cache: true,
             verify: false,
             lint: false,
-            specialize: None,
             tune: false,
             tune_dir: None,
         }
@@ -156,13 +148,6 @@ impl BackendOptions {
         self
     }
 
-    /// Force kernel specialization on or off (builder style); the default
-    /// `None` keeps each backend's own default.
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.specialize = Some(on);
-        self
-    }
-
     /// Enable or disable the persisted tile auto-tuner (builder style).
     pub fn with_tune(mut self, on: bool) -> Self {
         self.tune = on;
@@ -194,13 +179,10 @@ pub fn backend_from_name(name: &str, opts: &BackendOptions) -> Result<Box<dyn Ba
 }
 
 fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> {
-    // Every stock compiled backend specializes by default; `Some` forces.
-    let specialize = opts.specialize.unwrap_or(true);
     match name {
         "interp" => Ok(Box::new(InterpreterBackend)),
         "seq" => Ok(Box::new(SequentialBackend {
             options: opts.lower.clone(),
-            specialize,
         })),
         "omp" => Ok(Box::new(OmpBackend {
             options: opts.lower.clone(),
@@ -209,7 +191,6 @@ fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> 
                 multicolor_reorder: opts.multicolor,
                 parallel: opts.parallel,
                 fuse: opts.fuse,
-                specialize,
                 tune: opts.tune,
             },
             tuner: crate::tune::TileTuner::new(opts.tune_dir.clone()),
@@ -217,12 +198,9 @@ fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> 
         "oclsim" => Ok(Box::new(OclSimBackend {
             options: opts.lower.clone(),
             workgroup: opts.workgroup,
-            specialize,
         })),
         "cjit" => {
-            let mut backend = CJitBackend::new()
-                .with_disk_cache(opts.disk_cache)
-                .with_specialize(specialize);
+            let mut backend = CJitBackend::new().with_disk_cache(opts.disk_cache);
             backend.options = opts.lower.clone();
             if let Some(cc) = &opts.cc {
                 backend = backend.with_cc(cc.clone());
@@ -238,23 +216,11 @@ fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> 
         "dist" => {
             let mut backend = DistBackend::new(opts.ranks.max(1));
             backend.options = opts.lower.clone();
-            backend.specialize = specialize;
             Ok(Box::new(backend))
         }
-        "checked" => {
-            // The sanitizer's whole contract is the instrumented reference
-            // interpreter; demanding specialization is a contradiction the
-            // caller should hear about, not a knob to silently drop.
-            if opts.specialize == Some(true) {
-                return Err(CoreError::UnsupportedOption {
-                    backend: "checked".to_string(),
-                    option: "specialize=true".to_string(),
-                });
-            }
-            Ok(Box::new(CheckedBackend {
-                options: opts.lower.clone(),
-            }))
-        }
+        "checked" => Ok(Box::new(CheckedBackend {
+            options: opts.lower.clone(),
+        })),
         _ => Err(CoreError::UnknownBackend {
             name: name.to_string(),
             available: NAMES.iter().map(|s| s.to_string()).collect(),
@@ -317,40 +283,6 @@ mod tests {
                 assert_eq!(available.len(), NAMES.len());
             }
             other => panic!("expected UnknownBackend, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn checked_backend_rejects_forced_specialization_with_typed_error() {
-        let opts = BackendOptions::default().with_specialize(true);
-        let Err(err) = backend_from_name("checked", &opts) else {
-            panic!("checked + specialize=true must be rejected");
-        };
-        match err {
-            CoreError::UnsupportedOption { backend, option } => {
-                assert_eq!(backend, "checked");
-                assert_eq!(option, "specialize=true");
-            }
-            other => panic!("expected UnsupportedOption, got {other:?}"),
-        }
-        // Explicitly *disabling* specialization is fine (it is the checked
-        // backend's only mode), as is leaving the knob unset.
-        assert!(
-            backend_from_name("checked", &BackendOptions::default().with_specialize(false)).is_ok()
-        );
-        assert!(backend_from_name("checked", &BackendOptions::default()).is_ok());
-        // Every other stock backend accepts both forced settings.
-        for &name in available_backends() {
-            if name == "checked" {
-                continue;
-            }
-            for on in [true, false] {
-                let opts = BackendOptions::default().with_specialize(on);
-                assert!(
-                    backend_from_name(name, &opts).is_ok(),
-                    "{name} specialize={on}"
-                );
-            }
         }
     }
 

@@ -1,36 +1,24 @@
 //! The sequential compiled backend: lowered kernels, one thread.
 //!
 //! The counterpart of the paper's plain-C micro-compiler: full lowering
-//! (constant folding, linear-form extraction, cursor addressing) with no
+//! (constant folding, closed-form extraction, cursor addressing) with no
 //! parallel scheduling. Kernels run in program order; regions in union
 //! order; points in row-major order — the canonical semantics.
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
-use snowflake_ir::{lower_group, LowerOptions, Lowered};
+use snowflake_ir::{LowerOptions, Lowered};
 
-use crate::exec::{check_limits, run_kernel_region};
+use crate::exec::run_kernel_region;
 use crate::metrics::RunReport;
 use crate::view::GridPtrs;
 use crate::{check_and_ptrs, Backend, Executable};
 
 /// Single-threaded compiled backend.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SequentialBackend {
     /// Lowering options (dead-stencil elimination etc.).
     pub options: LowerOptions,
-    /// Attach closed-form specialization records at compile time (see
-    /// `crate::specialize`); on by default, bitwise-neutral.
-    pub specialize: bool,
-}
-
-impl Default for SequentialBackend {
-    fn default() -> Self {
-        SequentialBackend {
-            options: LowerOptions::default(),
-            specialize: true,
-        }
-    }
 }
 
 impl SequentialBackend {
@@ -44,12 +32,6 @@ impl SequentialBackend {
         self.options = options;
         self
     }
-
-    /// Enable or disable kernel specialization (builder style).
-    pub fn with_specialize(mut self, on: bool) -> Self {
-        self.specialize = on;
-        self
-    }
 }
 
 impl Backend for SequentialBackend {
@@ -58,13 +40,7 @@ impl Backend for SequentialBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let mut lowered = lower_group(group, shapes, &self.options)?;
-        for k in &lowered.kernels {
-            check_limits(k)?;
-        }
-        if self.specialize {
-            crate::specialize::specialize_lowered(&mut lowered);
-        }
+        let lowered = crate::exec::lower(group, shapes, &self.options)?;
         Ok(Box::new(SeqExecutable { lowered }))
     }
 
@@ -120,7 +96,6 @@ impl Executable for SeqExecutable {
         let t0 = std::time::Instant::now();
         self.run_impl(grids, Some(report))?;
         report.kernels.points += self.points_per_run();
-        report.spec += crate::specialize::spec_stats_of(&self.lowered);
         report.finish_run(t0.elapsed().as_secs_f64());
         Ok(())
     }

@@ -1,78 +1,80 @@
-//! Plan-time kernel specialization: closed-form executors for matched
-//! stencils.
+//! The closed-form pass and the row executors that run its records.
 //!
-//! [`specialize_lowered`] pattern-matches each lowered kernel's arithmetic
-//! into the closed forms of [`snowflake_ir::spec`] — constant-coefficient
+//! [`specialize_lowered`] is the step of lowering that extracts each
+//! kernel's closed form ([`snowflake_ir::spec`]): constant-coefficient
 //! linear stencils (7-point/27-point Laplacians, restriction and
 //! interpolation weights, boundary reflections) and bounded sums of
-//! products (variable-coefficient GSRB smooth) — and attaches the
-//! structure-of-arrays record to [`LoweredKernel::spec`]. The executors in
-//! this module then run matched rows through tight chunked inner loops
-//! over contiguous slices (unit stride) or precomputed strided index
-//! chains, which LLVM auto-vectorizes; kernels that do not match — or are
-//! not parallel-safe, whose canonical lexicographic order must be
-//! preserved point by point — keep `spec = None` and fall back to the
-//! generic interpreter paths in [`crate::exec`].
+//! products (variable-coefficient GSRB smooth). Every backend runs it on
+//! every lowered group, so the record is the one arithmetic description the
+//! executors below, the `checked` sanitizer and the C generator share.
 //!
-//! **Bitwise contract**: every executor here performs, per output
-//! element, the identical floating-point operation sequence as the
-//! generic linear/poly row forms (`acc = bias; acc += coeff·read` in term
-//! order; `prod = coeff; prod *= read…; acc += prod` for poly). Chunking
-//! and fusion only reorder work *across* independent elements of
-//! parallel-safe kernels — never within one element — so specialized
-//! results are bitwise equal to the unspecialized baseline. The
-//! equivalence suite in `tests/specialize_equivalence.rs` asserts this on
-//! the full HPGMG V-cycle.
+//! Parallel safety picks only the loop shape: rows of parallel-safe kernels
+//! run through tight chunked loops over contiguous slices (unit stride) or
+//! strided index chains, which LLVM auto-vectorizes; rows of sequential
+//! kernels run point by point in canonical order, since a later point may
+//! read what an earlier one wrote.
+//!
+//! **Bitwise contract**: every executor here performs, per output element,
+//! the operation sequence of [`SpecKernel::eval`]. Chunking only reorders
+//! work *across* independent elements of parallel-safe kernels — never
+//! within one element — so all loop shapes agree bitwise with the
+//! per-point reference. `tests/specialize_equivalence.rs` asserts this
+//! against `checked` on the full HPGMG V-cycles.
 
 #![allow(clippy::needless_range_loop)] // chunk indices address parallel fixed arrays
+
+use std::convert::Infallible;
 
 use snowflake_ir::spec::{SpecForm, SpecKernel, SpecLinear, SpecPoly};
 use snowflake_ir::Lowered;
 
 use crate::exec::MAX_CLASSES;
-use crate::metrics::SpecStats;
 use crate::view::GridPtrs;
 
-/// Row chunk length for the specialized executors (matches the generic
-/// vectorized executors: long enough to amortize loop overhead, short
-/// enough that acc/prod scratch stays in L1).
-const CHUNK: usize = 128;
+/// Row chunk length of the chunked executors: long enough to amortize
+/// per-term loop overhead, short enough that acc/prod scratch stays in L1.
+pub(crate) const CHUNK: usize = 128;
 
 /// Largest term count monomorphized into a fused fixed-arity inner loop;
 /// wider linear kernels use the dynamic-arity pass executor (bitwise
 /// identical, just less completely unrolled).
 const MAX_FUSED_ARITY: usize = 16;
 
-/// Attach closed-form specialization records to every kernel that
-/// matches: parallel-safe kernels with a linear or poly fast-path form.
-/// Kernels that stay on the interpreter (bytecode-only arithmetic, or
-/// sequential kernels whose lexicographic point order is semantic) keep
-/// `spec = None`. Returns hit/miss counts for [`crate::metrics`].
-pub fn specialize_lowered(lowered: &mut Lowered) -> SpecStats {
-    let mut stats = SpecStats::default();
+/// Attach its closed form to every kernel whose bytecode has one, parallel
+/// safe or not. Kernels with bytecode-only arithmetic keep `spec = None`.
+pub fn specialize_lowered(lowered: &mut Lowered) {
     for kernel in &mut lowered.kernels {
-        kernel.spec = if kernel.parallel_safe {
-            SpecKernel::from_forms(kernel.linear.as_ref(), kernel.poly.as_ref())
-        } else {
-            None
-        };
-        if kernel.spec.is_some() {
-            stats.kernels_specialized += 1;
-        } else {
-            stats.kernels_interpreted += 1;
-        }
+        kernel.spec = SpecKernel::of(&kernel.program);
     }
-    stats
 }
 
-/// Per-run specialization counters for a lowered group: how many kernels
-/// run specialized vs interpreted (static facts of the compiled plan,
-/// accumulated into reports per run like the other kernel counters).
-pub fn spec_stats_of(lowered: &Lowered) -> SpecStats {
-    let specialized = lowered.kernels.iter().filter(|k| k.spec.is_some()).count() as u64;
-    SpecStats {
-        kernels_specialized: specialized,
-        kernels_interpreted: lowered.kernels.len() as u64 - specialized,
+/// Execute one row point by point in canonical order, each point finished
+/// before the next is read.
+///
+/// # Safety
+/// As `exec::run_kernel_region`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn run_row_spec_points(
+    spec: &SpecKernel,
+    view: &GridPtrs<'_>,
+    cur: &[isize; MAX_CLASSES],
+    class_grid: &[usize; MAX_CLASSES],
+    inner_step: &[isize; MAX_CLASSES],
+    count: i64,
+    out_grid: usize,
+    out_start: isize,
+    out_step: isize,
+) {
+    // count is a non-negative region extent; the cast is exact.
+    #[allow(clippy::cast_possible_truncation)]
+    let total = count as isize;
+    for i in 0..total {
+        let Ok(v) = spec.eval(|c, d| {
+            let c = c as usize;
+            Ok::<_, Infallible>(view.read(class_grid[c], cur[c] + d + i * inner_step[c]))
+        });
+        view.write(out_grid, out_start + i * out_step, v);
     }
 }
 
@@ -359,35 +361,45 @@ unsafe fn poly_strided(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Backend, CheckedBackend, SequentialBackend};
     use snowflake_core::{
         weights2, Component, DomainUnion, Expr, RectDomain, ShapeMap, Stencil, StencilGroup,
     };
     use snowflake_grid::{Grid, GridSet};
     use snowflake_ir::{lower_group, LowerOptions};
 
-    fn lower(group: &StencilGroup, shapes: &ShapeMap) -> Lowered {
-        lower_group(group, shapes, &LowerOptions::default()).unwrap()
-    }
-
-    fn run(lowered: &Lowered, gs: &mut GridSet) {
-        let (ptrs, lens) = crate::check_and_ptrs(lowered, gs).unwrap();
-        let view = GridPtrs::new(&ptrs, &lens);
-        for phase in &lowered.phases {
-            for &ki in phase {
-                let k = &lowered.kernels[ki];
-                for r in &k.regions {
-                    unsafe { crate::exec::run_kernel_region(k, &view, r) };
-                }
-            }
+    /// Run `group` through `seq` (chunked, strided and per-point executors)
+    /// and through `checked` (per-point `eval` with range-checked reads);
+    /// every grid must come out bitwise identical.
+    fn assert_seq_matches_checked(group: &StencilGroup, grids: &GridSet) {
+        let shapes = grids.shapes();
+        let mut seq = grids.clone();
+        let mut checked = grids.clone();
+        SequentialBackend::new()
+            .compile(group, &shapes)
+            .unwrap()
+            .run(&mut seq)
+            .unwrap();
+        CheckedBackend::new()
+            .compile(group, &shapes)
+            .unwrap()
+            .run(&mut checked)
+            .unwrap();
+        for name in grids.names() {
+            assert_eq!(
+                seq.get(name).unwrap().as_slice(),
+                checked.get(name).unwrap().as_slice(),
+                "grid {name} diverged"
+            );
         }
     }
 
-    /// Bitwise spec-on ≡ spec-off across a matrix of kernel shapes: unit
-    /// linear (Laplacian), strided linear (red-black constant
-    /// coefficient), strided poly (red-black variable coefficient), and a
-    /// sequential in-place kernel that must decline specialization.
+    /// Every loop shape against the per-point reference: unit linear
+    /// (Laplacian), strided linear (red-black constant coefficient),
+    /// strided poly (red-black variable coefficient) and a sequential
+    /// in-place kernel.
     #[test]
-    fn specialized_execution_is_bitwise_identical() {
+    fn every_loop_shape_matches_per_point_evaluation() {
         let n = 18;
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
         let (red, black) = DomainUnion::red_black(2);
@@ -403,45 +415,56 @@ mod tests {
             StencilGroup::new()
                 .with(Stencil::new(vc.clone(), "mesh", red))
                 .with(Stencil::new(vc, "mesh", black)),
+            StencilGroup::from(Stencil::new(
+                m(0, -1) * 0.5 + Expr::read_at("beta", &[0, 0]) * m(-1, 0),
+                "mesh",
+                RectDomain::interior(2),
+            )),
         ];
+        let mut grids = GridSet::new();
+        for (g, seed) in [("x", 1u64), ("y", 2), ("mesh", 3), ("rhs", 4), ("beta", 5)] {
+            let mut grid = Grid::new(&[n, n]);
+            grid.fill_random(seed, 0.5, 1.5);
+            grids.insert(g, grid);
+        }
         for group in &groups {
-            let mut gs_base = GridSet::new();
-            for (g, seed) in [("x", 1u64), ("y", 2), ("mesh", 3), ("rhs", 4), ("beta", 5)] {
-                let mut grid = Grid::new(&[n, n]);
-                grid.fill_random(seed, 0.5, 1.5);
-                gs_base.insert(g, grid);
-            }
-            let shapes = gs_base.shapes();
-            let plain = lower(group, &shapes);
-            let mut spec = plain.clone();
-            let stats = specialize_lowered(&mut spec);
-            assert!(stats.kernels_specialized > 0, "nothing specialized");
-            let mut gs_plain = gs_base.clone();
-            let mut gs_spec = gs_base;
-            run(&plain, &mut gs_plain);
-            run(&spec, &mut gs_spec);
-            for name in ["x", "y", "mesh", "rhs", "beta"] {
-                assert_eq!(
-                    gs_plain.get(name).unwrap().as_slice(),
-                    gs_spec.get(name).unwrap().as_slice(),
-                    "grid {name} diverged"
-                );
-            }
+            assert_seq_matches_checked(group, &grids);
         }
     }
 
     #[test]
-    fn sequential_kernels_are_never_specialized() {
-        // Lexicographic in-place propagation: specializing would break the
-        // canonical point order.
-        let s = Stencil::new(Expr::read_at("x", &[0, -1]), "x", RectDomain::interior(2));
+    fn closed_forms_attach_regardless_of_parallel_safety() {
+        let x = |j: i64| Expr::read_at("x", &[0, j]);
+        let group = StencilGroup::new()
+            .with(Stencil::new(x(1) + x(-1), "y", RectDomain::interior(2)))
+            .with(Stencil::new(x(-1) * 0.5, "x", RectDomain::interior(2)))
+            .with(Stencil::new(x(0) * x(1), "y", RectDomain::interior(2)))
+            .with(Stencil::new(
+                Expr::Const(1.0) / x(0),
+                "y",
+                RectDomain::interior(2),
+            ));
         let mut shapes = ShapeMap::new();
         shapes.insert("x".into(), vec![8, 8]);
-        let mut lowered = lower(&StencilGroup::from(s), &shapes);
-        let stats = specialize_lowered(&mut lowered);
-        assert_eq!(stats.kernels_specialized, 0);
-        assert_eq!(stats.kernels_interpreted, 1);
-        assert!(lowered.kernels[0].spec.is_none());
+        shapes.insert("y".into(), vec![8, 8]);
+        let mut lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
+        assert!(lowered.kernels.iter().all(|k| k.spec.is_none()));
+        specialize_lowered(&mut lowered);
+        let k = &lowered.kernels;
+        assert!(matches!(
+            k[0].spec.as_ref().unwrap().form,
+            SpecForm::Linear(_)
+        ));
+        assert!(!k[1].parallel_safe, "lexicographic in-place propagation");
+        assert!(matches!(
+            k[1].spec.as_ref().unwrap().form,
+            SpecForm::Linear(_)
+        ));
+        assert!(matches!(
+            k[2].spec.as_ref().unwrap().form,
+            SpecForm::Poly(_)
+        ));
+        assert!(k[3].spec.is_none(), "division by a read stays bytecode");
     }
 
     #[test]
@@ -458,43 +481,17 @@ mod tests {
             }
         }
         let group = StencilGroup::from(Stencil::new(e, "y", RectDomain::interior(3)));
-        let mut gs = GridSet::new();
+        let mut grids = GridSet::new();
         let mut x = Grid::new(&[10, 10, 10]);
         x.fill_random(9, -1.0, 1.0);
-        gs.insert("x", x);
-        gs.insert("y", Grid::new(&[10, 10, 10]));
-        let shapes = gs.shapes();
-        let plain = lower(&group, &shapes);
-        assert!(plain.kernels[0].linear.as_ref().unwrap().terms.len() > MAX_FUSED_ARITY);
-        let mut spec = plain.clone();
-        specialize_lowered(&mut spec);
-        let mut gs_spec = gs.clone();
-        run(&plain, &mut gs);
-        run(&spec, &mut gs_spec);
-        assert_eq!(
-            gs.get("y").unwrap().as_slice(),
-            gs_spec.get("y").unwrap().as_slice()
-        );
-    }
-
-    #[test]
-    fn spec_stats_reflect_the_lowered_group() {
-        let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
-        let group = StencilGroup::new()
-            .with(Stencil::new(lap, "y", RectDomain::interior(2)))
-            .with(Stencil::new(
-                Expr::read_at("y", &[0, -1]),
-                "y",
-                RectDomain::interior(2),
-            ));
-        let mut shapes = ShapeMap::new();
-        shapes.insert("x".into(), vec![8, 8]);
-        shapes.insert("y".into(), vec![8, 8]);
-        let mut lowered = lower(&group, &shapes);
-        let pass = specialize_lowered(&mut lowered);
-        let counted = spec_stats_of(&lowered);
-        assert_eq!(pass, counted);
-        assert_eq!(counted.kernels_specialized, 1);
-        assert_eq!(counted.kernels_interpreted, 1);
+        grids.insert("x", x);
+        grids.insert("y", Grid::new(&[10, 10, 10]));
+        let mut lowered = lower_group(&group, &grids.shapes(), &LowerOptions::default()).unwrap();
+        specialize_lowered(&mut lowered);
+        let Some(SpecForm::Linear(sl)) = lowered.kernels[0].spec.as_ref().map(|s| &s.form) else {
+            panic!("27-point stencil must linearize");
+        };
+        assert!(sl.arity() > MAX_FUSED_ARITY);
+        assert_seq_matches_checked(&group, &grids);
     }
 }

@@ -24,11 +24,9 @@
 //! counters surface in each report's `lint` object — see `snowlint` for
 //! the standalone driver).
 //!
-//! `--no-specialize` disables the plan-time kernel specializer (every
-//! kernel runs on the generic interpreter paths); `--tune` enables the
-//! persisted tile auto-tuner on backends that support it (`omp`), whose
-//! cache directory is the `SNOWFLAKE_TUNE_DIR` chain. Both surface in the
-//! metrics JSON through each report's `spec` and `tune` objects.
+//! `--tune` enables the persisted tile auto-tuner on backends that support
+//! it (`omp`), whose cache directory is the `SNOWFLAKE_TUNE_DIR` chain; it
+//! surfaces in the metrics JSON through each report's `tune` object.
 //!
 //! [`RunReport`]: snowflake_backends::RunReport
 
@@ -55,9 +53,6 @@ fn main() {
     let lint = arg_flag(&args, "--lint");
     let metrics_path = arg_value(&args, "--metrics-json");
     let mut backend_opts = BackendOptions::default().with_lint(lint);
-    if arg_flag(&args, "--no-specialize") {
-        backend_opts = backend_opts.with_specialize(false);
-    }
     if arg_flag(&args, "--tune") {
         backend_opts = backend_opts.with_tune(true);
     }

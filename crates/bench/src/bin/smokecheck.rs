@@ -30,12 +30,10 @@
 //!
 //! With `--tune`, the documents are instead two consecutive
 //! `figure9 --smoke --backend omp --tune` runs sharing one
-//! `SNOWFLAKE_TUNE_DIR`: the checks switch to the omp row's `tune` and
-//! `spec` blocks — the cold run must time candidates and persist
-//! decisions (`disk_misses > 0`), the warm run must be served entirely
-//! from the on-disk tuner cache (`disk_hits > 0`, `disk_misses == 0`),
-//! and both runs must keep the kernel specializer engaged on at least
-//! one smoother kernel (`spec.kernels_specialized > 0`).
+//! `SNOWFLAKE_TUNE_DIR`: the checks switch to the omp row's `tune` block —
+//! the cold run must time candidates and persist decisions
+//! (`disk_misses > 0`), and the warm run must be served entirely from the
+//! on-disk tuner cache (`disk_hits > 0`, `disk_misses == 0`).
 
 use snowflake_backends::metrics::json;
 use snowflake_bench::arg_flag;
@@ -81,9 +79,8 @@ fn cjit_facts(path: &str) -> Result<Option<CjitFacts>, String> {
     Ok(None)
 }
 
-/// The omp row's specializer + tuner facts for the `--tune` assertions.
+/// The omp row's tuner facts for the `--tune` assertions.
 struct TuneFacts {
-    kernels_specialized: u64,
     tune_disk_hits: u64,
     tune_disk_misses: u64,
     candidates_timed: u64,
@@ -103,25 +100,24 @@ fn tune_facts(path: &str) -> Result<TuneFacts, String> {
         let report = row
             .get("report")
             .ok_or_else(|| format!("{path}: omp row has no report"))?;
-        let block_u64 = |block: &str, key: &str| {
+        let tune_u64 = |key: &str| {
             report
-                .get(block)
+                .get("tune")
                 .and_then(|b| b.get(key))
                 .and_then(|v| v.as_u64())
-                .ok_or_else(|| format!("{path}: omp report missing {block}.{key}"))
+                .ok_or_else(|| format!("{path}: omp report missing tune.{key}"))
         };
         return Ok(TuneFacts {
-            kernels_specialized: block_u64("spec", "kernels_specialized")?,
-            tune_disk_hits: block_u64("tune", "disk_hits")?,
-            tune_disk_misses: block_u64("tune", "disk_misses")?,
-            candidates_timed: block_u64("tune", "candidates_timed")?,
+            tune_disk_hits: tune_u64("disk_hits")?,
+            tune_disk_misses: tune_u64("disk_misses")?,
+            candidates_timed: tune_u64("candidates_timed")?,
         });
     }
     Err(format!("{path}: no Snowflake/omp row"))
 }
 
 /// The `--tune` check: cold run populates the tuner cache, warm run is
-/// served from it, the specializer stays engaged in both.
+/// served from it.
 fn check_tune(first_path: &str, second_path: &str) -> ! {
     let load = |path: &str| {
         tune_facts(path).unwrap_or_else(|e| {
@@ -146,24 +142,16 @@ fn check_tune(first_path: &str, second_path: &str) -> ! {
         );
         failed = true;
     }
-    for (label, facts) in [("cold", &first), ("warm", &second)] {
-        if facts.kernels_specialized == 0 {
-            eprintln!("FAIL: {label} run has no specialized kernels");
-            failed = true;
-        }
-    }
     if failed {
         std::process::exit(1);
     }
     println!(
         "smokecheck: ok — cold (tune misses {}, {} candidates timed), \
-         warm (tune hits {}, misses {}), spec kernels {}/{}",
+         warm (tune hits {}, misses {})",
         first.tune_disk_misses,
         first.candidates_timed,
         second.tune_disk_hits,
-        second.tune_disk_misses,
-        first.kernels_specialized,
-        second.kernels_specialized
+        second.tune_disk_misses
     );
     std::process::exit(0);
 }

@@ -36,16 +36,6 @@ pub enum CoreError {
         /// Every name the registry does know.
         available: Vec<String>,
     },
-    /// A construction option a backend does not support (e.g. requesting
-    /// kernel specialization on the instrumented `checked` backend, whose
-    /// purpose is the unspecialized reference interpreter). Typed so
-    /// drivers can distinguish "bad knob" from compile failures.
-    UnsupportedOption {
-        /// The backend that rejected the option.
-        backend: String,
-        /// The offending option, rendered as `name=value`.
-        option: String,
-    },
     /// Backend-level failure (compilation, unavailable toolchain, …).
     Backend(String),
 }
@@ -89,9 +79,6 @@ impl fmt::Display for CoreError {
                     "unknown backend {name:?}; available: {}",
                     available.join(", ")
                 )
-            }
-            CoreError::UnsupportedOption { backend, option } => {
-                write!(f, "backend {backend:?} does not support option {option}")
             }
             CoreError::Backend(msg) => write!(f, "backend error: {msg}"),
         }

@@ -53,7 +53,7 @@ impl Names {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Coeff {
     /// β ≡ 1: the operator folds to the constant 7-point Laplacian and
-    /// every group linearizes onto the executors' FMA fast path.
+    /// every group's closed form is linear.
     Constant,
     /// Analytic β read from the face grids (divergence form).
     Variable,
@@ -375,36 +375,6 @@ mod tests {
         // Both color passes are parallel-safe in-place stencils.
         assert!(is_parallel_safe(&resolved[6]));
         assert!(is_parallel_safe(&resolved[13]));
-    }
-
-    #[test]
-    fn cc_gsrb_linearizes() {
-        // The constant-coefficient GSRB update must hit the FMA fast path.
-        let names = Names::level(0);
-        let group = gsrb_smooth_group(&names, Coeff::Constant, 0.0, 1.0, 64.0);
-        let lowered =
-            snowflake_ir::lower_group(&group, &shapes(0, 8), &Default::default()).unwrap();
-        for k in &lowered.kernels {
-            assert!(
-                k.linear.is_some(),
-                "kernel {:?} should linearize for CC",
-                k.name
-            );
-        }
-    }
-
-    #[test]
-    fn vc_gsrb_does_not_linearize() {
-        let names = Names::level(0);
-        let group = gsrb_smooth_group(&names, Coeff::Variable, 0.0, 1.0, 64.0);
-        let lowered =
-            snowflake_ir::lower_group(&group, &shapes(0, 8), &Default::default()).unwrap();
-        let red = lowered
-            .kernels
-            .iter()
-            .find(|k| k.name.contains("red"))
-            .unwrap();
-        assert!(red.linear.is_none(), "VC update is not a linear form");
     }
 
     #[test]

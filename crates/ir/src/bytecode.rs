@@ -172,9 +172,9 @@ fn measure_stack(ops: &[Op]) -> usize {
 ///
 /// Most scientific stencils (constant-coefficient Laplacians, Jacobi
 /// smoothers, restriction, interpolation, boundary negation) lower to this
-/// form; executors run it as a fused multiply-add loop instead of
-/// interpreting bytecode. Variable-coefficient operators (products of two
-/// reads) do not linearize and stay on the bytecode path.
+/// form; executors run its [`SpecLinear`](crate::spec::SpecLinear)
+/// re-layout instead of interpreting bytecode. Variable-coefficient
+/// operators (products of two reads) do not linearize; see [`PolyForm`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinearForm {
     /// `(class, delta, coeff)` triples.
@@ -280,33 +280,6 @@ pub struct PolyForm {
     pub bias: f64,
     /// `(coeff, reads)` terms; each read is `(class, delta)`.
     pub terms: Vec<(f64, Vec<(u32, isize)>)>,
-    /// Flattened execution tables (term coefficients, read counts per
-    /// term, and all reads back to back) — the hot loop walks these
-    /// contiguously instead of chasing per-term heap pointers.
-    pub flat_coeffs: Vec<f64>,
-    /// Reads per term, parallel to `flat_coeffs`.
-    pub flat_lens: Vec<u32>,
-    /// All `(class, delta)` reads, term-major.
-    pub flat_reads: Vec<(u32, isize)>,
-}
-
-impl PolyForm {
-    /// Build from structured terms, computing the flat tables.
-    pub fn from_terms(bias: f64, terms: Vec<(f64, Vec<(u32, isize)>)>) -> Self {
-        let flat_coeffs: Vec<f64> = terms.iter().map(|t| t.0).collect();
-        // A product term holds a few reads; u32 cannot truncate.
-        #[allow(clippy::cast_possible_truncation)]
-        let flat_lens: Vec<u32> = terms.iter().map(|t| t.1.len() as u32).collect();
-        let flat_reads: Vec<(u32, isize)> =
-            terms.iter().flat_map(|t| t.1.iter().copied()).collect();
-        PolyForm {
-            bias,
-            terms,
-            flat_coeffs,
-            flat_lens,
-            flat_reads,
-        }
-    }
 }
 
 /// Expansion guards: refuse pathological blow-ups and fall back to
@@ -403,7 +376,10 @@ pub fn polynomialize(program: &Program) -> Option<PolyForm> {
     if !stack.is_empty() {
         return None;
     }
-    Some(PolyForm::from_terms(top.bias, top.terms))
+    Some(PolyForm {
+        bias: top.bias,
+        terms: top.terms,
+    })
 }
 
 fn poly_add_term(

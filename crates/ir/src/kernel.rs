@@ -51,16 +51,10 @@ pub struct LoweredKernel {
     pub out_delta: isize,
     /// The arithmetic program producing the value to store.
     pub program: Program,
-    /// Fast-path linear form of `program`, when the expression is a
-    /// constant-coefficient linear combination of reads.
-    pub linear: Option<crate::bytecode::LinearForm>,
-    /// Fast-path sum-of-products form, populated when the expression is
-    /// polynomial in its reads but not linear (variable-coefficient
-    /// operators). `None` when `linear` is set or expansion blows up.
-    pub poly: Option<crate::bytecode::PolyForm>,
-    /// Closed-form specialization record, attached by the backend
-    /// specialization pass when the kernel matched and the backend enables
-    /// specialization. `None` straight out of lowering.
+    /// The closed form of `program` (linear or sum-of-products), attached
+    /// by the backends' specialization pass. `None` straight out of
+    /// [`lower_group`](crate::lower_group), and for programs that only
+    /// have bytecode (division by a read, oversized expansions).
     pub spec: Option<crate::spec::SpecKernel>,
     /// Resolved iteration regions (one per member of the domain union).
     pub regions: Vec<Region>,

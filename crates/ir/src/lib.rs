@@ -20,9 +20,9 @@
 //! * [`tile`] — region tiling and region∩box intersection, the substrate
 //!   for the OpenMP backend's arbitrary-dimension blocking and multicolor
 //!   reordering and the OpenCL backend's tall-skinny blocking.
-//! * [`spec`] — closed-form specialization records (structure-of-arrays
-//!   re-layouts of the linear/poly fast paths) attached to kernels by the
-//!   backend specialization pass.
+//! * [`spec`] — closed forms (structure-of-arrays linear and
+//!   sum-of-products records) matched from a kernel's bytecode, the
+//!   arithmetic every executor and code generator runs.
 
 pub mod bytecode;
 pub mod kernel;

@@ -112,12 +112,6 @@ pub fn lower_group(
         let (out_class, out_delta) = table.intern(&out_grid_name, &out_map)?;
         let classes = table.finish();
         let parallel_safe = is_parallel_safe(rs);
-        let linear = crate::bytecode::linearize(&program);
-        let poly = if linear.is_some() {
-            None
-        } else {
-            crate::bytecode::polynomialize(&program)
-        };
         kernels.push(LoweredKernel {
             name: rs.stencil.name().to_string(),
             ndim: rs.stencil.ndim(),
@@ -125,8 +119,6 @@ pub fn lower_group(
             out_class,
             out_delta,
             program,
-            linear,
-            poly,
             spec: None,
             regions: rs.regions.clone(),
             parallel_safe,

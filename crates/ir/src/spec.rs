@@ -1,26 +1,23 @@
-//! Closed-form kernel specializations.
+//! Closed-form kernels: the arithmetic half of the lowering contract.
 //!
-//! The specialization pass (driven from the backends crate) pattern-matches
-//! a lowered kernel's arithmetic into one of two closed forms and records
-//! it here in structure-of-arrays layout, so executors can run tight
-//! unit-stride inner loops over parallel coefficient/offset tables instead
-//! of walking the `(class, delta, coeff)` tuple vectors of the generic
-//! [`LinearForm`]/[`PolyForm`] fast paths — the layout LLVM's
-//! auto-vectorizer wants.
+//! [`SpecKernel::of`] matches a lowered program against the two closed
+//! forms the stock stencils fall into — constant-coefficient linear
+//! combinations ([`linearize`]) and bounded sums of products
+//! ([`polynomialize`]) — and records the match in structure-of-arrays
+//! layout, so executors run tight unit-stride inner loops over parallel
+//! coefficient/offset tables (the layout LLVM's auto-vectorizer wants) and
+//! the C generator renders a flat left fold. Programs matching neither
+//! (division by a read, oversized expansions) stay on bytecode.
 //!
-//! **Bitwise contract**: a [`SpecKernel`] is a *re-layout*, never a
-//! re-association. Builders preserve term order and per-term read order
-//! exactly, so evaluating a specialized kernel performs the identical
-//! floating-point operation sequence per element as the generic forms
-//! (`acc = bias; acc += coeff·read` in term order for linear;
-//! `prod = coeff; prod *= read…; acc += prod` for poly). Executors and the
-//! C code generator both rely on this to keep specialized results bitwise
-//! equal to the interpreter baseline.
-//!
-//! [`LinearForm`]: crate::bytecode::LinearForm
-//! [`PolyForm`]: crate::bytecode::PolyForm
+//! **Bitwise contract**: a record fixes the floating-point operation
+//! sequence per element — `acc = bias; acc += coeff·read` in term order for
+//! linear; `prod = coeff; prod *= read…; acc += prod` for poly — which
+//! [`SpecKernel::eval`] spells out. Builders preserve the term and read
+//! order of the matched forms, and every executor (chunked, strided, point
+//! by point, range-checked, generated C) performs exactly that sequence per
+//! element, so they all agree bitwise.
 
-use crate::bytecode::{LinearForm, PolyForm};
+use crate::bytecode::{linearize, polynomialize, LinearForm, PolyForm, Program};
 
 /// A constant-coefficient linear stencil,
 /// `bias + Σ_t coeffs[t] · grid[cursor[classes[t]] + deltas[t]]`,
@@ -74,12 +71,15 @@ pub struct SpecPoly {
 impl SpecPoly {
     /// Re-layout a [`PolyForm`], preserving term and read order.
     pub fn from_form(pf: &PolyForm) -> SpecPoly {
+        let reads = || pf.terms.iter().flat_map(|t| t.1.iter());
         SpecPoly {
             bias: pf.bias,
-            coeffs: pf.flat_coeffs.clone(),
-            lens: pf.flat_lens.clone(),
-            read_classes: pf.flat_reads.iter().map(|r| r.0).collect(),
-            read_deltas: pf.flat_reads.iter().map(|r| r.1).collect(),
+            coeffs: pf.terms.iter().map(|t| t.0).collect(),
+            // A product term holds at most a few reads; u32 cannot truncate.
+            #[allow(clippy::cast_possible_truncation)]
+            lens: pf.terms.iter().map(|t| t.1.len() as u32).collect(),
+            read_classes: reads().map(|r| r.0).collect(),
+            read_deltas: reads().map(|r| r.1).collect(),
         }
     }
 
@@ -98,10 +98,9 @@ pub enum SpecForm {
     Poly(SpecPoly),
 }
 
-/// A kernel's specialization record, attached to
+/// A kernel's closed form, attached to
 /// [`LoweredKernel::spec`](crate::kernel::LoweredKernel::spec) by the
-/// backend specialization pass when (and only when) the kernel matched a
-/// closed form and the owning backend enables specialization.
+/// backends' specialization pass.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpecKernel {
     /// The matched form.
@@ -109,17 +108,42 @@ pub struct SpecKernel {
 }
 
 impl SpecKernel {
-    /// Build from a kernel's generic fast-path forms; `None` when the
-    /// kernel only has bytecode (and must stay on the interpreter).
-    pub fn from_forms(linear: Option<&LinearForm>, poly: Option<&PolyForm>) -> Option<SpecKernel> {
-        if let Some(lf) = linear {
-            Some(SpecKernel {
-                form: SpecForm::Linear(SpecLinear::from_form(lf)),
-            })
-        } else {
-            poly.map(|pf| SpecKernel {
-                form: SpecForm::Poly(SpecPoly::from_form(pf)),
-            })
+    /// The closed form of `program`: linear when it linearizes, otherwise
+    /// a sum of products; `None` when it only has bytecode.
+    pub fn of(program: &Program) -> Option<SpecKernel> {
+        let form = match linearize(program) {
+            Some(lf) => SpecForm::Linear(SpecLinear::from_form(&lf)),
+            None => SpecForm::Poly(SpecPoly::from_form(&polynomialize(program)?)),
+        };
+        Some(SpecKernel { form })
+    }
+
+    /// Evaluate one element in the contract's operation order, fetching
+    /// each read through `read(class, delta)`; the first failed read
+    /// aborts the evaluation.
+    #[inline(always)]
+    pub fn eval<E>(&self, mut read: impl FnMut(u32, isize) -> Result<f64, E>) -> Result<f64, E> {
+        match &self.form {
+            SpecForm::Linear(sl) => {
+                let mut acc = sl.bias;
+                for t in 0..sl.arity() {
+                    acc += sl.coeffs[t] * read(sl.classes[t], sl.deltas[t])?;
+                }
+                Ok(acc)
+            }
+            SpecForm::Poly(sp) => {
+                let mut acc = sp.bias;
+                let mut r = 0usize;
+                for (t, &coeff) in sp.coeffs.iter().enumerate() {
+                    let mut prod = coeff;
+                    for _ in 0..sp.lens[t] {
+                        prod *= read(sp.read_classes[r], sp.read_deltas[r])?;
+                        r += 1;
+                    }
+                    acc += prod;
+                }
+                Ok(acc)
+            }
         }
     }
 }
@@ -127,7 +151,14 @@ impl SpecKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::PolyForm;
+    use crate::bytecode::{lower_expr, ClassTable};
+    use snowflake_core::Expr;
+
+    fn program(expr: &Expr) -> Program {
+        let gi = |g: &str| ["x", "y"].iter().position(|n| *n == g);
+        let sh = |_: usize| vec![4usize, 8];
+        lower_expr(expr, &mut ClassTable::new(&gi, &sh)).unwrap()
+    }
 
     #[test]
     fn linear_relayout_preserves_term_order() {
@@ -145,14 +176,14 @@ mod tests {
 
     #[test]
     fn poly_relayout_preserves_term_major_reads() {
-        let pf = PolyForm::from_terms(
-            0.25,
-            vec![
+        let pf = PolyForm {
+            bias: 0.25,
+            terms: vec![
                 (3.0, vec![(0, 0), (1, 8)]),
                 (-1.0, vec![(2, -1)]),
                 (0.5, vec![(0, 1), (1, 0), (2, 0)]),
             ],
-        );
+        };
         let sp = SpecPoly::from_form(&pf);
         assert_eq!(sp.bias, 0.25);
         assert_eq!(sp.coeffs, vec![3.0, -1.0, 0.5]);
@@ -163,20 +194,36 @@ mod tests {
     }
 
     #[test]
-    fn from_forms_prefers_linear_and_handles_bytecode_only() {
-        let lf = LinearForm {
-            terms: vec![(0, 0, 1.0)],
-            bias: 0.0,
+    fn of_prefers_linear_then_poly_then_bytecode() {
+        let x = || Expr::read_at("x", &[0, 0]);
+        let y = || Expr::read_at("y", &[0, 1]);
+        let linear = SpecKernel::of(&program(&(x() * 2.0 + y()))).unwrap();
+        assert!(matches!(linear.form, SpecForm::Linear(_)));
+        let poly = SpecKernel::of(&program(&(x() * y() + 1.0))).unwrap();
+        assert!(matches!(poly.form, SpecForm::Poly(_)));
+        assert!(SpecKernel::of(&program(&(x() / y()))).is_none());
+    }
+
+    #[test]
+    fn eval_follows_the_contract_order_and_stops_at_a_failed_read() {
+        let spec = SpecKernel {
+            form: SpecForm::Poly(SpecPoly::from_form(&PolyForm {
+                bias: 0.5,
+                terms: vec![(2.0, vec![(0, 0), (0, 1)]), (-1.0, vec![(1, 0)])],
+            })),
         };
-        let pf = PolyForm::from_terms(0.0, vec![(1.0, vec![(0, 0)])]);
-        assert!(matches!(
-            SpecKernel::from_forms(Some(&lf), None).unwrap().form,
-            SpecForm::Linear(_)
-        ));
-        assert!(matches!(
-            SpecKernel::from_forms(None, Some(&pf)).unwrap().form,
-            SpecForm::Poly(_)
-        ));
-        assert!(SpecKernel::from_forms(None, None).is_none());
+        let grid = [3.0, 5.0];
+        let ok: Result<f64, ()> = spec.eval(|c, d| Ok(if c == 0 { grid[d as usize] } else { 7.0 }));
+        assert_eq!(ok, Ok((0.5 + 2.0 * 3.0 * 5.0) + -7.0));
+        let mut reads = 0;
+        let err = spec.eval(|_, d| {
+            reads += 1;
+            if d == 1 {
+                Err(d)
+            } else {
+                Ok(1.0)
+            }
+        });
+        assert_eq!((err, reads), (Err(1), 2));
     }
 }

@@ -1,178 +1,206 @@
-//! Specialization equivalence (PR 4 tentpole): the plan-time kernel
-//! specializer is a pure re-layout of the lowered bytecode — same reads,
-//! same multiplies, same left-to-right accumulation — so disabling it must
-//! not change a single bit of any result. These tests pin that contract on
-//! the full HPGMG V-cycle plan and on randomized const-coefficient
-//! stencils, and check that `verify_plan` still certifies specialized
-//! plans (specialization runs after lowering, which is what the verifier
-//! replays).
+//! Closed-form equivalence: every backend runs the closed forms lowering
+//! extracts, and every loop shape (chunked, strided, point by point) must
+//! perform the same per-element operation sequence. The reference is the
+//! `checked` sanitizer, which evaluates each record point by point in
+//! canonical order with range-checked reads. These tests pin that contract
+//! on the full HPGMG V-cycles and on randomized stencils — including
+//! in-place sequential ones, which take the per-point path — and check
+//! statically that the HPGMG plans carry a closed form on every kernel.
 
 use proptest::prelude::*;
-use snowflake::backends::{verify_plan, CJitBackend};
+use snowflake::backends::specialize::specialize_lowered;
+use snowflake::backends::{verify_plan, CJitBackend, CheckedBackend};
 use snowflake::hpgmg::{Problem, SnowSolver};
+use snowflake::ir::spec::SpecForm;
+use snowflake::ir::{lower_group, LowerOptions};
 use snowflake::prelude::*;
 
-/// A (specialize-on, specialize-off) backend pair under comparison.
-type OnOff = (Box<dyn Backend>, Box<dyn Backend>);
-
-/// Solve `cycles` V-cycles with metrics on; return the residual history
-/// and the instrumented run report.
-fn solve_with_metrics(
-    problem: Problem,
-    backend: Box<dyn Backend>,
-    cycles: usize,
-) -> (Vec<f64>, RunReport) {
+/// Solve `cycles` V-cycles; return the residual history and the final
+/// grids.
+fn solve(problem: Problem, backend: Box<dyn Backend>, cycles: usize) -> (Vec<f64>, GridSet) {
     let mut solver = SnowSolver::new(problem, backend).expect("plan build");
-    solver.enable_metrics();
     let norms = solver.solve(cycles).expect("solve");
-    let report = solver.take_metrics().expect("metrics enabled");
-    (norms, report)
+    (norms, solver.grids)
 }
 
-/// The headline equivalence: a full multi-level V-cycle solve — smoothers,
-/// residuals, boundary fills, inter-grid transfers — produces the exact
-/// same residual history whether the kernels run through the specialized
-/// closed forms or the bytecode interpreter.
+/// The headline equivalence: full multi-level V-cycle solves — smoothers,
+/// residuals, boundary fills, inter-grid transfers — leave every grid
+/// bitwise identical to the `checked` reference on each pure-Rust backend,
+/// for the variable- and constant-coefficient operators.
 #[test]
-fn hpgmg_vcycle_is_bitwise_identical_with_specialization_off() {
-    let problem = Problem::poisson_vc(8);
-    let pairs: Vec<(&str, OnOff)> = vec![
-        (
-            "seq",
-            (
-                Box::new(SequentialBackend::new()),
-                Box::new(SequentialBackend::new().with_specialize(false)),
-            ),
-        ),
-        (
-            "omp",
-            (
-                Box::new(OmpBackend::new()),
-                Box::new(OmpBackend::new().with_specialize(false)),
-            ),
-        ),
-    ];
-    for (name, (spec_on, spec_off)) in pairs {
-        let (norms_on, report_on) = solve_with_metrics(problem, spec_on, 3);
-        let (norms_off, report_off) = solve_with_metrics(problem, spec_off, 3);
-        assert_eq!(
-            norms_on, norms_off,
-            "{name}: residual histories must be bitwise identical"
-        );
-        assert!(
-            report_on.spec.kernels_specialized > 0,
-            "{name}: the V-cycle must engage the specializer (smoothers and \
-             transfers are const-coefficient)"
-        );
-        assert_eq!(
-            report_off.spec.kernels_specialized, 0,
-            "{name}: with_specialize(false) must reach every kernel"
-        );
-        assert!(report_off.spec.kernels_interpreted > 0, "{name}");
+fn hpgmg_vcycles_are_bitwise_identical_to_checked() {
+    for problem in [Problem::poisson_vc(8), Problem::poisson_cc(8)] {
+        let (want_norms, want) = solve(problem, Box::new(CheckedBackend::new()), 3);
+        let backends: Vec<Box<dyn Backend>> = vec![
+            Box::new(SequentialBackend::new()),
+            Box::new(OmpBackend::new()),
+            Box::new(OclSimBackend::new()),
+        ];
+        for backend in backends {
+            let name = backend.name();
+            let (norms, got) = solve(problem, backend, 3);
+            assert_eq!(norms, want_norms, "{name}: residual histories differ");
+            for grid in want.names() {
+                assert_eq!(
+                    got.get(grid).unwrap().as_slice(),
+                    want.get(grid).unwrap().as_slice(),
+                    "{name}: grid {grid} differs from checked"
+                );
+            }
+        }
     }
 }
 
-/// The C micro-compiler with specialization: specialized kernels render
-/// the same left fold the Rust executors perform, so the specialized cjit
-/// V-cycle must track the specialized seq V-cycle to machine precision.
-/// (Unspecialized cjit renders the raw bytecode tree, whose association
-/// differs from the distributed linear form — the reason the pre-existing
-/// bitwise cross-backend test excludes cjit — so spec-on vs spec-off is
-/// held to the same relative tolerance as the rest of the cjit suite.)
-/// Gated on a working host C compiler.
+/// The C micro-compiler renders the same closed forms as an explicit left
+/// fold, so its V-cycles track `seq` to machine precision. Gated on a
+/// working host C compiler.
 #[test]
-fn hpgmg_vcycle_cjit_specialized_matches_unspecialized() {
+fn hpgmg_vcycle_cjit_matches_seq() {
     if !CJitBackend::available() {
         eprintln!("skipping: no host C compiler for cjit");
         return;
     }
-    let problem = Problem::poisson_vc(8);
-    let (norms_on, report_on) = solve_with_metrics(problem, Box::new(CJitBackend::new()), 2);
-    let (norms_off, _) = solve_with_metrics(
-        problem,
-        Box::new(CJitBackend::new().with_specialize(false)),
-        2,
-    );
-    let (norms_seq, _) = solve_with_metrics(problem, Box::new(SequentialBackend::new()), 2);
-    assert!(report_on.spec.kernels_specialized > 0);
-    for (a, b) in norms_on.iter().zip(&norms_off) {
-        assert!(
-            ((a - b) / a.abs().max(1e-300)).abs() < 1e-7,
-            "cjit spec on/off diverge beyond roundoff: {a} vs {b}"
-        );
-    }
-    for (a, b) in norms_on.iter().zip(&norms_seq) {
-        assert!(
-            ((a - b) / a.abs().max(1e-300)).abs() < 1e-12,
-            "specialized cjit vs seq: {a} vs {b}"
-        );
+    for problem in [Problem::poisson_vc(8), Problem::poisson_cc(8)] {
+        let (cjit, _) = solve(problem, Box::new(CJitBackend::new()), 2);
+        let (seq, _) = solve(problem, Box::new(SequentialBackend::new()), 2);
+        for (a, b) in cjit.iter().zip(&seq) {
+            assert!(
+                ((a - b) / a.abs().max(1e-300)).abs() < 1e-12,
+                "cjit vs seq: {a} vs {b}"
+            );
+        }
     }
 }
 
-/// §VI's `--verify` flag still certifies every op of a specialized plan:
-/// specialization happens after lowering, and the verifier replays the
-/// lowering, so a plan built over a specializing backend certifies exactly
-/// as before — while its execution demonstrably uses the closed forms.
+/// Static check that closed-form extraction reaches the whole solver: every
+/// kernel of the HPGMG plans has a record — linear throughout the
+/// constant-coefficient plan, a sum of products for the
+/// variable-coefficient smoother.
 #[test]
-fn verify_certifies_specialized_hpgmg_plan() {
-    let mut solver = SnowSolver::new(Problem::poisson_vc(8), Box::new(SequentialBackend::new()))
+fn every_hpgmg_plan_kernel_carries_a_closed_form() {
+    for (problem, variable) in [
+        (Problem::poisson_cc(8), false),
+        (Problem::poisson_vc(8), true),
+    ] {
+        let solver = SnowSolver::new(problem, Box::new(SequentialBackend::new())).unwrap();
+        let plan = solver.plan();
+        let mut smoother_kernels = 0;
+        for (group, shapes) in plan.descriptors() {
+            let mut lowered = lower_group(group, shapes, &plan.lower_options()).unwrap();
+            specialize_lowered(&mut lowered);
+            for kernel in &lowered.kernels {
+                let Some(spec) = &kernel.spec else {
+                    panic!("kernel {:?} has no closed form", kernel.name);
+                };
+                let smoother = kernel.name.starts_with("gsrb_");
+                smoother_kernels += usize::from(smoother);
+                match &spec.form {
+                    SpecForm::Poly(_) => assert!(
+                        variable,
+                        "constant-coefficient kernel {:?} must be linear",
+                        kernel.name
+                    ),
+                    SpecForm::Linear(_) => assert!(
+                        !(variable && smoother),
+                        "variable-coefficient smoother {:?} must be a sum of products",
+                        kernel.name
+                    ),
+                }
+            }
+        }
+        assert!(smoother_kernels > 0, "the plan has GSRB smoother kernels");
+    }
+}
+
+/// §VI's `--verify` flag certifies every op of the plan: the closed-form
+/// pass runs after lowering, and the verifier replays the lowering, so the
+/// certificate covers exactly the schedule the backend executes.
+#[test]
+fn verify_certifies_hpgmg_plan() {
+    let solver = SnowSolver::new(Problem::poisson_vc(8), Box::new(SequentialBackend::new()))
         .expect("plan build");
-    let cert = verify_plan(solver.plan())
-        .unwrap_or_else(|diags| panic!("specialized plan must certify: {diags:?}"));
+    let cert =
+        verify_plan(solver.plan()).unwrap_or_else(|diags| panic!("plan must certify: {diags:?}"));
     let stats = cert.stats();
     assert!(stats.stencils_checked > 0);
     assert!(stats.accesses_proved > 0);
-    // And the certified plan really executes specialized kernels.
-    solver.enable_metrics();
-    solver.solve(1).expect("solve");
-    let report = solver.take_metrics().unwrap();
-    assert!(report.spec.kernels_specialized > 0);
+}
+
+/// One randomized stencil: `bias + Σ w·src[off]`, plus `w·src[off]·c[0]`
+/// product terms when `poly`, written to `out` over a 2-cell-margin domain.
+fn random_stencil(
+    out: &str,
+    src: &str,
+    poly: bool,
+    bias: f64,
+    offs: &[(i64, i64, f64)],
+) -> StencilGroup {
+    let mut expr = Expr::Const(bias);
+    for (oi, oj, w) in offs {
+        let read = Expr::Const(*w) * Expr::read_at(src, &[*oi, *oj]);
+        expr = expr
+            + if poly {
+                read * Expr::read_at("c", &[0, 0])
+            } else {
+                read
+            };
+    }
+    let dom = RectDomain::new(&[2, 2], &[-2, -2], &[1, 1]);
+    StencilGroup::from(Stencil::new(expr, out, dom))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-    /// Randomized const-coefficient stencils — the specializer's prime
-    /// target (SpecLinear) — are bitwise identical with the pass on and
-    /// off, across the interpreter-replacing backends.
+    /// Randomized stencils — out-of-place linear (parallel-safe, chunked
+    /// executors) and in-place linear and poly reading their own earlier
+    /// writes (sequential, per-point executor) — are bitwise identical to
+    /// `checked` on every pure-Rust backend.
     #[test]
-    fn random_const_coefficient_stencils_specialize_bitwise(
+    fn random_stencils_match_checked_bitwise(
         seed in 0u64..1_000,
+        kind in 0usize..3,
         offs in proptest::collection::vec((-2i64..3, -2i64..3, -1.0f64..1.0), 1..7),
         bias in -1.0f64..1.0,
     ) {
-        let mut expr = Expr::Const(bias);
-        for (oi, oj, w) in &offs {
-            expr = expr + Expr::Const(*w) * Expr::read_at("x", &[*oi, *oj]);
-        }
-        // Offsets reach ±2, so the domain needs a 2-cell margin.
-        let dom = RectDomain::new(&[2, 2], &[-2, -2], &[1, 1]);
-        let group = StencilGroup::from(Stencil::new(expr, "y", dom));
+        let group = match kind {
+            0 => random_stencil("y", "x", false, bias, &offs),
+            // Reading the previous column makes the in-place sweep carry a
+            // dependence, so these kernels are sequential.
+            _ => {
+                let mut offs = offs.clone();
+                offs.push((0, -1, 0.5));
+                random_stencil("x", "x", kind == 2, bias, &offs)
+            }
+        };
         let make = || {
             let mut gs = GridSet::new();
-            let mut x = Grid::new(&[13, 14]);
-            x.fill_random(seed, -2.0, 2.0);
-            gs.insert("x", x);
-            gs.insert("y", Grid::new(&[13, 14]));
+            for (name, s) in [("x", seed), ("y", seed + 1), ("c", seed + 2)] {
+                let mut g = Grid::new(&[13, 14]);
+                g.fill_random(s, 0.5, 1.5);
+                gs.insert(name, g);
+            }
             gs
         };
         let shapes = make().shapes();
-        let pairs: Vec<OnOff> = vec![
-            (
-                Box::new(SequentialBackend::new()),
-                Box::new(SequentialBackend::new().with_specialize(false)),
-            ),
-            (
-                Box::new(OmpBackend::new()),
-                Box::new(OmpBackend::new().with_specialize(false)),
-            ),
+        let lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
+        prop_assert_eq!(lowered.kernels[0].parallel_safe, kind == 0);
+        let mut want = make();
+        CheckedBackend::new().compile(&group, &shapes).unwrap().run(&mut want).unwrap();
+        let backends: Vec<Box<dyn Backend>> = vec![
+            Box::new(SequentialBackend::new()),
+            Box::new(OmpBackend::new()),
+            Box::new(OclSimBackend::new()),
         ];
-        for (on, off) in pairs {
-            let mut a = make();
-            on.compile(&group, &shapes).unwrap().run(&mut a).unwrap();
-            let mut b = make();
-            off.compile(&group, &shapes).unwrap().run(&mut b).unwrap();
-            let diff = a.get("y").unwrap().max_abs_diff(b.get("y").unwrap());
-            prop_assert_eq!(diff, 0.0, "{} spec on/off deviates", on.name());
+        for backend in backends {
+            let mut got = make();
+            backend.compile(&group, &shapes).unwrap().run(&mut got).unwrap();
+            for name in ["x", "y"] {
+                prop_assert_eq!(
+                    got.get(name).unwrap().as_slice(),
+                    want.get(name).unwrap().as_slice(),
+                    "{} deviates from checked on {}", backend.name(), name
+                );
+            }
         }
     }
 }
