@@ -34,7 +34,7 @@ use std::fmt;
 use snowflake_core::{AffineMap, ShapeMap};
 use snowflake_grid::Region;
 
-use crate::conflict::access_range;
+use crate::conflict::{access_range, self_conflict};
 use crate::deps::{depends, is_parallel_safe, writes_disjoint, DepKind, ResolvedStencil};
 use crate::dio::solve_pair;
 
@@ -433,7 +433,9 @@ pub struct ScheduleCertificate {
 /// 3. for every dependent pair, the earlier stencil's phase strictly
 ///    precedes the later one's;
 /// 4. every claimed-parallel stencil is re-proved [`is_parallel_safe`],
-///    with union write-overlap surfaced separately as [`WriteOverlap`].
+///    with write overlap — across union rectangles, or between distinct
+///    iterations of one rectangle — surfaced separately as
+///    [`WriteOverlap`].
 ///
 /// [`WriteOverlap`]: DiagnosticKind::WriteOverlap
 pub fn certify_schedule(
@@ -553,8 +555,22 @@ pub fn certify_schedule(
         if !claimed {
             continue; // conservative serialization is always sound
         }
-        if !writes_disjoint(rs) {
-            let (grid, wmap) = rs.write();
+        let (grid, wmap) = rs.write();
+        // A write map that is not injective on one rectangle (a zero scale
+        // over an extent > 1) sends distinct iterations to one cell.
+        let collapsed = rs.regions.iter().find(|r| self_conflict(r, &wmap, &wmap));
+        if let Some(region) = collapsed {
+            diags.push(
+                Diagnostic::new(
+                    DiagnosticKind::WriteOverlap,
+                    "distinct iterations write the same cell but the stencil is \
+                     flagged parallel-safe",
+                )
+                .stencil(rs.stencil.name())
+                .grid(&grid)
+                .witness(wmap.apply(&region.lo)),
+            );
+        } else if !writes_disjoint(rs) {
             let cell = regions_witness(&rs.regions, &wmap, &rs.regions, &wmap)
                 .ok()
                 .flatten();

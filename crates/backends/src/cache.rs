@@ -121,23 +121,15 @@ impl CompileCache {
     /// for the C JIT backend).
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = self.state.lock().unwrap().stats;
-        let (disk_hits, disk_misses) = self.backend.disk_cache_stats();
-        stats.disk_hits = disk_hits;
-        stats.disk_misses = disk_misses;
+        let backend = self.backend.stats();
+        stats.disk_hits = backend.disk_hits;
+        stats.disk_misses = backend.disk_misses;
         stats
     }
 
-    /// The wrapped backend's persisted tile auto-tuner counters (see
-    /// [`crate::Backend::tune_stats`]; zeros for non-tuning backends).
-    pub fn tune_stats(&self) -> crate::metrics::TuneStats {
-        self.backend.tune_stats()
-    }
-
-    /// The wrapped backend's compile-time lint counters (see
-    /// [`crate::Backend::lint_stats`]; zeros unless the backend is wrapped
-    /// in a [`crate::lint::LintingBackend`]).
-    pub fn lint_stats(&self) -> crate::metrics::LintStats {
-        self.backend.lint_stats()
+    /// The wrapped backend's own counters (see [`crate::Backend::stats`]).
+    pub fn backend_stats(&self) -> crate::metrics::BackendStats {
+        self.backend.stats()
     }
 }
 

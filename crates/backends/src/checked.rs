@@ -283,7 +283,7 @@ impl CheckedExecutable {
         let mut writes = WriteSet::new();
         for (pi, phase) in self.lowered.phases.iter().enumerate() {
             writes.clear();
-            let t0 = report.as_ref().map(|_| std::time::Instant::now());
+            let t0 = std::time::Instant::now();
             let mut regions_run = 0u64;
             for &ki in phase {
                 let kernel = &self.lowered.kernels[ki];
@@ -296,14 +296,15 @@ impl CheckedExecutable {
                         &mut writes,
                         &mut stack,
                     )?;
+                    // One dispatch per (kernel, region), as in `seq`.
+                    if let Some(r) = report.as_deref_mut() {
+                        r.record_dispatch(1, kernel.parallel_safe);
+                    }
                 }
                 regions_run += kernel.regions.len() as u64;
             }
-            if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
+            if let Some(r) = report.as_deref_mut() {
                 r.record_phase(pi, t0.elapsed().as_secs_f64(), regions_run);
-                r.kernels.tiles += regions_run;
-                // The sanitizer is single-threaded by construction.
-                r.kernels.sequential_tasks += regions_run;
             }
         }
         for (name, buf) in self.lowered.grid_names.iter().zip(&bufs) {
@@ -323,12 +324,9 @@ impl Executable for CheckedExecutable {
     }
 
     fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        report.set_backend("checked");
-        let t0 = std::time::Instant::now();
-        self.run_impl(grids, Some(report))?;
-        report.kernels.points += self.points_per_run();
-        report.finish_run(t0.elapsed().as_secs_f64());
-        Ok(())
+        report.record_run("checked", self.points_per_run(), |r| {
+            self.run_impl(grids, Some(r))
+        })
     }
 
     fn points_per_run(&self) -> u64 {

@@ -40,7 +40,7 @@ use snowflake_grid::GridSet;
 use snowflake_ir::{lower_group, LowerOptions, Lowered};
 
 use crate::codegen_c::emit_c;
-use crate::metrics::RunReport;
+use crate::metrics::{BackendStats, RunReport};
 use crate::{check_and_ptrs, Backend, Executable};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -319,8 +319,13 @@ impl Backend for CJitBackend {
         "cjit"
     }
 
-    fn disk_cache_stats(&self) -> (u64, u64) {
-        self.disk_stats()
+    fn stats(&self) -> BackendStats {
+        let (disk_hits, disk_misses) = self.disk_stats();
+        BackendStats {
+            disk_hits,
+            disk_misses,
+            ..BackendStats::default()
+        }
     }
 
     fn lower_options(&self) -> LowerOptions {
@@ -366,24 +371,20 @@ impl Executable for CJitExecutable {
         // The entry point is an opaque native call — the C code contains
         // the barriers, so per-phase timing is unobservable from here. The
         // whole run is reported as one phase; dispatch counters come
-        // statically from the lowered schedule the C was generated from.
-        report.set_backend("cjit");
-        let t0 = std::time::Instant::now();
-        self.run(grids)?;
-        let dt = t0.elapsed().as_secs_f64();
-        report.record_phase(0, dt, self.lowered.phases.len() as u64);
-        for kernel in &self.lowered.kernels {
-            let dispatches = kernel.regions.len() as u64;
-            report.kernels.tiles += dispatches;
-            if kernel.parallel_safe {
-                report.kernels.parallel_tasks += dispatches;
-            } else {
-                report.kernels.sequential_tasks += dispatches;
+        // statically from the lowered schedule the C was generated from:
+        // one loop nest per (kernel, region).
+        report.record_run("cjit", self.points_per_run(), |r| {
+            let t0 = std::time::Instant::now();
+            self.run(grids)?;
+            let phases = self.lowered.phases.len() as u64;
+            r.record_phase(0, t0.elapsed().as_secs_f64(), phases);
+            for kernel in &self.lowered.kernels {
+                for _ in &kernel.regions {
+                    r.record_dispatch(1, kernel.parallel_safe);
+                }
             }
-        }
-        report.kernels.points += self.points_per_run();
-        report.finish_run(dt);
-        Ok(())
+            Ok(())
+        })
     }
 
     fn points_per_run(&self) -> u64 {

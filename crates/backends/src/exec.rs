@@ -1,10 +1,11 @@
 //! The shared kernel executor: runs lowered kernels over one region.
 //!
-//! All CPU backends (sequential, OpenMP-like, OpenCL-simulator,
-//! distributed) funnel into [`run_fused_region`]; [`run_kernel_region`] is
-//! its one-kernel case. The loop nest walks the region in row-major order,
-//! keeping one linear *cursor* per access class, and hands every row to one
-//! dispatch:
+//! The CPU backends (sequential, OpenMP-like, OpenCL-simulator) build a
+//! schedule of `Task`s per barrier phase and hand it to the one
+//! `Phased` executor, whose tasks all funnel into [`run_fused_region`];
+//! [`run_kernel_region`] is its one-kernel case. The loop nest walks the
+//! region in row-major order, keeping one linear *cursor* per access
+//! class, and hands every row to one dispatch:
 //!
 //! * a kernel with a closed form (see [`crate::specialize`]) runs its
 //!   record — chunked over unit-stride or strided rows when it is
@@ -18,8 +19,10 @@
 
 #![allow(clippy::needless_range_loop)] // cursor bumps index parallel fixed arrays
 
+use rayon::prelude::*;
+
 use snowflake_core::{Result, ShapeMap, StencilGroup};
-use snowflake_grid::Region;
+use snowflake_grid::{GridSet, Region};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
 
 use crate::metrics::RunReport;
@@ -27,6 +30,7 @@ use crate::specialize::{
     run_row_spec_points, run_row_spec_strided, run_row_spec_unit, specialize_lowered,
 };
 use crate::view::GridPtrs;
+use crate::{check_and_ptrs, Executable};
 
 /// Maximum cursor classes per kernel (grids × distinct scales).
 pub const MAX_CLASSES: usize = 16;
@@ -218,11 +222,19 @@ pub(crate) struct Task {
 }
 
 impl Task {
+    /// A one-kernel task over `regions`.
+    pub(crate) fn one(kernel: usize, regions: Vec<Region>) -> Self {
+        Task {
+            kernels: vec![kernel],
+            regions,
+        }
+    }
+
     /// Execute the task.
     ///
     /// # Safety
     /// As [`run_fused_region`], for every region of the task.
-    pub(crate) unsafe fn run(&self, lowered: &Lowered, view: &GridPtrs<'_>) {
+    unsafe fn run(&self, lowered: &Lowered, view: &GridPtrs<'_>) {
         if let [k] = self.kernels[..] {
             let kernel = &lowered.kernels[k];
             for region in &self.regions {
@@ -236,16 +248,64 @@ impl Task {
             }
         }
     }
+}
 
-    /// Count this task's dispatch into `report`.
-    pub(crate) fn record(&self, lowered: &Lowered, report: &mut RunReport) {
-        report.kernels.tiles += 1;
-        report.kernels.fused += (self.kernels.len() as u64).saturating_sub(1);
-        if lowered.kernels[self.kernels[0]].parallel_safe {
-            report.kernels.parallel_tasks += 1;
-        } else {
-            report.kernels.sequential_tasks += 1;
+/// The one executor of the schedule-building backends (`seq`, `omp`,
+/// `oclsim`): the lowered program plus the tasks of each barrier phase.
+/// Phases run in order; the tasks of one phase are mutually independent
+/// (greedy grouping, iteration-disjoint tiles, a sequential kernel as one
+/// ordered task), so they run on the thread pool when `parallel`, and in
+/// order on the calling thread otherwise.
+pub(crate) struct Phased {
+    pub(crate) name: &'static str,
+    pub(crate) lowered: Lowered,
+    pub(crate) phases: Vec<Vec<Task>>,
+    pub(crate) parallel: bool,
+}
+
+impl Phased {
+    /// Shared execution path; the report only observes (phase wall times
+    /// and dispatch classification), so `run` and `run_with_report`
+    /// compute bitwise-identical results.
+    fn run_phases(&self, grids: &mut GridSet, mut report: Option<&mut RunReport>) -> Result<()> {
+        let (ptrs, lens) = check_and_ptrs(&self.lowered, grids)?;
+        let view = GridPtrs::new(&ptrs, &lens);
+        // SAFETY: tasks within a phase are mutually independent and bounds
+        // are proven by validation (see the type docs).
+        let run_task = |task: &Task| unsafe { task.run(&self.lowered, &view) };
+        for (pi, phase) in self.phases.iter().enumerate() {
+            let t0 = report.as_ref().map(|_| std::time::Instant::now());
+            if self.parallel {
+                // The join at the end of `for_each` is the phase barrier.
+                phase.par_iter().for_each(run_task);
+            } else {
+                phase.iter().for_each(run_task);
+            }
+            if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
+                r.record_phase(pi, t0.elapsed().as_secs_f64(), phase.len() as u64);
+                for task in phase {
+                    let head = &self.lowered.kernels[task.kernels[0]];
+                    r.record_dispatch(task.kernels.len(), head.parallel_safe);
+                }
+            }
         }
+        Ok(())
+    }
+}
+
+impl Executable for Phased {
+    fn run(&self, grids: &mut GridSet) -> Result<()> {
+        self.run_phases(grids, None)
+    }
+
+    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
+        report.record_run(self.name, self.points_per_run(), |r| {
+            self.run_phases(grids, Some(r))
+        })
+    }
+
+    fn points_per_run(&self) -> u64 {
+        self.lowered.num_points()
     }
 }
 

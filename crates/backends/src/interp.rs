@@ -58,19 +58,17 @@ impl Executable for InterpExecutable {
     fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
         // The interpreter has no barrier analysis: each stencil is its own
         // sequential "phase" in canonical order.
-        report.set_backend("interp");
-        let run0 = std::time::Instant::now();
-        for (si, (stencil, regions)) in self.stencils.iter().enumerate() {
-            let t0 = std::time::Instant::now();
-            run_stencil(stencil, regions, grids)?;
-            let tasks = regions.len() as u64;
-            report.record_phase(si, t0.elapsed().as_secs_f64(), tasks);
-            report.kernels.tiles += tasks;
-            report.kernels.sequential_tasks += tasks;
-        }
-        report.kernels.points += self.points;
-        report.finish_run(run0.elapsed().as_secs_f64());
-        Ok(())
+        report.record_run("interp", self.points, |r| {
+            for (si, (stencil, regions)) in self.stencils.iter().enumerate() {
+                let t0 = std::time::Instant::now();
+                run_stencil(stencil, regions, grids)?;
+                let tasks = regions.len() as u64;
+                r.record_phase(si, t0.elapsed().as_secs_f64(), tasks);
+                r.kernels.tiles += tasks;
+                r.kernels.sequential_tasks += tasks;
+            }
+            Ok(())
+        })
     }
 
     fn points_per_run(&self) -> u64 {

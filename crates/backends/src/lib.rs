@@ -4,7 +4,7 @@
 //!
 //! The paper's JIT hands a narrow, analyzed program description (see
 //! `snowflake-ir`) to small, interchangeable, platform-specific code
-//! generators. This crate provides five:
+//! generators. This crate provides six:
 //!
 //! | Backend | Paper counterpart | Notes |
 //! |---|---|---|
@@ -19,22 +19,26 @@
 //! the lowered IR; `cjit` executes the former, while the latter documents
 //! the GPU path (no OpenCL runtime is assumed to exist).
 //!
+//! `seq`, `omp` and `oclsim` are *schedule builders*: each `compile` only
+//! cuts the lowered kernels into `exec::Task`s per barrier phase, and
+//! one executor (`exec::Phased`) runs, times and counts every schedule.
+//!
 //! All backends implement [`Backend`] and produce [`Executable`]s; a
 //! [`CompileCache`] memoizes compilation per (group, shapes), mirroring the
 //! paper's cached callables. [`plan::SolverPlan`] builds on the cache to
 //! give solvers a *plan-once-run-many* pipeline: a fixed operator list is
 //! compiled up front into a flat table and dispatched by index, with zero
-//! per-call hashing or locking. [`registry`] constructs any backend by
-//! name from one [`BackendOptions`] bag, so drivers select implementations
-//! with a string instead of duplicated match arms.
+//! per-call hashing or locking. A gated build ([`plan::Gates`]) runs the
+//! static verifier and the linter once over the operator list before any
+//! compile. [`registry`] constructs any backend by name from one
+//! [`BackendOptions`] bag, so drivers select implementations with a
+//! string instead of duplicated match arms.
 
 pub mod cache;
 pub mod checked;
 pub mod cjit;
 pub mod codegen_c;
-pub mod codegen_cuda;
 pub mod codegen_ocl;
-pub mod dist;
 pub mod exec;
 pub mod interp;
 pub mod lint;
@@ -55,22 +59,20 @@ use snowflake_grid::GridSet;
 pub use cache::CompileCache;
 pub use checked::CheckedBackend;
 pub use cjit::CJitBackend;
-pub use dist::DistBackend;
 pub use interp::InterpreterBackend;
-pub use lint::{lint_plan, lint_stats, lints_to_error, LintingBackend};
+pub use lint::{lint_plan, lint_stats};
 pub use metrics::{
-    CacheStats, CommStats, KernelCounters, LintStats, PhaseSample, RunReport, TuneStats,
+    BackendStats, CacheStats, KernelCounters, LintStats, PhaseSample, RunReport, TuneStats,
     VerifyStats,
 };
 pub use oclsim::OclSimBackend;
 pub use omp::OmpBackend;
-pub use plan::SolverPlan;
+pub use plan::{Gates, PlanError, SolverPlan};
 pub use registry::{available_backends, backend_from_name, BackendOptions};
 pub use seq::SequentialBackend;
 pub use tune::TileTuner;
 pub use verify::{
-    diagnostics_to_error, verify_op, verify_plan, witness_count, OpCertificate, PlanCertificate,
-    VerifyingBackend,
+    verify_op, verify_ops, verify_plan, witness_count, OpCertificate, PlanCertificate,
 };
 
 /// A compiled stencil group, ready to run against a [`GridSet`].
@@ -93,13 +95,12 @@ pub trait Executable: Send + Sync {
     /// counters. Implementations must compute **bitwise-identical grid
     /// results** to `run` — instrumentation only observes.
     fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        let t0 = std::time::Instant::now();
-        self.run(grids)?;
-        let dt = t0.elapsed().as_secs_f64();
-        report.record_phase(0, dt, 1);
-        report.kernels.points += self.points_per_run();
-        report.finish_run(dt);
-        Ok(())
+        report.record_run("", self.points_per_run(), |r| {
+            let t0 = std::time::Instant::now();
+            self.run(grids)?;
+            r.record_phase(0, t0.elapsed().as_secs_f64(), 1);
+            Ok(())
+        })
     }
 }
 
@@ -113,29 +114,16 @@ pub trait Backend: Send + Sync {
     /// Compile the group for the given shapes.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>>;
 
-    /// `(hits, misses)` of this backend's persistent on-disk artifact
-    /// cache. Only the C JIT backend has one; everything else reports
-    /// zeros via this default.
-    fn disk_cache_stats(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    /// Counters of this backend's persisted tile auto-tuner (see
-    /// [`tune::TileTuner`]). Only the OpenMP-like backend tunes; everything
-    /// else reports zeros via this default.
-    fn tune_stats(&self) -> metrics::TuneStats {
-        metrics::TuneStats::default()
-    }
-
-    /// Counters of this backend's compile-time semantic linting (see
-    /// [`lint::LintingBackend`]). Only the linting decorator lints;
-    /// everything else reports zeros via this default.
-    fn lint_stats(&self) -> metrics::LintStats {
-        metrics::LintStats::default()
+    /// Counters this backend keeps across its compiles: the C JIT's
+    /// on-disk artifact cache and the OpenMP-like backend's persisted
+    /// tile tuner (see [`tune::TileTuner`]). Everything else reports zeros
+    /// via this default.
+    fn stats(&self) -> BackendStats {
+        BackendStats::default()
     }
 
     /// The lowering options this backend compiles with. The static
-    /// verifier ([`verify::verify_plan`]) replays these so it certifies
+    /// verifier ([`verify::verify_op`]) replays these so it certifies
     /// the *exact* schedule the backend executes (dead-stencil
     /// elimination and phase reordering change the phases). Backends with
     /// configurable lowering override this; the default covers backends

@@ -11,23 +11,16 @@
 //! [`LintConfig::ordered`] on an execution-ordered program — the
 //! `snowlint` binary does exactly that with an unrolled v-cycle.
 //!
-//! [`LintingBackend`] is the `lint` knob of [`crate::BackendOptions`]: a
-//! decorator that lints every group at compile time, accumulates
-//! [`LintStats`] for the metrics schema (stamped through
-//! [`SolverPlan::stamp`] into `RunReport.lint`), and refuses to compile a
-//! group carrying deny-level lints — warn-level findings are counted, not
-//! fatal.
+//! A plan built with the lint gate ([`crate::plan::Gates`]) runs the same
+//! passes over its operator list before compiling anything: deny-level
+//! findings refuse the build, the rest become the [`LintStats`] that
+//! [`SolverPlan::stamp`] copies into `RunReport.lint`.
 
-use std::fmt::Write as _;
-use std::sync::Mutex;
-
-use snowflake_analysis::{lint_group, lint_program, Lint, LintConfig, LintReport, Severity};
-use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
-use snowflake_ir::LowerOptions;
+use snowflake_analysis::{lint_program, LintConfig, LintReport};
+use snowflake_core::Result;
 
 use crate::metrics::LintStats;
 use crate::plan::SolverPlan;
-use crate::{Backend, Executable};
 
 /// Lint every operator of a compiled plan with `config`, aggregating the
 /// per-op reports (rules-run counters sum; findings concatenate, already
@@ -46,91 +39,11 @@ pub fn lint_stats(report: &LintReport, suppressed: u64) -> LintStats {
     }
 }
 
-/// Collapse a lint list into one backend error (for compile paths that
-/// must fail through the [`CoreError`] channel).
-pub fn lints_to_error(lints: &[Lint]) -> CoreError {
-    let mut msg = format!("lint failed with {} finding(s):", lints.len());
-    for l in lints {
-        let _ = write!(msg, "\n  {l}");
-    }
-    CoreError::Backend(msg)
-}
-
-/// A backend decorator that lints every group before compiling it: the
-/// `lint` knob of [`crate::BackendOptions`]. Deny-level findings abort the
-/// compile with [`lints_to_error`]; warn-level findings accumulate into
-/// the [`LintStats`] that [`SolverPlan::stamp`] copies into
-/// `RunReport.lint`. Reports the inner backend's name so registry
-/// round-trips stay transparent.
-pub struct LintingBackend {
-    inner: Box<dyn Backend>,
-    config: LintConfig,
-    stats: Mutex<LintStats>,
-}
-
-impl LintingBackend {
-    /// Wrap a backend; every compile now lints first with the default
-    /// (inventory-mode, permissive) configuration.
-    pub fn new(inner: Box<dyn Backend>) -> Self {
-        Self::with_config(inner, LintConfig::default())
-    }
-
-    /// As [`LintingBackend::new`] with an explicit configuration.
-    pub fn with_config(inner: Box<dyn Backend>, config: LintConfig) -> Self {
-        LintingBackend {
-            inner,
-            config,
-            stats: Mutex::new(LintStats::default()),
-        }
-    }
-}
-
-impl Backend for LintingBackend {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let report = lint_group(group, shapes, &self.config)?;
-        let denied: Vec<Lint> = report
-            .lints
-            .iter()
-            .filter(|l| l.severity == Severity::Deny)
-            .cloned()
-            .collect();
-        if !denied.is_empty() {
-            return Err(lints_to_error(&denied));
-        }
-        {
-            let mut stats = self.stats.lock().unwrap();
-            stats.rules_run += report.rules_run;
-            stats.lints += report.lints.len() as u64;
-        }
-        self.inner.compile(group, shapes)
-    }
-
-    fn disk_cache_stats(&self) -> (u64, u64) {
-        self.inner.disk_cache_stats()
-    }
-
-    fn tune_stats(&self) -> crate::metrics::TuneStats {
-        self.inner.tune_stats()
-    }
-
-    fn lint_stats(&self) -> LintStats {
-        *self.stats.lock().unwrap()
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.inner.lower_options()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SequentialBackend;
-    use snowflake_core::{DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_core::{Expr, RectDomain, ShapeMap, Stencil, StencilGroup};
 
     fn shapes2(n: usize) -> ShapeMap {
         let mut m = ShapeMap::new();
@@ -148,54 +61,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_group_compiles_and_accumulates_rules_run() {
-        let lb = LintingBackend::new(Box::new(SequentialBackend::new()));
-        assert_eq!(lb.name(), "seq");
-        let group = StencilGroup::from(Stencil::new(laplacian2(), "y", RectDomain::interior(2)));
-        lb.compile(&group, &shapes2(8)).unwrap();
-        let stats = lb.lint_stats();
-        assert!(stats.rules_run >= 7, "inventory-mode passes all ran");
-        assert_eq!(stats.lints, 0);
-        assert_eq!(stats.suppressed, 0);
-    }
-
-    #[test]
-    fn coverage_gap_is_a_deny_level_compile_error() {
-        // A "red/black" pair whose black color is missing a row: the
-        // combined coloring no longer tiles its stride-1 bounding box.
-        let update = Expr::read_at("x", &[0, 0]) * 0.5;
-        let (red, _) = DomainUnion::red_black(2);
-        // True black is {rows 2,4,6,8}×{cols 1,3,5,7} ∪ {1,3,5,7}×{2,4,6,8}
-        // on a 10-grid; clipping the first rect's rows at -2 loses row 8.
-        let short_black = DomainUnion::new(vec![
-            RectDomain::new(&[2, 1], &[-2, -1], &[2, 2]),
-            RectDomain::new(&[1, 2], &[-1, -1], &[2, 2]),
-        ]);
-        let group = StencilGroup::new()
-            .with(Stencil::new(update.clone(), "x", red).named("red"))
-            .with(Stencil::new(update, "x", short_black).named("black"));
-        let lb = LintingBackend::new(Box::new(SequentialBackend::new()));
-        let Err(err) = lb.compile(&group, &shapes2(10)) else {
-            panic!("a coverage gap must abort the compile");
-        };
-        let err = err.to_string();
-        assert!(err.contains("coverage-gap"), "{err}");
-        assert!(err.contains("witness"), "{err}");
-    }
-
-    #[test]
-    fn plan_built_on_linting_backend_stamps_lint_stats() {
-        let group = StencilGroup::from(Stencil::new(laplacian2(), "y", RectDomain::interior(2)));
-        let ops = vec![(group, shapes2(8))];
-        let lb = LintingBackend::new(Box::new(SequentialBackend::new()));
-        let plan = SolverPlan::build(Box::new(lb), &ops).unwrap();
-        let mut report = crate::metrics::RunReport::new();
-        plan.stamp(&mut report);
-        assert!(report.lint.rules_run >= 7);
-        assert_eq!(report.lint.lints, 0);
-    }
-
-    #[test]
     fn lint_plan_aggregates_over_descriptors() {
         let group = StencilGroup::from(Stencil::new(laplacian2(), "y", RectDomain::interior(2)));
         let ops = vec![(group.clone(), shapes2(8)), (group, shapes2(16))];
@@ -207,18 +72,5 @@ mod tests {
         assert_eq!(stats.rules_run, 7);
         assert_eq!(stats.lints, 0);
         assert_eq!(stats.suppressed, 3);
-    }
-
-    #[test]
-    fn lints_collapse_into_one_error() {
-        use snowflake_analysis::LintRule;
-        let lints = vec![
-            Lint::new(LintRule::DeadStore, "first").stencil("a"),
-            Lint::new(LintRule::CoverageGap, "second").grid("g"),
-        ];
-        let msg = lints_to_error(&lints).to_string();
-        assert!(msg.contains("2 finding(s)"));
-        assert!(msg.contains("dead-store"));
-        assert!(msg.contains("coverage-gap"));
     }
 }

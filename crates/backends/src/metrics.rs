@@ -10,7 +10,8 @@
 //! * the **compile-time vs run-time split** (`compile_seconds` vs
 //!   `run_seconds`);
 //! * [`CacheStats`] snapshotted from a [`crate::CompileCache`];
-//! * [`CommStats`] from the distributed backend's halo exchange.
+//! * the plan gates' [`VerifyStats`] and [`LintStats`], and the tuner's
+//!   [`TuneStats`], stamped by [`crate::SolverPlan::stamp`].
 //!
 //! Reports serialize to JSON via [`RunReport::to_json`] (schema documented
 //! in README.md); [`json`] provides the minimal parser used to read
@@ -53,13 +54,17 @@ pub struct TuneStats {
     pub candidates_timed: u64,
 }
 
-/// Communication statistics of the distributed backend (halo exchange).
+/// Counters a backend keeps across its own compiles (see
+/// [`crate::Backend::stats`]): the C JIT's on-disk artifact cache and the
+/// OpenMP-like backend's tile tuner. Zero for every other backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CommStats {
-    /// Halo messages sent.
-    pub messages: u64,
-    /// Halo payload bytes.
-    pub bytes: u64,
+pub struct BackendStats {
+    /// Compiles served from the on-disk artifact cache (cjit).
+    pub disk_hits: u64,
+    /// Compiles that had to invoke the C compiler (cjit).
+    pub disk_misses: u64,
+    /// Tile auto-tuner counters (omp).
+    pub tune: TuneStats,
 }
 
 /// Accumulated wall time of one barrier phase of the schedule.
@@ -67,7 +72,7 @@ pub struct CommStats {
 pub struct PhaseSample {
     /// Total seconds spent in this phase across all recorded runs.
     pub seconds: f64,
-    /// Tasks (tiles, work-groups, rank-slabs, …) dispatched in this phase
+    /// Tasks (tiles, work-groups, regions, …) dispatched in this phase
     /// across all recorded runs.
     pub tasks: u64,
 }
@@ -88,8 +93,8 @@ pub struct KernelCounters {
     pub sequential_tasks: u64,
 }
 
-/// Static-verifier counters: what `verify_plan` proved about the plan
-/// that produced this report (all zero when the run was not verified).
+/// Static-verifier counters: what the plan's verify gate proved (all zero
+/// when the plan was built without it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyStats {
     /// Stencils resolved and re-analyzed by the verifier.
@@ -103,8 +108,8 @@ pub struct VerifyStats {
     pub witnesses: u64,
 }
 
-/// Lint-engine counters: what the semantic linter found in the plan
-/// that produced this report (all zero when the run was not linted).
+/// Lint-engine counters: what the plan's lint gate found (all zero when
+/// the plan was built without it).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LintStats {
     /// Lint rules the configuration allowed to run.
@@ -136,8 +141,6 @@ pub struct RunReport {
     pub kernels: KernelCounters,
     /// Compile-cache counters (snapshot of the feeding cache).
     pub cache: CacheStats,
-    /// Halo-exchange counters (distributed backend only).
-    pub comm: CommStats,
     /// Static-verification counters (zero unless the plan was verified).
     pub verify: VerifyStats,
     /// Tile auto-tuner counters (zero unless tuning was requested).
@@ -176,6 +179,35 @@ impl RunReport {
         self.run_seconds += total_seconds;
     }
 
+    /// Count one dispatch of `kernels` kernels (several only when fused),
+    /// classified by the analysis' parallel-safety verdict on the first.
+    pub fn record_dispatch(&mut self, kernels: usize, parallel_safe: bool) {
+        self.kernels.tiles += 1;
+        self.kernels.fused += (kernels as u64).saturating_sub(1);
+        if parallel_safe {
+            self.kernels.parallel_tasks += 1;
+        } else {
+            self.kernels.sequential_tasks += 1;
+        }
+    }
+
+    /// Profile one execution: stamp `backend`, time `run` (which fills
+    /// phases and dispatch counters), then count `points` and close the
+    /// run. Every built-in executable reports through this one wrapper.
+    pub fn record_run(
+        &mut self,
+        backend: &str,
+        points: u64,
+        run: impl FnOnce(&mut RunReport) -> snowflake_core::Result<()>,
+    ) -> snowflake_core::Result<()> {
+        self.set_backend(backend);
+        let t0 = std::time::Instant::now();
+        run(self)?;
+        self.kernels.points += points;
+        self.finish_run(t0.elapsed().as_secs_f64());
+        Ok(())
+    }
+
     /// Serialize to the JSON schema documented in README.md.
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(256);
@@ -205,11 +237,6 @@ impl RunReport {
             self.cache.inserts,
             self.cache.disk_hits,
             self.cache.disk_misses
-        );
-        let _ = write!(
-            s,
-            ",\"comm\":{{\"messages\":{},\"bytes\":{}}}",
-            self.comm.messages, self.comm.bytes
         );
         let _ = write!(
             s,
@@ -556,10 +583,6 @@ mod tests {
             disk_misses: 1,
         };
         r.plan_ops = 7;
-        r.comm = CommStats {
-            messages: 4,
-            bytes: 4096,
-        };
         r.verify = VerifyStats {
             stencils_checked: 14,
             accesses_proved: 96,
@@ -610,8 +633,7 @@ mod tests {
         assert_eq!(c.get("inserts").unwrap().as_u64(), Some(2));
         assert_eq!(c.get("disk_hits").unwrap().as_u64(), Some(1));
         assert_eq!(c.get("disk_misses").unwrap().as_u64(), Some(1));
-        let comm = doc.get("comm").unwrap();
-        assert_eq!(comm.get("bytes").unwrap().as_u64(), Some(4096));
+        assert!(doc.get("comm").is_none());
         let v = doc.get("verify").unwrap();
         assert_eq!(v.get("stencils_checked").unwrap().as_u64(), Some(14));
         assert_eq!(v.get("accesses_proved").unwrap().as_u64(), Some(96));

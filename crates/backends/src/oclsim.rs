@@ -11,16 +11,11 @@
 //! emitted by [`crate::codegen_ocl`]; no GPU runtime is assumed to exist
 //! in this environment (see DESIGN.md, substitutions).
 
-use rayon::prelude::*;
-
 use snowflake_core::{Result, ShapeMap, StencilGroup};
-use snowflake_grid::GridSet;
-use snowflake_ir::{tile_region, LowerOptions, Lowered};
+use snowflake_ir::{tile_region, LowerOptions};
 
-use crate::exec::Task;
-use crate::metrics::RunReport;
-use crate::view::GridPtrs;
-use crate::{check_and_ptrs, Backend, Executable};
+use crate::exec::{Phased, Task};
+use crate::{Backend, Executable};
 
 /// Work-group tile extents over the two fastest dimensions.
 #[derive(Clone, Copy, Debug)]
@@ -61,11 +56,6 @@ impl OclSimBackend {
     }
 }
 
-struct OclExecutable {
-    lowered: Lowered,
-    phases: Vec<Vec<Task>>,
-}
-
 impl Backend for OclSimBackend {
     fn name(&self) -> &'static str {
         "oclsim"
@@ -87,27 +77,30 @@ impl Backend for OclSimBackend {
                     // kernel as one task walking its regions in union order
                     // (a single "work-item", as a real port would be
                     // forced to do).
-                    tasks.push(Task {
-                        kernels: vec![ki],
-                        regions: kernel.regions.clone(),
-                    });
+                    tasks.push(Task::one(ki, kernel.regions.clone()));
                     continue;
                 }
                 // Tall-skinny: tile the two fastest dims, keep outer dims
                 // whole so the work-group rolls through them.
                 let tile = tall_skinny_tile(kernel.ndim, self.workgroup);
                 for region in &kernel.regions {
-                    for t in tile_region(region, &tile) {
-                        tasks.push(Task {
-                            kernels: vec![ki],
-                            regions: vec![t],
-                        });
-                    }
+                    tasks.extend(
+                        tile_region(region, &tile)
+                            .into_iter()
+                            .map(|t| Task::one(ki, vec![t])),
+                    );
                 }
             }
+            // Every phase is one "kernel launch batch"; the phase barrier
+            // is the inter-launch dependency the OpenCL queue would enforce.
             phases.push(tasks);
         }
-        Ok(Box::new(OclExecutable { lowered, phases }))
+        Ok(Box::new(Phased {
+            name: "oclsim",
+            lowered,
+            phases,
+            parallel: true,
+        }))
     }
 }
 
@@ -124,59 +117,12 @@ fn tall_skinny_tile(ndim: usize, wg: WorkGroupShape) -> Vec<i64> {
     tile
 }
 
-impl OclExecutable {
-    /// Shared execution path; instrumentation only observes, so `run` and
-    /// `run_with_report` compute bitwise-identical results.
-    fn run_impl(&self, grids: &mut GridSet, mut report: Option<&mut RunReport>) -> Result<()> {
-        let (ptrs, lens) = check_and_ptrs(&self.lowered, grids)?;
-        let view = GridPtrs::new(&ptrs, &lens);
-        for (pi, phase) in self.phases.iter().enumerate() {
-            let t0 = report.as_ref().map(|_| std::time::Instant::now());
-            // Every phase is one "kernel launch batch"; the join is the
-            // inter-launch dependency the OpenCL queue would enforce.
-            // SAFETY: tasks within a phase are mutually independent (greedy
-            // grouping), tiles of a parallel-safe kernel are iteration-
-            // disjoint, and a sequential kernel is one task; bounds are
-            // proven by validation.
-            phase
-                .par_iter()
-                .for_each(|task| unsafe { task.run(&self.lowered, &view) });
-            if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
-                r.record_phase(pi, t0.elapsed().as_secs_f64(), phase.len() as u64);
-                for task in phase {
-                    task.record(&self.lowered, r);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Executable for OclExecutable {
-    fn run(&self, grids: &mut GridSet) -> Result<()> {
-        self.run_impl(grids, None)
-    }
-
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        report.set_backend("oclsim");
-        let t0 = std::time::Instant::now();
-        self.run_impl(grids, Some(report))?;
-        report.kernels.points += self.points_per_run();
-        report.finish_run(t0.elapsed().as_secs_f64());
-        Ok(())
-    }
-
-    fn points_per_run(&self) -> u64 {
-        self.lowered.num_points()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SequentialBackend;
+    use crate::{RunReport, SequentialBackend};
     use snowflake_core::{weights3, Component, DomainUnion, Expr, RectDomain, Stencil};
-    use snowflake_grid::Grid;
+    use snowflake_grid::{Grid, GridSet};
 
     #[test]
     fn tall_skinny_tile_shapes() {

@@ -15,16 +15,13 @@
 //! and kernels the Diophantine analysis could not prove parallel-safe run
 //! as single sequential tasks with canonical ordering.
 
-use rayon::prelude::*;
-
-use snowflake_core::{Result, ShapeMap, StencilGroup};
+use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
 use snowflake_ir::{intersect_box, tile_region, LowerOptions, Lowered};
 
-use crate::exec::Task;
-use crate::metrics::RunReport;
-use crate::view::GridPtrs;
-use crate::{check_and_ptrs, Backend, Executable};
+use crate::exec::{Phased, Task};
+use crate::metrics::BackendStats;
+use crate::{Backend, Executable};
 
 /// Scheduling options for the OpenMP-like backend.
 #[derive(Clone, Debug)]
@@ -36,9 +33,6 @@ pub struct OmpOptions {
     /// Interleave the rectangles of a union domain tile-by-tile (multicolor
     /// reordering). Only applied to kernels proven parallel-safe.
     pub multicolor_reorder: bool,
-    /// Run tasks on the rayon pool; `false` keeps the identical schedule
-    /// but executes tasks serially (for ablation benchmarks).
-    pub parallel: bool,
     /// Fuse same-phase kernels with identical resolved regions into one
     /// traversal (§VII "mark stencils for fusion", executed). Defaults to
     /// on: same-phase kernels are mutually independent by construction.
@@ -55,7 +49,6 @@ impl Default for OmpOptions {
         OmpOptions {
             tile: None,
             multicolor_reorder: true,
-            parallel: true,
             fuse: true,
             tune: false,
         }
@@ -97,13 +90,6 @@ impl OmpBackend {
         self
     }
 
-    /// Enable or disable thread-pool execution (serial keeps the same
-    /// schedule, for ablations).
-    pub fn with_parallel(mut self, on: bool) -> Self {
-        self.omp.parallel = on;
-        self
-    }
-
     /// Enable or disable the persisted tile auto-tuner (builder style).
     pub fn with_tune(mut self, on: bool) -> Self {
         self.omp.tune = on;
@@ -123,7 +109,8 @@ impl OmpBackend {
     /// PATUS-style auto-tuner.
     ///
     /// Runs mutate `grids`, so pass scratch copies. Returns the winning
-    /// tile and its compiled executable (already warm).
+    /// tile and its compiled executable (already warm); an empty
+    /// candidate list is an error.
     pub fn autotune_tile(
         &self,
         group: &StencilGroup,
@@ -131,7 +118,11 @@ impl OmpBackend {
         candidates: &[Vec<i64>],
         reps: usize,
     ) -> Result<(Vec<i64>, Box<dyn Executable>)> {
-        assert!(!candidates.is_empty(), "need at least one tile candidate");
+        if candidates.is_empty() {
+            return Err(CoreError::Backend(
+                "tile auto-tuning needs at least one candidate tile".into(),
+            ));
+        }
         let shapes = grids.shapes();
         let mut best: Option<(f64, Vec<i64>, Box<dyn Executable>)> = None;
         for tile in candidates {
@@ -155,7 +146,7 @@ impl OmpBackend {
                 best = Some((t, tile.clone(), exe));
             }
         }
-        let (_, tile, exe) = best.expect("candidates non-empty");
+        let (_, tile, exe) = best.expect("candidates checked non-empty");
         Ok((tile, exe))
     }
 
@@ -173,11 +164,11 @@ impl OmpBackend {
         let Some(kernel) = lowered.kernels.iter().find(|k| k.parallel_safe) else {
             return Ok(None);
         };
-        let key = crate::tune::TileTuner::key(group, shapes, threads);
+        let candidates = tune_candidates(kernel.ndim, &kernel.regions, threads);
+        let key = crate::tune::TileTuner::key(group, shapes, threads, &candidates);
         if let Some(tile) = self.tuner.lookup(key, threads) {
             return Ok(Some(tile));
         }
-        let candidates = tune_candidates(kernel.ndim, &kernel.regions, threads);
         // Scratch grids at the real shapes: timing runs must never touch
         // user data, and values are irrelevant to wall time.
         let mut scratch = GridSet::new();
@@ -190,53 +181,10 @@ impl OmpBackend {
         self.tuner.store(key, threads, &tile, candidates.len());
         Ok(Some(tile))
     }
-}
 
-/// Candidate tile shapes for the auto-tuner: the default heuristic plus
-/// finer/coarser outer chunks and, in rank ≥ 2, a cache-blocked variant
-/// tiling the second dimension. Deduplicated; always non-empty.
-fn tune_candidates(ndim: usize, regions: &[Region], threads: usize) -> Vec<Vec<i64>> {
-    let base = default_tile(ndim, regions, threads);
-    let chunk = base[0];
-    let mut cands = vec![base.clone()];
-    for c in [(chunk / 2).max(1), chunk.saturating_mul(2), 1] {
-        let mut t = base.clone();
-        t[0] = c;
-        if !cands.contains(&t) {
-            cands.push(t);
-        }
-    }
-    if ndim >= 2 {
-        let mut t = base.clone();
-        t[1] = 64;
-        if !cands.contains(&t) {
-            cands.push(t);
-        }
-    }
-    cands
-}
-
-struct OmpExecutable {
-    lowered: Lowered,
-    /// Tasks per phase.
-    phases: Vec<Vec<Task>>,
-    parallel: bool,
-}
-
-impl Backend for OmpBackend {
-    fn name(&self) -> &'static str {
-        "omp"
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.options.clone()
-    }
-
-    fn tune_stats(&self) -> crate::metrics::TuneStats {
-        self.tuner.stats()
-    }
-
-    fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
+    /// Build the task schedule: fused, tiled and multicolor tasks per
+    /// barrier phase, sequential kernels as single ordered tasks.
+    fn schedule(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Phased> {
         let lowered = crate::exec::lower(group, shapes, &self.options)?;
         let threads = rayon::current_num_threads().max(1);
         // Tuner consult only fills the gap left by an unset explicit tile;
@@ -280,7 +228,7 @@ impl Backend for OmpBackend {
                     continue;
                 }
                 let tile = match &tile_choice {
-                    Some(t) => fit_tile(t, kernel.ndim),
+                    Some(t) => fit_tile(t, kernel.ndim)?,
                     None => default_tile(kernel.ndim, &kernel.regions, threads),
                 };
                 if self.omp.multicolor_reorder && kernel.regions.len() > 1 && group_ids.len() == 1 {
@@ -298,11 +246,57 @@ impl Backend for OmpBackend {
             }
             phases.push(tasks);
         }
-        Ok(Box::new(OmpExecutable {
+        Ok(Phased {
+            name: "omp",
             lowered,
             phases,
-            parallel: self.omp.parallel,
-        }))
+            parallel: true,
+        })
+    }
+}
+
+/// Candidate tile shapes for the auto-tuner: the default heuristic plus
+/// finer/coarser outer chunks and, in rank ≥ 2, a cache-blocked variant
+/// tiling the second dimension. Deduplicated; always non-empty.
+fn tune_candidates(ndim: usize, regions: &[Region], threads: usize) -> Vec<Vec<i64>> {
+    let base = default_tile(ndim, regions, threads);
+    let chunk = base[0];
+    let mut cands = vec![base.clone()];
+    for c in [(chunk / 2).max(1), chunk.saturating_mul(2), 1] {
+        let mut t = base.clone();
+        t[0] = c;
+        if !cands.contains(&t) {
+            cands.push(t);
+        }
+    }
+    if ndim >= 2 {
+        let mut t = base.clone();
+        t[1] = 64;
+        if !cands.contains(&t) {
+            cands.push(t);
+        }
+    }
+    cands
+}
+
+impl Backend for OmpBackend {
+    fn name(&self) -> &'static str {
+        "omp"
+    }
+
+    fn lower_options(&self) -> LowerOptions {
+        self.options.clone()
+    }
+
+    fn stats(&self) -> BackendStats {
+        BackendStats {
+            tune: self.tuner.stats(),
+            ..BackendStats::default()
+        }
+    }
+
+    fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
+        Ok(Box::new(self.schedule(group, shapes)?))
     }
 }
 
@@ -310,9 +304,13 @@ impl Backend for OmpBackend {
 /// dimensions are left untiled, missing trailing entries repeat the last
 /// given extent. (A group may mix kernels of different rank — e.g. a 2-D
 /// boundary plane inside a 3-D sweep — and one user-provided tile must
-/// apply to all of them.)
-fn fit_tile(tile: &[i64], ndim: usize) -> Vec<i64> {
-    assert!(!tile.is_empty(), "tile shape must be non-empty");
+/// apply to all of them.) An empty tile is an error.
+fn fit_tile(tile: &[i64], ndim: usize) -> Result<Vec<i64>> {
+    if tile.is_empty() {
+        return Err(CoreError::Backend(
+            "explicit tile shape must have at least one extent".into(),
+        ));
+    }
     // Align the given extents to the innermost dimensions.
     let mut out = vec![i64::MAX >> 1; ndim];
     for (d, slot) in out.iter_mut().enumerate() {
@@ -325,7 +323,7 @@ fn fit_tile(tile: &[i64], ndim: usize) -> Vec<i64> {
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Default tiling: chunk the outermost dimension into about 4 tasks per
@@ -371,10 +369,7 @@ fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task
             .filter_map(|r| intersect_box(r, &box_lo, &box_hi))
             .collect();
         if !subs.is_empty() {
-            tasks.push(Task {
-                kernels: vec![kernel],
-                regions: subs,
-            });
+            tasks.push(Task::one(kernel, subs));
         }
         // Advance the box odometer.
         let mut d = nd - 1;
@@ -391,55 +386,6 @@ fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task
         }
     }
     tasks
-}
-
-impl OmpExecutable {
-    /// Shared execution path; the report only observes (phase wall times
-    /// and task classification), so `run` and `run_with_report` compute
-    /// bitwise-identical results.
-    fn run_impl(&self, grids: &mut GridSet, mut report: Option<&mut RunReport>) -> Result<()> {
-        let (ptrs, lens) = check_and_ptrs(&self.lowered, grids)?;
-        let view = GridPtrs::new(&ptrs, &lens);
-        for (pi, phase) in self.phases.iter().enumerate() {
-            let t0 = report.as_ref().map(|_| std::time::Instant::now());
-            // SAFETY: tasks within a phase are mutually independent (greedy
-            // grouping) and tiles of a parallel-safe kernel are iteration-
-            // disjoint; bounds are proven by validation.
-            let run_task = |task: &Task| unsafe { task.run(&self.lowered, &view) };
-            if self.parallel {
-                phase.par_iter().for_each(run_task);
-            } else {
-                phase.iter().for_each(run_task);
-            }
-            // The join at the end of par_iter is the phase barrier.
-            if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
-                r.record_phase(pi, t0.elapsed().as_secs_f64(), phase.len() as u64);
-                for task in phase {
-                    task.record(&self.lowered, r);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Executable for OmpExecutable {
-    fn run(&self, grids: &mut GridSet) -> Result<()> {
-        self.run_impl(grids, None)
-    }
-
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        report.set_backend("omp");
-        let t0 = std::time::Instant::now();
-        self.run_impl(grids, Some(report))?;
-        report.kernels.points += self.points_per_run();
-        report.finish_run(t0.elapsed().as_secs_f64());
-        Ok(())
-    }
-
-    fn points_per_run(&self) -> u64 {
-        self.lowered.num_points()
-    }
 }
 
 #[cfg(test)]
@@ -592,13 +538,38 @@ mod tests {
 
     #[test]
     fn fit_tile_aligns_to_innermost_dims() {
-        assert_eq!(fit_tile(&[4, 8], 2), vec![4, 8]);
+        assert_eq!(fit_tile(&[4, 8], 2).unwrap(), vec![4, 8]);
         // Shorter tile: outer dims untiled.
-        let t = fit_tile(&[4, 8], 3);
+        let t = fit_tile(&[4, 8], 3).unwrap();
         assert!(t[0] > 1 << 40);
         assert_eq!(&t[1..], &[4, 8]);
         // Longer tile: innermost entries win.
-        assert_eq!(fit_tile(&[2, 4, 8], 2), vec![4, 8]);
+        assert_eq!(fit_tile(&[2, 4, 8], 2).unwrap(), vec![4, 8]);
+    }
+
+    #[test]
+    fn empty_explicit_tile_is_a_typed_error() {
+        let group = vc_gsrb_group_2d();
+        let shapes = mk_grids(10).shapes();
+        let omp =
+            crate::backend_from_name("omp", &crate::BackendOptions::default().with_tile(vec![]))
+                .unwrap();
+        let Err(err) = omp.compile(&group, &shapes) else {
+            panic!("an empty tile must not compile");
+        };
+        assert!(matches!(err, CoreError::Backend(_)), "{err:?}");
+        assert!(err.to_string().contains("tile"), "{err}");
+    }
+
+    #[test]
+    fn autotuning_without_candidates_is_a_typed_error() {
+        let group = vc_gsrb_group_2d();
+        let mut grids = mk_grids(10);
+        let Err(err) = OmpBackend::new().autotune_tile(&group, &mut grids, &[], 1) else {
+            panic!("no candidates must be an error");
+        };
+        assert!(matches!(err, CoreError::Backend(_)), "{err:?}");
+        assert!(err.to_string().contains("candidate"), "{err}");
     }
 
     #[test]
@@ -748,7 +719,7 @@ mod tests {
         let shapes = a.shapes();
         let cold = OmpBackend::new().with_tune(true).with_tune_dir(dir.clone());
         cold.compile(&group, &shapes).unwrap().run(&mut a).unwrap();
-        let cs = cold.tune_stats();
+        let cs = cold.stats().tune;
         assert_eq!(
             (cs.disk_hits, cs.disk_misses),
             (0, 1),
@@ -759,7 +730,7 @@ mod tests {
         // the decision from disk without re-timing.
         let warm = OmpBackend::new().with_tune(true).with_tune_dir(dir.clone());
         warm.compile(&group, &shapes).unwrap().run(&mut b).unwrap();
-        let ws = warm.tune_stats();
+        let ws = warm.stats().tune;
         assert_eq!(
             (ws.disk_hits, ws.disk_misses),
             (1, 0),
@@ -790,13 +761,10 @@ mod tests {
         let mut a = mk_grids(n);
         let mut b = mk_grids(n);
         let shapes = a.shapes();
-        let mut serial = OmpBackend::new();
-        serial.omp.parallel = false;
-        serial
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut a)
-            .unwrap();
+        // The identical schedule, executed on the calling thread.
+        let mut serial = OmpBackend::new().schedule(&group, &shapes).unwrap();
+        serial.parallel = false;
+        serial.run(&mut a).unwrap();
         OmpBackend::new()
             .compile(&group, &shapes)
             .unwrap()

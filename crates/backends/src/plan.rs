@@ -21,15 +21,85 @@
 //! touches it, those counters staying flat across cycles is the
 //! observable proof that the hot path is lookup-free (asserted by the
 //! plan-equivalence integration test).
+//!
+//! A *gated* build ([`SolverPlan::build_gated`]) first runs the static
+//! verifier and the linter, each once, over the whole operator list. A
+//! finding refuses the plan with a typed [`PlanError`] before any compile;
+//! otherwise the gates' counters are stored and [`SolverPlan::stamp`]
+//! writes them into `RunReport.verify` / `RunReport.lint`.
 
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
+use snowflake_analysis::{lint_program, Diagnostic, Lint, LintConfig, Severity};
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
 
-use crate::metrics::{CacheStats, RunReport};
+use crate::lint::lint_stats;
+use crate::metrics::{CacheStats, LintStats, RunReport, VerifyStats};
+use crate::verify::verify_ops;
 use crate::{Backend, CompileCache, Executable};
+
+/// The analyses a gated plan build runs over its operator list before
+/// compiling anything.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Gates {
+    /// Statically verify every operator (bounds, schedule, generated C);
+    /// any diagnostic refuses the plan.
+    pub verify: bool,
+    /// Semantically lint the operator list (inventory mode); deny-level
+    /// findings refuse the plan, the rest are counted.
+    pub lint: bool,
+}
+
+/// Why a plan build failed.
+#[derive(Clone, Debug)]
+pub enum PlanError {
+    /// The verify gate refused the plan.
+    Unverified(Vec<Diagnostic>),
+    /// The lint gate refused the plan (the deny-level findings).
+    Denied(Vec<Lint>),
+    /// Lowering, compilation or stencil resolution failed.
+    Core(CoreError),
+}
+
+impl fmt::Display for PlanError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PlanError::Unverified(diags) => {
+                write!(
+                    f,
+                    "plan verification failed with {} diagnostic(s):",
+                    diags.len()
+                )?;
+                diags.iter().try_for_each(|d| write!(f, "\n  {d}"))
+            }
+            PlanError::Denied(lints) => {
+                write!(f, "lint failed with {} finding(s):", lints.len())?;
+                lints.iter().try_for_each(|l| write!(f, "\n  {l}"))
+            }
+            PlanError::Core(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
+
+impl From<CoreError> for PlanError {
+    fn from(e: CoreError) -> Self {
+        PlanError::Core(e)
+    }
+}
+
+impl From<PlanError> for CoreError {
+    fn from(e: PlanError) -> Self {
+        match e {
+            PlanError::Core(e) => e,
+            refused => CoreError::Backend(refused.to_string()),
+        }
+    }
+}
 
 /// A compiled operator schedule: `ops[i]` is the executable for the i-th
 /// `(group, shapes)` pair handed to [`SolverPlan::build`].
@@ -38,6 +108,8 @@ pub struct SolverPlan {
     ops: Vec<Arc<dyn Executable>>,
     descs: Vec<(StencilGroup, ShapeMap)>,
     build_seconds: f64,
+    verify: VerifyStats,
+    lint: LintStats,
 }
 
 impl SolverPlan {
@@ -45,6 +117,39 @@ impl SolverPlan {
     /// returned plan are stable: op `i` is `ops[i]`.
     pub fn build(backend: Box<dyn Backend>, ops: &[(StencilGroup, ShapeMap)]) -> Result<Self> {
         Self::build_with_cache(CompileCache::new(backend), ops)
+    }
+
+    /// As [`SolverPlan::build`], behind `gates`: the verifier (with the
+    /// backend's lowering options) and the linter each run once over
+    /// `ops`, and refuse the plan before any compile.
+    pub fn build_gated(
+        backend: Box<dyn Backend>,
+        ops: &[(StencilGroup, ShapeMap)],
+        gates: Gates,
+    ) -> std::result::Result<Self, PlanError> {
+        let mut verify = VerifyStats::default();
+        if gates.verify {
+            let cert = verify_ops(ops, &backend.lower_options()).map_err(PlanError::Unverified)?;
+            verify = cert.stats();
+        }
+        let mut lint = LintStats::default();
+        if gates.lint {
+            let report = lint_program(ops, &LintConfig::default())?;
+            let denied: Vec<Lint> = report
+                .lints
+                .iter()
+                .filter(|l| l.severity == Severity::Deny)
+                .cloned()
+                .collect();
+            if !denied.is_empty() {
+                return Err(PlanError::Denied(denied));
+            }
+            lint = lint_stats(&report, 0);
+        }
+        let mut plan = Self::build(backend, ops)?;
+        plan.verify = verify;
+        plan.lint = lint;
+        Ok(plan)
     }
 
     /// As [`SolverPlan::build`], reusing an existing compile cache (e.g.
@@ -60,12 +165,14 @@ impl SolverPlan {
             ops: compiled,
             descs: ops.to_vec(),
             build_seconds: t0.elapsed().as_secs_f64(),
+            verify: VerifyStats::default(),
+            lint: LintStats::default(),
         })
     }
 
     /// The `(group, shapes)` descriptors the plan was built from, in op
-    /// order — the input the static verifier (`crate::verify::verify_plan`)
-    /// re-analyzes to certify the plan.
+    /// order — the input the gates and `crate::verify::verify_plan`
+    /// analyze.
     pub fn descriptors(&self) -> &[(StencilGroup, ShapeMap)] {
         &self.descs
     }
@@ -136,13 +243,15 @@ impl SolverPlan {
     }
 
     /// Stamp plan-level facts into a report: `plan_ops`, the build-time
-    /// cache snapshot (with disk counters) and the backend name. Build
-    /// time is *not* added here so callers can report it exactly once.
+    /// cache snapshot (with disk counters), the tuner counters, the gate
+    /// counters and the backend name. Build time is *not* added here so
+    /// callers can report it exactly once.
     pub fn stamp(&self, report: &mut RunReport) {
         report.plan_ops = self.ops.len() as u64;
         report.cache = self.cache_stats();
-        report.tune = self.cache.tune_stats();
-        report.lint = self.cache.lint_stats();
+        report.tune = self.cache.backend_stats().tune;
+        report.verify = self.verify;
+        report.lint = self.lint;
         report.set_backend(self.backend_name());
     }
 }
@@ -225,6 +334,30 @@ mod tests {
         let mut gs = gs;
         let err = plan.run(5, &mut gs).unwrap_err();
         assert!(err.to_string().contains("out of range"), "{err}");
+    }
+
+    #[test]
+    fn refusals_render_every_finding_and_convert_to_core_errors() {
+        use snowflake_analysis::{DiagnosticKind, LintRule};
+        let unverified = PlanError::Unverified(vec![
+            Diagnostic::new(DiagnosticKind::OutOfBounds, "first").stencil("a"),
+            Diagnostic::new(DiagnosticKind::PhaseHazard, "second").stencil("b"),
+        ]);
+        let msg = unverified.to_string();
+        assert!(msg.contains("2 diagnostic(s)"), "{msg}");
+        assert!(msg.contains("out-of-bounds"), "{msg}");
+        assert!(msg.contains("phase-hazard"), "{msg}");
+        let denied = PlanError::Denied(vec![
+            Lint::new(LintRule::DeadStore, "first").stencil("a"),
+            Lint::new(LintRule::CoverageGap, "second").grid("g"),
+        ]);
+        let msg = denied.to_string();
+        assert!(msg.contains("2 finding(s)"), "{msg}");
+        assert!(msg.contains("dead-store"), "{msg}");
+        assert!(msg.contains("coverage-gap"), "{msg}");
+        assert_eq!(CoreError::from(denied), CoreError::Backend(msg));
+        let core = CoreError::Backend("cc missing".into());
+        assert_eq!(CoreError::from(PlanError::from(core.clone())), core);
     }
 
     #[test]

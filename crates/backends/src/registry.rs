@@ -3,7 +3,7 @@
 //!
 //! [`backend_from_name`] builds any of the six backends from a string and
 //! a single [`BackendOptions`] bag of shared knobs (tiling, fusion,
-//! multicolor reordering, work-group shape, rank count, C toolchain).
+//! multicolor reordering, work-group shape, C toolchain, tile tuner).
 //! Unknown names are a structured [`CoreError::UnknownBackend`] listing
 //! [`available_backends`], never a panic — a figure binary can print the
 //! error verbatim and exit cleanly.
@@ -13,17 +13,15 @@ use std::path::PathBuf;
 use snowflake_core::{CoreError, Result};
 use snowflake_ir::LowerOptions;
 
-use crate::lint::LintingBackend;
 use crate::oclsim::WorkGroupShape;
 use crate::omp::OmpOptions;
-use crate::verify::VerifyingBackend;
 use crate::{
-    Backend, CJitBackend, CheckedBackend, DistBackend, InterpreterBackend, OclSimBackend,
-    OmpBackend, SequentialBackend,
+    Backend, CJitBackend, CheckedBackend, InterpreterBackend, OclSimBackend, OmpBackend,
+    SequentialBackend,
 };
 
 /// Every name [`backend_from_name`] resolves, in documentation order.
-const NAMES: [&str; 7] = ["interp", "seq", "omp", "oclsim", "cjit", "dist", "checked"];
+const NAMES: [&str; 6] = ["interp", "seq", "omp", "oclsim", "cjit", "checked"];
 
 /// The registered backend names.
 pub fn available_backends() -> &'static [&'static str] {
@@ -43,13 +41,8 @@ pub struct BackendOptions {
     pub fuse: bool,
     /// Multicolor tile-interleaved reordering (omp).
     pub multicolor: bool,
-    /// Execute on the thread pool; `false` keeps the schedule but runs
-    /// serially (omp ablations).
-    pub parallel: bool,
     /// Work-group tile shape (oclsim).
     pub workgroup: WorkGroupShape,
-    /// Simulated rank count (dist).
-    pub ranks: usize,
     /// C compiler override (cjit; `None` keeps `$SNOWFLAKE_CC`/`cc`).
     pub cc: Option<String>,
     /// Optimization flag override (cjit).
@@ -58,17 +51,6 @@ pub struct BackendOptions {
     pub cache_dir: Option<PathBuf>,
     /// Use the persistent artifact cache (cjit; on by default).
     pub disk_cache: bool,
-    /// Statically verify every compiled group before execution: the
-    /// constructed backend is wrapped in a
-    /// [`crate::verify::VerifyingBackend`], so `compile` fails with the
-    /// verifier's diagnostics instead of running an uncertified plan.
-    pub verify: bool,
-    /// Semantically lint every group before compiling it: the constructed
-    /// backend is wrapped in a [`crate::lint::LintingBackend`], so deny-level
-    /// findings (coverage gaps, double covers) fail `compile` with the lint
-    /// list, warn-level findings accumulate into the `lint{}` metrics block
-    /// stamped by [`crate::SolverPlan::stamp`].
-    pub lint: bool,
     /// Consult the persisted tile auto-tuner at compile time (omp; only
     /// effective when no explicit tile is set).
     pub tune: bool,
@@ -84,15 +66,11 @@ impl Default for BackendOptions {
             tile: None,
             fuse: true,
             multicolor: true,
-            parallel: true,
             workgroup: WorkGroupShape::default(),
-            ranks: 2,
             cc: None,
             opt_flags: None,
             cache_dir: None,
             disk_cache: true,
-            verify: false,
-            lint: false,
             tune: false,
             tune_dir: None,
         }
@@ -118,12 +96,6 @@ impl BackendOptions {
         self
     }
 
-    /// Set the simulated rank count (builder style).
-    pub fn with_ranks(mut self, ranks: usize) -> Self {
-        self.ranks = ranks;
-        self
-    }
-
     /// Set the work-group shape (builder style).
     pub fn with_workgroup(mut self, tall: i64, wide: i64) -> Self {
         self.workgroup = WorkGroupShape { tall, wide };
@@ -133,18 +105,6 @@ impl BackendOptions {
     /// Pin the cjit artifact cache directory (builder style).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Require static verification before every compile (builder style).
-    pub fn with_verify(mut self, on: bool) -> Self {
-        self.verify = on;
-        self
-    }
-
-    /// Require semantic linting before every compile (builder style).
-    pub fn with_lint(mut self, on: bool) -> Self {
-        self.lint = on;
         self
     }
 
@@ -168,17 +128,6 @@ impl BackendOptions {
 /// names — an unusable toolchain (cjit without `cc`) surfaces later, from
 /// `compile`, exactly as when the backend is built directly.
 pub fn backend_from_name(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> {
-    let mut backend = build_backend(name, opts)?;
-    if opts.lint {
-        backend = Box::new(LintingBackend::new(backend));
-    }
-    if opts.verify {
-        backend = Box::new(VerifyingBackend::new(backend));
-    }
-    Ok(backend)
-}
-
-fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> {
     match name {
         "interp" => Ok(Box::new(InterpreterBackend)),
         "seq" => Ok(Box::new(SequentialBackend {
@@ -189,7 +138,6 @@ fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> 
             omp: OmpOptions {
                 tile: opts.tile.clone(),
                 multicolor_reorder: opts.multicolor,
-                parallel: opts.parallel,
                 fuse: opts.fuse,
                 tune: opts.tune,
             },
@@ -213,11 +161,6 @@ fn build_backend(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> 
             }
             Ok(Box::new(backend))
         }
-        "dist" => {
-            let mut backend = DistBackend::new(opts.ranks.max(1));
-            backend.options = opts.lower.clone();
-            Ok(Box::new(backend))
-        }
         "checked" => Ok(Box::new(CheckedBackend {
             options: opts.lower.clone(),
         })),
@@ -238,37 +181,6 @@ mod tests {
         for &name in available_backends() {
             let backend = backend_from_name(name, &opts).expect("registered name");
             assert_eq!(backend.name(), name);
-        }
-    }
-
-    #[test]
-    fn verify_knob_wraps_every_backend_name_transparently() {
-        let opts = BackendOptions::default().with_verify(true);
-        for &name in available_backends() {
-            let backend = backend_from_name(name, &opts).expect("registered name");
-            assert_eq!(
-                backend.name(),
-                name,
-                "the verifying wrapper must report the inner backend's name"
-            );
-        }
-    }
-
-    #[test]
-    fn lint_knob_wraps_every_backend_name_transparently() {
-        let opts = BackendOptions::default().with_lint(true).with_verify(true);
-        for &name in available_backends() {
-            let backend = backend_from_name(name, &opts).expect("registered name");
-            assert_eq!(
-                backend.name(),
-                name,
-                "the linting wrapper must report the inner backend's name"
-            );
-            assert_eq!(
-                backend.lint_stats(),
-                crate::metrics::LintStats::default(),
-                "no compiles yet, so no rules have run"
-            );
         }
     }
 
@@ -304,7 +216,7 @@ mod tests {
         shapes.insert("x".into(), vec![12, 12]);
         shapes.insert("y".into(), vec![12, 12]);
         omp.compile(&group, &shapes).unwrap();
-        let stats = omp.tune_stats();
+        let stats = omp.stats().tune;
         assert_eq!(stats.disk_misses, 1, "tuner engaged through registry knobs");
         assert!(stats.candidates_timed >= 2);
         assert!(
@@ -319,13 +231,10 @@ mod tests {
         let opts = BackendOptions::default()
             .with_tile(vec![4, 4])
             .with_multicolor(false)
-            .with_ranks(3)
             .with_workgroup(2, 8);
-        // Knob plumbing is per-backend; spot-check via Debug rendering,
-        // which includes every public field.
         let omp = backend_from_name("omp", &opts).unwrap();
         assert_eq!(omp.name(), "omp");
-        let dist = backend_from_name("dist", &opts).unwrap();
-        assert_eq!(dist.name(), "dist");
+        let oclsim = backend_from_name("oclsim", &opts).unwrap();
+        assert_eq!(oclsim.name(), "oclsim");
     }
 }

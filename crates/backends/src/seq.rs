@@ -6,13 +6,10 @@
 //! order; points in row-major order — the canonical semantics.
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
-use snowflake_grid::GridSet;
-use snowflake_ir::{LowerOptions, Lowered};
+use snowflake_ir::LowerOptions;
 
-use crate::exec::run_kernel_region;
-use crate::metrics::RunReport;
-use crate::view::GridPtrs;
-use crate::{check_and_ptrs, Backend, Executable};
+use crate::exec::{Phased, Task};
+use crate::{Backend, Executable};
 
 /// Single-threaded compiled backend.
 #[derive(Clone, Debug, Default)]
@@ -39,69 +36,34 @@ impl Backend for SequentialBackend {
         "seq"
     }
 
+    /// One task per (kernel, region), in program order, run serially.
+    /// The greedy schedule groups *consecutive* kernels, so walking the
+    /// phases in order is exactly program order.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
         let lowered = crate::exec::lower(group, shapes, &self.options)?;
-        Ok(Box::new(SeqExecutable { lowered }))
+        let phases = lowered
+            .phases
+            .iter()
+            .map(|phase| {
+                phase
+                    .iter()
+                    .flat_map(|&ki| {
+                        let regions = &lowered.kernels[ki].regions;
+                        regions.iter().map(move |r| Task::one(ki, vec![r.clone()]))
+                    })
+                    .collect()
+            })
+            .collect();
+        Ok(Box::new(Phased {
+            name: "seq",
+            lowered,
+            phases,
+            parallel: false,
+        }))
     }
 
     fn lower_options(&self) -> LowerOptions {
         self.options.clone()
-    }
-}
-
-struct SeqExecutable {
-    lowered: Lowered,
-}
-
-impl SeqExecutable {
-    /// Shared execution path; instrumentation only observes, so `run` and
-    /// `run_with_report` compute bitwise-identical results.
-    ///
-    /// Kernels execute phase by phase: the greedy schedule groups
-    /// *consecutive* kernels, so walking phases in order is exactly
-    /// program order — the same traversal `run` always performed.
-    fn run_impl(&self, grids: &mut GridSet, mut report: Option<&mut RunReport>) -> Result<()> {
-        let (ptrs, lens) = check_and_ptrs(&self.lowered, grids)?;
-        let view = GridPtrs::new(&ptrs, &lens);
-        for (pi, phase) in self.lowered.phases.iter().enumerate() {
-            let t0 = report.as_ref().map(|_| std::time::Instant::now());
-            let mut regions_run = 0u64;
-            for &ki in phase {
-                let kernel = &self.lowered.kernels[ki];
-                for region in &kernel.regions {
-                    // SAFETY: bounds proven by validation; single thread.
-                    unsafe { run_kernel_region(kernel, &view, region) };
-                }
-                regions_run += kernel.regions.len() as u64;
-            }
-            if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
-                r.record_phase(pi, t0.elapsed().as_secs_f64(), regions_run);
-                r.kernels.tiles += regions_run;
-                // One thread, canonical order: every dispatch is a
-                // sequential one regardless of the analysis verdict.
-                r.kernels.sequential_tasks += regions_run;
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Executable for SeqExecutable {
-    fn run(&self, grids: &mut GridSet) -> Result<()> {
-        self.run_impl(grids, None)
-    }
-
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        report.set_backend("seq");
-        let t0 = std::time::Instant::now();
-        self.run_impl(grids, Some(report))?;
-        report.kernels.points += self.points_per_run();
-        report.finish_run(t0.elapsed().as_secs_f64());
-        Ok(())
-    }
-
-    fn points_per_run(&self) -> u64 {
-        self.lowered.num_points()
     }
 }
 
@@ -110,7 +72,7 @@ mod tests {
     use super::*;
     use crate::InterpreterBackend;
     use snowflake_core::{weights3, Component, DomainUnion, Expr, RectDomain, Stencil};
-    use snowflake_grid::Grid;
+    use snowflake_grid::{Grid, GridSet};
 
     /// Build the paper's Figure 4-style 2-D VC red-black smooth and check
     /// seq ≡ interp exactly.

@@ -6,7 +6,7 @@
 //! ([`crate::omp::OmpBackend::autotune_tile`]) that times candidate tile
 //! shapes and keeps the winner. This module makes that decision *sticky*:
 //! the winning tile for each `(kernel-group signature, grid shapes,
-//! thread count)` triple is persisted as a tiny JSON artifact in an
+//! thread count, candidate list, executor sources)` key is persisted as a tiny JSON artifact in an
 //! FNV-keyed directory chain (the same resolution scheme as the C JIT's
 //! artifact cache), so the first plan build of a given configuration pays
 //! for the timing runs once and every later process serves the decision
@@ -39,6 +39,16 @@ const UNTILED: i64 = i64::MAX >> 1;
 /// Artifact schema version; bump when the encoding changes so stale
 /// artifacts are ignored rather than misread.
 const VERSION: u64 = 1;
+
+/// FNV-1a of the executor and scheduler sources, fixed at compile time: a
+/// persisted decision was timed on one build's executor, so any change to
+/// the code that runs the tiles invalidates it without a hand-bumped
+/// constant.
+const CODE_SALT: u64 = {
+    let h = fnv1a(FNV_OFFSET, include_str!("exec.rs").as_bytes());
+    let h = fnv1a(h, include_str!("specialize.rs").as_bytes());
+    fnv1a(h, include_str!("omp.rs").as_bytes())
+};
 
 #[derive(Debug, Default)]
 struct TuneCounters {
@@ -77,14 +87,22 @@ impl TileTuner {
     }
 
     /// Structural tuning key: FNV-1a over the group's debug rendering,
-    /// the sorted shape bindings, and the thread count. Equal programs at
-    /// equal sizes and parallelism share one decision.
-    pub fn key(group: &StencilGroup, shapes: &ShapeMap, threads: usize) -> u64 {
+    /// the sorted shape bindings, the thread count and the candidate tiles
+    /// timed, salted with the executor sources of this build. Equal
+    /// programs at equal sizes and parallelism, tuned over the same
+    /// candidates by the same executor, share one decision.
+    pub fn key(
+        group: &StencilGroup,
+        shapes: &ShapeMap,
+        threads: usize,
+        candidates: &[Vec<i64>],
+    ) -> u64 {
         let mut entries: Vec<(&String, &Vec<usize>)> = shapes.iter().collect();
         entries.sort();
-        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, format!("{group:?}").as_bytes());
+        let mut h = fnv1a(CODE_SALT, format!("{group:?}").as_bytes());
         h = fnv1a(h, format!("{entries:?}").as_bytes());
-        fnv1a(h, format!("threads={threads}").as_bytes())
+        h = fnv1a(h, format!("threads={threads}").as_bytes());
+        fnv1a(h, format!("candidates={candidates:?}").as_bytes())
     }
 
     /// Look up a persisted decision. Counts a disk hit when found.
@@ -122,12 +140,17 @@ impl TileTuner {
     }
 }
 
-/// FNV-1a 64-bit (same constants as the cjit artifact keyer).
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit (same constants as the cjit artifact keyer); `const` so
+/// [`CODE_SALT`] is computed by the compiler.
+const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    for &b in bytes {
-        hash ^= u64::from(b);
+    let mut i = 0;
+    while i < bytes.len() {
+        hash ^= bytes[i] as u64;
         hash = hash.wrapping_mul(PRIME);
+        i += 1;
     }
     hash
 }
@@ -226,10 +249,14 @@ mod tests {
         TileTuner::new(Some(dir))
     }
 
+    fn cands() -> Vec<Vec<i64>> {
+        vec![vec![4, UNTILED], vec![2, UNTILED]]
+    }
+
     #[test]
     fn store_then_lookup_round_trips_with_untiled_encoding() {
         let tuner = tmp_tuner("roundtrip");
-        let key = TileTuner::key(&group(2.0), &shapes(16), 4);
+        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
         assert_eq!(tuner.lookup(key, 4), None, "cold cache");
         tuner.store(key, 4, &[8, UNTILED, 64], 3);
         assert_eq!(tuner.lookup(key, 4), Some(vec![8, UNTILED, 64]));
@@ -248,17 +275,32 @@ mod tests {
 
     #[test]
     fn key_separates_programs_shapes_and_threads() {
-        let k = TileTuner::key(&group(2.0), &shapes(16), 4);
-        assert_ne!(k, TileTuner::key(&group(3.0), &shapes(16), 4));
-        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(32), 4));
-        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(16), 8));
-        assert_eq!(k, TileTuner::key(&group(2.0), &shapes(16), 4));
+        let k = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
+        assert_ne!(k, TileTuner::key(&group(3.0), &shapes(16), 4, &cands()));
+        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(32), 4, &cands()));
+        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(16), 8, &cands()));
+        assert_eq!(k, TileTuner::key(&group(2.0), &shapes(16), 4, &cands()));
+    }
+
+    #[test]
+    fn key_changes_with_the_candidate_list() {
+        let k = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
+        let mut more = cands();
+        more.push(vec![1, UNTILED]);
+        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(16), 4, &more));
+        let mut reordered = cands();
+        reordered.reverse();
+        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(16), 4, &reordered));
+        assert_ne!(
+            k,
+            TileTuner::key(&group(2.0), &shapes(16), 4, &cands()[..1])
+        );
     }
 
     #[test]
     fn thread_count_mismatch_and_garbage_are_misses() {
         let tuner = tmp_tuner("mismatch");
-        let key = TileTuner::key(&group(2.0), &shapes(16), 4);
+        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
         tuner.store(key, 4, &[8, 8], 2);
         assert_eq!(tuner.lookup(key, 8), None, "different thread count");
         // Corrupt artifact: must be treated as a miss, not a panic.

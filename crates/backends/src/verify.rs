@@ -24,24 +24,24 @@
 //!
 //! A successful run returns a [`PlanCertificate`]; any failure returns the
 //! full list of typed [`Diagnostic`]s, each carrying a witness cell when
-//! the finite-domain solver can construct one.
+//! the finite-domain solver can construct one. A plan built with the
+//! verify gate ([`crate::plan::Gates`]) runs [`verify_ops`] over its
+//! operator list before compiling anything.
 //!
 //! [`AccessClass`]: snowflake_ir::AccessClass
 //! [`LoweredKernel`]: snowflake_ir::LoweredKernel
 
 use std::collections::HashSet;
-use std::fmt::Write as _;
 
 use snowflake_analysis::{
     certify_schedule, dead_stencils, verify_bounds, Diagnostic, DiagnosticKind, ResolvedStencil,
 };
-use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
+use snowflake_core::{CoreError, ShapeMap, StencilGroup};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
 
 use crate::codegen_c::emit_c;
 use crate::metrics::VerifyStats;
 use crate::plan::SolverPlan;
-use crate::{Backend, Executable};
 
 /// What was proved about one compiled operator (one `(group, shapes)`
 /// descriptor of a plan).
@@ -99,19 +99,6 @@ impl PlanCertificate {
 /// Number of diagnostics carrying a concrete witness cell.
 pub fn witness_count(diags: &[Diagnostic]) -> u64 {
     diags.iter().filter(|d| d.witness.is_some()).count() as u64
-}
-
-/// Collapse a diagnostic list into one backend error (for callers that
-/// must fail through the [`CoreError`] channel, e.g. compile paths).
-pub fn diagnostics_to_error(diags: &[Diagnostic]) -> CoreError {
-    let mut msg = format!(
-        "plan verification failed with {} diagnostic(s):",
-        diags.len()
-    );
-    for d in diags {
-        let _ = write!(msg, "\n  {d}");
-    }
-    CoreError::Backend(msg)
 }
 
 /// Map a resolution/lowering error into the diagnostic taxonomy.
@@ -413,65 +400,31 @@ fn audit_c_pragmas(lowered: &Lowered) -> std::result::Result<u64, Vec<Diagnostic
     }
 }
 
-/// Certify every operator of a compiled plan, using the lowering options
-/// of the plan's own backend. Zero diagnostics ⇒ certificate.
-pub fn verify_plan(plan: &SolverPlan) -> std::result::Result<PlanCertificate, Vec<Diagnostic>> {
-    let opts = plan.lower_options();
-    let mut ops = Vec::new();
+/// Certify every operator of an operator list lowered with `opts`. Zero
+/// diagnostics ⇒ certificate.
+pub fn verify_ops(
+    ops: &[(StencilGroup, ShapeMap)],
+    opts: &LowerOptions,
+) -> std::result::Result<PlanCertificate, Vec<Diagnostic>> {
+    let mut certs = Vec::new();
     let mut diags = Vec::new();
-    for (group, shapes) in plan.descriptors() {
-        match verify_op(group, shapes, &opts) {
-            Ok(c) => ops.push(c),
+    for (group, shapes) in ops {
+        match verify_op(group, shapes, opts) {
+            Ok(c) => certs.push(c),
             Err(ds) => diags.extend(ds),
         }
     }
     if diags.is_empty() {
-        Ok(PlanCertificate { ops })
+        Ok(PlanCertificate { ops: certs })
     } else {
         Err(diags)
     }
 }
 
-/// A backend decorator that refuses to compile uncertified groups: the
-/// `verify` knob of [`crate::BackendOptions`]. Reports the inner backend's
-/// name so registry round-trips are transparent.
-pub struct VerifyingBackend {
-    inner: Box<dyn Backend>,
-}
-
-impl VerifyingBackend {
-    /// Wrap a backend; every compile now verifies first.
-    pub fn new(inner: Box<dyn Backend>) -> Self {
-        VerifyingBackend { inner }
-    }
-}
-
-impl Backend for VerifyingBackend {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        verify_op(group, shapes, &self.inner.lower_options())
-            .map_err(|ds| diagnostics_to_error(&ds))?;
-        self.inner.compile(group, shapes)
-    }
-
-    fn disk_cache_stats(&self) -> (u64, u64) {
-        self.inner.disk_cache_stats()
-    }
-
-    fn tune_stats(&self) -> crate::metrics::TuneStats {
-        self.inner.tune_stats()
-    }
-
-    fn lint_stats(&self) -> crate::metrics::LintStats {
-        self.inner.lint_stats()
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.inner.lower_options()
-    }
+/// Certify every operator of a compiled plan, using the lowering options
+/// of the plan's own backend.
+pub fn verify_plan(plan: &SolverPlan) -> std::result::Result<PlanCertificate, Vec<Diagnostic>> {
+    verify_ops(plan.descriptors(), &plan.lower_options())
 }
 
 #[cfg(test)]
@@ -546,27 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn verifying_backend_is_name_transparent_and_compiles_certified_groups() {
-        let vb = VerifyingBackend::new(Box::new(crate::SequentialBackend::new()));
-        assert_eq!(vb.name(), "seq");
-        let group = StencilGroup::from(Stencil::new(laplacian2(), "y", RectDomain::interior(2)));
-        let mut gs = snowflake_grid::GridSet::new();
-        gs.insert("x", snowflake_grid::Grid::from_fn(&[8, 8], |p| p[0] as f64));
-        gs.insert("y", snowflake_grid::Grid::new(&[8, 8]));
-        let exe = vb.compile(&group, &gs.shapes()).unwrap();
-        exe.run(&mut gs).unwrap();
-    }
-
-    #[test]
-    fn diagnostics_collapse_into_one_error() {
+    fn witnesses_are_counted_per_diagnostic() {
         let diags = vec![
-            Diagnostic::new(DiagnosticKind::OutOfBounds, "first").stencil("a"),
+            Diagnostic::new(DiagnosticKind::OutOfBounds, "first")
+                .stencil("a")
+                .witness(vec![-1]),
             Diagnostic::new(DiagnosticKind::PhaseHazard, "second").stencil("b"),
         ];
-        let msg = diagnostics_to_error(&diags).to_string();
-        assert!(msg.contains("2 diagnostic(s)"));
-        assert!(msg.contains("out-of-bounds"));
-        assert!(msg.contains("phase-hazard"));
-        assert_eq!(witness_count(&diags), 0);
+        assert_eq!(witness_count(&diags), 1);
     }
 }

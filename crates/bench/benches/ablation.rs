@@ -83,15 +83,6 @@ fn ablation(c: &mut Criterion) {
         }
     }
 
-    // §VII distributed prototype: rank scaling (scatter/gather + halo
-    // exchange overhead vs slab parallelism).
-    for ranks in [1usize, 2, 4] {
-        let backend = snowflake_backends::DistBackend::new(ranks);
-        let exe = backend.compile(&group, &shapes).unwrap();
-        g.bench_function(BenchmarkId::new("dist_ranks", ranks), |b| {
-            b.iter(|| exe.run(&mut grids).unwrap())
-        });
-    }
     g.finish();
 }
 

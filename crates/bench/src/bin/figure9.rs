@@ -11,18 +11,19 @@
 //!
 //! Backends are resolved by name through [`backend_from_name`]; pass
 //! `--backend <name>` to run a single one (any of `available_backends()`,
-//! including `interp` and `dist`, which the default comparison set skips
-//! for speed). `--smoke` shrinks the run to a CI-sized problem (8³, 2
+//! including `interp` and `checked`, which the default comparison set
+//! skips for speed). `--smoke` shrinks the run to a CI-sized problem (8³, 2
 //! cycles, seq + cjit) for exercising the persistent artifact cache.
 //!
 //! Pass `--metrics-json <path>` to dump the per-backend solver
 //! [`RunReport`] profiles (schema in README.md), including `plan_ops` and
 //! the disk-cache hit/miss counters.
 //!
-//! `--verify` statically certifies the compiled plan before running it;
-//! `--lint` semantically lints it (deny-level findings refuse the run,
-//! counters surface in each report's `lint` object — see `snowlint` for
-//! the standalone driver).
+//! `--verify` statically certifies the plan and `--lint` semantically
+//! lints it, each once over the operator list before anything compiles
+//! (a finding refuses the run with exit 1); the counters surface in each
+//! report's `verify` and `lint` objects — see `snowlint` for the
+//! standalone lint driver.
 //!
 //! `--tune` enables the persisted tile auto-tuner on backends that support
 //! it (`omp`), whose cache directory is the `SNOWFLAKE_TUNE_DIR` chain; it
@@ -33,10 +34,10 @@
 use std::time::Instant;
 
 use hpgmg::{HandSolver, Problem, Smoother, SnowSolver, SolveOptions};
-use snowflake_analysis::LintConfig;
-use snowflake_backends::{backend_from_name, lint_plan, verify_plan, BackendOptions};
+use snowflake_backends::{backend_from_name, BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_flag, arg_usize_or_exit, arg_value, print_table, write_metrics_json, MetricsRow, Who,
+    arg_flag, arg_usize_or_exit, arg_value, gates_from_args, print_table, write_metrics_json,
+    MetricsRow, Who,
 };
 
 fn main() {
@@ -49,20 +50,16 @@ fn main() {
         _ => Smoother::GsRb,
     };
     let fmg = args.iter().any(|a| a == "--fcycle");
-    let verify = arg_flag(&args, "--verify");
-    let lint = arg_flag(&args, "--lint");
+    let gates = gates_from_args(&args);
     let metrics_path = arg_value(&args, "--metrics-json");
-    let mut backend_opts = BackendOptions::default().with_lint(lint);
-    if arg_flag(&args, "--tune") {
-        backend_opts = backend_opts.with_tune(true);
-    }
+    let backend_opts = BackendOptions::default().with_tune(arg_flag(&args, "--tune"));
     let problem = Problem::poisson_vc(n);
     let dof = (n * n * n) as f64;
     let opts = SolveOptions::cycles(cycles).with_fmg(fmg);
 
     // One backend by name, or the figure's default comparison set
-    // (interp/dist are constructible via --backend but far too slow for
-    // the default sweep).
+    // (interp/checked are constructible via --backend but far too slow
+    // for the default sweep).
     let backend_names: Vec<String> = match arg_value(&args, "--backend") {
         Some(name) => vec![name],
         None if smoke => vec!["seq".into(), "cjit".into()],
@@ -115,53 +112,23 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        match SnowSolver::with_smoother(problem, backend, smoother) {
+        match SnowSolver::with_gates(problem, backend, smoother, gates) {
             Ok(mut solver) => {
-                // --verify: refuse to run an uncertified plan.
-                let verify_stats = if verify {
-                    match verify_plan(solver.plan()) {
-                        Ok(cert) => {
-                            let stats = cert.stats();
-                            println!(
-                                "({label} certified: {} stencils, {} accesses proved, \
-                                 {} phases)",
-                                stats.stencils_checked,
-                                stats.accesses_proved,
-                                stats.phases_certified
-                            );
-                            Some(stats)
-                        }
-                        Err(diags) => {
-                            eprintln!("error: {label} plan failed verification:");
-                            for d in &diags {
-                                eprintln!("  {d}");
-                            }
-                            std::process::exit(1);
-                        }
-                    }
-                } else {
-                    None
-                };
-                // --lint: the backend wrapper already refused deny-level
-                // findings at compile time; re-lint the whole plan here to
-                // print the inventory-mode summary (and any warnings).
-                if lint {
-                    match lint_plan(solver.plan(), &LintConfig::default()) {
-                        Ok(report) => {
-                            println!(
-                                "({label} linted: {} rules run, {} finding(s))",
-                                report.rules_run,
-                                report.lints.len()
-                            );
-                            for l in &report.lints {
-                                println!("  {l}");
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("error: {label} plan failed linting: {e}");
-                            std::process::exit(1);
-                        }
-                    }
+                // The gates ran once, at plan build; print their counters.
+                let mut gated = RunReport::new();
+                solver.plan().stamp(&mut gated);
+                if gates.verify {
+                    let v = gated.verify;
+                    println!(
+                        "({label} certified: {} stencils, {} accesses proved, {} phases)",
+                        v.stencils_checked, v.accesses_proved, v.phases_certified
+                    );
+                }
+                if gates.lint {
+                    println!(
+                        "({label} linted: {} rules run, {} finding(s))",
+                        gated.lint.rules_run, gated.lint.lints
+                    );
                 }
                 solver.solve(1).expect("warm-up");
                 if metrics_path.is_some() {
@@ -180,25 +147,15 @@ fn main() {
                     format!("{}/{}", stats.disk_hits, stats.disk_misses),
                 ]);
                 if metrics_path.is_some() {
-                    let mut report = solver.take_metrics();
-                    if let (Some(r), Some(stats)) = (report.as_mut(), verify_stats) {
-                        r.verify = stats;
-                    }
                     metrics_rows.push(MetricsRow {
                         operator: "gmg-solve".to_string(),
                         implementation: label,
                         value: dof / dt / 1e6,
-                        report,
+                        report: solver.take_metrics(),
                     });
                 }
             }
-            Err(e) => {
-                // A deny-level lint finding under --lint is a refusal, not
-                // a skip.
-                if lint && e.to_string().contains("lint failed") {
-                    eprintln!("error: {label}: {e}");
-                    std::process::exit(1);
-                }
+            Err(PlanError::Core(e)) => {
                 // An unavailable backend (e.g. cjit without a C compiler)
                 // is a skipped row, not a failed figure.
                 eprintln!("({label} skipped: {e})");
@@ -210,6 +167,11 @@ fn main() {
                     "-".to_string(),
                     "-".to_string(),
                 ]);
+            }
+            Err(refused) => {
+                // A plan refused by --verify or --lint is not a skip.
+                eprintln!("error: {label}: {refused}");
+                std::process::exit(1);
             }
         }
     }

@@ -13,7 +13,7 @@
 //! The compile cache survives only as the plan's builder — its counters
 //! stay flat across cycles, which the plan-equivalence tests assert.
 
-use snowflake_backends::{Backend, CacheStats, RunReport, SolverPlan};
+use snowflake_backends::{Backend, CacheStats, Gates, PlanError, RunReport, SolverPlan};
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::{Grid, GridSet};
 
@@ -83,6 +83,24 @@ impl SnowSolver {
         backend: Box<dyn Backend>,
         smoother: Smoother,
     ) -> Result<Self> {
+        Ok(Self::with_gates(
+            problem,
+            backend,
+            smoother,
+            Gates::default(),
+        )?)
+    }
+
+    /// As [`SnowSolver::with_smoother`], building the plan behind `gates`:
+    /// the verifier and the linter each run once over the whole operator
+    /// list before any compile, a finding refuses the solver, and the
+    /// counters land in every report the solver stamps.
+    pub fn with_gates(
+        problem: Problem,
+        backend: Box<dyn Backend>,
+        smoother: Smoother,
+        gates: Gates,
+    ) -> std::result::Result<Self, PlanError> {
         let sizes = problem.level_sizes();
         let coeff = if problem.variable_coeff {
             Coeff::Variable
@@ -161,7 +179,7 @@ impl SnowSolver {
 
         // Plan build doubles as the paper's untimed warm-up: every
         // operator is compiled here, so solve timings exclude compilation.
-        let plan = SolverPlan::build(backend, &ops.ops)?;
+        let plan = SolverPlan::build_gated(backend, &ops.ops, gates)?;
         Ok(SnowSolver {
             problem,
             sizes,
@@ -449,9 +467,8 @@ impl SnowSolver {
         self.plan.len()
     }
 
-    /// The compiled plan itself — what the static verifier
-    /// (`snowflake_backends::verify_plan`) certifies before `--verify`
-    /// runs are allowed to execute.
+    /// The compiled plan itself (its descriptors are what the gates and
+    /// `snowflake_backends::verify_plan` analyze).
     pub fn plan(&self) -> &SolverPlan {
         &self.plan
     }

@@ -21,11 +21,24 @@
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 
-/// Number of worker threads a parallel operation may use.
+/// Number of worker threads a parallel operation may use: a positive
+/// `RAYON_NUM_THREADS`, as with rayon's global pool, otherwise the
+/// machine's available parallelism. Read once per process, as rayon sizes
+/// its pool once.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *THREADS.get_or_init(|| {
+        threads_from_env(std::env::var("RAYON_NUM_THREADS").ok().as_deref()).unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    })
+}
+
+/// Parse a `RAYON_NUM_THREADS` value: a positive integer, else `None`.
+fn threads_from_env(value: Option<&str>) -> Option<usize> {
+    value?.trim().parse().ok().filter(|&n| n > 0)
 }
 
 /// The traits user code imports with `use rayon::prelude::*`.
@@ -330,6 +343,19 @@ impl<A: ParallelIterator, B: ParallelIterator> ParallelIterator for Zip<A, B> {
 mod tests {
     use super::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn thread_count_env_accepts_only_positive_integers() {
+        use super::threads_from_env;
+        assert_eq!(threads_from_env(Some("2")), Some(2));
+        assert_eq!(threads_from_env(Some(" 16 ")), Some(16));
+        assert_eq!(threads_from_env(Some("0")), None);
+        assert_eq!(threads_from_env(Some("-3")), None);
+        assert_eq!(threads_from_env(Some("two")), None);
+        assert_eq!(threads_from_env(Some("")), None);
+        assert_eq!(threads_from_env(None), None);
+        assert!(super::current_num_threads() >= 1);
+    }
 
     #[test]
     fn for_each_visits_every_item_once() {

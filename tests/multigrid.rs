@@ -161,3 +161,28 @@ fn larger_problems_keep_contracting() {
     // h-independence: contraction does not degrade badly with resolution.
     assert!(r32.contraction < r16.contraction * 2.5 + 0.05);
 }
+
+/// `seq`, `checked` and `cjit` count one V-cycle's dispatches the same way:
+/// one per (kernel, region), split by the analysis' parallel-safety
+/// verdict rather than by how the backend happens to run them.
+#[test]
+fn dispatch_counters_agree_across_seq_checked_and_cjit() {
+    let counters = |backend: Box<dyn Backend>| {
+        let mut solver = SnowSolver::new(Problem::poisson_vc(8), backend).expect("plan");
+        solver.enable_metrics();
+        solver.vcycle(0).expect("v-cycle");
+        let k = solver.take_metrics().expect("metrics on").kernels;
+        (k.tiles, k.parallel_tasks, k.sequential_tasks)
+    };
+    let seq = counters(Box::new(SequentialBackend::new()));
+    assert!(
+        seq.1 > 0,
+        "the V-cycle has parallel-safe dispatches: {seq:?}"
+    );
+    assert_eq!(seq.0, seq.1 + seq.2);
+    let checked = counters(Box::new(snowflake::backends::CheckedBackend::new()));
+    assert_eq!(checked, seq, "checked vs seq");
+    if CJitBackend::available() {
+        assert_eq!(counters(Box::new(CJitBackend::new())), seq, "cjit vs seq");
+    }
+}

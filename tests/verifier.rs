@@ -258,22 +258,3 @@ fn checked_backend_matches_seq_bitwise_on_multigrid_smoke() {
     assert_eq!(seq, checked, "checked backend diverged from seq");
     assert!(checked[2] < checked[0], "solver failed to converge");
 }
-
-/// The `verify` knob on the registry refuses uncertifiable groups before
-/// any backend work happens, with the diagnostics in the error text.
-#[test]
-fn verifying_registry_backend_rejects_missing_grids() {
-    let backend = backend_from_name("seq", &BackendOptions::default().with_verify(true)).unwrap();
-    let group = StencilGroup::from(Stencil::new(
-        Expr::read_at("ghost", &[0]),
-        "y",
-        RectDomain::all(1),
-    ));
-    let sh = shapes(&["y"], &[8]);
-    let Err(err) = backend.compile(&group, &sh) else {
-        panic!("compile of a group reading an unallocated grid succeeded");
-    };
-    let msg = err.to_string();
-    assert!(msg.contains("verification failed"), "got: {msg}");
-    assert!(msg.contains("ghost"), "got: {msg}");
-}
