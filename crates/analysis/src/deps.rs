@@ -102,11 +102,16 @@ pub fn is_parallel_safe(rs: &ResolvedStencil) -> bool {
     writes_disjoint(rs)
 }
 
-/// Do the write sets of the union's member rectangles avoid overlapping
-/// (no write-after-write hazard *within* the stencil)?
+/// Does every iteration of the stencil write its own cell (no
+/// write-after-write hazard *within* the stencil)? Checked between
+/// distinct iterations of each member rectangle (a non-injective write
+/// map, e.g. a zero scale over an extent > 1) and across rectangles.
 pub fn writes_disjoint(rs: &ResolvedStencil) -> bool {
     let (_, wmap) = rs.write();
     for (i, r1) in rs.regions.iter().enumerate() {
+        if self_conflict(r1, &wmap, &wmap) {
+            return false;
+        }
         for r2 in rs.regions.iter().skip(i + 1) {
             if access_conflict(r1, &wmap, r2, &wmap) {
                 return false;
@@ -227,6 +232,21 @@ mod tests {
         let rs = resolved(s, 16);
         assert!(!writes_disjoint(&rs));
         assert!(!is_parallel_safe(&rs));
+    }
+
+    #[test]
+    fn non_injective_write_is_unsafe() {
+        // y[3] = x[p] over the interior: every iteration writes one cell.
+        let s = Stencil::new(Expr::read_at("x", &[0, 0]), "y", RectDomain::interior(2))
+            .with_out_map(AffineMap::scaled(vec![0, 1], vec![3, 0]));
+        let rs = resolved(s, 16);
+        assert!(!writes_disjoint(&rs));
+        assert!(!is_parallel_safe(&rs));
+        // A scale-0 dimension over a single point stays injective.
+        let one_row = RectDomain::new(&[5, 1], &[6, -1], &[1, 1]);
+        let s = Stencil::new(Expr::read_at("x", &[0, 0]), "y", one_row)
+            .with_out_map(AffineMap::scaled(vec![0, 1], vec![3, 0]));
+        assert!(is_parallel_safe(&resolved(s, 16)));
     }
 
     #[test]

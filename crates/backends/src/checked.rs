@@ -338,7 +338,7 @@ impl Executable for CheckedExecutable {
 mod tests {
     use super::*;
     use crate::SequentialBackend;
-    use snowflake_core::{DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_core::{AffineMap, DomainUnion, Expr, RectDomain, Stencil};
     use snowflake_grid::Grid;
     use snowflake_ir::lower_group;
 
@@ -440,6 +440,19 @@ mod tests {
         let err = exe.run(&mut gs).unwrap_err().to_string();
         assert!(err.contains("intra-phase write overlap"), "got: {err}");
         assert!(err.contains("\"first\""), "got: {err}");
+
+        // One kernel whose iterations all write one cell: the analysis
+        // serializes it; forge the parallel claim to seed the race.
+        let race = StencilGroup::from(
+            Stencil::new(Expr::read_at("x", &[0, 0]), "y", RectDomain::all(2))
+                .with_out_map(AffineMap::scaled(vec![0, 0], vec![1, 1])),
+        );
+        let mut lowered = lower_group(&race, &shapes, &LowerOptions::default()).unwrap();
+        assert!(!lowered.kernels[0].parallel_safe);
+        lowered.kernels[0].parallel_safe = true;
+        let exe = CheckedExecutable { lowered };
+        let err = exe.run(&mut gs).unwrap_err().to_string();
+        assert!(err.contains("intra-phase write overlap"), "got: {err}");
     }
 
     #[test]

@@ -28,7 +28,8 @@ use crate::{Backend, Executable};
 pub struct OmpOptions {
     /// Tile extents (points per dimension). `None` chooses a default that
     /// chunks the outermost dimension into `~4 × threads` tasks and keeps
-    /// inner dimensions whole.
+    /// inner dimensions whole: the pool claims tasks in guided blocks, so
+    /// the surplus tasks even out uneven tiles and colors across threads.
     pub tile: Option<Vec<i64>>,
     /// Interleave the rectangles of a union domain tile-by-tile (multicolor
     /// reordering). Only applied to kernels proven parallel-safe.

@@ -41,13 +41,17 @@ const UNTILED: i64 = i64::MAX >> 1;
 const VERSION: u64 = 1;
 
 /// FNV-1a of the executor and scheduler sources, fixed at compile time: a
-/// persisted decision was timed on one build's executor, so any change to
-/// the code that runs the tiles invalidates it without a hand-bumped
-/// constant.
+/// persisted decision was timed on one build's executor and thread pool,
+/// so any change to the code that runs the tiles invalidates it without a
+/// hand-bumped constant.
 const CODE_SALT: u64 = {
     let h = fnv1a(FNV_OFFSET, include_str!("exec.rs").as_bytes());
     let h = fnv1a(h, include_str!("specialize.rs").as_bytes());
-    fnv1a(h, include_str!("omp.rs").as_bytes())
+    let h = fnv1a(h, include_str!("omp.rs").as_bytes());
+    fnv1a(
+        h,
+        include_str!("../../../shims/rayon/src/lib.rs").as_bytes(),
+    )
 };
 
 #[derive(Debug, Default)]
@@ -251,6 +255,18 @@ mod tests {
 
     fn cands() -> Vec<Vec<i64>> {
         vec![vec![4, UNTILED], vec![2, UNTILED]]
+    }
+
+    #[test]
+    fn code_salt_covers_the_thread_pool_that_runs_the_tiles() {
+        let backend_only = fnv1a(
+            fnv1a(
+                fnv1a(FNV_OFFSET, include_str!("exec.rs").as_bytes()),
+                include_str!("specialize.rs").as_bytes(),
+            ),
+            include_str!("omp.rs").as_bytes(),
+        );
+        assert_ne!(CODE_SALT, backend_only);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use snowflake::analysis::{DiagnosticKind, LintConfig, LintRule};
-use snowflake::backends::{lint_plan, lint_stats, verify_plan, CheckedBackend, Gates, PlanError};
+use snowflake::analysis::{
+    certify_schedule, is_parallel_safe, DiagnosticKind, LintConfig, LintRule, ResolvedStencil,
+};
+use snowflake::backends::{lint_plan, lint_stats, verify_plan, Gates, PlanError};
 use snowflake::core::{Result, ShapeMap};
 use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
 use snowflake::prelude::*;
@@ -57,8 +59,7 @@ fn shapes(names: &[&str], shape: &[usize]) -> ShapeMap {
 }
 
 /// `x[3] = 2·y[p]` for every interior `p`: every iteration writes one cell,
-/// yet the dependence analysis flags the kernel parallel-safe — a race the
-/// verifier and the `checked` sanitizer must both refuse.
+/// so the kernel races unless the analysis serializes it.
 fn seeded_race() -> StencilGroup {
     StencilGroup::from(
         Stencil::new(Expr::read_at("y", &[0]) * 2.0, "x", RectDomain::interior(1))
@@ -81,12 +82,29 @@ fn coverage_gap() -> StencilGroup {
 }
 
 #[test]
-fn gated_builds_refuse_before_any_compile() {
-    // A seeded race: the verify gate refuses it with a witness cell.
+fn non_injective_write_is_serialized_and_certified() {
     let race = vec![(seeded_race(), shapes(&["x", "y"], &[8]))];
-    let (backend, compiles) = Counting::seq();
-    let Err(PlanError::Unverified(diags)) = SolverPlan::build_gated(backend, &race, BOTH) else {
-        panic!("a seeded race must be refused by the verify gate");
+    let rs = ResolvedStencil::resolve(&race[0].0.stencils()[0], &race[0].1).unwrap();
+    assert!(!is_parallel_safe(&rs), "the analysis serializes the kernel");
+
+    // The gated plan certifies with no parallel kernel, and every backend
+    // that runs a task schedule agrees bitwise: the last write wins.
+    for name in ["seq", "omp", "oclsim", "checked"] {
+        let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
+        let plan = SolverPlan::build_gated(backend, &race, BOTH).unwrap();
+        let cert = verify_plan(&plan).expect("the serialized race certifies");
+        assert_eq!(cert.ops[0].parallel_kernels, 0, "{name}");
+        let mut grids = GridSet::new();
+        grids.insert("x", Grid::new(&[8]));
+        grids.insert("y", Grid::from_fn(&[8], |p| p[0] as f64));
+        plan.run(0, &mut grids).unwrap();
+        let x3 = grids.get("x").unwrap().get(&[3]);
+        assert_eq!(x3.to_bits(), 12.0f64.to_bits(), "{name}: x[3] = 2·y[6]");
+    }
+
+    // The verifier still refuses a forged parallel claim, with the cell.
+    let Err(diags) = certify_schedule(&[rs], &[vec![0]], &[true]) else {
+        panic!("a parallel claim on a non-injective write must be refused");
     };
     assert!(
         diags
@@ -95,15 +113,10 @@ fn gated_builds_refuse_before_any_compile() {
                 && d.witness.as_deref() == Some(&[3][..])),
         "{diags:?}"
     );
-    assert_eq!(compiles.load(Ordering::SeqCst), 0, "refused before compile");
-    // The runtime sanitizer agrees: the ungated plan traps the overlap.
-    let plan = SolverPlan::build(Box::new(CheckedBackend::new()), &race).unwrap();
-    let mut grids = GridSet::new();
-    grids.insert("x", Grid::new(&[8]));
-    grids.insert("y", Grid::from_fn(&[8], |p| p[0] as f64));
-    let err = plan.run(0, &mut grids).unwrap_err().to_string();
-    assert!(err.contains("write overlap"), "{err}");
+}
 
+#[test]
+fn gated_builds_refuse_before_any_compile() {
     // A coverage gap: the lint gate refuses it (deny by default).
     let gap = vec![(coverage_gap(), shapes(&["x"], &[10, 10]))];
     let (backend, compiles) = Counting::seq();
