@@ -29,7 +29,7 @@ use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
 use snowflake_ir::{LowerOptions, Lowered, LoweredKernel, Op};
 
-use crate::metrics::RunReport;
+use crate::metrics::KernelCounters;
 use crate::{Backend, Executable};
 
 /// The sanitizer backend ("checked" in the registry).
@@ -246,12 +246,12 @@ fn run_region_checked(
     }
 }
 
-impl CheckedExecutable {
-    /// Shared execution path. Grids are snapshotted into plain vectors so
-    /// every access goes through safe, range-checked indexing; the
-    /// snapshots are written back only when the whole run is violation
-    /// free (a failed run leaves the grid set untouched).
-    fn run_impl(&self, grids: &mut GridSet, mut report: Option<&mut RunReport>) -> Result<()> {
+impl Executable for CheckedExecutable {
+    /// Grids are snapshotted into plain vectors so every access goes
+    /// through safe, range-checked indexing; the snapshots are written back
+    /// only when the whole run is violation free (a failed run leaves the
+    /// grid set untouched).
+    fn run(&self, grids: &mut GridSet) -> Result<()> {
         let mut bufs: Vec<Vec<f64>> = Vec::with_capacity(self.lowered.grid_names.len());
         for (name, shape) in self
             .lowered
@@ -281,13 +281,10 @@ impl CheckedExecutable {
             .unwrap_or(0);
         let mut stack = Vec::with_capacity(stack_need);
         let mut writes = WriteSet::new();
-        for (pi, phase) in self.lowered.phases.iter().enumerate() {
+        for phase in &self.lowered.phases {
             writes.clear();
-            let t0 = std::time::Instant::now();
-            let mut regions_run = 0u64;
             for &ki in phase {
-                let kernel = &self.lowered.kernels[ki];
-                for region in &kernel.regions {
+                for region in &self.lowered.kernels[ki].regions {
                     run_region_checked(
                         &self.lowered,
                         ki,
@@ -296,15 +293,7 @@ impl CheckedExecutable {
                         &mut writes,
                         &mut stack,
                     )?;
-                    // One dispatch per (kernel, region), as in `seq`.
-                    if let Some(r) = report.as_deref_mut() {
-                        r.record_dispatch(1, kernel.parallel_safe);
-                    }
                 }
-                regions_run += kernel.regions.len() as u64;
-            }
-            if let Some(r) = report.as_deref_mut() {
-                r.record_phase(pi, t0.elapsed().as_secs_f64(), regions_run);
             }
         }
         for (name, buf) in self.lowered.grid_names.iter().zip(&bufs) {
@@ -316,21 +305,10 @@ impl CheckedExecutable {
         }
         Ok(())
     }
-}
 
-impl Executable for CheckedExecutable {
-    fn run(&self, grids: &mut GridSet) -> Result<()> {
-        self.run_impl(grids, None)
-    }
-
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        report.record_run("checked", self.points_per_run(), |r| {
-            self.run_impl(grids, Some(r))
-        })
-    }
-
-    fn points_per_run(&self) -> u64 {
-        self.lowered.num_points()
+    /// One dispatch per (kernel, region), as in `seq`.
+    fn work(&self) -> KernelCounters {
+        crate::per_region_work(&self.lowered)
     }
 }
 
@@ -476,14 +454,18 @@ mod tests {
     }
 
     #[test]
-    fn report_records_backend_and_phases() {
-        let group = red_black_group();
+    fn report_records_backend_op_row_and_work() {
         let mut gs = grid_set(8);
-        let exe = CheckedBackend::new().compile(&group, &gs.shapes()).unwrap();
-        let mut report = RunReport::new();
-        exe.run_with_report(&mut gs, &mut report).unwrap();
+        let ops = [(red_black_group(), gs.shapes())];
+        let plan = crate::SolverPlan::build(Box::new(CheckedBackend::new()), &ops).unwrap();
+        let mut report = crate::RunReport::new();
+        plan.run_with_report(0, &mut gs, &mut report).unwrap();
         assert_eq!(report.backend, "checked");
-        assert_eq!(report.phases.len(), 2);
+        assert_eq!(report.ops.keys().collect::<Vec<_>>(), [&0]);
+        assert_eq!(report.ops[&0].calls, 1);
         assert!(report.kernels.points > 0);
+        // Red and black are two strided rectangles each in 2-D: one
+        // dispatch per (kernel, region).
+        assert_eq!(report.kernels.tiles, 4);
     }
 }

@@ -25,7 +25,7 @@
 //! figure runs pay compilation once per machine, not once per process.
 //! Artifacts live in a `target/`-local directory next to the running
 //! binary (override with `$SNOWFLAKE_CACHE_DIR` or
-//! [`CJitBackend::with_cache_dir`]); inserts are atomic (write to a
+//! [`CJitBackend::with_cache_dir`]); artifact writes are atomic (write to a
 //! unique staging name, then rename) and **any** IO error simply falls
 //! back to the in-process compile path. Hit/miss counters surface as
 //! `disk_hits`/`disk_misses` in [`crate::metrics::CacheStats`].
@@ -40,7 +40,7 @@ use snowflake_grid::GridSet;
 use snowflake_ir::{lower_group, LowerOptions, Lowered};
 
 use crate::codegen_c::emit_c;
-use crate::metrics::{BackendStats, RunReport};
+use crate::metrics::{BackendStats, KernelCounters};
 use crate::{check_and_ptrs, Backend, Executable};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -54,7 +54,7 @@ pub struct CJitBackend {
     pub cc: String,
     /// Extra optimization flags.
     pub opt_flags: Vec<String>,
-    /// Persistent artifact cache directory; `None` resolves to
+    /// Persistent artifact cache directory; `None` resolves to a non-empty
     /// `$SNOWFLAKE_CACHE_DIR`, else a `snowflake-cjit-cache/` directory
     /// next to the running binary (i.e. inside `target/`).
     pub cache_dir: Option<PathBuf>,
@@ -166,13 +166,14 @@ impl CJitBackend {
     }
 
     /// Cache directory after applying the override chain (explicit field →
-    /// `$SNOWFLAKE_CACHE_DIR` → next to the running binary → temp dir).
+    /// `$SNOWFLAKE_CACHE_DIR` unless empty → next to the running binary →
+    /// temp dir).
     pub fn resolved_cache_dir(&self) -> PathBuf {
         if let Some(dir) = &self.cache_dir {
             return dir.clone();
         }
-        if let Ok(dir) = std::env::var("SNOWFLAKE_CACHE_DIR") {
-            return PathBuf::from(dir);
+        if let Some(dir) = crate::env_dir("SNOWFLAKE_CACHE_DIR") {
+            return dir;
         }
         std::env::current_exe()
             .ok()
@@ -367,28 +368,9 @@ impl Executable for CJitExecutable {
         Ok(())
     }
 
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        // The entry point is an opaque native call — the C code contains
-        // the barriers, so per-phase timing is unobservable from here. The
-        // whole run is reported as one phase; dispatch counters come
-        // statically from the lowered schedule the C was generated from:
-        // one loop nest per (kernel, region).
-        report.record_run("cjit", self.points_per_run(), |r| {
-            let t0 = std::time::Instant::now();
-            self.run(grids)?;
-            let phases = self.lowered.phases.len() as u64;
-            r.record_phase(0, t0.elapsed().as_secs_f64(), phases);
-            for kernel in &self.lowered.kernels {
-                for _ in &kernel.regions {
-                    r.record_dispatch(1, kernel.parallel_safe);
-                }
-            }
-            Ok(())
-        })
-    }
-
-    fn points_per_run(&self) -> u64 {
-        self.lowered.num_points()
+    /// The generated C runs one loop nest per (kernel, region).
+    fn work(&self) -> KernelCounters {
+        crate::per_region_work(&self.lowered)
     }
 }
 

@@ -25,7 +25,7 @@ use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
 
-use crate::metrics::RunReport;
+use crate::metrics::KernelCounters;
 use crate::specialize::{
     run_row_spec_points, run_row_spec_strided, run_row_spec_unit, specialize_lowered,
 };
@@ -257,55 +257,46 @@ impl Task {
 /// ordered task), so they run on the thread pool when `parallel`, and in
 /// order on the calling thread otherwise.
 pub(crate) struct Phased {
-    pub(crate) name: &'static str,
     pub(crate) lowered: Lowered,
     pub(crate) phases: Vec<Vec<Task>>,
     pub(crate) parallel: bool,
 }
 
-impl Phased {
-    /// Shared execution path; the report only observes (phase wall times
-    /// and dispatch classification), so `run` and `run_with_report`
-    /// compute bitwise-identical results.
-    fn run_phases(&self, grids: &mut GridSet, mut report: Option<&mut RunReport>) -> Result<()> {
+impl Executable for Phased {
+    fn run(&self, grids: &mut GridSet) -> Result<()> {
         let (ptrs, lens) = check_and_ptrs(&self.lowered, grids)?;
         let view = GridPtrs::new(&ptrs, &lens);
         // SAFETY: tasks within a phase are mutually independent and bounds
         // are proven by validation (see the type docs).
         let run_task = |task: &Task| unsafe { task.run(&self.lowered, &view) };
-        for (pi, phase) in self.phases.iter().enumerate() {
-            let t0 = report.as_ref().map(|_| std::time::Instant::now());
+        for phase in &self.phases {
             if self.parallel {
                 // The join at the end of `for_each` is the phase barrier.
                 phase.par_iter().for_each(run_task);
             } else {
                 phase.iter().for_each(run_task);
             }
-            if let (Some(r), Some(t0)) = (report.as_deref_mut(), t0) {
-                r.record_phase(pi, t0.elapsed().as_secs_f64(), phase.len() as u64);
-                for task in phase {
-                    let head = &self.lowered.kernels[task.kernels[0]];
-                    r.record_dispatch(task.kernels.len(), head.parallel_safe);
-                }
-            }
         }
         Ok(())
     }
-}
 
-impl Executable for Phased {
-    fn run(&self, grids: &mut GridSet) -> Result<()> {
-        self.run_phases(grids, None)
-    }
-
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        report.record_run(self.name, self.points_per_run(), |r| {
-            self.run_phases(grids, Some(r))
-        })
-    }
-
-    fn points_per_run(&self) -> u64 {
-        self.lowered.num_points()
+    /// One dispatch per task, classified by the analysis' verdict on its
+    /// first kernel; the other kernels of a fused task ride along.
+    fn work(&self) -> KernelCounters {
+        let mut work = KernelCounters {
+            points: self.lowered.num_points(),
+            ..KernelCounters::default()
+        };
+        for task in self.phases.iter().flatten() {
+            work.tiles += 1;
+            work.fused += task.kernels.len() as u64 - 1;
+            if self.lowered.kernels[task.kernels[0]].parallel_safe {
+                work.parallel_tasks += 1;
+            } else {
+                work.sequential_tasks += 1;
+            }
+        }
+        work
     }
 }
 

@@ -9,7 +9,7 @@
 use snowflake_core::{CoreError, Expr, Result, ShapeMap, Stencil, StencilGroup};
 use snowflake_grid::{GridSet, Region};
 
-use crate::metrics::RunReport;
+use crate::metrics::KernelCounters;
 use crate::{Backend, Executable};
 
 /// Reference tree-walking backend.
@@ -55,24 +55,16 @@ impl Executable for InterpExecutable {
         Ok(())
     }
 
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        // The interpreter has no barrier analysis: each stencil is its own
-        // sequential "phase" in canonical order.
-        report.record_run("interp", self.points, |r| {
-            for (si, (stencil, regions)) in self.stencils.iter().enumerate() {
-                let t0 = std::time::Instant::now();
-                run_stencil(stencil, regions, grids)?;
-                let tasks = regions.len() as u64;
-                r.record_phase(si, t0.elapsed().as_secs_f64(), tasks);
-                r.kernels.tiles += tasks;
-                r.kernels.sequential_tasks += tasks;
-            }
-            Ok(())
-        })
-    }
-
-    fn points_per_run(&self) -> u64 {
-        self.points
+    /// No barrier analysis: every region of every stencil is one
+    /// sequential dispatch in canonical order.
+    fn work(&self) -> KernelCounters {
+        let regions: u64 = self.stencils.iter().map(|(_, r)| r.len() as u64).sum();
+        KernelCounters {
+            points: self.points,
+            tiles: regions,
+            sequential_tasks: regions,
+            ..KernelCounters::default()
+        }
     }
 }
 
@@ -134,7 +126,7 @@ mod tests {
                 assert_eq!(y.get(&[i, j]), 2.0);
             }
         }
-        assert_eq!(exe.points_per_run(), 36);
+        assert_eq!(exe.work().points, 36);
     }
 
     #[test]

@@ -21,20 +21,19 @@
 //!
 //! `seq`, `omp` and `oclsim` are *schedule builders*: each `compile` only
 //! cuts the lowered kernels into `exec::Task`s per barrier phase, and
-//! one executor (`exec::Phased`) runs, times and counts every schedule.
+//! one executor (`exec::Phased`) runs every schedule.
 //!
-//! All backends implement [`Backend`] and produce [`Executable`]s; a
-//! [`CompileCache`] memoizes compilation per (group, shapes), mirroring the
-//! paper's cached callables. [`plan::SolverPlan`] builds on the cache to
-//! give solvers a *plan-once-run-many* pipeline: a fixed operator list is
-//! compiled up front into a flat table and dispatched by index, with zero
-//! per-call hashing or locking. A gated build ([`plan::Gates`]) runs the
-//! static verifier and the linter once over the operator list before any
-//! compile. [`registry`] constructs any backend by name from one
-//! [`BackendOptions`] bag, so drivers select implementations with a
-//! string instead of duplicated match arms.
+//! All backends implement [`Backend`] and produce [`Executable`]s.
+//! [`plan::SolverPlan`] is the one execution path, the paper's cached
+//! callables: a fixed operator list is compiled up front (structurally
+//! identical ops share one executable) into a flat table, dispatched by
+//! index with zero per-call hashing or locking, and timed per op into a
+//! [`RunReport`]. A gated build ([`plan::Gates`]) runs the static verifier
+//! and the linter once over the operator list before any compile.
+//! [`registry`] constructs any backend by name from one [`BackendOptions`]
+//! bag, so drivers select implementations with a string instead of
+//! duplicated match arms.
 
-pub mod cache;
 pub mod checked;
 pub mod cjit;
 pub mod codegen_c;
@@ -56,13 +55,12 @@ pub mod view;
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
 
-pub use cache::CompileCache;
 pub use checked::CheckedBackend;
 pub use cjit::CJitBackend;
 pub use interp::InterpreterBackend;
 pub use lint::{lint_plan, lint_stats};
 pub use metrics::{
-    BackendStats, CacheStats, KernelCounters, LintStats, PhaseSample, RunReport, TuneStats,
+    BackendStats, CacheStats, KernelCounters, LintStats, OpSample, RunReport, TuneStats,
     VerifyStats,
 };
 pub use oclsim::OclSimBackend;
@@ -83,25 +81,10 @@ pub trait Executable: Send + Sync {
     /// shapes the group was compiled for.
     fn run(&self, grids: &mut GridSet) -> Result<()>;
 
-    /// Iteration points per run (for stencils/s reporting).
-    fn points_per_run(&self) -> u64;
-
-    /// As [`Executable::run`], additionally accumulating a profile into
-    /// `report` (see [`metrics::RunReport`]).
-    ///
-    /// The default implementation times the whole run as a single phase,
-    /// so third-party executables stay source-compatible; every built-in
-    /// backend overrides it with per-barrier-phase timing and kernel
-    /// counters. Implementations must compute **bitwise-identical grid
-    /// results** to `run` — instrumentation only observes.
-    fn run_with_report(&self, grids: &mut GridSet, report: &mut RunReport) -> Result<()> {
-        report.record_run("", self.points_per_run(), |r| {
-            let t0 = std::time::Instant::now();
-            self.run(grids)?;
-            r.record_phase(0, t0.elapsed().as_secs_f64(), 1);
-            Ok(())
-        })
-    }
+    /// What one run dispatches: points, tiles, fused kernels and the
+    /// parallel/sequential split. A static property of the compiled
+    /// schedule, read once when a [`plan::SolverPlan`] is built.
+    fn work(&self) -> KernelCounters;
 }
 
 /// A micro-compiler: turns a stencil group plus concrete shapes into an
@@ -133,30 +116,32 @@ pub trait Backend: Send + Sync {
     }
 }
 
-/// Convenience: compile a group against the shapes of an existing grid set
-/// and run it once.
-pub fn compile_and_run(
-    backend: &dyn Backend,
-    group: &StencilGroup,
-    grids: &mut GridSet,
-) -> Result<()> {
-    let exe = backend.compile(group, &grids.shapes())?;
-    exe.run(grids)
+/// A directory named by environment variable `var`; unset and empty
+/// values both mean "not configured".
+pub(crate) fn env_dir(var: &str) -> Option<std::path::PathBuf> {
+    std::env::var_os(var)
+        .filter(|dir| !dir.is_empty())
+        .map(std::path::PathBuf::from)
 }
 
-/// As [`compile_and_run`], profiling both halves into `report`: the
-/// compile lands in `compile_seconds`, the execution in the phase table.
-pub fn compile_and_run_with_report(
-    backend: &dyn Backend,
-    group: &StencilGroup,
-    grids: &mut GridSet,
-    report: &mut RunReport,
-) -> Result<()> {
-    let t0 = std::time::Instant::now();
-    let exe = backend.compile(group, &grids.shapes())?;
-    report.compile_seconds += t0.elapsed().as_secs_f64();
-    report.set_backend(backend.name());
-    exe.run_with_report(grids, report)
+/// Work of a schedule with one dispatch per (kernel, region), classified
+/// by the analysis' verdict on each kernel: `seq`'s tasks, `checked`'s
+/// loop and the loop nests `cjit` emits.
+pub(crate) fn per_region_work(lowered: &snowflake_ir::Lowered) -> KernelCounters {
+    let mut work = KernelCounters {
+        points: lowered.num_points(),
+        ..KernelCounters::default()
+    };
+    for kernel in &lowered.kernels {
+        let regions = kernel.regions.len() as u64;
+        work.tiles += regions;
+        if kernel.parallel_safe {
+            work.parallel_tasks += regions;
+        } else {
+            work.sequential_tasks += regions;
+        }
+    }
+    work
 }
 
 /// Verify at run time that a grid set matches the shapes a group was
@@ -186,4 +171,26 @@ pub(crate) fn check_and_ptrs(
         ptrs.push(g.as_mut_ptr());
     }
     Ok((ptrs, lens))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn empty_directory_variables_count_as_unset() {
+        // A variable name no other test reads, so setting it cannot race.
+        const VAR: &str = "SNOWFLAKE_ENV_DIR_UNIT_TEST";
+        std::env::remove_var(VAR);
+        assert_eq!(env_dir(VAR), None);
+        std::env::set_var(VAR, "");
+        assert_eq!(
+            env_dir(VAR),
+            None,
+            "empty must not mean the working directory"
+        );
+        std::env::set_var(VAR, "cache");
+        assert_eq!(env_dir(VAR), Some(std::path::PathBuf::from("cache")));
+        std::env::remove_var(VAR);
+    }
 }

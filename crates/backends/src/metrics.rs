@@ -1,40 +1,40 @@
-//! Structured run reports: the observability layer every backend feeds.
+//! Structured run reports: the observability layer every plan feeds.
 //!
-//! A [`RunReport`] accumulates, across any number of executions:
+//! A [`RunReport`] accumulates, across any number of plan op calls:
 //!
-//! * **per-barrier-phase wall time** ([`PhaseSample`], one slot per phase
-//!   of the analysis schedule, accumulated over runs);
+//! * **per-op wall time** ([`OpSample`], one row per plan op index that
+//!   ran: calls and seconds), timed by [`crate::SolverPlan::run_with_report`]
+//!   with one clock read around each call;
 //! * **kernel counters** ([`KernelCounters`]: points executed, tile/task
 //!   dispatches, kernels that rode along in fused traversals, and
-//!   parallel-safe vs sequential-fallback dispatches);
+//!   parallel-safe vs sequential-fallback dispatches), each call adding its
+//!   executable's compile-time [`crate::Executable::work`];
 //! * the **compile-time vs run-time split** (`compile_seconds` vs
 //!   `run_seconds`);
-//! * [`CacheStats`] snapshotted from a [`crate::CompileCache`];
-//! * the plan gates' [`VerifyStats`] and [`LintStats`], and the tuner's
-//!   [`TuneStats`], stamped by [`crate::SolverPlan::stamp`].
+//! * the plan's build-time [`CacheStats`], the gates' [`VerifyStats`] and
+//!   [`LintStats`], and the tuner's [`TuneStats`], stamped by
+//!   [`crate::SolverPlan::stamp`].
 //!
 //! Reports serialize to JSON via [`RunReport::to_json`] (schema documented
 //! in README.md); [`json`] provides the minimal parser used to read
-//! profiles back in tests and tools. Everything here is plain data —
-//! backends fill reports through `Executable::run_with_report`, and
-//! filling is skipped entirely on the plain `run` path so instrumentation
-//! costs nothing when unused.
+//! profiles back in tests and tools. Everything here is plain data, and
+//! the plain `SolverPlan::run` path never touches it.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Compile-cache counters, maintained under the cache's single lock.
+/// Plan-build reuse counters: `hits` are ops that shared the executable
+/// of a structurally identical earlier op, `misses` are ops that compiled.
 ///
 /// `disk_hits`/`disk_misses` count the persistent artifact cache of the
 /// C JIT backend (a compile that loaded a previously-built `.so` instead
 /// of invoking `cc`); they stay zero for the pure-Rust backends.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups served from the cache.
+    /// Ops served by an earlier op's executable.
     pub hits: u64,
-    /// Lookups that required a compile.
+    /// Ops that required a compile.
     pub misses: u64,
-    /// Executables inserted (misses whose compile succeeded).
-    pub inserts: u64,
     /// Compiles served from the on-disk artifact cache (cjit only).
     pub disk_hits: u64,
     /// Compiles that had to invoke the C compiler (cjit only).
@@ -67,17 +67,17 @@ pub struct BackendStats {
     pub tune: TuneStats,
 }
 
-/// Accumulated wall time of one barrier phase of the schedule.
+/// Accumulated calls and wall time of one plan op.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PhaseSample {
-    /// Total seconds spent in this phase across all recorded runs.
+pub struct OpSample {
+    /// Times the op ran.
+    pub calls: u64,
+    /// Total seconds spent in the op across those calls.
     pub seconds: f64,
-    /// Tasks (tiles, work-groups, regions, …) dispatched in this phase
-    /// across all recorded runs.
-    pub tasks: u64,
 }
 
-/// Work counters accumulated across runs.
+/// Work counters: what one run of an executable dispatches (see
+/// [`crate::Executable::work`]), or their sum over a report's calls.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Iteration points executed.
@@ -91,6 +91,16 @@ pub struct KernelCounters {
     pub parallel_tasks: u64,
     /// Sequential-fallback dispatches (kernels run in canonical order).
     pub sequential_tasks: u64,
+}
+
+impl std::ops::AddAssign for KernelCounters {
+    fn add_assign(&mut self, rhs: Self) {
+        self.points += rhs.points;
+        self.tiles += rhs.tiles;
+        self.fused += rhs.fused;
+        self.parallel_tasks += rhs.parallel_tasks;
+        self.sequential_tasks += rhs.sequential_tasks;
+    }
 }
 
 /// Static-verifier counters: what the plan's verify gate proved (all zero
@@ -126,20 +136,19 @@ pub struct RunReport {
     /// Name of the backend that produced the profile ("omp", "cjit", …);
     /// empty until a backend stamps it.
     pub backend: String,
-    /// Runs recorded.
+    /// Op calls recorded (the sum of `ops[..].calls`).
     pub runs: u64,
-    /// Operators in the feeding [`crate::plan::SolverPlan`] (zero when the
-    /// report was filled by direct per-call dispatch).
+    /// Operators in the feeding [`crate::plan::SolverPlan`].
     pub plan_ops: u64,
-    /// Seconds spent compiling (micro-compiler + cache lookups).
+    /// Seconds spent building the plan.
     pub compile_seconds: f64,
-    /// Seconds spent executing.
+    /// Seconds spent executing (the sum of `ops[..].seconds`).
     pub run_seconds: f64,
-    /// Per-barrier-phase samples, indexed by schedule position.
-    pub phases: Vec<PhaseSample>,
+    /// Per-op samples keyed by plan op index; only ops that ran have a row.
+    pub ops: BTreeMap<usize, OpSample>,
     /// Work counters.
     pub kernels: KernelCounters,
-    /// Compile-cache counters (snapshot of the feeding cache).
+    /// Plan-build reuse counters.
     pub cache: CacheStats,
     /// Static-verification counters (zero unless the plan was verified).
     pub verify: VerifyStats,
@@ -163,49 +172,14 @@ impl RunReport {
         }
     }
 
-    /// Accumulate `seconds`/`tasks` into phase `index`, growing the phase
-    /// table as needed.
-    pub fn record_phase(&mut self, index: usize, seconds: f64, tasks: u64) {
-        if self.phases.len() <= index {
-            self.phases.resize(index + 1, PhaseSample::default());
-        }
-        self.phases[index].seconds += seconds;
-        self.phases[index].tasks += tasks;
-    }
-
-    /// Close out one execution of `total_seconds`.
-    pub fn finish_run(&mut self, total_seconds: f64) {
+    /// Count one call of plan op `op` that took `seconds` and did `work`.
+    pub fn record_op(&mut self, op: usize, seconds: f64, work: KernelCounters) {
+        let row = self.ops.entry(op).or_default();
+        row.calls += 1;
+        row.seconds += seconds;
         self.runs += 1;
-        self.run_seconds += total_seconds;
-    }
-
-    /// Count one dispatch of `kernels` kernels (several only when fused),
-    /// classified by the analysis' parallel-safety verdict on the first.
-    pub fn record_dispatch(&mut self, kernels: usize, parallel_safe: bool) {
-        self.kernels.tiles += 1;
-        self.kernels.fused += (kernels as u64).saturating_sub(1);
-        if parallel_safe {
-            self.kernels.parallel_tasks += 1;
-        } else {
-            self.kernels.sequential_tasks += 1;
-        }
-    }
-
-    /// Profile one execution: stamp `backend`, time `run` (which fills
-    /// phases and dispatch counters), then count `points` and close the
-    /// run. Every built-in executable reports through this one wrapper.
-    pub fn record_run(
-        &mut self,
-        backend: &str,
-        points: u64,
-        run: impl FnOnce(&mut RunReport) -> snowflake_core::Result<()>,
-    ) -> snowflake_core::Result<()> {
-        self.set_backend(backend);
-        let t0 = std::time::Instant::now();
-        run(self)?;
-        self.kernels.points += points;
-        self.finish_run(t0.elapsed().as_secs_f64());
-        Ok(())
+        self.run_seconds += seconds;
+        self.kernels += work;
     }
 
     /// Serialize to the JSON schema documented in README.md.
@@ -230,13 +204,8 @@ impl RunReport {
         );
         let _ = write!(
             s,
-            ",\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\
-             \"disk_hits\":{},\"disk_misses\":{}}}",
-            self.cache.hits,
-            self.cache.misses,
-            self.cache.inserts,
-            self.cache.disk_hits,
-            self.cache.disk_misses
+            ",\"cache\":{{\"hits\":{},\"misses\":{},\"disk_hits\":{},\"disk_misses\":{}}}",
+            self.cache.hits, self.cache.misses, self.cache.disk_hits, self.cache.disk_misses
         );
         let _ = write!(
             s,
@@ -257,16 +226,16 @@ impl RunReport {
             ",\"lint\":{{\"rules_run\":{},\"lints\":{},\"suppressed\":{}}}",
             self.lint.rules_run, self.lint.lints, self.lint.suppressed
         );
-        s.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
+        s.push_str(",\"ops\":[");
+        for (i, (op, row)) in self.ops.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
             let _ = write!(
                 s,
-                "{{\"index\":{i},\"seconds\":{},\"tasks\":{}}}",
-                json::number(p.seconds),
-                p.tasks
+                "{{\"op\":{op},\"calls\":{},\"seconds\":{}}}",
+                row.calls,
+                json::number(row.seconds)
             );
         }
         s.push_str("]}");
@@ -565,20 +534,20 @@ mod tests {
         let mut r = RunReport::new();
         r.set_backend("omp");
         r.set_backend("seq"); // first writer wins
-        r.record_phase(1, 0.25, 3); // out-of-order fills phase 0 too
-        r.record_phase(0, 0.5, 10);
-        r.record_phase(0, 0.5, 10);
-        r.kernels = KernelCounters {
-            points: 1000,
-            tiles: 13,
-            fused: 2,
-            parallel_tasks: 12,
+        let work = KernelCounters {
+            points: 250,
+            tiles: 3,
+            fused: 1,
+            parallel_tasks: 2,
             sequential_tasks: 1,
         };
+        r.record_op(4, 0.25, work);
+        r.record_op(1, 0.5, work);
+        r.record_op(4, 0.75, work);
+        r.record_op(1, 0.0, work);
         r.cache = CacheStats {
             hits: 5,
             misses: 2,
-            inserts: 2,
             disk_hits: 1,
             disk_misses: 1,
         };
@@ -600,20 +569,22 @@ mod tests {
             suppressed: 1,
         };
         r.compile_seconds = 0.125;
-        r.finish_run(1.5);
         r
     }
 
     #[test]
-    fn report_accumulates_phases_and_runs() {
+    fn report_accumulates_op_rows_and_work() {
         let r = sample_report();
         assert_eq!(r.backend, "omp");
-        assert_eq!(r.phases.len(), 2);
-        assert_eq!(r.phases[0].seconds, 1.0);
-        assert_eq!(r.phases[0].tasks, 20);
-        assert_eq!(r.phases[1].tasks, 3);
-        assert_eq!(r.runs, 1);
+        let rows: Vec<(usize, OpSample)> = r.ops.iter().map(|(&op, &row)| (op, row)).collect();
+        let sample = |calls, seconds| OpSample { calls, seconds };
+        assert_eq!(rows, vec![(1, sample(2, 0.5)), (4, sample(2, 1.0))]);
+        assert_eq!(r.runs, 4);
         assert_eq!(r.run_seconds, 1.5);
+        assert_eq!(r.kernels.points, 1000);
+        assert_eq!(r.kernels.tiles, 12);
+        assert_eq!(r.kernels.fused, 4);
+        assert_eq!(r.kernels.sequential_tasks, 4);
     }
 
     #[test]
@@ -621,16 +592,15 @@ mod tests {
         let r = sample_report();
         let doc = json::parse(&r.to_json()).expect("valid JSON");
         assert_eq!(doc.get("backend").unwrap().as_str(), Some("omp"));
-        assert_eq!(doc.get("runs").unwrap().as_u64(), Some(1));
+        assert_eq!(doc.get("runs").unwrap().as_u64(), Some(4));
         assert_eq!(doc.get("compile_seconds").unwrap().as_f64(), Some(0.125));
         let k = doc.get("kernels").unwrap();
         assert_eq!(k.get("points").unwrap().as_u64(), Some(1000));
-        assert_eq!(k.get("fused").unwrap().as_u64(), Some(2));
-        assert_eq!(k.get("sequential_tasks").unwrap().as_u64(), Some(1));
+        assert_eq!(k.get("fused").unwrap().as_u64(), Some(4));
+        assert_eq!(k.get("sequential_tasks").unwrap().as_u64(), Some(4));
         assert_eq!(doc.get("plan_ops").unwrap().as_u64(), Some(7));
         let c = doc.get("cache").unwrap();
         assert_eq!(c.get("hits").unwrap().as_u64(), Some(5));
-        assert_eq!(c.get("inserts").unwrap().as_u64(), Some(2));
         assert_eq!(c.get("disk_hits").unwrap().as_u64(), Some(1));
         assert_eq!(c.get("disk_misses").unwrap().as_u64(), Some(1));
         assert!(doc.get("comm").is_none());
@@ -647,11 +617,13 @@ mod tests {
         assert_eq!(l.get("rules_run").unwrap().as_u64(), Some(10));
         assert_eq!(l.get("lints").unwrap().as_u64(), Some(2));
         assert_eq!(l.get("suppressed").unwrap().as_u64(), Some(1));
-        let phases = doc.get("phases").unwrap().as_array().unwrap();
-        assert_eq!(phases.len(), 2);
-        assert_eq!(phases[0].get("index").unwrap().as_u64(), Some(0));
-        assert_eq!(phases[0].get("seconds").unwrap().as_f64(), Some(1.0));
-        assert_eq!(phases[1].get("tasks").unwrap().as_u64(), Some(3));
+        assert!(doc.get("phases").is_none());
+        let ops = doc.get("ops").unwrap().as_array().unwrap();
+        assert_eq!(ops.len(), 2);
+        assert_eq!(ops[0].get("op").unwrap().as_u64(), Some(1));
+        assert_eq!(ops[0].get("calls").unwrap().as_u64(), Some(2));
+        assert_eq!(ops[1].get("op").unwrap().as_u64(), Some(4));
+        assert_eq!(ops[1].get("seconds").unwrap().as_f64(), Some(1.0));
     }
 
     #[test]

@@ -96,7 +96,6 @@ impl Backend for OclSimBackend {
             phases.push(tasks);
         }
         Ok(Box::new(Phased {
-            name: "oclsim",
             lowered,
             phases,
             parallel: true,
@@ -120,7 +119,7 @@ fn tall_skinny_tile(ndim: usize, wg: WorkGroupShape) -> Vec<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{RunReport, SequentialBackend};
+    use crate::{RunReport, SequentialBackend, SolverPlan};
     use snowflake_core::{weights3, Component, DomainUnion, Expr, RectDomain, Stencil};
     use snowflake_grid::{Grid, GridSet};
 
@@ -215,11 +214,11 @@ mod tests {
             .unwrap()
             .run(&mut want)
             .unwrap();
-        let exe = OclSimBackend::new().compile(&group, &shapes).unwrap();
+        let plan = SolverPlan::build(Box::new(OclSimBackend::new()), &[(group, shapes)]).unwrap();
         for _ in 0..20 {
             let mut got = base.clone();
             let mut report = RunReport::new();
-            exe.run_with_report(&mut got, &mut report).unwrap();
+            plan.run_with_report(0, &mut got, &mut report).unwrap();
             let (got, want) = (got.get("x").unwrap(), want.get("x").unwrap());
             let first_diff = got
                 .as_slice()

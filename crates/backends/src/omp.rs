@@ -248,7 +248,6 @@ impl OmpBackend {
             phases.push(tasks);
         }
         Ok(Phased {
-            name: "omp",
             lowered,
             phases,
             parallel: true,

@@ -1,26 +1,22 @@
 //! Plan-once-run-many execution: a [`SolverPlan`] compiles a fixed,
 //! ordered list of stencil operators up front and dispatches them by
-//! **index** forever after.
+//! **index** forever after. It is the one place that compiles, dispatches
+//! and measures.
 //!
 //! The paper's porting story is "compile each stencil group to a cached
-//! callable and re-run it" — but a per-call cache still pays a structural
-//! hash + map lookup + mutex acquisition on *every* dispatch, hundreds of
-//! times per multigrid cycle. Devito-style operator planning separates the
+//! callable and re-run it". Devito-style operator planning separates the
 //! one-time *plan* step (compile every operator the solver will ever run)
 //! from the many-times *apply* step (index into a flat table):
 //!
 //! 1. **Build**: hand [`SolverPlan::build`] the ordered slice of
-//!    `(StencilGroup, ShapeMap)` pairs. Each pair is compiled through a
-//!    [`CompileCache`] (so structurally identical operators share one
-//!    executable) and stored at its slice position.
+//!    `(StencilGroup, ShapeMap)` pairs. Structurally identical pairs share
+//!    one executable (the build's `hits`; every other op is a `miss` and
+//!    compiles), and each op is stored at its slice position with its
+//!    executable's static [`Executable::work`].
 //! 2. **Run**: `plan.run(op, &mut grids)` is a bounds-checked `Vec` index
 //!    followed by the executable — no hashing, no locking, no allocation.
-//!
-//! The cache remains *the builder behind the plan*: its hit/miss counters
-//! describe build-time reuse, and because steady-state dispatch never
-//! touches it, those counters staying flat across cycles is the
-//! observable proof that the hot path is lookup-free (asserted by the
-//! plan-equivalence integration test).
+//!    [`SolverPlan::run_with_report`] adds one clock read around the call
+//!    and books it to the op's row of the [`RunReport`].
 //!
 //! A *gated* build ([`SolverPlan::build_gated`]) first runs the static
 //! verifier and the linter, each once, over the whole operator list. A
@@ -28,6 +24,7 @@
 //! otherwise the gates' counters are stored and [`SolverPlan::stamp`]
 //! writes them into `RunReport.verify` / `RunReport.lint`.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,9 +34,9 @@ use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
 
 use crate::lint::lint_stats;
-use crate::metrics::{CacheStats, LintStats, RunReport, VerifyStats};
+use crate::metrics::{CacheStats, KernelCounters, LintStats, RunReport, VerifyStats};
 use crate::verify::verify_ops;
-use crate::{Backend, CompileCache, Executable};
+use crate::{Backend, Executable};
 
 /// The analyses a gated plan build runs over its operator list before
 /// compiling anything.
@@ -101,22 +98,55 @@ impl From<PlanError> for CoreError {
     }
 }
 
-/// A compiled operator schedule: `ops[i]` is the executable for the i-th
-/// `(group, shapes)` pair handed to [`SolverPlan::build`].
+/// A compiled operator schedule: `ops[i]` is the executable (and its
+/// per-run work) for the i-th `(group, shapes)` pair handed to
+/// [`SolverPlan::build`].
 pub struct SolverPlan {
-    cache: CompileCache,
-    ops: Vec<Arc<dyn Executable>>,
+    backend: Box<dyn Backend>,
+    ops: Vec<(Arc<dyn Executable>, KernelCounters)>,
     descs: Vec<(StencilGroup, ShapeMap)>,
     build_seconds: f64,
+    reuse: CacheStats,
     verify: VerifyStats,
     lint: LintStats,
 }
 
 impl SolverPlan {
-    /// Compile every operator on `backend`, in order. Indices into the
-    /// returned plan are stable: op `i` is `ops[i]`.
+    /// Compile every operator on `backend`, in order; a structural
+    /// duplicate of an earlier op shares its executable instead of
+    /// compiling again. Indices into the returned plan are stable: op `i`
+    /// is `ops[i]`.
     pub fn build(backend: Box<dyn Backend>, ops: &[(StencilGroup, ShapeMap)]) -> Result<Self> {
-        Self::build_with_cache(CompileCache::new(backend), ops)
+        let t0 = Instant::now();
+        let mut built: HashMap<String, Arc<dyn Executable>> = HashMap::new();
+        let mut reuse = CacheStats::default();
+        let mut compiled = Vec::with_capacity(ops.len());
+        for (group, shapes) in ops {
+            let key = cache_key(group, shapes);
+            let exe = match built.get(&key) {
+                Some(exe) => {
+                    reuse.hits += 1;
+                    exe.clone()
+                }
+                None => {
+                    reuse.misses += 1;
+                    let exe: Arc<dyn Executable> = Arc::from(backend.compile(group, shapes)?);
+                    built.insert(key, exe.clone());
+                    exe
+                }
+            };
+            let work = exe.work();
+            compiled.push((exe, work));
+        }
+        Ok(SolverPlan {
+            backend,
+            ops: compiled,
+            descs: ops.to_vec(),
+            build_seconds: t0.elapsed().as_secs_f64(),
+            reuse,
+            verify: VerifyStats::default(),
+            lint: LintStats::default(),
+        })
     }
 
     /// As [`SolverPlan::build`], behind `gates`: the verifier (with the
@@ -152,24 +182,6 @@ impl SolverPlan {
         Ok(plan)
     }
 
-    /// As [`SolverPlan::build`], reusing an existing compile cache (e.g.
-    /// one already warmed by a previous plan for another level set).
-    pub fn build_with_cache(cache: CompileCache, ops: &[(StencilGroup, ShapeMap)]) -> Result<Self> {
-        let t0 = Instant::now();
-        let mut compiled = Vec::with_capacity(ops.len());
-        for (group, shapes) in ops {
-            compiled.push(cache.get_or_compile(group, shapes)?);
-        }
-        Ok(SolverPlan {
-            cache,
-            ops: compiled,
-            descs: ops.to_vec(),
-            build_seconds: t0.elapsed().as_secs_f64(),
-            verify: VerifyStats::default(),
-            lint: LintStats::default(),
-        })
-    }
-
     /// The `(group, shapes)` descriptors the plan was built from, in op
     /// order — the input the gates and `crate::verify::verify_plan`
     /// analyze.
@@ -180,7 +192,7 @@ impl SolverPlan {
     /// Lowering options of the compiling backend (what the verifier must
     /// replay to certify the exact schedule the backend executes).
     pub fn lower_options(&self) -> snowflake_ir::LowerOptions {
-        self.cache.lower_options()
+        self.backend.lower_options()
     }
 
     /// Number of operator slots (`plan_ops`). Structurally identical
@@ -196,7 +208,7 @@ impl SolverPlan {
 
     /// Name of the compiling backend.
     pub fn backend_name(&self) -> &'static str {
-        self.cache.backend_name()
+        self.backend.name()
     }
 
     /// Wall-clock seconds the build step spent compiling (reported into
@@ -205,13 +217,18 @@ impl SolverPlan {
         self.build_seconds
     }
 
-    /// Build-time cache counters (including the backend's on-disk
-    /// artifact cache). Steady-state dispatch never changes these.
+    /// Build-time reuse counters plus the backend's on-disk artifact
+    /// counters. Steady-state dispatch never changes these.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.cache_stats()
+        let backend = self.backend.stats();
+        CacheStats {
+            disk_hits: backend.disk_hits,
+            disk_misses: backend.disk_misses,
+            ..self.reuse
+        }
     }
 
-    fn op(&self, op: usize) -> Result<&Arc<dyn Executable>> {
+    fn op(&self, op: usize) -> Result<&(Arc<dyn Executable>, KernelCounters)> {
         self.ops.get(op).ok_or_else(|| {
             CoreError::Backend(format!(
                 "plan op index {op} out of range (plan has {} ops)",
@@ -222,24 +239,24 @@ impl SolverPlan {
 
     /// Execute operator `op` once: one `Vec` index, then the executable.
     pub fn run(&self, op: usize, grids: &mut GridSet) -> Result<()> {
-        self.op(op)?.run(grids)
+        self.op(op)?.0.run(grids)
     }
 
-    /// As [`SolverPlan::run`], profiling into `report` (phases + kernel
-    /// counters; the plan itself adds nothing per call).
+    /// As [`SolverPlan::run`], timing the call into `report`: one clock
+    /// read around the executable, booked to row `op` with the op's work.
+    /// Observes only, so the grids are bitwise those of `run`.
     pub fn run_with_report(
         &self,
         op: usize,
         grids: &mut GridSet,
         report: &mut RunReport,
     ) -> Result<()> {
+        let (exe, work) = self.op(op)?;
         report.set_backend(self.backend_name());
-        self.op(op)?.run_with_report(grids, report)
-    }
-
-    /// Iteration points per run of operator `op`.
-    pub fn points_per_run(&self, op: usize) -> Result<u64> {
-        Ok(self.op(op)?.points_per_run())
+        let t0 = Instant::now();
+        exe.run(grids)?;
+        report.record_op(op, t0.elapsed().as_secs_f64(), *work);
+        Ok(())
     }
 
     /// Stamp plan-level facts into a report: `plan_ops`, the build-time
@@ -249,11 +266,20 @@ impl SolverPlan {
     pub fn stamp(&self, report: &mut RunReport) {
         report.plan_ops = self.ops.len() as u64;
         report.cache = self.cache_stats();
-        report.tune = self.cache.backend_stats().tune;
+        report.tune = self.backend.stats().tune;
         report.verify = self.verify;
         report.lint = self.lint;
         report.set_backend(self.backend_name());
     }
+}
+
+/// Structural op key: the debug rendering of the group plus the sorted
+/// shape bindings. Expressions, domains and maps all derive `Debug`
+/// deterministically, so equal programs produce equal keys.
+fn cache_key(group: &StencilGroup, shapes: &ShapeMap) -> String {
+    let mut entries: Vec<(&String, &Vec<usize>)> = shapes.iter().collect();
+    entries.sort();
+    format!("{group:?}|{entries:?}")
 }
 
 #[cfg(test)]
@@ -262,6 +288,7 @@ mod tests {
     use crate::SequentialBackend;
     use snowflake_core::{Expr, RectDomain, Stencil};
     use snowflake_grid::Grid;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn scale_group(factor: f64) -> StencilGroup {
         StencilGroup::from(Stencil::new(
@@ -280,6 +307,49 @@ mod tests {
         gs
     }
 
+    /// A sequential backend that counts its compiles.
+    struct Counting(Arc<AtomicU64>);
+
+    impl Backend for Counting {
+        fn name(&self) -> &'static str {
+            "seq"
+        }
+        fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            SequentialBackend::new().compile(group, shapes)
+        }
+    }
+
+    fn counted_build(ops: &[(StencilGroup, ShapeMap)]) -> (SolverPlan, Arc<AtomicU64>) {
+        let compiles = Arc::new(AtomicU64::new(0));
+        let plan = SolverPlan::build(Box::new(Counting(compiles.clone())), ops).unwrap();
+        (plan, compiles)
+    }
+
+    #[test]
+    fn one_group_at_two_shapes_compiles_twice() {
+        let ops = vec![
+            (scale_group(2.0), grid_set(8).shapes()),
+            (scale_group(2.0), grid_set(16).shapes()),
+        ];
+        let (plan, compiles) = counted_build(&ops);
+        assert_eq!(compiles.load(Ordering::SeqCst), 2);
+        assert_eq!((plan.cache_stats().hits, plan.cache_stats().misses), (0, 2));
+        assert!(!Arc::ptr_eq(&plan.ops[0].0, &plan.ops[1].0));
+    }
+
+    #[test]
+    fn two_groups_compile_twice() {
+        let shapes = grid_set(8).shapes();
+        let ops = vec![
+            (scale_group(2.0), shapes.clone()),
+            (scale_group(3.0), shapes),
+        ];
+        let (plan, compiles) = counted_build(&ops);
+        assert_eq!(compiles.load(Ordering::SeqCst), 2);
+        assert_eq!((plan.cache_stats().hits, plan.cache_stats().misses), (0, 2));
+    }
+
     #[test]
     fn plan_indices_are_stable_and_duplicates_share_executables() {
         let gs = grid_set(8);
@@ -289,11 +359,17 @@ mod tests {
             (scale_group(3.0), shapes.clone()),
             (scale_group(2.0), shapes.clone()), // structural duplicate of op 0
         ];
-        let plan = SolverPlan::build(Box::new(SequentialBackend::new()), &ops).unwrap();
+        let (plan, compiles) = counted_build(&ops);
         assert_eq!(plan.len(), 3);
+        assert_eq!(
+            compiles.load(Ordering::SeqCst),
+            2,
+            "the duplicate compiles once"
+        );
         let stats = plan.cache_stats();
         assert_eq!(stats.misses, 2, "two distinct programs");
         assert_eq!(stats.hits, 1, "duplicate op reuses the compile");
+        assert!(Arc::ptr_eq(&plan.ops[0].0, &plan.ops[2].0));
 
         let mut gs = gs;
         plan.run(0, &mut gs).unwrap();
@@ -306,21 +382,31 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_dispatch_never_touches_the_cache() {
+    fn dispatch_never_compiles_and_reports_per_op_rows() {
         let gs = grid_set(8);
         let shapes = gs.shapes();
-        let ops = vec![(scale_group(2.0), shapes)];
-        let plan = SolverPlan::build(Box::new(SequentialBackend::new()), &ops).unwrap();
+        let ops = vec![
+            (scale_group(2.0), shapes.clone()),
+            (scale_group(3.0), shapes),
+        ];
+        let (plan, compiles) = counted_build(&ops);
         let built = plan.cache_stats();
         let mut gs = gs;
+        let mut report = RunReport::new();
         for _ in 0..50 {
             plan.run(0, &mut gs).unwrap();
+            plan.run_with_report(1, &mut gs, &mut report).unwrap();
         }
+        assert_eq!(compiles.load(Ordering::SeqCst), 2);
+        assert_eq!(plan.cache_stats(), built);
         assert_eq!(
-            plan.cache_stats(),
-            built,
-            "dispatch must perform zero cache lookups"
+            report.ops.keys().collect::<Vec<_>>(),
+            [&1],
+            "op 0 ran unprofiled"
         );
+        assert_eq!(report.ops[&1].calls, 50);
+        assert_eq!(report.runs, 50);
+        assert_eq!(report.kernels.points, 50 * 36, "interior of 8x8 per call");
     }
 
     #[test]

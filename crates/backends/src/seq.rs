@@ -55,7 +55,6 @@ impl Backend for SequentialBackend {
             })
             .collect();
         Ok(Box::new(Phased {
-            name: "seq",
             lowered,
             phases,
             parallel: false,

@@ -160,10 +160,8 @@ const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 fn resolve_tune_dir() -> PathBuf {
-    if let Ok(dir) = std::env::var("SNOWFLAKE_TUNE_DIR") {
-        if !dir.is_empty() {
-            return PathBuf::from(dir);
-        }
+    if let Some(dir) = crate::env_dir("SNOWFLAKE_TUNE_DIR") {
+        return dir;
     }
     if let Ok(exe) = std::env::current_exe() {
         if let Some(parent) = exe.parent() {

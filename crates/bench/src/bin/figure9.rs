@@ -137,7 +137,7 @@ fn main() {
                 let t0 = Instant::now();
                 let norms = solver.solve(opts).expect("solve");
                 let dt = t0.elapsed().as_secs_f64();
-                let stats = solver.plan_cache_stats();
+                let stats = solver.plan().cache_stats();
                 rows.push(vec![
                     label.clone(),
                     format!("{:.3}", dof / dt / 1e6),

@@ -34,9 +34,63 @@
 //! the cold run must time candidates and persist decisions
 //! (`disk_misses > 0`), and the warm run must be served entirely from the
 //! on-disk tuner cache (`disk_hits > 0`, `disk_misses == 0`).
+//!
+//! In every mode, every Snowflake row's report must carry a non-empty
+//! `ops` table whose rows all have `calls > 0` (exit 1 otherwise): a run
+//! whose time cannot be attributed to plan ops is refused.
 
 use snowflake_backends::metrics::json;
 use snowflake_bench::arg_flag;
+
+/// The `rows` array of the metrics document at `path`.
+fn rows(path: &str) -> Result<Vec<json::Value>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
+    doc.get("rows")
+        .and_then(|r| r.as_array())
+        .map(<[json::Value]>::to_vec)
+        .ok_or_else(|| format!("{path}: no \"rows\" array"))
+}
+
+/// `(impl label, report)` of every Snowflake row that has a report; the
+/// hand baseline is not a plan, so no plan check applies to it.
+fn snowflake_reports(path: &str) -> Result<Vec<(String, json::Value)>, String> {
+    let mut reports = Vec::new();
+    for row in rows(path)? {
+        let Some(implementation) = row.get("impl").and_then(|v| v.as_str()) else {
+            continue;
+        };
+        if !implementation.starts_with("Snowflake/") {
+            continue;
+        }
+        if let Some(report) = row.get("report") {
+            reports.push((implementation.to_string(), report.clone()));
+        }
+    }
+    Ok(reports)
+}
+
+/// Why each Snowflake row of `path` fails the op-table check: its report
+/// has no `ops` rows, or an op row with zero calls.
+fn op_table_failures(path: &str) -> Result<Vec<String>, String> {
+    let mut failures = Vec::new();
+    for (implementation, report) in snowflake_reports(path)? {
+        let ops = report.get("ops").and_then(|v| v.as_array()).unwrap_or(&[]);
+        if ops.is_empty() {
+            failures.push(format!(
+                "{path}: {implementation} report has an empty ops table"
+            ));
+        }
+        for op in ops {
+            if op.get("calls").and_then(|v| v.as_u64()).unwrap_or(0) == 0 {
+                let index = op.get("op").and_then(|v| v.as_u64());
+                let index = index.map_or("?".to_string(), |i| i.to_string());
+                failures.push(format!("{path}: {implementation} op {index} has no calls"));
+            }
+        }
+    }
+    Ok(failures)
+}
 
 /// The cjit row's report facts a check needs.
 struct CjitFacts {
@@ -46,13 +100,7 @@ struct CjitFacts {
 }
 
 fn cjit_facts(path: &str) -> Result<Option<CjitFacts>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
-    for row in rows {
+    for row in rows(path)? {
         if row.get("impl").and_then(|v| v.as_str()) != Some("Snowflake/cjit") {
             continue;
         }
@@ -87,13 +135,7 @@ struct TuneFacts {
 }
 
 fn tune_facts(path: &str) -> Result<TuneFacts, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
-    for row in rows {
+    for row in rows(path)? {
         if row.get("impl").and_then(|v| v.as_str()) != Some("Snowflake/omp") {
             continue;
         }
@@ -167,23 +209,8 @@ struct VerifyFacts {
 /// A Snowflake row *without* a `verify` block is itself an error under
 /// `--verify`: the run was not certified.
 fn verify_facts(path: &str) -> Result<Vec<VerifyFacts>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
     let mut facts = Vec::new();
-    for row in rows {
-        let Some(implementation) = row.get("impl").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        if !implementation.starts_with("Snowflake/") {
-            continue; // the hand baseline is not a plan; nothing to certify
-        }
-        let Some(report) = row.get("report") else {
-            continue;
-        };
+    for (implementation, report) in snowflake_reports(path)? {
         let verify = report
             .get("verify")
             .ok_or_else(|| format!("{path}: {implementation} report has no verify block"))?;
@@ -193,10 +220,12 @@ fn verify_facts(path: &str) -> Result<Vec<VerifyFacts>, String> {
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| format!("{path}: {implementation} verify block missing {key}"))
         };
+        let (stencils_checked, witnesses) =
+            (field_u64("stencils_checked")?, field_u64("witnesses")?);
         facts.push(VerifyFacts {
-            implementation: implementation.to_string(),
-            stencils_checked: field_u64("stencils_checked")?,
-            witnesses: field_u64("witnesses")?,
+            implementation,
+            stencils_checked,
+            witnesses,
         });
     }
     Ok(facts)
@@ -213,23 +242,8 @@ struct LintFacts {
 /// Snowflake row *without* a `lint` block is itself an error under
 /// `--lint`: the run was not linted.
 fn lint_facts(path: &str) -> Result<Vec<LintFacts>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let doc = json::parse(&text).map_err(|e| format!("parsing {path}: {e}"))?;
-    let rows = doc
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{path}: no \"rows\" array"))?;
     let mut facts = Vec::new();
-    for row in rows {
-        let Some(implementation) = row.get("impl").and_then(|v| v.as_str()) else {
-            continue;
-        };
-        if !implementation.starts_with("Snowflake/") {
-            continue; // the hand baseline is not a DSL program; nothing to lint
-        }
-        let Some(report) = row.get("report") else {
-            continue;
-        };
+    for (implementation, report) in snowflake_reports(path)? {
         let lint = report
             .get("lint")
             .ok_or_else(|| format!("{path}: {implementation} report has no lint block"))?;
@@ -238,10 +252,11 @@ fn lint_facts(path: &str) -> Result<Vec<LintFacts>, String> {
                 .and_then(|v| v.as_u64())
                 .ok_or_else(|| format!("{path}: {implementation} lint block missing {key}"))
         };
+        let (rules_run, lints) = (field_u64("rules_run")?, field_u64("lints")?);
         facts.push(LintFacts {
-            implementation: implementation.to_string(),
-            rules_run: field_u64("rules_run")?,
-            lints: field_u64("lints")?,
+            implementation,
+            rules_run,
+            lints,
         });
     }
     Ok(facts)
@@ -260,6 +275,16 @@ fn main() {
             std::process::exit(2);
         }
     };
+    for path in [&first_path, &second_path] {
+        let failures = op_table_failures(path).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        });
+        if !failures.is_empty() {
+            failures.iter().for_each(|f| eprintln!("FAIL: {f}"));
+            std::process::exit(1);
+        }
+    }
     if tune_mode {
         check_tune(&first_path, &second_path);
     }

@@ -27,8 +27,8 @@ use hpgmg::stencils::{apply_op_group, gsrb_smooth_group, jacobi_group, Coeff, Na
 use roofline::StencilKind;
 use snowflake_backends::metrics::json;
 use snowflake_backends::{
-    backend_from_name, Backend, BackendOptions, CJitBackend, Gates, PlanError, RunReport,
-    SolverPlan,
+    backend_from_name, Backend, BackendOptions, CJitBackend, Gates, KernelCounters, PlanError,
+    RunReport, SolverPlan,
 };
 use snowflake_core::Result;
 use snowflake_grid::GridSet;
@@ -248,17 +248,18 @@ impl KernelBench {
     /// Snowflake runners stamp their plan (gate counters included) and
     /// delegate to [`SolverPlan::run_with_report`]; the hand-optimized
     /// baseline has no compiled schedule to introspect, so it is reported
-    /// as a single-phase run under the backend name `"hand"`.
+    /// as one call of op 0 under the backend name `"hand"`.
     pub fn sweep_with_report(&mut self, report: &mut RunReport) {
         match &mut self.runner {
             KernelRunner::Hand { .. } => {
                 report.set_backend("hand");
                 let t0 = Instant::now();
                 self.sweep();
-                let dt = t0.elapsed().as_secs_f64();
-                report.record_phase(0, dt, 1);
-                report.kernels.points += self.stencils_per_sweep;
-                report.finish_run(dt);
+                let work = KernelCounters {
+                    points: self.stencils_per_sweep,
+                    ..KernelCounters::default()
+                };
+                report.record_op(0, t0.elapsed().as_secs_f64(), work);
             }
             KernelRunner::Snow { grids, plan } => {
                 plan.stamp(report);
@@ -585,7 +586,9 @@ mod tests {
             .as_u64()
             .unwrap();
         assert!(points >= 512, "points = {points}");
-        assert!(!rep.get("phases").unwrap().as_array().unwrap().is_empty());
+        let ops = rep.get("ops").unwrap().as_array().unwrap();
+        assert_eq!(ops.len(), 1);
+        assert_eq!(ops[0].get("calls").unwrap().as_u64(), Some(1));
         assert_eq!(parsed_rows[1].get("report"), Some(&json::Value::Null));
     }
 }

@@ -40,14 +40,19 @@ fn main() {
     for (c, r) in norms.iter().enumerate() {
         println!("  cycle {c:>2}: residual {r:.6e}");
     }
-    let (hits, misses) = solver.cache_stats();
+    let built = solver.plan().cache_stats();
     println!(
         "  {:.3} s, {:.3} MDOF/s, error vs exact discrete solution: {:.3e}",
         dt,
         solver.dof() as f64 / dt / 1e6,
         solver.error_norm()
     );
-    println!("  JIT cache: {misses} compilations, {hits} hits");
+    println!(
+        "  plan build: {} ops, {} compilations, {} shared",
+        solver.plan_ops(),
+        built.misses,
+        built.hits
+    );
 
     // --- Hand-optimized baseline (the paper's comparator) -----------------
     println!("\n[hand-optimized baseline]");

@@ -68,11 +68,12 @@ fn main() {
         m
     };
 
-    let cache = CompileCache::new(Box::new(OmpBackend::new()));
+    let plan =
+        SolverPlan::build(Box::new(OmpBackend::new()), &[(step, grids.shapes())]).expect("compile");
     let m0 = interior_mass(&grids, "u");
     let mut peak_track = Vec::new();
     for s in 1..=STEPS {
-        cache.run(&step, &mut grids).expect("step");
+        plan.run(0, &mut grids).expect("step");
         grids.swap_data("u", "u_next").expect("ping-pong swap");
         if s % 160 == 0 {
             // Locate the pulse peak.

@@ -49,7 +49,7 @@ fn main() {
             backend.name(),
             n / 2,
             n / 2,
-            exe.points_per_run()
+            exe.work().points
         );
         assert_eq!(v, 4.0);
     }

@@ -127,8 +127,14 @@ fn main() {
         }),
     );
 
-    // --- Compile once, run many (the JIT cache) ---------------------------
-    let cache = CompileCache::new(Box::new(OmpBackend::new()));
+    // --- Compile once, run many (the plan) ---------------------------------
+    let shapes = grids.shapes();
+    let plan = SolverPlan::build(
+        Box::new(OmpBackend::new()),
+        &[(residual, shapes.clone()), (sweep, shapes)],
+    )
+    .unwrap();
+    let (residual, sweep) = (0, 1); // plan op indices
     let interior_norm = |grids: &GridSet| {
         let res = grids.get("res").unwrap();
         let mut m = 0.0f64;
@@ -140,20 +146,22 @@ fn main() {
         m
     };
 
-    cache.run(&residual, &mut grids).unwrap();
+    plan.run(residual, &mut grids).unwrap();
     let r0 = interior_norm(&grids);
     println!("sweep   residual(max)   reduction");
     println!("    0   {r0:.6e}   1.000");
     for it in 1..=400 {
-        cache.run(&sweep, &mut grids).unwrap();
+        plan.run(sweep, &mut grids).unwrap();
         if it % 50 == 0 {
-            cache.run(&residual, &mut grids).unwrap();
+            plan.run(residual, &mut grids).unwrap();
             let r = interior_norm(&grids);
             println!("{it:>5}   {r:.6e}   {:.3e}", r / r0);
         }
     }
-    let (hits, misses) = cache.stats();
-    println!("\nJIT cache: {misses} compilations, {hits} cache hits.");
+    println!(
+        "\nplan build: {} compilations, then 400 sweeps by index.",
+        plan.cache_stats().misses
+    );
     println!("Gauss-Seidel red-black relaxation converges (slowly, as plain");
     println!("relaxation must — see the multigrid example for the O(N) fix);");
     println!("boundaries, colors and the VC operator were all plain stencils.");

@@ -102,13 +102,17 @@ fn main() {
     );
 
     // --- compile & relax ---------------------------------------------------
-    let cache = CompileCache::new(Box::new(OmpBackend::new()));
+    let plan = SolverPlan::build(
+        Box::new(OmpBackend::new()),
+        &[(sweep.clone(), grids.shapes())],
+    )
+    .expect("compile");
     let before = grids.get("mesh").unwrap().norm_l2();
     for _ in 0..200 {
-        cache.run(sweep, &mut grids).expect("sweep");
+        plan.run(0, &mut grids).expect("sweep");
     }
     let after = grids.get("mesh").unwrap().norm_l2();
-    let (hits, misses) = cache.stats();
-    println!("relaxed 200 sweeps: ||mesh|| {before:.3} -> {after:.3} ({misses} compilations, {hits} cache hits)");
+    let compiles = plan.cache_stats().misses;
+    println!("relaxed 200 sweeps: ||mesh|| {before:.3} -> {after:.3} ({compiles} compilation)");
     println!("\nThe whole pipeline — parsing, Diophantine scheduling, JIT compile,\nparallel execution — ran from a program that existed only as text.");
 }

@@ -53,9 +53,8 @@ pub use snowflake_ir as ir;
 /// Everything a typical program needs, in one import.
 pub mod prelude {
     pub use snowflake_backends::{
-        available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, CompileCache,
-        Executable, InterpreterBackend, OclSimBackend, OmpBackend, RunReport, SequentialBackend,
-        SolverPlan,
+        available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, Executable,
+        InterpreterBackend, OclSimBackend, OmpBackend, RunReport, SequentialBackend, SolverPlan,
     };
     pub use snowflake_core::{
         weights1, weights2, weights3, AffineMap, Component, DomainUnion, Expr, RectDomain,

@@ -126,82 +126,115 @@ fn equivalence_on_figure4_vc_gsrb_with_boundaries() {
     run_all(&figure4_gsrb_group(), figure4_gsrb_grids, 1e-12);
 }
 
-/// Instrumented execution must not change the computed values: `run` and
-/// `run_with_report` produce bitwise-identical grids on the GSRB group
-/// across every CPU backend.
+/// Instrumented execution must not change the computed values: a one-op
+/// plan's `run` and `run_with_report` produce bitwise-identical grids on
+/// the GSRB group across every CPU backend.
 #[test]
 fn run_with_report_is_bitwise_identical_to_run() {
-    let group = figure4_gsrb_group();
     let shapes = figure4_gsrb_grids().shapes();
-    for backend in backends() {
-        let exe = backend
-            .compile(&group, &shapes)
-            .unwrap_or_else(|e| panic!("{} compile: {e}", backend.name()));
+    let ops = [(figure4_gsrb_group(), shapes)];
+    let mut tested = backends();
+    tested.push(Box::new(InterpreterBackend));
+    tested.push(Box::new(snowflake::backends::CheckedBackend::new()));
+    if CJitBackend::available() {
+        tested.push(Box::new(CJitBackend::new()));
+    }
+    for backend in tested {
+        let name = backend.name();
+        let plan =
+            SolverPlan::build(backend, &ops).unwrap_or_else(|e| panic!("{name} compile: {e}"));
         let mut plain = figure4_gsrb_grids();
-        exe.run(&mut plain)
-            .unwrap_or_else(|e| panic!("{} run: {e}", backend.name()));
+        plan.run(0, &mut plain)
+            .unwrap_or_else(|e| panic!("{name} run: {e}"));
         let mut profiled = figure4_gsrb_grids();
         let mut report = RunReport::new();
-        exe.run_with_report(&mut profiled, &mut report)
-            .unwrap_or_else(|e| panic!("{} run_with_report: {e}", backend.name()));
-        for name in plain.names() {
+        plan.run_with_report(0, &mut profiled, &mut report)
+            .unwrap_or_else(|e| panic!("{name} run_with_report: {e}"));
+        for grid in plain.names() {
             let diff = plain
-                .get(name)
+                .get(grid)
                 .unwrap()
-                .max_abs_diff(profiled.get(name).unwrap());
+                .max_abs_diff(profiled.get(grid).unwrap());
             assert_eq!(
-                diff,
-                0.0,
-                "backend {} not bitwise identical on {name:?}",
-                backend.name()
+                diff, 0.0,
+                "backend {name} not bitwise identical on {grid:?}"
             );
         }
-        assert_eq!(report.backend, backend.name());
+        assert_eq!(report.backend, name);
         assert_eq!(report.runs, 1);
-        assert!(report.kernels.points > 0, "{}", backend.name());
-        assert!(report.kernels.tiles > 0, "{}", backend.name());
-        assert!(report.run_seconds > 0.0, "{}", backend.name());
+        assert_eq!(report.ops[&0].calls, 1, "{name}");
+        assert!(report.kernels.points > 0, "{name}");
+        assert!(report.kernels.tiles > 0, "{name}");
+        assert!(report.run_seconds > 0.0, "{name}");
     }
 }
 
-/// The phase table of an instrumented run lines up with the analysis
-/// schedule: one [`PhaseSample`] slot per greedy barrier phase.
-///
-/// [`PhaseSample`]: snowflake::backends::PhaseSample
+/// The op table attributes time to plan ops: a profiled V-cycle gets one
+/// row per plan index it dispatched, with the calls the cycle makes, and
+/// the rows add up to the report's totals. Each call adds its executable's
+/// static work, which for omp counts the tasks of its tiled schedule.
 #[test]
-fn report_phase_count_matches_analysis_schedule() {
-    use snowflake::analysis::{greedy_phases, ResolvedStencil};
+fn report_op_table_matches_plan_dispatch() {
+    use snowflake::hpgmg::{Problem, SnowSolver, BOTTOM_SMOOTHS, SMOOTHS_PER_LEG};
 
-    let group = figure4_gsrb_group();
-    let shapes = figure4_gsrb_grids().shapes();
-    let resolved: Vec<_> = group
-        .stencils()
+    let mut solver =
+        SnowSolver::new(Problem::poisson_vc(8), Box::new(SequentialBackend::new())).unwrap();
+    assert_eq!(solver.sizes.len(), 2, "one smoothed level above the bottom");
+    solver.enable_metrics();
+    solver.vcycle(0).unwrap();
+    let report = solver.take_metrics().unwrap();
+    // Name each row by the stencil that identifies its operator.
+    const KEYS: [&str; 4] = ["gsrb_red_", "residual", "restrict", "interp_000"];
+    let label = |op: usize| {
+        let (group, _) = &solver.plan().descriptors()[op];
+        let s = group
+            .stencils()
+            .iter()
+            .find(|s| KEYS.iter().any(|k| s.name().starts_with(k)));
+        s.map(|s| format!("{} -> {}", s.name(), s.output()))
+            .unwrap()
+    };
+    let mut rows: Vec<(String, u64)> = report
+        .ops
         .iter()
-        .map(|s| ResolvedStencil::resolve(s, &shapes).unwrap())
+        .map(|(&op, row)| (label(op), row.calls))
         .collect();
-    let schedule_phases = greedy_phases(&resolved).phases.len();
-    assert!(schedule_phases >= 2, "GSRB must need multiple barriers");
+    rows.sort();
+    let smooths = SMOOTHS_PER_LEG as u64;
+    assert_eq!(
+        rows,
+        [
+            ("gsrb_red_x_0 -> x_0".to_string(), 2 * smooths),
+            ("gsrb_red_x_1 -> x_1".to_string(), BOTTOM_SMOOTHS as u64),
+            ("interp_000 -> x_0".to_string(), 1),
+            ("residual -> res_0".to_string(), 1),
+            ("restrict -> rhs_1".to_string(), 1),
+        ]
+    );
+    let calls: u64 = report.ops.values().map(|row| row.calls).sum();
+    assert_eq!(calls, report.runs);
+    let seconds: f64 = report.ops.values().map(|row| row.seconds).sum();
+    assert!(
+        (seconds - report.run_seconds).abs() <= 1e-12 * report.run_seconds,
+        "rows sum to {seconds} s, report says {} s",
+        report.run_seconds
+    );
 
-    for backend in [
-        Box::new(SequentialBackend::new()) as Box<dyn Backend>,
-        Box::new(OmpBackend::new()),
-        Box::new(OclSimBackend::new().with_workgroup(2, 4)),
-    ] {
-        let exe = backend.compile(&group, &shapes).unwrap();
-        let mut grids = figure4_gsrb_grids();
-        let mut report = RunReport::new();
-        exe.run_with_report(&mut grids, &mut report).unwrap();
-        assert_eq!(
-            report.phases.len(),
-            schedule_phases,
-            "backend {} phase table diverges from the analysis schedule",
-            backend.name()
-        );
-        // Repeated runs accumulate into the same slots.
-        exe.run_with_report(&mut grids, &mut report).unwrap();
-        assert_eq!(report.phases.len(), schedule_phases);
-        assert_eq!(report.runs, 2);
-    }
+    // One parallel kernel over a 16x16 interior, cut into 4x8 tiles: the
+    // schedule has 4 * 2 tasks, one dispatch each per run.
+    let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
+    let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
+    let mut shapes = snowflake::core::ShapeMap::new();
+    shapes.insert("x".into(), vec![18, 18]);
+    shapes.insert("y".into(), vec![18, 18]);
+    let work = OmpBackend::new()
+        .with_tile(vec![4, 8])
+        .compile(&group, &shapes)
+        .unwrap()
+        .work();
+    assert_eq!(work.tiles, 8);
+    assert_eq!(work.parallel_tasks, 8);
+    assert_eq!(work.points, 256);
 }
 
 #[test]

@@ -152,13 +152,19 @@ fn figure4_program_validates_and_schedules() {
 fn figure4_gsrb_converges_to_solution() {
     let (sweep, residual) = figure4_group();
     let mut gs = make_grids();
-    let cache = CompileCache::new(Box::new(OmpBackend::new()));
-    cache.run(&residual, &mut gs).unwrap();
+    let shapes = gs.shapes();
+    let plan = SolverPlan::build(
+        Box::new(OmpBackend::new()),
+        &[(residual, shapes.clone()), (sweep, shapes)],
+    )
+    .unwrap();
+    let (residual, sweep) = (0, 1);
+    plan.run(residual, &mut gs).unwrap();
     let r0 = interior_max(&gs, "res");
     for _ in 0..300 {
-        cache.run(&sweep, &mut gs).unwrap();
+        plan.run(sweep, &mut gs).unwrap();
     }
-    cache.run(&residual, &mut gs).unwrap();
+    plan.run(residual, &mut gs).unwrap();
     let r1 = interior_max(&gs, "res");
     assert!(
         r1 < r0 * 1e-2,

@@ -82,17 +82,17 @@ fn plan_amortizes_compilation_and_cycles_never_look_up() {
     // 3 levels: 3 smooth + 3 residual + 2 × (restrict + restrict_rhs +
     // interp_pc + interp_linear) = 14 groups, compiled once at plan build.
     assert_eq!(solver.plan_ops(), 14);
-    let built = solver.cache_stats();
+    let built = solver.plan().cache_stats();
     assert_eq!(
-        built,
+        (built.hits, built.misses),
         (0, 14),
         "one compilation per distinct (group, shape)"
     );
     solver.solve(4).unwrap();
     assert_eq!(
-        solver.cache_stats(),
+        solver.plan().cache_stats(),
         built,
-        "steady-state cycles must not touch the compile cache"
+        "steady-state cycles must not compile"
     );
 }
 

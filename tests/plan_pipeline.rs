@@ -1,12 +1,11 @@
 //! Integration tests for the plan-once-run-many pipeline: a
 //! [`SolverPlan`] built from real HPGMG operator groups produces bitwise
-//! the same grids as the per-call [`CompileCache`] path, the backend
+//! the same grids as compiling each group directly and running it, the backend
 //! registry constructs every named backend, and the cjit persistent
 //! artifact cache serves a second process-equivalent compile from disk.
 
 use snowflake::backends::{
-    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, CompileCache,
-    SolverPlan,
+    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, SolverPlan,
 };
 use snowflake::core::{Expr, RectDomain, ShapeMap, Stencil, StencilGroup};
 use snowflake::grid::{Grid, GridSet};
@@ -57,12 +56,12 @@ fn op_list(
 }
 
 #[test]
-fn plan_path_is_bitwise_identical_to_per_call_cache_path() {
+fn plan_path_is_bitwise_identical_to_direct_backend_runs() {
     let n = 8;
     let problem = Problem::poisson_vc(n);
     for name in ["seq", "omp", "interp"] {
         let (names, mut plan_grids) = level_grids(&problem, n);
-        let (_, mut cache_grids) = level_grids(&problem, n);
+        let (_, mut direct_grids) = level_grids(&problem, n);
         let ops = op_list(&names, &problem, &plan_grids.shapes(), n);
 
         let plan = SolverPlan::build(
@@ -75,24 +74,28 @@ fn plan_path_is_bitwise_identical_to_per_call_cache_path() {
         let built = plan.cache_stats();
         assert_eq!((built.hits, built.misses), (1, 2), "{name}");
 
-        let cache = CompileCache::new(backend_from_name(name, &BackendOptions::default()).unwrap());
+        let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
+        let direct: Vec<_> = ops
+            .iter()
+            .map(|(group, shapes)| backend.compile(group, shapes).unwrap())
+            .collect();
         for cycle in 0..3 {
             for op in 0..plan.len() {
                 plan.run(op, &mut plan_grids).unwrap();
             }
-            for (group, _) in &ops {
-                cache.run(group, &mut cache_grids).unwrap();
+            for exe in &direct {
+                exe.run(&mut direct_grids).unwrap();
             }
             for grid in [&names.x, &names.res] {
                 assert_eq!(
                     plan_grids.get(grid).unwrap().as_slice(),
-                    cache_grids.get(grid).unwrap().as_slice(),
+                    direct_grids.get(grid).unwrap().as_slice(),
                     "{name}: {grid} diverged on cycle {cycle}"
                 );
             }
         }
-        // Steady-state dispatch is index-based: the plan's builder cache
-        // saw no further traffic after build.
+        // Steady-state dispatch is index-based: the build counters saw no
+        // further traffic.
         let after = plan.cache_stats();
         assert_eq!(
             (after.hits, after.misses),
