@@ -1,8 +1,8 @@
 //! The `checked` backend: a runtime sanitizer for compiled plans.
 //!
 //! An instrumented interpreter over the *lowered* form — the same closed
-//! forms and bytecode, cursor classes, regions and barrier phases every
-//! compiled backend executes — that validates at run time exactly the two
+//! forms, cursor classes, regions and barrier phases every compiled
+//! backend executes — that validates at run time exactly the two
 //! properties the static verifier (`crate::verify`) proves at plan time:
 //!
 //! * **no out-of-bounds access** — every read and write's flat index is
@@ -16,18 +16,19 @@
 //!
 //! Execution order per point is kept **bitwise identical** to the
 //! sequential backend: each point evaluates the kernel's closed form
-//! through `SpecKernel::eval` (the per-element operation sequence every
-//! executor follows) or interprets its bytecode, so `checked` ≡ `seq`
-//! exactly on every grid — the sanitizer only observes. Static and dynamic analyses
-//! must agree: any plan `verify_plan` certifies must run here with zero
-//! violations, and every seeded violation the verifier witnesses must also
-//! trip these checks.
+//! through `SpecKernel::eval` — the merged fold of a linear record, the
+//! source-tree order of a tape, the per-element operation sequence every
+//! executor follows — so `checked` ≡ `seq` exactly on every grid, and on
+//! tape kernels `checked` ≡ `interp` too. The sanitizer only observes.
+//! Static and dynamic analyses must agree: any plan `verify_plan`
+//! certifies must run here with zero violations, and every seeded
+//! violation the verifier witnesses must also trip these checks.
 
 use std::collections::HashMap;
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{LowerOptions, Lowered, LoweredKernel, Op};
+use snowflake_ir::{LowerOptions, Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
 use crate::{Backend, Executable};
@@ -97,49 +98,16 @@ fn eval_point(
     kernel: &LoweredKernel,
     cur: &[isize],
     bufs: &[Vec<f64>],
-    stack: &mut Vec<f64>,
 ) -> std::result::Result<f64, (usize, isize)> {
-    let read = |c: usize, d: isize| -> std::result::Result<f64, (usize, isize)> {
-        let g = kernel.classes[c].grid;
-        let idx = cur[c] + d;
+    kernel.closed_form().eval(|c, d| {
+        let g = kernel.classes[c as usize].grid;
+        let idx = cur[c as usize] + d;
         if idx < 0 || idx as usize >= bufs[g].len() {
             Err((g, idx))
         } else {
             Ok(bufs[g][idx as usize])
         }
-    };
-    if let Some(spec) = &kernel.spec {
-        spec.eval(|c, d| read(c as usize, d))
-    } else {
-        stack.clear();
-        for op in &kernel.program.ops {
-            match *op {
-                Op::Const(v) => stack.push(v),
-                Op::Read { class, delta } => stack.push(read(class as usize, delta)?),
-                Op::Add => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() += v;
-                }
-                Op::Sub => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() -= v;
-                }
-                Op::Mul => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() *= v;
-                }
-                Op::Div => {
-                    let v = stack.pop().unwrap();
-                    *stack.last_mut().unwrap() /= v;
-                }
-                Op::Neg => {
-                    let v = stack.last_mut().unwrap();
-                    *v = -*v;
-                }
-            }
-        }
-        Ok(stack.pop().unwrap())
-    }
+    })
 }
 
 /// The iteration point for error reporting: the odometer position `p`
@@ -159,7 +127,6 @@ fn run_region_checked(
     region: &Region,
     bufs: &mut [Vec<f64>],
     writes: &mut WriteSet,
-    stack: &mut Vec<f64>,
 ) -> Result<()> {
     let kernel = &lowered.kernels[ki];
     if region.is_empty() {
@@ -184,7 +151,7 @@ fn run_region_checked(
         }
         let mut out_idx = cur[out_class] + kernel.out_delta;
         for i in 0..e_last {
-            let v = eval_point(kernel, &cur, bufs, stack).map_err(|(g, idx)| {
+            let v = eval_point(kernel, &cur, bufs).map_err(|(g, idx)| {
                 oob_violation(
                     lowered,
                     kernel,
@@ -272,27 +239,12 @@ impl Executable for CheckedExecutable {
             }
             bufs.push(g.as_slice().to_vec());
         }
-        let stack_need = self
-            .lowered
-            .kernels
-            .iter()
-            .map(|k| k.program.stack_need)
-            .max()
-            .unwrap_or(0);
-        let mut stack = Vec::with_capacity(stack_need);
         let mut writes = WriteSet::new();
         for phase in &self.lowered.phases {
             writes.clear();
             for &ki in phase {
                 for region in &self.lowered.kernels[ki].regions {
-                    run_region_checked(
-                        &self.lowered,
-                        ki,
-                        region,
-                        &mut bufs,
-                        &mut writes,
-                        &mut stack,
-                    )?;
+                    run_region_checked(&self.lowered, ki, region, &mut bufs, &mut writes)?;
                 }
             }
         }
@@ -315,10 +267,10 @@ impl Executable for CheckedExecutable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::lower;
     use crate::SequentialBackend;
     use snowflake_core::{AffineMap, DomainUnion, Expr, RectDomain, Stencil};
     use snowflake_grid::Grid;
-    use snowflake_ir::lower_group;
 
     fn red_black_group() -> StencilGroup {
         let m = |i: i64, j: i64| Expr::read_at("mesh", &[i, j]);
@@ -379,7 +331,7 @@ mod tests {
         let mut shapes = ShapeMap::new();
         shapes.insert("x".into(), vec![6, 6]);
         shapes.insert("y".into(), vec![6, 6]);
-        let mut lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
+        let mut lowered = lower(&group, &shapes, &LowerOptions::default()).unwrap();
         lowered.kernels[0].out_delta += 1_000;
         let exe = CheckedExecutable { lowered };
         let mut gs = GridSet::new();
@@ -406,7 +358,7 @@ mod tests {
         let mut shapes = ShapeMap::new();
         shapes.insert("x".into(), vec![4, 4]);
         shapes.insert("y".into(), vec![4, 4]);
-        let mut lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
+        let mut lowered = lower(&group, &shapes, &LowerOptions::default()).unwrap();
         // The greedy schedule correctly separates the WAW pair; force them
         // into one phase to seed the race.
         assert_eq!(lowered.phases.len(), 2);
@@ -425,7 +377,7 @@ mod tests {
             Stencil::new(Expr::read_at("x", &[0, 0]), "y", RectDomain::all(2))
                 .with_out_map(AffineMap::scaled(vec![0, 0], vec![1, 1])),
         );
-        let mut lowered = lower_group(&race, &shapes, &LowerOptions::default()).unwrap();
+        let mut lowered = lower(&race, &shapes, &LowerOptions::default()).unwrap();
         assert!(!lowered.kernels[0].parallel_safe);
         lowered.kernels[0].parallel_safe = true;
         let exe = CheckedExecutable { lowered };

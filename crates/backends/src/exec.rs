@@ -7,10 +7,16 @@
 //! region in row-major order, keeping one linear *cursor* per access
 //! class, and hands every row to one dispatch:
 //!
-//! * a kernel with a closed form (see [`crate::specialize`]) runs its
-//!   record — chunked over unit-stride or strided rows when it is
-//!   parallel-safe, point by point in canonical order when it is not;
-//! * a kernel without one interprets its bytecode point by point.
+//! * a linear kernel (see [`crate::specialize`]) runs chunked over
+//!   unit-stride or strided rows when it is parallel-safe, and point by
+//!   point in canonical order when it is not;
+//! * a tape kernel runs over a lane buffer allocated once per region:
+//!   `TAPE_LANES` points at a time, gathered across rows, when it is
+//!   parallel-safe; one lane (one point, in canonical order) when it is
+//!   not.
+//!
+//! Every kernel carries a closed form; the per-element arithmetic is the
+//! record's (the bitwise contract of [`snowflake_ir::spec`]).
 //!
 //! Execution order within a region is canonical row-major, which defines
 //! the semantics of kernels that are *not* parallel-safe (lexicographic
@@ -23,19 +29,18 @@ use rayon::prelude::*;
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
+use snowflake_ir::spec::{SpecForm, SpecKernel, SpecLinear};
+use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
 use crate::specialize::{
-    run_row_spec_points, run_row_spec_strided, run_row_spec_unit, specialize_lowered,
+    lin_strided, lin_unit, run_row_spec_points, specialize_lowered, TapeLanes, TAPE_LANES,
 };
 use crate::view::GridPtrs;
 use crate::{check_and_ptrs, Executable};
 
 /// Maximum cursor classes per kernel (grids × distinct scales).
 pub const MAX_CLASSES: usize = 16;
-/// Maximum bytecode stack depth.
-pub const MAX_STACK: usize = 32;
 
 /// Check executor limits for a kernel; backends call this at compile time
 /// so `run_kernel_region` can use fixed-size scratch arrays.
@@ -45,12 +50,6 @@ pub fn check_limits(kernel: &LoweredKernel) -> Result<()> {
             "kernel {:?} uses {} access classes (limit {MAX_CLASSES})",
             kernel.name,
             kernel.classes.len()
-        )));
-    }
-    if kernel.program.stack_need > MAX_STACK {
-        return Err(snowflake_core::CoreError::Backend(format!(
-            "kernel {:?} needs stack depth {} (limit {MAX_STACK})",
-            kernel.name, kernel.program.stack_need
         )));
     }
     Ok(())
@@ -97,15 +96,15 @@ pub unsafe fn run_fused_region(kernels: &[&LoweredKernel], view: &GridPtrs<'_>, 
     if region.is_empty() || kernels.is_empty() {
         return;
     }
-    // A lone kernel keeps its row state on the stack: no allocation.
-    let one: [Row<'_>; 1];
-    let many: Vec<Row<'_>>;
-    let rows: &[Row<'_>] = if let [kernel] = kernels {
+    // A lone kernel keeps its row state on the stack.
+    let mut one: [Row<'_>; 1];
+    let mut many: Vec<Row<'_>>;
+    let rows: &mut [Row<'_>] = if let [kernel] = kernels {
         one = [Row::new(kernel, region)];
-        &one
+        &mut one
     } else {
         many = kernels.iter().map(|k| Row::new(k, region)).collect();
-        &many
+        &mut many
     };
     let nd = region.ndim();
     let last = nd - 1;
@@ -114,12 +113,12 @@ pub unsafe fn run_fused_region(kernels: &[&LoweredKernel], view: &GridPtrs<'_>, 
     // Odometer over the outer dimensions; cursors recomputed per row (the
     // row interior is the hot path).
     let mut p: Vec<i64> = region.lo.clone();
-    loop {
-        for row in rows {
+    'rows: loop {
+        for row in rows.iter_mut() {
             row.run(view, &p, e_last);
         }
         if nd == 1 {
-            return;
+            break;
         }
         let mut d = last - 1;
         loop {
@@ -129,9 +128,14 @@ pub unsafe fn run_fused_region(kernels: &[&LoweredKernel], view: &GridPtrs<'_>, 
             }
             p[d] = region.lo[d];
             if d == 0 {
-                return;
+                break 'rows;
             }
             d -= 1;
+        }
+    }
+    for row in rows.iter_mut() {
+        if let RowShape::Tape(lanes) = &mut row.shape {
+            lanes.flush(view);
         }
     }
 }
@@ -141,8 +145,21 @@ struct Row<'k> {
     kernel: &'k LoweredKernel,
     class_grid: [usize; MAX_CLASSES],
     inner_step: [isize; MAX_CLASSES],
-    /// Parallel-safe with every cursor at unit stride: contiguous chunks.
-    unit: bool,
+    shape: RowShape<'k>,
+}
+
+/// The loop shape a kernel's rows run in, fixed per region: the closed
+/// form picks the arithmetic, parallel safety the loop.
+enum RowShape<'k> {
+    /// Parallel-safe linear with every cursor at unit stride: contiguous
+    /// chunks.
+    LinearUnit(&'k SpecLinear),
+    /// Parallel-safe linear with strided cursors: strided chunks.
+    LinearStrided(&'k SpecLinear),
+    /// Sequential linear: point by point.
+    LinearPoints(&'k SpecKernel),
+    /// A tape over its lane buffer (one lane when sequential).
+    Tape(TapeLanes<'k>),
 }
 
 impl<'k> Row<'k> {
@@ -154,25 +171,45 @@ impl<'k> Row<'k> {
             class_grid[c] = cl.grid;
             inner_step[c] = cl.step(last, region.stride[last]);
         }
-        // The output class is one of the classes, so this covers its step.
-        let unit =
-            kernel.parallel_safe && inner_step[..kernel.classes.len()].iter().all(|&st| st == 1);
+        let spec = kernel.closed_form();
+        let shape = match &spec.form {
+            // The output class is one of the classes, so this covers its
+            // step.
+            SpecForm::Linear(sl)
+                if kernel.parallel_safe
+                    && inner_step[..kernel.classes.len()].iter().all(|&st| st == 1) =>
+            {
+                RowShape::LinearUnit(sl)
+            }
+            SpecForm::Linear(sl) if kernel.parallel_safe => RowShape::LinearStrided(sl),
+            SpecForm::Linear(_) => RowShape::LinearPoints(spec),
+            SpecForm::Tape(tape) => {
+                // A region's point count is bounded by its grids' sizes.
+                #[allow(clippy::cast_possible_truncation)]
+                let points = region.num_points() as usize;
+                let width = if kernel.parallel_safe {
+                    TAPE_LANES.min(points)
+                } else {
+                    1
+                };
+                RowShape::Tape(TapeLanes::new(tape, kernel.out_grid, width))
+            }
+        };
         Row {
             kernel,
             class_grid,
             inner_step,
-            unit,
+            shape,
         }
     }
 
-    /// Execute the `count` points of the row starting at point `p`: the
-    /// closed form picks the arithmetic, parallel safety the loop shape.
+    /// Execute the `count` points of the row starting at point `p`.
     ///
     /// # Safety
     /// As [`run_kernel_region`], with `p` a row start of the region this
     /// state was built for.
     #[inline(always)]
-    unsafe fn run(&self, view: &GridPtrs<'_>, p: &[i64], count: i64) {
+    unsafe fn run(&mut self, view: &GridPtrs<'_>, p: &[i64], count: i64) {
         let kernel = self.kernel;
         let mut cur = [0isize; MAX_CLASSES];
         for (c, cl) in kernel.classes.iter().enumerate() {
@@ -180,34 +217,26 @@ impl<'k> Row<'k> {
         }
         let (grids, steps) = (&self.class_grid, &self.inner_step);
         let out_class = kernel.out_class as usize;
-        let (out, mut out_idx, out_step) = (
+        let (out, out_idx, out_step) = (
             kernel.out_grid,
             cur[out_class] + kernel.out_delta,
             steps[out_class],
         );
-        match &kernel.spec {
-            Some(spec) if self.unit => {
-                run_row_spec_unit(spec, view, &cur, grids, count, out, out_idx);
+        // count is a non-negative region extent; the cast is exact.
+        #[allow(clippy::cast_possible_truncation)]
+        let total = count as usize;
+        match &mut self.shape {
+            RowShape::LinearUnit(sl) => lin_unit(sl, view, &cur, grids, total, out, out_idx),
+            RowShape::LinearStrided(sl) => {
+                lin_strided(sl, view, &cur, grids, steps, total, out, out_idx, out_step);
             }
-            Some(spec) if kernel.parallel_safe => {
-                run_row_spec_strided(
-                    spec, view, &cur, grids, steps, count, out, out_idx, out_step,
-                );
-            }
-            Some(spec) => {
+            RowShape::LinearPoints(spec) => {
                 run_row_spec_points(
                     spec, view, &cur, grids, steps, count, out, out_idx, out_step,
                 );
             }
-            None => {
-                for _ in 0..count {
-                    let v = eval_bytecode(kernel, &cur, grids, view);
-                    view.write(out, out_idx, v);
-                    for s in 0..kernel.classes.len() {
-                        cur[s] += steps[s];
-                    }
-                    out_idx += out_step;
-                }
+            RowShape::Tape(lanes) => {
+                lanes.push_row(view, &cur, grids, steps, total, out_idx, out_step);
             }
         }
     }
@@ -300,49 +329,6 @@ impl Executable for Phased {
     }
 }
 
-/// Evaluate the bytecode program at the current cursors.
-#[inline(always)]
-unsafe fn eval_bytecode(
-    kernel: &LoweredKernel,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    view: &GridPtrs<'_>,
-) -> f64 {
-    let mut stack = [0.0f64; MAX_STACK];
-    let mut sp = 0usize;
-    for op in &kernel.program.ops {
-        match *op {
-            Op::Const(c) => {
-                stack[sp] = c;
-                sp += 1;
-            }
-            Op::Read { class, delta } => {
-                stack[sp] = view.read(class_grid[class as usize], cur[class as usize] + delta);
-                sp += 1;
-            }
-            Op::Add => {
-                sp -= 1;
-                stack[sp - 1] += stack[sp];
-            }
-            Op::Sub => {
-                sp -= 1;
-                stack[sp - 1] -= stack[sp];
-            }
-            Op::Mul => {
-                sp -= 1;
-                stack[sp - 1] *= stack[sp];
-            }
-            Op::Div => {
-                sp -= 1;
-                stack[sp - 1] /= stack[sp];
-            }
-            Op::Neg => stack[sp - 1] = -stack[sp - 1],
-        }
-    }
-    debug_assert_eq!(sp, 1);
-    stack[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,7 +336,7 @@ mod tests {
     use snowflake_grid::{Grid, GridSet};
     use snowflake_ir::spec::SpecForm;
 
-    use crate::specialize::CHUNK;
+    use crate::specialize::{CHUNK, TAPE_LANES};
 
     fn setup(n: usize) -> (GridSet, ShapeMap) {
         let mut gs = GridSet::new();
@@ -406,19 +392,16 @@ mod tests {
     }
 
     #[test]
-    fn variable_coefficient_poly_path() {
+    fn variable_coefficient_tape_path() {
         let n = 10;
         let (mut gs, _) = setup(n);
-        // y = beta * (x[+1] - x[-1]) — not linear, a sum of products.
+        // y = beta * (x[+1] - x[-1]) — not linear: a tape, in tree order.
         let e = Expr::read_at("beta", &[0, 0])
             * (Expr::read_at("x", &[0, 1]) - Expr::read_at("x", &[0, -1]));
         let s = Stencil::new(e.clone(), "y", RectDomain::interior(2));
         let group = StencilGroup::from(s);
         let spec = lowered(&group, &gs).kernels[0].spec.clone().unwrap();
-        assert!(
-            matches!(spec.form, SpecForm::Poly(_)),
-            "must expand to poly"
-        );
+        assert!(matches!(spec.form, SpecForm::Tape(_)), "must run a tape");
         let (x, beta) = (
             gs.get("x").unwrap().clone(),
             gs.get("beta").unwrap().clone(),
@@ -428,18 +411,19 @@ mod tests {
         for i in 1..n - 1 {
             for j in 1..n - 1 {
                 let want = beta.get(&[i, j]) * (x.get(&[i, j + 1]) - x.get(&[i, j - 1]));
-                assert!((y.get(&[i, j]) - want).abs() < 1e-15);
+                assert_eq!(y.get(&[i, j]), want);
             }
         }
     }
 
     #[test]
-    fn division_by_a_read_runs_bytecode() {
+    fn division_by_a_read_runs_a_tape() {
         let n = 10;
         let (mut gs, _) = setup(n);
         let e = Expr::read_at("x", &[0, 1]) / Expr::read_at("beta", &[0, 0]);
         let group = StencilGroup::from(Stencil::new(e, "y", RectDomain::interior(2)));
-        assert!(lowered(&group, &gs).kernels[0].spec.is_none());
+        let spec = lowered(&group, &gs).kernels[0].spec.clone().unwrap();
+        assert!(matches!(spec.form, SpecForm::Tape(_)));
         let (x, beta) = (
             gs.get("x").unwrap().clone(),
             gs.get("beta").unwrap().clone(),
@@ -558,25 +542,36 @@ mod tests {
     }
 
     #[test]
-    fn poly_rows_handle_chunk_boundaries() {
-        for n in [CHUNK - 1, CHUNK, CHUNK + 3] {
-            let shape = [3usize, n + 2];
-            let mut gs = GridSet::new();
-            let mut x = Grid::new(&shape);
-            x.fill_random(7, -1.0, 1.0);
-            gs.insert("x", x);
-            let mut c = Grid::new(&shape);
-            c.fill_random(8, 0.5, 1.5);
-            gs.insert("c", c);
-            gs.insert("y", Grid::new(&shape));
-            let e = Expr::read_at("c", &[0, 0]) * Expr::read_at("x", &[0, 1]);
-            let s = Stencil::new(e, "y", RectDomain::interior(2));
-            run_one(&StencilGroup::from(s), &mut gs);
-            let (xg, cg) = (gs.get("x").unwrap().clone(), gs.get("c").unwrap().clone());
-            let y = gs.get("y").unwrap();
-            for j in 1..=n {
-                let want = cg.get(&[1, j]) * xg.get(&[1, j + 1]);
-                assert!((y.get(&[1, j]) - want).abs() < 1e-15, "n={n} j={j}");
+    fn tape_rows_handle_chunk_boundaries() {
+        // Lanes fill across rows, so rows shorter than, equal to and
+        // longer than TAPE_LANES straddle chunk seams at every offset;
+        // unit-stride and stride-2 rows both gather and scatter.
+        for n in [7, TAPE_LANES - 1, TAPE_LANES, TAPE_LANES + 3] {
+            for stride in [1usize, 2] {
+                let shape = [5usize, n + 2];
+                let mut gs = GridSet::new();
+                let mut x = Grid::new(&shape);
+                x.fill_random(7, -1.0, 1.0);
+                gs.insert("x", x);
+                let mut c = Grid::new(&shape);
+                c.fill_random(8, 0.5, 1.5);
+                gs.insert("c", c);
+                gs.insert("y", Grid::new(&shape));
+                let e = Expr::read_at("c", &[0, 0]) * Expr::read_at("x", &[0, 1]);
+                let dom = RectDomain::new(&[1, 1], &[-1, -1], &[1, stride as i64]);
+                run_one(&StencilGroup::from(Stencil::new(e, "y", dom)), &mut gs);
+                let (xg, cg) = (gs.get("x").unwrap().clone(), gs.get("c").unwrap().clone());
+                let y = gs.get("y").unwrap();
+                for i in 1..4 {
+                    for j in 1..=n {
+                        let want = if (j - 1) % stride == 0 {
+                            cg.get(&[i, j]) * xg.get(&[i, j + 1])
+                        } else {
+                            0.0
+                        };
+                        assert_eq!(y.get(&[i, j]), want, "n={n} stride={stride} ({i},{j})");
+                    }
+                }
             }
         }
     }

@@ -9,7 +9,7 @@
 //! | Backend | Paper counterpart | Notes |
 //! |---|---|---|
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
-//! | [`seq::SequentialBackend`] | sequential C | closed-form kernels (bytecode where no closed form exists), single thread |
+//! | [`seq::SequentialBackend`] | sequential C | closed-form kernels (linear records and register tapes), single thread |
 //! | [`omp::OmpBackend`] | C + OpenMP | rayon task farm; greedy barrier phases, arbitrary-dimension tiling, multicolor reordering |
 //! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | tall-skinny 2-D blocking rolled through the remaining dimension, work-groups executed on CPU threads |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |

@@ -1,55 +1,71 @@
 //! The closed-form pass and the row executors that run its records.
 //!
-//! [`specialize_lowered`] is the step of lowering that extracts each
-//! kernel's closed form ([`snowflake_ir::spec`]): constant-coefficient
-//! linear stencils (7-point/27-point Laplacians, restriction and
-//! interpolation weights, boundary reflections) and bounded sums of
-//! products (variable-coefficient GSRB smooth). Every backend runs it on
-//! every lowered group, so the record is the one arithmetic description the
-//! executors below, the `checked` sanitizer and the C generator share.
+//! [`specialize_lowered`] is the step of lowering that gives every kernel
+//! its closed form ([`snowflake_ir::spec`]): a constant-coefficient linear
+//! record when the program linearizes (7-point/27-point Laplacians,
+//! restriction and interpolation weights, boundary reflections), and a
+//! register tape of the source tree otherwise (the variable-coefficient
+//! GSRB smooth and residual, division by a read, anything deeply nested).
+//! Every backend runs it on every lowered group, so the record is the one
+//! arithmetic description the executors below, the `checked` sanitizer and
+//! the C generator share.
 //!
-//! Parallel safety picks only the loop shape: rows of parallel-safe kernels
-//! run through tight chunked loops over contiguous slices (unit stride) or
-//! strided index chains, which LLVM auto-vectorizes; rows of sequential
-//! kernels run point by point in canonical order, since a later point may
-//! read what an earlier one wrote.
+//! Parallel safety picks only the loop shape. Linear rows of parallel-safe
+//! kernels run through tight chunked loops over contiguous slices (unit
+//! stride) or strided index chains, which LLVM auto-vectorizes; linear rows
+//! of sequential kernels run point by point in canonical order, since a
+//! later point may read what an earlier one wrote. A tape runs over a lane
+//! buffer ([`TapeLanes`]): each row of a parallel-safe kernel gathers every
+//! distinct read into the next free lanes (a slice copy at unit stride, a
+//! strided gather otherwise), and once `TAPE_LANES` lanes are full — a
+//! chunk may span several short rows — every instruction runs as one
+//! unit-stride lane loop and the output register is scattered back. A
+//! sequential kernel runs the same tape one lane — one point — at a time.
 //!
 //! **Bitwise contract**: every executor here performs, per output element,
-//! the operation sequence of [`SpecKernel::eval`]. Chunking only reorders
-//! work *across* independent elements of parallel-safe kernels — never
-//! within one element — so all loop shapes agree bitwise with the
-//! per-point reference. `tests/specialize_equivalence.rs` asserts this
-//! against `checked` on the full HPGMG V-cycles.
+//! the operation sequence of [`SpecKernel::eval`] — the merged fold for a
+//! linear record, source-tree order for a tape. Chunking only reorders work
+//! *across* independent elements of parallel-safe kernels — never within
+//! one element — so all loop shapes agree bitwise with the per-point
+//! reference. `tests/specialize_equivalence.rs` asserts this against
+//! `checked` on the full HPGMG V-cycles.
 
 #![allow(clippy::needless_range_loop)] // chunk indices address parallel fixed arrays
 
 use std::convert::Infallible;
 
-use snowflake_ir::spec::{SpecForm, SpecKernel, SpecLinear, SpecPoly};
+use snowflake_ir::spec::{SpecKernel, SpecLinear, SpecTape, TapeOp};
 use snowflake_ir::Lowered;
 
 use crate::exec::MAX_CLASSES;
 use crate::view::GridPtrs;
 
-/// Row chunk length of the chunked executors: long enough to amortize
-/// per-term loop overhead, short enough that acc/prod scratch stays in L1.
+/// Row chunk length of the chunked linear executors: long enough to
+/// amortize per-term loop overhead, short enough that the accumulator
+/// scratch stays in L1.
 pub(crate) const CHUNK: usize = 128;
+
+/// Lanes per register of a parallel-safe tape kernel's buffer. The buffer
+/// holds every register — 38 for the variable-coefficient GSRB update — so
+/// this is kept at half of `CHUNK` to leave the buffer and the streamed
+/// grid rows room in L1.
+pub(crate) const TAPE_LANES: usize = 64;
 
 /// Largest term count monomorphized into a fused fixed-arity inner loop;
 /// wider linear kernels use the dynamic-arity pass executor (bitwise
 /// identical, just less completely unrolled).
 const MAX_FUSED_ARITY: usize = 16;
 
-/// Attach its closed form to every kernel whose bytecode has one, parallel
-/// safe or not. Kernels with bytecode-only arithmetic keep `spec = None`.
+/// Attach its closed form — linear or tape — to every kernel, parallel
+/// safe or not.
 pub fn specialize_lowered(lowered: &mut Lowered) {
     for kernel in &mut lowered.kernels {
-        kernel.spec = SpecKernel::of(&kernel.program);
+        kernel.spec = Some(SpecKernel::of(&kernel.program));
     }
 }
 
-/// Execute one row point by point in canonical order, each point finished
-/// before the next is read.
+/// Execute one linear row of a sequential kernel point by point in
+/// canonical order, each point finished before the next is read.
 ///
 /// # Safety
 /// As `exec::run_kernel_region`.
@@ -78,69 +94,16 @@ pub(crate) unsafe fn run_row_spec_points(
     }
 }
 
-/// Execute one specialized row with unit-stride cursors (all classes step
-/// by 1 and the output steps by 1).
+/// Execute one linear row of a parallel-safe kernel whose cursors all
+/// step by 1. Monomorphizes the fused loop over the term count so the
+/// inner accumulation fully unrolls and the chunk loop vectorizes.
 ///
 /// # Safety
 /// As `exec::run_kernel_region`: `view` must hold valid pointers for the
 /// shapes the kernel was lowered against, and no other thread may touch
 /// the cells this row accesses. The kernel must be parallel-safe (the
 /// chunked read-all-then-write-all order requires order-independence).
-#[inline(always)]
-pub(crate) unsafe fn run_row_spec_unit(
-    spec: &SpecKernel,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    count: i64,
-    out_grid: usize,
-    out_start: isize,
-) {
-    // count is a non-negative region extent; the cast is exact.
-    #[allow(clippy::cast_possible_truncation)]
-    let total = count as usize;
-    match &spec.form {
-        SpecForm::Linear(sl) => {
-            lin_unit_dispatch(sl, view, cur, class_grid, total, out_grid, out_start);
-        }
-        SpecForm::Poly(sp) => poly_unit(sp, view, cur, class_grid, total, out_grid, out_start),
-    }
-}
-
-/// Execute one specialized row with arbitrary per-class strides (e.g. the
-/// stride-2 red/black color rows of a GSRB smooth).
-///
-/// # Safety
-/// As [`run_row_spec_unit`].
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn run_row_spec_strided(
-    spec: &SpecKernel,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    inner_step: &[isize; MAX_CLASSES],
-    count: i64,
-    out_grid: usize,
-    out_start: isize,
-    out_step: isize,
-) {
-    // count is a non-negative region extent; the cast is exact.
-    #[allow(clippy::cast_possible_truncation)]
-    let total = count as usize;
-    match &spec.form {
-        SpecForm::Linear(sl) => lin_strided(
-            sl, view, cur, class_grid, inner_step, total, out_grid, out_start, out_step,
-        ),
-        SpecForm::Poly(sp) => poly_strided(
-            sp, view, cur, class_grid, inner_step, total, out_grid, out_start, out_step,
-        ),
-    }
-}
-
-/// Monomorphize the fused unit-stride linear loop over the term count so
-/// the inner accumulation fully unrolls and the chunk loop vectorizes.
-unsafe fn lin_unit_dispatch(
+pub(crate) unsafe fn lin_unit(
     sl: &SpecLinear,
     view: &GridPtrs<'_>,
     cur: &[isize; MAX_CLASSES],
@@ -235,51 +198,14 @@ unsafe fn lin_unit_dyn(
     }
 }
 
-/// Unit-stride sum-of-products executor: per term, a product pass over
-/// the chunk then an accumulate pass, all over contiguous slices.
-unsafe fn poly_unit(
-    sp: &SpecPoly,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    total: usize,
-    out_grid: usize,
-    out_start: isize,
-) {
-    let mut acc = [0.0f64; CHUNK];
-    let mut prod = [0.0f64; CHUNK];
-    let mut done = 0usize;
-    while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(sp.bias);
-        let mut r = 0usize;
-        for (t, &coeff) in sp.coeffs.iter().enumerate() {
-            prod[..len].fill(coeff);
-            for _ in 0..sp.lens[t] {
-                let c = sp.read_classes[r] as usize;
-                let src = view.row(
-                    class_grid[c],
-                    cur[c] + sp.read_deltas[r] + done as isize,
-                    len,
-                );
-                for (p, &s) in prod[..len].iter_mut().zip(src) {
-                    *p *= s;
-                }
-                r += 1;
-            }
-            for (a, &p) in acc[..len].iter_mut().zip(&prod[..len]) {
-                *a += p;
-            }
-        }
-        let dst = view.row_mut(out_grid, out_start + done as isize, len);
-        dst.copy_from_slice(&acc[..len]);
-        done += len;
-    }
-}
-
-/// Strided linear executor: chunked axpy passes with per-term strides.
+/// Execute one linear row of a parallel-safe kernel with arbitrary
+/// per-class strides (e.g. the stride-2 red/black color rows of a
+/// constant-coefficient GSRB smooth): chunked axpy passes.
+///
+/// # Safety
+/// As [`lin_unit`].
 #[allow(clippy::too_many_arguments)]
-unsafe fn lin_strided(
+pub(crate) unsafe fn lin_strided(
     sl: &SpecLinear,
     view: &GridPtrs<'_>,
     cur: &[isize; MAX_CLASSES],
@@ -312,49 +238,135 @@ unsafe fn lin_strided(
     }
 }
 
-/// Strided sum-of-products executor — the GSRB red/black color rows land
-/// here. Chunked per-read multiply passes break the per-point serial
-/// multiply-accumulate chain of the generic path into independent
-/// per-element work the compiler can pipeline and vectorize.
-#[allow(clippy::too_many_arguments)]
-unsafe fn poly_strided(
-    sp: &SpecPoly,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    inner_step: &[isize; MAX_CLASSES],
-    total: usize,
+/// A tape kernel's lane buffer over one region: `width` lanes per
+/// register, laid out register-major, with the constant registers filled
+/// once. Rows are gathered into consecutive lanes — a parallel-safe
+/// kernel's chunk may span several short rows — and the instructions run
+/// once the lanes are full or the region ends.
+pub(crate) struct TapeLanes<'k> {
+    tape: &'k SpecTape,
     out_grid: usize,
-    out_start: isize,
-    out_step: isize,
-) {
-    let mut acc = [0.0f64; CHUNK];
-    let mut prod = [0.0f64; CHUNK];
-    let mut done = 0usize;
-    while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(sp.bias);
-        let mut r = 0usize;
-        for (t, &coeff) in sp.coeffs.iter().enumerate() {
-            prod[..len].fill(coeff);
-            for _ in 0..sp.lens[t] {
-                let c = sp.read_classes[r] as usize;
-                let g = class_grid[c];
-                let st = inner_step[c];
-                let start = cur[c] + sp.read_deltas[r] + done as isize * st;
-                for i in 0..len {
-                    prod[i] *= view.read(g, start + i as isize * st);
+    regs: Vec<f64>,
+    width: usize,
+    /// Lanes gathered but not yet computed and scattered.
+    filled: usize,
+    /// Output segments of the filled lanes, in lane order:
+    /// `(first flat index, step, length)`.
+    pending: Vec<(isize, isize, usize)>,
+}
+
+impl<'k> TapeLanes<'k> {
+    /// Lanes for `tape`, writing `out_grid`, over chunks of at most `width`
+    /// points: size it from the region (`TAPE_LANES` at most) for a
+    /// parallel-safe kernel, and use one lane for a sequential kernel,
+    /// whose points each complete before the next one's reads.
+    pub(crate) fn new(tape: &'k SpecTape, out_grid: usize, width: usize) -> Self {
+        let mut regs = vec![0.0; tape.num_regs() * width];
+        let base = tape.num_reads();
+        for (k, &c) in tape.consts.iter().enumerate() {
+            regs[(base + k) * width..][..width].fill(c);
+        }
+        TapeLanes {
+            tape,
+            out_grid,
+            regs,
+            width,
+            filled: 0,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Gather the `count` points of one row into the lanes, running the
+    /// tape whenever they fill up.
+    ///
+    /// # Safety
+    /// As [`lin_unit`], except that a sequential kernel is allowed when
+    /// `width == 1`; [`TapeLanes::flush`] must run before the region's
+    /// cells are used elsewhere.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) unsafe fn push_row(
+        &mut self,
+        view: &GridPtrs<'_>,
+        cur: &[isize; MAX_CLASSES],
+        class_grid: &[usize; MAX_CLASSES],
+        inner_step: &[isize; MAX_CLASSES],
+        total: usize,
+        out_start: isize,
+        out_step: isize,
+    ) {
+        let (tape, w) = (self.tape, self.width);
+        let mut done = 0usize;
+        while done < total {
+            let (lane, len) = (self.filled, (w - self.filled).min(total - done));
+            for r in 0..tape.num_reads() {
+                let c = tape.read_classes[r] as usize;
+                let (g, st) = (class_grid[c], inner_step[c]);
+                let start = cur[c] + tape.read_deltas[r] + done as isize * st;
+                let dst = &mut self.regs[r * w + lane..][..len];
+                if st == 1 {
+                    dst.copy_from_slice(view.row(g, start, len));
+                } else {
+                    for (i, d) in dst.iter_mut().enumerate() {
+                        *d = view.read(g, start + i as isize * st);
+                    }
                 }
-                r += 1;
             }
-            for i in 0..len {
-                acc[i] += prod[i];
+            self.pending
+                .push((out_start + done as isize * out_step, out_step, len));
+            self.filled += len;
+            done += len;
+            if self.filled == w {
+                self.flush(view);
             }
         }
-        for i in 0..len {
-            view.write(out_grid, out_start + (done + i) as isize * out_step, acc[i]);
+    }
+
+    /// Run the instructions over the filled lanes, then scatter the output
+    /// register to the pending segments.
+    ///
+    /// # Safety
+    /// As [`TapeLanes::push_row`].
+    pub(crate) unsafe fn flush(&mut self, view: &GridPtrs<'_>) {
+        let (tape, w, len) = (self.tape, self.width, self.filled);
+        if len == 0 {
+            return;
         }
-        done += len;
+        let instr_base = tape.num_reads() + tape.consts.len();
+        for (k, ins) in tape.instrs.iter().enumerate() {
+            let (src, dst) = self.regs.split_at_mut((instr_base + k) * w);
+            let a = &src[ins.a as usize * w..][..len];
+            let b = &src[ins.b as usize * w..][..len];
+            let d = &mut dst[..len];
+            match ins.op {
+                TapeOp::Add => lane_op(d, a, b, |x, y| x + y),
+                TapeOp::Sub => lane_op(d, a, b, |x, y| x - y),
+                TapeOp::Mul => lane_op(d, a, b, |x, y| x * y),
+                TapeOp::Div => lane_op(d, a, b, |x, y| x / y),
+                TapeOp::Neg => lane_op(d, a, b, |x, _| -x),
+            }
+        }
+        let mut out = &self.regs[tape.out as usize * w..][..len];
+        for &(start, step, n) in &self.pending {
+            let (seg, rest) = out.split_at(n);
+            if step == 1 {
+                view.row_mut(self.out_grid, start, n).copy_from_slice(seg);
+            } else {
+                for (i, &v) in seg.iter().enumerate() {
+                    view.write(self.out_grid, start + i as isize * step, v);
+                }
+            }
+            out = rest;
+        }
+        self.pending.clear();
+        self.filled = 0;
+    }
+}
+
+/// One instruction over a chunk of lanes: `d[i] = f(a[i], b[i])`.
+#[inline(always)]
+fn lane_op(d: &mut [f64], a: &[f64], b: &[f64], f: impl Fn(f64, f64) -> f64) {
+    for ((d, &x), &y) in d.iter_mut().zip(a).zip(b) {
+        *d = f(x, y);
     }
 }
 
@@ -366,7 +378,7 @@ mod tests {
         weights2, Component, DomainUnion, Expr, RectDomain, ShapeMap, Stencil, StencilGroup,
     };
     use snowflake_grid::{Grid, GridSet};
-    use snowflake_ir::{lower_group, LowerOptions};
+    use snowflake_ir::{lower_group, LowerOptions, SpecForm};
 
     /// Run `group` through `seq` (chunked, strided and per-point executors)
     /// and through `checked` (per-point `eval` with range-checked reads);
@@ -396,8 +408,8 @@ mod tests {
 
     /// Every loop shape against the per-point reference: unit linear
     /// (Laplacian), strided linear (red-black constant coefficient),
-    /// strided poly (red-black variable coefficient) and a sequential
-    /// in-place kernel.
+    /// strided tape (red-black variable coefficient), a sequential in-place
+    /// tape kernel and a unit-stride tape dividing by a read.
     #[test]
     fn every_loop_shape_matches_per_point_evaluation() {
         let n = 18;
@@ -418,6 +430,12 @@ mod tests {
             StencilGroup::from(Stencil::new(
                 m(0, -1) * 0.5 + Expr::read_at("beta", &[0, 0]) * m(-1, 0),
                 "mesh",
+                RectDomain::interior(2),
+            )),
+            StencilGroup::from(Stencil::new(
+                (Expr::read_at("x", &[0, 1]) - Expr::read_at("x", &[0, -1]))
+                    / Expr::read_at("beta", &[0, 0]),
+                "y",
                 RectDomain::interior(2),
             )),
         ];
@@ -450,21 +468,19 @@ mod tests {
         let mut lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
         assert!(lowered.kernels.iter().all(|k| k.spec.is_none()));
         specialize_lowered(&mut lowered);
-        let k = &lowered.kernels;
-        assert!(matches!(
-            k[0].spec.as_ref().unwrap().form,
-            SpecForm::Linear(_)
-        ));
-        assert!(!k[1].parallel_safe, "lexicographic in-place propagation");
-        assert!(matches!(
-            k[1].spec.as_ref().unwrap().form,
-            SpecForm::Linear(_)
-        ));
-        assert!(matches!(
-            k[2].spec.as_ref().unwrap().form,
-            SpecForm::Poly(_)
-        ));
-        assert!(k[3].spec.is_none(), "division by a read stays bytecode");
+        let forms: Vec<&SpecForm> = lowered
+            .kernels
+            .iter()
+            .map(|k| &k.closed_form().form)
+            .collect();
+        assert!(matches!(forms[0], SpecForm::Linear(_)));
+        assert!(
+            !lowered.kernels[1].parallel_safe,
+            "lexicographic in-place propagation"
+        );
+        assert!(matches!(forms[1], SpecForm::Linear(_)));
+        assert!(matches!(forms[2], SpecForm::Tape(_)), "product of reads");
+        assert!(matches!(forms[3], SpecForm::Tape(_)), "division by a read");
     }
 
     #[test]

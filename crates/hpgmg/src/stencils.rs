@@ -377,6 +377,27 @@ mod tests {
         assert!(is_parallel_safe(&resolved[13]));
     }
 
+    /// The variable-coefficient update reads `x` 13 times (7 distinct
+    /// cells) among its 21 reads; its tape loads each of the 15 distinct
+    /// cells once.
+    #[test]
+    fn vc_gsrb_update_tape_loads_each_distinct_read_once() {
+        use snowflake_ir::{lower_group, LowerOptions, Op, SpecForm};
+        let names = Names::level(0);
+        let group = gsrb_smooth_group(&names, Coeff::Variable, 0.0, 1.0, 64.0);
+        let mut lowered = lower_group(&group, &shapes(0, 8), &LowerOptions::default()).unwrap();
+        snowflake_backends::specialize::specialize_lowered(&mut lowered);
+        let red = &lowered.kernels[6];
+        assert_eq!(red.name, "gsrb_red_x_0");
+        let reads = red.program.ops.iter();
+        let reads = reads.filter(|op| matches!(op, Op::Read { .. })).count();
+        assert_eq!(reads, 21);
+        let SpecForm::Tape(tape) = &red.closed_form().form else {
+            panic!("the variable-coefficient update must be a tape");
+        };
+        assert_eq!(tape.num_reads(), 15);
+    }
+
     #[test]
     fn interpolation_stencils_share_one_phase() {
         let mut m = shapes(0, 8);

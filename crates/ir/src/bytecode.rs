@@ -1,10 +1,12 @@
-//! Stack bytecode for stencil expressions.
+//! Postfix programs for stencil expressions.
 //!
 //! Expressions are lowered (after constant folding) into reverse-Polish
 //! programs. A read is addressed as *cursor class + constant delta*: all
 //! reads sharing a `(grid, scale)` pair use one linear cursor that the
 //! executor advances incrementally as the loop nest walks the region, so
 //! the inner loop does no index arithmetic beyond `cursor + delta`.
+//! No executor interprets a program directly: [`crate::spec`] turns each
+//! one into a linear form ([`linearize`]) or a register tape.
 
 use std::collections::HashMap;
 
@@ -37,13 +39,11 @@ pub enum Op {
     Neg,
 }
 
-/// A lowered expression: RPN ops plus the stack depth the executor needs.
+/// A lowered expression: RPN ops in source-tree (postfix) order.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Program {
     /// Operations in evaluation order.
     pub ops: Vec<Op>,
-    /// Maximum stack occupancy during evaluation.
-    pub stack_need: usize,
 }
 
 /// Accumulates cursor classes while lowering one stencil.
@@ -111,8 +111,7 @@ impl<'a> ClassTable<'a> {
 pub fn lower_expr(expr: &Expr, table: &mut ClassTable<'_>) -> Result<Program, CoreError> {
     let mut ops = Vec::with_capacity(expr.size());
     emit(expr, table, &mut ops)?;
-    let stack_need = measure_stack(&ops);
-    Ok(Program { ops, stack_need })
+    Ok(Program { ops })
 }
 
 fn emit(expr: &Expr, table: &mut ClassTable<'_>, ops: &mut Vec<Op>) -> Result<(), CoreError> {
@@ -150,31 +149,14 @@ fn emit(expr: &Expr, table: &mut ClassTable<'_>, ops: &mut Vec<Op>) -> Result<()
     Ok(())
 }
 
-fn measure_stack(ops: &[Op]) -> usize {
-    let mut depth = 0usize;
-    let mut max = 0usize;
-    for op in ops {
-        match op {
-            Op::Const(_) | Op::Read { .. } => {
-                depth += 1;
-                max = max.max(depth);
-            }
-            Op::Add | Op::Sub | Op::Mul | Op::Div => depth -= 1,
-            Op::Neg => {}
-        }
-    }
-    debug_assert_eq!(depth, 1, "program must leave exactly one value");
-    max
-}
-
 /// A constant-coefficient linear combination of reads:
 /// `bias + Σ coeff_i · grid[cursor[class_i] + delta_i]`.
 ///
 /// Most scientific stencils (constant-coefficient Laplacians, Jacobi
 /// smoothers, restriction, interpolation, boundary negation) lower to this
 /// form; executors run its [`SpecLinear`](crate::spec::SpecLinear)
-/// re-layout instead of interpreting bytecode. Variable-coefficient
-/// operators (products of two reads) do not linearize; see [`PolyForm`].
+/// re-layout. Variable-coefficient operators (products of two reads) do
+/// not linearize; they run as a [`SpecTape`](crate::spec::SpecTape).
 #[derive(Clone, Debug, PartialEq)]
 pub struct LinearForm {
     /// `(class, delta, coeff)` triples.
@@ -191,7 +173,7 @@ pub fn linearize(program: &Program) -> Option<LinearForm> {
         bias: f64,
         terms: Vec<(u32, isize, f64)>,
     }
-    let mut stack: Vec<Sym> = Vec::with_capacity(program.stack_need);
+    let mut stack: Vec<Sym> = Vec::new();
     for op in &program.ops {
         match *op {
             Op::Const(c) => stack.push(Sym {
@@ -267,189 +249,28 @@ fn merge_term(terms: &mut Vec<(u32, isize, f64)>, class: u32, delta: isize, coef
     }
 }
 
-/// A polynomial (sum-of-products) form:
-/// `bias + Σ coeff_t · Π_r grid[cursor[class_r] + delta_r]`.
-///
-/// Variable-coefficient stencils (products of a coefficient read and a
-/// solution read, e.g. `β·(x₊ − x₀)` or `dinv·(rhs − Ax)`) expand into a
-/// bounded number of such terms; executors evaluate them as flat
-/// multiply-accumulate chains, far cheaper than interpreting bytecode.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PolyForm {
-    /// Constant bias.
-    pub bias: f64,
-    /// `(coeff, reads)` terms; each read is `(class, delta)`.
-    pub terms: Vec<(f64, Vec<(u32, isize)>)>,
-}
-
-/// Expansion guards: refuse pathological blow-ups and fall back to
-/// bytecode instead.
-const POLY_MAX_TERMS: usize = 64;
-const POLY_MAX_DEGREE: usize = 4;
-
-/// Try to expand a program into a [`PolyForm`]. Returns `None` when the
-/// expression divides by a read or the expansion exceeds the guards.
-pub fn polynomialize(program: &Program) -> Option<PolyForm> {
-    struct Build {
-        bias: f64,
-        terms: Vec<(f64, Vec<(u32, isize)>)>,
-    }
-    let mut stack: Vec<Build> = Vec::with_capacity(program.stack_need);
-    for op in &program.ops {
-        match *op {
-            Op::Const(c) => stack.push(Build {
-                bias: c,
-                terms: vec![],
-            }),
-            Op::Read { class, delta } => stack.push(Build {
-                bias: 0.0,
-                terms: vec![(1.0, vec![(class, delta)])],
-            }),
-            Op::Add | Op::Sub => {
-                let b = stack.pop()?;
-                let mut a = stack.pop()?;
-                let sign = if matches!(op, Op::Sub) { -1.0 } else { 1.0 };
-                a.bias += sign * b.bias;
-                for (k, reads) in b.terms {
-                    poly_add_term(&mut a.terms, sign * k, reads);
-                }
-                if a.terms.len() > POLY_MAX_TERMS {
-                    return None;
-                }
-                stack.push(a);
-            }
-            Op::Mul => {
-                let b = stack.pop()?;
-                let a = stack.pop()?;
-                let mut out = Build {
-                    bias: a.bias * b.bias,
-                    terms: vec![],
-                };
-                for (k, reads) in &a.terms {
-                    if b.bias != 0.0 {
-                        poly_add_term(&mut out.terms, k * b.bias, reads.clone());
-                    }
-                }
-                for (k, reads) in &b.terms {
-                    if a.bias != 0.0 {
-                        poly_add_term(&mut out.terms, k * a.bias, reads.clone());
-                    }
-                }
-                for (ka, ra) in &a.terms {
-                    for (kb, rb) in &b.terms {
-                        let mut reads = ra.clone();
-                        reads.extend_from_slice(rb);
-                        if reads.len() > POLY_MAX_DEGREE {
-                            return None;
-                        }
-                        reads.sort_unstable();
-                        poly_add_term(&mut out.terms, ka * kb, reads);
-                    }
-                }
-                if out.terms.len() > POLY_MAX_TERMS {
-                    return None;
-                }
-                stack.push(out);
-            }
-            Op::Div => {
-                let b = stack.pop()?;
-                let mut a = stack.pop()?;
-                if !b.terms.is_empty() {
-                    return None;
-                }
-                a.bias /= b.bias;
-                for t in &mut a.terms {
-                    t.0 /= b.bias;
-                }
-                stack.push(a);
-            }
-            Op::Neg => {
-                let a = stack.last_mut()?;
-                a.bias = -a.bias;
-                for t in &mut a.terms {
-                    t.0 = -t.0;
-                }
-            }
-        }
-    }
-    let top = stack.pop()?;
-    if !stack.is_empty() {
-        return None;
-    }
-    Some(PolyForm {
-        bias: top.bias,
-        terms: top.terms,
-    })
-}
-
-fn poly_add_term(
-    terms: &mut Vec<(f64, Vec<(u32, isize)>)>,
-    coeff: f64,
-    mut reads: Vec<(u32, isize)>,
-) {
-    reads.sort_unstable();
-    if let Some(t) = terms.iter_mut().find(|t| t.1 == reads) {
-        t.0 += coeff;
-        return;
-    }
-    if coeff != 0.0 {
-        terms.push((coeff, reads));
-    }
-}
-
-/// Evaluate a program with explicit cursors (reference executor; the
-/// backends carry optimized copies of this loop).
-///
-/// # Safety-free reference
-/// This variant takes the grids as slices and bounds-checks; it exists for
-/// tests and the interpreter fallback.
-pub fn eval_checked(
-    program: &Program,
-    classes: &[AccessClass],
-    cursors: &[isize],
-    grids: &[&[f64]],
-) -> f64 {
-    let mut stack = [0.0f64; 32];
-    let mut sp = 0usize;
-    for op in &program.ops {
-        match *op {
-            Op::Const(c) => {
-                stack[sp] = c;
-                sp += 1;
-            }
-            Op::Read { class, delta } => {
-                let cl = &classes[class as usize];
-                let idx = cursors[class as usize] + delta;
-                stack[sp] = grids[cl.grid][idx as usize];
-                sp += 1;
-            }
-            Op::Add => {
-                sp -= 1;
-                stack[sp - 1] += stack[sp];
-            }
-            Op::Sub => {
-                sp -= 1;
-                stack[sp - 1] -= stack[sp];
-            }
-            Op::Mul => {
-                sp -= 1;
-                stack[sp - 1] *= stack[sp];
-            }
-            Op::Div => {
-                sp -= 1;
-                stack[sp - 1] /= stack[sp];
-            }
-            Op::Neg => stack[sp - 1] = -stack[sp - 1],
-        }
-    }
-    debug_assert_eq!(sp, 1);
-    stack[0]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{SpecForm, SpecKernel, SpecTape};
     use snowflake_core::Expr;
+
+    /// Evaluate `program` in source-tree order at `cursors` (one per class).
+    fn eval_tree(
+        program: &Program,
+        classes: &[AccessClass],
+        cursors: &[isize],
+        grids: &[&[f64]],
+    ) -> f64 {
+        let tape = SpecKernel {
+            form: SpecForm::Tape(SpecTape::from_program(program)),
+        };
+        let read = |c: u32, d: isize| {
+            let c = c as usize;
+            Ok::<_, ()>(grids[classes[c].grid][(cursors[c] + d) as usize])
+        };
+        tape.eval(read).unwrap()
+    }
 
     fn simple_table_env() -> (Vec<String>, Vec<Vec<usize>>) {
         (
@@ -500,21 +321,9 @@ mod tests {
     }
 
     #[test]
-    fn stack_need_measured() {
-        // ((a+b)*(c+d)) needs 3 slots with left-to-right RPN... actually
-        // a b + c d + * peaks at 3.
-        let a = Expr::read_at("x", &[0, 0]);
-        let e = (a.clone() + a.clone()) * (a.clone() + a.clone());
-        let (p, _) = lower(&e);
-        assert_eq!(p.stack_need, 3);
-        let (p2, _) = lower(&a);
-        assert_eq!(p2.stack_need, 1);
-    }
-
-    #[test]
     // Fixed 4x8 test grids: every index product fits isize/usize.
     #[allow(clippy::cast_possible_truncation)]
-    fn eval_checked_matches_expr_eval() {
+    fn tree_evaluation_matches_expr_eval() {
         let e = (Expr::read_at("x", &[0, 1]) - Expr::read_at("y", &[0, 0])) * 2.0 + 1.0;
         let (p, classes) = lower(&e);
         // Grids 4x8 filled with linear ramps.
@@ -526,7 +335,7 @@ mod tests {
         let strides = [8i64, 1];
         let lin: isize = (0..2).map(|d| (point[d] * strides[d]) as isize).sum();
         let cursors = vec![lin; classes.len()];
-        let got = eval_checked(&p, &classes, &cursors, &grids);
+        let got = eval_tree(&p, &classes, &cursors, &grids);
         let want = e.eval(&point, &mut |g, idx| {
             let lin = (idx[0] * 8 + idx[1]) as usize;
             if g == "x" {
@@ -563,7 +372,7 @@ mod tests {
 
     #[test]
     fn linearize_rejects_read_product() {
-        // beta * x is variable-coefficient: must stay on bytecode.
+        // beta * x is variable-coefficient: it runs as a tape.
         let e = Expr::read_at("y", &[0, 0]) * Expr::read_at("x", &[0, 0]);
         let (p, _) = lower(&e);
         assert!(linearize(&p).is_none());
@@ -583,11 +392,11 @@ mod tests {
         let lf = linearize(&p).unwrap();
         assert_eq!(lf.terms, vec![(0, 0, -0.5)]);
         assert_eq!(lf.bias, 1.5);
-        // Cross-check against the bytecode evaluation.
+        // Cross-check against tree-order evaluation.
         let data: Vec<f64> = (0..32).map(|i| i as f64).collect();
         let grids: Vec<&[f64]> = vec![&data];
         let cursors = vec![7isize; classes.len()];
-        let direct = eval_checked(&p, &classes, &cursors, &grids);
+        let direct = eval_tree(&p, &classes, &cursors, &grids);
         let via_lf = lf.bias
             + lf.terms
                 .iter()
@@ -603,6 +412,6 @@ mod tests {
         let data: Vec<f64> = vec![8.0; 32];
         let grids: Vec<&[f64]> = vec![&data];
         let cursors = vec![0isize; classes.len()];
-        assert_eq!(eval_checked(&p, &classes, &cursors, &grids), -2.0);
+        assert_eq!(eval_tree(&p, &classes, &cursors, &grids), -2.0);
     }
 }

@@ -51,10 +51,9 @@ pub struct LoweredKernel {
     pub out_delta: isize,
     /// The arithmetic program producing the value to store.
     pub program: Program,
-    /// The closed form of `program` (linear or sum-of-products), attached
-    /// by the backends' specialization pass. `None` straight out of
-    /// [`lower_group`](crate::lower_group), and for programs that only
-    /// have bytecode (division by a read, oversized expansions).
+    /// The closed form of `program` (linear or tape), attached by the
+    /// backends' specialization pass to every kernel. `None` only straight
+    /// out of [`lower_group`](crate::lower_group).
     pub spec: Option<crate::spec::SpecKernel>,
     /// Resolved iteration regions (one per member of the domain union).
     pub regions: Vec<Region>,
@@ -65,6 +64,16 @@ pub struct LoweredKernel {
 }
 
 impl LoweredKernel {
+    /// The kernel's closed form.
+    ///
+    /// # Panics
+    /// If the specialization pass has not run on this kernel.
+    pub fn closed_form(&self) -> &crate::spec::SpecKernel {
+        self.spec
+            .as_ref()
+            .expect("specialize_lowered attaches a closed form to every kernel")
+    }
+
     /// Total iteration points across the union.
     pub fn num_points(&self) -> u64 {
         self.regions.iter().map(|r| r.num_points()).sum()

@@ -8,7 +8,7 @@
 //! which stencils may run concurrently (barrier phases from the Diophantine
 //! analysis). This crate produces that description:
 //!
-//! * [`bytecode`] — lowers an [`snowflake_core::Expr`] into a stack
+//! * [`bytecode`] — lowers an [`snowflake_core::Expr`] into a postfix
 //!   program whose reads are *cursor-class + constant-delta* addresses, so
 //!   inner loops advance a handful of linear cursors instead of
 //!   re-linearizing indices.
@@ -20,9 +20,10 @@
 //! * [`tile`] — region tiling and region∩box intersection, the substrate
 //!   for the OpenMP backend's arbitrary-dimension blocking and multicolor
 //!   reordering and the OpenCL backend's tall-skinny blocking.
-//! * [`spec`] — closed forms (structure-of-arrays linear and
-//!   sum-of-products records) matched from a kernel's bytecode, the
-//!   arithmetic every executor and code generator runs.
+//! * [`spec`] — closed forms (structure-of-arrays linear records, and
+//!   register tapes of the source tree for everything else) built from a
+//!   kernel's program, the arithmetic every executor and code generator
+//!   runs.
 
 pub mod bytecode;
 pub mod kernel;
@@ -33,5 +34,5 @@ pub mod tile;
 pub use bytecode::{Op, Program};
 pub use kernel::{AccessClass, LoweredKernel};
 pub use lower::{lower_group, LowerOptions, Lowered};
-pub use spec::{SpecForm, SpecKernel, SpecLinear, SpecPoly};
+pub use spec::{SpecForm, SpecKernel, SpecLinear, SpecTape};
 pub use tile::{intersect_box, tile_region};

@@ -1,23 +1,29 @@
 //! Closed-form kernels: the arithmetic half of the lowering contract.
 //!
-//! [`SpecKernel::of`] matches a lowered program against the two closed
-//! forms the stock stencils fall into — constant-coefficient linear
-//! combinations ([`linearize`]) and bounded sums of products
-//! ([`polynomialize`]) — and records the match in structure-of-arrays
-//! layout, so executors run tight unit-stride inner loops over parallel
-//! coefficient/offset tables (the layout LLVM's auto-vectorizer wants) and
-//! the C generator renders a flat left fold. Programs matching neither
-//! (division by a read, oversized expansions) stay on bytecode.
+//! [`SpecKernel::of`] gives every lowered program one of two forms:
+//!
+//! * **linear** ([`SpecLinear`]) — a constant-coefficient combination of
+//!   reads ([`linearize`]), stored structure-of-arrays so executors run
+//!   tight unit-stride inner loops over parallel coefficient/offset tables
+//!   and the C generator renders a flat left fold;
+//! * **tape** ([`SpecTape`]) — everything else: a straight-line register
+//!   program of the constant-folded source tree, in tree order, with each
+//!   distinct `(class, delta)` read loaded once. Variable coefficients,
+//!   division by a read and arbitrarily deep nesting all fit.
 //!
 //! **Bitwise contract**: a record fixes the floating-point operation
-//! sequence per element — `acc = bias; acc += coeff·read` in term order for
-//! linear; `prod = coeff; prod *= read…; acc += prod` for poly — which
-//! [`SpecKernel::eval`] spells out. Builders preserve the term and read
-//! order of the matched forms, and every executor (chunked, strided, point
-//! by point, range-checked, generated C) performs exactly that sequence per
+//! sequence per element, which [`SpecKernel::eval`] spells out. A linear
+//! form is the *merged fold* of the source — `acc = bias; acc += coeff·read`
+//! in term order, a re-association fixed once at lowering. A tape keeps the
+//! *source-tree order*: each instruction is one node of the simplified
+//! expression, so a tape kernel computes exactly what the tree-walking
+//! interpreter computes. Every executor (chunked, strided, point by point,
+//! range-checked, generated C) performs exactly the record's sequence per
 //! element, so they all agree bitwise.
 
-use crate::bytecode::{linearize, polynomialize, LinearForm, PolyForm, Program};
+use std::collections::HashMap;
+
+use crate::bytecode::{linearize, LinearForm, Op, Program};
 
 /// A constant-coefficient linear stencil,
 /// `bias + Σ_t coeffs[t] · grid[cursor[classes[t]] + deltas[t]]`,
@@ -51,41 +57,148 @@ impl SpecLinear {
     }
 }
 
-/// A sum-of-products (variable-coefficient) stencil,
-/// `bias + Σ_t coeffs[t] · Π_r grid[cursor[read_classes[r]] + read_deltas[r]]`,
-/// reads stored term-major and split into parallel class/delta tables.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SpecPoly {
-    /// Constant bias (the accumulator's initial value).
-    pub bias: f64,
-    /// Coefficient per term.
-    pub coeffs: Vec<f64>,
-    /// Reads per term, parallel to `coeffs`.
-    pub lens: Vec<u32>,
-    /// Cursor class per read, term-major.
-    pub read_classes: Vec<u32>,
-    /// Flat element offset per read, term-major.
-    pub read_deltas: Vec<isize>,
+/// The operation of one tape instruction.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TapeOp {
+    /// `a + b`.
+    Add,
+    /// `a - b`.
+    Sub,
+    /// `a * b`.
+    Mul,
+    /// `a / b`.
+    Div,
+    /// `-a` (`b` is ignored).
+    Neg,
 }
 
-impl SpecPoly {
-    /// Re-layout a [`PolyForm`], preserving term and read order.
-    pub fn from_form(pf: &PolyForm) -> SpecPoly {
-        let reads = || pf.terms.iter().flat_map(|t| t.1.iter());
-        SpecPoly {
-            bias: pf.bias,
-            coeffs: pf.terms.iter().map(|t| t.0).collect(),
-            // A product term holds at most a few reads; u32 cannot truncate.
-            #[allow(clippy::cast_possible_truncation)]
-            lens: pf.terms.iter().map(|t| t.1.len() as u32).collect(),
-            read_classes: reads().map(|r| r.0).collect(),
-            read_deltas: reads().map(|r| r.1).collect(),
+impl TapeOp {
+    /// Apply the operation to one element.
+    #[inline(always)]
+    pub(crate) fn apply(self, a: f64, b: f64) -> f64 {
+        match self {
+            TapeOp::Add => a + b,
+            TapeOp::Sub => a - b,
+            TapeOp::Mul => a * b,
+            TapeOp::Div => a / b,
+            TapeOp::Neg => -a,
         }
     }
+}
 
-    /// Total reads across all terms.
+/// One tape instruction: `regs[dst] = op(regs[a], regs[b])`, where `dst`
+/// is the instruction's own register (see [`SpecTape`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TapeInstr {
+    /// The operation.
+    pub op: TapeOp,
+    /// First operand register.
+    pub a: u32,
+    /// Second operand register (equal to `a` for `Neg`).
+    pub b: u32,
+}
+
+/// A straight-line register program of a kernel's source tree.
+///
+/// Registers are numbered in three consecutive blocks: one per distinct
+/// read (`read_classes[r]`, `read_deltas[r]`, in first-use order), one per
+/// distinct constant (`consts`), then one per instruction, instruction `i`
+/// writing register `num_reads() + consts.len() + i`. Operands always
+/// name lower registers, so executors may evaluate the instructions in
+/// order over lane buffers.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SpecTape {
+    /// Cursor class per distinct read.
+    pub read_classes: Vec<u32>,
+    /// Flat element offset per distinct read.
+    pub read_deltas: Vec<isize>,
+    /// Distinct constants.
+    pub consts: Vec<f64>,
+    /// Instructions in source-tree (postfix) order.
+    pub instrs: Vec<TapeInstr>,
+    /// Register holding the kernel's value.
+    pub out: u32,
+}
+
+impl SpecTape {
+    /// Build the tape of `program`, interning every distinct read and
+    /// constant once and keeping one instruction per arithmetic node.
+    // Register ids count a kernel's reads, constants and operations; u32
+    // cannot truncate before the program exhausts memory.
+    #[allow(clippy::cast_possible_truncation)]
+    pub fn from_program(program: &Program) -> SpecTape {
+        let mut reads: HashMap<(u32, isize), u32> = HashMap::new();
+        let mut consts: HashMap<u64, u32> = HashMap::new();
+        let mut tape = SpecTape {
+            read_classes: Vec::new(),
+            read_deltas: Vec::new(),
+            consts: Vec::new(),
+            instrs: Vec::new(),
+            out: 0,
+        };
+        for op in &program.ops {
+            match *op {
+                Op::Read { class, delta } => {
+                    reads.entry((class, delta)).or_insert_with(|| {
+                        tape.read_classes.push(class);
+                        tape.read_deltas.push(delta);
+                        tape.read_classes.len() as u32 - 1
+                    });
+                }
+                Op::Const(c) => {
+                    consts.entry(c.to_bits()).or_insert_with(|| {
+                        tape.consts.push(c);
+                        tape.consts.len() as u32 - 1
+                    });
+                }
+                _ => {}
+            }
+        }
+        let const_base = tape.read_classes.len() as u32;
+        let instr_base = const_base + tape.consts.len() as u32;
+        let mut stack: Vec<u32> = Vec::new();
+        for op in &program.ops {
+            let (op, a, b) = match *op {
+                Op::Read { class, delta } => {
+                    stack.push(reads[&(class, delta)]);
+                    continue;
+                }
+                Op::Const(c) => {
+                    stack.push(const_base + consts[&c.to_bits()]);
+                    continue;
+                }
+                Op::Neg => {
+                    let a = stack.pop().expect("well-formed program");
+                    (TapeOp::Neg, a, a)
+                }
+                Op::Add | Op::Sub | Op::Mul | Op::Div => {
+                    let b = stack.pop().expect("well-formed program");
+                    let a = stack.pop().expect("well-formed program");
+                    let op = match op {
+                        Op::Add => TapeOp::Add,
+                        Op::Sub => TapeOp::Sub,
+                        Op::Mul => TapeOp::Mul,
+                        _ => TapeOp::Div,
+                    };
+                    (op, a, b)
+                }
+            };
+            stack.push(instr_base + tape.instrs.len() as u32);
+            tape.instrs.push(TapeInstr { op, a, b });
+        }
+        debug_assert_eq!(stack.len(), 1, "program must leave exactly one value");
+        tape.out = stack.pop().expect("program value");
+        tape
+    }
+
+    /// Number of distinct reads.
     pub fn num_reads(&self) -> usize {
         self.read_classes.len()
+    }
+
+    /// Total registers: reads, constants and instructions.
+    pub fn num_regs(&self) -> usize {
+        self.num_reads() + self.consts.len() + self.instrs.len()
     }
 }
 
@@ -94,8 +207,8 @@ impl SpecPoly {
 pub enum SpecForm {
     /// Constant-coefficient linear combination of reads.
     Linear(SpecLinear),
-    /// Bounded sum of products of reads.
-    Poly(SpecPoly),
+    /// Straight-line register program of the source tree.
+    Tape(SpecTape),
 }
 
 /// A kernel's closed form, attached to
@@ -109,18 +222,19 @@ pub struct SpecKernel {
 
 impl SpecKernel {
     /// The closed form of `program`: linear when it linearizes, otherwise
-    /// a sum of products; `None` when it only has bytecode.
-    pub fn of(program: &Program) -> Option<SpecKernel> {
+    /// its tape.
+    pub fn of(program: &Program) -> SpecKernel {
         let form = match linearize(program) {
             Some(lf) => SpecForm::Linear(SpecLinear::from_form(&lf)),
-            None => SpecForm::Poly(SpecPoly::from_form(&polynomialize(program)?)),
+            None => SpecForm::Tape(SpecTape::from_program(program)),
         };
-        Some(SpecKernel { form })
+        SpecKernel { form }
     }
 
     /// Evaluate one element in the contract's operation order, fetching
-    /// each read through `read(class, delta)`; the first failed read
-    /// aborts the evaluation.
+    /// each read through `read(class, delta)` — a tape fetches each
+    /// distinct read once, in first-use order, before any arithmetic; the
+    /// first failed read aborts the evaluation.
     #[inline(always)]
     pub fn eval<E>(&self, mut read: impl FnMut(u32, isize) -> Result<f64, E>) -> Result<f64, E> {
         match &self.form {
@@ -131,18 +245,17 @@ impl SpecKernel {
                 }
                 Ok(acc)
             }
-            SpecForm::Poly(sp) => {
-                let mut acc = sp.bias;
-                let mut r = 0usize;
-                for (t, &coeff) in sp.coeffs.iter().enumerate() {
-                    let mut prod = coeff;
-                    for _ in 0..sp.lens[t] {
-                        prod *= read(sp.read_classes[r], sp.read_deltas[r])?;
-                        r += 1;
-                    }
-                    acc += prod;
+            SpecForm::Tape(tape) => {
+                let mut regs = Vec::with_capacity(tape.num_regs());
+                for r in 0..tape.num_reads() {
+                    regs.push(read(tape.read_classes[r], tape.read_deltas[r])?);
                 }
-                Ok(acc)
+                regs.extend_from_slice(&tape.consts);
+                for ins in &tape.instrs {
+                    let v = ins.op.apply(regs[ins.a as usize], regs[ins.b as usize]);
+                    regs.push(v);
+                }
+                Ok(regs[tape.out as usize])
             }
         }
     }
@@ -160,6 +273,13 @@ mod tests {
         lower_expr(expr, &mut ClassTable::new(&gi, &sh)).unwrap()
     }
 
+    fn tape(expr: &Expr) -> SpecTape {
+        match SpecKernel::of(&program(expr)).form {
+            SpecForm::Tape(t) => t,
+            SpecForm::Linear(_) => panic!("{expr} must not linearize"),
+        }
+    }
+
     #[test]
     fn linear_relayout_preserves_term_order() {
         let lf = LinearForm {
@@ -175,46 +295,51 @@ mod tests {
     }
 
     #[test]
-    fn poly_relayout_preserves_term_major_reads() {
-        let pf = PolyForm {
-            bias: 0.25,
-            terms: vec![
-                (3.0, vec![(0, 0), (1, 8)]),
-                (-1.0, vec![(2, -1)]),
-                (0.5, vec![(0, 1), (1, 0), (2, 0)]),
-            ],
-        };
-        let sp = SpecPoly::from_form(&pf);
-        assert_eq!(sp.bias, 0.25);
-        assert_eq!(sp.coeffs, vec![3.0, -1.0, 0.5]);
-        assert_eq!(sp.lens, vec![2, 1, 3]);
-        assert_eq!(sp.read_classes, vec![0, 1, 2, 0, 1, 2]);
-        assert_eq!(sp.read_deltas, vec![0, 8, -1, 1, 0, 0]);
-        assert_eq!(sp.num_reads(), 6);
-    }
-
-    #[test]
-    fn of_prefers_linear_then_poly_then_bytecode() {
+    fn of_prefers_linear_then_tape() {
         let x = || Expr::read_at("x", &[0, 0]);
         let y = || Expr::read_at("y", &[0, 1]);
-        let linear = SpecKernel::of(&program(&(x() * 2.0 + y()))).unwrap();
+        let linear = SpecKernel::of(&program(&(x() * 2.0 + y())));
         assert!(matches!(linear.form, SpecForm::Linear(_)));
-        let poly = SpecKernel::of(&program(&(x() * y() + 1.0))).unwrap();
-        assert!(matches!(poly.form, SpecForm::Poly(_)));
-        assert!(SpecKernel::of(&program(&(x() / y()))).is_none());
+        let product = SpecKernel::of(&program(&(x() * y() + 1.0)));
+        assert!(matches!(product.form, SpecForm::Tape(_)));
+        let quotient = SpecKernel::of(&program(&(x() / y())));
+        assert!(matches!(quotient.form, SpecForm::Tape(_)));
     }
 
     #[test]
-    fn eval_follows_the_contract_order_and_stops_at_a_failed_read() {
-        let spec = SpecKernel {
-            form: SpecForm::Poly(SpecPoly::from_form(&PolyForm {
-                bias: 0.5,
-                terms: vec![(2.0, vec![(0, 0), (0, 1)]), (-1.0, vec![(1, 0)])],
-            })),
-        };
+    fn tape_interns_reads_and_constants_in_first_use_order() {
+        // (y[0,1] * x[0,0] + 2) * (x[0,0] - 2): two reads, one constant.
+        let x = || Expr::read_at("x", &[0, 0]);
+        let y = || Expr::read_at("y", &[0, 1]);
+        let t = tape(&((y() * x() + 2.0) * (x() - 2.0)));
+        assert_eq!(
+            (&t.read_classes[..], &t.read_deltas[..]),
+            (&[0, 1][..], &[1, 0][..])
+        );
+        assert_eq!(t.consts, vec![2.0]);
+        // Registers: y=0, x=1, 2.0=2, then one per instruction from 3.
+        let ins = |op, a, b| TapeInstr { op, a, b };
+        assert_eq!(
+            t.instrs,
+            vec![
+                ins(TapeOp::Mul, 0, 1),
+                ins(TapeOp::Add, 3, 2),
+                ins(TapeOp::Sub, 1, 2),
+                ins(TapeOp::Mul, 4, 5),
+            ]
+        );
+        assert_eq!(t.out, 6);
+        assert_eq!(t.num_regs(), 7);
+    }
+
+    #[test]
+    fn eval_follows_tree_order_and_stops_at_a_failed_read() {
+        let x = |j| Expr::read_at("x", &[0, j]);
+        let e = -(x(0) * (x(1) - Expr::read_at("y", &[0, 0])) / x(0));
+        let spec = SpecKernel::of(&program(&e));
         let grid = [3.0, 5.0];
         let ok: Result<f64, ()> = spec.eval(|c, d| Ok(if c == 0 { grid[d as usize] } else { 7.0 }));
-        assert_eq!(ok, Ok((0.5 + 2.0 * 3.0 * 5.0) + -7.0));
+        assert_eq!(ok, Ok(-(3.0 * (5.0 - 7.0) / 3.0)));
         let mut reads = 0;
         let err = spec.eval(|_, d| {
             reads += 1;
@@ -225,5 +350,20 @@ mod tests {
             }
         });
         assert_eq!((err, reads), (Err(1), 2));
+    }
+
+    #[test]
+    fn deep_nesting_needs_no_stack_limit() {
+        // A right-nested sum of products, 48 levels deep: one instruction
+        // per node, however deep the tree.
+        let mut e = Expr::read_at("x", &[0, 0]) * Expr::read_at("y", &[0, 0]);
+        for j in 1..48 {
+            e = Expr::read_at("x", &[0, j % 4]) + e;
+        }
+        let t = tape(&e);
+        assert_eq!(t.num_reads(), 5);
+        assert_eq!(t.instrs.len(), 48);
+        let v: Result<f64, ()> = SpecKernel::of(&program(&e)).eval(|_, d| Ok(d as f64 + 1.0));
+        assert_eq!(v, Ok(e.eval(&[0, 0], &mut |_, idx| idx[1] as f64 + 1.0)));
     }
 }

@@ -1,11 +1,13 @@
 //! Closed-form equivalence: every backend runs the closed forms lowering
-//! extracts, and every loop shape (chunked, strided, point by point) must
-//! perform the same per-element operation sequence. The reference is the
-//! `checked` sanitizer, which evaluates each record point by point in
-//! canonical order with range-checked reads. These tests pin that contract
-//! on the full HPGMG V-cycles and on randomized stencils — including
-//! in-place sequential ones, which take the per-point path — and check
-//! statically that the HPGMG plans carry a closed form on every kernel.
+//! extracts — a linear record or a tape of the source tree — and every
+//! loop shape (chunked, strided, point by point) must perform the same
+//! per-element operation sequence. The reference is the `checked`
+//! sanitizer, which evaluates each record point by point in canonical
+//! order with range-checked reads. These tests pin that contract on the
+//! full HPGMG V-cycles and on randomized stencils — including in-place
+//! sequential ones, which take the per-point path — check that a tape
+//! kernel matches the tree-walking interpreter bit for bit, and check
+//! statically which form every HPGMG plan kernel carries.
 
 use proptest::prelude::*;
 use snowflake::backends::specialize::specialize_lowered;
@@ -51,9 +53,20 @@ fn hpgmg_vcycles_are_bitwise_identical_to_checked() {
     }
 }
 
-/// The C micro-compiler renders the same closed forms as an explicit left
-/// fold, so its V-cycles track `seq` to machine precision. Gated on a
-/// working host C compiler.
+/// Assert that every grid of `got` is bitwise identical to `want`.
+fn assert_grids_eq(got: &GridSet, want: &GridSet, who: &str) {
+    for grid in want.names() {
+        assert_eq!(
+            got.get(grid).unwrap().as_slice(),
+            want.get(grid).unwrap().as_slice(),
+            "{who}: grid {grid} differs"
+        );
+    }
+}
+
+/// The C micro-compiler renders the same closed forms — the linear left
+/// fold and the tape's source tree — so its V-cycles leave every grid
+/// bitwise identical to `seq`. Gated on a working host C compiler.
 #[test]
 fn hpgmg_vcycle_cjit_matches_seq() {
     if !CJitBackend::available() {
@@ -61,21 +74,45 @@ fn hpgmg_vcycle_cjit_matches_seq() {
         return;
     }
     for problem in [Problem::poisson_vc(8), Problem::poisson_cc(8)] {
-        let (cjit, _) = solve(problem, Box::new(CJitBackend::new()), 2);
-        let (seq, _) = solve(problem, Box::new(SequentialBackend::new()), 2);
-        for (a, b) in cjit.iter().zip(&seq) {
-            assert!(
-                ((a - b) / a.abs().max(1e-300)).abs() < 1e-12,
-                "cjit vs seq: {a} vs {b}"
-            );
-        }
+        let (cjit_norms, cjit) = solve(problem, Box::new(CJitBackend::new()), 2);
+        let (seq_norms, seq) = solve(problem, Box::new(SequentialBackend::new()), 2);
+        assert_eq!(cjit_norms, seq_norms, "cjit vs seq residual histories");
+        assert_grids_eq(&cjit, &seq, "cjit vs seq");
+    }
+}
+
+/// The `vc` smoother and residual are tapes, which keep source-tree order,
+/// and the linear folds of the other `vc` kernels are exact (unit and
+/// power-of-two weights), so the tree-walking interpreter is a bitwise
+/// oracle for the whole variable-coefficient V-cycle on every backend.
+#[test]
+fn interp_is_a_bitwise_oracle_on_vc_vcycles() {
+    let problem = Problem::poisson_vc(8);
+    let (want_norms, want) = solve(problem, Box::new(InterpreterBackend::new()), 2);
+    let mut backends: Vec<Box<dyn Backend>> = vec![
+        Box::new(SequentialBackend::new()),
+        Box::new(OmpBackend::new()),
+        Box::new(OclSimBackend::new()),
+        Box::new(CheckedBackend::new()),
+    ];
+    if CJitBackend::available() {
+        backends.push(Box::new(CJitBackend::new()));
+    }
+    for backend in backends {
+        let name = backend.name();
+        let (norms, got) = solve(problem, backend, 2);
+        assert_eq!(
+            norms, want_norms,
+            "{name}: residual histories differ from interp"
+        );
+        assert_grids_eq(&got, &want, &format!("{name} vs interp"));
     }
 }
 
 /// Static check that closed-form extraction reaches the whole solver: every
 /// kernel of the HPGMG plans has a record — linear throughout the
-/// constant-coefficient plan, a sum of products for the
-/// variable-coefficient smoother.
+/// constant-coefficient plan, a tape for the variable-coefficient smoother
+/// and residual (products of coefficient and solution reads).
 #[test]
 fn every_hpgmg_plan_kernel_carries_a_closed_form() {
     for (problem, variable) in [
@@ -89,20 +126,18 @@ fn every_hpgmg_plan_kernel_carries_a_closed_form() {
             let mut lowered = lower_group(group, shapes, &plan.lower_options()).unwrap();
             specialize_lowered(&mut lowered);
             for kernel in &lowered.kernels {
-                let Some(spec) = &kernel.spec else {
-                    panic!("kernel {:?} has no closed form", kernel.name);
-                };
                 let smoother = kernel.name.starts_with("gsrb_");
                 smoother_kernels += usize::from(smoother);
-                match &spec.form {
-                    SpecForm::Poly(_) => assert!(
-                        variable,
-                        "constant-coefficient kernel {:?} must be linear",
+                let tape = variable && (smoother || kernel.name == "residual");
+                match &kernel.closed_form().form {
+                    SpecForm::Tape(_) => assert!(
+                        tape,
+                        "kernel {:?} must be linear (variable: {variable})",
                         kernel.name
                     ),
                     SpecForm::Linear(_) => assert!(
-                        !(variable && smoother),
-                        "variable-coefficient smoother {:?} must be a sum of products",
+                        !tape,
+                        "variable-coefficient kernel {:?} must be a tape",
                         kernel.name
                     ),
                 }
@@ -126,8 +161,9 @@ fn verify_certifies_hpgmg_plan() {
     assert!(stats.accesses_proved > 0);
 }
 
-/// One randomized stencil: `bias + Σ w·src[off]`, plus `w·src[off]·c[0]`
-/// product terms when `poly`, written to `out` over a 2-cell-margin domain.
+/// One randomized stencil: `bias + Σ w·src[off]`, or `w·src[off]·c[0]`
+/// product terms (a tape) when `poly`, written to `out` over a
+/// 2-cell-margin domain.
 fn random_stencil(
     out: &str,
     src: &str,
@@ -152,8 +188,8 @@ fn random_stencil(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
     /// Randomized stencils — out-of-place linear (parallel-safe, chunked
-    /// executors) and in-place linear and poly reading their own earlier
-    /// writes (sequential, per-point executor) — are bitwise identical to
+    /// executors) and in-place linear and tape reading their own earlier
+    /// writes (sequential, per-point executors) — are bitwise identical to
     /// `checked` on every pure-Rust backend.
     #[test]
     fn random_stencils_match_checked_bitwise(
