@@ -527,9 +527,9 @@ impl Coverage {
 /// Prove (or refute, with witness cells) that `parts` exactly tile
 /// `declared`: every declared cell covered, no cell covered twice.
 ///
-/// Exact for up to [16] member rectangles; beyond that the verdict
-/// degrades to "no finding" (inclusion–exclusion is exponential in the
-/// part count).
+/// Exact for up to 16 (`MAX_COVER_PARTS`) member rectangles; beyond that
+/// the verdict degrades to "no finding" (inclusion–exclusion is
+/// exponential in the part count).
 pub fn check_coverage(declared: &Region, parts: &[Region]) -> Coverage {
     if parts.len() > MAX_COVER_PARTS || declared.ndim() == 0 {
         return Coverage::default();

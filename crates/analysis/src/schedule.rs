@@ -47,7 +47,7 @@ pub fn dependence_dag(stencils: &[ResolvedStencil]) -> Vec<Vec<(usize, DepKind)>
 /// starting a new phase (placing a barrier) only when the next stencil
 /// depends on a member of the current phase.
 ///
-/// Program order is preserved inside and across phases, so the schedule is
+/// The program order is preserved inside and across phases, so the schedule is
 /// always legal: any dependence on an earlier phase is protected by the
 /// barrier between them, and dependences *within* a phase never exist by
 /// construction.
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn reordering_widens_phases() {
-        // Program order A(x→y), B(y→x'), C(x→z): greedy keeps [A],[B,C];
+        // In program order A(x→y), B(y→x'), C(x→z): greedy keeps [A],[B,C];
         // list scheduling moves C up: [A,C],[B].
         let a = Stencil::new(lap("x"), "y", RectDomain::interior(2));
         let b = Stencil::new(lap("y"), "rhs", RectDomain::interior(2));

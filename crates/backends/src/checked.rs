@@ -16,7 +16,7 @@
 //!
 //! Execution order per point is kept **bitwise identical** to the
 //! sequential backend: each point evaluates the kernel's closed form
-//! through `SpecKernel::eval` — the merged fold of a linear record, the
+//! through `SpecForm::eval` — the merged fold of a linear record, the
 //! source-tree order of a tape, the per-element operation sequence every
 //! executor follows — so `checked` ≡ `seq` exactly on every grid, and on
 //! tape kernels `checked` ≡ `interp` too. The sanitizer only observes.
@@ -99,7 +99,7 @@ fn eval_point(
     cur: &[isize],
     bufs: &[Vec<f64>],
 ) -> std::result::Result<f64, (usize, isize)> {
-    kernel.closed_form().eval(|c, d| {
+    kernel.form.eval(|c, d| {
         let g = kernel.classes[c as usize].grid;
         let idx = cur[c as usize] + d;
         if idx < 0 || idx as usize >= bufs[g].len() {

@@ -30,7 +30,7 @@
 //! back to the in-process compile path. Hit/miss counters surface as
 //! `disk_hits`/`disk_misses` in [`crate::metrics::CacheStats`].
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -41,6 +41,7 @@ use snowflake_ir::{lower_group, LowerOptions, Lowered};
 
 use crate::codegen_c::emit_c;
 use crate::metrics::{BackendStats, KernelCounters};
+use crate::tune::{fnv1a, persist_atomic, FNV_OFFSET};
 use crate::{check_and_ptrs, Backend, Executable};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -205,24 +206,6 @@ impl CJitBackend {
         fnv1a(h, source.as_bytes())
     }
 
-    /// Copy `built` into the cache as `cached` via a unique staging name +
-    /// rename, so concurrent inserters can never expose a torn file.
-    fn persist(built: &Path, cached: &Path) -> std::io::Result<()> {
-        let dir = cached.parent().expect("cache path has a parent");
-        std::fs::create_dir_all(dir)?;
-        let staging = dir.join(format!(
-            ".staging_{}_{}",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::copy(built, &staging)?;
-        if let Err(e) = std::fs::rename(&staging, cached) {
-            let _ = std::fs::remove_file(&staging);
-            return Err(e);
-        }
-        Ok(())
-    }
-
     fn build(&self, source: &str) -> Result<libloading::Library> {
         let args = self.cc_args();
         let cached: Option<PathBuf> = self.disk_cache.then(|| {
@@ -272,7 +255,7 @@ impl CJitBackend {
         }
         // Persist for future processes; IO failure only costs the reuse.
         if let Some(path) = &cached {
-            let _ = Self::persist(&so_path, path);
+            let _ = std::fs::read(&so_path).and_then(|so| persist_atomic(path, &so));
         }
         // SAFETY: the library was just produced by the C compiler from our
         // generated source; its only export is the kernel entry point.
@@ -283,17 +266,6 @@ impl CJitBackend {
         let _ = std::fs::remove_file(&so_path);
         Ok(lib)
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-/// One FNV-1a 64-bit round over `bytes`, continuing from `h`.
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn availability() -> &'static OnceLock<bool> {
@@ -415,6 +387,47 @@ mod tests {
             .run(&mut b)
             .unwrap();
         assert_eq!(a.get("y").unwrap().max_abs_diff(b.get("y").unwrap()), 0.0);
+    }
+
+    /// Integral constants of 1e15 and more and folded infinities reach
+    /// the C source as exact double literals.
+    #[test]
+    fn huge_and_infinite_constants_match_seq_bitwise() {
+        if !require_cc() {
+            return;
+        }
+        let x = |j: i64| Expr::read_at("x", &[0, j]);
+        let exprs = [
+            x(1) * 1e20,
+            x(-1) * -1e300,
+            // 1e300 * 1e10 folds to +inf at lowering.
+            x(0) * x(1) + Expr::Const(1e300) * 1e10,
+        ];
+        for e in exprs {
+            let group = StencilGroup::from(Stencil::new(e.clone(), "y", RectDomain::interior(2)));
+            let mut a = GridSet::new();
+            let mut xg = Grid::new(&[8, 8]);
+            xg.fill_random(7, 0.5, 1.5);
+            a.insert("x", xg);
+            a.insert("y", Grid::new(&[8, 8]));
+            let mut b = a.clone();
+            let shapes = a.shapes();
+            SequentialBackend::new()
+                .compile(&group, &shapes)
+                .unwrap()
+                .run(&mut a)
+                .unwrap();
+            CJitBackend::new()
+                .compile(&group, &shapes)
+                .unwrap()
+                .run(&mut b)
+                .unwrap();
+            let bits = |g: &GridSet| -> Vec<u64> {
+                let y = g.get("y").unwrap().as_slice();
+                y.iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "{e}");
+        }
     }
 
     #[test]

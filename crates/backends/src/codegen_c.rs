@@ -17,8 +17,8 @@
 use std::fmt::Write as _;
 
 use snowflake_grid::Region;
-use snowflake_ir::spec::SpecForm;
-use snowflake_ir::{Lowered, LoweredKernel, Op};
+use snowflake_ir::spec::{SpecForm, TapeOp};
+use snowflake_ir::{Lowered, LoweredKernel};
 
 /// Emit a complete C99 translation unit for a lowered group.
 ///
@@ -26,24 +26,6 @@ use snowflake_ir::{Lowered, LoweredKernel, Op};
 /// the base pointer of grid `i` in the lowering's dense order
 /// (`lowered.grid_names`).
 pub fn emit_c(lowered: &Lowered, func: &str) -> String {
-    emit_c_mode(lowered, func, OmpMode::Host)
-}
-
-/// Which OpenMP dialect the generated C uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum OmpMode {
-    /// Classic host parallelism: `#pragma omp parallel for` (the paper's
-    /// OpenMP backend).
-    Host,
-    /// Accelerator offload: `#pragma omp target teams distribute parallel
-    /// for` with explicit data mapping — the "OpenMP 4 micro-compiler" of
-    /// §VII's future work. Falls back to host execution on compilers
-    /// without offload support.
-    Target,
-}
-
-/// Emit a C99 translation unit in the chosen OpenMP dialect.
-pub fn emit_c_mode(lowered: &Lowered, func: &str, mode: OmpMode) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -58,24 +40,6 @@ pub fn emit_c_mode(lowered: &Lowered, func: &str, mode: OmpMode) -> String {
     out.push_str("{\n");
     for i in 0..lowered.grid_names.len() {
         let _ = writeln!(out, "    double* restrict g{i} = g[{i}];");
-    }
-    if mode == OmpMode::Target {
-        // Map every grid onto the device for the whole group (tofrom:
-        // in-place stencils read and write the same arrays).
-        let maps: Vec<String> = lowered
-            .grid_shapes
-            .iter()
-            .enumerate()
-            .map(|(i, shape)| {
-                let len: usize = shape.iter().product();
-                format!("g{i}[0:{len}]")
-            })
-            .collect();
-        let _ = writeln!(
-            out,
-            "    #pragma omp target data map(tofrom: {})\n    {{",
-            maps.join(", ")
-        );
     }
     for (pi, phase) in lowered.phases.iter().enumerate() {
         let _ = writeln!(out, "\n    /* ===== phase {pi} ===== */");
@@ -95,45 +59,28 @@ pub fn emit_c_mode(lowered: &Lowered, func: &str, mode: OmpMode) -> String {
                 if region.is_empty() {
                     continue;
                 }
-                emit_region(&mut out, kernel, region, mode);
+                emit_region(&mut out, kernel, region);
             }
         }
-    }
-    if mode == OmpMode::Target {
-        out.push_str("    }\n");
     }
     out.push_str("}\n");
     out
 }
 
-fn emit_region(out: &mut String, kernel: &LoweredKernel, region: &Region, mode: OmpMode) {
+fn emit_region(out: &mut String, kernel: &LoweredKernel, region: &Region) {
     let nd = region.ndim();
     let indent = |n: usize| "    ".repeat(n + 1);
     if kernel.parallel_safe && region.extent(0) > 1 {
-        match mode {
-            OmpMode::Host => {
-                let _ = writeln!(
-                    out,
-                    "{}#pragma omp parallel for schedule(static)",
-                    indent(0)
-                );
-            }
-            OmpMode::Target => {
-                let _ = writeln!(
-                    out,
-                    "{}#pragma omp target teams distribute parallel for{}",
-                    indent(0),
-                    if nd >= 2 { " collapse(2)" } else { "" }
-                );
-            }
-        }
+        let _ = writeln!(
+            out,
+            "{}#pragma omp parallel for schedule(static)",
+            indent(0)
+        );
     }
     // A parallel-safe body has no loop-carried state, so the innermost
-    // loop is explicitly vectorizable. Host mode only: in target mode the
-    // pragma would split the collapse.
-    let simd = kernel.parallel_safe && mode == OmpMode::Host;
+    // loop is explicitly vectorizable.
     for d in 0..nd {
-        if d == nd - 1 && nd >= 2 && simd {
+        if d == nd - 1 && nd >= 2 && kernel.parallel_safe {
             let _ = writeln!(out, "{}#pragma omp simd", indent(d));
         }
         let _ = writeln!(
@@ -179,68 +126,65 @@ pub(crate) fn index_string(kernel: &LoweredKernel, class: u32, delta: isize) -> 
     parts.join(" + ")
 }
 
-/// Render the kernel's program as a C expression in source-tree order —
-/// the operation sequence of its tape.
-pub(crate) fn expr_string(kernel: &LoweredKernel) -> String {
-    let mut stack: Vec<String> = Vec::new();
-    for op in &kernel.program.ops {
-        match *op {
-            Op::Const(c) => stack.push(c_f64(c)),
-            Op::Read { class, delta } => {
-                let cl = &kernel.classes[class as usize];
-                stack.push(format!(
-                    "g{}[{}]",
-                    cl.grid,
-                    index_string(kernel, class, delta)
-                ));
-            }
-            Op::Add => binop(&mut stack, "+"),
-            Op::Sub => binop(&mut stack, "-"),
-            Op::Mul => binop(&mut stack, "*"),
-            Op::Div => binop(&mut stack, "/"),
-            Op::Neg => {
-                let a = stack.pop().expect("neg operand");
-                stack.push(format!("(-{a})"));
-            }
-        }
-    }
-    debug_assert_eq!(stack.len(), 1);
-    stack.pop().expect("expression value")
-}
-
-fn binop(stack: &mut Vec<String>, op: &str) {
-    let b = stack.pop().expect("rhs");
-    let a = stack.pop().expect("lhs");
-    stack.push(format!("({a} {op} {b})"));
-}
-
 /// Render the kernel's value in its closed form's operation order (see
 /// `snowflake_ir::spec`): a linear record as the left fold
 /// `((bias + c0*r0) + c1*r1) …` — exactly `acc = bias; acc += coeff·read`
-/// in term order — and anything else, a tape included, as the source tree.
-/// With `-ffp-contract=off` the C compiler may not fuse the multiply-adds,
-/// so results stay bitwise identical to the Rust executors.
-fn value_string(kernel: &LoweredKernel) -> String {
-    let Some(SpecForm::Linear(sl)) = kernel.spec.as_ref().map(|s| &s.form) else {
-        return expr_string(kernel);
+/// in term order — and a tape as its source tree, one parenthesized node
+/// per instruction. With `-ffp-contract=off` the C compiler may not fuse
+/// the multiply-adds, so results stay bitwise identical to the Rust
+/// executors.
+pub(crate) fn value_string(kernel: &LoweredKernel) -> String {
+    let read = |class: u32, delta: isize| {
+        let grid = kernel.classes[class as usize].grid;
+        format!("g{grid}[{}]", index_string(kernel, class, delta))
     };
-    let mut acc = c_f64(sl.bias);
-    for t in 0..sl.arity() {
-        let grid = kernel.classes[sl.classes[t] as usize].grid;
-        let index = index_string(kernel, sl.classes[t], sl.deltas[t]);
-        acc = format!("({acc} + {}*g{grid}[{index}])", c_f64(sl.coeffs[t]));
+    match &kernel.form {
+        SpecForm::Linear(sl) => {
+            let mut acc = c_f64(sl.bias);
+            for t in 0..sl.arity() {
+                let r = read(sl.classes[t], sl.deltas[t]);
+                acc = format!("({acc} + {}*{r})", c_f64(sl.coeffs[t]));
+            }
+            acc
+        }
+        SpecForm::Tape(tape) => {
+            let reads =
+                (0..tape.num_reads()).map(|r| read(tape.read_classes[r], tape.read_deltas[r]));
+            let consts = tape.consts.iter().map(|&c| c_f64(c));
+            let mut regs: Vec<String> = reads.chain(consts).collect();
+            for ins in &tape.instrs {
+                let (a, b) = (&regs[ins.a as usize], &regs[ins.b as usize]);
+                let node = match ins.op {
+                    TapeOp::Add => format!("({a} + {b})"),
+                    TapeOp::Sub => format!("({a} - {b})"),
+                    TapeOp::Mul => format!("({a} * {b})"),
+                    TapeOp::Div => format!("({a} / {b})"),
+                    TapeOp::Neg => format!("(-{a})"),
+                };
+                regs.push(node);
+            }
+            regs.swap_remove(tape.out as usize)
+        }
     }
-    acc
 }
 
 /// Format an `f64` as a C double literal that round-trips exactly.
 fn c_f64(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
+    if v.is_nan() {
+        // No NaN literal exists in C99, and arithmetic keeps no NaN payload
+        // portably: any quiet NaN will do.
+        "(0.0/0.0)".to_string()
+    } else if v.is_infinite() {
+        (if v > 0.0 { "(1.0/0.0)" } else { "(-1.0/0.0)" }).to_string()
+    } else if v != v.trunc() {
+        // Rust's shortest-roundtrip formatting is valid C syntax.
+        format!("{v}")
+    } else if v.abs() < 1e15 {
         format!("{v:.1}")
     } else {
-        // Rust's shortest-roundtrip formatting is valid C syntax except for
-        // the exponent-less integers handled above.
-        format!("{v}")
+        // Rust prints integral values without an exponent, which C reads
+        // as an integer literal that wraps past 2^64.
+        format!("{v:e}")
     }
 }
 
@@ -310,42 +254,6 @@ mod tests {
     }
 
     #[test]
-    fn target_mode_emits_offload_pragmas_and_maps() {
-        let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
-        let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
-        let src = emit_c_mode(&lower(&group, 8), "run", OmpMode::Target);
-        assert!(src.contains("#pragma omp target data map(tofrom: g0[0:64], g1[0:64])"));
-        assert!(src.contains("#pragma omp target teams distribute parallel for collapse(2)"));
-        assert!(!src.contains("parallel for schedule(static)"));
-    }
-
-    #[test]
-    fn target_mode_source_compiles_when_cc_available() {
-        if !crate::CJitBackend::available() {
-            eprintln!("skipping: no C compiler");
-            return;
-        }
-        // Offload pragmas fall back to host on plain gcc: the translation
-        // unit must at least be valid C with -fopenmp.
-        let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
-        let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
-        let src = emit_c_mode(&lower(&group, 8), "snowflake_run", OmpMode::Target);
-        let dir = std::env::temp_dir();
-        let c = dir.join(format!("snowflake_tgt_{}.c", std::process::id()));
-        let so = dir.join(format!("snowflake_tgt_{}.so", std::process::id()));
-        std::fs::write(&c, &src).unwrap();
-        let status = std::process::Command::new("cc")
-            .args(["-O2", "-fopenmp", "-std=c99", "-fPIC", "-shared", "-o"])
-            .arg(&so)
-            .arg(&c)
-            .status()
-            .unwrap();
-        let _ = std::fs::remove_file(&c);
-        let _ = std::fs::remove_file(&so);
-        assert!(status.success(), "offload source must compile:\n{src}");
-    }
-
-    #[test]
     fn specialized_kernel_emits_simd_and_left_fold() {
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
         let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
@@ -356,13 +264,10 @@ mod tests {
         assert!(src.contains("#pragma omp parallel for schedule(static)"));
         // Left-folded linear form (starts from the bias), not the tree.
         assert!(src.contains("(0.0 + "), "{src}");
-        // Target mode must not break its collapse with an inner pragma.
-        let tgt = emit_c_mode(&lowered, "run", OmpMode::Target);
-        assert!(!tgt.contains("#pragma omp simd"), "{tgt}");
     }
 
     #[test]
-    fn sequential_closed_form_keeps_its_arithmetic_but_not_simd() {
+    fn sequential_linear_record_keeps_its_arithmetic_but_not_simd() {
         let s = Stencil::new(
             Expr::read_at("x", &[0, -1]) * 0.5,
             "x",
@@ -394,5 +299,7 @@ mod tests {
         assert_eq!(c_f64(-4.0), "-4.0");
         assert_eq!(c_f64(0.1), "0.1");
         assert_eq!(c_f64(2.0 / 3.0), format!("{}", 2.0f64 / 3.0));
+        assert_eq!(c_f64(-1e300), "-1e300");
+        assert_eq!(c_f64(f64::INFINITY), "(1.0/0.0)");
     }
 }

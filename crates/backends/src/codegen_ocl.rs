@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 use snowflake_ir::Lowered;
 
-use crate::codegen_c::{expr_string, index_string};
+use crate::codegen_c::{index_string, value_string};
 
 /// Emit the OpenCL program (all kernels) for a lowered group.
 pub fn emit_ocl(lowered: &Lowered) -> String {
@@ -106,7 +106,7 @@ pub fn emit_ocl(lowered: &Lowered) -> String {
                     indent += 1;
                 }
             }
-            let value = expr_string(kernel);
+            let value = value_string(kernel);
             let out_idx = index_string(kernel, kernel.out_class, kernel.out_delta);
             let _ = writeln!(
                 out,

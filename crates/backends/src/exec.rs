@@ -29,7 +29,7 @@ use rayon::prelude::*;
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::spec::{SpecForm, SpecKernel, SpecLinear};
+use snowflake_ir::spec::{SpecForm, SpecLinear};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
@@ -157,7 +157,7 @@ enum RowShape<'k> {
     /// Parallel-safe linear with strided cursors: strided chunks.
     LinearStrided(&'k SpecLinear),
     /// Sequential linear: point by point.
-    LinearPoints(&'k SpecKernel),
+    LinearPoints(&'k SpecForm),
     /// A tape over its lane buffer (one lane when sequential).
     Tape(TapeLanes<'k>),
 }
@@ -171,8 +171,8 @@ impl<'k> Row<'k> {
             class_grid[c] = cl.grid;
             inner_step[c] = cl.step(last, region.stride[last]);
         }
-        let spec = kernel.closed_form();
-        let shape = match &spec.form {
+        let form = &kernel.form;
+        let shape = match form {
             // The output class is one of the classes, so this covers its
             // step.
             SpecForm::Linear(sl)
@@ -182,7 +182,7 @@ impl<'k> Row<'k> {
                 RowShape::LinearUnit(sl)
             }
             SpecForm::Linear(sl) if kernel.parallel_safe => RowShape::LinearStrided(sl),
-            SpecForm::Linear(_) => RowShape::LinearPoints(spec),
+            SpecForm::Linear(_) => RowShape::LinearPoints(form),
             SpecForm::Tape(tape) => {
                 // A region's point count is bounded by its grids' sizes.
                 #[allow(clippy::cast_possible_truncation)]
@@ -230,9 +230,9 @@ impl<'k> Row<'k> {
             RowShape::LinearStrided(sl) => {
                 lin_strided(sl, view, &cur, grids, steps, total, out, out_idx, out_step);
             }
-            RowShape::LinearPoints(spec) => {
+            RowShape::LinearPoints(form) => {
                 run_row_spec_points(
-                    spec, view, &cur, grids, steps, count, out, out_idx, out_step,
+                    form, view, &cur, grids, steps, count, out, out_idx, out_step,
                 );
             }
             RowShape::Tape(lanes) => {
@@ -400,8 +400,8 @@ mod tests {
             * (Expr::read_at("x", &[0, 1]) - Expr::read_at("x", &[0, -1]));
         let s = Stencil::new(e.clone(), "y", RectDomain::interior(2));
         let group = StencilGroup::from(s);
-        let spec = lowered(&group, &gs).kernels[0].spec.clone().unwrap();
-        assert!(matches!(spec.form, SpecForm::Tape(_)), "must run a tape");
+        let form = lowered(&group, &gs).kernels[0].form.clone();
+        assert!(matches!(form, SpecForm::Tape(_)), "must run a tape");
         let (x, beta) = (
             gs.get("x").unwrap().clone(),
             gs.get("beta").unwrap().clone(),
@@ -422,8 +422,8 @@ mod tests {
         let (mut gs, _) = setup(n);
         let e = Expr::read_at("x", &[0, 1]) / Expr::read_at("beta", &[0, 0]);
         let group = StencilGroup::from(Stencil::new(e, "y", RectDomain::interior(2)));
-        let spec = lowered(&group, &gs).kernels[0].spec.clone().unwrap();
-        assert!(matches!(spec.form, SpecForm::Tape(_)));
+        let form = lowered(&group, &gs).kernels[0].form.clone();
+        assert!(matches!(form, SpecForm::Tape(_)));
         let (x, beta) = (
             gs.get("x").unwrap().clone(),
             gs.get("beta").unwrap().clone(),
@@ -443,8 +443,8 @@ mod tests {
         let (mut gs, _) = setup(n);
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
         let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
-        let spec = lowered(&group, &gs).kernels[0].spec.clone().unwrap();
-        assert!(matches!(spec.form, SpecForm::Linear(_)), "should linearize");
+        let form = lowered(&group, &gs).kernels[0].form.clone();
+        assert!(matches!(form, SpecForm::Linear(_)), "should linearize");
         let x = gs.get("x").unwrap().clone();
         run_one(&group, &mut gs);
         let y = gs.get("y").unwrap();

@@ -1,10 +1,10 @@
 //! The closed-form pass and the row executors that run its records.
 //!
-//! [`specialize_lowered`] is the step of lowering that gives every kernel
-//! its closed form ([`snowflake_ir::spec`]): a constant-coefficient linear
-//! record when the program linearizes (7-point/27-point Laplacians,
-//! restriction and interpolation weights, boundary reflections), and a
-//! register tape of the source tree otherwise (the variable-coefficient
+//! Lowering gives every kernel the register tape of its source tree
+//! ([`snowflake_ir::spec`]). [`specialize_lowered`] is the step that swaps
+//! each tape that linearizes for its constant-coefficient linear record
+//! (7-point/27-point Laplacians, restriction and interpolation weights,
+//! boundary reflections); the rest stay tapes (the variable-coefficient
 //! GSRB smooth and residual, division by a read, anything deeply nested).
 //! Every backend runs it on every lowered group, so the record is the one
 //! arithmetic description the executors below, the `checked` sanitizer and
@@ -15,7 +15,7 @@
 //! stride) or strided index chains, which LLVM auto-vectorizes; linear rows
 //! of sequential kernels run point by point in canonical order, since a
 //! later point may read what an earlier one wrote. A tape runs over a lane
-//! buffer ([`TapeLanes`]): each row of a parallel-safe kernel gathers every
+//! buffer (`TapeLanes`): each row of a parallel-safe kernel gathers every
 //! distinct read into the next free lanes (a slice copy at unit stride, a
 //! strided gather otherwise), and once `TAPE_LANES` lanes are full — a
 //! chunk may span several short rows — every instruction runs as one
@@ -23,7 +23,7 @@
 //! sequential kernel runs the same tape one lane — one point — at a time.
 //!
 //! **Bitwise contract**: every executor here performs, per output element,
-//! the operation sequence of [`SpecKernel::eval`] — the merged fold for a
+//! the operation sequence of [`SpecForm::eval`] — the merged fold for a
 //! linear record, source-tree order for a tape. Chunking only reorders work
 //! *across* independent elements of parallel-safe kernels — never within
 //! one element — so all loop shapes agree bitwise with the per-point
@@ -34,7 +34,7 @@
 
 use std::convert::Infallible;
 
-use snowflake_ir::spec::{SpecKernel, SpecLinear, SpecTape, TapeOp};
+use snowflake_ir::spec::{SpecForm, SpecLinear, SpecTape, TapeOp};
 use snowflake_ir::Lowered;
 
 use crate::exec::MAX_CLASSES;
@@ -56,11 +56,15 @@ pub(crate) const TAPE_LANES: usize = 64;
 /// identical, just less completely unrolled).
 const MAX_FUSED_ARITY: usize = 16;
 
-/// Attach its closed form — linear or tape — to every kernel, parallel
-/// safe or not.
+/// Swap every kernel's tape for its linear record when it linearizes,
+/// parallel safe or not.
 pub fn specialize_lowered(lowered: &mut Lowered) {
     for kernel in &mut lowered.kernels {
-        kernel.spec = Some(SpecKernel::of(&kernel.program));
+        if let SpecForm::Tape(tape) = &kernel.form {
+            if let Some(sl) = tape.linearize() {
+                kernel.form = SpecForm::Linear(sl);
+            }
+        }
     }
 }
 
@@ -72,7 +76,7 @@ pub fn specialize_lowered(lowered: &mut Lowered) {
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn run_row_spec_points(
-    spec: &SpecKernel,
+    form: &SpecForm,
     view: &GridPtrs<'_>,
     cur: &[isize; MAX_CLASSES],
     class_grid: &[usize; MAX_CLASSES],
@@ -86,7 +90,7 @@ pub(crate) unsafe fn run_row_spec_points(
     #[allow(clippy::cast_possible_truncation)]
     let total = count as isize;
     for i in 0..total {
-        let Ok(v) = spec.eval(|c, d| {
+        let Ok(v) = form.eval(|c, d| {
             let c = c as usize;
             Ok::<_, Infallible>(view.read(class_grid[c], cur[c] + d + i * inner_step[c]))
         });
@@ -451,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn closed_forms_attach_regardless_of_parallel_safety() {
+    fn tapes_linearize_regardless_of_parallel_safety() {
         let x = |j: i64| Expr::read_at("x", &[0, j]);
         let group = StencilGroup::new()
             .with(Stencil::new(x(1) + x(-1), "y", RectDomain::interior(2)))
@@ -466,13 +470,12 @@ mod tests {
         shapes.insert("x".into(), vec![8, 8]);
         shapes.insert("y".into(), vec![8, 8]);
         let mut lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
-        assert!(lowered.kernels.iter().all(|k| k.spec.is_none()));
-        specialize_lowered(&mut lowered);
-        let forms: Vec<&SpecForm> = lowered
+        assert!(lowered
             .kernels
             .iter()
-            .map(|k| &k.closed_form().form)
-            .collect();
+            .all(|k| matches!(k.form, SpecForm::Tape(_))));
+        specialize_lowered(&mut lowered);
+        let forms: Vec<&SpecForm> = lowered.kernels.iter().map(|k| &k.form).collect();
         assert!(matches!(forms[0], SpecForm::Linear(_)));
         assert!(
             !lowered.kernels[1].parallel_safe,
@@ -504,7 +507,7 @@ mod tests {
         grids.insert("y", Grid::new(&[10, 10, 10]));
         let mut lowered = lower_group(&group, &grids.shapes(), &LowerOptions::default()).unwrap();
         specialize_lowered(&mut lowered);
-        let Some(SpecForm::Linear(sl)) = lowered.kernels[0].spec.as_ref().map(|s| &s.form) else {
+        let SpecForm::Linear(sl) = &lowered.kernels[0].form else {
             panic!("27-point stencil must linearize");
         };
         assert!(sl.arity() > MAX_FUSED_ARITY);

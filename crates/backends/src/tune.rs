@@ -40,18 +40,19 @@ const UNTILED: i64 = i64::MAX >> 1;
 /// artifacts are ignored rather than misread.
 const VERSION: u64 = 1;
 
-/// FNV-1a of the executor and scheduler sources, fixed at compile time: a
-/// persisted decision was timed on one build's executor and thread pool,
-/// so any change to the code that runs the tiles invalidates it without a
-/// hand-bumped constant.
+/// FNV-1a of the executor and scheduler sources and of the closed-form
+/// records they run, fixed at compile time: a persisted decision was timed
+/// on one build's executor and thread pool, so any change to the code that
+/// runs the tiles invalidates it without a hand-bumped constant.
 const CODE_SALT: u64 = {
     let h = fnv1a(FNV_OFFSET, include_str!("exec.rs").as_bytes());
     let h = fnv1a(h, include_str!("specialize.rs").as_bytes());
     let h = fnv1a(h, include_str!("omp.rs").as_bytes());
-    fnv1a(
+    let h = fnv1a(
         h,
         include_str!("../../../shims/rayon/src/lib.rs").as_bytes(),
-    )
+    );
+    fnv1a(h, include_str!("../../ir/src/spec.rs").as_bytes())
 };
 
 #[derive(Debug, Default)]
@@ -127,7 +128,7 @@ impl TileTuner {
         let path = self.artifact_path(key, threads);
         // Best effort: a read-only cache dir degrades to tuning every
         // process, never to an error.
-        let _ = persist_atomic(&path, &body);
+        let _ = persist_atomic(&path, body.as_bytes());
     }
 
     /// Snapshot of the tuner counters.
@@ -144,11 +145,13 @@ impl TileTuner {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit offset basis: the initial `hash` of [`fnv1a`].
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a 64-bit (same constants as the cjit artifact keyer); `const` so
+/// One FNV-1a 64-bit round over `bytes`, continuing from `hash`; keys both
+/// on-disk caches (tile decisions and cjit artifacts). `const` so
 /// [`CODE_SALT`] is computed by the compiler.
-const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+pub(crate) const fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut i = 0;
     while i < bytes.len() {
@@ -203,9 +206,10 @@ fn read_artifact(path: &Path, threads: usize) -> Option<Vec<i64>> {
     tile.filter(|t| !t.is_empty())
 }
 
-/// Write via a staging file in the same directory, then rename: readers
-/// never observe a torn artifact.
-fn persist_atomic(path: &Path, body: &str) -> std::io::Result<()> {
+/// Write via a uniquely named staging file in the same directory, then
+/// rename: readers, and processes racing to insert the same artifact,
+/// never observe a torn file. Shared by both on-disk caches.
+pub(crate) fn persist_atomic(path: &Path, body: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().expect("artifact path has a parent");
     std::fs::create_dir_all(dir)?;
     static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -265,6 +269,12 @@ mod tests {
             include_str!("omp.rs").as_bytes(),
         );
         assert_ne!(CODE_SALT, backend_only);
+        // The records the tiles run are part of the key too.
+        let without_records = fnv1a(
+            backend_only,
+            include_str!("../../../shims/rayon/src/lib.rs").as_bytes(),
+        );
+        assert_ne!(CODE_SALT, without_records);
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! 3. **Lowered cursor bounds** — the flat indices the compiled kernels
 //!    actually touch ([`AccessClass`] cursor algebra over their `regions`)
 //!    are proved to stay inside the dense grid allocations.
-//! 4. **Codegen audit** — the C micro-compiler's emitted source is scanned
-//!    and every `#pragma omp parallel for` must sit on a loop nest the
+//! 4. **Codegen audit** — the C micro-compiler's emitted source, after the
+//!    closed-form pass (the text cjit compiles), is scanned and every `#pragma omp parallel for` must sit on a loop nest the
 //!    certificate covers (and every covered nest must have one). The rayon
 //!    backend dispatches parallel tasks purely on the `parallel_safe`
 //!    flag, so step 2's flag re-derivation is its audit.
@@ -31,17 +31,16 @@
 //! [`AccessClass`]: snowflake_ir::AccessClass
 //! [`LoweredKernel`]: snowflake_ir::LoweredKernel
 
-use std::collections::HashSet;
-
 use snowflake_analysis::{
     certify_schedule, dead_stencils, verify_bounds, Diagnostic, DiagnosticKind, ResolvedStencil,
 };
 use snowflake_core::{CoreError, ShapeMap, StencilGroup};
-use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, Op};
+use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, SpecForm};
 
 use crate::codegen_c::emit_c;
 use crate::metrics::VerifyStats;
 use crate::plan::SolverPlan;
+use crate::specialize::specialize_lowered;
 
 /// What was proved about one compiled operator (one `(group, shapes)`
 /// descriptor of a plan).
@@ -145,15 +144,17 @@ pub fn verify_op(
         }
     }
 
-    // 3. Lower exactly as the backends do and cross-check the kernel
-    // table position-for-position against the surviving stencils.
-    let lowered = match lower_group(group, shapes, opts) {
+    // 3. Lower and specialize exactly as the backends do and cross-check
+    // the kernel table position-for-position against the surviving
+    // stencils.
+    let mut lowered = match lower_group(group, shapes, opts) {
         Ok(l) => l,
         Err(e) => {
             diags.push(resolve_diagnostic("<lowering>", &e));
             return Err(diags);
         }
     };
+    specialize_lowered(&mut lowered);
     let kept: Vec<ResolvedStencil> = match &opts.live_outputs {
         Some(live) => {
             let keep = dead_stencils(&resolved, live);
@@ -236,17 +237,20 @@ fn verify_kernel_cursors(
 ) -> std::result::Result<u64, Vec<Diagnostic>> {
     let mut diags = Vec::new();
     let mut proved = 0u64;
-    // Distinct accesses: the output cursor plus every bytecode read.
+    // Distinct accesses: the output cursor plus every distinct read of the
+    // closed form.
+    let (classes, deltas) = match &kernel.form {
+        SpecForm::Linear(sl) => (&sl.classes, &sl.deltas),
+        SpecForm::Tape(tape) => (&tape.read_classes, &tape.read_deltas),
+    };
     let mut accesses: Vec<(usize, isize, bool)> =
         vec![(kernel.out_class as usize, kernel.out_delta, true)];
-    let mut seen: HashSet<(u32, isize)> = HashSet::new();
-    for op in &kernel.program.ops {
-        if let Op::Read { class, delta } = *op {
-            if seen.insert((class, delta)) {
-                accesses.push((class as usize, delta, false));
-            }
-        }
-    }
+    accesses.extend(
+        classes
+            .iter()
+            .zip(deltas)
+            .map(|(&c, &d)| (c as usize, d, false)),
+    );
     for &(ci, delta, is_write) in &accesses {
         let class = &kernel.classes[ci];
         let grid_name = &lowered.grid_names[class.grid];

@@ -2,7 +2,7 @@
 
 use snowflake_grid::Region;
 
-use crate::bytecode::Program;
+use crate::spec::SpecForm;
 
 /// A cursor class: every read sharing a `(grid, scale)` pair advances one
 /// linear cursor. The executor initializes the cursor to
@@ -43,18 +43,17 @@ pub struct LoweredKernel {
     pub name: String,
     /// Iteration-space rank.
     pub ndim: usize,
-    /// Cursor classes used by the program and the output access.
+    /// Cursor classes used by the reads and the output access.
     pub classes: Vec<AccessClass>,
     /// Class of the output access.
     pub out_class: u32,
     /// Constant delta of the output access.
     pub out_delta: isize,
-    /// The arithmetic program producing the value to store.
-    pub program: Program,
-    /// The closed form of `program` (linear or tape), attached by the
-    /// backends' specialization pass to every kernel. `None` only straight
-    /// out of [`lower_group`](crate::lower_group).
-    pub spec: Option<crate::spec::SpecKernel>,
+    /// The closed form producing the value to store: the source tree's
+    /// tape out of [`lower_group`](crate::lower_group), swapped for its
+    /// linear record by the backends' specialization pass when it
+    /// linearizes.
+    pub form: SpecForm,
     /// Resolved iteration regions (one per member of the domain union).
     pub regions: Vec<Region>,
     /// May iterations run concurrently (Diophantine verdict)?
@@ -64,16 +63,6 @@ pub struct LoweredKernel {
 }
 
 impl LoweredKernel {
-    /// The kernel's closed form.
-    ///
-    /// # Panics
-    /// If the specialization pass has not run on this kernel.
-    pub fn closed_form(&self) -> &crate::spec::SpecKernel {
-        self.spec
-            .as_ref()
-            .expect("specialize_lowered attaches a closed form to every kernel")
-    }
-
     /// Total iteration points across the union.
     pub fn num_points(&self) -> u64 {
         self.regions.iter().map(|r| r.num_points()).sum()

@@ -3,18 +3,26 @@
 //! `lower_group` validates a [`StencilGroup`] against concrete shapes, runs
 //! the Diophantine analysis (parallel-safety per stencil, greedy barrier
 //! phases across stencils, optional dead-stencil elimination) and lowers
-//! each surviving stencil to a [`LoweredKernel`]. The result is the entire
+//! each surviving stencil to a [`LoweredKernel`]: its constant-folded
+//! expression becomes a register tape ([`SpecTape`]) whose reads are
+//! addressed as *cursor class + constant delta*. All reads sharing a
+//! `(grid, scale)` pair use one linear cursor that the executor advances
+//! incrementally as the loop nest walks the region, so the inner loop does
+//! no index arithmetic beyond `cursor + delta`. The result is the entire
 //! platform-agnostic "contract" a backend needs — the narrow interface the
 //! paper credits for making new backends easy to add.
 
-use snowflake_core::{CoreError, ShapeMap, StencilGroup};
+use std::collections::HashMap;
+
+use snowflake_core::{AffineMap, CoreError, Expr, ShapeMap, StencilGroup};
+use snowflake_grid::grid::row_major_strides;
 
 use snowflake_analysis::{
     dead_stencils, greedy_phases, is_parallel_safe, reorder_minimize_barriers, ResolvedStencil,
 };
 
-use crate::bytecode::{lower_expr, ClassTable};
-use crate::kernel::LoweredKernel;
+use crate::kernel::{AccessClass, LoweredKernel};
+use crate::spec::{SpecForm, SpecTape, TapeInstr, TapeOp};
 
 /// Options controlling lowering.
 #[derive(Clone, Debug, Default)]
@@ -101,16 +109,15 @@ pub fn lower_group(
     };
 
     // Lower each kernel.
-    let gi = |g: &str| grid_names.iter().position(|n| n == g);
-    let sh = |i: usize| grid_shapes[i].clone();
     let mut kernels = Vec::with_capacity(resolved.len());
     for rs in &resolved {
-        let mut table = ClassTable::new(&gi, &sh);
+        let mut table = ClassTable::new(&grid_names, &grid_shapes);
         let expr = rs.stencil.expr().simplify();
-        let program = lower_expr(&expr, &mut table)?;
+        let tape = lower_tape(&expr, &mut table)?;
         let (out_grid_name, out_map) = rs.write();
         let (out_class, out_delta) = table.intern(&out_grid_name, &out_map)?;
         let classes = table.finish();
+        let out_grid = classes[out_class as usize].grid;
         let parallel_safe = is_parallel_safe(rs);
         kernels.push(LoweredKernel {
             name: rs.stencil.name().to_string(),
@@ -118,11 +125,10 @@ pub fn lower_group(
             classes,
             out_class,
             out_delta,
-            program,
-            spec: None,
+            form: SpecForm::Tape(tape),
             regions: rs.regions.clone(),
             parallel_safe,
-            out_grid: gi(&out_grid_name).expect("output grid interned"),
+            out_grid,
         });
     }
 
@@ -135,10 +141,171 @@ pub fn lower_group(
     })
 }
 
+/// Accumulates cursor classes while lowering one stencil.
+struct ClassTable<'a> {
+    grid_names: &'a [String],
+    grid_shapes: &'a [Vec<usize>],
+    classes: Vec<AccessClass>,
+    lookup: HashMap<(usize, Vec<i64>), u32>,
+}
+
+impl<'a> ClassTable<'a> {
+    /// An empty table over the dense grid table and the grids' shapes.
+    fn new(grid_names: &'a [String], grid_shapes: &'a [Vec<usize>]) -> Self {
+        ClassTable {
+            grid_names,
+            grid_shapes,
+            classes: Vec::new(),
+            lookup: HashMap::new(),
+        }
+    }
+
+    /// Intern the `(grid, scale)` class of an access; returns
+    /// `(class id, delta)` for the access's map.
+    fn intern(&mut self, grid: &str, map: &AffineMap) -> Result<(u32, isize), CoreError> {
+        let gi = self
+            .grid_names
+            .iter()
+            .position(|n| n == grid)
+            .ok_or_else(|| CoreError::UnknownGrid {
+                stencil: String::new(),
+                grid: grid.to_string(),
+            })?;
+        let strides = row_major_strides(&self.grid_shapes[gi]);
+        let key = (gi, map.scale.clone());
+        let class = *self.lookup.entry(key).or_insert_with(|| {
+            // A group lowers to a handful of access classes; u32 cannot
+            // overflow before memory does.
+            #[allow(clippy::cast_possible_truncation)]
+            let id = self.classes.len() as u32;
+            self.classes.push(AccessClass {
+                grid: gi,
+                scale: map.scale.clone(),
+                strides: strides.clone(),
+            });
+            id
+        });
+        // Offsets are stencil radii and strides are row-major products of
+        // validated extents; both fit isize on every supported target.
+        #[allow(clippy::cast_possible_truncation)]
+        let delta: isize = (0..map.ndim())
+            .map(|d| map.offset[d] as isize * strides[d] as isize)
+            .sum();
+        Ok((class, delta))
+    }
+
+    /// Finish, returning the interned classes.
+    fn finish(self) -> Vec<AccessClass> {
+        self.classes
+    }
+}
+
+/// A register of a tape under construction: its block and its index in
+/// that block. Blocks are numbered once the tree has been walked.
+#[derive(Clone, Copy)]
+enum Reg {
+    Read(u32),
+    Const(u32),
+    Instr(u32),
+}
+
+/// Walks a source tree left to right, interning reads and constants in
+/// first-use order and emitting one instruction per arithmetic node in
+/// postfix order.
+struct TapeBuilder<'t, 'a> {
+    table: &'t mut ClassTable<'a>,
+    tape: SpecTape,
+    reads: HashMap<(u32, isize), u32>,
+    consts: HashMap<u64, u32>,
+    instrs: Vec<(TapeOp, Reg, Reg)>,
+}
+
+// Register ids count a kernel's reads, constants and operations; u32
+// cannot truncate before the expression exhausts memory.
+#[allow(clippy::cast_possible_truncation)]
+impl TapeBuilder<'_, '_> {
+    fn node(&mut self, expr: &Expr) -> Result<Reg, CoreError> {
+        let (op, a, b) = match expr {
+            Expr::Const(c) => {
+                let tape = &mut self.tape;
+                let k = *self.consts.entry(c.to_bits()).or_insert_with(|| {
+                    tape.consts.push(*c);
+                    tape.consts.len() as u32 - 1
+                });
+                return Ok(Reg::Const(k));
+            }
+            Expr::Read { grid, map } => {
+                let (class, delta) = self.table.intern(grid, map)?;
+                let tape = &mut self.tape;
+                let r = *self.reads.entry((class, delta)).or_insert_with(|| {
+                    tape.read_classes.push(class);
+                    tape.read_deltas.push(delta);
+                    tape.read_classes.len() as u32 - 1
+                });
+                return Ok(Reg::Read(r));
+            }
+            Expr::Add(a, b) => (TapeOp::Add, self.node(a)?, self.node(b)?),
+            Expr::Sub(a, b) => (TapeOp::Sub, self.node(a)?, self.node(b)?),
+            Expr::Mul(a, b) => (TapeOp::Mul, self.node(a)?, self.node(b)?),
+            Expr::Div(a, b) => (TapeOp::Div, self.node(a)?, self.node(b)?),
+            Expr::Neg(a) => {
+                let a = self.node(a)?;
+                (TapeOp::Neg, a, a)
+            }
+        };
+        self.instrs.push((op, a, b));
+        Ok(Reg::Instr(self.instrs.len() as u32 - 1))
+    }
+}
+
+/// Lower a (pre-simplified) expression to its tape, interning the class of
+/// every read in `table`.
+// As in `TapeBuilder`: register ids fit u32.
+#[allow(clippy::cast_possible_truncation)]
+fn lower_tape(expr: &Expr, table: &mut ClassTable<'_>) -> Result<SpecTape, CoreError> {
+    let mut builder = TapeBuilder {
+        table,
+        tape: SpecTape::default(),
+        reads: HashMap::new(),
+        consts: HashMap::new(),
+        instrs: Vec::new(),
+    };
+    let out = builder.node(expr)?;
+    let mut tape = builder.tape;
+    let const_base = tape.num_reads() as u32;
+    let instr_base = const_base + tape.consts.len() as u32;
+    let reg = |r: Reg| match r {
+        Reg::Read(i) => i,
+        Reg::Const(k) => const_base + k,
+        Reg::Instr(i) => instr_base + i,
+    };
+    tape.instrs = builder
+        .instrs
+        .into_iter()
+        .map(|(op, a, b)| TapeInstr {
+            op,
+            a: reg(a),
+            b: reg(b),
+        })
+        .collect();
+    tape.out = reg(out);
+    Ok(tape)
+}
+
+/// The tape and classes of `expr` over two 4×8 grids, `x` and `y`.
+#[cfg(test)]
+pub(crate) fn test_tape(expr: &Expr) -> (SpecTape, Vec<AccessClass>) {
+    let names = ["x".to_string(), "y".to_string()];
+    let shapes = [vec![4, 8], vec![4, 8]];
+    let mut table = ClassTable::new(&names, &shapes);
+    let tape = lower_tape(expr, &mut table).unwrap();
+    (tape, table.finish())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snowflake_core::{weights2, Component, DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_core::{weights2, Component, DomainUnion, RectDomain, Stencil};
 
     fn shapes(n: usize) -> ShapeMap {
         let mut m = ShapeMap::new();
@@ -247,5 +414,53 @@ mod tests {
         let g = StencilGroup::from(Stencil::new(lap("x"), "y", RectDomain::interior(2)));
         let low = lower_group(&g, &shapes(8), &LowerOptions::default()).unwrap();
         assert_eq!(low.grid_shapes, vec![vec![8, 8], vec![8, 8]]);
+    }
+
+    #[test]
+    fn shared_class_for_same_grid_and_scale() {
+        let e = Expr::read_at("x", &[0, 1])
+            + Expr::read_at("x", &[0, -1])
+            + Expr::read_at("y", &[1, 0]);
+        let (t, classes) = test_tape(&e);
+        assert_eq!(classes.len(), 2, "x-translation and y-translation");
+        // Deltas: row-major strides of [4,8] are [8,1].
+        let reads: Vec<_> = t.read_classes.iter().copied().zip(t.read_deltas).collect();
+        assert_eq!(reads, vec![(0, 1), (0, -1), (1, 8)]);
+    }
+
+    #[test]
+    fn scaled_reads_get_distinct_class() {
+        let e = Expr::read_at("x", &[0, 0])
+            + Expr::read_mapped("x", AffineMap::scaled(vec![2, 2], vec![0, 1]));
+        let (_, classes) = test_tape(&e);
+        assert_eq!(classes.len(), 2);
+        assert_eq!(classes[0].scale, vec![1, 1]);
+        assert_eq!(classes[1].scale, vec![2, 2]);
+    }
+
+    #[test]
+    fn tape_interns_reads_and_constants_in_first_use_order() {
+        // (y[0,1] * x[0,0] + 2) * (x[0,0] - 2): two reads, one constant.
+        let x = || Expr::read_at("x", &[0, 0]);
+        let y = || Expr::read_at("y", &[0, 1]);
+        let (t, _) = test_tape(&((y() * x() + 2.0) * (x() - 2.0)));
+        assert_eq!(
+            (&t.read_classes[..], &t.read_deltas[..]),
+            (&[0, 1][..], &[1, 0][..])
+        );
+        assert_eq!(t.consts, vec![2.0]);
+        // Registers: y=0, x=1, 2.0=2, then one per instruction from 3.
+        let ins = |op, a, b| TapeInstr { op, a, b };
+        assert_eq!(
+            t.instrs,
+            vec![
+                ins(TapeOp::Mul, 0, 1),
+                ins(TapeOp::Add, 3, 2),
+                ins(TapeOp::Sub, 1, 2),
+                ins(TapeOp::Mul, 4, 5),
+            ]
+        );
+        assert_eq!(t.out, 6);
+        assert_eq!(t.num_regs(), 7);
     }
 }

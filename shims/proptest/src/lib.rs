@@ -240,7 +240,7 @@ pub mod strategy {
 pub mod collection {
     use super::*;
 
-    /// A length specification for [`vec`]: either an exact `usize` or a
+    /// A length specification for [`vec()`]: either an exact `usize` or a
     /// half-open `Range<usize>`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {

@@ -109,12 +109,12 @@ fn interp_is_a_bitwise_oracle_on_vc_vcycles() {
     }
 }
 
-/// Static check that closed-form extraction reaches the whole solver: every
+/// Static check that the closed-form pass reaches the whole solver: every
 /// kernel of the HPGMG plans has a record — linear throughout the
 /// constant-coefficient plan, a tape for the variable-coefficient smoother
 /// and residual (products of coefficient and solution reads).
 #[test]
-fn every_hpgmg_plan_kernel_carries_a_closed_form() {
+fn every_hpgmg_plan_kernel_is_linear_or_a_tape() {
     for (problem, variable) in [
         (Problem::poisson_cc(8), false),
         (Problem::poisson_vc(8), true),
@@ -129,7 +129,7 @@ fn every_hpgmg_plan_kernel_carries_a_closed_form() {
                 let smoother = kernel.name.starts_with("gsrb_");
                 smoother_kernels += usize::from(smoother);
                 let tape = variable && (smoother || kernel.name == "residual");
-                match &kernel.closed_form().form {
+                match &kernel.form {
                     SpecForm::Tape(_) => assert!(
                         tape,
                         "kernel {:?} must be linear (variable: {variable})",
