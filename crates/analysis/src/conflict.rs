@@ -5,16 +5,24 @@
 //! maps to the same grid cell. Because regions are products of per-
 //! dimension strided ranges and affine maps act dimension-wise, the N-d
 //! question decomposes into independent 1-D bounded Diophantine problems:
-//! the accesses conflict iff **every** dimension's ranges intersect.
+//! the accesses conflict iff **every** dimension's images intersect, and
+//! the per-dimension intersections compose into an exact witness cell.
+//!
+//! [`access_conflict`] is the one conflict test: the scheduler, the
+//! verifier and the linter all read its witness, and a rank mismatch is a
+//! typed [`RankMismatch`] diagnostic rather than a verdict.
+//!
+//! [`RankMismatch`]: crate::verify::DiagnosticKind::RankMismatch
 
 use snowflake_core::AffineMap;
 use snowflake_grid::Region;
 
-use crate::dio::{ranges_intersect, StridedRange};
+use crate::dio::{intersect, StridedRange};
+use crate::math::coord;
+use crate::verify::{rank_mismatch, Diagnostic};
 
 /// The image of region dimension `d` under map dimension `d`, as a strided
-/// range. Shared with the [`verify`](crate::verify) layer, which uses it
-/// to construct witness cells from per-dimension Diophantine solutions.
+/// range.
 pub(crate) fn access_range(region: &Region, map: &AffineMap, d: usize) -> StridedRange {
     let n = region.extent(d) as i128;
     let start = map.scale[d] as i128 * region.lo[d] as i128 + map.offset[d] as i128;
@@ -23,22 +31,48 @@ pub(crate) fn access_range(region: &Region, map: &AffineMap, d: usize) -> Stride
 }
 
 /// Can accesses `(r1, m1)` and `(r2, m2)` (on the same grid) touch the same
-/// cell? Exact for product regions; any pair of iteration points counts —
-/// including a shared point when the regions overlap.
-pub fn access_conflict(r1: &Region, m1: &AffineMap, r2: &Region, m2: &AffineMap) -> bool {
-    debug_assert_eq!(r1.ndim(), r2.ndim());
-    debug_assert_eq!(m1.ndim(), r1.ndim());
-    debug_assert_eq!(m2.ndim(), r2.ndim());
-    if r1.is_empty() || r2.is_empty() {
-        return false;
+/// cell? Any pair of iteration points counts, including a shared point when
+/// the regions overlap.
+///
+/// `Ok(Some(cell))` names a cell both accesses touch: per dimension, the
+/// first value the two access images share. `Ok(None)` proves the images
+/// disjoint. `Err` reports a rank mismatch between the regions and maps,
+/// which is never a proof of independence: callers either report it or
+/// treat the pair as conflicting.
+pub fn access_conflict(
+    r1: &Region,
+    m1: &AffineMap,
+    r2: &Region,
+    m2: &AffineMap,
+) -> Result<Option<Vec<i64>>, Diagnostic> {
+    let nd = r1.ndim();
+    for (context, got) in [
+        ("second region vs first region", r2.ndim()),
+        ("first access map vs its region", m1.ndim()),
+        ("second access map vs its region", m2.ndim()),
+    ] {
+        if got != nd {
+            return Err(rank_mismatch(context, nd, got));
+        }
     }
-    (0..r1.ndim()).all(|d| ranges_intersect(access_range(r1, m1, d), access_range(r2, m2, d)))
+    if r1.is_empty() || r2.is_empty() {
+        return Ok(None);
+    }
+    let mut cell = Vec::new();
+    for d in 0..nd {
+        let shared = intersect(access_range(r1, m1, d), access_range(r2, m2, d));
+        if shared.is_empty() {
+            return Ok(None);
+        }
+        cell.push(coord(shared.start));
+    }
+    Ok(Some(cell))
 }
 
 /// Do two regions share an iteration point? (Identity-map conflict.)
 pub fn regions_overlap(r1: &Region, r2: &Region) -> bool {
     let id = AffineMap::identity(r1.ndim());
-    access_conflict(r1, &id, r2, &id)
+    access_conflict(r1, &id, r2, &id) != Ok(None)
 }
 
 /// Can a write through `wmap` at iteration `p1` alias a read through `rmap`
@@ -93,7 +127,7 @@ pub fn self_conflict(region: &Region, wmap: &AffineMap, rmap: &AffineMap) -> boo
         // Different scales on the same grid within one stencil is exotic
         // (e.g. reading both x[p] and x[2p]); fall back to the general test,
         // which is conservative because it cannot exclude the diagonal.
-        access_conflict(region, wmap, region, rmap)
+        access_conflict(region, wmap, region, rmap) != Ok(None)
     }
 }
 
@@ -110,6 +144,10 @@ mod tests {
         AffineMap::translate(off.to_vec())
     }
 
+    fn conflicts(r1: &Region, m1: &AffineMap, r2: &Region, m2: &AffineMap) -> bool {
+        access_conflict(r1, m1, r2, m2).unwrap().is_some()
+    }
+
     // --- access_conflict -------------------------------------------------
 
     #[test]
@@ -118,10 +156,10 @@ mod tests {
         let red = region(&[1], &[15], &[2]);
         let black = region(&[2], &[15], &[2]);
         let id = AffineMap::identity(1);
-        assert!(!access_conflict(&red, &id, &black, &id));
+        assert!(!conflicts(&red, &id, &black, &id));
         // But black's ±1 neighborhood does read red points.
-        assert!(access_conflict(&red, &id, &black, &translate(&[-1])));
-        assert!(access_conflict(&red, &id, &black, &translate(&[1])));
+        assert!(conflicts(&red, &id, &black, &translate(&[-1])));
+        assert!(conflicts(&red, &id, &black, &translate(&[1])));
     }
 
     #[test]
@@ -133,10 +171,10 @@ mod tests {
         let left = region(&[1, 0], &[n - 1, 1], &[1, 1]);
         let right = region(&[1, n - 1], &[n - 1, n], &[1, 1]);
         let id = AffineMap::identity(2);
-        assert!(!access_conflict(&left, &id, &right, &id));
+        assert!(!conflicts(&left, &id, &right, &id));
         // Each face reads one cell inward; still independent of the other.
-        assert!(!access_conflict(&left, &id, &right, &translate(&[0, -1])));
-        assert!(!access_conflict(&right, &id, &left, &translate(&[0, 1])));
+        assert!(!conflicts(&left, &id, &right, &translate(&[0, -1])));
+        assert!(!conflicts(&right, &id, &left, &translate(&[0, 1])));
     }
 
     #[test]
@@ -147,20 +185,10 @@ mod tests {
         let ghost_left = region(&[1, 0], &[n - 1, 1], &[1, 1]);
         let interior = region(&[1, 1], &[n - 1, n - 1], &[1, 1]);
         let id = AffineMap::identity(2);
-        assert!(access_conflict(
-            &ghost_left,
-            &id,
-            &interior,
-            &translate(&[0, -1])
-        ));
+        assert!(conflicts(&ghost_left, &id, &interior, &translate(&[0, -1])));
         // A shrunken interior starting at column 2 does NOT reach it.
         let inner = region(&[1, 2], &[n - 1, n - 1], &[1, 1]);
-        assert!(!access_conflict(
-            &ghost_left,
-            &id,
-            &inner,
-            &translate(&[0, -1])
-        ));
+        assert!(!conflicts(&ghost_left, &id, &inner, &translate(&[0, -1])));
     }
 
     #[test]
@@ -171,9 +199,9 @@ mod tests {
         // A fine-grid write over odd points {1,3,5,7,9} never aliases.
         let odd = region(&[1], &[10], &[2]);
         let id = AffineMap::identity(1);
-        assert!(!access_conflict(&coarse, &fine_read, &odd, &id));
+        assert!(!conflicts(&coarse, &fine_read, &odd, &id));
         let even = region(&[2], &[10], &[2]);
-        assert!(access_conflict(&coarse, &fine_read, &even, &id));
+        assert!(conflicts(&coarse, &fine_read, &even, &id));
     }
 
     #[test]
@@ -181,7 +209,7 @@ mod tests {
         let e = region(&[3], &[3], &[1]);
         let f = region(&[0], &[10], &[1]);
         let id = AffineMap::identity(1);
-        assert!(!access_conflict(&e, &id, &f, &id));
+        assert!(!conflicts(&e, &id, &f, &id));
         assert!(!self_conflict(&e, &id, &translate(&[1])));
     }
 
@@ -294,11 +322,16 @@ mod tests {
         fn access_conflict_matches_brute(
             r1 in region2(), r2 in region2(), m1 in map2(), m2 in map2(),
         ) {
+            let witness = access_conflict(&r1, &m1, &r2, &m2).unwrap();
             prop_assert_eq!(
-                access_conflict(&r1, &m1, &r2, &m2),
+                witness.is_some(),
                 brute_access_conflict(&r1, &m1, &r2, &m2),
                 "r1={:?} m1={:?} r2={:?} m2={:?}", r1, m1, r2, m2
             );
+            if let Some(cell) = witness {
+                prop_assert!(r1.points().any(|p| m1.apply(&p) == cell), "{:?}", cell);
+                prop_assert!(r2.points().any(|p| m2.apply(&p) == cell), "{:?}", cell);
+            }
         }
 
         #[test]

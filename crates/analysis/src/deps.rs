@@ -4,11 +4,17 @@
 //! is a stencil safe to apply in parallel over its (possibly multi-color)
 //! domain union, and does one stencil in a group depend on another
 //! (read-after-write, write-after-read, or write-after-write)?
+//!
+//! [`depends`] is the one hazard search. The scheduler builds phases and
+//! the dependence DAG from it, dead-stencil elimination and the linter's
+//! liveness pass ask it for read-after-write hazards, and the verifier
+//! certifies phases with its witness cells.
 
 use snowflake_core::{AffineMap, ShapeMap, Stencil};
 use snowflake_grid::Region;
 
 use crate::conflict::{access_conflict, self_conflict};
+use crate::verify::Diagnostic;
 
 /// A stencil paired with its domain resolved against concrete shapes —
 /// the unit the analysis and the backends operate on.
@@ -67,6 +73,18 @@ pub enum DepKind {
     WriteAfterWrite,
 }
 
+/// A concrete cross-stencil hazard: the dependence kind plus a grid cell
+/// both accesses touch.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Hazard {
+    /// The dependence kind (in program order of the two stencils).
+    pub kind: DepKind,
+    /// The grid both accesses touch.
+    pub grid: String,
+    /// A cell of `grid` both accesses touch.
+    pub cell: Vec<i64>,
+}
+
 /// Is the stencil safe to apply fully in parallel over its domain union?
 ///
 /// True iff no iteration's write can alias a *different* iteration's read
@@ -93,7 +111,9 @@ pub fn is_parallel_safe(rs: &ResolvedStencil) -> bool {
             }
             // Across distinct rectangles of the union: any aliasing counts.
             for r2 in rs.regions.iter().skip(i + 1) {
-                if access_conflict(r1, &wmap, r2, rmap) || access_conflict(r2, &wmap, r1, rmap) {
+                if access_conflict(r1, &wmap, r2, rmap) != Ok(None)
+                    || access_conflict(r2, &wmap, r1, rmap) != Ok(None)
+                {
                     return false;
                 }
             }
@@ -113,7 +133,7 @@ pub fn writes_disjoint(rs: &ResolvedStencil) -> bool {
             return false;
         }
         for r2 in rs.regions.iter().skip(i + 1) {
-            if access_conflict(r1, &wmap, r2, &wmap) {
+            if access_conflict(r1, &wmap, r2, &wmap) != Ok(None) {
                 return false;
             }
         }
@@ -122,34 +142,63 @@ pub fn writes_disjoint(rs: &ResolvedStencil) -> bool {
 }
 
 /// Does stencil `b` (later in program order) depend on stencil `a`
-/// (earlier)? Returns the strongest hazard found, preferring RAW over WAW
-/// over WAR (the order in which they constrain scheduling).
-pub fn depends(a: &ResolvedStencil, b: &ResolvedStencil) -> Option<DepKind> {
+/// (earlier)? Hazards are searched in the order in which they constrain
+/// scheduling: read-after-write, then write-after-write, then
+/// write-after-read; the first one found is returned with a witness cell.
+///
+/// `Ok(None)` proves the stencils independent. `Err` is a rank mismatch
+/// between their accesses (attributed to `a`), which no caller may read as
+/// independence: the scheduler orders such a pair, and the verifier
+/// reports it.
+pub fn depends(a: &ResolvedStencil, b: &ResolvedStencil) -> Result<Option<Hazard>, Diagnostic> {
+    // The first cell `a`'s access `ma` and `b`'s access `mb` both touch.
+    let witness = |ma: &AffineMap, mb: &AffineMap| -> Result<Option<Vec<i64>>, Diagnostic> {
+        for r1 in &a.regions {
+            for r2 in &b.regions {
+                let cell =
+                    access_conflict(r1, ma, r2, mb).map_err(|e| e.stencil(a.stencil.name()))?;
+                if cell.is_some() {
+                    return Ok(cell);
+                }
+            }
+        }
+        Ok(None)
+    };
     let (aw_grid, aw_map) = a.write();
     let (bw_grid, bw_map) = b.write();
-
-    // RAW: b reads a's output where a wrote it.
-    for (g, rmap) in b.reads() {
-        if g == aw_grid && regions_conflict(&a.regions, &aw_map, &b.regions, &rmap) {
-            return Some(DepKind::ReadAfterWrite);
+    for (grid, rmap) in b.reads() {
+        if grid == aw_grid {
+            if let Some(cell) = witness(&aw_map, &rmap)? {
+                let kind = DepKind::ReadAfterWrite;
+                return Ok(Some(Hazard { kind, grid, cell }));
+            }
         }
     }
-    // WAW: both write the same grid at aliasing cells.
-    if aw_grid == bw_grid && regions_conflict(&a.regions, &aw_map, &b.regions, &bw_map) {
-        return Some(DepKind::WriteAfterWrite);
-    }
-    // WAR: b overwrites something a read.
-    for (g, rmap) in a.reads() {
-        if g == bw_grid && regions_conflict(&a.regions, &rmap, &b.regions, &bw_map) {
-            return Some(DepKind::WriteAfterRead);
+    if aw_grid == bw_grid {
+        if let Some(cell) = witness(&aw_map, &bw_map)? {
+            let (kind, grid) = (DepKind::WriteAfterWrite, bw_grid);
+            return Ok(Some(Hazard { kind, grid, cell }));
         }
     }
-    None
+    // `a`'s reads are only needed once no RAW or WAW hazard was found.
+    for (grid, rmap) in a.reads() {
+        if grid == bw_grid {
+            if let Some(cell) = witness(&rmap, &bw_map)? {
+                let kind = DepKind::WriteAfterRead;
+                return Ok(Some(Hazard { kind, grid, cell }));
+            }
+        }
+    }
+    Ok(None)
 }
 
-fn regions_conflict(rs1: &[Region], m1: &AffineMap, rs2: &[Region], m2: &AffineMap) -> bool {
-    rs1.iter()
-        .any(|r1| rs2.iter().any(|r2| access_conflict(r1, m1, r2, m2)))
+/// Does `reader` read a cell `writer` writes (a read-after-write hazard
+/// from `writer` to `reader`)? A rank mismatch counts as yes.
+pub(crate) fn reads_after_write(writer: &ResolvedStencil, reader: &ResolvedStencil) -> bool {
+    match depends(writer, reader) {
+        Ok(hazard) => hazard.is_some_and(|h| h.kind == DepKind::ReadAfterWrite),
+        Err(_) => true,
+    }
 }
 
 #[cfg(test)]
@@ -173,6 +222,36 @@ mod tests {
     #[allow(clippy::needless_pass_by_value)]
     fn resolved(s: Stencil, n: usize) -> ResolvedStencil {
         ResolvedStencil::resolve(&s, &shapes(n)).unwrap()
+    }
+
+    /// The hazard kind `depends` finds, checking its witness cell is a real
+    /// cell of the hazard grid both stencils touch.
+    fn dep_kind(a: &ResolvedStencil, b: &ResolvedStencil) -> Option<DepKind> {
+        let h = depends(a, b).unwrap()?;
+        let touches = |rs: &ResolvedStencil, write: bool| {
+            let mut maps = Vec::new();
+            if write {
+                maps.push(rs.write().1);
+            } else {
+                maps.extend(
+                    rs.reads()
+                        .into_iter()
+                        .filter(|(g, _)| *g == h.grid)
+                        .map(|(_, m)| m),
+                );
+            }
+            rs.regions.iter().any(|r| {
+                r.points()
+                    .any(|p| maps.iter().any(|m| m.apply(&p) == h.cell))
+            })
+        };
+        let (a_writes, b_writes) = match h.kind {
+            DepKind::ReadAfterWrite => (true, false),
+            DepKind::WriteAfterWrite => (true, true),
+            DepKind::WriteAfterRead => (false, true),
+        };
+        assert!(touches(a, a_writes) && touches(b, b_writes), "{h:?}");
+        Some(h.kind)
     }
 
     #[test]
@@ -254,7 +333,7 @@ mod tests {
         let a = Stencil::new(laplacian("x"), "y", RectDomain::interior(2));
         let b = Stencil::new(laplacian("y"), "x", RectDomain::interior(2));
         let (ra, rb) = (resolved(a, 16), resolved(b, 16));
-        assert_eq!(depends(&ra, &rb), Some(DepKind::ReadAfterWrite));
+        assert_eq!(dep_kind(&ra, &rb), Some(DepKind::ReadAfterWrite));
     }
 
     #[test]
@@ -263,8 +342,8 @@ mod tests {
         let a = Stencil::new(laplacian("x"), "y", RectDomain::interior(2));
         let b = Stencil::new(laplacian("x"), "rhs", RectDomain::interior(2));
         let (ra, rb) = (resolved(a, 16), resolved(b, 16));
-        assert_eq!(depends(&ra, &rb), None);
-        assert_eq!(depends(&rb, &ra), None);
+        assert_eq!(dep_kind(&ra, &rb), None);
+        assert_eq!(dep_kind(&rb, &ra), None);
     }
 
     #[test]
@@ -273,7 +352,7 @@ mod tests {
         let a = Stencil::new(laplacian("x"), "y", RectDomain::interior(2));
         let b = Stencil::new(Expr::read_at("rhs", &[0, 0]), "x", RectDomain::interior(2));
         let (ra, rb) = (resolved(a, 16), resolved(b, 16));
-        assert_eq!(depends(&ra, &rb), Some(DepKind::WriteAfterRead));
+        assert_eq!(dep_kind(&ra, &rb), Some(DepKind::WriteAfterRead));
     }
 
     #[test]
@@ -281,7 +360,7 @@ mod tests {
         let a = Stencil::new(Expr::read_at("x", &[0, 0]), "y", RectDomain::interior(2));
         let b = Stencil::new(Expr::read_at("rhs", &[0, 0]), "y", RectDomain::interior(2));
         let (ra, rb) = (resolved(a, 16), resolved(b, 16));
-        assert_eq!(depends(&ra, &rb), Some(DepKind::WriteAfterWrite));
+        assert_eq!(dep_kind(&ra, &rb), Some(DepKind::WriteAfterWrite));
     }
 
     #[test]
@@ -303,7 +382,7 @@ mod tests {
             for j in 0..rs.len() {
                 if i != j {
                     assert_eq!(
-                        depends(&rs[i], &rs[j]),
+                        dep_kind(&rs[i], &rs[j]),
                         None,
                         "faces {i} and {j} should be independent"
                     );
@@ -318,7 +397,7 @@ mod tests {
         let r = Stencil::new(laplacian("x"), "x", red);
         let b = Stencil::new(laplacian("x"), "x", black);
         let (rr, rb) = (resolved(r, 16), resolved(b, 16));
-        assert_eq!(depends(&rr, &rb), Some(DepKind::ReadAfterWrite));
+        assert_eq!(dep_kind(&rr, &rb), Some(DepKind::ReadAfterWrite));
     }
 
     #[test]

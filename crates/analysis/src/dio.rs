@@ -9,8 +9,16 @@
 //! solution family to the bounds — that restriction is what lets the
 //! analysis prove (for example) that Dirichlet ghost faces cannot interfere
 //! with each other.
+//!
+//! [`intersect`] is the crate's only solver. It returns the exact set of
+//! shared values as another strided range, so one routine answers every
+//! question built on it: the ranges meet exactly when the intersection is
+//! non-empty, its `start` is a witness value, and its `count` is how many
+//! values they share. The scheduler, the verifier and the linter all ask
+//! it, through [`access_conflict`](crate::conflict::access_conflict) or
+//! directly.
 
-use crate::math::{div_ceil, div_floor, egcd};
+use crate::math::{div_ceil, egcd};
 
 /// A finite 1-D arithmetic progression: `start + k·step` for `0 <= k < count`.
 ///
@@ -43,114 +51,57 @@ impl StridedRange {
         self.start + k * self.step
     }
 
-    /// Does the range contain value `v`?
-    pub fn contains(&self, v: i128) -> bool {
+    /// The same value *set* in ascending order with `step >= 1`: zero-step
+    /// and single-value ranges collapse to one value, and every empty range
+    /// becomes `start 0, count 0, step 1`.
+    #[must_use]
+    pub fn normalized(self) -> StridedRange {
         if self.is_empty() {
-            return false;
-        }
-        if self.step == 0 {
-            return v == self.start;
-        }
-        let d = v - self.start;
-        d % self.step == 0 && {
-            let k = d / self.step;
-            (0..self.count).contains(&k)
+            StridedRange::new(0, 0, 1)
+        } else if self.step == 0 || self.count == 1 {
+            StridedRange::new(self.start, 1, 1)
+        } else if self.step < 0 {
+            StridedRange::new(self.at(self.count - 1), self.count, -self.step)
+        } else {
+            self
         }
     }
 }
 
-/// Does there exist `(k1, k2)` with `r1.at(k1) == r2.at(k2)`?
+/// The exact intersection of two strided ranges, as a normalized strided
+/// range (ascending, `step >= 1`; empty when they share no value).
 ///
-/// This is the bounded linear Diophantine satisfiability test at the heart
-/// of the analysis.
-pub fn ranges_intersect(r1: StridedRange, r2: StridedRange) -> bool {
-    solve_pair(r1, r2).is_some()
-}
-
-/// Find a witness `(k1, k2)` with `r1.at(k1) == r2.at(k2)`, if any exists.
-pub fn solve_pair(r1: StridedRange, r2: StridedRange) -> Option<(i128, i128)> {
-    if r1.is_empty() || r2.is_empty() {
-        return None;
+/// Shared values `a.start + i·a.step == b.start + j·b.step` exist iff
+/// `gcd(a.step, b.step)` divides `b.start − a.start`; the solutions for `i`
+/// then form one residue class modulo `b.step / g` (CRT on the two
+/// congruence classes), whose values step by `lcm(a.step, b.step)`. Clamping
+/// that progression to both ranges' bounds is the finite-domain part.
+pub fn intersect(a: StridedRange, b: StridedRange) -> StridedRange {
+    let (a, b) = (a.normalized(), b.normalized());
+    let empty = StridedRange::new(0, 0, 1);
+    if a.is_empty() || b.is_empty() {
+        return empty;
     }
-    let c = r2.start - r1.start; // t1*k1 - t2*k2 = c
-    let (a, b) = (r1.step, -r2.step);
-
-    if a == 0 && b == 0 {
-        return if c == 0 { Some((0, 0)) } else { None };
-    }
-    if a == 0 {
-        // b*k2 = c
-        if c % b != 0 {
-            return None;
-        }
-        let k2 = c / b;
-        return if (0..r2.count).contains(&k2) {
-            Some((0, k2))
-        } else {
-            None
-        };
-    }
-    if b == 0 {
-        if c % a != 0 {
-            return None;
-        }
-        let k1 = c / a;
-        return if (0..r1.count).contains(&k1) {
-            Some((k1, 0))
-        } else {
-            None
-        };
-    }
-
-    let (g, x0, y0) = egcd(a, b);
+    let (g, x0, _) = egcd(a.step, b.step);
+    let c = b.start - a.start;
     if c % g != 0 {
-        return None;
+        return empty;
     }
-    let scale = c / g;
-    // Particular solution.
-    let k1p = x0 * scale;
-    let k2p = y0 * scale;
-    // General solution: k1 = k1p + (b/g)·t, k2 = k2p − (a/g)·t.
-    let bs = b / g;
-    let as_ = a / g;
-
-    // Bound t so that 0 <= k1 < n1.
-    let (mut tlo, mut thi) = (i128::MIN, i128::MAX);
-    clamp_param(&mut tlo, &mut thi, bs, -k1p, r1.count - 1 - k1p)?;
-    // 0 <= k2 < n2  ⇔  0 <= k2p − as·t < n2  ⇔  −k2p <= −as·t <= n2−1−k2p
-    clamp_param(&mut tlo, &mut thi, -as_, -k2p, r2.count - 1 - k2p)?;
-
-    if tlo > thi {
-        return None;
-    }
-    // Both clamps ran with non-zero coefficients, so the bounds are finite;
-    // any t in [tlo, thi] is a witness.
-    let t = tlo;
-    let k1 = k1p + bs * t;
-    let k2 = k2p - as_ * t;
-    debug_assert!((0..r1.count).contains(&k1) && (0..r2.count).contains(&k2));
-    debug_assert_eq!(r1.at(k1), r2.at(k2));
-    Some((k1, k2))
-}
-
-/// Intersect `[lo, hi]` (as bounds on `t`) with `lo_v <= coef·t <= hi_v`.
-/// Returns `None` when `coef == 0` and the constant constraint fails.
-fn clamp_param(tlo: &mut i128, thi: &mut i128, coef: i128, lo_v: i128, hi_v: i128) -> Option<()> {
-    if coef == 0 {
-        // Constraint is 0 in [lo_v, hi_v].
-        if lo_v > 0 || hi_v < 0 {
-            return None;
-        }
-        return Some(());
-    }
-    let (a, b) = if coef > 0 {
-        (div_ceil(lo_v, coef), div_floor(hi_v, coef))
+    let m = b.step / g;
+    let i0 = ((x0 % m) * ((c / g) % m) % m + m) % m;
+    let lcm = a.step * m;
+    let first = a.start + i0 * a.step;
+    let lo_bound = a.start.max(b.start);
+    let hi_bound = a.at(a.count - 1).min(b.at(b.count - 1));
+    let first_v = if first >= lo_bound {
+        first
     } else {
-        (div_ceil(hi_v, coef), div_floor(lo_v, coef))
+        first + div_ceil(lo_bound - first, lcm) * lcm
     };
-    *tlo = (*tlo).max(a);
-    *thi = (*thi).min(b);
-    Some(())
+    if first_v > hi_bound {
+        return empty;
+    }
+    StridedRange::new(first_v, (hi_bound - first_v) / lcm + 1, lcm)
 }
 
 #[cfg(test)]
@@ -158,9 +109,28 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Brute-force oracle.
-    fn brute(r1: StridedRange, r2: StridedRange) -> bool {
-        (0..r1.count).any(|k1| (0..r2.count).any(|k2| r1.at(k1) == r2.at(k2)))
+    fn meet(r1: StridedRange, r2: StridedRange) -> bool {
+        !intersect(r1, r2).is_empty()
+    }
+
+    /// The brute-force oracle: the intersection must be exactly the sorted
+    /// set of values both ranges enumerate.
+    fn check_exact(r1: StridedRange, r2: StridedRange) -> Result<(), String> {
+        let values = |r: StridedRange| (0..r.count.max(0)).map(move |k| r.at(k));
+        let mut expect: Vec<i128> = values(r1).filter(|v| values(r2).any(|w| w == *v)).collect();
+        expect.sort_unstable();
+        expect.dedup();
+        let got = intersect(r1, r2);
+        let got_values: Vec<i128> = values(got).collect();
+        if got_values != expect {
+            return Err(format!(
+                "r1={r1:?} r2={r2:?}: got {got:?} = {got_values:?}, expected {expect:?}"
+            ));
+        }
+        if got.step < 1 {
+            return Err(format!("r1={r1:?} r2={r2:?}: {got:?} is not normalized"));
+        }
+        Ok(())
     }
 
     #[test]
@@ -168,8 +138,8 @@ mod tests {
         // Red vs black in 1-D: evens vs odds.
         let red = StridedRange::new(1, 50, 2);
         let black = StridedRange::new(2, 50, 2);
-        assert!(!ranges_intersect(red, black));
-        assert!(ranges_intersect(red, red));
+        assert!(!meet(red, black));
+        assert!(meet(red, red));
     }
 
     #[test]
@@ -177,7 +147,7 @@ mod tests {
         // Black shifted by -1 lands on red.
         let red = StridedRange::new(1, 4, 2); // 1 3 5 7
         let black_m1 = StridedRange::new(1, 4, 2); // (2..8 step 2) - 1
-        assert!(ranges_intersect(red, black_m1));
+        assert!(meet(red, black_m1));
     }
 
     #[test]
@@ -186,55 +156,63 @@ mod tests {
         // k1 < 2.
         let r1 = StridedRange::new(0, 2, 3); // 0 3
         let r2 = StridedRange::new(1, 2, 5); // 1 6
-        assert!(!ranges_intersect(r1, r2));
+        assert!(!meet(r1, r2));
         let r1 = StridedRange::new(0, 3, 3); // 0 3 6
-        assert!(ranges_intersect(r1, r2));
+        assert_eq!(intersect(r1, r2), StridedRange::new(6, 1, 15));
     }
 
     #[test]
     fn zero_steps() {
         let a = StridedRange::new(4, 3, 0);
         let b = StridedRange::new(4, 1, 7);
-        assert!(ranges_intersect(a, b));
+        assert!(meet(a, b));
         let c = StridedRange::new(5, 1, 0);
-        assert!(!ranges_intersect(a, c));
-        assert!(ranges_intersect(StridedRange::new(8, 10, -1), a)); // 8,7,..,-1 hits 4
+        assert!(!meet(a, c));
+        assert!(meet(StridedRange::new(8, 10, -1), a)); // 8,7,..,-1 hits 4
     }
 
     #[test]
     fn empty_ranges_never_intersect() {
         let e = StridedRange::new(0, 0, 1);
         let f = StridedRange::new(0, 10, 1);
-        assert!(!ranges_intersect(e, f));
-        assert!(!ranges_intersect(f, e));
+        assert!(!meet(e, f));
+        assert!(!meet(f, e));
     }
 
     #[test]
     fn negative_steps() {
         let down = StridedRange::new(10, 5, -2); // 10 8 6 4 2
         let up = StridedRange::new(1, 5, 2); // 1 3 5 7 9
-        assert!(!ranges_intersect(down, up));
+        assert!(!meet(down, up));
         let up2 = StridedRange::new(0, 5, 2); // 0 2 4 6 8
-        assert!(ranges_intersect(down, up2));
-    }
-
-    #[test]
-    fn contains_matches_at() {
-        let r = StridedRange::new(3, 5, 4); // 3 7 11 15 19
-        for k in 0..5 {
-            assert!(r.contains(r.at(k)));
-        }
-        assert!(!r.contains(5));
-        assert!(!r.contains(23));
-        assert!(!r.contains(-1));
+        assert_eq!(intersect(down, up2), StridedRange::new(2, 4, 2));
     }
 
     #[test]
     fn witness_is_valid() {
         let r1 = StridedRange::new(0, 100, 3);
         let r2 = StridedRange::new(1, 100, 7);
-        let (k1, k2) = solve_pair(r1, r2).unwrap();
-        assert_eq!(r1.at(k1), r2.at(k2));
+        let shared = intersect(r1, r2);
+        assert!(!shared.is_empty());
+        for r in [r1, r2] {
+            let k = (shared.start - r.start) / r.step;
+            assert_eq!(r.at(k), shared.start);
+        }
+    }
+
+    #[test]
+    fn fixed_cases_match_brute_force() {
+        let cases = [
+            (StridedRange::new(1, 8, 2), StridedRange::new(2, 8, 2)),
+            (StridedRange::new(0, 10, 3), StridedRange::new(1, 10, 5)),
+            (StridedRange::new(5, 1, 1), StridedRange::new(0, 10, 3)),
+            (StridedRange::new(0, 20, 1), StridedRange::new(4, 4, 4)),
+            (StridedRange::new(10, 5, -2), StridedRange::new(1, 9, 1)),
+        ];
+        for (a, b) in cases {
+            check_exact(a, b).unwrap();
+            check_exact(b, a).unwrap();
+        }
     }
 
     proptest! {
@@ -246,13 +224,8 @@ mod tests {
         ) {
             let r1 = StridedRange::new(s1, n1, t1);
             let r2 = StridedRange::new(s2, n2, t2);
-            let expect = brute(r1, r2);
-            prop_assert_eq!(ranges_intersect(r1, r2), expect,
-                "r1={:?} r2={:?}", r1, r2);
-            if expect {
-                let (k1, k2) = solve_pair(r1, r2).unwrap();
-                prop_assert!((0..n1).contains(&k1) && (0..n2).contains(&k2));
-                prop_assert_eq!(r1.at(k1), r2.at(k2));
+            if let Err(msg) = check_exact(r1, r2) {
+                prop_assert!(false, "{}", msg);
             }
         }
 
@@ -263,8 +236,14 @@ mod tests {
         ) {
             let r1 = StridedRange::new(s1, 1_000_000, t1);
             let r2 = StridedRange::new(s2, 1_000_000, t2);
-            // Just must not panic / must agree with a coarse necessary check.
-            let _ = ranges_intersect(r1, r2);
+            // Must not panic, and any witness must lie in both ranges.
+            let shared = intersect(r1, r2);
+            if !shared.is_empty() {
+                for r in [r1, r2] {
+                    let d = shared.start - r.start;
+                    prop_assert!(d % r.step == 0 && (0..r.count).contains(&(d / r.step)));
+                }
+            }
         }
     }
 }

@@ -17,17 +17,19 @@
 //! Layers:
 //!
 //! * [`math`] — extended GCD, floor/ceil division.
-//! * [`dio`] — bounded linear Diophantine solving over strided ranges.
+//! * [`dio`] — the one bounded linear Diophantine solver: the exact
+//!   intersection of two strided ranges.
 //! * [`conflict`] — may two affine accesses over strided N-d regions touch
-//!   the same cell?
+//!   the same cell? Returns a witness cell, or a typed rank mismatch.
 //! * [`deps`] — stencil-level questions: is a stencil parallel-safe over
 //!   its domain union? does stencil B depend on stencil A (RAW/WAR/WAW)?
+//!   [`depends`] is the one hazard search, returning a witness cell.
 //! * [`schedule`] — group-level planning: dependence DAG, the greedy
 //!   barrier grouping used by the OpenMP backend, and dead-stencil
 //!   elimination.
-//! * [`verify`] — the certification layer: the same questions re-asked
-//!   with typed [`Diagnostic`]s, release-mode rank checking, and concrete
-//!   witness cells constructed from the Diophantine solutions.
+//! * [`verify`] — the certification layer: bounds proofs and schedule
+//!   certificates, reported as typed [`Diagnostic`]s carrying the witness
+//!   cells of the same conflict test and hazard search.
 //! * [`lint`] — the semantic layer above both: liveness dataflow,
 //!   domain-coverage proofs, halo sufficiency and weight sanity, each
 //!   finding reported as a typed [`Lint`] with a witness cell.
@@ -44,7 +46,7 @@ pub mod schedule;
 pub mod verify;
 
 pub use conflict::{access_conflict, regions_overlap, self_conflict};
-pub use deps::{depends, is_parallel_safe, writes_disjoint, DepKind, ResolvedStencil};
+pub use deps::{depends, is_parallel_safe, writes_disjoint, DepKind, Hazard, ResolvedStencil};
 pub use lint::{
     apply_policy, check_coverage, lint_group, lint_program, Coverage, Lint, LintConfig, LintReport,
     LintRule, PolicyOutcome, Severity,
@@ -55,6 +57,5 @@ pub use schedule::{
     Schedule,
 };
 pub use verify::{
-    certify_schedule, checked_access_conflict, checked_depends, verify_bounds, Diagnostic,
-    DiagnosticKind, Hazard, ScheduleCertificate,
+    certify_schedule, verify_bounds, Diagnostic, DiagnosticKind, ScheduleCertificate,
 };

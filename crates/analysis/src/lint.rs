@@ -8,12 +8,15 @@
 //!
 //! * **grid-liveness dataflow** — dead stores (a write fully overwritten
 //!   before any read), writes never read, reads of grids never written
-//!   (and not declared program inputs), and redundant self-copies;
+//!   (and not declared program inputs), and redundant self-copies; a
+//!   store is live when a later stencil has a read-after-write hazard on
+//!   it, found by the scheduler's own [`depends`](crate::deps::depends);
 //! * **domain coverage** — prove a union of strided rectangles exactly
 //!   tiles its bounding region, via inclusion–exclusion over arithmetic-
-//!   progression intersections (the same extended-GCD machinery as
-//!   [`dio`](crate::dio)); gap and double-cover verdicts come with
-//!   concrete witness cells found by bisection;
+//!   progression intersections (computed by
+//!   [`dio::intersect`](crate::dio::intersect), the crate's one solver);
+//!   gap and double-cover verdicts come with concrete witness cells found
+//!   by bisection;
 //! * **halo sufficiency** — every ghost cell an interior stencil reads
 //!   must be produced by some earlier boundary stencil in the program
 //!   (or belong to a declared input grid);
@@ -32,11 +35,10 @@ use std::str::FromStr;
 use snowflake_core::{AffineMap, Expr, ShapeMap, StencilGroup};
 use snowflake_grid::Region;
 
-use crate::conflict::access_conflict;
 use crate::conflict::access_range;
-use crate::deps::ResolvedStencil;
-use crate::dio::StridedRange;
-use crate::math::{div_ceil, egcd};
+use crate::deps::{reads_after_write, ResolvedStencil};
+use crate::dio::{intersect, StridedRange};
+use crate::math::coord;
 
 /// The lint rule taxonomy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -332,81 +334,18 @@ pub fn apply_policy(lints: Vec<Lint>, deny: &[LintRule], allow: &[LintRule]) -> 
 
 // --- arithmetic-progression machinery -----------------------------------
 
-/// Witness coordinates fit `i64`: they are grid indices derived from
-/// `i64` extents and offsets; the `i128` arithmetic exists only to keep
-/// intermediate products overflow-free.
-#[allow(clippy::cast_possible_truncation)]
-fn coord(v: i128) -> i64 {
-    v as i64
-}
-
-/// An empty normalized range.
-fn empty_range() -> StridedRange {
-    StridedRange::new(0, 0, 1)
-}
-
-/// Normalize a strided range to ascending order with `step >= 1`
-/// (collapsing zero-step and single-element ranges), preserving the
-/// value *set*.
-fn normalize(r: StridedRange) -> StridedRange {
-    if r.count <= 0 {
-        return empty_range();
-    }
-    if r.step == 0 || r.count == 1 {
-        return StridedRange::new(r.start, 1, 1);
-    }
-    if r.step < 0 {
-        return StridedRange::new(r.at(r.count - 1), r.count, -r.step);
-    }
-    r
-}
-
-/// Intersection of two normalized arithmetic progressions — again an
-/// arithmetic progression, computed with the extended Euclidean
-/// algorithm (CRT on the two congruence classes, clamped to both
-/// ranges' bounds).
-fn intersect_aps(a: StridedRange, b: StridedRange) -> StridedRange {
-    let a = normalize(a);
-    let b = normalize(b);
-    if a.is_empty() || b.is_empty() {
-        return empty_range();
-    }
-    // Solve a.start + i·a.step == b.start + j·b.step. Solutions for i form
-    // a residue class modulo m = b.step / g.
-    let (g, x0, _) = egcd(a.step, b.step);
-    let c = b.start - a.start;
-    if c % g != 0 {
-        return empty_range();
-    }
-    let m = b.step / g;
-    let i0 = ((x0 % m) * ((c / g) % m) % m + m) % m;
-    let lcm = a.step * m;
-    let first = a.start + i0 * a.step;
-    let lo_bound = a.start.max(b.start);
-    let hi_bound = a.at(a.count - 1).min(b.at(b.count - 1));
-    let k0 = if first >= lo_bound {
-        0
-    } else {
-        div_ceil(lo_bound - first, lcm)
-    };
-    let first_v = first + k0 * lcm;
-    if first_v > hi_bound {
-        return empty_range();
-    }
-    StridedRange::new(first_v, (hi_bound - first_v) / lcm + 1, lcm)
-}
-
 /// A product region as per-dimension normalized ranges.
 type Product = Vec<StridedRange>;
 
 fn region_product(r: &Region) -> Product {
     (0..r.ndim())
         .map(|d| {
-            normalize(StridedRange::new(
+            StridedRange::new(
                 i128::from(r.lo[d]),
                 i128::from(r.extent(d)),
                 i128::from(r.stride[d]),
-            ))
+            )
+            .normalized()
         })
         .collect()
 }
@@ -414,7 +353,7 @@ fn region_product(r: &Region) -> Product {
 /// The image of `region` under `map`, as a product of normalized ranges.
 fn image_product(region: &Region, map: &AffineMap) -> Product {
     (0..region.ndim())
-        .map(|d| normalize(access_range(region, map, d)))
+        .map(|d| access_range(region, map, d).normalized())
         .collect()
 }
 
@@ -427,7 +366,7 @@ fn intersect_products(a: &[StridedRange], b: &[StridedRange]) -> Option<Product>
     let out: Product = a
         .iter()
         .zip(b)
-        .map(|(&ra, &rb)| intersect_aps(ra, rb))
+        .map(|(&ra, &rb)| intersect(ra, rb))
         .collect();
     if out.iter().any(StridedRange::is_empty) {
         None
@@ -549,23 +488,6 @@ struct FlatStencil {
     rs: ResolvedStencil,
 }
 
-/// Does any read of `grid` by `reader` touch a cell `writer` writes?
-fn read_sees_write(writer: &ResolvedStencil, reader: &ResolvedStencil, grid: &str) -> bool {
-    let (_, wmap) = writer.write();
-    reader
-        .reads()
-        .iter()
-        .filter(|(g, _)| g == grid)
-        .any(|(_, rmap)| {
-            writer.regions.iter().any(|r1| {
-                reader
-                    .regions
-                    .iter()
-                    .any(|r2| r1.ndim() == r2.ndim() && access_conflict(r1, &wmap, r2, rmap))
-            })
-        })
-}
-
 /// Is every cell `writer` writes overwritten by `over`'s write set?
 fn write_covered_by(writer: &ResolvedStencil, over: &ResolvedStencil) -> bool {
     let (_, wmap) = writer.write();
@@ -630,7 +552,7 @@ fn liveness_pass(flat: &[FlatStencil], config: &LintConfig, lints: &mut Vec<Lint
         let (g, _) = f.rs.write();
         let mut verdict: Option<LintRule> = Some(LintRule::WriteNeverRead);
         for later in &flat[i + 1..] {
-            if read_sees_write(&f.rs, &later.rs, &g) {
+            if reads_after_write(&f.rs, &later.rs) {
                 verdict = None;
                 break;
             }
@@ -804,7 +726,7 @@ fn halo_pass(
                 let img = image_product(region, &rmap);
                 for d in 0..img.len() {
                     for face in [0i128, shape[d] as i128 - 1] {
-                        let slab_d = intersect_aps(img[d], StridedRange::new(face, 1, 1));
+                        let slab_d = intersect(img[d], StridedRange::new(face, 1, 1));
                         if slab_d.is_empty() {
                             continue;
                         }
@@ -1059,29 +981,6 @@ mod tests {
 
     fn rg(lo: &[i64], hi: &[i64], st: &[i64]) -> Region {
         Region::new(lo.to_vec(), hi.to_vec(), st.to_vec())
-    }
-
-    #[test]
-    fn ap_intersection_matches_brute_force() {
-        let cases = [
-            (StridedRange::new(1, 8, 2), StridedRange::new(2, 8, 2)),
-            (StridedRange::new(0, 10, 3), StridedRange::new(1, 10, 5)),
-            (StridedRange::new(5, 1, 1), StridedRange::new(0, 10, 3)),
-            (StridedRange::new(0, 20, 1), StridedRange::new(4, 4, 4)),
-            (StridedRange::new(10, 5, -2), StridedRange::new(1, 9, 1)),
-        ];
-        for (a, b) in cases {
-            let got = intersect_aps(a, b);
-            let set_a: Vec<i128> = (0..a.count.max(0)).map(|k| a.at(k)).collect();
-            let expect: Vec<i128> = (0..b.count.max(0))
-                .map(|k| b.at(k))
-                .filter(|v| set_a.contains(v))
-                .collect();
-            let mut sorted = expect.clone();
-            sorted.sort_unstable();
-            let got_vals: Vec<i128> = (0..got.count).map(|k| got.at(k)).collect();
-            assert_eq!(got_vals, sorted, "a={a:?} b={b:?}");
-        }
     }
 
     #[test]

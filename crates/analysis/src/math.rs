@@ -1,5 +1,5 @@
-//! Integer arithmetic primitives: extended GCD and euclidean-style
-//! floor/ceil division, the tools the paper's SymPy layer provides.
+//! Integer arithmetic primitives: extended GCD and ceiling division, the
+//! tools the paper's SymPy layer provides.
 //!
 //! Everything is computed in `i128` so that products of grid extents,
 //! strides and access scales cannot overflow for any realistic mesh.
@@ -25,16 +25,6 @@ pub fn egcd(a: i128, b: i128) -> (i128, i128, i128) {
     }
 }
 
-/// Floor division: the largest `q` with `q * b <= a`. Panics on `b == 0`.
-pub fn div_floor(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
-    }
-}
-
 /// Ceiling division: the smallest `q` with `q * b >= a`. Panics on `b == 0`.
 pub fn div_ceil(a: i128, b: i128) -> i128 {
     let q = a / b;
@@ -43,6 +33,14 @@ pub fn div_ceil(a: i128, b: i128) -> i128 {
     } else {
         q
     }
+}
+
+/// Narrow an `i128` intermediate back to a grid coordinate. Coordinates
+/// are images of `i64` points under `i64` affine maps; the `i128`
+/// widening only keeps intermediate products overflow-free.
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn coord(v: i128) -> i64 {
+    v as i64
 }
 
 #[cfg(test)]
@@ -67,16 +65,11 @@ mod tests {
     }
 
     #[test]
-    fn div_floor_ceil_examples() {
-        assert_eq!(div_floor(7, 2), 3);
-        assert_eq!(div_floor(-7, 2), -4);
-        assert_eq!(div_floor(7, -2), -4);
-        assert_eq!(div_floor(-7, -2), 3);
+    fn div_ceil_examples() {
         assert_eq!(div_ceil(7, 2), 4);
         assert_eq!(div_ceil(-7, 2), -3);
         assert_eq!(div_ceil(7, -2), -3);
         assert_eq!(div_ceil(-7, -2), 4);
-        assert_eq!(div_floor(6, 3), 2);
         assert_eq!(div_ceil(6, 3), 2);
     }
 
@@ -93,20 +86,6 @@ mod tests {
         }
 
         #[test]
-        fn div_floor_is_floor(a in -1_000i128..1_000, b in -50i128..50) {
-            prop_assume!(b != 0);
-            let q = div_floor(a, b);
-            // Floor division: remainder a - q*b lies in [0, b) for b > 0,
-            // and in (b, 0] for b < 0 (same sign as the divisor).
-            let r = a - q * b;
-            if b > 0 {
-                prop_assert!(r >= 0 && r < b);
-            } else {
-                prop_assert!(r <= 0 && r > b);
-            }
-        }
-
-        #[test]
         fn div_ceil_is_ceil(a in -1_000i128..1_000, b in -50i128..50) {
             prop_assume!(b != 0);
             let q = div_ceil(a, b);
@@ -118,8 +97,6 @@ mod tests {
             } else {
                 prop_assert!(r <= 0 && r > b);
             }
-            // And the two divisions are mirror images.
-            prop_assert_eq!(q, -div_floor(-a, b));
         }
     }
 }

@@ -6,7 +6,7 @@
 //! the next stencil depends on one already in the phase. Stencils within a
 //! phase are mutually independent and may be farmed out as tasks.
 
-use crate::deps::{depends, DepKind, ResolvedStencil};
+use crate::deps::{depends, reads_after_write, DepKind, ResolvedStencil};
 
 /// A barrier-phase schedule over a stencil group.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -28,15 +28,24 @@ impl Schedule {
     }
 }
 
+/// Must `b` run after `a`? True for every hazard, and for a pair whose
+/// ranks mismatch (unproven independence orders conservatively).
+fn ordered(a: &ResolvedStencil, b: &ResolvedStencil) -> bool {
+    depends(a, b) != Ok(None)
+}
+
 /// The full dependence DAG: `edges[j]` lists the earlier stencils `i < j`
-/// that stencil `j` depends on, with the hazard kind.
+/// that stencil `j` depends on, with the hazard kind. A pair whose ranks
+/// mismatch gets a conservative read-after-write edge.
 pub fn dependence_dag(stencils: &[ResolvedStencil]) -> Vec<Vec<(usize, DepKind)>> {
     let n = stencils.len();
     let mut edges = vec![Vec::new(); n];
     for j in 0..n {
         for i in 0..j {
-            if let Some(kind) = depends(&stencils[i], &stencils[j]) {
-                edges[j].push((i, kind));
+            match depends(&stencils[i], &stencils[j]) {
+                Ok(None) => {}
+                Ok(Some(h)) => edges[j].push((i, h.kind)),
+                Err(_) => edges[j].push((i, DepKind::ReadAfterWrite)),
             }
         }
     }
@@ -55,12 +64,10 @@ pub fn greedy_phases(stencils: &[ResolvedStencil]) -> Schedule {
     let mut phases: Vec<Vec<usize>> = Vec::new();
     let mut current: Vec<usize> = Vec::new();
     for (j, sj) in stencils.iter().enumerate() {
-        let blocked = current.iter().any(|&i| depends(&stencils[i], sj).is_some());
-        if blocked {
+        if current.iter().any(|&i| ordered(&stencils[i], sj)) {
             phases.push(std::mem::take(&mut current));
         }
         current.push(j);
-        let _ = sj;
     }
     if !current.is_empty() {
         phases.push(current);
@@ -102,8 +109,7 @@ pub fn reorder_minimize_barriers(stencils: &[ResolvedStencil]) -> Schedule {
         let mut phase: Vec<usize> = Vec::new();
         for j in ready {
             let independent = phase.iter().all(|&i| {
-                depends(&stencils[i], &stencils[j]).is_none()
-                    && depends(&stencils[j], &stencils[i]).is_none()
+                !ordered(&stencils[i], &stencils[j]) && !ordered(&stencils[j], &stencils[i])
             });
             if independent {
                 phase.push(j);
@@ -153,29 +159,8 @@ pub fn dead_stencils(stencils: &[ResolvedStencil], live_outputs: &[String]) -> V
     let n = stencils.len();
     let mut keep = vec![false; n];
     for i in (0..n).rev() {
-        let (out_grid, wmap) = stencils[i].write();
-        if live_outputs.contains(&out_grid) {
-            keep[i] = true;
-            continue;
-        }
-        'later: for (j, sj) in stencils.iter().enumerate().skip(i + 1) {
-            if !keep[j] {
-                continue;
-            }
-            for (g, rmap) in sj.reads() {
-                if g != out_grid {
-                    continue;
-                }
-                for r1 in &stencils[i].regions {
-                    for r2 in &sj.regions {
-                        if crate::conflict::access_conflict(r1, &wmap, r2, &rmap) {
-                            keep[i] = true;
-                            break 'later;
-                        }
-                    }
-                }
-            }
-        }
+        keep[i] = live_outputs.contains(&stencils[i].write().0)
+            || (i + 1..n).any(|j| keep[j] && reads_after_write(&stencils[i], &stencils[j]));
     }
     keep
 }

@@ -1,22 +1,18 @@
 //! Plan-time static verification: typed diagnostics with witness points.
 //!
-//! The analysis layers below ([`conflict`], [`deps`], [`schedule`]) answer
-//! yes/no questions and, in release builds, silently trust their callers
-//! about rank agreement. This module re-asks the same questions in a form
-//! suitable for *certification*: every negative verdict carries a typed
-//! [`Diagnostic`] naming the stencil, grid, dimension and — whenever the
-//! finite-domain Diophantine machinery can produce one — a concrete
-//! **witness grid cell** where the violation happens. Rank mismatches
-//! become [`DiagnosticKind::RankMismatch`] errors instead of
-//! `debug_assert_eq!`s that vanish in release.
+//! Every negative verdict carries a typed [`Diagnostic`] naming the
+//! stencil, grid, dimension and — whenever the finite-domain Diophantine
+//! machinery can produce one — a concrete **witness grid cell** where the
+//! violation happens. The verifier asks the same questions the scheduler
+//! does, through the same functions: [`access_conflict`] and [`depends`]
+//! return witness cells, and report rank mismatches as
+//! [`DiagnosticKind::RankMismatch`] errors in release builds too.
 //!
-//! Three verifier entry points live here:
+//! Two verifier entry points live here:
 //!
 //! * [`verify_bounds`] — prove every access of a resolved stencil stays
 //!   inside its grid's allocated extents (ghost zones included), or
 //!   return an out-of-bounds witness.
-//! * [`checked_depends`] / [`checked_access_conflict`] — the dependence
-//!   tests of [`deps`], returning hazard witnesses instead of booleans.
 //! * [`certify_schedule`] — re-derive the dependence structure of a
 //!   phased schedule and prove each phase pairwise hazard-free and every
 //!   `parallel_safe` claim justified.
@@ -24,19 +20,17 @@
 //! The lowered-form checks (cursor algebra over [`AccessClass`] regions,
 //! codegen audit) build on these in `snowflake-backends::verify`.
 //!
-//! [`conflict`]: crate::conflict
-//! [`deps`]: crate::deps
-//! [`schedule`]: crate::schedule
+//! [`access_conflict`]: crate::conflict::access_conflict
+//! [`depends`]: crate::deps::depends
 //! [`AccessClass`]: ../snowflake_ir/struct.AccessClass.html
 
 use std::fmt;
 
-use snowflake_core::{AffineMap, ShapeMap};
-use snowflake_grid::Region;
+use snowflake_core::ShapeMap;
 
-use crate::conflict::{access_range, self_conflict};
-use crate::deps::{depends, is_parallel_safe, writes_disjoint, DepKind, ResolvedStencil};
-use crate::dio::solve_pair;
+use crate::conflict::{access_conflict, self_conflict};
+use crate::deps::{depends, is_parallel_safe, ResolvedStencil};
+use crate::math::coord;
 
 /// The taxonomy of verifier findings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,155 +155,11 @@ impl fmt::Display for Diagnostic {
 
 impl std::error::Error for Diagnostic {}
 
-/// A concrete cross-stencil hazard: the dependence kind plus the grid
-/// cell both accesses can touch.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Hazard {
-    /// The dependence kind (in program order of the two stencils).
-    pub kind: DepKind,
-    /// The grid both accesses touch.
-    pub grid: String,
-    /// A cell both accesses can reach, when the solver produced one.
-    pub cell: Option<Vec<i64>>,
-}
-
-fn rank_mismatch(context: &str, expected: usize, got: usize) -> Diagnostic {
+pub(crate) fn rank_mismatch(context: &str, expected: usize, got: usize) -> Diagnostic {
     Diagnostic::new(
         DiagnosticKind::RankMismatch,
         format!("{context}: expected rank {expected}, got {got}"),
     )
-}
-
-/// [`access_conflict`] with release-mode rank checking and a witness:
-/// `Ok(Some(cell))` names a grid cell both accesses can touch,
-/// `Ok(None)` proves disjointness, `Err` reports a rank mismatch (which
-/// the unchecked variant only `debug_assert`s).
-///
-/// Because product regions and dimension-wise affine maps decompose into
-/// independent 1-D problems, per-dimension solutions compose: the witness
-/// cell is exact, not a per-dimension approximation.
-///
-/// [`access_conflict`]: crate::conflict::access_conflict
-pub fn checked_access_conflict(
-    r1: &Region,
-    m1: &AffineMap,
-    r2: &Region,
-    m2: &AffineMap,
-) -> Result<Option<Vec<i64>>, Diagnostic> {
-    let nd = r1.ndim();
-    if r2.ndim() != nd {
-        return Err(rank_mismatch(
-            "second region vs first region",
-            nd,
-            r2.ndim(),
-        ));
-    }
-    if m1.ndim() != nd {
-        return Err(rank_mismatch(
-            "first access map vs its region",
-            nd,
-            m1.ndim(),
-        ));
-    }
-    if m2.ndim() != nd {
-        return Err(rank_mismatch(
-            "second access map vs its region",
-            nd,
-            m2.ndim(),
-        ));
-    }
-    if r1.is_empty() || r2.is_empty() {
-        return Ok(None);
-    }
-    let mut cell = Vec::with_capacity(nd);
-    for d in 0..nd {
-        let ra = access_range(r1, m1, d);
-        let rb = access_range(r2, m2, d);
-        match solve_pair(ra, rb) {
-            None => return Ok(None),
-            Some((k1, _)) => cell.push(coord(ra.at(k1))),
-        }
-    }
-    Ok(Some(cell))
-}
-
-/// Narrow an `i128` intermediate back to a grid coordinate. Coordinates
-/// are images of `i64` points under `i64` affine maps; the `i128`
-/// widening only guards the intermediate products.
-#[allow(clippy::cast_possible_truncation)]
-fn coord(v: i128) -> i64 {
-    v as i64
-}
-
-/// First conflicting cell across two domain unions, if any.
-fn regions_witness(
-    rs1: &[Region],
-    m1: &AffineMap,
-    rs2: &[Region],
-    m2: &AffineMap,
-) -> Result<Option<Vec<i64>>, Diagnostic> {
-    for r1 in rs1 {
-        for r2 in rs2 {
-            if let Some(cell) = checked_access_conflict(r1, m1, r2, m2)? {
-                return Ok(Some(cell));
-            }
-        }
-    }
-    Ok(None)
-}
-
-/// [`depends`] with release-mode rank checking and witness construction:
-/// `Ok(Some(hazard))` carries the dependence kind and a cell both
-/// stencils can touch; `Ok(None)` proves independence. Hazard kinds are
-/// searched in the same priority order as [`depends`] (RAW, WAW, WAR).
-///
-/// [`depends`]: crate::deps::depends
-pub fn checked_depends(
-    a: &ResolvedStencil,
-    b: &ResolvedStencil,
-) -> Result<Option<Hazard>, Diagnostic> {
-    let attribute = |e: Diagnostic| e.stencil(a.stencil.name());
-    let (aw_grid, aw_map) = a.write();
-    let (bw_grid, bw_map) = b.write();
-
-    for (g, rmap) in b.reads() {
-        if g == aw_grid {
-            if let Some(cell) =
-                regions_witness(&a.regions, &aw_map, &b.regions, &rmap).map_err(attribute)?
-            {
-                return Ok(Some(Hazard {
-                    kind: DepKind::ReadAfterWrite,
-                    grid: g,
-                    cell: Some(cell),
-                }));
-            }
-        }
-    }
-    if aw_grid == bw_grid {
-        if let Some(cell) =
-            regions_witness(&a.regions, &aw_map, &b.regions, &bw_map).map_err(attribute)?
-        {
-            return Ok(Some(Hazard {
-                kind: DepKind::WriteAfterWrite,
-                grid: aw_grid,
-                cell: Some(cell),
-            }));
-        }
-    }
-    for (g, rmap) in a.reads() {
-        if g == bw_grid {
-            if let Some(cell) =
-                regions_witness(&a.regions, &rmap, &b.regions, &bw_map).map_err(attribute)?
-            {
-                return Ok(Some(Hazard {
-                    kind: DepKind::WriteAfterRead,
-                    grid: g,
-                    cell: Some(cell),
-                }));
-            }
-        }
-    }
-    Ok(None)
 }
 
 /// Prove every access of a resolved stencil stays inside its grid's
@@ -490,10 +340,10 @@ pub fn certify_schedule(
             for &b in phase.iter().skip(i + 1) {
                 pairs_checked += 1;
                 for (x, y) in [(a, b), (b, a)] {
-                    match checked_depends(&resolved[x], &resolved[y]) {
+                    match depends(&resolved[x], &resolved[y]) {
                         Err(e) => diags.push(e),
                         Ok(Some(h)) => {
-                            let mut d = Diagnostic::new(
+                            let d = Diagnostic::new(
                                 DiagnosticKind::PhaseHazard,
                                 format!(
                                     "{:?} and {:?} share a barrier phase but have a {:?} hazard",
@@ -503,10 +353,8 @@ pub fn certify_schedule(
                                 ),
                             )
                             .stencil(resolved[x].stencil.name())
-                            .grid(&h.grid);
-                            if let Some(cell) = h.cell {
-                                d = d.witness(cell);
-                            }
+                            .grid(&h.grid)
+                            .witness(h.cell);
                             diags.push(d);
                         }
                         Ok(None) => {}
@@ -523,10 +371,10 @@ pub fn certify_schedule(
                 continue; // handled above
             }
             pairs_checked += 1;
-            match checked_depends(&resolved[i], &resolved[j]) {
+            match depends(&resolved[i], &resolved[j]) {
                 Err(e) => diags.push(e),
                 Ok(Some(h)) if phase_of[i] > phase_of[j] => {
-                    let mut d = Diagnostic::new(
+                    let d = Diagnostic::new(
                         DiagnosticKind::PhaseHazard,
                         format!(
                             "{:?} (phase {}) must complete before {:?} (phase {}): {:?} hazard",
@@ -538,10 +386,8 @@ pub fn certify_schedule(
                         ),
                     )
                     .stencil(resolved[j].stencil.name())
-                    .grid(&h.grid);
-                    if let Some(cell) = h.cell {
-                        d = d.witness(cell);
-                    }
+                    .grid(&h.grid)
+                    .witness(h.cell);
                     diags.push(d);
                 }
                 Ok(_) => {}
@@ -570,31 +416,37 @@ pub fn certify_schedule(
                 .grid(&grid)
                 .witness(wmap.apply(&region.lo)),
             );
-        } else if !writes_disjoint(rs) {
-            let cell = regions_witness(&rs.regions, &wmap, &rs.regions, &wmap)
-                .ok()
-                .flatten();
-            let mut d = Diagnostic::new(
-                DiagnosticKind::WriteOverlap,
-                "domain-union rectangles write overlapping cells but the \
-                 stencil is flagged parallel-safe",
-            )
-            .stencil(rs.stencil.name())
-            .grid(&grid);
-            if let Some(cell) = cell {
-                d = d.witness(cell);
-            }
-            diags.push(d);
-        } else if !is_parallel_safe(rs) {
-            diags.push(
+            continue;
+        }
+        // Distinct union rectangles writing one cell; a rectangle paired
+        // with itself shares every cell and proves nothing.
+        let overlap = rs.regions.iter().enumerate().find_map(|(i, r1)| {
+            rs.regions[i + 1..]
+                .iter()
+                .find_map(|r2| access_conflict(r1, &wmap, r2, &wmap).transpose())
+        });
+        match overlap {
+            Some(Err(e)) => diags.push(e.stencil(rs.stencil.name())),
+            Some(Ok(cell)) => diags.push(
+                Diagnostic::new(
+                    DiagnosticKind::WriteOverlap,
+                    "domain-union rectangles write overlapping cells but the \
+                     stencil is flagged parallel-safe",
+                )
+                .stencil(rs.stencil.name())
+                .grid(&grid)
+                .witness(cell),
+            ),
+            None if !is_parallel_safe(rs) => diags.push(
                 Diagnostic::new(
                     DiagnosticKind::ParallelSafeMismatch,
                     "flagged parallel-safe but the analysis finds a \
                      loop-carried dependence over the domain union",
                 )
                 .stencil(rs.stencil.name())
-                .grid(&rs.write().0),
-            );
+                .grid(&grid),
+            ),
+            None => {}
         }
     }
 
@@ -608,18 +460,12 @@ pub fn certify_schedule(
     }
 }
 
-/// Convenience: re-derive the full dependence relation (unchecked ranks
-/// debug-asserted away) — used by tests to compare checked and unchecked
-/// verdicts.
-pub fn depends_unchecked(a: &ResolvedStencil, b: &ResolvedStencil) -> Option<DepKind> {
-    depends(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schedule::greedy_phases;
-    use snowflake_core::{weights2, Component, DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_core::{weights2, AffineMap, Component, DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_grid::Region;
 
     fn shapes(n: usize) -> ShapeMap {
         let mut m = ShapeMap::new();
@@ -644,10 +490,10 @@ mod tests {
         let r1 = Region::new(vec![0, 0], vec![4, 4], vec![1, 1]);
         let r2 = Region::new(vec![0], vec![4], vec![1]);
         let id2 = AffineMap::identity(2);
-        let err = checked_access_conflict(&r1, &id2, &r2, &id2).unwrap_err();
+        let err = access_conflict(&r1, &id2, &r2, &id2).unwrap_err();
         assert_eq!(err.kind, DiagnosticKind::RankMismatch);
         let id1 = AffineMap::identity(1);
-        let err = checked_access_conflict(&r1, &id1, &r1, &id2).unwrap_err();
+        let err = access_conflict(&r1, &id1, &r1, &id2).unwrap_err();
         assert_eq!(err.kind, DiagnosticKind::RankMismatch);
     }
 
@@ -658,17 +504,14 @@ mod tests {
         let black = Region::new(vec![2], vec![15], vec![2]);
         let id = AffineMap::identity(1);
         let m = AffineMap::translate(vec![-1]);
-        let cell = checked_access_conflict(&red, &id, &black, &m)
+        let cell = access_conflict(&red, &id, &black, &m)
             .unwrap()
             .expect("conflict");
         // The witness must be a red cell reachable as black-1.
         assert_eq!(cell.len(), 1);
         assert!(cell[0] % 2 == 1 && (1..15).contains(&cell[0]), "{cell:?}");
         // Disjoint colors: proven, no witness.
-        assert_eq!(
-            checked_access_conflict(&red, &id, &black, &id).unwrap(),
-            None
-        );
+        assert_eq!(access_conflict(&red, &id, &black, &id).unwrap(), None);
     }
 
     #[test]
@@ -802,7 +645,7 @@ mod tests {
         let (_, wb) = rs[1].write();
         for r1 in &rs[0].regions {
             for r2 in &rs[1].regions {
-                assert_eq!(checked_access_conflict(r1, &wr, r2, &wb).unwrap(), None);
+                assert_eq!(access_conflict(r1, &wr, r2, &wb).unwrap(), None);
             }
         }
     }

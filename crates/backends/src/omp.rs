@@ -551,14 +551,25 @@ mod tests {
     fn empty_explicit_tile_is_a_typed_error() {
         let group = vc_gsrb_group_2d();
         let shapes = mk_grids(10).shapes();
-        let omp =
-            crate::backend_from_name("omp", &crate::BackendOptions::default().with_tile(vec![]))
-                .unwrap();
+        let omp = OmpBackend::new().with_tile(vec![]);
         let Err(err) = omp.compile(&group, &shapes) else {
             panic!("an empty tile must not compile");
         };
         assert!(matches!(err, CoreError::Backend(_)), "{err:?}");
         assert!(err.to_string().contains("tile"), "{err}");
+    }
+
+    #[test]
+    fn options_reach_the_constructed_backend() {
+        let omp = OmpBackend::new()
+            .with_tile(vec![4, 4])
+            .with_multicolor(false);
+        assert_eq!(omp.name(), "omp");
+        assert_eq!(omp.omp.tile, Some(vec![4, 4]));
+        assert!(!omp.omp.multicolor_reorder);
+        let oclsim = crate::OclSimBackend::new().with_workgroup(2, 8);
+        assert_eq!(oclsim.name(), "oclsim");
+        assert_eq!((oclsim.workgroup.tall, oclsim.workgroup.wide), (2, 8));
     }
 
     #[test]

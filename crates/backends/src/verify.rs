@@ -1,6 +1,7 @@
 //! Plan-time certification of compiled plans (the backend half of the
-//! static verifier; the Diophantine machinery lives in
-//! `snowflake-analysis::verify`).
+//! static verifier; the source-level proofs live in
+//! `snowflake-analysis::verify`, on the analysis crate's one conflict test
+//! and hazard search).
 //!
 //! [`verify_plan`] re-proves, from the original stencil descriptions and
 //! *independently* of the lowering pipeline, that every operator of a

@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hpgmg::stencils::{gsrb_smooth_group, Coeff, Names};
-use snowflake_analysis::dio::{ranges_intersect, StridedRange};
+use snowflake_analysis::dio::{intersect, StridedRange};
 use snowflake_analysis::{greedy_phases, ResolvedStencil};
 use snowflake_core::ShapeMap;
 use snowflake_ir::{lower_group, LowerOptions};
@@ -36,7 +36,7 @@ fn analysis(c: &mut Criterion) {
     g.bench_function("diophantine_range_pair", |b| {
         let r1 = StridedRange::new(1, 1 << 20, 3);
         let r2 = StridedRange::new(2, 1 << 20, 7);
-        b.iter(|| ranges_intersect(std::hint::black_box(r1), std::hint::black_box(r2)))
+        b.iter(|| intersect(std::hint::black_box(r1), std::hint::black_box(r2)))
     });
 
     let names = Names::level(0);

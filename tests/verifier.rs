@@ -8,8 +8,8 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use snowflake::analysis::{
-    certify_schedule, checked_access_conflict, checked_depends, greedy_phases, is_parallel_safe,
-    verify_bounds, DiagnosticKind, ResolvedStencil,
+    access_conflict, certify_schedule, depends, greedy_phases, is_parallel_safe, verify_bounds,
+    DiagnosticKind, ResolvedStencil,
 };
 use snowflake::backends::{verify_plan, witness_count};
 use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
@@ -72,7 +72,7 @@ proptest! {
         let img2: HashSet<Vec<i64>> = r2.points().map(|p| m2.apply(&p)).collect();
         let expected = img1.intersection(&img2).next().is_some();
 
-        match checked_access_conflict(&r1, &m1, &r2, &m2) {
+        match access_conflict(&r1, &m1, &r2, &m2) {
             Ok(Some(cell)) => {
                 prop_assert!(expected, "verifier found phantom conflict at {cell:?}");
                 prop_assert!(
@@ -87,13 +87,13 @@ proptest! {
 }
 
 /// Rank mismatches are typed diagnostics in release builds, not silent
-/// `debug_assert!` no-ops (the satellite fix over `access_conflict`).
+/// `debug_assert!` no-ops or a verdict of independence.
 #[test]
 fn rank_mismatch_is_a_typed_diagnostic() {
     let r2d = Region::new(vec![0, 0], vec![4, 4], vec![1, 1]);
     let r1d = Region::new(vec![0], vec![4], vec![1]);
-    let err = checked_access_conflict(&r2d, &AffineMap::identity(2), &r1d, &AffineMap::identity(1))
-        .unwrap_err();
+    let err =
+        access_conflict(&r2d, &AffineMap::identity(2), &r1d, &AffineMap::identity(1)).unwrap_err();
     assert_eq!(err.kind, DiagnosticKind::RankMismatch);
 }
 
@@ -125,7 +125,7 @@ fn gsrb_red_black_coloring_certifies() {
     for a in &rr.regions {
         for b in &rb.regions {
             assert_eq!(
-                checked_access_conflict(a, &wmap, b, &wmap).unwrap(),
+                access_conflict(a, &wmap, b, &wmap).unwrap(),
                 None,
                 "red and black colorings must write disjoint cells"
             );
@@ -133,10 +133,18 @@ fn gsrb_red_black_coloring_certifies() {
     }
     // ...but the colors do exchange values, so the hazard is real and the
     // schedule must barrier between them.
-    let hazard = checked_depends(&rr, &rb)
-        .unwrap()
-        .expect("RAW across colors");
-    assert!(hazard.cell.is_some(), "hazard must carry a witness cell");
+    let hazard = depends(&rr, &rb).unwrap().expect("RAW across colors");
+    // The witness is a red cell that black reads.
+    let (_, rmap) = rr.write();
+    let cell = &hazard.cell;
+    assert!(rr
+        .regions
+        .iter()
+        .any(|r| r.points().any(|p| rmap.apply(&p) == *cell)));
+    assert!(rb.reads().iter().any(|(_, m)| rb
+        .regions
+        .iter()
+        .any(|r| r.points().any(|p| m.apply(&p) == *cell))));
 
     let resolved = vec![rr, rb];
     let sched = greedy_phases(&resolved);
@@ -211,6 +219,33 @@ fn seeded_race_yields_a_witness() {
         .iter()
         .any(|d| d.kind == DiagnosticKind::PhaseHazard && d.witness.is_some()));
     assert!(witness_count(&diags) >= 1);
+}
+
+/// A forged parallel claim on a union whose rectangles overlap must name a
+/// cell two *different* rectangles write — not a cell of one rectangle
+/// paired with itself.
+#[test]
+fn write_overlap_witness_is_written_by_two_rectangles() {
+    let sh = shapes(&["x"], &[8]);
+    let union = RectDomain::new(&[1], &[6], &[1]) + RectDomain::new(&[3], &[4], &[1]);
+    let rs = ResolvedStencil::resolve(&Stencil::new(Expr::Const(1.0), "x", union), &sh).unwrap();
+    let diags = certify_schedule(std::slice::from_ref(&rs), &[vec![0]], &[true]).unwrap_err();
+    let overlap: Vec<_> = diags
+        .iter()
+        .filter(|d| d.kind == DiagnosticKind::WriteOverlap)
+        .collect();
+    assert_eq!(overlap.len(), 1, "{diags:?}");
+    let cell = overlap[0].witness.as_ref().expect("witness cell");
+    let (_, wmap) = rs.write();
+    let writers = rs
+        .regions
+        .iter()
+        .filter(|r| r.points().any(|p| wmap.apply(&p) == *cell))
+        .count();
+    assert_eq!(
+        writers, 2,
+        "witness {cell:?} must be written by both rectangles"
+    );
 }
 
 // ---------------------------------------------------------------------------
