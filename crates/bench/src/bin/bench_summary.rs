@@ -15,7 +15,7 @@ use std::time::Instant;
 use hpgmg::{HandSolver, Problem, SnowSolver, SolveOptions};
 use snowflake_backends::metrics::json;
 use snowflake_backends::{backend_from_name, BackendOptions, CJitBackend};
-use snowflake_bench::{arg_usize_or_exit, arg_value, print_table};
+use snowflake_bench::{arg_size_or_exit, arg_usize_or_exit, arg_value, print_table};
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -93,7 +93,7 @@ fn tuner_artifacts(dir: &std::path::Path) -> Vec<(String, String)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n = arg_usize_or_exit(&args, "--size", 8);
+    let n = arg_size_or_exit(&args, "--size", 8);
     let cycles = arg_usize_or_exit(&args, "--cycles", 2);
     let reps = arg_usize_or_exit(&args, "--reps", 5);
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_solver.json".to_string());

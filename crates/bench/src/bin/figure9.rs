@@ -36,14 +36,14 @@ use std::time::Instant;
 use hpgmg::{HandSolver, Problem, Smoother, SnowSolver, SolveOptions};
 use snowflake_backends::{backend_from_name, BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_flag, arg_usize_or_exit, arg_value, gates_from_args, print_table, write_metrics_json,
-    MetricsRow, Who,
+    arg_flag, arg_size_or_exit, arg_usize_or_exit, arg_value, gates_from_args, print_table,
+    write_metrics_json, MetricsRow, Who,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let n = arg_usize_or_exit(&args, "--size", if smoke { 8 } else { 64 });
+    let n = arg_size_or_exit(&args, "--size", if smoke { 8 } else { 64 });
     let cycles = arg_usize_or_exit(&args, "--cycles", if smoke { 2 } else { 10 });
     let smoother = match arg_value(&args, "--smoother").as_deref() {
         Some("cheby") | Some("chebyshev") => Smoother::Chebyshev,

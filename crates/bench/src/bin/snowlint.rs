@@ -8,7 +8,7 @@
 //! stencil?) and weight sanity (partitions of unity, cancelling
 //! coefficients, divergent smoother row sums). The pass pipeline lives in
 //! `snowflake-analysis::lint`; this binary builds *execution-ordered*
-//! programs (an unrolled HPGMG V-cycle; example-shaped 2-D programs) with
+//! programs (the HPGMG solver's own V-cycle; example-shaped 2-D programs) with
 //! precise input/output declarations, so the order-dependent rules run
 //! with full strength.
 //!
@@ -24,20 +24,14 @@
 
 use std::collections::BTreeSet;
 
-use hpgmg::stencils::{
-    gsrb_smooth_group, interpolate_linear_group, residual_group, restrict_group, Coeff, Names,
-};
-use hpgmg::SMOOTHS_PER_LEG;
+use hpgmg::cycle::{self, Step};
+use hpgmg::snow::operator_list;
+use hpgmg::stencils::Names;
+use hpgmg::{BottomSolve, InterpKind, Problem, Smoother};
 use snowflake_analysis::{apply_policy, lint_program, Lint, LintConfig, LintRule, Severity};
 use snowflake_backends::metrics::json;
-use snowflake_bench::{arg_flag, arg_usize_or_exit, arg_value};
+use snowflake_bench::{arg_flag, arg_size_or_exit, arg_usize_or_exit, arg_value};
 use snowflake_core::{bc, Expr, ShapeMap, Stencil, StencilGroup};
-
-/// Bottom smooths in the unrolled program. The real solver runs 24;
-/// repeating an identical op changes no lint verdict, so two (the minimum
-/// exhibiting the overwrite-then-read pattern) keep the dataflow scan
-/// small.
-const BOTTOM_SMOOTHS_UNROLLED: usize = 2;
 
 /// One named program: ops in execution order plus its lint environment.
 struct LintTarget {
@@ -46,103 +40,50 @@ struct LintTarget {
     config: LintConfig,
 }
 
-/// The stock HPGMG program as a straight-line unrolled V-cycle
-/// (pre-smooths, residual, restriction, recursive coarse solve,
-/// interpolation, post-smooths, final residual), with the same grid
-/// naming and level sizing as `hpgmg::SnowSolver`.
+/// The stock HPGMG program: the Snowflake solver's own operator list
+/// ([`hpgmg::snow::operator_list`], variable-coefficient Poisson as
+/// figure9) in its default V-cycle order ([`cycle::vcycle`]), followed by
+/// the final residual the host reads.
 fn hpgmg_target(n: usize) -> LintTarget {
-    assert!(
-        n.is_power_of_two() && n >= 4,
-        "--size must be a power of two >= 4"
-    );
-    let mut sizes = Vec::new();
-    let mut m = n;
-    loop {
-        sizes.push(m);
-        if m <= 4 {
-            break;
+    let problem = Problem::poisson_vc(n);
+    let levels = problem.level_sizes().len();
+    let (list, index) = operator_list(&problem, Smoother::default());
+    let mut steps = cycle::vcycle(0, levels, BottomSolve::default());
+    steps.push(Step::Residual(0));
+    // Repeating an identical op changes no lint verdict, so a run of
+    // identical consecutive ops (the 24 bottom smooths) is cut to two, the
+    // minimum exhibiting the overwrite-then-read pattern, which keeps the
+    // dataflow scan small.
+    let mut order: Vec<usize> = Vec::new();
+    for op in steps
+        .into_iter()
+        .filter_map(|step| index.op(step, InterpKind::default()))
+    {
+        if order.len() < 2 || order[order.len() - 2..] != [op, op] {
+            order.push(op);
         }
-        m /= 2;
     }
 
-    let mut shapes = ShapeMap::new();
-    let mut inputs: BTreeSet<String> = BTreeSet::new();
-    for (l, &nl) in sizes.iter().enumerate() {
-        let names = Names::level(l);
-        for g in [
-            &names.x,
-            &names.rhs,
-            &names.res,
-            &names.tmp,
-            &names.dinv,
-            &names.alpha,
-            &names.beta_x,
-            &names.beta_y,
-            &names.beta_z,
-        ] {
-            shapes.insert(g.clone(), vec![nl + 2, nl + 2, nl + 2]);
-        }
-        // Coefficient grids are computed at setup, outside the stencil
-        // program: externally initialized, ghost cells included.
-        for g in [
-            &names.dinv,
-            &names.alpha,
-            &names.beta_x,
-            &names.beta_y,
-            &names.beta_z,
-        ] {
-            inputs.insert(g.clone());
-        }
-    }
+    // Coefficient grids are computed at setup, outside the stencil
+    // program: externally initialized, ghost cells included.
+    let mut inputs: BTreeSet<String> = (0..levels)
+        .flat_map(|l| {
+            let names = Names::level(l);
+            [
+                names.dinv,
+                names.alpha,
+                names.beta_x,
+                names.beta_y,
+                names.beta_z,
+            ]
+        })
+        .collect();
     inputs.insert("x_0".to_string());
     inputs.insert("rhs_0".to_string());
 
-    let (a, b) = (0.0, 1.0); // variable-coefficient Poisson, as figure9
-    let mut ops: Vec<(StencilGroup, ShapeMap)> = Vec::new();
-    let mut push = |ops: &mut Vec<(StencilGroup, ShapeMap)>, g: StencilGroup| {
-        ops.push((g, shapes.clone()));
-    };
-
-    fn unroll(
-        l: usize,
-        sizes: &[usize],
-        a: f64,
-        b: f64,
-        ops: &mut Vec<(StencilGroup, ShapeMap)>,
-        push: &mut impl FnMut(&mut Vec<(StencilGroup, ShapeMap)>, StencilGroup),
-    ) {
-        let names = Names::level(l);
-        let h2inv = (sizes[l] * sizes[l]) as f64;
-        let smooth = || gsrb_smooth_group(&names, Coeff::Variable, a, b, h2inv);
-        if l + 1 == sizes.len() {
-            for _ in 0..BOTTOM_SMOOTHS_UNROLLED {
-                push(ops, smooth());
-            }
-            return;
-        }
-        for _ in 0..SMOOTHS_PER_LEG {
-            push(ops, smooth());
-        }
-        push(ops, residual_group(&names, Coeff::Variable, a, b, h2inv));
-        push(ops, restrict_group(&names, &Names::level(l + 1)));
-        unroll(l + 1, sizes, a, b, ops, push);
-        push(ops, interpolate_linear_group(&Names::level(l + 1), &names));
-        for _ in 0..SMOOTHS_PER_LEG {
-            push(ops, smooth());
-        }
-    }
-    unroll(0, &sizes, a, b, &mut ops, &mut push);
-    // The host reads the residual norm after the cycle.
-    let names = Names::level(0);
-    let h2inv = (n * n) as f64;
-    push(
-        &mut ops,
-        residual_group(&names, Coeff::Variable, a, b, h2inv),
-    );
-
     LintTarget {
         name: "hpgmg".to_string(),
-        ops,
+        ops: order.into_iter().map(|op| list[op].clone()).collect(),
         config: LintConfig::default()
             .ordered()
             .with_inputs(inputs)
@@ -443,7 +384,6 @@ fn main() {
     }
 
     let json_out = arg_flag(&args, "--json");
-    let n = arg_usize_or_exit(&args, "--size", 8);
     let deny = match parse_rules(&arg_values(&args, "--deny"), "--deny") {
         Ok(r) => r,
         Err(e) => {
@@ -460,8 +400,8 @@ fn main() {
     };
 
     let targets = match arg_value(&args, "--program").as_deref() {
-        None | Some("hpgmg") => vec![hpgmg_target(n)],
-        Some("examples") => example_targets(n.max(6)),
+        None | Some("hpgmg") => vec![hpgmg_target(arg_size_or_exit(&args, "--size", 8))],
+        Some("examples") => example_targets(arg_usize_or_exit(&args, "--size", 8).max(6)),
         Some(other) => {
             eprintln!("error: unknown --program {other:?} (hpgmg, examples)");
             std::process::exit(2);
@@ -550,6 +490,17 @@ mod tests {
         let (rules_run, lints) = lint_target(&hpgmg_target(8));
         assert_eq!(rules_run, 10, "ordered config runs the full pipeline");
         assert!(lints.is_empty(), "stock HPGMG must lint clean: {lints:#?}");
+    }
+
+    #[test]
+    fn hpgmg_program_uses_the_solvers_constant_interpolation() {
+        use hpgmg::stencils::{interpolate_group, interpolate_linear_group};
+        let ops = hpgmg_target(8).ops;
+        let (fine, coarse) = (Names::level(0), Names::level(1));
+        let constant = interpolate_group(&coarse, &fine);
+        let linear = interpolate_linear_group(&coarse, &fine);
+        assert!(ops.iter().any(|(g, _)| *g == constant));
+        assert!(ops.iter().all(|(g, _)| *g != linear));
     }
 
     #[test]

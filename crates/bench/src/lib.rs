@@ -407,6 +407,34 @@ pub fn arg_usize_or_exit(args: &[String], flag: &str, default: usize) -> usize {
     })
 }
 
+/// Parse a finest-grid size flag: the multigrid hierarchy halves down to
+/// [`hpgmg::COARSEST_N`], so anything but a power of two at least that
+/// large is a usage error.
+pub fn arg_size(
+    args: &[String],
+    flag: &str,
+    default: usize,
+) -> std::result::Result<usize, UsageError> {
+    let n = arg_usize(args, flag, default)?;
+    if n.is_power_of_two() && n >= hpgmg::COARSEST_N {
+        Ok(n)
+    } else {
+        Err(UsageError {
+            flag: flag.to_string(),
+            value: n.to_string(),
+            expected: "a power of two >= 4 (the coarsest level size)",
+        })
+    }
+}
+
+/// Binary front-end for [`arg_size`]: print the usage error and exit 2.
+pub fn arg_size_or_exit(args: &[String], flag: &str, default: usize) -> usize {
+    arg_size(args, flag, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
 /// One row of a figure's `--metrics-json` output: the measured value plus
 /// the [`RunReport`] collected from an instrumented sweep.
 pub struct MetricsRow {
@@ -541,6 +569,20 @@ mod tests {
         // A flag at the end with no value falls back to the default.
         let args: Vec<String> = vec!["--size".into()];
         assert_eq!(arg_usize(&args, "--size", 32), Ok(32));
+    }
+
+    #[test]
+    fn size_flag_must_be_a_multigrid_size() {
+        let size = |v: &str| arg_size(&["--size".to_string(), v.to_string()], "--size", 8);
+        for bad in ["12", "2", "0"] {
+            let err = size(bad).unwrap_err();
+            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains("power of two"), "{err}");
+        }
+        assert_eq!(size("8"), Ok(8));
+        assert_eq!(size("4"), Ok(hpgmg::COARSEST_N));
+        assert_eq!(size("banana").unwrap_err().expected, "an unsigned integer");
+        assert_eq!(arg_size(&[], "--size", 64), Ok(64));
     }
 
     /// The figure7 `--metrics-json` document, produced through the same

@@ -10,7 +10,7 @@
 use snowflake_grid::Grid;
 
 use crate::hand::{apply_boundary, apply_op};
-use crate::problem::LevelData;
+use crate::problem::{interior_norm_max, LevelData};
 
 /// Result of a bottom solve.
 #[derive(Clone, Copy, Debug)]
@@ -66,6 +66,12 @@ fn apply(out: &mut Grid, v: &mut Grid, lvl: &LevelData, a: f64, b: f64) {
     apply_op(out, v, lvl, a, b);
 }
 
+/// The V-cycle's Krylov bottom solve: BiCGStab to a 1e-9 relative
+/// residual, at most 50 iterations.
+pub(crate) fn solve_bottom(lvl: &mut LevelData, a: f64, b: f64) {
+    bicgstab(lvl, a, b, 50, 1e-9);
+}
+
 /// Unpreconditioned BiCGStab on `lvl`: solves `A x = rhs` in place,
 /// starting from the current `lvl.x`. Returns iteration statistics.
 pub fn bicgstab(lvl: &mut LevelData, a: f64, b: f64, max_iters: usize, rtol: f64) -> BottomStats {
@@ -91,17 +97,7 @@ pub fn bicgstab(lvl: &mut LevelData, a: f64, b: f64, max_iters: usize, rtol: f64
         }
     }
     let r0 = r.clone();
-    let target = {
-        let mut m = 0.0f64;
-        for i in 1..=n {
-            for j in 1..=n {
-                for k in 1..=n {
-                    m = m.max(r.get(&[i, j, k]).abs());
-                }
-            }
-        }
-        m * rtol
-    };
+    let target = interior_norm_max(&r, n) * rtol;
     let mut rho = 1.0f64;
     let mut alpha = 1.0f64;
     let mut omega = 1.0f64;
@@ -139,17 +135,7 @@ pub fn bicgstab(lvl: &mut LevelData, a: f64, b: f64, max_iters: usize, rtol: f64
         }
         alpha = rho_new / denom;
         assign_apb(&mut s, &r, -alpha, &v, n); // s = r − alpha v
-        let s_norm = {
-            let mut m = 0.0f64;
-            for i in 1..=n {
-                for j in 1..=n {
-                    for k in 1..=n {
-                        m = m.max(s.get(&[i, j, k]).abs());
-                    }
-                }
-            }
-            m
-        };
+        let s_norm = interior_norm_max(&s, n);
         if s_norm <= target {
             axpy(&mut lvl.x, alpha, &p, n);
             stats.residual = s_norm;
@@ -167,17 +153,7 @@ pub fn bicgstab(lvl: &mut LevelData, a: f64, b: f64, max_iters: usize, rtol: f64
         axpy(&mut lvl.x, omega, &s, n);
         // r = s − omega t
         assign_apb(&mut r, &s, -omega, &t, n);
-        let r_norm = {
-            let mut m = 0.0f64;
-            for i in 1..=n {
-                for j in 1..=n {
-                    for k in 1..=n {
-                        m = m.max(r.get(&[i, j, k]).abs());
-                    }
-                }
-            }
-            m
-        };
+        let r_norm = interior_norm_max(&r, n);
         stats.residual = r_norm;
         if r_norm <= target {
             stats.converged = true;
@@ -214,8 +190,8 @@ mod tests {
             let stats = bicgstab(&mut lvl, p.a, p.b, 60, 1e-10);
             assert!(stats.converged, "vc={vc}: {stats:?}");
             residual(&mut lvl, p.a, p.b);
-            let r = lvl.interior_norm_max(&lvl.res);
-            let scale = lvl.interior_norm_max(&lvl.rhs);
+            let r = interior_norm_max(&lvl.res, lvl.n);
+            let scale = interior_norm_max(&lvl.rhs, lvl.n);
             assert!(r <= scale * 1e-9, "vc={vc}: residual {r} vs rhs {scale}");
         }
     }
@@ -233,8 +209,8 @@ mod tests {
         }
         residual(&mut krylov, p.a, p.b);
         residual(&mut smooth, p.a, p.b);
-        let rk = krylov.interior_norm_max(&krylov.res);
-        let rs = smooth.interior_norm_max(&smooth.res);
+        let rk = interior_norm_max(&krylov.res, krylov.n);
+        let rs = interior_norm_max(&smooth.res, smooth.n);
         assert!(
             rk < rs,
             "Krylov ({rk:.3e}) should beat smoothing ({rs:.3e}) per A-application"

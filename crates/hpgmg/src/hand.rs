@@ -8,12 +8,14 @@
 //! parallelize over `i`-planes — safe for GSRB because neighbors of a
 //! color always have the opposite color.
 
+use std::convert::Infallible;
+
 use rayon::prelude::*;
 
 use snowflake_grid::Grid;
 
-use crate::problem::{u_exact, LevelData, Problem};
-use crate::{BOTTOM_SMOOTHS, SMOOTHS_PER_LEG};
+use crate::cycle::{self, Step};
+use crate::problem::{interior_diff_max, interior_norm_max, u_exact, LevelData, Problem};
 
 /// Red cells have odd coordinate-parity (`(i+j+k) % 2 == 1`; the cell
 /// `(1,1,1)` is red), matching `DomainUnion::red_black(3)`.
@@ -600,85 +602,25 @@ impl HandSolver {
         self
     }
 
-    fn prolong(&mut self, l: usize) {
-        let (fine, coarse) = self.levels.split_at_mut(l + 1);
-        match self.interp {
-            crate::InterpKind::Constant => interpolate(&coarse[0], &mut fine[l]),
-            crate::InterpKind::Linear => interpolate_linear(&mut coarse[0], &mut fine[l]),
-        }
-    }
-
-    fn bottom_solve(&mut self, l: usize) {
-        let (a, b) = (self.problem.a, self.problem.b);
-        match self.bottom {
-            crate::BottomSolve::Smooths => {
-                for _ in 0..BOTTOM_SMOOTHS {
-                    self.smooth(l);
-                }
-            }
-            crate::BottomSolve::BiCgStab => {
-                crate::bottom::bicgstab(&mut self.levels[l], a, b, 50, 1e-9);
-            }
-        }
-    }
-
-    fn smooth(&mut self, l: usize) {
-        let (a, b) = (self.problem.a, self.problem.b);
-        match self.smoother {
-            crate::Smoother::GsRb => smooth_gsrb(&mut self.levels[l], a, b),
-            crate::Smoother::Chebyshev => smooth_chebyshev(&mut self.levels[l], a, b),
-        }
-    }
-
-    /// One V-cycle from level `l` down.
+    /// One V-cycle from level `l` down (the step sequence of
+    /// [`cycle::vcycle`]).
     pub fn vcycle(&mut self, l: usize) {
-        let (a, b) = (self.problem.a, self.problem.b);
-        let last = self.levels.len() - 1;
-        if l == last {
-            self.bottom_solve(l);
-            return;
-        }
-        for _ in 0..SMOOTHS_PER_LEG {
-            self.smooth(l);
-        }
-        residual(&mut self.levels[l], a, b);
-        {
-            let (fine, coarse) = self.levels.split_at_mut(l + 1);
-            restrict(&fine[l], &mut coarse[0]);
-        }
-        self.vcycle(l + 1);
-        self.prolong(l);
-        for _ in 0..SMOOTHS_PER_LEG {
-            self.smooth(l);
-        }
+        let steps = cycle::vcycle(l, self.levels.len(), self.bottom);
+        cycle::run(self, steps).unwrap_or_else(|e| match e {});
     }
 
-    /// One full-multigrid F-cycle (HPGMG's default cycle type): restrict
-    /// the right-hand side to every level, solve the coarsest, then
-    /// interpolate each solution up as the initial guess for a V-cycle at
-    /// the next finer level.
+    /// One full-multigrid F-cycle (the step sequence of
+    /// [`cycle::fcycle`]).
     pub fn fcycle(&mut self) {
-        let last = self.levels.len() - 1;
-        for l in 0..last {
-            let (fine, coarse) = self.levels.split_at_mut(l + 1);
-            restrict_field(&fine[l].rhs, fine[l].n, &mut coarse[0].rhs, coarse[0].n);
-        }
-        for lvl in &mut self.levels {
-            lvl.x.fill(0.0);
-        }
-        self.bottom_solve(last);
-        for l in (0..last).rev() {
-            // x_l is zero, so "+=" realizes x_l = P(x_{l+1}).
-            self.prolong(l);
-            self.vcycle(l);
-        }
+        let steps = cycle::fcycle(self.levels.len(), self.bottom);
+        cycle::run(self, steps).unwrap_or_else(|e| match e {});
     }
 
     /// Residual max-norm on the finest level.
     pub fn residual_norm(&mut self) -> f64 {
         let (a, b) = (self.problem.a, self.problem.b);
         residual(&mut self.levels[0], a, b);
-        self.levels[0].interior_norm_max(&self.levels[0].res)
+        interior_norm_max(&self.levels[0].res, self.levels[0].n)
     }
 
     /// Solve from a zero initial guess; returns the residual norm after
@@ -688,32 +630,59 @@ impl HandSolver {
     /// [`crate::SolveOptions`] (F-cycle start, early-exit tolerance) —
     /// the same surface as [`crate::SnowSolver::solve`].
     pub fn solve(&mut self, opts: impl Into<crate::SolveOptions>) -> Vec<f64> {
-        let opts = opts.into();
-        self.levels[0].x.fill(0.0);
-        let mut norms = vec![self.residual_norm()];
-        for c in 0..opts.cycles {
-            if opts.fmg && c == 0 {
-                self.fcycle();
-            } else {
-                self.vcycle(0);
-            }
-            norms.push(self.residual_norm());
-            if opts.converged(&norms) {
-                break;
-            }
-        }
-        norms
-    }
-
-    /// Former two-argument form of [`HandSolver::solve`].
-    #[deprecated(note = "use solve(SolveOptions::cycles(n).with_fmg(fmg))")]
-    pub fn solve_opts(&mut self, cycles: usize, fmg: bool) -> Vec<f64> {
-        self.solve(crate::SolveOptions::cycles(cycles).with_fmg(fmg))
+        cycle::solve(self, opts.into()).unwrap_or_else(|e| match e {})
     }
 
     /// Max-norm error against the exact discrete solution.
     pub fn error_norm(&self) -> f64 {
-        self.levels[0].interior_diff_max(&self.levels[0].x, &self.x_true)
+        interior_diff_max(&self.levels[0].x, &self.x_true, self.levels[0].n)
+    }
+}
+
+/// Levels `l` and `l + 1`, mutably.
+fn fine_coarse(levels: &mut [LevelData], l: usize) -> (&mut LevelData, &mut LevelData) {
+    let (fine, coarse) = levels.split_at_mut(l + 1);
+    (&mut fine[l], &mut coarse[0])
+}
+
+impl cycle::Executor for HandSolver {
+    type Error = Infallible;
+
+    fn hierarchy(&self) -> (usize, crate::BottomSolve) {
+        (self.levels.len(), self.bottom)
+    }
+
+    fn run(&mut self, step: Step) -> Result<(), Infallible> {
+        let (a, b) = (self.problem.a, self.problem.b);
+        match step {
+            Step::Smooth(l) => match self.smoother {
+                crate::Smoother::GsRb => smooth_gsrb(&mut self.levels[l], a, b),
+                crate::Smoother::Chebyshev => smooth_chebyshev(&mut self.levels[l], a, b),
+            },
+            Step::Residual(l) => residual(&mut self.levels[l], a, b),
+            Step::Restrict(l) => {
+                let (fine, coarse) = fine_coarse(&mut self.levels, l);
+                restrict(fine, coarse);
+            }
+            Step::RestrictRhs(l) => {
+                let (fine, coarse) = fine_coarse(&mut self.levels, l);
+                restrict_field(&fine.rhs, fine.n, &mut coarse.rhs, coarse.n);
+            }
+            Step::Prolong(l) => {
+                let (fine, coarse) = fine_coarse(&mut self.levels, l);
+                match self.interp {
+                    crate::InterpKind::Constant => interpolate(coarse, fine),
+                    crate::InterpKind::Linear => interpolate_linear(coarse, fine),
+                }
+            }
+            Step::ClearX(l) => self.levels[l].x.fill(0.0),
+            Step::Krylov(l) => crate::bottom::solve_bottom(&mut self.levels[l], a, b),
+        }
+        Ok(())
+    }
+
+    fn finest_residual_norm(&mut self) -> Result<f64, Infallible> {
+        Ok(self.residual_norm())
     }
 }
 
@@ -779,7 +748,7 @@ mod tests {
         smooth_gsrb(&mut solver.levels[0], p.a, p.b);
         let after = &solver.levels[0].x;
         assert!(
-            solver.levels[0].interior_diff_max(&before, after) < 1e-12,
+            interior_diff_max(&before, after, 8) < 1e-12,
             "exact solution must be a smoother fixed point"
         );
     }
@@ -870,7 +839,7 @@ mod tests {
                     }
                 }
             }
-            lambda = norm / lvl.interior_norm_max(&v).max(1e-300);
+            lambda = norm / interior_norm_max(&v, 8).max(1e-300);
             // v = normalized(av) on the interior; ghosts refreshed above.
             v.fill(0.0);
             for i in 1..=8 {

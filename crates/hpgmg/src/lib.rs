@@ -16,6 +16,12 @@
 //!   OpenMP-like, OpenCL-simulator and C-JIT backends — the paper's
 //!   performance-portability claim.
 //!
+//! Both run the same algorithm because it is written once: [`cycle`] holds
+//! the V-cycle, the F-cycle and the solve loop as sequences of
+//! [`cycle::Step`]s, and each solver only executes steps. The `snowlint`
+//! binary lints the Snowflake solver's own V-cycle: its operator groups
+//! ([`snow::operator_list`]) in the order [`cycle::vcycle`] dispatches them.
+//!
 //! The solver is cell-centered geometric multigrid on `[0,1]³` for
 //! `a·αu − b·∇·(β∇u) = f` with homogeneous Dirichlet boundaries enforced
 //! through ghost cells (`ghost = −inside`), V-cycles with GSRB pre/post
@@ -30,6 +36,7 @@
 
 pub mod bottom;
 pub mod cheby;
+pub mod cycle;
 pub mod hand;
 pub mod problem;
 pub mod snow;

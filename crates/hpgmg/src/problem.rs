@@ -201,32 +201,33 @@ impl LevelData {
             }
         }
     }
+}
 
-    /// Max-norm over the interior only (ghost cells excluded).
-    pub fn interior_norm_max(&self, grid: &Grid) -> f64 {
-        let mut m = 0.0f64;
-        for i in 1..=self.n {
-            for j in 1..=self.n {
-                for k in 1..=self.n {
-                    m = m.max(grid.get(&[i, j, k]).abs());
-                }
+/// Max-norm over the `n³` interior of an `(n+2)³` grid (ghost cells
+/// excluded).
+pub fn interior_norm_max(grid: &Grid, n: usize) -> f64 {
+    let mut m = 0.0f64;
+    for i in 1..=n {
+        for j in 1..=n {
+            for k in 1..=n {
+                m = m.max(grid.get(&[i, j, k]).abs());
             }
         }
-        m
     }
+    m
+}
 
-    /// Max-norm interior difference between two grids.
-    pub fn interior_diff_max(&self, a: &Grid, b: &Grid) -> f64 {
-        let mut m = 0.0f64;
-        for i in 1..=self.n {
-            for j in 1..=self.n {
-                for k in 1..=self.n {
-                    m = m.max((a.get(&[i, j, k]) - b.get(&[i, j, k])).abs());
-                }
+/// Max-norm of the interior difference of two `(n+2)³` grids.
+pub fn interior_diff_max(a: &Grid, b: &Grid, n: usize) -> f64 {
+    let mut m = 0.0f64;
+    for i in 1..=n {
+        for j in 1..=n {
+            for k in 1..=n {
+                m = m.max((a.get(&[i, j, k]) - b.get(&[i, j, k])).abs());
             }
         }
-        m
     }
+    m
 }
 
 #[cfg(test)]

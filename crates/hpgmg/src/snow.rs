@@ -1,28 +1,30 @@
 //! The Snowflake-driven multigrid solver.
 //!
-//! Identical algorithm to [`crate::hand::HandSolver`], but every operator
-//! is a [`StencilGroup`] compiled by a pluggable backend. Swapping
+//! Identical algorithm to [`crate::hand::HandSolver`] — both run the step
+//! sequences of [`crate::cycle`] — but every operator is a
+//! [`StencilGroup`] compiled by a pluggable backend. Swapping
 //! `Box<dyn Backend>` is the paper's entire porting story: the solver
 //! source does not change.
 //!
 //! Execution is *plan-once-run-many*: construction assembles the full
-//! ordered operator list (smooths, residuals, transfers — every group any
-//! cycle will ever dispatch) and compiles it into one
+//! ordered operator list ([`operator_list`]: smooths, residuals, transfers
+//! — every group any cycle will ever dispatch) and compiles it into one
 //! [`SolverPlan`]; the V-/F-cycle hot path then dispatches by stable
 //! index, performing **zero** hashing or locking per call. With metrics
 //! on, the plan books every dispatch to its op's row of the report.
 
 use snowflake_backends::{Backend, Gates, PlanError, RunReport, SolverPlan};
-use snowflake_core::{Result, ShapeMap, StencilGroup};
+use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{Grid, GridSet};
 
-use crate::hand;
-use crate::problem::{u_exact, LevelData, Problem};
+use crate::cycle::{self, Step};
+use crate::hand::HandSolver;
+use crate::problem::{interior_diff_max, interior_norm_max, LevelData, Problem};
 use crate::stencils::{
     chebyshev_step_group, gsrb_smooth_group, interpolate_group, interpolate_linear_group,
     residual_group, restrict_group, restrict_rhs_group, Coeff, Names,
 };
-use crate::{BottomSolve, InterpKind, Smoother, SolveOptions, BOTTOM_SMOOTHS, SMOOTHS_PER_LEG};
+use crate::{BottomSolve, InterpKind, Smoother, SolveOptions};
 
 /// Geometric multigrid with Snowflake-compiled operators.
 pub struct SnowSolver {
@@ -44,7 +46,13 @@ pub struct SnowSolver {
     plan: SolverPlan,
     /// Execution profile, populated while metrics collection is enabled.
     report: Option<RunReport>,
-    /// Plan indices, per level.
+    /// Plan index of each operator, per level.
+    ops: PlanOps,
+}
+
+/// Plan index of every operator a cycle dispatches, per level.
+#[derive(Default)]
+pub struct PlanOps {
     smooth: Vec<usize>,
     /// Chebyshev per-step plan indices (empty unless Chebyshev).
     cheby_steps: Vec<Vec<usize>>,
@@ -55,22 +63,83 @@ pub struct SnowSolver {
     interpolate_linear: Vec<usize>,
 }
 
-/// Accumulates the ordered `(group, shapes)` operator list during solver
-/// construction, handing out the stable plan index of each push.
-struct OpList {
-    ops: Vec<(StencilGroup, ShapeMap)>,
-    shapes: ShapeMap,
-}
-
-impl OpList {
-    fn push(&mut self, group: StencilGroup) -> usize {
-        self.ops.push((group, self.shapes.clone()));
-        self.ops.len() - 1
+impl PlanOps {
+    /// The one plan op that executes `step` with the GSRB smoother and
+    /// `interp` prolongation; `None` for the host steps (clear-x and the
+    /// Krylov bottom solve).
+    pub fn op(&self, step: Step, interp: InterpKind) -> Option<usize> {
+        Some(match step {
+            Step::Smooth(l) => self.smooth[l],
+            Step::Residual(l) => self.residual[l],
+            Step::Restrict(l) => self.restrict[l],
+            Step::RestrictRhs(l) => self.restrict_rhs[l],
+            Step::Prolong(l) => match interp {
+                InterpKind::Constant => self.interpolate[l],
+                InterpKind::Linear => self.interpolate_linear[l],
+            },
+            Step::ClearX(_) | Step::Krylov(_) => return None,
+        })
     }
 }
 
+/// The solver's full ordered operator list for `problem`: every group any
+/// cycle dispatches, each with the shapes of the whole grid hierarchy,
+/// plus the plan index of each. [`SnowSolver`] compiles exactly this list;
+/// `snowlint` lints it in V-cycle order.
+pub fn operator_list(
+    problem: &Problem,
+    smoother: Smoother,
+) -> (Vec<(StencilGroup, ShapeMap)>, PlanOps) {
+    let sizes = problem.level_sizes();
+    let (a, b) = (problem.a, problem.b);
+    let coeff = if problem.variable_coeff {
+        Coeff::Variable
+    } else {
+        Coeff::Constant
+    };
+    let shapes: ShapeMap = sizes
+        .iter()
+        .enumerate()
+        .flat_map(|(l, &n)| Names::level(l).all().map(|g| (g, vec![n + 2; 3])))
+        .collect();
+    let mut list = Vec::new();
+    let mut push = |group: StencilGroup| {
+        list.push((group, shapes.clone()));
+        list.len() - 1
+    };
+    let mut ops = PlanOps::default();
+    let cheby_coeffs = crate::cheby::coefficients(crate::cheby::DEGREE, crate::cheby::EIG_MAX);
+    for (l, &n) in sizes.iter().enumerate() {
+        let names = Names::level(l);
+        let h2inv = (n * n) as f64;
+        ops.smooth
+            .push(push(gsrb_smooth_group(&names, coeff, a, b, h2inv)));
+        ops.cheby_steps.push(if smoother == Smoother::Chebyshev {
+            cheby_coeffs
+                .iter()
+                .map(|&(c1, c2)| push(chebyshev_step_group(&names, coeff, a, b, h2inv, c1, c2)))
+                .collect()
+        } else {
+            Vec::new()
+        });
+        ops.residual
+            .push(push(residual_group(&names, coeff, a, b, h2inv)));
+        if l + 1 < sizes.len() {
+            let coarse = Names::level(l + 1);
+            ops.restrict.push(push(restrict_group(&names, &coarse)));
+            ops.restrict_rhs
+                .push(push(restrict_rhs_group(&names, &coarse)));
+            ops.interpolate
+                .push(push(interpolate_group(&coarse, &names)));
+            ops.interpolate_linear
+                .push(push(interpolate_linear_group(&coarse, &names)));
+        }
+    }
+    (list, ops)
+}
+
 impl SnowSolver {
-    /// Build the hierarchy (identical data to [`hand::HandSolver::new`])
+    /// Build the hierarchy (the data of [`HandSolver::new`])
     /// and pre-compile every operator group on `backend`.
     pub fn new(problem: Problem, backend: Box<dyn Backend>) -> Result<Self> {
         Self::with_smoother(problem, backend, Smoother::default())
@@ -100,27 +169,12 @@ impl SnowSolver {
         smoother: Smoother,
         gates: Gates,
     ) -> std::result::Result<Self, PlanError> {
-        let sizes = problem.level_sizes();
-        let coeff = if problem.variable_coeff {
-            Coeff::Variable
-        } else {
-            Coeff::Constant
-        };
-
+        // The hand solver's hierarchy, manufactured rhs included, moved
+        // into named grids.
+        let HandSolver { levels, x_true, .. } = HandSolver::new(problem);
+        let sizes: Vec<usize> = levels.iter().map(|lvl| lvl.n).collect();
         let mut grids = GridSet::new();
-        let mut x_true = Grid::new(&[1]);
-        for (l, &n) in sizes.iter().enumerate() {
-            let mut lvl = LevelData::build(&problem, n);
-            if l == 0 {
-                // Manufacture the finest rhs exactly as the hand solver.
-                let mut xt = Grid::new(lvl.x.shape());
-                lvl.fill_interior(&mut xt, u_exact);
-                hand::apply_boundary(&mut xt, n);
-                let mut rhs = Grid::new(lvl.x.shape());
-                hand::apply_op(&mut rhs, &xt, &lvl, problem.a, problem.b);
-                lvl.rhs = rhs;
-                x_true = xt;
-            }
+        for (l, lvl) in levels.into_iter().enumerate() {
             let names = Names::level(l);
             grids.insert(&names.x, lvl.x);
             grids.insert(&names.rhs, lvl.rhs);
@@ -133,52 +187,14 @@ impl SnowSolver {
             grids.insert(&names.beta_z, lvl.beta_z);
         }
 
-        // Assemble the full ordered operator list. Indices handed out here
-        // are the plan indices every cycle dispatches through.
-        let mut ops = OpList {
-            ops: Vec::new(),
-            shapes: grids.shapes(),
-        };
-        let mut smooth = Vec::new();
-        let mut cheby_steps = Vec::new();
-        let mut residual_g = Vec::new();
-        let mut restrict_g = Vec::new();
-        let mut restrict_rhs_g = Vec::new();
-        let mut interp_g = Vec::new();
-        let mut interp_lin_g = Vec::new();
-        let cheby_coeffs = crate::cheby::coefficients(crate::cheby::DEGREE, crate::cheby::EIG_MAX);
-        for (l, &n) in sizes.iter().enumerate() {
-            let names = Names::level(l);
-            let h2inv = (n * n) as f64;
-            smooth.push(ops.push(gsrb_smooth_group(
-                &names, coeff, problem.a, problem.b, h2inv,
-            )));
-            if smoother == Smoother::Chebyshev {
-                cheby_steps.push(
-                    cheby_coeffs
-                        .iter()
-                        .map(|&(c1, c2)| {
-                            ops.push(chebyshev_step_group(
-                                &names, coeff, problem.a, problem.b, h2inv, c1, c2,
-                            ))
-                        })
-                        .collect(),
-                );
-            } else {
-                cheby_steps.push(Vec::new());
-            }
-            residual_g.push(ops.push(residual_group(&names, coeff, problem.a, problem.b, h2inv)));
-            if l + 1 < sizes.len() {
-                restrict_g.push(ops.push(restrict_group(&names, &Names::level(l + 1))));
-                restrict_rhs_g.push(ops.push(restrict_rhs_group(&names, &Names::level(l + 1))));
-                interp_g.push(ops.push(interpolate_group(&Names::level(l + 1), &names)));
-                interp_lin_g.push(ops.push(interpolate_linear_group(&Names::level(l + 1), &names)));
-            }
-        }
-
+        let (list, ops) = operator_list(&problem, smoother);
+        debug_assert_eq!(
+            list.first().map(|(_, shapes)| shapes),
+            Some(&grids.shapes())
+        );
         // Plan build doubles as the paper's untimed warm-up: every
         // operator is compiled here, so solve timings exclude compilation.
-        let plan = SolverPlan::build_gated(backend, &ops.ops, gates)?;
+        let plan = SolverPlan::build_gated(backend, &list, gates)?;
         Ok(SnowSolver {
             problem,
             sizes,
@@ -189,13 +205,7 @@ impl SnowSolver {
             interp: InterpKind::default(),
             plan,
             report: None,
-            smooth,
-            cheby_steps,
-            residual: residual_g,
-            restrict: restrict_g,
-            restrict_rhs: restrict_rhs_g,
-            interpolate: interp_g,
-            interpolate_linear: interp_lin_g,
+            ops,
         })
     }
 
@@ -248,53 +258,12 @@ impl SnowSolver {
     }
 
     /// Dispatch one plan operator by index, profiling when metrics
-    /// collection is on (free function over disjoint fields so call sites
-    /// can pass `self.smooth[l]` alongside `&mut self.grids`). No cache
-    /// lookup, no lock: one bounds-checked index into the plan table.
-    fn run_op(
-        plan: &SolverPlan,
-        grids: &mut GridSet,
-        report: Option<&mut RunReport>,
-        op: usize,
-    ) -> Result<()> {
-        match report {
-            Some(r) => plan.run_with_report(op, grids, r),
-            None => plan.run(op, grids),
-        }
-    }
-
-    fn prolong(&mut self, l: usize) -> Result<()> {
-        let op = match self.interp {
-            InterpKind::Constant => self.interpolate[l],
-            InterpKind::Linear => self.interpolate_linear[l],
-        };
-        Self::run_op(&self.plan, &mut self.grids, self.report.as_mut(), op)
-    }
-
-    /// Run the coarse-grid solve at level `l`.
-    ///
-    /// BiCGStab extracts the coarsest level into a scratch [`LevelData`]
-    /// and runs the host-side Krylov loop around hand operator
-    /// applications — reductions live in the host language, exactly as the
-    /// paper's Python host computed norms around compiled stencils. The
-    /// coarsest grid is a few hundred cells, so the copies are free.
-    fn bottom_solve(&mut self, l: usize) -> Result<()> {
-        match self.bottom {
-            BottomSolve::Smooths => {
-                for _ in 0..BOTTOM_SMOOTHS {
-                    self.smooth_level(l)?;
-                }
-                Ok(())
-            }
-            BottomSolve::BiCgStab => {
-                let names = Names::level(l);
-                let mut lvl = LevelData::build(&self.problem, self.sizes[l]);
-                lvl.x = self.grids.get(&names.x).expect("x").clone();
-                lvl.rhs = self.grids.get(&names.rhs).expect("rhs").clone();
-                crate::bottom::bicgstab(&mut lvl, self.problem.a, self.problem.b, 50, 1e-9);
-                *self.grids.get_mut(&names.x).expect("x") = lvl.x;
-                Ok(())
-            }
+    /// collection is on. No cache lookup, no lock: one bounds-checked
+    /// index into the plan table.
+    fn run_op(&mut self, op: usize) -> Result<()> {
+        match self.report.as_mut() {
+            Some(r) => self.plan.run_with_report(op, &mut self.grids, r),
+            None => self.plan.run(op, &mut self.grids),
         }
     }
 
@@ -303,93 +272,25 @@ impl SnowSolver {
         self.plan.backend_name()
     }
 
-    /// Apply one smooth at level `l` using the configured smoother.
-    pub fn smooth_level(&mut self, l: usize) -> Result<()> {
-        match self.smoother {
-            Smoother::GsRb => Self::run_op(
-                &self.plan,
-                &mut self.grids,
-                self.report.as_mut(),
-                self.smooth[l],
-            ),
-            Smoother::Chebyshev => {
-                let names = Names::level(l);
-                for step in 0..self.cheby_steps[l].len() {
-                    let op = self.cheby_steps[l][step];
-                    Self::run_op(&self.plan, &mut self.grids, self.report.as_mut(), op)?;
-                    self.grids.swap_data(&names.x, &names.tmp)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// One V-cycle from level `l` down.
+    /// One V-cycle from level `l` down (the step sequence of
+    /// [`cycle::vcycle`]).
     pub fn vcycle(&mut self, l: usize) -> Result<()> {
-        let last = self.sizes.len() - 1;
-        if l == last {
-            self.bottom_solve(l)?;
-            return Ok(());
-        }
-        for _ in 0..SMOOTHS_PER_LEG {
-            self.smooth_level(l)?;
-        }
-        Self::run_op(
-            &self.plan,
-            &mut self.grids,
-            self.report.as_mut(),
-            self.residual[l],
-        )?;
-        Self::run_op(
-            &self.plan,
-            &mut self.grids,
-            self.report.as_mut(),
-            self.restrict[l],
-        )?;
-        self.vcycle(l + 1)?;
-        self.prolong(l)?;
-        for _ in 0..SMOOTHS_PER_LEG {
-            self.smooth_level(l)?;
-        }
-        Ok(())
+        let steps = cycle::vcycle(l, self.sizes.len(), self.bottom);
+        cycle::run(self, steps)
     }
 
-    /// One full-multigrid F-cycle (HPGMG's default cycle type).
+    /// One full-multigrid F-cycle (the step sequence of
+    /// [`cycle::fcycle`]).
     pub fn fcycle(&mut self) -> Result<()> {
-        let last = self.sizes.len() - 1;
-        for l in 0..last {
-            Self::run_op(
-                &self.plan,
-                &mut self.grids,
-                self.report.as_mut(),
-                self.restrict_rhs[l],
-            )?;
-        }
-        for l in 0..=last {
-            self.grids
-                .get_mut(&Names::level(l).x)
-                .expect("x grid")
-                .fill(0.0);
-        }
-        self.bottom_solve(last)?;
-        for l in (0..last).rev() {
-            self.prolong(l)?;
-            self.vcycle(l)?;
-        }
-        Ok(())
+        let steps = cycle::fcycle(self.sizes.len(), self.bottom);
+        cycle::run(self, steps)
     }
 
     /// Residual max-norm on the finest level.
     pub fn residual_norm(&mut self) -> Result<f64> {
-        Self::run_op(
-            &self.plan,
-            &mut self.grids,
-            self.report.as_mut(),
-            self.residual[0],
-        )?;
-        let n = self.sizes[0];
+        self.run_op(self.ops.residual[0])?;
         let res = self.grids.get(&Names::level(0).res).expect("res grid");
-        Ok(interior_norm_max(res, n))
+        Ok(interior_norm_max(res, self.sizes[0]))
     }
 
     /// Solve from a zero guess; returns residual norms (initial first).
@@ -401,45 +302,13 @@ impl SnowSolver {
     /// solver.solve(SolveOptions::cycles(10).with_fmg(true).with_rtol(1e-8))
     /// ```
     pub fn solve(&mut self, opts: impl Into<SolveOptions>) -> Result<Vec<f64>> {
-        let opts = opts.into();
-        self.grids
-            .get_mut(&Names::level(0).x)
-            .expect("x grid")
-            .fill(0.0);
-        let mut norms = vec![self.residual_norm()?];
-        for c in 0..opts.cycles {
-            if opts.fmg && c == 0 {
-                self.fcycle()?;
-            } else {
-                self.vcycle(0)?;
-            }
-            norms.push(self.residual_norm()?);
-            if opts.converged(&norms) {
-                break;
-            }
-        }
-        Ok(norms)
-    }
-
-    /// Former two-argument form of [`SnowSolver::solve`].
-    #[deprecated(note = "use solve(SolveOptions::cycles(n).with_fmg(fmg))")]
-    pub fn solve_opts(&mut self, cycles: usize, fmg: bool) -> Result<Vec<f64>> {
-        self.solve(SolveOptions::cycles(cycles).with_fmg(fmg))
+        cycle::solve(self, opts.into())
     }
 
     /// Max-norm error against the exact discrete solution.
     pub fn error_norm(&self) -> f64 {
-        let n = self.sizes[0];
         let x = self.grids.get(&Names::level(0).x).expect("x grid");
-        let mut m = 0.0f64;
-        for i in 1..=n {
-            for j in 1..=n {
-                for k in 1..=n {
-                    m = m.max((x.get(&[i, j, k]) - self.x_true.get(&[i, j, k])).abs());
-                }
-            }
-        }
-        m
+        interior_diff_max(x, &self.x_true, self.sizes[0])
     }
 
     /// Total degrees of freedom on the finest level.
@@ -466,17 +335,52 @@ impl SnowSolver {
     }
 }
 
-/// Max-norm over the `n³` interior of an `(n+2)³` grid.
-pub fn interior_norm_max(grid: &Grid, n: usize) -> f64 {
-    let mut m = 0.0f64;
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                m = m.max(grid.get(&[i, j, k]).abs());
+impl cycle::Executor for SnowSolver {
+    type Error = CoreError;
+
+    fn hierarchy(&self) -> (usize, BottomSolve) {
+        (self.sizes.len(), self.bottom)
+    }
+
+    /// Stencil steps dispatch their plan op. Host steps run here: a
+    /// Chebyshev smooth ping-pongs `x` and `tmp` between its plan ops, and
+    /// BiCGStab extracts the coarsest level into a scratch [`LevelData`]
+    /// for the host-side Krylov loop around hand operator applications —
+    /// reductions live in the host language, exactly as the paper's Python
+    /// host computed norms around compiled stencils. The coarsest grid is
+    /// a few hundred cells, so the copies are free.
+    fn run(&mut self, step: Step) -> Result<()> {
+        match (step, self.ops.op(step, self.interp)) {
+            (Step::Smooth(l), _) if self.smoother == Smoother::Chebyshev => {
+                let names = Names::level(l);
+                for i in 0..self.ops.cheby_steps[l].len() {
+                    self.run_op(self.ops.cheby_steps[l][i])?;
+                    self.grids.swap_data(&names.x, &names.tmp)?;
+                }
+                Ok(())
+            }
+            (_, Some(op)) => self.run_op(op),
+            (Step::Krylov(l), None) => {
+                let names = Names::level(l);
+                let mut lvl = LevelData::build(&self.problem, self.sizes[l]);
+                lvl.x = self.grids.get(&names.x).expect("x").clone();
+                lvl.rhs = self.grids.get(&names.rhs).expect("rhs").clone();
+                crate::bottom::solve_bottom(&mut lvl, self.problem.a, self.problem.b);
+                *self.grids.get_mut(&names.x).expect("x") = lvl.x;
+                Ok(())
+            }
+            // The remaining host step: clear-x.
+            (_, None) => {
+                let x = &Names::level(step.level()).x;
+                self.grids.get_mut(x).expect("x grid").fill(0.0);
+                Ok(())
             }
         }
     }
-    m
+
+    fn finest_residual_norm(&mut self) -> Result<f64> {
+        self.residual_norm()
+    }
 }
 
 #[cfg(test)]
@@ -518,7 +422,7 @@ mod tests {
         snow_solver.vcycle(0).unwrap();
         let hx = &hand_solver.levels[0].x;
         let sx = snow_solver.grids.get("x_0").unwrap();
-        let diff = hand_solver.levels[0].interior_diff_max(hx, sx);
+        let diff = interior_diff_max(hx, sx, 8);
         assert!(diff < 1e-11, "hand vs snowflake diverged: {diff}");
     }
 
@@ -535,9 +439,10 @@ mod tests {
         hand_solver.levels[0].x.fill(0.0);
         hand_solver.vcycle(0);
         snow_solver.vcycle(0).unwrap();
-        let diff = hand_solver.levels[0].interior_diff_max(
+        let diff = interior_diff_max(
             &hand_solver.levels[0].x,
             snow_solver.grids.get("x_0").unwrap(),
+            8,
         );
         assert!(diff < 1e-10, "Chebyshev hand vs snowflake diverged: {diff}");
     }
@@ -549,9 +454,10 @@ mod tests {
         let mut snow_solver = SnowSolver::new(p, Box::new(SequentialBackend::new())).unwrap();
         hand_solver.fcycle();
         snow_solver.fcycle().unwrap();
-        let diff = hand_solver.levels[0].interior_diff_max(
+        let diff = interior_diff_max(
             &hand_solver.levels[0].x,
             snow_solver.grids.get("x_0").unwrap(),
+            8,
         );
         assert!(diff < 1e-10, "F-cycle hand vs snowflake diverged: {diff}");
     }

@@ -47,6 +47,21 @@ impl Names {
             beta_z: format!("beta_z_{l}"),
         }
     }
+
+    /// Every grid name of the level.
+    pub(crate) fn all(self) -> [String; 9] {
+        [
+            self.x,
+            self.rhs,
+            self.res,
+            self.tmp,
+            self.dinv,
+            self.alpha,
+            self.beta_x,
+            self.beta_y,
+            self.beta_z,
+        ]
+    }
 }
 
 /// Coefficient regime of the operator.
