@@ -260,7 +260,7 @@ impl Executable for CheckedExecutable {
 
     /// One dispatch per (kernel, region), as in `seq`.
     fn work(&self) -> KernelCounters {
-        crate::per_region_work(&self.lowered)
+        crate::dispatch_work(&self.lowered, |k| k.regions.len() as u64)
     }
 }
 

@@ -340,9 +340,10 @@ impl Executable for CJitExecutable {
         Ok(())
     }
 
-    /// The generated C runs one loop nest per (kernel, region).
+    /// The generated C runs one loop nest per [`crate::codegen_c::nests`]
+    /// entry: a tiled color union is one dispatch.
     fn work(&self) -> KernelCounters {
-        crate::per_region_work(&self.lowered)
+        crate::dispatch_work(&self.lowered, |k| crate::codegen_c::nests(k).len() as u64)
     }
 }
 
@@ -361,32 +362,47 @@ mod tests {
         true
     }
 
+    /// Run `group` on `grids` with `seq` and with `cjit` and require every
+    /// grid to come out bitwise identical.
+    fn assert_cjit_matches_seq(group: &StencilGroup, grids: &GridSet) {
+        let shapes = grids.shapes();
+        let run = |backend: &dyn Backend| {
+            let mut g = grids.clone();
+            backend
+                .compile(group, &shapes)
+                .unwrap()
+                .run(&mut g)
+                .unwrap();
+            g
+        };
+        let (a, b) = (run(&SequentialBackend::new()), run(&CJitBackend::new()));
+        for name in shapes.keys() {
+            let bits = |g: &GridSet| -> Vec<u64> {
+                let v = g.get(name).unwrap().as_slice();
+                v.iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "grid {name:?}");
+        }
+    }
+
+    fn random_grids(names: &[&str], shape: &[usize]) -> GridSet {
+        let mut gs = GridSet::new();
+        for (seed, name) in names.iter().enumerate() {
+            let mut g = Grid::new(shape);
+            g.fill_random(seed as u64 + 1, 0.5, 1.5);
+            gs.insert(name, g);
+        }
+        gs
+    }
+
     #[test]
     fn cjit_matches_seq_on_laplacian() {
         if !require_cc() {
             return;
         }
-        let n = 16;
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
         let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)));
-        let mut a = GridSet::new();
-        let mut x = Grid::new(&[n, n]);
-        x.fill_random(42, -1.0, 1.0);
-        a.insert("x", x);
-        a.insert("y", Grid::new(&[n, n]));
-        let mut b = a.clone();
-        let shapes = a.shapes();
-        SequentialBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut a)
-            .unwrap();
-        CJitBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut b)
-            .unwrap();
-        assert_eq!(a.get("y").unwrap().max_abs_diff(b.get("y").unwrap()), 0.0);
+        assert_cjit_matches_seq(&group, &random_grids(&["x", "y"], &[16, 16]));
     }
 
     /// Integral constants of 1e15 and more and folded infinities reach
@@ -404,30 +420,26 @@ mod tests {
             x(0) * x(1) + Expr::Const(1e300) * 1e10,
         ];
         for e in exprs {
-            let group = StencilGroup::from(Stencil::new(e.clone(), "y", RectDomain::interior(2)));
-            let mut a = GridSet::new();
-            let mut xg = Grid::new(&[8, 8]);
-            xg.fill_random(7, 0.5, 1.5);
-            a.insert("x", xg);
-            a.insert("y", Grid::new(&[8, 8]));
-            let mut b = a.clone();
-            let shapes = a.shapes();
-            SequentialBackend::new()
-                .compile(&group, &shapes)
-                .unwrap()
-                .run(&mut a)
-                .unwrap();
-            CJitBackend::new()
-                .compile(&group, &shapes)
-                .unwrap()
-                .run(&mut b)
-                .unwrap();
-            let bits = |g: &GridSet| -> Vec<u64> {
-                let y = g.get("y").unwrap().as_slice();
-                y.iter().map(|v| v.to_bits()).collect()
-            };
-            assert_eq!(bits(&a), bits(&b), "{e}");
+            let group = StencilGroup::from(Stencil::new(e, "y", RectDomain::interior(2)));
+            assert_cjit_matches_seq(&group, &random_grids(&["x", "y"], &[8, 8]));
         }
+    }
+
+    #[test]
+    fn names_that_would_close_a_c_comment_compile() {
+        if !require_cc() {
+            return;
+        }
+        let s = Stencil::new(
+            Expr::read_at("g*/h", &[0, 1]) * 3.0,
+            "y",
+            RectDomain::interior(2),
+        )
+        .named("a */ b");
+        assert_cjit_matches_seq(
+            &StencilGroup::from(s),
+            &random_grids(&["g*/h", "y"], &[8, 8]),
+        );
     }
 
     #[test]
@@ -435,7 +447,8 @@ mod tests {
         if !require_cc() {
             return;
         }
-        let n = 14;
+        // A red-black smooth (one guarded nest per color), then an
+        // in-place lexicographic sweep (a `single` block).
         let m = |i: i64, j: i64| Expr::read_at("mesh", &[i, j]);
         let ax = Expr::read_at("beta", &[1, 0]) * (m(1, 0) - m(0, 0))
             - Expr::read_at("beta", &[0, 0]) * (m(0, 0) - m(-1, 0));
@@ -443,27 +456,60 @@ mod tests {
         let (red, black) = DomainUnion::red_black(2);
         let group = StencilGroup::new()
             .with(Stencil::new(update.clone(), "mesh", red))
-            .with(Stencil::new(update, "mesh", black));
-        let mut a = GridSet::new();
-        for (name, seed) in [("mesh", 1u64), ("rhs", 2), ("beta", 3)] {
-            let mut g = Grid::new(&[n, n]);
-            g.fill_random(seed, 0.5, 1.5);
-            a.insert(name, g);
+            .with(Stencil::new(update, "mesh", black))
+            .with(Stencil::new(
+                m(0, -1) * m(-1, 0),
+                "mesh",
+                RectDomain::interior(2),
+            ));
+        assert_cjit_matches_seq(&group, &random_grids(&["mesh", "rhs", "beta"], &[14, 13]));
+    }
+
+    #[test]
+    fn one_dimensional_kernels_compile() {
+        if !require_cc() {
+            return;
         }
-        let mut b = a.clone();
-        let shapes = a.shapes();
-        SequentialBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut a)
-            .unwrap();
-        CJitBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut b)
-            .unwrap();
-        let diff = a.get("mesh").unwrap().max_abs_diff(b.get("mesh").unwrap());
-        assert!(diff < 1e-13, "cjit deviates by {diff}");
+        // A two-member union (one worksharing nest per member: there is no
+        // outer dimension to guard on), then an in-place sweep.
+        let odd_even = RectDomain::new(&[1], &[-1], &[2]) + RectDomain::new(&[2], &[-1], &[2]);
+        let x = |j: i64| Expr::read_at("x", &[j]);
+        let group = StencilGroup::new()
+            .with(Stencil::new(x(-1) - x(1) * 0.5, "y", odd_even))
+            .with(Stencil::new(x(-1) + x(0), "x", RectDomain::interior(1)));
+        assert_cjit_matches_seq(&group, &random_grids(&["x", "y"], &[17]));
+    }
+
+    #[test]
+    fn multicolor_reordering_matches_seq_bitwise() {
+        if !require_cc() {
+            return;
+        }
+        // One in-place update per color of a 2x2 multicoloring, then two
+        // out-of-place stencils over two-color unions (row 1 and row 2
+        // colors tile the interior rows, so each union is one nest).
+        let x = |i: i64, j: i64| Expr::read_at("x", &[i, j]);
+        let update = x(0, 0) + 0.25 * (x(-1, 0) + x(1, 0) + x(0, -1) + x(0, 1) - 4.0 * x(0, 0));
+        let colors = DomainUnion::multicolor(2, 2);
+        let mut group = StencilGroup::new();
+        for color in &colors {
+            group = group.with(Stencil::new(update.clone(), "x", color.clone()));
+        }
+        let union = |a: usize, b: usize| {
+            DomainUnion::new(
+                [&colors[a], &colors[b]]
+                    .map(|c| c.rects()[0].clone())
+                    .to_vec(),
+            )
+        };
+        group = group
+            .with(Stencil::new(x(0, 1) * x(1, 0), "y", union(0, 1)))
+            .with(Stencil::new(x(0, -1) - x(-1, 0), "y", union(2, 3)));
+        let grids = random_grids(&["x", "y"], &[12, 10]);
+        let lowered = lower_group(&group, &grids.shapes(), &LowerOptions::default()).unwrap();
+        let merged = lowered.kernels.iter().filter(|k| k.regions.len() == 2);
+        assert!(merged.map(crate::codegen_c::nests).all(|n| n.len() == 1));
+        assert_cjit_matches_seq(&group, &grids);
     }
 
     #[test]

@@ -124,21 +124,25 @@ pub(crate) fn env_dir(var: &str) -> Option<std::path::PathBuf> {
         .map(std::path::PathBuf::from)
 }
 
-/// Work of a schedule with one dispatch per (kernel, region), classified
-/// by the analysis' verdict on each kernel: `seq`'s tasks, `checked`'s
-/// loop and the loop nests `cjit` emits.
-pub(crate) fn per_region_work(lowered: &snowflake_ir::Lowered) -> KernelCounters {
+/// Work of a schedule that makes `dispatches(kernel)` dispatches per
+/// kernel, classified by the analysis' verdict on each kernel: one per
+/// region for `checked`'s loop (as for `seq`'s tasks), one per emitted
+/// loop nest for `cjit`.
+pub(crate) fn dispatch_work(
+    lowered: &snowflake_ir::Lowered,
+    dispatches: impl Fn(&snowflake_ir::LoweredKernel) -> u64,
+) -> KernelCounters {
     let mut work = KernelCounters {
         points: lowered.num_points(),
         ..KernelCounters::default()
     };
     for kernel in &lowered.kernels {
-        let regions = kernel.regions.len() as u64;
-        work.tiles += regions;
+        let n = dispatches(kernel);
+        work.tiles += n;
         if kernel.parallel_safe {
-            work.parallel_tasks += regions;
+            work.parallel_tasks += n;
         } else {
-            work.sequential_tasks += regions;
+            work.sequential_tasks += n;
         }
     }
     work

@@ -123,14 +123,11 @@ mod tests {
             .unwrap()
             .run(&mut gs_b)
             .unwrap();
-        // The compiled path expands variable-coefficient products into a
-        // sum-of-products fast path; ulp-level reassociation vs the tree
-        // interpreter is expected.
-        assert!(
-            gs_a.get("mesh")
-                .unwrap()
-                .max_abs_diff(gs_b.get("mesh").unwrap())
-                < 5e-12
+        // The compiled tape evaluates the source tree's operations in
+        // order, so it agrees with the tree interpreter bitwise.
+        assert_eq!(
+            gs_a.get("mesh").unwrap().as_slice(),
+            gs_b.get("mesh").unwrap().as_slice()
         );
     }
 

@@ -18,10 +18,14 @@
 //!    actually touch ([`AccessClass`] cursor algebra over their `regions`)
 //!    are proved to stay inside the dense grid allocations.
 //! 4. **Codegen audit** — the C micro-compiler's emitted source, after the
-//!    closed-form pass (the text cjit compiles), is scanned and every `#pragma omp parallel for` must sit on a loop nest the
-//!    certificate covers (and every covered nest must have one). The rayon
-//!    backend dispatches parallel tasks purely on the `parallel_safe`
-//!    flag, so step 2's flag re-derivation is its audit.
+//!    closed-form pass (the text cjit compiles), is scanned against its
+//!    pragma contract: one `#pragma omp parallel` region per function, one
+//!    `#pragma omp barrier` between consecutive phases, one worksharing
+//!    `#pragma omp for` per emitted loop nest of a parallel-safe kernel and
+//!    no `single`, exactly one `#pragma omp single` and no worksharing loop
+//!    for a sequential kernel. The rayon backend dispatches parallel tasks
+//!    purely on the `parallel_safe` flag, so step 2's flag re-derivation is
+//!    its audit.
 //!
 //! A successful run returns a [`PlanCertificate`]; any failure returns the
 //! full list of typed [`Diagnostic`]s, each carrying a witness cell when
@@ -55,8 +59,8 @@ pub struct OpCertificate {
     pub phases_certified: u64,
     /// Kernels whose `parallel_safe` claim was independently re-derived.
     pub parallel_kernels: u64,
-    /// `#pragma omp parallel for` occurrences matched against the
-    /// certificate in the generated C.
+    /// OpenMP pragmas (`parallel`, `barrier`, `for`, `single`) matched
+    /// against the certificate in the generated C.
     pub pragmas_audited: u64,
 }
 
@@ -342,58 +346,91 @@ fn verify_kernel_cursors(
     }
 }
 
-/// Audit the C micro-compiler's output: per kernel, count the emitted
-/// `#pragma omp parallel for` occurrences in that kernel's section of the
-/// source and require exactly one per certificate-covered loop nest
-/// (parallel-safe kernel, non-degenerate outer extent) — and zero for
-/// sequential kernels.
+/// Audit the C micro-compiler's output against the pragma contract of
+/// [`crate::codegen_c`]: the function is exactly one `#pragma omp
+/// parallel` region with one `#pragma omp barrier` between consecutive
+/// phases; in its own section of the source, a parallel-safe kernel has
+/// one worksharing `#pragma omp for` per emitted loop nest and no
+/// `#pragma omp single`, and a sequential kernel has exactly one
+/// `#pragma omp single` and no worksharing loop. Returns the number of
+/// pragmas matched.
 fn audit_c_pragmas(lowered: &Lowered) -> std::result::Result<u64, Vec<Diagnostic>> {
-    let src = emit_c(lowered, "snowflake_verify_audit");
+    audit_c_source(lowered, &emit_c(lowered, "snowflake_verify_audit"))
+}
+
+fn audit_c_source(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Diagnostic>> {
     let mut diags = Vec::new();
-    let mut audited = 0u64;
-    for kernel in &lowered.kernels {
-        let marker = format!(
-            "/* kernel {:?} ({}) */",
-            kernel.name,
-            if kernel.parallel_safe {
-                "parallel-safe"
-            } else {
-                "sequential: loop-carried dependence"
-            }
-        );
-        let Some(start) = src.find(&marker) else {
+    let audit =
+        |what: &str| Diagnostic::new(DiagnosticKind::CodegenAudit, format!("generated C {what}"));
+    // Count directives only where they start a line: names, which may
+    // contain anything, are rendered inside one-line comments.
+    let count = |text: &str, directive: &str| {
+        text.lines()
+            .filter(|line| line.trim_start().starts_with(directive))
+            .count()
+    };
+    let regions = count(src, "#pragma omp parallel");
+    if regions != 1 {
+        diags.push(audit(&format!(
+            "has {regions} `#pragma omp parallel` regions; the group must run as one"
+        )));
+    }
+    let barriers = count(src, "#pragma omp barrier");
+    let expected_barriers = lowered.phases.len().saturating_sub(1);
+    if barriers != expected_barriers {
+        diags.push(audit(&format!(
+            "has {barriers} `#pragma omp barrier` but the schedule has {} phases",
+            lowered.phases.len()
+        )));
+    }
+    let mut audited = (regions + barriers) as u64;
+    // Kernel sections in emission order: each runs from the end of its
+    // marker to the start of the next kernel's marker.
+    let order: Vec<usize> = lowered.phases.iter().flatten().copied().collect();
+    let mut markers = Vec::with_capacity(order.len());
+    let mut cursor = 0;
+    for &ki in &order {
+        let marker = crate::codegen_c::kernel_marker(ki, &lowered.kernels[ki]);
+        markers.push(src[cursor..].find(&marker).map(|at| {
+            cursor += at + marker.len();
+            (cursor - marker.len(), cursor)
+        }));
+    }
+    for (i, &ki) in order.iter().enumerate() {
+        let kernel = &lowered.kernels[ki];
+        let Some((_, start)) = markers[i] else {
             diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::CodegenAudit,
-                    "kernel marker missing from generated C — cannot audit pragma placement",
-                )
-                .stencil(&kernel.name),
+                audit("is missing the kernel's marker — cannot audit pragma placement")
+                    .stencil(&kernel.name),
             );
             continue;
         };
-        let rest = &src[start + marker.len()..];
-        let section = &rest[..rest.find("/* kernel ").unwrap_or(rest.len())];
-        let pragmas = section.matches("#pragma omp parallel for").count() as u64;
-        let expected = if kernel.parallel_safe {
-            kernel
-                .regions
-                .iter()
-                .filter(|r| !r.is_empty() && r.extent(0) > 1)
-                .count() as u64
+        let end = markers[i + 1..]
+            .iter()
+            .flatten()
+            .next()
+            .map_or(src.len(), |&(next, _)| next);
+        let section = &src[start..end];
+        let fors = count(section, "#pragma omp for");
+        let singles = count(section, "#pragma omp single");
+        let (want_fors, want_singles) = if kernel.parallel_safe {
+            (crate::codegen_c::nests(kernel).len(), 0)
         } else {
-            0
+            (0, 1)
         };
-        if pragmas == expected {
-            audited += pragmas;
+        if (fors, singles) == (want_fors, want_singles) {
+            audited += (fors + singles) as u64;
         } else {
             diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::CodegenAudit,
-                    format!(
-                        "generated C has {pragmas} `#pragma omp parallel for` for this kernel \
-                         but the certificate covers {expected} loop nest(s)"
-                    ),
-                )
+                audit(&format!(
+                    "has {fors} `#pragma omp for` and {singles} `#pragma omp single` for this \
+                     {} kernel; the contract is {want_fors} and {want_singles}",
+                    if kernel.parallel_safe {
+                        "parallel-safe"
+                    } else {
+                        "sequential"
+                    }
+                ))
                 .stencil(&kernel.name),
             );
         }
@@ -501,6 +538,43 @@ mod tests {
         // bounds-checked at source level.
         assert_eq!(cert.stencils_checked, 2);
         assert_eq!(cert.phases_certified, 1);
+    }
+
+    #[test]
+    fn codegen_audit_rejects_hand_corrupted_pragmas() {
+        // One parallel-safe kernel, then an in-place lexicographic sweep
+        // (sequential), in two phases.
+        let group = StencilGroup::new()
+            .with(Stencil::new(laplacian2(), "y", RectDomain::interior(2)).named("lap"))
+            .with(
+                Stencil::new(Expr::read_at("x", &[0, -1]), "x", RectDomain::interior(2))
+                    .named("sweep"),
+            );
+        let lowered = lower_group(&group, &shapes2(8), &LowerOptions::default()).unwrap();
+        assert_eq!(lowered.phases.len(), 2);
+        let src = emit_c(&lowered, "f");
+        // parallel + barrier + one `for` + one `single`
+        assert_eq!(audit_c_source(&lowered, &src), Ok(4));
+        let rejected = |bad: &str| {
+            let diags = audit_c_source(&lowered, bad).expect_err(bad);
+            assert!(diags.iter().all(|d| d.kind == DiagnosticKind::CodegenAudit));
+            diags
+        };
+        let single = "#pragma omp single nowait";
+        let shared_for = "#pragma omp for schedule(static) nowait";
+        // A worksharing loop on the sequential kernel.
+        let diags = rejected(&src.replace(single, shared_for));
+        assert_eq!(diags[0].stencil, "sweep", "{diags:?}");
+        // The sequential kernel's `single` is missing: every thread would
+        // run the sweep.
+        let diags = rejected(&src.replace(single, ""));
+        assert_eq!(diags[0].stencil, "sweep", "{diags:?}");
+        // The parallel kernel lost its worksharing loop.
+        let diags = rejected(&src.replace(shared_for, ""));
+        assert_eq!(diags[0].stencil, "lap", "{diags:?}");
+        // A second team, or a missing barrier between the phases.
+        rejected(&src.replace("#pragma omp barrier", "#pragma omp parallel"));
+        rejected(&src.replace("#pragma omp barrier", ""));
     }
 
     #[test]

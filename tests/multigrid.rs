@@ -162,9 +162,12 @@ fn larger_problems_keep_contracting() {
     assert!(r32.contraction < r16.contraction * 2.5 + 0.05);
 }
 
-/// `seq`, `checked` and `cjit` count one V-cycle's dispatches the same way:
-/// one per (kernel, region), split by the analysis' parallel-safety
-/// verdict rather than by how the backend happens to run them.
+/// `seq` and `checked` count one V-cycle's dispatches the same way: one
+/// per (kernel, region), split by the analysis' parallel-safety verdict
+/// rather than by how the backend happens to run them. `cjit` counts one
+/// per emitted loop nest under the same split: the same points and
+/// sequential dispatches, and fewer parallel ones, because each GSRB
+/// color union runs as one nest.
 #[test]
 fn dispatch_counters_agree_across_seq_checked_and_cjit() {
     let counters = |backend: Box<dyn Backend>| {
@@ -172,17 +175,24 @@ fn dispatch_counters_agree_across_seq_checked_and_cjit() {
         solver.enable_metrics();
         solver.vcycle(0).expect("v-cycle");
         let k = solver.take_metrics().expect("metrics on").kernels;
-        (k.tiles, k.parallel_tasks, k.sequential_tasks)
+        (k.points, k.tiles, k.parallel_tasks, k.sequential_tasks)
     };
     let seq = counters(Box::new(SequentialBackend::new()));
     assert!(
-        seq.1 > 0,
+        seq.2 > 0,
         "the V-cycle has parallel-safe dispatches: {seq:?}"
     );
-    assert_eq!(seq.0, seq.1 + seq.2);
+    assert_eq!(seq.1, seq.2 + seq.3);
     let checked = counters(Box::new(snowflake::backends::CheckedBackend::new()));
     assert_eq!(checked, seq, "checked vs seq");
     if CJitBackend::available() {
-        assert_eq!(counters(Box::new(CJitBackend::new())), seq, "cjit vs seq");
+        let cjit = counters(Box::new(CJitBackend::new()));
+        assert_eq!(
+            (cjit.0, cjit.3),
+            (seq.0, seq.3),
+            "cjit vs seq: {cjit:?} {seq:?}"
+        );
+        assert_eq!(cjit.1, cjit.2 + cjit.3);
+        assert!(cjit.2 < seq.2, "color unions merge: {cjit:?} vs {seq:?}");
     }
 }
