@@ -786,6 +786,9 @@ mod tests {
             .unwrap()
             .run(&mut b)
             .unwrap();
-        assert!(a.get("mesh").unwrap().max_abs_diff(b.get("mesh").unwrap()) < 1e-14);
+        assert_eq!(
+            a.get("mesh").unwrap().as_slice(),
+            b.get("mesh").unwrap().as_slice()
+        );
     }
 }

@@ -52,6 +52,7 @@ impl Grid {
     }
 
     /// Allocate a grid and fill it point-wise from a function of the index.
+    #[inline]
     pub fn from_fn(shape: &[usize], mut f: impl FnMut(&[usize]) -> f64) -> Self {
         let mut g = Grid::new(shape);
         let mut idx = vec![0usize; shape.len()];

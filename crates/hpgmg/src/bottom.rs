@@ -10,7 +10,7 @@
 use snowflake_grid::Grid;
 
 use crate::hand::{apply_boundary, apply_op};
-use crate::problem::{interior_norm_max, LevelData};
+use crate::problem::{interior, interior_norm_max, LevelData};
 
 /// Result of a bottom solve.
 #[derive(Clone, Copy, Debug)]
@@ -25,37 +25,23 @@ pub struct BottomStats {
 
 /// Interior dot product of two `(n+2)³` grids (ghosts excluded).
 pub fn interior_dot(a: &Grid, b: &Grid, n: usize) -> f64 {
-    let mut acc = 0.0f64;
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                acc += a.get(&[i, j, k]) * b.get(&[i, j, k]);
-            }
-        }
-    }
-    acc
+    let (a, b) = (a.as_slice(), b.as_slice());
+    interior(n).fold(0.0, |acc, c| acc + a[c] * b[c])
 }
 
 /// `dst[interior] += alpha * src[interior]`.
 fn axpy(dst: &mut Grid, alpha: f64, src: &Grid, n: usize) {
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                let v = dst.get(&[i, j, k]) + alpha * src.get(&[i, j, k]);
-                dst.set(&[i, j, k], v);
-            }
-        }
+    let (d, s) = (dst.as_mut_slice(), src.as_slice());
+    for c in interior(n) {
+        d[c] += alpha * s[c];
     }
 }
 
 /// `dst[interior] = a[interior] + alpha * b[interior]`.
 fn assign_apb(dst: &mut Grid, a: &Grid, alpha: f64, b: &Grid, n: usize) {
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                dst.set(&[i, j, k], a.get(&[i, j, k]) + alpha * b.get(&[i, j, k]));
-            }
-        }
+    let (d, a, b) = (dst.as_mut_slice(), a.as_slice(), b.as_slice());
+    for c in interior(n) {
+        d[c] = a[c] + alpha * b[c];
     }
 }
 
@@ -86,16 +72,7 @@ pub fn bicgstab(lvl: &mut LevelData, a: f64, b: f64, max_iters: usize, rtol: f64
         apply(&mut scratch, &mut x, lvl, a, b);
         lvl.x = x;
     }
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                r.set(
-                    &[i, j, k],
-                    lvl.rhs.get(&[i, j, k]) - scratch.get(&[i, j, k]),
-                );
-            }
-        }
-    }
+    assign_apb(&mut r, &lvl.rhs, -1.0, &scratch, n); // rhs + (−1)·Ax ≡ rhs − Ax
     let r0 = r.clone();
     let target = interior_norm_max(&r, n) * rtol;
     let mut rho = 1.0f64;
@@ -119,14 +96,9 @@ pub fn bicgstab(lvl: &mut LevelData, a: f64, b: f64, max_iters: usize, rtol: f64
         }
         let beta = (rho_new / rho) * (alpha / omega);
         // p = r + beta (p − omega v)
-        for i in 1..=n {
-            for j in 1..=n {
-                for k in 1..=n {
-                    let val =
-                        r.get(&[i, j, k]) + beta * (p.get(&[i, j, k]) - omega * v.get(&[i, j, k]));
-                    p.set(&[i, j, k], val);
-                }
-            }
+        let (pd, rd, vd) = (p.as_mut_slice(), r.as_slice(), v.as_slice());
+        for c in interior(n) {
+            pd[c] = rd[c] + beta * (pd[c] - omega * vd[c]);
         }
         apply(&mut v, &mut p, lvl, a, b);
         let denom = interior_dot(&r0, &v, n);

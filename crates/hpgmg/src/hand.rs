@@ -2,11 +2,21 @@
 //! it for this platform (fused direct loops, rayon parallelism).
 //!
 //! Every figure in the paper measures Snowflake-generated code against
-//! hand-optimized HPGMG; this module is that comparator. The kernels are
-//! fused (residual computes `rhs − Ax` in one pass, GSRB folds the
-//! diagonal scale into the update), use raw row-major indexing, and
-//! parallelize over `i`-planes — safe for GSRB because neighbors of a
-//! color always have the opposite color.
+//! hand-optimized HPGMG; this module is that comparator. Its seven-point
+//! kernels share one mechanism:
+//!
+//! * one operator per coefficient kind gives `(A x)[c]`: `Cc` for β ≡ 1
+//!   and `a = 0` (no coefficient loads, as a tuned HPGMG keeps dedicated
+//!   constant-coefficient kernels) and `Vc` for `a·α·x − b·h⁻²·Σ β∇x`;
+//! * one `sweep` writes `update(c, x[c], (A x)[c])` to every interior cell
+//!   or to one GSRB color, with one rayon task per `i`-plane, over raw
+//!   row-major indexing.
+//!
+//! Each public kernel chooses an operator, the cells and a fused update:
+//! residual computes `rhs − Ax` in one pass, GSRB folds the diagonal scale
+//! into the update. An in-place sweep must be one GSRB color, which is safe
+//! to run plane-parallel because the neighbours of a color always have the
+//! opposite color.
 
 use std::convert::Infallible;
 
@@ -23,13 +33,6 @@ pub const RED: usize = 1;
 /// Black cells have even coordinate-parity.
 pub const BLACK: usize = 0;
 
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f64);
-// SAFETY: used only for plane-parallel loops whose write sets are disjoint
-// by construction (each task owns a distinct i-plane).
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
 #[inline(always)]
 fn lin(s: usize, i: usize, j: usize, k: usize) -> usize {
     (i * s + j) * s + k
@@ -43,6 +46,17 @@ fn lin(s: usize, i: usize, j: usize, k: usize) -> usize {
 unsafe fn at(d: &[f64], c: usize) -> f64 {
     debug_assert!(c < d.len());
     *d.get_unchecked(c)
+}
+
+/// The cells of a level grid, checked once to be `(n+2)³`, so that the
+/// sweeps may read any interior cell and its six neighbours with [`at`].
+fn level_cells(grid: &Grid, n: usize) -> &[f64] {
+    assert_eq!(
+        grid.len(),
+        (n + 2).pow(3),
+        "level grids must be (n+2)³ cells"
+    );
+    grid.as_slice()
 }
 
 /// Apply the homogeneous-Dirichlet ghost fill (`ghost = −inside`) on all
@@ -62,197 +76,224 @@ pub fn apply_boundary(x: &mut Grid, n: usize) {
     }
 }
 
-/// Constant-coefficient Poisson fast path: `out = -b*lap_h(x)`. A tuned
-/// HPGMG keeps dedicated CC kernels (no beta loads, constant diagonal);
-/// so does this baseline.
-fn apply_op_cc(out: &mut Grid, x: &Grid, lvl: &LevelData, b: f64) {
-    let n = lvl.n;
+/// The seven-point operator of one coefficient kind on one level, with
+/// its constants resolved once per sweep.
+trait Operator: Sync {
+    /// Interior cells per side of the operator's level.
+    fn n(&self) -> usize;
+
+    /// `(A x)[c]`, reading the operand through `x(index)`.
+    ///
+    /// # Safety
+    /// `c` must be an interior cell of an `(n+2)³` grid.
+    unsafe fn apply(&self, x: impl Fn(usize) -> f64, c: usize) -> f64;
+}
+
+/// The constant-coefficient operator `b·h⁻²·(6x − Σ neighbours)`.
+struct Cc {
+    n: usize,
+    bh2: f64,
+}
+
+impl Cc {
+    /// `lvl`'s operator when β ≡ 1 and `a = 0`; `None` otherwise.
+    fn of(lvl: &LevelData, a: f64, b: f64) -> Option<Cc> {
+        (!lvl.variable_coeff && a == 0.0).then(|| Cc {
+            n: lvl.n,
+            bh2: b / (lvl.h * lvl.h),
+        })
+    }
+}
+
+impl Operator for Cc {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    unsafe fn apply(&self, x: impl Fn(usize) -> f64, c: usize) -> f64 {
+        let s = self.n + 2;
+        let ss = s * s;
+        self.bh2 * (6.0 * x(c) - x(c + ss) - x(c - ss) - x(c + s) - x(c - s) - x(c + 1) - x(c - 1))
+    }
+}
+
+/// The variable-coefficient operator `a·α·x − b·h⁻²·Σ β∇x`.
+struct Vc<'a> {
+    n: usize,
+    a: f64,
+    b: f64,
+    h2inv: f64,
+    alpha: &'a [f64],
+    beta: [&'a [f64]; 3],
+}
+
+impl<'a> Vc<'a> {
+    /// The operator of the level with `n`, `h`, α and face β (x, y, z).
+    /// It takes the grids rather than the level, so that a kernel can write
+    /// another grid of the same level while the operator reads these.
+    fn new(n: usize, h: f64, alpha: &'a Grid, beta: [&'a Grid; 3], a: f64, b: f64) -> Self {
+        Vc {
+            n,
+            a,
+            b,
+            h2inv: 1.0 / (h * h),
+            alpha: level_cells(alpha, n),
+            beta: beta.map(|g| level_cells(g, n)),
+        }
+    }
+}
+
+impl Operator for Vc<'_> {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    #[inline(always)]
+    unsafe fn apply(&self, x: impl Fn(usize) -> f64, c: usize) -> f64 {
+        let s = self.n + 2;
+        let ss = s * s;
+        let [bx, by, bz] = self.beta;
+        let xc = x(c);
+        self.a * at(self.alpha, c) * xc
+            - self.b
+                * self.h2inv
+                * (at(bx, c + ss) * (x(c + ss) - xc) - at(bx, c) * (xc - x(c - ss))
+                    + at(by, c + s) * (x(c + s) - xc)
+                    - at(by, c) * (xc - x(c - s))
+                    + at(bz, c + 1) * (x(c + 1) - xc)
+                    - at(bz, c) * (xc - x(c - 1)))
+    }
+}
+
+/// The cells a sweep updates, and the grids it reads and writes.
+enum Cells<'a> {
+    /// Every interior cell of `out`, from `x` (a distinct grid).
+    All { x: &'a Grid, out: &'a mut Grid },
+    /// The cells of `x` with `(i+j+k) % 2 == parity`, in place.
+    Color { x: &'a mut Grid, parity: usize },
+}
+
+/// Write `update(c, x[c], (A x)[c], &mut out[c])` to the `cells`, one
+/// rayon task per `i`-plane. `update` stores the cell's new value and may
+/// read its old one first. The sweep passes only interior cells, so an
+/// update may read any grid from [`level_cells`] at `c` with [`at`].
+fn sweep<O: Operator>(op: &O, cells: Cells<'_>, update: impl Fn(usize, f64, f64, &mut f64) + Sync) {
+    #[derive(Clone, Copy)]
+    struct SendPtr(*mut f64);
+    // SAFETY: each task writes only cells of its own i-plane, and no task
+    // reads a cell that another writes. The one condition is that an
+    // in-place sweep must be a GSRB color (`Cells::Color`): the neighbours
+    // of a color all have the other color, which the pass never writes.
+    // An out-of-place sweep reads `x`, a grid distinct from `out`.
+    unsafe impl Send for SendPtr {}
+    unsafe impl Sync for SendPtr {}
+
+    #[derive(Clone, Copy)]
+    enum Plan<'a> {
+        All(&'a [f64], SendPtr),
+        Color(SendPtr, usize),
+    }
+
+    let n = op.n();
     let s = n + 2;
-    let bh2 = b / (lvl.h * lvl.h);
-    let xd = x.as_slice();
-    let out_ptr = SendPtr(out.as_mut_ptr());
+    let plan = match cells {
+        Cells::All { x, out } => {
+            level_cells(out, n);
+            Plan::All(level_cells(x, n), SendPtr(out.as_mut_ptr()))
+        }
+        Cells::Color { x, parity } => {
+            level_cells(x, n);
+            Plan::Color(SendPtr(x.as_mut_ptr()), parity)
+        }
+    };
     (1..=n).into_par_iter().for_each(|i| {
-        // Rebind to force a whole-struct capture: edition-2021 disjoint
-        // capture would otherwise grab the raw-pointer field directly,
-        // bypassing SendPtr's Send/Sync impls.
-        #[allow(clippy::redundant_locals)]
-        let out_ptr = out_ptr;
         for j in 1..=n {
-            // Slice windows over the seven input rows let the compiler
-            // vectorize the unit-stride sweep (the payoff of writing the
-            // kernel "by hand").
-            let base = lin(s, i, j, 1);
-            let ctr = &xd[base..base + n];
-            let up = &xd[base + s * s..base + s * s + n];
-            let dn = &xd[base - s * s..base - s * s + n];
-            let no = &xd[base + s..base + s + n];
-            let so = &xd[base - s..base - s + n];
-            let e = &xd[base + 1..base + 1 + n];
-            let w = &xd[base - 1..base - 1 + n];
-            // SAFETY: each task owns its i-plane of `out`, disjoint from x.
-            let o = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(base), n) };
-            for k in 0..n {
-                o[k] = bh2 * (6.0 * ctr[k] - up[k] - dn[k] - no[k] - so[k] - e[k] - w[k]);
+            let c0 = lin(s, i, j, 1);
+            match plan {
+                // SAFETY: interior row (i, j), written by this task alone.
+                Plan::All(x, out) => unsafe {
+                    let row = std::slice::from_raw_parts_mut(out.0.add(c0), n);
+                    row_out_of_place(op, x, row, c0, &update);
+                },
+                // SAFETY: interior cells of this task's plane, of one color.
+                Plan::Color(x, parity) => unsafe {
+                    let first = c0 + (i + j + 1 + parity) % 2;
+                    row_in_place(op, x.0, first, c0 + n, &update);
+                },
             }
         }
     });
 }
 
-fn smooth_gsrb_color_cc(lvl: &mut LevelData, parity: usize, b: f64) {
-    let n = lvl.n;
-    let s = n + 2;
-    let bh2 = b / (lvl.h * lvl.h);
-    let dinv = (lvl.h * lvl.h) / (6.0 * b);
-    let rhs = lvl.rhs.as_slice();
-    let x_ptr = SendPtr(lvl.x.as_mut_ptr());
-    (1..=n).into_par_iter().for_each(|i| {
-        // Rebind to force a whole-struct capture: edition-2021 disjoint
-        // capture would otherwise grab the raw-pointer field directly,
-        // bypassing SendPtr's Send/Sync impls.
-        #[allow(clippy::redundant_locals)]
-        let x_ptr = x_ptr;
-        // SAFETY: color-disjoint writes; raw-pointer reads (see the VC
-        // variant for the full argument).
-        let rd = |c: usize| unsafe { *x_ptr.0.add(c) };
-        for j in 1..=n {
-            let k0 = 1 + (i + j + 1 + parity) % 2;
-            for k in (k0..=n).step_by(2) {
-                let c = lin(s, i, j, k);
-                unsafe {
-                    let xc = rd(c);
-                    let ax = bh2
-                        * (6.0 * xc
-                            - rd(c + s * s)
-                            - rd(c - s * s)
-                            - rd(c + s)
-                            - rd(c - s)
-                            - rd(c + 1)
-                            - rd(c - 1));
-                    *x_ptr.0.add(c) = xc + dinv * (at(rhs, c) - ax);
-                }
-            }
-        }
-    });
+/// One row of an out-of-place sweep, from cell `c0`. `x` and `out` arrive
+/// as distinct references, so LLVM knows no store changes a read and
+/// vectorizes the unit-stride row.
+///
+/// # Safety
+/// Cells `c0..c0 + out.len()` are an interior row of `op`'s level, and `x`
+/// is an `(n+2)³` grid of that level.
+#[inline(never)]
+unsafe fn row_out_of_place<O: Operator>(
+    op: &O,
+    x: &[f64],
+    out: &mut [f64],
+    c0: usize,
+    update: &impl Fn(usize, f64, f64, &mut f64),
+) {
+    let rd = |d: usize| at(x, d);
+    for (k, o) in out.iter_mut().enumerate() {
+        let c = c0 + k;
+        update(c, rd(c), op.apply(rd, c), o);
+    }
 }
 
-fn smooth_jacobi_cc(lvl: &mut LevelData, b: f64) {
-    let n = lvl.n;
-    let s = n + 2;
-    let bh2 = b / (lvl.h * lvl.h);
-    let wdinv = (2.0 / 3.0) * (lvl.h * lvl.h) / (6.0 * b);
-    let xd = lvl.x.as_slice();
-    let rhs = lvl.rhs.as_slice();
-    let out_ptr = SendPtr(lvl.res.as_mut_ptr());
-    (1..=n).into_par_iter().for_each(|i| {
-        // Rebind to force a whole-struct capture: edition-2021 disjoint
-        // capture would otherwise grab the raw-pointer field directly,
-        // bypassing SendPtr's Send/Sync impls.
-        #[allow(clippy::redundant_locals)]
-        let out_ptr = out_ptr;
-        for j in 1..=n {
-            let base = lin(s, i, j, 1);
-            let ctr = &xd[base..base + n];
-            let up = &xd[base + s * s..base + s * s + n];
-            let dn = &xd[base - s * s..base - s * s + n];
-            let no = &xd[base + s..base + s + n];
-            let so = &xd[base - s..base - s + n];
-            let e = &xd[base + 1..base + 1 + n];
-            let w = &xd[base - 1..base - 1 + n];
-            let f = &rhs[base..base + n];
-            // SAFETY: each task owns its i-plane of `res`, disjoint from
-            // x and rhs.
-            let o = unsafe { std::slice::from_raw_parts_mut(out_ptr.0.add(base), n) };
-            for k in 0..n {
-                let ax = bh2 * (6.0 * ctr[k] - up[k] - dn[k] - no[k] - so[k] - e[k] - w[k]);
-                o[k] = ctr[k] + wdinv * (f[k] - ax);
-            }
-        }
-    });
+/// One row of an in-place color sweep: cells `first, first + 2, …` below
+/// `end`, read and written through the one raw pointer `x`.
+///
+/// # Safety
+/// The cells are interior cells of the `(n+2)³` grid at `x`, and no other
+/// thread touches them or writes their neighbours meanwhile.
+#[inline(never)]
+unsafe fn row_in_place<O: Operator>(
+    op: &O,
+    x: *mut f64,
+    first: usize,
+    end: usize,
+    update: &impl Fn(usize, f64, f64, &mut f64),
+) {
+    let rd = |d: usize| *x.add(d);
+    for c in (first..end).step_by(2) {
+        let (xc, ax) = (rd(c), op.apply(rd, c));
+        update(c, xc, ax, &mut *x.add(c));
+    }
 }
 
 /// Compute `out = A x` over the interior (ghosts of `x` must be current).
 pub fn apply_op(out: &mut Grid, x: &Grid, lvl: &LevelData, a: f64, b: f64) {
-    if !lvl.variable_coeff && a == 0.0 {
-        return apply_op_cc(out, x, lvl, b);
+    let beta = [&lvl.beta_x, &lvl.beta_y, &lvl.beta_z];
+    let vc = Vc::new(lvl.n, lvl.h, &lvl.alpha, beta, a, b);
+    let cells = Cells::All { x, out };
+    let update = |_, _, ax, o: &mut f64| *o = ax;
+    match Cc::of(lvl, a, b) {
+        Some(cc) => sweep(&cc, cells, update),
+        None => sweep(&vc, cells, update),
     }
-    let n = lvl.n;
-    let s = n + 2;
-    let h2inv = 1.0 / (lvl.h * lvl.h);
-    let xd = x.as_slice();
-    let (bx, by, bz) = (
-        lvl.beta_x.as_slice(),
-        lvl.beta_y.as_slice(),
-        lvl.beta_z.as_slice(),
-    );
-    let al = lvl.alpha.as_slice();
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    (1..=n).into_par_iter().for_each(|i| {
-        // Rebind to force a whole-struct capture: edition-2021 disjoint
-        // capture would otherwise grab the raw-pointer field directly,
-        // bypassing SendPtr's Send/Sync impls.
-        #[allow(clippy::redundant_locals)]
-        let out_ptr = out_ptr;
-        for j in 1..=n {
-            for k in 1..=n {
-                let c = lin(s, i, j, k);
-                // SAFETY: indices derived from 1..=n bounds (see `at`);
-                // each task writes only its own i-plane.
-                unsafe {
-                    let xc = at(xd, c);
-                    let ax = a * at(al, c) * xc
-                        - b * h2inv
-                            * (at(bx, c + s * s) * (at(xd, c + s * s) - xc)
-                                - at(bx, c) * (xc - at(xd, c - s * s))
-                                + at(by, c + s) * (at(xd, c + s) - xc)
-                                - at(by, c) * (xc - at(xd, c - s))
-                                + at(bz, c + 1) * (at(xd, c + 1) - xc)
-                                - at(bz, c) * (xc - at(xd, c - 1)));
-                    *out_ptr.0.add(c) = ax;
-                }
-            }
-        }
-    });
 }
 
 /// Fused residual: `res = rhs − A x` (boundary applied first).
 pub fn residual(lvl: &mut LevelData, a: f64, b: f64) {
     apply_boundary(&mut lvl.x, lvl.n);
-    let n = lvl.n;
-    let s = n + 2;
-    let h2inv = 1.0 / (lvl.h * lvl.h);
-    let xd = lvl.x.as_slice();
-    let rhs = lvl.rhs.as_slice();
-    let (bx, by, bz) = (
-        lvl.beta_x.as_slice(),
-        lvl.beta_y.as_slice(),
-        lvl.beta_z.as_slice(),
-    );
-    let al = lvl.alpha.as_slice();
-    let res_ptr = SendPtr(lvl.res.as_mut_ptr());
-    (1..=n).into_par_iter().for_each(|i| {
-        // Rebind to force a whole-struct capture: edition-2021 disjoint
-        // capture would otherwise grab the raw-pointer field directly,
-        // bypassing SendPtr's Send/Sync impls.
-        #[allow(clippy::redundant_locals)]
-        let res_ptr = res_ptr;
-        for j in 1..=n {
-            for k in 1..=n {
-                let c = lin(s, i, j, k);
-                // SAFETY: indices derived from 1..=n bounds (see `at`).
-                unsafe {
-                    let xc = at(xd, c);
-                    let ax = a * at(al, c) * xc
-                        - b * h2inv
-                            * (at(bx, c + s * s) * (at(xd, c + s * s) - xc)
-                                - at(bx, c) * (xc - at(xd, c - s * s))
-                                + at(by, c + s) * (at(xd, c + s) - xc)
-                                - at(by, c) * (xc - at(xd, c - s))
-                                + at(bz, c + 1) * (at(xd, c + 1) - xc)
-                                - at(bz, c) * (xc - at(xd, c - 1)));
-                    *res_ptr.0.add(c) = at(rhs, c) - ax;
-                }
-            }
-        }
+    let beta = [&lvl.beta_x, &lvl.beta_y, &lvl.beta_z];
+    let op = Vc::new(lvl.n, lvl.h, &lvl.alpha, beta, a, b);
+    let rhs = level_cells(&lvl.rhs, lvl.n);
+    let cells = Cells::All {
+        x: &lvl.x,
+        out: &mut lvl.res,
+    };
+    // SAFETY (each update below): `sweep` passes interior cells only.
+    sweep(&op, cells, |c, _, ax, res| unsafe {
+        *res = at(rhs, c) - ax
     });
 }
 
@@ -260,52 +301,24 @@ pub fn residual(lvl: &mut LevelData, a: f64, b: f64) {
 /// `(i+j+k) % 2 == parity`. Plane-parallel (neighbors of a color are the
 /// other color).
 pub fn smooth_gsrb_color(lvl: &mut LevelData, parity: usize, a: f64, b: f64) {
-    if !lvl.variable_coeff && a == 0.0 {
-        return smooth_gsrb_color_cc(lvl, parity, b);
+    let cc = Cc::of(lvl, a, b);
+    let cc_dinv = (lvl.h * lvl.h) / (6.0 * b);
+    let beta = [&lvl.beta_x, &lvl.beta_y, &lvl.beta_z];
+    let vc = Vc::new(lvl.n, lvl.h, &lvl.alpha, beta, a, b);
+    let (rhs, dinv) = (level_cells(&lvl.rhs, lvl.n), level_cells(&lvl.dinv, lvl.n));
+    let cells = Cells::Color {
+        x: &mut lvl.x,
+        parity,
+    };
+    // SAFETY (each update below): `sweep` passes interior cells only.
+    match cc {
+        Some(cc) => sweep(&cc, cells, |c, xc, ax, x| unsafe {
+            *x = xc + cc_dinv * (at(rhs, c) - ax);
+        }),
+        None => sweep(&vc, cells, |c, xc, ax, x| unsafe {
+            *x = xc + at(dinv, c) * (at(rhs, c) - ax);
+        }),
     }
-    let n = lvl.n;
-    let s = n + 2;
-    let h2inv = 1.0 / (lvl.h * lvl.h);
-    let rhs = lvl.rhs.as_slice();
-    let dinv = lvl.dinv.as_slice();
-    let (bx, by, bz) = (
-        lvl.beta_x.as_slice(),
-        lvl.beta_y.as_slice(),
-        lvl.beta_z.as_slice(),
-    );
-    let al = lvl.alpha.as_slice();
-    let x_ptr = SendPtr(lvl.x.as_mut_ptr());
-    (1..=n).into_par_iter().for_each(|i| {
-        // Rebind to force a whole-struct capture: edition-2021 disjoint
-        // capture would otherwise grab the raw-pointer field directly,
-        // bypassing SendPtr's Send/Sync impls.
-        #[allow(clippy::redundant_locals)]
-        let x_ptr = x_ptr;
-        // SAFETY: reads of x touch only the opposite color (never written
-        // this pass); writes stay in this task's color cells. No two tasks
-        // share a write cell. All accesses go through the raw pointer so no
-        // shared reference aliases the mutation.
-        let rd = |c: usize| unsafe { *x_ptr.0.add(c) };
-        for j in 1..=n {
-            let k0 = 1 + (i + j + 1 + parity) % 2;
-            for k in (k0..=n).step_by(2) {
-                let c = lin(s, i, j, k);
-                // SAFETY: indices derived from 1..=n bounds (see `at`).
-                unsafe {
-                    let xc = rd(c);
-                    let ax = a * at(al, c) * xc
-                        - b * h2inv
-                            * (at(bx, c + s * s) * (rd(c + s * s) - xc)
-                                - at(bx, c) * (xc - rd(c - s * s))
-                                + at(by, c + s) * (rd(c + s) - xc)
-                                - at(by, c) * (xc - rd(c - s))
-                                + at(bz, c + 1) * (rd(c + 1) - xc)
-                                - at(bz, c) * (xc - rd(c - 1)));
-                    *x_ptr.0.add(c) = xc + at(dinv, c) * (at(rhs, c) - ax);
-                }
-            }
-        }
-    });
 }
 
 /// One full GSRB smooth: boundary, red, boundary, black (the paper's
@@ -320,51 +333,26 @@ pub fn smooth_gsrb(lvl: &mut LevelData, a: f64, b: f64) {
 /// One weighted-Jacobi sweep (ω = 2/3): `x ← x + ω·dinv·(rhs − Ax)`,
 /// written out of place into `res` and swapped in.
 pub fn smooth_jacobi(lvl: &mut LevelData, a: f64, b: f64) {
-    apply_boundary(&mut lvl.x, lvl.n);
-    if !lvl.variable_coeff && a == 0.0 {
-        smooth_jacobi_cc(lvl, b);
-        std::mem::swap(&mut lvl.x, &mut lvl.res);
-        return;
-    }
-    let n = lvl.n;
-    let s = n + 2;
-    let h2inv = 1.0 / (lvl.h * lvl.h);
-    let xd = lvl.x.as_slice();
-    let rhs = lvl.rhs.as_slice();
-    let dinv = lvl.dinv.as_slice();
-    let (bx, by, bz) = (
-        lvl.beta_x.as_slice(),
-        lvl.beta_y.as_slice(),
-        lvl.beta_z.as_slice(),
-    );
-    let al = lvl.alpha.as_slice();
-    let out_ptr = SendPtr(lvl.res.as_mut_ptr());
     const OMEGA: f64 = 2.0 / 3.0;
-    (1..=n).into_par_iter().for_each(|i| {
-        // Rebind to force a whole-struct capture: edition-2021 disjoint
-        // capture would otherwise grab the raw-pointer field directly,
-        // bypassing SendPtr's Send/Sync impls.
-        #[allow(clippy::redundant_locals)]
-        let out_ptr = out_ptr;
-        for j in 1..=n {
-            for k in 1..=n {
-                let c = lin(s, i, j, k);
-                // SAFETY: indices derived from 1..=n bounds (see `at`).
-                unsafe {
-                    let xc = at(xd, c);
-                    let ax = a * at(al, c) * xc
-                        - b * h2inv
-                            * (at(bx, c + s * s) * (at(xd, c + s * s) - xc)
-                                - at(bx, c) * (xc - at(xd, c - s * s))
-                                + at(by, c + s) * (at(xd, c + s) - xc)
-                                - at(by, c) * (xc - at(xd, c - s))
-                                + at(bz, c + 1) * (at(xd, c + 1) - xc)
-                                - at(bz, c) * (xc - at(xd, c - 1)));
-                    *out_ptr.0.add(c) = xc + OMEGA * at(dinv, c) * (at(rhs, c) - ax);
-                }
-            }
-        }
-    });
+    apply_boundary(&mut lvl.x, lvl.n);
+    let cc = Cc::of(lvl, a, b);
+    let cc_wdinv = OMEGA * (lvl.h * lvl.h) / (6.0 * b);
+    let beta = [&lvl.beta_x, &lvl.beta_y, &lvl.beta_z];
+    let vc = Vc::new(lvl.n, lvl.h, &lvl.alpha, beta, a, b);
+    let (rhs, dinv) = (level_cells(&lvl.rhs, lvl.n), level_cells(&lvl.dinv, lvl.n));
+    let cells = Cells::All {
+        x: &lvl.x,
+        out: &mut lvl.res,
+    };
+    // SAFETY (each update below): `sweep` passes interior cells only.
+    match cc {
+        Some(cc) => sweep(&cc, cells, |c, xc, ax, x| unsafe {
+            *x = xc + cc_wdinv * (at(rhs, c) - ax);
+        }),
+        None => sweep(&vc, cells, |c, xc, ax, x| unsafe {
+            *x = xc + OMEGA * at(dinv, c) * (at(rhs, c) - ax);
+        }),
+    }
     std::mem::swap(&mut lvl.x, &mut lvl.res);
 }
 
@@ -374,52 +362,20 @@ pub fn smooth_jacobi(lvl: &mut LevelData, a: f64, b: f64) {
 /// (unused on the first step, where c1 = 0).
 pub fn smooth_chebyshev(lvl: &mut LevelData, a: f64, b: f64) {
     let coeffs = crate::cheby::coefficients(crate::cheby::DEGREE, crate::cheby::EIG_MAX);
-    let n = lvl.n;
-    let s = n + 2;
-    let h2inv = 1.0 / (lvl.h * lvl.h);
     for (c1, c2) in coeffs {
-        apply_boundary(&mut lvl.x, n);
-        {
-            let xd = lvl.x.as_slice();
-            let rhs = lvl.rhs.as_slice();
-            let dinv = lvl.dinv.as_slice();
-            let (bx, by, bz) = (
-                lvl.beta_x.as_slice(),
-                lvl.beta_y.as_slice(),
-                lvl.beta_z.as_slice(),
-            );
-            let al = lvl.alpha.as_slice();
-            let tmp_ptr = SendPtr(lvl.tmp.as_mut_ptr());
-            (1..=n).into_par_iter().for_each(|i| {
-                // Rebind to force a whole-struct capture: edition-2021 disjoint
-                // capture would otherwise grab the raw-pointer field directly,
-                // bypassing SendPtr's Send/Sync impls.
-                #[allow(clippy::redundant_locals)]
-                let tmp_ptr = tmp_ptr;
-                for j in 1..=n {
-                    for k in 1..=n {
-                        let c = lin(s, i, j, k);
-                        // SAFETY: 1..=n indices (see `at`); tmp is read at
-                        // c before being overwritten at c, and each task
-                        // owns its own i-plane of tmp.
-                        unsafe {
-                            let xc = at(xd, c);
-                            let ax = a * at(al, c) * xc
-                                - b * h2inv
-                                    * (at(bx, c + s * s) * (at(xd, c + s * s) - xc)
-                                        - at(bx, c) * (xc - at(xd, c - s * s))
-                                        + at(by, c + s) * (at(xd, c + s) - xc)
-                                        - at(by, c) * (xc - at(xd, c - s))
-                                        + at(bz, c + 1) * (at(xd, c + 1) - xc)
-                                        - at(bz, c) * (xc - at(xd, c - 1)));
-                            let prev = *tmp_ptr.0.add(c);
-                            *tmp_ptr.0.add(c) =
-                                xc + c1 * (xc - prev) + c2 * at(dinv, c) * (at(rhs, c) - ax);
-                        }
-                    }
-                }
-            });
-        }
+        apply_boundary(&mut lvl.x, lvl.n);
+        let beta = [&lvl.beta_x, &lvl.beta_y, &lvl.beta_z];
+        let op = Vc::new(lvl.n, lvl.h, &lvl.alpha, beta, a, b);
+        let (rhs, dinv) = (level_cells(&lvl.rhs, lvl.n), level_cells(&lvl.dinv, lvl.n));
+        let cells = Cells::All {
+            x: &lvl.x,
+            out: &mut lvl.tmp,
+        };
+        // `tmp` is read at c (x_{n-1}) before being overwritten (x_{n+1}).
+        // SAFETY (each update below): `sweep` passes interior cells only.
+        sweep(&op, cells, |c, xc, ax, tmp| unsafe {
+            *tmp = xc + c1 * (xc - *tmp) + c2 * at(dinv, c) * (at(rhs, c) - ax);
+        });
         // tmp now holds x_{n+1}; x holds x_n — swap so x is current and
         // tmp carries x_{n-1} for the next step.
         std::mem::swap(&mut lvl.x, &mut lvl.tmp);
@@ -956,6 +912,87 @@ mod tests {
         let rhs_before = solver.levels[0].rhs.clone();
         solver.fcycle();
         assert_eq!(solver.levels[0].rhs.max_abs_diff(&rhs_before), 0.0);
+    }
+
+    const GOLDEN_VC: [u64; 7] = [
+        0xcc09eee06dfe77e7,
+        0x1f9c706230c59607,
+        0xe4194eb163604a74,
+        0x8b376fa7b048ff52,
+        0x0daf712d1bb4caa4,
+        0xc06fce15209c00ab,
+        0x47392a85d44e96d5,
+    ];
+    const GOLDEN_CC: [u64; 7] = [
+        0xe142d533268f7b84,
+        0x57b5208d582d75f6,
+        0x8eaed40745f0b659,
+        0x93733c8951a69cd0,
+        0xc8537430178f0dcb,
+        0x9dce1b845ba189b0,
+        0x19887b3b3cd7641f,
+    ];
+
+    /// FNV-1a over every bit of a grid, ghosts included.
+    fn fnv1a(g: &Grid) -> u64 {
+        g.as_slice()
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, byte| {
+                (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// Hashes of the hand solver's grids for `p`: the manufactured rhs,
+    /// `x` after one V-cycle from a seeded guess, after one F-cycle, after
+    /// a 2-cycle FMG solve with Chebyshev smoothing and linear
+    /// interpolation, after a 2-cycle solve with the BiCGStab bottom, after
+    /// three Jacobi sweeps from the seeded guess, and `A x` of that guess.
+    fn golden_hashes(p: Problem) -> [u64; 7] {
+        let seeded = || {
+            let mut s = HandSolver::new(p);
+            s.levels[0].x.fill_random(7, -1.0, 1.0);
+            s
+        };
+        let rhs = fnv1a(&HandSolver::new(p).levels[0].rhs);
+        let mut v = seeded();
+        v.vcycle(0);
+        let mut f = HandSolver::new(p);
+        f.fcycle();
+        let mut cheby = HandSolver::new(p)
+            .with_smoother(crate::Smoother::Chebyshev)
+            .with_interp(crate::InterpKind::Linear);
+        cheby.solve(crate::SolveOptions::cycles(2).with_fmg(true));
+        let mut krylov = HandSolver::new(p).with_bottom(crate::BottomSolve::BiCgStab);
+        krylov.solve(2);
+        let mut jacobi = seeded();
+        for _ in 0..3 {
+            smooth_jacobi(&mut jacobi.levels[0], p.a, p.b);
+        }
+        let mut op = seeded();
+        let fine = &mut op.levels[0];
+        apply_boundary(&mut fine.x, fine.n);
+        let mut ax = Grid::new(fine.x.shape());
+        apply_op(&mut ax, &fine.x, fine, p.a, p.b);
+        [
+            rhs,
+            fnv1a(&v.levels[0].x),
+            fnv1a(&f.levels[0].x),
+            fnv1a(&cheby.levels[0].x),
+            fnv1a(&krylov.levels[0].x),
+            fnv1a(&jacobi.levels[0].x),
+            fnv1a(&ax),
+        ]
+    }
+
+    #[test]
+    fn hand_grids_match_golden_bits() {
+        // Every bit of the hand baseline is pinned, at any rayon thread
+        // count: each cell is written by one task, in a fixed order.
+        let vc = golden_hashes(Problem::poisson_vc(16));
+        let cc = golden_hashes(Problem::poisson_cc(16));
+        assert_eq!(vc, GOLDEN_VC, "vc");
+        assert_eq!(cc, GOLDEN_CC, "cc");
     }
 
     #[test]

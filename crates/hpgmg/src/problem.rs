@@ -203,31 +203,29 @@ impl LevelData {
     }
 }
 
+/// Flat indices of the `n³` interior cells of an `(n+2)³` grid, visiting
+/// `i`, `j` and `k` in ascending order (row-major).
+pub fn interior(n: usize) -> impl Iterator<Item = usize> {
+    let s = n + 2;
+    (1..=n).flat_map(move |i| {
+        (1..=n).flat_map(move |j| {
+            let row = (i * s + j) * s;
+            row + 1..=row + n
+        })
+    })
+}
+
 /// Max-norm over the `n³` interior of an `(n+2)³` grid (ghost cells
 /// excluded).
 pub fn interior_norm_max(grid: &Grid, n: usize) -> f64 {
-    let mut m = 0.0f64;
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                m = m.max(grid.get(&[i, j, k]).abs());
-            }
-        }
-    }
-    m
+    let g = grid.as_slice();
+    interior(n).fold(0.0, |m, c| m.max(g[c].abs()))
 }
 
 /// Max-norm of the interior difference of two `(n+2)³` grids.
 pub fn interior_diff_max(a: &Grid, b: &Grid, n: usize) -> f64 {
-    let mut m = 0.0f64;
-    for i in 1..=n {
-        for j in 1..=n {
-            for k in 1..=n {
-                m = m.max((a.get(&[i, j, k]) - b.get(&[i, j, k])).abs());
-            }
-        }
-    }
-    m
+    let (a, b) = (a.as_slice(), b.as_slice());
+    interior(n).fold(0.0, |m, c| m.max((a[c] - b[c]).abs()))
 }
 
 #[cfg(test)]
@@ -294,6 +292,16 @@ mod tests {
         assert!(u_exact(0.5, 0.0, 0.7).abs() < 1e-15);
         assert!(u_exact(0.5, 0.5, 1.0).abs() < 1e-15);
         assert!(u_exact(0.5, 0.5, 0.5) > 0.9);
+    }
+
+    #[test]
+    fn interior_visits_cells_in_row_major_order() {
+        let g = Grid::new(&[5, 5, 5]);
+        let want: Vec<usize> = (1..=3)
+            .flat_map(|i| (1..=3).flat_map(move |j| (1..=3).map(move |k| [i, j, k])))
+            .map(|p| g.linear(&p))
+            .collect();
+        assert_eq!(interior(3).collect::<Vec<_>>(), want);
     }
 
     #[test]

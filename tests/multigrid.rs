@@ -49,17 +49,14 @@ fn snowflake_matches_hand_on_every_backend() {
 #[test]
 fn convergence_is_backend_independent_bitwise_among_compiled_backends() {
     // seq / omp / oclsim share lowering and arithmetic order, so their
-    // residual histories agree to machine precision (not just a tolerance).
+    // residual histories agree bit for bit.
     let problem = Problem::poisson_vc(8);
     let a = verify_snow(problem, 2, Box::new(SequentialBackend::new())).unwrap();
     let b = verify_snow(problem, 2, Box::new(OmpBackend::new())).unwrap();
     let c = verify_snow(problem, 2, Box::new(OclSimBackend::new())).unwrap();
-    for (x, y) in a.norms.iter().zip(&b.norms) {
-        assert!(((x - y) / x).abs() < 1e-13, "seq vs omp: {x} vs {y}");
-    }
-    for (x, y) in a.norms.iter().zip(&c.norms) {
-        assert!(((x - y) / x).abs() < 1e-13, "seq vs oclsim: {x} vs {y}");
-    }
+    let bits = |norms: &[f64]| norms.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&a.norms), bits(&b.norms), "seq vs omp");
+    assert_eq!(bits(&a.norms), bits(&c.norms), "seq vs oclsim");
 }
 
 #[test]
