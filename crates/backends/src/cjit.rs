@@ -19,10 +19,13 @@
 //! ## Persistent artifact cache
 //!
 //! Every successful compile is persisted as a shared object keyed by the
-//! FNV-1a content hash of (compiler, its complete argument list, emitted
-//! C99). A later compile of the same key — in this process or any future
-//! one — `dlopen`s the cached `.so` and skips `cc` entirely, so repeated
-//! figure runs pay compilation once per machine, not once per process.
+//! FNV-1a content hash of (compiler, its `--version` banner and
+//! `-march=native` predefined macros, its complete argument list, emitted
+//! C99), so neither a compiler upgrade nor a cache directory shared with
+//! another CPU can serve a stale or illegal-instruction artifact. A later
+//! compile of the same key — in this process or any future one —
+//! `dlopen`s the cached `.so` and skips `cc` entirely, so repeated figure
+//! runs pay compilation once per machine, not once per process.
 //! Artifacts live in a `target/`-local directory next to the running
 //! binary (override with `$SNOWFLAKE_CACHE_DIR` or
 //! [`CJitBackend::with_cache_dir`]); artifact writes are atomic (write to a
@@ -30,10 +33,11 @@
 //! back to the in-process compile path. Hit/miss counters surface as
 //! `disk_hits`/`disk_misses` in [`crate::metrics::CacheStats`].
 
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
@@ -46,6 +50,11 @@ use crate::{check_and_ptrs, Backend, Executable};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
+/// Optimization flags of every compile. `-ffp-contract=off` pins the
+/// no-FMA evaluation the bitwise specialization contract assumes (gcc
+/// already disables contraction under `-std=c99`; clang does not).
+const OPT_FLAGS: [&str; 3] = ["-O3", "-march=native", "-ffp-contract=off"];
+
 /// JIT-compile generated C through the system compiler.
 #[derive(Clone, Debug)]
 pub struct CJitBackend {
@@ -53,14 +62,10 @@ pub struct CJitBackend {
     pub options: LowerOptions,
     /// C compiler binary (default `cc`, override with `$SNOWFLAKE_CC`).
     pub cc: String,
-    /// Extra optimization flags.
-    pub opt_flags: Vec<String>,
     /// Persistent artifact cache directory; `None` resolves to a non-empty
     /// `$SNOWFLAKE_CACHE_DIR`, else a `snowflake-cjit-cache/` directory
     /// next to the running binary (i.e. inside `target/`).
     pub cache_dir: Option<PathBuf>,
-    /// Use the persistent artifact cache (on by default).
-    pub disk_cache: bool,
     /// Compiles served from the artifact cache (shared across clones).
     disk_hits: Arc<AtomicU64>,
     /// Compiles that invoked the C compiler (shared across clones).
@@ -71,17 +76,8 @@ impl Default for CJitBackend {
     fn default() -> Self {
         CJitBackend {
             options: LowerOptions::default(),
-            cc: std::env::var("SNOWFLAKE_CC").unwrap_or_else(|_| "cc".to_string()),
-            // `-ffp-contract=off` pins the no-FMA evaluation the bitwise
-            // specialization contract assumes (gcc already disables
-            // contraction under `-std=c99`; clang does not).
-            opt_flags: vec![
-                "-O3".to_string(),
-                "-march=native".to_string(),
-                "-ffp-contract=off".to_string(),
-            ],
+            cc: default_cc(),
             cache_dir: None,
-            disk_cache: true,
             disk_hits: Arc::new(AtomicU64::new(0)),
             disk_misses: Arc::new(AtomicU64::new(0)),
         }
@@ -100,21 +96,9 @@ impl CJitBackend {
         self
     }
 
-    /// Replace the optimization flag set (builder style).
-    pub fn with_opt_flags(mut self, flags: Vec<String>) -> Self {
-        self.opt_flags = flags;
-        self
-    }
-
     /// Pin the persistent artifact cache to `dir` (builder style).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
-        self
-    }
-
-    /// Enable or disable the persistent artifact cache (builder style).
-    pub fn with_disk_cache(mut self, on: bool) -> Self {
-        self.disk_cache = on;
         self
     }
 
@@ -127,43 +111,16 @@ impl CJitBackend {
         )
     }
 
-    /// Is a working C compiler present on this machine?
+    /// Is a working default C compiler (`$SNOWFLAKE_CC`, else `cc`)
+    /// present on this machine?
     pub fn available() -> bool {
-        *availability().get_or_init(|| {
-            Command::new(std::env::var("SNOWFLAKE_CC").unwrap_or_else(|_| "cc".to_string()))
-                .arg("--version")
-                .output()
-                .map(|o| o.status.success())
-                .unwrap_or(false)
-        })
+        toolchain(&default_cc()).available
     }
 
-    /// Does the compiler accept `-fopenmp` (checked once per process)?
+    /// Does the compiler accept `-fopenmp` (probed once per process per
+    /// compiler)?
     pub fn openmp_available(&self) -> bool {
-        *openmp_flag().get_or_init(|| {
-            let dir = std::env::temp_dir();
-            let id = COUNTER.fetch_add(1, Ordering::Relaxed);
-            let src = dir.join(format!("snowflake_omp_probe_{}_{id}.c", std::process::id()));
-            let out = dir.join(format!(
-                "snowflake_omp_probe_{}_{id}.so",
-                std::process::id()
-            ));
-            let ok = std::fs::write(
-                &src,
-                "#include <omp.h>\nint snowflake_probe(void){return omp_get_max_threads();}\n",
-            )
-            .is_ok()
-                && Command::new(&self.cc)
-                    .args(["-fopenmp", "-shared", "-fPIC", "-o"])
-                    .arg(&out)
-                    .arg(&src)
-                    .output()
-                    .map(|o| o.status.success())
-                    .unwrap_or(false);
-            let _ = std::fs::remove_file(&src);
-            let _ = std::fs::remove_file(&out);
-            ok
-        })
+        toolchain(&self.cc).openmp
     }
 
     /// Cache directory after applying the override chain (explicit field →
@@ -185,7 +142,7 @@ impl CJitBackend {
     /// Every argument passed to the C compiler before the output and
     /// input paths.
     fn cc_args(&self) -> Vec<&str> {
-        let mut args: Vec<&str> = self.opt_flags.iter().map(String::as_str).collect();
+        let mut args = OPT_FLAGS.to_vec();
         args.extend(["-std=c99", "-fPIC", "-shared", "-Wl,-z,nodelete"]);
         if self.openmp_available() {
             args.push("-fopenmp");
@@ -194,10 +151,12 @@ impl CJitBackend {
     }
 
     /// Content hash of everything that determines the built artifact: the
-    /// compiler, the exact argument list it runs with and the emitted
-    /// source. Changing any of them invalidates the cached `.so`.
+    /// compiler, its version and target CPU, the exact argument list it
+    /// runs with and the emitted source. Changing any of them invalidates
+    /// the cached `.so`.
     fn artifact_key(&self, args: &[&str], source: &str) -> u64 {
         let mut h = fnv1a(FNV_OFFSET, self.cc.as_bytes());
+        h = fnv1a(h, &toolchain(&self.cc).fingerprint.to_le_bytes());
         for arg in args {
             h = fnv1a(h, b"\0");
             h = fnv1a(h, arg.as_bytes());
@@ -208,28 +167,24 @@ impl CJitBackend {
 
     fn build(&self, source: &str) -> Result<libloading::Library> {
         let args = self.cc_args();
-        let cached: Option<PathBuf> = self.disk_cache.then(|| {
-            self.resolved_cache_dir().join(format!(
-                "cjit_{:016x}_{}.so",
-                self.artifact_key(&args, source),
-                source.len()
-            ))
-        });
-        if let Some(path) = &cached {
-            if path.exists() {
-                // SAFETY: the artifact was produced by a previous run of
-                // this same pipeline from identical source and flags (the
-                // content hash is the file name); its only export is the
-                // kernel entry point.
-                if let Ok(lib) = unsafe { libloading::Library::new(path) } {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(lib);
-                }
-                // Unloadable (torn disk, wrong arch, …): evict and rebuild.
-                let _ = std::fs::remove_file(path);
+        let cached = self.resolved_cache_dir().join(format!(
+            "cjit_{:016x}_{}.so",
+            self.artifact_key(&args, source),
+            source.len()
+        ));
+        if cached.exists() {
+            // SAFETY: the artifact was produced by a previous run of this
+            // same pipeline from identical source, flags and compiler (the
+            // content hash is the file name); its only export is the
+            // kernel entry point.
+            if let Ok(lib) = unsafe { libloading::Library::new(&cached) } {
+                self.disk_hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(lib);
             }
-            self.disk_misses.fetch_add(1, Ordering::Relaxed);
+            // Unloadable (torn disk, …): evict and rebuild.
+            let _ = std::fs::remove_file(&cached);
         }
+        self.disk_misses.fetch_add(1, Ordering::Relaxed);
 
         let dir = std::env::temp_dir();
         let id = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -254,9 +209,7 @@ impl CJitBackend {
             )));
         }
         // Persist for future processes; IO failure only costs the reuse.
-        if let Some(path) = &cached {
-            let _ = std::fs::read(&so_path).and_then(|so| persist_atomic(path, &so));
-        }
+        let _ = std::fs::read(&so_path).and_then(|so| persist_atomic(&cached, &so));
         // SAFETY: the library was just produced by the C compiler from our
         // generated source; its only export is the kernel entry point.
         let lib = unsafe { libloading::Library::new(&so_path) }
@@ -268,14 +221,74 @@ impl CJitBackend {
     }
 }
 
-fn availability() -> &'static OnceLock<bool> {
-    static AVAILABLE: OnceLock<bool> = OnceLock::new();
-    &AVAILABLE
+/// The compiler a new backend uses: `$SNOWFLAKE_CC`, else `cc`.
+fn default_cc() -> String {
+    std::env::var("SNOWFLAKE_CC").unwrap_or_else(|_| "cc".to_string())
 }
 
-fn openmp_flag() -> &'static OnceLock<bool> {
-    static OPENMP: OnceLock<bool> = OnceLock::new();
-    &OPENMP
+/// What a C compiler reports about itself.
+#[derive(Clone, Copy)]
+struct Toolchain {
+    /// Does `cc --version` run and succeed?
+    available: bool,
+    /// Does it accept `-fopenmp`?
+    openmp: bool,
+    /// FNV-1a of its `--version` banner and of the macros it predefines
+    /// under `-march=native` (the CPU features the artifacts target).
+    fingerprint: u64,
+}
+
+/// The [`Toolchain`] of `cc`, probed once per process per compiler.
+fn toolchain(cc: &str) -> Toolchain {
+    static PROBED: Mutex<BTreeMap<String, Toolchain>> = Mutex::new(BTreeMap::new());
+    // A probe that panicked inserted nothing, so the map is still valid.
+    let mut probed = PROBED.lock().unwrap_or_else(PoisonError::into_inner);
+    *probed.entry(cc.to_string()).or_insert_with(|| probe(cc))
+}
+
+fn probe(cc: &str) -> Toolchain {
+    let run = |args: &[&str]| Command::new(cc).args(args).output().ok();
+    let Some(version) = run(&["--version"]).filter(|o| o.status.success()) else {
+        return Toolchain {
+            available: false,
+            openmp: false,
+            fingerprint: 0,
+        };
+    };
+    let macros = run(&["-march=native", "-dM", "-E", "-x", "c", "/dev/null"]);
+    Toolchain {
+        available: true,
+        openmp: probe_openmp(cc),
+        fingerprint: fnv1a(
+            fnv1a(FNV_OFFSET, &version.stdout),
+            &macros.map(|o| o.stdout).unwrap_or_default(),
+        ),
+    }
+}
+
+/// Compile a one-line OpenMP translation unit with `cc -fopenmp`.
+fn probe_openmp(cc: &str) -> bool {
+    let dir = std::env::temp_dir();
+    let id = COUNTER.fetch_add(1, Ordering::Relaxed);
+    let src = dir.join(format!("snowflake_omp_probe_{}_{id}.c", std::process::id()));
+    let out = dir.join(format!(
+        "snowflake_omp_probe_{}_{id}.so",
+        std::process::id()
+    ));
+    let ok = std::fs::write(
+        &src,
+        "#include <omp.h>\nint snowflake_probe(void){return omp_get_max_threads();}\n",
+    )
+    .is_ok()
+        && Command::new(cc)
+            .args(["-fopenmp", "-shared", "-fPIC", "-o"])
+            .arg(&out)
+            .arg(&src)
+            .output()
+            .is_ok_and(|o| o.status.success());
+    let _ = std::fs::remove_file(&src);
+    let _ = std::fs::remove_file(&out);
+    ok
 }
 
 type EntryFn = unsafe extern "C" fn(*mut *mut f64);
@@ -306,7 +319,7 @@ impl Backend for CJitBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        if !Self::available() {
+        if !toolchain(&self.cc).available {
             return Err(CoreError::Backend(format!(
                 "C compiler {:?} not available",
                 self.cc

@@ -16,9 +16,10 @@
 //!   [`crate::SolverPlan::stamp`].
 //!
 //! Reports serialize to JSON via [`RunReport::to_json`] (schema documented
-//! in README.md); [`json`] provides the minimal parser used to read
-//! profiles back in tests and tools. Everything here is plain data, and
-//! the plain `SolverPlan::run` path never touches it.
+//! in README.md), with the string and number helpers in [`json`]. Tests
+//! read the counters off the `RunReport` value itself, never back out of
+//! the JSON. Everything here is plain data, and the plain `SolverPlan::run`
+//! path never touches it.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -243,73 +244,10 @@ impl RunReport {
     }
 }
 
-/// A minimal JSON reader/writer helper: enough to round-trip the profiles
-/// this crate emits (objects, arrays, strings, finite numbers, booleans,
-/// null). Used by tests and by the bench binaries' `--metrics-json` path.
+/// The JSON writer helpers the report and the bench binaries share:
+/// string quoting and number rendering. Nothing here parses JSON; the
+/// documents are checked against golden strings in tests.
 pub mod json {
-    use std::collections::BTreeMap;
-
-    /// A parsed JSON value.
-    #[derive(Clone, Debug, PartialEq)]
-    pub enum Value {
-        /// `null`
-        Null,
-        /// `true`/`false`
-        Bool(bool),
-        /// Any JSON number (as f64).
-        Num(f64),
-        /// A string.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object.
-        Obj(BTreeMap<String, Value>),
-    }
-
-    impl Value {
-        /// Object field access.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(m) => m.get(key),
-                _ => None,
-            }
-        }
-
-        /// Numeric value, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// Integer value, if this is a whole number.
-        // Guarded by the sign and fract checks; report counters fit u64.
-        #[allow(clippy::cast_possible_truncation)]
-        pub fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
-                _ => None,
-            }
-        }
-
-        /// String value.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// Array items.
-        pub fn as_array(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(v) => Some(v),
-                _ => None,
-            }
-        }
-    }
-
     /// Escape and quote a string for JSON output.
     pub fn escape(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
@@ -331,197 +269,13 @@ pub mod json {
         out
     }
 
-    /// Render a finite f64 (non-finite values become `null`, which JSON
-    /// requires; the parser maps `null` back to NaN for numbers).
+    /// Render a finite f64; non-finite values become `null`, as JSON has
+    /// no NaN or infinity.
     pub fn number(x: f64) -> String {
         if x.is_finite() {
             format!("{x}")
         } else {
             "null".to_string()
-        }
-    }
-
-    /// Parse a JSON document.
-    pub fn parse(src: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn skip_ws(&mut self) {
-            while self
-                .bytes
-                .get(self.pos)
-                .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-            {
-                self.pos += 1;
-            }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), String> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!("expected {:?} at offset {}", b as char, self.pos))
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(format!("bad literal at offset {}", self.pos))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                _ => Err(format!("unexpected byte at offset {}", self.pos)),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut map = BTreeMap::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                let val = self.value()?;
-                map.insert(key, val);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(map));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek() {
-                    None => return Err("unterminated string".to_string()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or("unterminated escape")?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'u' => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos..self.pos + 4)
-                                    .ok_or("truncated \\u escape")?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                self.pos += 4;
-                                out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                            }
-                            _ => return Err(format!("bad escape at offset {}", self.pos)),
-                        }
-                    }
-                    Some(_) => {
-                        // Consume one UTF-8 code point.
-                        let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest)
-                            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            let start = self.pos;
-            while self
-                .peek()
-                .is_some_and(|b| matches!(b, b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9'))
-            {
-                self.pos += 1;
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .map(Value::Num)
-                .ok_or_else(|| format!("bad number at offset {start}"))
         }
     }
 }
@@ -587,63 +341,51 @@ mod tests {
         assert_eq!(r.kernels.sequential_tasks, 4);
     }
 
+    /// The whole serialized schema, pinned byte for byte: any change to a
+    /// field name, its order or a number's rendering fails here.
     #[test]
-    fn json_round_trips_the_full_schema() {
-        let r = sample_report();
-        let doc = json::parse(&r.to_json()).expect("valid JSON");
-        assert_eq!(doc.get("backend").unwrap().as_str(), Some("omp"));
-        assert_eq!(doc.get("runs").unwrap().as_u64(), Some(4));
-        assert_eq!(doc.get("compile_seconds").unwrap().as_f64(), Some(0.125));
-        let k = doc.get("kernels").unwrap();
-        assert_eq!(k.get("points").unwrap().as_u64(), Some(1000));
-        assert_eq!(k.get("fused").unwrap().as_u64(), Some(4));
-        assert_eq!(k.get("sequential_tasks").unwrap().as_u64(), Some(4));
-        assert_eq!(doc.get("plan_ops").unwrap().as_u64(), Some(7));
-        let c = doc.get("cache").unwrap();
-        assert_eq!(c.get("hits").unwrap().as_u64(), Some(5));
-        assert_eq!(c.get("disk_hits").unwrap().as_u64(), Some(1));
-        assert_eq!(c.get("disk_misses").unwrap().as_u64(), Some(1));
-        assert!(doc.get("comm").is_none());
-        let v = doc.get("verify").unwrap();
-        assert_eq!(v.get("stencils_checked").unwrap().as_u64(), Some(14));
-        assert_eq!(v.get("accesses_proved").unwrap().as_u64(), Some(96));
-        assert_eq!(v.get("phases_certified").unwrap().as_u64(), Some(9));
-        assert_eq!(v.get("witnesses").unwrap().as_u64(), Some(0));
-        let t = doc.get("tune").unwrap();
-        assert_eq!(t.get("disk_hits").unwrap().as_u64(), Some(1));
-        assert_eq!(t.get("disk_misses").unwrap().as_u64(), Some(1));
-        assert_eq!(t.get("candidates_timed").unwrap().as_u64(), Some(5));
-        let l = doc.get("lint").unwrap();
-        assert_eq!(l.get("rules_run").unwrap().as_u64(), Some(10));
-        assert_eq!(l.get("lints").unwrap().as_u64(), Some(2));
-        assert_eq!(l.get("suppressed").unwrap().as_u64(), Some(1));
-        assert!(doc.get("phases").is_none());
-        let ops = doc.get("ops").unwrap().as_array().unwrap();
-        assert_eq!(ops.len(), 2);
-        assert_eq!(ops[0].get("op").unwrap().as_u64(), Some(1));
-        assert_eq!(ops[0].get("calls").unwrap().as_u64(), Some(2));
-        assert_eq!(ops[1].get("op").unwrap().as_u64(), Some(4));
-        assert_eq!(ops[1].get("seconds").unwrap().as_f64(), Some(1.0));
+    fn to_json_matches_the_golden_document() {
+        let golden = concat!(
+            r#"{"backend":"omp","runs":4,"plan_ops":7,"compile_seconds":0.125,"#,
+            r#""run_seconds":1.5,"#,
+            r#""kernels":{"points":1000,"tiles":12,"fused":4,"parallel_tasks":8,"#,
+            r#""sequential_tasks":4},"#,
+            r#""cache":{"hits":5,"misses":2,"disk_hits":1,"disk_misses":1},"#,
+            r#""verify":{"stencils_checked":14,"accesses_proved":96,"#,
+            r#""phases_certified":9,"witnesses":0},"#,
+            r#""tune":{"disk_hits":1,"disk_misses":1,"candidates_timed":5},"#,
+            r#""lint":{"rules_run":10,"lints":2,"suppressed":1},"#,
+            r#""ops":[{"op":1,"calls":2,"seconds":0.5},{"op":4,"calls":2,"seconds":1}]}"#,
+        );
+        assert_eq!(sample_report().to_json(), golden);
     }
 
     #[test]
-    fn json_parser_handles_strings_escapes_and_nesting() {
-        let doc = json::parse(r#"{"a": [1, -2.5e3, true, false, null], "s": "q\"\\\nA", "o": {}}"#)
-            .unwrap();
-        let a = doc.get("a").unwrap().as_array().unwrap();
-        assert_eq!(a[1].as_f64(), Some(-2500.0));
-        assert_eq!(a[2], json::Value::Bool(true));
-        assert_eq!(a[4], json::Value::Null);
-        assert_eq!(doc.get("s").unwrap().as_str(), Some("q\"\\\nA"));
-        assert!(json::parse("{").is_err());
-        assert!(json::parse("[1,]").is_err());
-        assert!(json::parse("{} extra").is_err());
+    fn empty_report_serializes_every_block_with_zeros() {
+        let golden = concat!(
+            r#"{"backend":"","runs":0,"plan_ops":0,"compile_seconds":0,"run_seconds":0,"#,
+            r#""kernels":{"points":0,"tiles":0,"fused":0,"parallel_tasks":0,"#,
+            r#""sequential_tasks":0},"#,
+            r#""cache":{"hits":0,"misses":0,"disk_hits":0,"disk_misses":0},"#,
+            r#""verify":{"stencils_checked":0,"accesses_proved":0,"#,
+            r#""phases_certified":0,"witnesses":0},"#,
+            r#""tune":{"disk_hits":0,"disk_misses":0,"candidates_timed":0},"#,
+            r#""lint":{"rules_run":0,"lints":0,"suppressed":0},"ops":[]}"#,
+        );
+        assert_eq!(RunReport::new().to_json(), golden);
     }
 
     #[test]
-    fn escape_round_trips_through_the_parser() {
+    fn escape_and_number_render_json_literals() {
         let nasty = "line1\nline2\t\"quoted\" \\ end\u{1}";
-        let doc = json::parse(&format!("{{\"k\":{}}}", json::escape(nasty))).unwrap();
-        assert_eq!(doc.get("k").unwrap().as_str(), Some(nasty));
+        assert_eq!(
+            json::escape(nasty),
+            r#""line1\nline2\t\"quoted\" \\ end\u0001""#
+        );
+        assert_eq!(json::escape("Snowflake/omp"), r#""Snowflake/omp""#);
+        assert_eq!(json::number(0.125), "0.125");
+        assert_eq!(json::number(1.25e8), "125000000");
+        assert_eq!(json::number(f64::NAN), "null");
+        assert_eq!(json::number(f64::INFINITY), "null");
     }
 }

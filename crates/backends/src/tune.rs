@@ -6,17 +6,21 @@
 //! ([`crate::omp::OmpBackend::autotune_tile`]) that times candidate tile
 //! shapes and keeps the winner. This module makes that decision *sticky*:
 //! the winning tile for each `(kernel-group signature, grid shapes,
-//! thread count, candidate list, executor sources)` key is persisted as a tiny JSON artifact in an
-//! FNV-keyed directory chain (the same resolution scheme as the C JIT's
-//! artifact cache), so the first plan build of a given configuration pays
-//! for the timing runs once and every later process serves the decision
-//! from disk.
+//! thread count, candidate list, executor sources)` key is persisted as a
+//! one-line text record in an FNV-keyed directory chain (the same
+//! resolution scheme as the C JIT's artifact cache), so the first plan
+//! build of a given configuration pays for the timing runs once and every
+//! later process serves the decision from disk.
 //!
 //! Directory resolution order:
 //! 1. an explicit directory handed to [`TileTuner::new`];
 //! 2. `$SNOWFLAKE_TUNE_DIR`;
 //! 3. `snowflake-tune-cache/` next to the current executable;
 //! 4. `snowflake-tune-cache/` under the system temp directory.
+//!
+//! A record reads `v2 <threads> <tile extents…>`, `0` meaning untiled, in
+//! a file `tile-<key>-t<threads>.txt`; a malformed record, or one of
+//! another version or thread count, is a miss and is re-tuned.
 //!
 //! Artifacts are written atomically (staging file + rename), so racing
 //! processes at worst both time candidates and one rename wins. Tuner
@@ -28,17 +32,16 @@ use std::sync::Arc;
 
 use snowflake_core::{ShapeMap, StencilGroup};
 
-use crate::metrics::{json, TuneStats};
+use crate::metrics::TuneStats;
 
 /// Tile entries meaning "untiled" (`i64::MAX >> 1` in memory) are encoded
-/// as `0` on disk: the in-memory sentinel is not exactly representable in
-/// JSON's f64 number space, `0` is never a legal tile extent, and the
-/// artifact stays human-readable.
+/// as `0` on disk: `0` is never a legal tile extent, and the record stays
+/// human-readable.
 const UNTILED: i64 = i64::MAX >> 1;
 
-/// Artifact schema version; bump when the encoding changes so stale
-/// artifacts are ignored rather than misread.
-const VERSION: u64 = 1;
+/// Record version tag, the first word of every record; bump when the
+/// encoding changes so stale records are ignored rather than misread.
+const VERSION: &str = "v2";
 
 /// FNV-1a of the executor and scheduler sources and of the closed-form
 /// records they run, fixed at compile time: a persisted decision was timed
@@ -141,7 +144,7 @@ impl TileTuner {
     }
 
     fn artifact_path(&self, key: u64, threads: usize) -> PathBuf {
-        self.dir.join(format!("tile-{key:016x}-t{threads}.json"))
+        self.dir.join(format!("tile-{key:016x}-t{threads}.txt"))
     }
 }
 
@@ -175,32 +178,26 @@ fn resolve_tune_dir() -> PathBuf {
 }
 
 fn render_artifact(threads: usize, tile: &[i64]) -> String {
-    let entries: Vec<String> = tile
-        .iter()
-        .map(|&t| (if t >= UNTILED { 0 } else { t }).to_string())
-        .collect();
-    format!(
-        "{{\"version\":{VERSION},\"threads\":{threads},\"tile\":[{}]}}\n",
-        entries.join(",")
-    )
+    let mut record = format!("{VERSION} {threads}");
+    for &t in tile {
+        record.push(' ');
+        record.push_str(&(if t >= UNTILED { 0 } else { t }).to_string());
+    }
+    record.push('\n');
+    record
 }
 
 fn read_artifact(path: &Path, threads: usize) -> Option<Vec<i64>> {
     let body = std::fs::read_to_string(path).ok()?;
-    let doc = json::parse(&body).ok()?;
-    if doc.get("version")?.as_u64()? != VERSION {
+    let mut words = body.split_whitespace();
+    if words.next()? != VERSION || words.next()?.parse::<usize>().ok()? != threads {
         return None;
     }
-    if doc.get("threads")?.as_u64()? != threads as u64 {
-        return None;
-    }
-    let tile: Option<Vec<i64>> = doc
-        .get("tile")?
-        .as_array()?
-        .iter()
-        .map(|v| {
-            let t = i64::try_from(v.as_u64()?).ok()?;
-            Some(if t == 0 { UNTILED } else { t })
+    let tile: Option<Vec<i64>> = words
+        .map(|w| match w.parse::<i64>().ok()? {
+            0 => Some(UNTILED),
+            t if t > 0 => Some(t),
+            _ => None,
         })
         .collect();
     tile.filter(|t| !t.is_empty())
@@ -322,14 +319,39 @@ mod tests {
     }
 
     #[test]
+    fn record_is_one_text_line() {
+        let tuner = tmp_tuner("record");
+        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
+        tuner.store(key, 4, &[8, UNTILED, 64], 3);
+        let path = tuner.artifact_path(key, 4);
+        assert!(path.to_string_lossy().ends_with("-t4.txt"), "{path:?}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "v2 4 8 0 64\n");
+        let _ = std::fs::remove_dir_all(tuner.dir());
+    }
+
+    #[test]
     fn thread_count_mismatch_and_garbage_are_misses() {
         let tuner = tmp_tuner("mismatch");
         let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
         tuner.store(key, 4, &[8, 8], 2);
         assert_eq!(tuner.lookup(key, 8), None, "different thread count");
-        // Corrupt artifact: must be treated as a miss, not a panic.
-        std::fs::write(tuner.artifact_path(key, 4), "not json").unwrap();
-        assert_eq!(tuner.lookup(key, 4), None);
+        // Corrupt, truncated, negative or old-version records: each must
+        // be treated as a miss, not a panic.
+        let path = tuner.artifact_path(key, 4);
+        for body in [
+            "not a record",
+            "",
+            "v2 4",
+            "v2 4 8 x",
+            "v2 4 8 -3",
+            "v2 four 8 8",
+            "v1 4 8 8",
+            r#"{"version":1,"threads":4,"tile":[8,8]}"#,
+        ] {
+            std::fs::write(&path, body).unwrap();
+            assert_eq!(tuner.lookup(key, 4), None, "{body:?}");
+        }
+        assert_eq!(tuner.stats().disk_hits, 0);
         let _ = std::fs::remove_dir_all(tuner.dir());
     }
 }

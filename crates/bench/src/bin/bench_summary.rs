@@ -15,7 +15,7 @@ use std::time::Instant;
 use hpgmg::{HandSolver, Problem, SnowSolver, SolveOptions};
 use snowflake_backends::metrics::json;
 use snowflake_backends::{backend_from_name, BackendOptions, CJitBackend};
-use snowflake_bench::{arg_size_or_exit, arg_usize_or_exit, arg_value, print_table};
+use snowflake_bench::{arg_size, arg_usize, arg_value, check_args, or_exit, print_table};
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -70,8 +70,8 @@ fn measure_backend(
     })
 }
 
-/// The tuner's persisted decisions: every `tile-*.json` artifact in the
-/// cache directory, embedded verbatim (each is a tiny one-line document).
+/// The tuner's persisted decisions: every `tile-*.txt` record in the
+/// cache directory, as `(file name, record line)`.
 fn tuner_artifacts(dir: &std::path::Path) -> Vec<(String, String)> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -80,11 +80,11 @@ fn tuner_artifacts(dir: &std::path::Path) -> Vec<(String, String)> {
         .filter_map(|e| {
             let e = e.ok()?;
             let name = e.file_name().to_string_lossy().into_owned();
-            if !(name.starts_with("tile-") && name.ends_with(".json")) {
+            if !(name.starts_with("tile-") && name.ends_with(".txt")) {
                 return None;
             }
             let body = std::fs::read_to_string(e.path()).ok()?;
-            Some((name, body))
+            Some((name, body.trim().to_string()))
         })
         .collect();
     out.sort();
@@ -93,9 +93,14 @@ fn tuner_artifacts(dir: &std::path::Path) -> Vec<(String, String)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n = arg_size_or_exit(&args, "--size", 8);
-    let cycles = arg_usize_or_exit(&args, "--cycles", 2);
-    let reps = arg_usize_or_exit(&args, "--reps", 5);
+    or_exit(check_args(
+        &args,
+        &["--size", "--cycles", "--reps", "--out"],
+        &[],
+    ));
+    let n = or_exit(arg_size(&args, "--size", 8));
+    let cycles = or_exit(arg_usize(&args, "--cycles", 2));
+    let reps = or_exit(arg_usize(&args, "--reps", 5));
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_solver.json".to_string());
     let tune_dir = std::env::var_os("SNOWFLAKE_TUNE_DIR")
         .map(PathBuf::from)
@@ -177,11 +182,10 @@ fn main() {
         doc.push_str(&format!(
             "{{\"file\":{},\"decision\":{}}}",
             json::escape(file),
-            body.trim()
+            json::escape(body)
         ));
     }
     doc.push_str("]}}");
-    debug_assert!(json::parse(&doc).is_ok(), "artifact must be valid JSON");
 
     if let Err(e) = std::fs::write(&out_path, &doc) {
         eprintln!("error: writing {out_path}: {e}");

@@ -14,15 +14,26 @@
 use roofline::{measure_dot_bandwidth, Roofline, StencilKind};
 use snowflake_backends::{BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_usize_or_exit, arg_value, figure_impls_or_exit, gates_from_args, print_table,
+    arg_usize, arg_value, check_args, figure_impls_or_exit, gates_from_args, or_exit, print_table,
     write_metrics_json, KernelBench, MetricsRow,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let n = arg_usize_or_exit(&args, "--size", 64);
-    let reps = arg_usize_or_exit(&args, "--reps", 5);
-    let stream_elems = arg_usize_or_exit(&args, "--stream-elems", 1 << 22);
+    or_exit(check_args(
+        &args,
+        &[
+            "--size",
+            "--reps",
+            "--stream-elems",
+            "--metrics-json",
+            "--backend",
+        ],
+        &["--verify", "--lint"],
+    ));
+    let n = or_exit(arg_usize(&args, "--size", 64));
+    let reps = or_exit(arg_usize(&args, "--reps", 5));
+    let stream_elems = or_exit(arg_usize(&args, "--stream-elems", 1 << 22));
     let metrics_path = arg_value(&args, "--metrics-json");
     let gates = gates_from_args(&args);
     let opts = BackendOptions::default();

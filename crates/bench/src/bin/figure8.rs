@@ -15,14 +15,19 @@
 use roofline::{measure_dot_bandwidth, Roofline, StencilKind};
 use snowflake_backends::{BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_usize_or_exit, arg_value, figure_impls_or_exit, gates_from_args, print_table,
+    arg_usize, arg_value, check_args, figure_impls_or_exit, gates_from_args, or_exit, print_table,
     write_metrics_json, KernelBench, MetricsRow,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let max = arg_usize_or_exit(&args, "--max-size", 128);
-    let reps = arg_usize_or_exit(&args, "--reps", 5);
+    or_exit(check_args(
+        &args,
+        &["--max-size", "--reps", "--metrics-json", "--backend"],
+        &["--verify", "--lint"],
+    ));
+    let max = or_exit(arg_usize(&args, "--max-size", 128));
+    let reps = or_exit(arg_usize(&args, "--reps", 5));
     let metrics_path = arg_value(&args, "--metrics-json");
     let gates = gates_from_args(&args);
     let opts = BackendOptions::default();

@@ -36,20 +36,36 @@ use std::time::Instant;
 use hpgmg::{HandSolver, Problem, Smoother, SnowSolver, SolveOptions};
 use snowflake_backends::{backend_from_name, BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_flag, arg_size_or_exit, arg_usize_or_exit, arg_value, gates_from_args, print_table,
-    write_metrics_json, MetricsRow, Who,
+    arg_flag, arg_size, arg_usize, arg_value, check_args, gates_from_args, or_exit, print_table,
+    write_metrics_json, MetricsRow, UsageError, Who,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let n = arg_size_or_exit(&args, "--size", if smoke { 8 } else { 64 });
-    let cycles = arg_usize_or_exit(&args, "--cycles", if smoke { 2 } else { 10 });
+    or_exit(check_args(
+        &args,
+        &[
+            "--size",
+            "--cycles",
+            "--smoother",
+            "--metrics-json",
+            "--backend",
+        ],
+        &["--smoke", "--fcycle", "--verify", "--lint", "--tune"],
+    ));
+    let smoke = arg_flag(&args, "--smoke");
+    let n = or_exit(arg_size(&args, "--size", if smoke { 8 } else { 64 }));
+    let cycles = or_exit(arg_usize(&args, "--cycles", if smoke { 2 } else { 10 }));
     let smoother = match arg_value(&args, "--smoother").as_deref() {
-        Some("cheby") | Some("chebyshev") => Smoother::Chebyshev,
-        _ => Smoother::GsRb,
+        None | Some("gsrb") => Smoother::GsRb,
+        Some("cheby" | "chebyshev") => Smoother::Chebyshev,
+        Some(other) => or_exit(Err(UsageError::BadValue {
+            flag: "--smoother".to_string(),
+            value: other.to_string(),
+            expected: "gsrb or cheby",
+        })),
     };
-    let fmg = args.iter().any(|a| a == "--fcycle");
+    let fmg = arg_flag(&args, "--fcycle");
     let gates = gates_from_args(&args);
     let metrics_path = arg_value(&args, "--metrics-json");
     let backend_opts = BackendOptions::default().with_tune(arg_flag(&args, "--tune"));

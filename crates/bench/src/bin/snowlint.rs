@@ -14,13 +14,12 @@
 //!
 //! ```text
 //! snowlint [--program hpgmg|examples] [--size N] [--json] [--out PATH]
-//!          [--deny <rule|all>]... [--allow <rule>]... [--check PATH]
+//!          [--deny <rule|all>]... [--allow <rule>]...
 //! ```
 //!
 //! Exit status: 0 when no deny-severity finding survives the policy, 1
-//! otherwise, 2 on usage errors. `--json` emits a machine document
-//! (schema below); `--check PATH` re-parses a previously written document
-//! and validates the schema (the CI round-trip).
+//! otherwise, 2 on usage errors. `--json` emits a machine document (the
+//! schema is in README.md and pinned by a golden-string test).
 
 use std::collections::BTreeSet;
 
@@ -30,7 +29,7 @@ use hpgmg::stencils::Names;
 use hpgmg::{BottomSolve, InterpKind, Problem, Smoother};
 use snowflake_analysis::{apply_policy, lint_program, Lint, LintConfig, LintRule, Severity};
 use snowflake_backends::metrics::json;
-use snowflake_bench::{arg_flag, arg_size_or_exit, arg_usize_or_exit, arg_value};
+use snowflake_bench::{arg_flag, arg_size, arg_usize, arg_value, check_args, or_exit};
 use snowflake_core::{bc, Expr, ShapeMap, Stencil, StencilGroup};
 
 /// One named program: ops in execution order plus its lint environment.
@@ -265,93 +264,17 @@ fn render_json(outcomes: &[Outcome], deny: &[LintRule], allow: &[LintRule]) -> S
     s
 }
 
-/// Validate a previously written `--json` document against the schema
-/// (the round-trip half of the CI `lint` job).
-fn check_document(src: &str) -> Result<(), String> {
-    let doc = json::parse(src)?;
-    if doc.get("tool").and_then(json::Value::as_str) != Some("snowlint") {
-        return Err("missing or wrong \"tool\" field".to_string());
-    }
-    if doc.get("schema").and_then(json::Value::as_u64) != Some(1) {
-        return Err("missing or wrong \"schema\" field".to_string());
-    }
-    for key in ["deny", "allow"] {
-        let arr = doc
-            .get(key)
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| format!("missing {key:?} array"))?;
-        for v in arr {
-            let s = v.as_str().ok_or_else(|| format!("non-string in {key:?}"))?;
-            s.parse::<LintRule>()
-                .map_err(|e| format!("{key:?} entry: {e}"))?;
-        }
-    }
-    let programs = doc
-        .get("programs")
-        .and_then(json::Value::as_array)
-        .ok_or("missing \"programs\" array")?;
-    for p in programs {
-        let name = p
-            .get("name")
-            .and_then(json::Value::as_str)
-            .ok_or("program without a name")?;
-        p.get("rules_run")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| format!("program {name:?}: missing rules_run"))?;
-        p.get("suppressed")
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| format!("program {name:?}: missing suppressed"))?;
-        let lints = p
-            .get("lints")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| format!("program {name:?}: missing lints array"))?;
-        for l in lints {
-            let rule = l
-                .get("rule")
-                .and_then(json::Value::as_str)
-                .ok_or_else(|| format!("program {name:?}: lint without rule"))?;
-            rule.parse::<LintRule>()
-                .map_err(|e| format!("program {name:?}: {e}"))?;
-            let sev = l
-                .get("severity")
-                .and_then(json::Value::as_str)
-                .ok_or_else(|| format!("program {name:?}: lint without severity"))?;
-            if sev != "warn" && sev != "deny" {
-                return Err(format!("program {name:?}: bad severity {sev:?}"));
-            }
-            for key in ["stencil", "grid", "detail"] {
-                l.get(key)
-                    .and_then(json::Value::as_str)
-                    .ok_or_else(|| format!("program {name:?}: lint without {key}"))?;
-            }
-            match l.get("witness") {
-                Some(json::Value::Null) => {}
-                Some(v) => {
-                    let cell = v
-                        .as_array()
-                        .ok_or_else(|| format!("program {name:?}: non-array witness"))?;
-                    if cell.iter().any(|c| c.as_f64().is_none()) {
-                        return Err(format!("program {name:?}: non-numeric witness cell"));
-                    }
-                }
-                None => return Err(format!("program {name:?}: lint without witness field")),
-            }
-        }
-    }
-    for key in ["total", "denied"] {
-        doc.get(key)
-            .and_then(json::Value::as_u64)
-            .ok_or_else(|| format!("missing {key:?} counter"))?;
-    }
-    Ok(())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_exit(check_args(
+        &args,
+        &["--program", "--size", "--out", "--deny", "--allow"],
+        &["--json", "--help", "-h"],
+    ));
     if arg_flag(&args, "--help") || arg_flag(&args, "-h") {
         println!(
             "usage: snowlint [--program hpgmg|examples] [--size N] [--json] [--out PATH]\n\
-             \x20      [--deny <rule|all>]... [--allow <rule>]... [--check PATH]\n\
+             \x20      [--deny <rule|all>]... [--allow <rule>]...\n\
              rules: {}",
             LintRule::ALL
                 .iter()
@@ -360,27 +283,6 @@ fn main() {
                 .join(", ")
         );
         return;
-    }
-
-    // --check PATH: schema round-trip of a previously written document.
-    if let Some(path) = arg_value(&args, "--check") {
-        let src = match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: reading {path}: {e}");
-                std::process::exit(1);
-            }
-        };
-        match check_document(&src) {
-            Ok(()) => {
-                println!("snowlint: {path} round-trips the schema");
-                return;
-            }
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(1);
-            }
-        }
     }
 
     let json_out = arg_flag(&args, "--json");
@@ -400,8 +302,8 @@ fn main() {
     };
 
     let targets = match arg_value(&args, "--program").as_deref() {
-        None | Some("hpgmg") => vec![hpgmg_target(arg_size_or_exit(&args, "--size", 8))],
-        Some("examples") => example_targets(arg_usize_or_exit(&args, "--size", 8).max(6)),
+        None | Some("hpgmg") => vec![hpgmg_target(or_exit(arg_size(&args, "--size", 8)))],
+        Some("examples") => example_targets(or_exit(arg_usize(&args, "--size", 8)).max(6)),
         Some(other) => {
             eprintln!("error: unknown --program {other:?} (hpgmg, examples)");
             std::process::exit(2);
@@ -518,56 +420,42 @@ mod tests {
         }
     }
 
+    /// The `--json` schema, pinned byte for byte: a clean program, then
+    /// one finding with a witness cell and one without, with strings
+    /// that need escaping.
     #[test]
-    fn json_document_round_trips_the_schema() {
-        let report = {
-            let t = hpgmg_target(8);
-            lint_program(&t.ops, &t.config).unwrap()
-        };
+    fn json_document_matches_the_golden_string() {
         let outcomes = vec![
             Outcome {
                 name: "hpgmg".to_string(),
-                rules_run: report.rules_run,
-                lints: report.lints,
+                rules_run: 10,
+                lints: Vec::new(),
                 suppressed: 0,
             },
             Outcome {
                 name: "with \"quotes\"".to_string(),
                 rules_run: 7,
-                lints: vec![Lint::new(LintRule::DeadStore, "a \"quoted\" detail")
-                    .stencil("s")
-                    .grid("g")
-                    .witness(vec![1, 2, 3])],
+                lints: vec![
+                    Lint::new(LintRule::DeadStore, "a \"quoted\" detail")
+                        .stencil("s")
+                        .grid("g")
+                        .witness(vec![1, -2, 3]),
+                    Lint::new(LintRule::CoverageGap, "no cell"),
+                ],
                 suppressed: 2,
             },
         ];
         let doc = render_json(&outcomes, &[LintRule::DeadStore], &[LintRule::ZeroWeight]);
-        check_document(&doc).expect("schema round-trip");
-        // Spot-check through the parser, not just the validator.
-        let v = json::parse(&doc).unwrap();
-        let programs = v.get("programs").unwrap().as_array().unwrap();
-        assert_eq!(programs.len(), 2);
-        let lint = &programs[1].get("lints").unwrap().as_array().unwrap()[0];
-        assert_eq!(
-            lint.get("rule").unwrap().as_str(),
-            Some("dead-store"),
-            "{doc}"
+        let golden = concat!(
+            r#"{"tool":"snowlint","schema":1,"deny":["dead-store"],"allow":["zero-weight"],"#,
+            r#""programs":[{"name":"hpgmg","rules_run":10,"suppressed":0,"lints":[]},"#,
+            r#"{"name":"with \"quotes\"","rules_run":7,"suppressed":2,"lints":["#,
+            r#"{"rule":"dead-store","severity":"warn","stencil":"s","grid":"g","#,
+            r#""witness":[1,-2,3],"detail":"a \"quoted\" detail"},"#,
+            r#"{"rule":"coverage-gap","severity":"deny","stencil":"","grid":"","#,
+            r#""witness":null,"detail":"no cell"}]}],"total":2,"denied":1}"#,
         );
-        let witness = lint.get("witness").unwrap().as_array().unwrap();
-        assert_eq!(witness.len(), 3);
-    }
-
-    #[test]
-    fn check_document_rejects_broken_schemas() {
-        assert!(check_document("{}").is_err());
-        assert!(check_document("{\"tool\":\"snowlint\"}").is_err());
-        let no_witness = "{\"tool\":\"snowlint\",\"schema\":1,\"deny\":[],\"allow\":[],\
-             \"programs\":[{\"name\":\"p\",\"rules_run\":1,\"suppressed\":0,\
-             \"lints\":[{\"rule\":\"dead-store\",\"severity\":\"warn\",\
-             \"stencil\":\"\",\"grid\":\"\",\"detail\":\"d\"}]}],\"total\":1,\"denied\":0}";
-        assert!(check_document(no_witness).is_err());
-        let bad_rule = no_witness.replace("dead-store", "no-such-rule");
-        assert!(check_document(&bad_rule).is_err());
+        assert_eq!(doc, golden);
     }
 
     #[test]

@@ -5,13 +5,14 @@
 //!         [-- --elems <N>] [--reps <R>]`
 
 use roofline::{measure_dot_bandwidth, Roofline, StencilKind};
-use snowflake_bench::{arg_usize_or_exit, print_table};
+use snowflake_bench::{arg_usize, check_args, or_exit, print_table};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    or_exit(check_args(&args, &["--elems", "--reps"], &[]));
     // 2 × 32 MiB of doubles by default: far beyond any LLC here.
-    let elems = arg_usize_or_exit(&args, "--elems", 1 << 22);
-    let reps = arg_usize_or_exit(&args, "--reps", 5);
+    let elems = or_exit(arg_usize(&args, "--elems", 1 << 22));
+    let reps = or_exit(arg_usize(&args, "--reps", 5));
 
     println!("Modified STREAM (dot-product) bandwidth — Figure 6 protocol");
     println!(

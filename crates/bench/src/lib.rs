@@ -339,28 +339,65 @@ pub fn print_table(title: &str, header: &[String], rows: &[Vec<String>]) {
     }
 }
 
-/// A malformed command-line flag value.
+/// A malformed command line.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UsageError {
-    /// The flag whose value failed to parse.
-    pub flag: String,
-    /// The offending value.
-    pub value: String,
-    /// What was expected (e.g. "an unsigned integer").
-    pub expected: &'static str,
+pub enum UsageError {
+    /// A flag's value failed to parse.
+    BadValue {
+        /// The flag whose value failed to parse.
+        flag: String,
+        /// The offending value.
+        value: String,
+        /// What was expected (e.g. "an unsigned integer").
+        expected: &'static str,
+    },
+    /// An argument the binary does not take, such as a misspelt flag.
+    Unknown(String),
 }
 
 impl fmt::Display for UsageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "bad value {:?} for {}: expected {}",
-            self.value, self.flag, self.expected
-        )
+        match self {
+            UsageError::BadValue {
+                flag,
+                value,
+                expected,
+            } => write!(f, "bad value {value:?} for {flag}: expected {expected}"),
+            UsageError::Unknown(arg) => write!(f, "unknown argument {arg:?}"),
+        }
     }
 }
 
 impl std::error::Error for UsageError {}
+
+/// Print a usage error and exit 2: the binaries' front end for every
+/// `Result<_, UsageError>`.
+pub fn or_exit<T>(parsed: std::result::Result<T, UsageError>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+/// Check that every argument after the program name is one the binary
+/// takes: a `valued` flag with the value after it, or a bare `switch`.
+/// Anything else is [`UsageError::Unknown`], so a misspelt `--verfy`
+/// cannot silently run an ungated plan.
+pub fn check_args(
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> std::result::Result<(), UsageError> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next();
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(UsageError::Unknown(arg.clone()));
+        }
+    }
+    Ok(())
+}
 
 /// Parse `--flag value` style arguments (tiny, dependency-free).
 pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -391,20 +428,12 @@ pub fn arg_usize(
 ) -> std::result::Result<usize, UsageError> {
     match arg_value(args, flag) {
         None => Ok(default),
-        Some(v) => v.parse().map_err(|_| UsageError {
+        Some(v) => v.parse().map_err(|_| UsageError::BadValue {
             flag: flag.to_string(),
             value: v,
             expected: "an unsigned integer",
         }),
     }
-}
-
-/// Binary front-end for [`arg_usize`]: print the usage error and exit 2.
-pub fn arg_usize_or_exit(args: &[String], flag: &str, default: usize) -> usize {
-    arg_usize(args, flag, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
 }
 
 /// Parse a finest-grid size flag: the multigrid hierarchy halves down to
@@ -419,20 +448,12 @@ pub fn arg_size(
     if n.is_power_of_two() && n >= hpgmg::COARSEST_N {
         Ok(n)
     } else {
-        Err(UsageError {
+        Err(UsageError::BadValue {
             flag: flag.to_string(),
             value: n.to_string(),
             expected: "a power of two >= 4 (the coarsest level size)",
         })
     }
-}
-
-/// Binary front-end for [`arg_size`]: print the usage error and exit 2.
-pub fn arg_size_or_exit(args: &[String], flag: &str, default: usize) -> usize {
-    arg_size(args, flag, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
 }
 
 /// One row of a figure's `--metrics-json` output: the measured value plus
@@ -563,8 +584,14 @@ mod tests {
     fn malformed_flag_is_a_usage_error_not_a_panic() {
         let args: Vec<String> = ["--size", "banana"].iter().map(|s| s.to_string()).collect();
         let err = arg_usize(&args, "--size", 32).unwrap_err();
-        assert_eq!(err.flag, "--size");
-        assert_eq!(err.value, "banana");
+        assert_eq!(
+            err,
+            UsageError::BadValue {
+                flag: "--size".into(),
+                value: "banana".into(),
+                expected: "an unsigned integer",
+            }
+        );
         assert!(err.to_string().contains("--size"));
         // A flag at the end with no value falls back to the default.
         let args: Vec<String> = vec!["--size".into()];
@@ -576,22 +603,51 @@ mod tests {
         let size = |v: &str| arg_size(&["--size".to_string(), v.to_string()], "--size", 8);
         for bad in ["12", "2", "0"] {
             let err = size(bad).unwrap_err();
-            assert_eq!(err.value, bad);
+            assert!(err.to_string().contains(&format!("{bad:?}")), "{err}");
             assert!(err.to_string().contains("power of two"), "{err}");
         }
         assert_eq!(size("8"), Ok(8));
         assert_eq!(size("4"), Ok(hpgmg::COARSEST_N));
-        assert_eq!(size("banana").unwrap_err().expected, "an unsigned integer");
+        let err = size("banana").unwrap_err().to_string();
+        assert!(err.contains("an unsigned integer"), "{err}");
         assert_eq!(arg_size(&[], "--size", 64), Ok(64));
     }
 
-    /// The figure7 `--metrics-json` document, produced through the same
-    /// helpers the binary uses, parses back with every field intact.
     #[test]
-    fn metrics_json_round_trips_a_figure7_shaped_document() {
-        let mut kb = KernelBench::build(StencilKind::VcGsrb, Who::SnowSeq, 8).unwrap();
+    fn unknown_arguments_are_usage_errors() {
+        let argv = |rest: &[&str]| -> Vec<String> {
+            std::iter::once("figure9")
+                .chain(rest.iter().copied())
+                .map(String::from)
+                .collect()
+        };
+        let check = |rest: &[&str]| check_args(&argv(rest), &["--size", "--out"], &["--verify"]);
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(
+            check(&["--size", "8", "--verify", "--out", "x.json"]),
+            Ok(())
+        );
+        // A value is never read as a flag, even when it looks like one.
+        assert_eq!(check(&["--out", "--verfy"]), Ok(()));
+        let err = check(&["--size", "8", "--verfy"]).unwrap_err();
+        assert_eq!(err, UsageError::Unknown("--verfy".into()));
+        assert_eq!(err.to_string(), "unknown argument \"--verfy\"");
+        assert_eq!(check(&["8"]), Err(UsageError::Unknown("8".into())));
+    }
+
+    /// The `--metrics-json` document, pinned byte for byte: a row with a
+    /// report and the hand baseline's row without one.
+    #[test]
+    fn metrics_json_matches_the_golden_document() {
         let mut report = RunReport::new();
-        kb.sweep_with_report(&mut report);
+        report.set_backend("seq");
+        let work = KernelCounters {
+            points: 512,
+            tiles: 2,
+            ..KernelCounters::default()
+        };
+        report.record_op(0, 0.25, work);
+        let report_json = report.to_json();
         let rows = vec![
             MetricsRow {
                 operator: "VC GSRB".into(),
@@ -602,35 +658,34 @@ mod tests {
             MetricsRow {
                 operator: "VC GSRB".into(),
                 implementation: Who::Hand.label().into(),
-                value: 2.0e8,
+                value: f64::NAN,
                 report: None,
             },
         ];
-        let doc = json::parse(&metrics_json(7, 8, &rows)).expect("valid JSON");
-        assert_eq!(doc.get("figure").unwrap().as_u64(), Some(7));
-        assert_eq!(doc.get("size").unwrap().as_u64(), Some(8));
-        let parsed_rows = doc.get("rows").unwrap().as_array().unwrap();
-        assert_eq!(parsed_rows.len(), 2);
-        let first = &parsed_rows[0];
-        assert_eq!(first.get("operator").unwrap().as_str(), Some("VC GSRB"));
-        assert_eq!(first.get("impl").unwrap().as_str(), Some("Snowflake/seq"));
-        assert_eq!(first.get("value").unwrap().as_f64(), Some(1.25e8));
-        let rep = first.get("report").unwrap();
-        assert_eq!(rep.get("backend").unwrap().as_str(), Some("seq"));
-        assert_eq!(rep.get("runs").unwrap().as_u64(), Some(1));
+        let golden = [
+            r#"{"figure":7,"size":8,"rows":["#,
+            r#"{"operator":"VC GSRB","impl":"Snowflake/seq","value":125000000,"report":"#,
+            &report_json,
+            r#"},{"operator":"VC GSRB","impl":"HPGMG(hand)","value":null,"report":null}]}"#,
+        ]
+        .concat();
+        assert_eq!(metrics_json(7, 8, &rows), golden);
+        assert!(report_json.starts_with(r#"{"backend":"seq","runs":1,"#));
+    }
+
+    /// A figure7-shaped sweep reports its one op: the counters the
+    /// document carries, read off the report itself.
+    #[test]
+    fn kernel_sweep_report_has_one_op_row() {
+        let mut kb = KernelBench::build(StencilKind::VcGsrb, Who::SnowSeq, 8).unwrap();
+        let mut report = RunReport::new();
+        kb.sweep_with_report(&mut report);
+        assert_eq!(report.backend, "seq");
+        assert_eq!(report.runs, 1);
         // The GSRB group updates each interior point twice (red + black
         // passes) plus boundary faces, so points ≥ the interior count.
-        let points = rep
-            .get("kernels")
-            .unwrap()
-            .get("points")
-            .unwrap()
-            .as_u64()
-            .unwrap();
-        assert!(points >= 512, "points = {points}");
-        let ops = rep.get("ops").unwrap().as_array().unwrap();
-        assert_eq!(ops.len(), 1);
-        assert_eq!(ops[0].get("calls").unwrap().as_u64(), Some(1));
-        assert_eq!(parsed_rows[1].get("report"), Some(&json::Value::Null));
+        assert!(report.kernels.points >= 512, "{:?}", report.kernels);
+        let calls: Vec<u64> = report.ops.values().map(|row| row.calls).collect();
+        assert_eq!(calls, vec![1]);
     }
 }

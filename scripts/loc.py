@@ -67,9 +67,15 @@ def at_revision(root, rev):
     return counts
 
 
+def usage(problem):
+    """Print `problem` and the usage text to stderr; exit with status 2."""
+    print(f"loc.py: {problem}\n\n{__doc__.strip()}", file=sys.stderr)
+    sys.exit(2)
+
+
 def main():
     if len(sys.argv) > 2:
-        sys.exit(__doc__.strip())
+        usage("too many arguments")
     root = git(os.getcwd(), "rev-parse", "--show-toplevel").strip()
     now = work_tree(root)
     total = sum(now.values())
@@ -77,7 +83,10 @@ def main():
         print(total)
         return
     rev = sys.argv[1]
-    then = at_revision(root, rev)
+    try:
+        then = at_revision(root, rev)
+    except subprocess.CalledProcessError:
+        usage(f"not a git revision: {rev!r}")
     for path in sorted(set(now) | set(then)):
         delta = now.get(path, 0) - then.get(path, 0)
         if delta:

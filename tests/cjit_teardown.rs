@@ -42,11 +42,18 @@ fn cjit_executables_survive_drop_and_recompile_with_two_openmp_threads() {
         .unwrap()
         .run(&mut want)
         .unwrap();
-    // No disk cache: every round invokes the compiler and loads a fresh
-    // object, then drops it.
-    let backend = CJitBackend::new().with_disk_cache(false);
+    // Each round compiles into its own empty artifact cache, so every
+    // round invokes the compiler and loads a fresh object, then drops it.
+    let root = std::env::temp_dir().join(format!("snowflake-teardown-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
     for round in 0..3 {
+        let backend = CJitBackend::new().with_cache_dir(root.join(format!("round{round}")));
         let exe = backend.compile(&group, &shapes).unwrap();
+        assert_eq!(
+            backend.disk_stats(),
+            (0, 1),
+            "round {round} compiled afresh"
+        );
         let mut got = grids.clone();
         exe.run(&mut got).unwrap();
         drop(exe);
@@ -56,4 +63,5 @@ fn cjit_executables_survive_drop_and_recompile_with_two_openmp_threads() {
             "round {round}"
         );
     }
+    let _ = std::fs::remove_dir_all(&root);
 }
