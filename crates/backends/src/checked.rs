@@ -119,8 +119,8 @@ fn point_at(p: &[i64], last: usize, region: &Region, i: i64) -> Vec<i64> {
 }
 
 /// Run one kernel over one region with checked reads, checked writes and
-/// shadow write-set tracking. Traversal order mirrors
-/// `exec::run_kernel_region` exactly.
+/// shadow write-set tracking. Traversal order mirrors one kernel's
+/// `exec::run_fused_region` exactly.
 fn run_region_checked(
     lowered: &Lowered,
     ki: usize,
@@ -258,9 +258,16 @@ impl Executable for CheckedExecutable {
         Ok(())
     }
 
-    /// One dispatch per (kernel, region), as in `seq`.
+    /// One dispatch per region of a parallel-safe kernel and one per
+    /// sequential kernel, as in `seq`.
     fn work(&self) -> KernelCounters {
-        crate::dispatch_work(&self.lowered, |k| k.regions.len() as u64)
+        crate::dispatch_work(&self.lowered, |k| {
+            if k.parallel_safe {
+                k.regions.len() as u64
+            } else {
+                1
+            }
+        })
     }
 }
 
@@ -403,6 +410,13 @@ mod tests {
         let mut gs = GridSet::new();
         gs.insert("x", Grid::from_fn(&[8], |p| p[0] as f64));
         exe.run(&mut gs).unwrap();
+        // Over a two-rectangle union it is one dispatch, as in `seq`.
+        let union = RectDomain::new(&[1], &[4], &[1]) + RectDomain::new(&[4], &[-1], &[1]);
+        let group = StencilGroup::from(Stencil::new(Expr::read_at("x", &[-1]), "x", union));
+        let work = |b: &dyn Backend| b.compile(&group, &shapes).unwrap().work();
+        let checked = work(&CheckedBackend::new());
+        assert_eq!((checked.tiles, checked.sequential_tasks), (1, 1));
+        assert_eq!(checked, work(&SequentialBackend::new()));
     }
 
     #[test]

@@ -1,15 +1,19 @@
-//! The shared kernel executor: runs lowered kernels over one region.
+//! The shared schedule builder and kernel executor of the CPU backends.
 //!
-//! The CPU backends (sequential, OpenMP-like, OpenCL-simulator) build a
-//! schedule of `Task`s per barrier phase and hand it to the one
-//! `Phased` executor, whose tasks all funnel into [`run_fused_region`];
-//! [`run_kernel_region`] is its one-kernel case. The loop nest walks the
-//! region in row-major order, keeping one linear *cursor* per access
-//! class, and hands every row to one dispatch:
+//! The schedule-building backends (sequential, OpenMP-like,
+//! OpenCL-simulator) differ only in their fixed `Schedule` choices:
+//! how a parallel-safe kernel is tiled, whether same-region kernels fuse,
+//! whether a union's rectangles interleave tile by tile, and whether a
+//! phase's tasks run on the thread pool. `Schedule::build` cuts the
+//! lowered kernels into `Task`s per barrier phase with those choices, and
+//! the one `Phased` executor runs every task through `run_fused_region`.
+//! The loop nest walks the region in row-major order, keeping one linear
+//! *cursor* per access class, and hands every row to one dispatch:
 //!
-//! * a linear kernel (see [`crate::specialize`]) runs chunked over
-//!   unit-stride or strided rows when it is parallel-safe, and point by
-//!   point in canonical order when it is not;
+//! * a parallel-safe linear kernel of at most 16 terms whose cursors all
+//!   step by 1 runs the fused fixed-arity loop (see [`crate::specialize`]);
+//! * every other linear kernel runs chunked axpy passes, one point per
+//!   chunk when it is not parallel-safe;
 //! * a tape kernel runs over a lane buffer allocated once per region:
 //!   `TAPE_LANES` points at a time, gathered across rows, when it is
 //!   parallel-safe; one lane (one point, in canonical order) when it is
@@ -27,14 +31,14 @@
 
 use rayon::prelude::*;
 
-use snowflake_core::{Result, ShapeMap, StencilGroup};
+use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
 use snowflake_ir::spec::{SpecForm, SpecLinear};
-use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel};
+use snowflake_ir::{intersect_box, lower_group, tile_region, LowerOptions, Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
 use crate::specialize::{
-    lin_strided, lin_unit, run_row_spec_points, specialize_lowered, TapeLanes, TAPE_LANES,
+    lin_strided, lin_unit, specialize_lowered, TapeLanes, CHUNK, MAX_FUSED_ARITY, TAPE_LANES,
 };
 use crate::view::GridPtrs;
 use crate::{check_and_ptrs, Executable};
@@ -42,68 +46,215 @@ use crate::{check_and_ptrs, Executable};
 /// Maximum cursor classes per kernel (grids × distinct scales).
 pub const MAX_CLASSES: usize = 16;
 
-/// Check executor limits for a kernel; backends call this at compile time
-/// so `run_kernel_region` can use fixed-size scratch arrays.
-pub fn check_limits(kernel: &LoweredKernel) -> Result<()> {
-    if kernel.classes.len() > MAX_CLASSES {
-        return Err(snowflake_core::CoreError::Backend(format!(
-            "kernel {:?} uses {} access classes (limit {MAX_CLASSES})",
-            kernel.name,
-            kernel.classes.len()
-        )));
-    }
-    Ok(())
-}
+/// The extent of a dimension left untiled: more points than any grid has.
+pub(crate) const UNTILED: i64 = i64::MAX >> 1;
 
-/// Lower `group` for these executors: lowering, the executor limits and
-/// the closed-form pass.
+/// Lower `group` for these executors: lowering, the executor limits (so
+/// `run_fused_region` can use fixed-size scratch arrays) and the
+/// closed-form pass.
 pub(crate) fn lower(
     group: &StencilGroup,
     shapes: &ShapeMap,
     options: &LowerOptions,
 ) -> Result<Lowered> {
     let mut lowered = lower_group(group, shapes, options)?;
-    for k in &lowered.kernels {
-        check_limits(k)?;
+    if let Some(k) = lowered
+        .kernels
+        .iter()
+        .find(|k| k.classes.len() > MAX_CLASSES)
+    {
+        return Err(CoreError::Backend(format!(
+            "kernel {:?} uses {} access classes (limit {MAX_CLASSES})",
+            k.name,
+            k.classes.len()
+        )));
     }
     specialize_lowered(&mut lowered);
     Ok(lowered)
 }
 
-/// Execute `kernel` over `region` through `view`.
+/// One backend's fixed scheduling choices.
+pub(crate) struct Schedule<'a> {
+    /// The tile extents of a parallel-safe kernel, one per dimension.
+    pub(crate) tile: &'a dyn Fn(&LoweredKernel) -> Result<Vec<i64>>,
+    /// Fuse consecutive same-phase parallel-safe kernels with identical
+    /// resolved regions into one traversal (all same-phase kernels are
+    /// mutually independent, so fusion is always legal).
+    pub(crate) fuse: bool,
+    /// Interleave the rectangles of an unfused kernel's union tile by tile
+    /// (multicolor reordering).
+    pub(crate) multicolor: bool,
+    /// Run each phase's tasks on the thread pool.
+    pub(crate) parallel: bool,
+}
+
+impl Schedule<'_> {
+    /// Cut `lowered` into tasks per barrier phase: fused, tiled and
+    /// multicolor tasks for parallel-safe kernels, and one ordered task
+    /// walking its regions in union order for a kernel that is not.
+    pub(crate) fn build(&self, lowered: Lowered) -> Result<Phased> {
+        let mut phases = Vec::with_capacity(lowered.phases.len());
+        for phase in &lowered.phases {
+            let mut groups: Vec<Vec<usize>> = Vec::new();
+            for &ki in phase {
+                let kernel = &lowered.kernels[ki];
+                let fused = self.fuse
+                    && kernel.parallel_safe
+                    && groups.last().is_some_and(|g| {
+                        let head = &lowered.kernels[g[0]];
+                        head.parallel_safe && head.regions == kernel.regions
+                    });
+                if fused {
+                    groups.last_mut().expect("checked").push(ki);
+                } else {
+                    groups.push(vec![ki]);
+                }
+            }
+
+            let mut tasks = Vec::new();
+            for kernels in groups {
+                let kernel = &lowered.kernels[kernels[0]];
+                if !kernel.parallel_safe {
+                    tasks.push(Task {
+                        kernels,
+                        regions: kernel.regions.clone(),
+                    });
+                    continue;
+                }
+                let tile = (self.tile)(kernel)?;
+                if self.multicolor && kernel.regions.len() > 1 && kernels.len() == 1 {
+                    tasks.extend(multicolor_tasks(kernels[0], &kernel.regions, &tile));
+                } else {
+                    for region in &kernel.regions {
+                        for t in tile_region(region, &tile) {
+                            tasks.push(Task {
+                                kernels: kernels.clone(),
+                                regions: vec![t],
+                            });
+                        }
+                    }
+                }
+            }
+            phases.push(tasks);
+        }
+        Ok(Phased {
+            lowered,
+            phases,
+            parallel: self.parallel,
+        })
+    }
+}
+
+/// Adapt an explicit tile shape to a kernel's rank: extra leading
+/// dimensions are left untiled, missing trailing entries repeat the last
+/// given extent. (A group may mix kernels of different rank — e.g. a 2-D
+/// boundary plane inside a 3-D sweep — and one user-provided tile must
+/// apply to all of them.) An empty tile, or one with an extent below 1,
+/// is an error.
+pub(crate) fn fit_tile(tile: &[i64], ndim: usize) -> Result<Vec<i64>> {
+    if tile.is_empty() || tile.iter().any(|&t| t < 1) {
+        return Err(CoreError::Backend(format!(
+            "explicit tile shape {tile:?} must have at least one extent, each at least 1"
+        )));
+    }
+    // Align the given extents to the innermost dimensions.
+    let mut out = vec![UNTILED; ndim];
+    for (d, slot) in out.iter_mut().enumerate() {
+        let src = d as i64 - (ndim as i64 - tile.len() as i64);
+        if src >= 0 {
+            // src is a checked non-negative small index; the cast is exact.
+            #[allow(clippy::cast_possible_truncation)]
+            {
+                *slot = tile[src as usize];
+            }
+        }
+    }
+    Ok(out)
+}
+
+/// Multicolor reordering: tile the union's bounding box and emit one task
+/// per box containing every color's slice of that box.
+fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task> {
+    let nd = regions[0].ndim();
+    let mut lo = vec![i64::MAX; nd];
+    let mut hi = vec![i64::MIN; nd];
+    for r in regions {
+        for d in 0..nd {
+            lo[d] = lo[d].min(r.lo[d]);
+            hi[d] = hi[d].max(r.hi[d]);
+        }
+    }
+    // Box extents in *index units*: tile[d] points of the coarsest stride.
+    let stride0: Vec<i64> = (0..nd)
+        .map(|d| regions.iter().map(|r| r.stride[d]).max().unwrap())
+        .collect();
+    let mut tasks = Vec::new();
+    let mut box_lo = lo.clone();
+    'boxes: loop {
+        let box_hi: Vec<i64> = (0..nd)
+            .map(|d| (box_lo[d] + tile[d].saturating_mul(stride0[d])).min(hi[d]))
+            .collect();
+        let subs: Vec<Region> = regions
+            .iter()
+            .filter_map(|r| intersect_box(r, &box_lo, &box_hi))
+            .collect();
+        if !subs.is_empty() {
+            tasks.push(Task {
+                kernels: vec![kernel],
+                regions: subs,
+            });
+        }
+        // Advance the box odometer.
+        let mut d = nd - 1;
+        loop {
+            box_lo[d] += tile[d].saturating_mul(stride0[d]);
+            if box_lo[d] < hi[d] {
+                break;
+            }
+            box_lo[d] = lo[d];
+            if d == 0 {
+                break 'boxes;
+            }
+            d -= 1;
+        }
+    }
+    tasks
+}
+
+/// Execute the kernels `kernels` of `lowered` *fused* over one shared
+/// region: a single traversal of the iteration space, with every kernel's
+/// row evaluated back-to-back while the data is cache-resident (§VII's
+/// "mark stencils for fusion", taken to execution). One kernel is the
+/// unfused case.
 ///
 /// # Safety
 /// The caller must guarantee:
-/// * `view` holds valid pointers for every grid the kernel addresses, with
-///   the shapes the kernel was lowered for (so all accesses are in
-///   bounds — established by `Stencil::validate`);
+/// * `view` holds valid pointers for every grid the kernels address, with
+///   the shapes they were lowered for (so all accesses are in bounds —
+///   established by `Stencil::validate`);
 /// * no other thread concurrently accesses any cell this invocation
-///   touches (established by the dependence analysis / barrier phases).
-pub unsafe fn run_kernel_region(kernel: &LoweredKernel, view: &GridPtrs<'_>, region: &Region) {
-    run_fused_region(std::slice::from_ref(&kernel), view, region);
-}
-
-/// Execute several kernels *fused* over one shared region: a single
-/// traversal of the iteration space, with every kernel's row evaluated
-/// back-to-back while the data is cache-resident (§VII's "mark stencils
-/// for fusion", taken to execution).
-///
-/// # Safety
-/// As [`run_kernel_region`], for every kernel; additionally the kernels
-/// must be mutually independent (same barrier phase), so any interleaving
-/// of their iterations is legal.
-pub unsafe fn run_fused_region(kernels: &[&LoweredKernel], view: &GridPtrs<'_>, region: &Region) {
+///   touches (established by the dependence analysis / barrier phases);
+/// * several kernels are mutually independent (same barrier phase), so
+///   any interleaving of their iterations is legal.
+pub(crate) unsafe fn run_fused_region(
+    lowered: &Lowered,
+    kernels: &[usize],
+    view: &GridPtrs<'_>,
+    region: &Region,
+) {
     if region.is_empty() || kernels.is_empty() {
         return;
     }
-    // A lone kernel keeps its row state on the stack.
+    // A lone kernel keeps its row state on the stack: a heap allocation
+    // per region made omp's `cc` V-cycle up to 15% slower in perfbench.
+    let row = |&k: &usize| Row::new(&lowered.kernels[k], region);
     let mut one: [Row<'_>; 1];
     let mut many: Vec<Row<'_>>;
-    let rows: &mut [Row<'_>] = if let [kernel] = kernels {
-        one = [Row::new(kernel, region)];
+    let rows: &mut [Row<'_>] = if let [k] = kernels {
+        one = [row(k)];
         &mut one
     } else {
-        many = kernels.iter().map(|k| Row::new(k, region)).collect();
+        many = kernels.iter().map(row).collect();
         &mut many
     };
     let nd = region.ndim();
@@ -149,15 +300,15 @@ struct Row<'k> {
 }
 
 /// The loop shape a kernel's rows run in, fixed per region: the closed
-/// form picks the arithmetic, parallel safety the loop.
+/// form picks the arithmetic, parallel safety and strides the loop.
 enum RowShape<'k> {
-    /// Parallel-safe linear with every cursor at unit stride: contiguous
-    /// chunks.
-    LinearUnit(&'k SpecLinear),
-    /// Parallel-safe linear with strided cursors: strided chunks.
-    LinearStrided(&'k SpecLinear),
-    /// Sequential linear: point by point.
-    LinearPoints(&'k SpecForm),
+    /// Parallel-safe linear of at most `MAX_FUSED_ARITY` terms with every
+    /// cursor at unit stride: the fused loop over contiguous chunks.
+    Fused(&'k SpecLinear),
+    /// Any other linear: axpy passes over chunks of this many points (one
+    /// for a sequential kernel, so each point is written before the next
+    /// one's reads).
+    Axpy(&'k SpecLinear, usize),
     /// A tape over its lane buffer (one lane when sequential).
     Tape(TapeLanes<'k>),
 }
@@ -171,18 +322,19 @@ impl<'k> Row<'k> {
             class_grid[c] = cl.grid;
             inner_step[c] = cl.step(last, region.stride[last]);
         }
-        let form = &kernel.form;
-        let shape = match form {
+        let shape = match &kernel.form {
             // The output class is one of the classes, so this covers its
             // step.
             SpecForm::Linear(sl)
                 if kernel.parallel_safe
+                    && sl.arity() <= MAX_FUSED_ARITY
                     && inner_step[..kernel.classes.len()].iter().all(|&st| st == 1) =>
             {
-                RowShape::LinearUnit(sl)
+                RowShape::Fused(sl)
             }
-            SpecForm::Linear(sl) if kernel.parallel_safe => RowShape::LinearStrided(sl),
-            SpecForm::Linear(_) => RowShape::LinearPoints(form),
+            SpecForm::Linear(sl) => {
+                RowShape::Axpy(sl, if kernel.parallel_safe { CHUNK } else { 1 })
+            }
             SpecForm::Tape(tape) => {
                 // A region's point count is bounded by its grids' sizes.
                 #[allow(clippy::cast_possible_truncation)]
@@ -206,7 +358,7 @@ impl<'k> Row<'k> {
     /// Execute the `count` points of the row starting at point `p`.
     ///
     /// # Safety
-    /// As [`run_kernel_region`], with `p` a row start of the region this
+    /// As [`run_fused_region`], with `p` a row start of the region this
     /// state was built for.
     #[inline(always)]
     unsafe fn run(&mut self, view: &GridPtrs<'_>, p: &[i64], count: i64) {
@@ -226,13 +378,10 @@ impl<'k> Row<'k> {
         #[allow(clippy::cast_possible_truncation)]
         let total = count as usize;
         match &mut self.shape {
-            RowShape::LinearUnit(sl) => lin_unit(sl, view, &cur, grids, total, out, out_idx),
-            RowShape::LinearStrided(sl) => {
-                lin_strided(sl, view, &cur, grids, steps, total, out, out_idx, out_step);
-            }
-            RowShape::LinearPoints(form) => {
-                run_row_spec_points(
-                    form, view, &cur, grids, steps, count, out, out_idx, out_step,
+            RowShape::Fused(sl) => lin_unit(sl, view, &cur, grids, total, out, out_idx),
+            RowShape::Axpy(sl, chunk) => {
+                lin_strided(
+                    sl, view, &cur, grids, steps, total, *chunk, out, out_idx, out_step,
                 );
             }
             RowShape::Tape(lanes) => {
@@ -245,38 +394,9 @@ impl<'k> Row<'k> {
 /// One schedulable unit of a phase: `kernels` (several only when fused)
 /// run over each of `regions` in turn — one tile, one tile's worth of
 /// every color, or the whole union of a sequential kernel in union order.
-pub(crate) struct Task {
-    pub(crate) kernels: Vec<usize>,
-    pub(crate) regions: Vec<Region>,
-}
-
-impl Task {
-    /// A one-kernel task over `regions`.
-    pub(crate) fn one(kernel: usize, regions: Vec<Region>) -> Self {
-        Task {
-            kernels: vec![kernel],
-            regions,
-        }
-    }
-
-    /// Execute the task.
-    ///
-    /// # Safety
-    /// As [`run_fused_region`], for every region of the task.
-    unsafe fn run(&self, lowered: &Lowered, view: &GridPtrs<'_>) {
-        if let [k] = self.kernels[..] {
-            let kernel = &lowered.kernels[k];
-            for region in &self.regions {
-                run_kernel_region(kernel, view, region);
-            }
-        } else {
-            let kernels: Vec<&LoweredKernel> =
-                self.kernels.iter().map(|&k| &lowered.kernels[k]).collect();
-            for region in &self.regions {
-                run_fused_region(&kernels, view, region);
-            }
-        }
-    }
+struct Task {
+    kernels: Vec<usize>,
+    regions: Vec<Region>,
 }
 
 /// The one executor of the schedule-building backends (`seq`, `omp`,
@@ -286,8 +406,8 @@ impl Task {
 /// ordered task), so they run on the thread pool when `parallel`, and in
 /// order on the calling thread otherwise.
 pub(crate) struct Phased {
-    pub(crate) lowered: Lowered,
-    pub(crate) phases: Vec<Vec<Task>>,
+    lowered: Lowered,
+    phases: Vec<Vec<Task>>,
     pub(crate) parallel: bool,
 }
 
@@ -295,9 +415,13 @@ impl Executable for Phased {
     fn run(&self, grids: &mut GridSet) -> Result<()> {
         let (ptrs, lens) = check_and_ptrs(&self.lowered, grids)?;
         let view = GridPtrs::new(&ptrs, &lens);
-        // SAFETY: tasks within a phase are mutually independent and bounds
-        // are proven by validation (see the type docs).
-        let run_task = |task: &Task| unsafe { task.run(&self.lowered, &view) };
+        let run_task = |task: &Task| {
+            for region in &task.regions {
+                // SAFETY: tasks within a phase are mutually independent
+                // and bounds are proven by validation (see the type docs).
+                unsafe { run_fused_region(&self.lowered, &task.kernels, &view, region) };
+            }
+        };
         for phase in &self.phases {
             if self.parallel {
                 // The join at the end of `for_each` is the phase barrier.
@@ -359,9 +483,9 @@ mod tests {
         let lowered = lowered(group, gs);
         let (ptrs, lens) = crate::check_and_ptrs(&lowered, gs).unwrap();
         let view = GridPtrs::new(&ptrs, &lens);
-        for k in &lowered.kernels {
+        for (ki, k) in lowered.kernels.iter().enumerate() {
             for r in &k.regions {
-                unsafe { run_kernel_region(k, &view, r) };
+                unsafe { run_fused_region(&lowered, &[ki], &view, r) };
             }
         }
     }

@@ -11,7 +11,7 @@
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
 //! | [`seq::SequentialBackend`] | sequential C | closed-form kernels (linear records and register tapes), single thread |
 //! | [`omp::OmpBackend`] | C + OpenMP | rayon task farm; greedy barrier phases, arbitrary-dimension tiling, multicolor reordering |
-//! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | tall-skinny 2-D blocking rolled through the remaining dimension, work-groups executed on CPU threads |
+//! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | the shared schedule builder with a fixed 4×64 tall-skinny tile rolled through the remaining dimension, no fusion or multicolor; work-groups executed on CPU threads |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |
 //! | [`checked::CheckedBackend`] | — (sanitizer) | instrumented interpreter over the lowered form: range-checks every access, tracks per-phase shadow write-sets, bitwise-identical to `seq` |
 //!
@@ -19,9 +19,9 @@
 //! the lowered IR; `cjit` executes the former, while the latter documents
 //! the GPU path (no OpenCL runtime is assumed to exist).
 //!
-//! `seq`, `omp` and `oclsim` are *schedule builders*: each `compile` only
-//! cuts the lowered kernels into `exec::Task`s per barrier phase, and
-//! one executor (`exec::Phased`) runs every schedule.
+//! `seq`, `omp` and `oclsim` differ only in their fixed `exec::Schedule`
+//! choices: one builder cuts the lowered kernels into tasks per barrier
+//! phase, and one executor (`exec::Phased`) runs every schedule.
 //!
 //! All backends implement [`Backend`] and produce [`Executable`]s.
 //! [`plan::SolverPlan`] is the one execution path, the paper's cached
@@ -126,8 +126,9 @@ pub(crate) fn env_dir(var: &str) -> Option<std::path::PathBuf> {
 
 /// Work of a schedule that makes `dispatches(kernel)` dispatches per
 /// kernel, classified by the analysis' verdict on each kernel: one per
-/// region for `checked`'s loop (as for `seq`'s tasks), one per emitted
-/// loop nest for `cjit`.
+/// region of a parallel-safe kernel and one per sequential kernel (one
+/// task on every Rust backend) for `checked`'s loop, as for `seq`'s
+/// tasks; one per emitted loop nest for `cjit`.
 pub(crate) fn dispatch_work(
     lowered: &snowflake_ir::Lowered,
     dispatches: impl Fn(&snowflake_ir::LoweredKernel) -> u64,

@@ -7,52 +7,35 @@
 //! decomposition — one task per work-group tile, each task marching
 //! through the outer dimension — so the *shape* of the GPU schedule (many
 //! small independent blocks, long strided walks per block) is observable
-//! on CPU hardware. The true OpenCL *source* for the same decomposition is
-//! emitted by [`crate::codegen_ocl`]; no GPU runtime is assumed to exist
-//! in this environment (see DESIGN.md, substitutions).
+//! on CPU hardware. The GPU model has no fusion or multicolor reordering,
+//! and a kernel that is not parallel-safe runs as one task (a single
+//! "work-item", as a real port would be forced to do). The true OpenCL
+//! *source* for the same decomposition is emitted by
+//! [`crate::codegen_ocl`]; no GPU runtime is assumed to exist in this
+//! environment (see DESIGN.md, substitutions).
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
-use snowflake_ir::{tile_region, LowerOptions};
+use snowflake_ir::LowerOptions;
 
-use crate::exec::{Phased, Task};
+use crate::exec::{fit_tile, Schedule};
 use crate::{Backend, Executable};
 
-/// Work-group tile extents over the two fastest dimensions.
-#[derive(Clone, Copy, Debug)]
-pub struct WorkGroupShape {
-    /// Points along the second-fastest dimension (the "tall" edge).
-    pub tall: i64,
-    /// Points along the fastest (unit-stride) dimension (the "skinny"
-    /// edge kept wide for coalescing — 64 work-items in the paper's
-    /// terms).
-    pub wide: i64,
-}
-
-impl Default for WorkGroupShape {
-    fn default() -> Self {
-        WorkGroupShape { tall: 4, wide: 64 }
-    }
-}
+/// The work-group tile: 4 points along the second-fastest dimension (the
+/// "tall" edge) by 64 along the fastest, unit-stride one (the "skinny"
+/// edge kept wide for coalescing — 64 work-items in the paper's terms).
+const WORK_GROUP: [i64; 2] = [4, 64];
 
 /// OpenCL execution-model simulator backend.
 #[derive(Clone, Debug, Default)]
 pub struct OclSimBackend {
     /// Lowering options.
     pub options: LowerOptions,
-    /// Work-group tile shape.
-    pub workgroup: WorkGroupShape,
 }
 
 impl OclSimBackend {
     /// Backend with default options.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Set the work-group tile shape.
-    pub fn with_workgroup(mut self, tall: i64, wide: i64) -> Self {
-        self.workgroup = WorkGroupShape { tall, wide };
-        self
     }
 }
 
@@ -65,55 +48,18 @@ impl Backend for OclSimBackend {
         self.options.clone()
     }
 
+    /// Every phase is one "kernel launch batch"; the phase barrier is the
+    /// inter-launch dependency the OpenCL queue would enforce.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let lowered = crate::exec::lower(group, shapes, &self.options)?;
-        let mut phases = Vec::with_capacity(lowered.phases.len());
-        for phase in &lowered.phases {
-            let mut tasks = Vec::new();
-            for &ki in phase {
-                let kernel = &lowered.kernels[ki];
-                if !kernel.parallel_safe {
-                    // The GPU model has no ordered fallback; serialize the
-                    // kernel as one task walking its regions in union order
-                    // (a single "work-item", as a real port would be
-                    // forced to do).
-                    tasks.push(Task::one(ki, kernel.regions.clone()));
-                    continue;
-                }
-                // Tall-skinny: tile the two fastest dims, keep outer dims
-                // whole so the work-group rolls through them.
-                let tile = tall_skinny_tile(kernel.ndim, self.workgroup);
-                for region in &kernel.regions {
-                    tasks.extend(
-                        tile_region(region, &tile)
-                            .into_iter()
-                            .map(|t| Task::one(ki, vec![t])),
-                    );
-                }
-            }
-            // Every phase is one "kernel launch batch"; the phase barrier
-            // is the inter-launch dependency the OpenCL queue would enforce.
-            phases.push(tasks);
-        }
-        Ok(Box::new(Phased {
-            lowered,
-            phases,
+        let schedule = Schedule {
+            tile: &|kernel| fit_tile(&WORK_GROUP, kernel.ndim),
+            fuse: false,
+            multicolor: false,
             parallel: true,
-        }))
+        };
+        let lowered = crate::exec::lower(group, shapes, &self.options)?;
+        Ok(Box::new(schedule.build(lowered)?))
     }
-}
-
-fn tall_skinny_tile(ndim: usize, wg: WorkGroupShape) -> Vec<i64> {
-    let mut tile = vec![i64::MAX >> 1; ndim];
-    match ndim {
-        0 => {}
-        1 => tile[0] = wg.wide,
-        _ => {
-            tile[ndim - 1] = wg.wide;
-            tile[ndim - 2] = wg.tall;
-        }
-    }
-    tile
 }
 
 #[cfg(test)]
@@ -122,16 +68,6 @@ mod tests {
     use crate::{RunReport, SequentialBackend, SolverPlan};
     use snowflake_core::{weights3, Component, DomainUnion, Expr, RectDomain, Stencil};
     use snowflake_grid::{Grid, GridSet};
-
-    #[test]
-    fn tall_skinny_tile_shapes() {
-        let wg = WorkGroupShape { tall: 4, wide: 64 };
-        assert_eq!(tall_skinny_tile(3, wg)[1..], [4, 64]);
-        assert_eq!(tall_skinny_tile(2, wg), vec![4, 64]);
-        assert_eq!(tall_skinny_tile(1, wg), vec![64]);
-        // Outer dim of 3-D is unbounded (rolled through).
-        assert!(tall_skinny_tile(3, wg)[0] > 1 << 40);
-    }
 
     #[test]
     fn oclsim_matches_seq_on_3d_laplacian() {
@@ -158,7 +94,6 @@ mod tests {
             .run(&mut a)
             .unwrap();
         OclSimBackend::new()
-            .with_workgroup(2, 8)
             .compile(&group, &shapes)
             .unwrap()
             .run(&mut b)
@@ -186,7 +121,6 @@ mod tests {
             .run(&mut a)
             .unwrap();
         OclSimBackend::new()
-            .with_workgroup(3, 5)
             .compile(&group, &shapes)
             .unwrap()
             .run(&mut b)

@@ -17,9 +17,9 @@
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{intersect_box, tile_region, LowerOptions, Lowered};
+use snowflake_ir::{LowerOptions, Lowered};
 
-use crate::exec::{Phased, Task};
+use crate::exec::{fit_tile, Phased, Schedule, UNTILED};
 use crate::metrics::BackendStats;
 use crate::{Backend, Executable};
 
@@ -183,8 +183,9 @@ impl OmpBackend {
         Ok(Some(tile))
     }
 
-    /// Build the task schedule: fused, tiled and multicolor tasks per
-    /// barrier phase, sequential kernels as single ordered tasks.
+    /// Build the task schedule with this backend's choices: the explicit,
+    /// tuned or default tile, fusion and multicolor reordering as set, and
+    /// parallel execution.
     fn schedule(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Phased> {
         let lowered = crate::exec::lower(group, shapes, &self.options)?;
         let threads = rayon::current_num_threads().max(1);
@@ -196,62 +197,16 @@ impl OmpBackend {
             None if self.omp.tune => self.tuned_tile(group, shapes, &lowered, threads)?,
             None => None,
         };
-        let mut phases = Vec::with_capacity(lowered.phases.len());
-        for phase in &lowered.phases {
-            // Fusion groups: consecutive same-phase kernels with identical
-            // resolved regions share one traversal (all same-phase kernels
-            // are mutually independent, so fusion is always legal).
-            let mut groups: Vec<Vec<usize>> = Vec::new();
-            for &ki in phase {
-                let kernel = &lowered.kernels[ki];
-                let fused = self.omp.fuse
-                    && kernel.parallel_safe
-                    && groups.last().is_some_and(|g| {
-                        let head = &lowered.kernels[g[0]];
-                        head.parallel_safe && head.regions == kernel.regions
-                    });
-                if fused {
-                    groups.last_mut().expect("checked").push(ki);
-                } else {
-                    groups.push(vec![ki]);
-                }
-            }
-
-            let mut tasks = Vec::new();
-            for group_ids in groups {
-                let kernel = &lowered.kernels[group_ids[0]];
-                if !kernel.parallel_safe {
-                    // Must run in canonical order: one serial task.
-                    tasks.push(Task {
-                        kernels: group_ids,
-                        regions: kernel.regions.clone(),
-                    });
-                    continue;
-                }
-                let tile = match &tile_choice {
-                    Some(t) => fit_tile(t, kernel.ndim)?,
-                    None => default_tile(kernel.ndim, &kernel.regions, threads),
-                };
-                if self.omp.multicolor_reorder && kernel.regions.len() > 1 && group_ids.len() == 1 {
-                    tasks.extend(multicolor_tasks(group_ids[0], &kernel.regions, &tile));
-                } else {
-                    for region in &kernel.regions {
-                        for t in tile_region(region, &tile) {
-                            tasks.push(Task {
-                                kernels: group_ids.clone(),
-                                regions: vec![t],
-                            });
-                        }
-                    }
-                }
-            }
-            phases.push(tasks);
-        }
-        Ok(Phased {
-            lowered,
-            phases,
+        Schedule {
+            tile: &|kernel| match &tile_choice {
+                Some(t) => fit_tile(t, kernel.ndim),
+                None => Ok(default_tile(kernel.ndim, &kernel.regions, threads)),
+            },
+            fuse: self.omp.fuse,
+            multicolor: self.omp.multicolor_reorder,
             parallel: true,
-        })
+        }
+        .build(lowered)
     }
 }
 
@@ -300,32 +255,6 @@ impl Backend for OmpBackend {
     }
 }
 
-/// Adapt an explicit tile shape to a kernel's rank: extra leading
-/// dimensions are left untiled, missing trailing entries repeat the last
-/// given extent. (A group may mix kernels of different rank — e.g. a 2-D
-/// boundary plane inside a 3-D sweep — and one user-provided tile must
-/// apply to all of them.) An empty tile is an error.
-fn fit_tile(tile: &[i64], ndim: usize) -> Result<Vec<i64>> {
-    if tile.is_empty() {
-        return Err(CoreError::Backend(
-            "explicit tile shape must have at least one extent".into(),
-        ));
-    }
-    // Align the given extents to the innermost dimensions.
-    let mut out = vec![i64::MAX >> 1; ndim];
-    for (d, slot) in out.iter_mut().enumerate() {
-        let src = d as i64 - (ndim as i64 - tile.len() as i64);
-        if src >= 0 {
-            // src is a checked non-negative small index; the cast is exact.
-            #[allow(clippy::cast_possible_truncation)]
-            {
-                *slot = tile[src as usize];
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Default tiling: chunk the outermost dimension into about 4 tasks per
 /// thread; keep inner dimensions whole (unit-stride runs stay long).
 fn default_tile(ndim: usize, regions: &[Region], threads: usize) -> Vec<i64> {
@@ -337,55 +266,9 @@ fn default_tile(ndim: usize, regions: &[Region], threads: usize) -> Vec<i64> {
         .max(1);
     let want_tasks = (threads * 4) as i64;
     let chunk = (max_outer + want_tasks - 1) / want_tasks;
-    let mut tile = vec![i64::MAX >> 1; ndim];
+    let mut tile = vec![UNTILED; ndim];
     tile[0] = chunk.max(1);
     tile
-}
-
-/// Multicolor reordering: tile the union's bounding box and emit one task
-/// per box containing every color's slice of that box.
-fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task> {
-    let nd = regions[0].ndim();
-    let mut lo = vec![i64::MAX; nd];
-    let mut hi = vec![i64::MIN; nd];
-    for r in regions {
-        for d in 0..nd {
-            lo[d] = lo[d].min(r.lo[d]);
-            hi[d] = hi[d].max(r.hi[d]);
-        }
-    }
-    // Box extents in *index units*: tile[d] points of the coarsest stride.
-    let stride0: Vec<i64> = (0..nd)
-        .map(|d| regions.iter().map(|r| r.stride[d]).max().unwrap())
-        .collect();
-    let mut tasks = Vec::new();
-    let mut box_lo = lo.clone();
-    'boxes: loop {
-        let box_hi: Vec<i64> = (0..nd)
-            .map(|d| (box_lo[d] + tile[d].saturating_mul(stride0[d])).min(hi[d]))
-            .collect();
-        let subs: Vec<Region> = regions
-            .iter()
-            .filter_map(|r| intersect_box(r, &box_lo, &box_hi))
-            .collect();
-        if !subs.is_empty() {
-            tasks.push(Task::one(kernel, subs));
-        }
-        // Advance the box odometer.
-        let mut d = nd - 1;
-        loop {
-            box_lo[d] += tile[d].saturating_mul(stride0[d]);
-            if box_lo[d] < hi[d] {
-                break;
-            }
-            box_lo[d] = lo[d];
-            if d == 0 {
-                break 'boxes;
-            }
-            d -= 1;
-        }
-    }
-    tasks
 }
 
 #[cfg(test)]
@@ -554,14 +437,26 @@ mod tests {
 
     #[test]
     fn empty_explicit_tile_is_a_typed_error() {
-        let group = vc_gsrb_group_2d();
+        // A red-black union takes the multicolor path, a rectangle the
+        // plain tiling: neither may panic or spin on a tile without a
+        // positive extent.
+        let avg = Expr::read_at("mesh", &[0, 1]) * 0.5 + Expr::read_at("mesh", &[0, -1]) * 0.5;
+        let (red, black) = DomainUnion::red_black(2);
+        let union = StencilGroup::new()
+            .with(Stencil::new(avg.clone(), "mesh", red))
+            .with(Stencil::new(avg.clone(), "mesh", black));
+        let rect = StencilGroup::from(Stencil::new(avg, "rhs", RectDomain::interior(2)));
         let shapes = mk_grids(10).shapes();
-        let omp = OmpBackend::new().with_tile(vec![]);
-        let Err(err) = omp.compile(&group, &shapes) else {
-            panic!("an empty tile must not compile");
-        };
-        assert!(matches!(err, CoreError::Backend(_)), "{err:?}");
-        assert!(err.to_string().contains("tile"), "{err}");
+        for group in [union, rect] {
+            for tile in [vec![], vec![0, 4], vec![-2, 4]] {
+                let omp = OmpBackend::new().with_tile(tile.clone());
+                let Err(err) = omp.compile(&group, &shapes) else {
+                    panic!("tile {tile:?} must not compile");
+                };
+                assert!(matches!(err, CoreError::Backend(_)), "{err:?}");
+                assert!(err.to_string().contains("tile"), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -572,9 +467,6 @@ mod tests {
         assert_eq!(omp.name(), "omp");
         assert_eq!(omp.omp.tile, Some(vec![4, 4]));
         assert!(!omp.omp.multicolor_reorder);
-        let oclsim = crate::OclSimBackend::new().with_workgroup(2, 8);
-        assert_eq!(oclsim.name(), "oclsim");
-        assert_eq!((oclsim.workgroup.tall, oclsim.workgroup.wide), (2, 8));
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! The counterpart of the paper's plain-C micro-compiler: full lowering
 //! (constant folding, closed-form extraction, cursor addressing) with no
-//! parallel scheduling. Kernels run in program order; regions in union
-//! order; points in row-major order — the canonical semantics.
+//! parallel scheduling. Its `exec::Schedule` leaves kernels
+//! untiled and unfused and runs every phase on the calling thread:
+//! kernels in program order, regions in union order, points in row-major
+//! order — the canonical semantics.
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 use snowflake_ir::LowerOptions;
 
-use crate::exec::{Phased, Task};
+use crate::exec::{Schedule, UNTILED};
 use crate::{Backend, Executable};
 
 /// Single-threaded compiled backend.
@@ -36,29 +38,19 @@ impl Backend for SequentialBackend {
         "seq"
     }
 
-    /// One task per (kernel, region), in program order, run serially.
-    /// The greedy schedule groups *consecutive* kernels, so walking the
-    /// phases in order is exactly program order.
+    /// One task per region of a parallel-safe kernel and one per
+    /// sequential kernel, run serially. The greedy schedule groups
+    /// *consecutive* kernels, so walking the phases in order is exactly
+    /// program order.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let lowered = crate::exec::lower(group, shapes, &self.options)?;
-        let phases = lowered
-            .phases
-            .iter()
-            .map(|phase| {
-                phase
-                    .iter()
-                    .flat_map(|&ki| {
-                        let regions = &lowered.kernels[ki].regions;
-                        regions.iter().map(move |r| Task::one(ki, vec![r.clone()]))
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(Box::new(Phased {
-            lowered,
-            phases,
+        let schedule = Schedule {
+            tile: &|kernel| Ok(vec![UNTILED; kernel.ndim]),
+            fuse: false,
+            multicolor: false,
             parallel: false,
-        }))
+        };
+        let lowered = crate::exec::lower(group, shapes, &self.options)?;
+        Ok(Box::new(schedule.build(lowered)?))
     }
 
     fn lower_options(&self) -> LowerOptions {

@@ -10,17 +10,22 @@
 //! arithmetic description the executors below, the `checked` sanitizer and
 //! the C generator share.
 //!
-//! Parallel safety picks only the loop shape. Linear rows of parallel-safe
-//! kernels run through tight chunked loops over contiguous slices (unit
-//! stride) or strided index chains, which LLVM auto-vectorizes; linear rows
-//! of sequential kernels run point by point in canonical order, since a
-//! later point may read what an earlier one wrote. A tape runs over a lane
-//! buffer (`TapeLanes`): each row of a parallel-safe kernel gathers every
-//! distinct read into the next free lanes (a slice copy at unit stride, a
-//! strided gather otherwise), and once `TAPE_LANES` lanes are full — a
-//! chunk may span several short rows — every instruction runs as one
-//! unit-stride lane loop and the output register is scattered back. A
-//! sequential kernel runs the same tape one lane — one point — at a time.
+//! Parallel safety and strides pick only the loop shape; there are two
+//! linear loops. A parallel-safe kernel whose cursors all step by 1 and
+//! whose record has at most `MAX_FUSED_ARITY` terms runs the fused loop
+//! (`lin_unit`), monomorphized over its term count. Every other linear
+//! row runs the axpy passes of `lin_strided` over chunks — contiguous
+//! slices for unit-stride terms, strided index chains otherwise — and a
+//! sequential kernel passes a chunk of one point, since a later point may
+//! read what an earlier one wrote. LLVM auto-vectorizes both loops.
+//!
+//! A tape runs over a lane buffer (`TapeLanes`): each row of a
+//! parallel-safe kernel gathers every distinct read into the next free
+//! lanes (a slice copy at unit stride, a strided gather otherwise), and
+//! once `TAPE_LANES` lanes are full — a chunk may span several short rows —
+//! every instruction runs as one unit-stride lane loop and the output
+//! register is scattered back. A sequential kernel runs the same tape one
+//! lane — one point — at a time.
 //!
 //! **Bitwise contract**: every executor here performs, per output element,
 //! the operation sequence of [`SpecForm::eval`] — the merged fold for a
@@ -31,8 +36,6 @@
 //! `checked` on the full HPGMG V-cycles.
 
 #![allow(clippy::needless_range_loop)] // chunk indices address parallel fixed arrays
-
-use std::convert::Infallible;
 
 use snowflake_ir::spec::{SpecForm, SpecLinear, SpecTape, TapeOp};
 use snowflake_ir::Lowered;
@@ -52,9 +55,9 @@ pub(crate) const CHUNK: usize = 128;
 pub(crate) const TAPE_LANES: usize = 64;
 
 /// Largest term count monomorphized into a fused fixed-arity inner loop;
-/// wider linear kernels use the dynamic-arity pass executor (bitwise
+/// wider linear kernels run the axpy passes of [`lin_strided`] (bitwise
 /// identical, just less completely unrolled).
-const MAX_FUSED_ARITY: usize = 16;
+pub(crate) const MAX_FUSED_ARITY: usize = 16;
 
 /// Swap every kernel's tape for its linear record when it linearizes,
 /// parallel safe or not.
@@ -68,42 +71,13 @@ pub fn specialize_lowered(lowered: &mut Lowered) {
     }
 }
 
-/// Execute one linear row of a sequential kernel point by point in
-/// canonical order, each point finished before the next is read.
-///
-/// # Safety
-/// As `exec::run_kernel_region`.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn run_row_spec_points(
-    form: &SpecForm,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    inner_step: &[isize; MAX_CLASSES],
-    count: i64,
-    out_grid: usize,
-    out_start: isize,
-    out_step: isize,
-) {
-    // count is a non-negative region extent; the cast is exact.
-    #[allow(clippy::cast_possible_truncation)]
-    let total = count as isize;
-    for i in 0..total {
-        let Ok(v) = form.eval(|c, d| {
-            let c = c as usize;
-            Ok::<_, Infallible>(view.read(class_grid[c], cur[c] + d + i * inner_step[c]))
-        });
-        view.write(out_grid, out_start + i * out_step, v);
-    }
-}
-
 /// Execute one linear row of a parallel-safe kernel whose cursors all
-/// step by 1. Monomorphizes the fused loop over the term count so the
-/// inner accumulation fully unrolls and the chunk loop vectorizes.
+/// step by 1 and whose record has at most `MAX_FUSED_ARITY` terms.
+/// Monomorphizes the fused loop over the term count so the inner
+/// accumulation fully unrolls and the chunk loop vectorizes.
 ///
 /// # Safety
-/// As `exec::run_kernel_region`: `view` must hold valid pointers for the
+/// As `exec::run_fused_region`: `view` must hold valid pointers for the
 /// shapes the kernel was lowered against, and no other thread may touch
 /// the cells this row accesses. The kernel must be parallel-safe (the
 /// chunked read-all-then-write-all order requires order-independence).
@@ -120,11 +94,11 @@ pub(crate) unsafe fn lin_unit(
         ($($n:literal),*) => {
             match sl.arity() {
                 $($n => lin_unit_fixed::<$n>(sl, view, cur, class_grid, total, out_grid, out_start),)*
-                _ => lin_unit_dyn(sl, view, cur, class_grid, total, out_grid, out_start),
+                n => unreachable!("fused linear loop of arity {n} > {MAX_FUSED_ARITY}"),
             }
         };
     }
-    arms!(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16);
+    arms!(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16);
 }
 
 /// Fused fixed-arity unit-stride linear executor: one pass over the row
@@ -172,42 +146,15 @@ unsafe fn lin_unit_fixed<const N: usize>(
     }
 }
 
-/// Dynamic-arity unit-stride linear executor: per-term axpy passes over
-/// the chunk (same per-element operation order as the fused form).
-unsafe fn lin_unit_dyn(
-    sl: &SpecLinear,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    total: usize,
-    out_grid: usize,
-    out_start: isize,
-) {
-    let mut acc = [0.0f64; CHUNK];
-    let mut done = 0usize;
-    while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(sl.bias);
-        for t in 0..sl.arity() {
-            let c = sl.classes[t] as usize;
-            let k = sl.coeffs[t];
-            let src = view.row(class_grid[c], cur[c] + sl.deltas[t] + done as isize, len);
-            for (a, &s) in acc[..len].iter_mut().zip(src) {
-                *a += k * s;
-            }
-        }
-        let dst = view.row_mut(out_grid, out_start + done as isize, len);
-        dst.copy_from_slice(&acc[..len]);
-        done += len;
-    }
-}
-
-/// Execute one linear row of a parallel-safe kernel with arbitrary
-/// per-class strides (e.g. the stride-2 red/black color rows of a
-/// constant-coefficient GSRB smooth): chunked axpy passes.
+/// Execute one linear row with arbitrary per-class strides (e.g. the
+/// stride-2 red/black color rows of a constant-coefficient GSRB smooth):
+/// per-term axpy passes over chunks of at most `chunk` points, borrowing
+/// a slice for a unit-stride term. A sequential kernel passes a chunk of
+/// one, so each point is written before the next one's reads.
 ///
 /// # Safety
-/// As [`lin_unit`].
+/// As [`lin_unit`], except that a sequential kernel is allowed when
+/// `chunk == 1`; `chunk` must not exceed `CHUNK`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn lin_strided(
     sl: &SpecLinear,
@@ -216,27 +163,40 @@ pub(crate) unsafe fn lin_strided(
     class_grid: &[usize; MAX_CLASSES],
     inner_step: &[isize; MAX_CLASSES],
     total: usize,
+    chunk: usize,
     out_grid: usize,
     out_start: isize,
     out_step: isize,
 ) {
-    let mut acc = [0.0f64; CHUNK];
+    let mut buf = [0.0f64; CHUNK];
     let mut done = 0usize;
     while done < total {
-        let len = CHUNK.min(total - done);
-        acc[..len].fill(sl.bias);
+        let len = chunk.min(total - done);
+        let acc = &mut buf[..len];
+        acc.fill(sl.bias);
         for t in 0..sl.arity() {
             let c = sl.classes[t] as usize;
             let g = class_grid[c];
             let k = sl.coeffs[t];
             let st = inner_step[c];
             let start = cur[c] + sl.deltas[t] + done as isize * st;
-            for i in 0..len {
-                acc[i] += k * view.read(g, start + i as isize * st);
+            if st == 1 {
+                for (a, &s) in acc.iter_mut().zip(view.row(g, start, len)) {
+                    *a += k * s;
+                }
+            } else {
+                for (i, a) in acc.iter_mut().enumerate() {
+                    *a += k * view.read(g, start + i as isize * st);
+                }
             }
         }
-        for i in 0..len {
-            view.write(out_grid, out_start + (done + i) as isize * out_step, acc[i]);
+        let out = out_start + done as isize * out_step;
+        if out_step == 1 {
+            view.row_mut(out_grid, out, len).copy_from_slice(acc);
+        } else {
+            for (i, &v) in acc.iter().enumerate() {
+                view.write(out_grid, out + i as isize * out_step, v);
+            }
         }
         done += len;
     }
@@ -413,7 +373,9 @@ mod tests {
     /// Every loop shape against the per-point reference: unit linear
     /// (Laplacian), strided linear (red-black constant coefficient),
     /// strided tape (red-black variable coefficient), a sequential in-place
-    /// tape kernel and a unit-stride tape dividing by a read.
+    /// tape kernel, a unit-stride tape dividing by a read, a sequential
+    /// in-place linear kernel over a two-rectangle union (axpy passes one
+    /// point at a time) and a constant fill (the fused loop at arity 0).
     #[test]
     fn every_loop_shape_matches_per_point_evaluation() {
         let n = 18;
@@ -442,6 +404,17 @@ mod tests {
                 "y",
                 RectDomain::interior(2),
             )),
+            StencilGroup::from(Stencil::new(
+                m(0, -1) * 0.5 + m(-1, 0) * 0.25 + 0.125,
+                "mesh",
+                RectDomain::new(&[1, 1], &[9, -1], &[1, 1])
+                    + RectDomain::new(&[9, 1], &[-1, -1], &[1, 1]),
+            )),
+            StencilGroup::from(Stencil::new(
+                Expr::Const(0.25),
+                "y",
+                RectDomain::interior(2),
+            )),
         ];
         let mut grids = GridSet::new();
         for (g, seed) in [("x", 1u64), ("y", 2), ("mesh", 3), ("rhs", 4), ("beta", 5)] {
@@ -449,6 +422,18 @@ mod tests {
             grid.fill_random(seed, 0.5, 1.5);
             grids.insert(g, grid);
         }
+        // The last two kernels take the paths no benchmark kernel does.
+        let form = |group: &StencilGroup| {
+            let mut lowered =
+                lower_group(group, &grids.shapes(), &LowerOptions::default()).unwrap();
+            specialize_lowered(&mut lowered);
+            lowered.kernels.swap_remove(0)
+        };
+        let seq_union = form(&groups[5]);
+        assert!(!seq_union.parallel_safe && seq_union.regions.len() == 2);
+        assert!(matches!(seq_union.form, SpecForm::Linear(_)));
+        let fill = form(&groups[6]);
+        assert!(matches!(&fill.form, SpecForm::Linear(sl) if sl.arity() == 0));
         for group in &groups {
             assert_seq_matches_checked(group, &grids);
         }

@@ -353,6 +353,8 @@ pub enum UsageError {
     },
     /// An argument the binary does not take, such as a misspelt flag.
     Unknown(String),
+    /// A flag that takes a value came last, with none after it.
+    MissingValue(String),
 }
 
 impl fmt::Display for UsageError {
@@ -364,6 +366,7 @@ impl fmt::Display for UsageError {
                 expected,
             } => write!(f, "bad value {value:?} for {flag}: expected {expected}"),
             UsageError::Unknown(arg) => write!(f, "unknown argument {arg:?}"),
+            UsageError::MissingValue(flag) => write!(f, "missing value for {flag}"),
         }
     }
 }
@@ -382,7 +385,8 @@ pub fn or_exit<T>(parsed: std::result::Result<T, UsageError>) -> T {
 /// Check that every argument after the program name is one the binary
 /// takes: a `valued` flag with the value after it, or a bare `switch`.
 /// Anything else is [`UsageError::Unknown`], so a misspelt `--verfy`
-/// cannot silently run an ungated plan.
+/// cannot silently run an ungated plan, and a valued flag with nothing
+/// after it is [`UsageError::MissingValue`] rather than its default.
 pub fn check_args(
     args: &[String],
     valued: &[&str],
@@ -391,7 +395,9 @@ pub fn check_args(
     let mut rest = args.iter().skip(1);
     while let Some(arg) = rest.next() {
         if valued.contains(&arg.as_str()) {
-            rest.next();
+            if rest.next().is_none() {
+                return Err(UsageError::MissingValue(arg.clone()));
+            }
         } else if !switches.contains(&arg.as_str()) {
             return Err(UsageError::Unknown(arg.clone()));
         }
@@ -633,6 +639,10 @@ mod tests {
         assert_eq!(err, UsageError::Unknown("--verfy".into()));
         assert_eq!(err.to_string(), "unknown argument \"--verfy\"");
         assert_eq!(check(&["8"]), Err(UsageError::Unknown("8".into())));
+        // A valued flag that comes last has no value: not its default.
+        let err = check(&["--verify", "--size"]).unwrap_err();
+        assert_eq!(err, UsageError::MissingValue("--size".into()));
+        assert_eq!(err.to_string(), "missing value for --size");
     }
 
     /// The `--metrics-json` document, pinned byte for byte: a row with a

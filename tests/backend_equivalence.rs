@@ -22,7 +22,7 @@ fn backends() -> Vec<Box<dyn Backend>> {
                 .with_tile(vec![3, 5])
                 .with_multicolor(true),
         ),
-        Box::new(OclSimBackend::new().with_workgroup(2, 4)),
+        Box::new(OclSimBackend::new()),
     ]
 }
 

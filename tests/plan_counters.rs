@@ -1,15 +1,17 @@
 //! The plan counters a solver stamps into its `RunReport`, asserted on the
 //! report value in the process that ran the solve: the cjit artifact cache
 //! serves a rebuilt plan, the omp tile tuner serves a fresh backend, the
-//! plan gates leave clean certificates on every backend, and every plan op
-//! that ran has a row in the op table.
+//! plan gates leave clean certificates on every backend, every plan op
+//! that ran has a row in the op table, and each op's schedule dispatches
+//! the pinned work.
 
 use std::path::{Path, PathBuf};
 
 use snowflake::backends::{
-    available_backends, backend_from_name, BackendOptions, CJitBackend, Gates, RunReport,
+    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, Gates,
+    OclSimBackend, OmpBackend, RunReport, SequentialBackend,
 };
-use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
+use snowflake::hpgmg::{snow::operator_list, Problem, Smoother, SnowSolver};
 
 /// A fresh, empty scratch directory for one test.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -155,5 +157,58 @@ fn metered_solve_books_every_op_call_on_every_backend() {
         }
         let calls: u64 = report.ops.values().map(|row| row.calls).sum();
         assert_eq!(calls, report.runs, "{name}");
+    }
+}
+
+/// Each op of the 16³ GSRB operator list, the same for the `vc` and `cc`
+/// problems: its points, then tiles and fused kernels for `seq` (one task
+/// per region), `oclsim` (4×64 tiles over the two fastest dimensions, the
+/// outer one rolled through) and `omp` with an explicit 3×4×5 tile
+/// (fusion and multicolor reordering on). Every kernel is parallel-safe.
+const WORK_16: [[u64; 7]; 14] = [
+    [7168, 20, 0, 52, 0, 280, 0],
+    [5632, 7, 0, 22, 0, 224, 0],
+    [1512, 2, 0, 5, 0, 36, 0],
+    [512, 1, 0, 2, 0, 12, 0],
+    [4096, 8, 0, 16, 0, 12, 84],
+    [4480, 14, 0, 26, 0, 44, 84],
+    [1280, 20, 0, 28, 0, 68, 0],
+    [896, 7, 0, 12, 0, 44, 0],
+    [280, 2, 0, 3, 0, 10, 0],
+    [64, 1, 0, 1, 0, 2, 0],
+    [512, 8, 0, 8, 0, 2, 14],
+    [608, 14, 0, 14, 0, 12, 14],
+    [256, 20, 0, 20, 0, 22, 0],
+    [160, 7, 0, 7, 0, 12, 0],
+];
+
+#[test]
+fn schedules_dispatch_the_pinned_work_per_op() {
+    let backends: [Box<dyn Backend>; 3] = [
+        Box::new(SequentialBackend::new()),
+        Box::new(OclSimBackend::new()),
+        Box::new(OmpBackend::new().with_tile(vec![3, 4, 5])),
+    ];
+    for problem in [Problem::poisson_vc(16), Problem::poisson_cc(16)] {
+        let (list, _) = operator_list(&problem, Smoother::GsRb);
+        assert_eq!(list.len(), WORK_16.len());
+        for (op, ((group, shapes), want)) in list.iter().zip(&WORK_16).enumerate() {
+            for (b, backend) in backends.iter().enumerate() {
+                let work = backend.compile(group, shapes).unwrap().work();
+                let (tiles, fused) = (want[1 + 2 * b], want[2 + 2 * b]);
+                assert_eq!(
+                    [
+                        work.points,
+                        work.tiles,
+                        work.fused,
+                        work.parallel_tasks,
+                        work.sequential_tasks
+                    ],
+                    [want[0], tiles, fused, tiles, 0],
+                    "{} op {op}",
+                    backend.name()
+                );
+            }
+        }
     }
 }
