@@ -10,16 +10,16 @@
 //!
 //! [`access_conflict`] is the one conflict test: the scheduler, the
 //! verifier and the linter all read its witness, and a rank mismatch is a
-//! typed [`RankMismatch`] diagnostic rather than a verdict.
+//! typed [`RankMismatch`] finding rather than a verdict.
 //!
-//! [`RankMismatch`]: crate::verify::DiagnosticKind::RankMismatch
+//! [`RankMismatch`]: crate::verify::Rule::RankMismatch
 
 use snowflake_core::AffineMap;
 use snowflake_grid::Region;
 
 use crate::dio::{intersect, StridedRange};
 use crate::math::coord;
-use crate::verify::{rank_mismatch, Diagnostic};
+use crate::verify::{rank_mismatch, Finding};
 
 /// The image of region dimension `d` under map dimension `d`, as a strided
 /// range.
@@ -44,7 +44,7 @@ pub fn access_conflict(
     m1: &AffineMap,
     r2: &Region,
     m2: &AffineMap,
-) -> Result<Option<Vec<i64>>, Diagnostic> {
+) -> Result<Option<Vec<i64>>, Finding> {
     let nd = r1.ndim();
     for (context, got) in [
         ("second region vs first region", r2.ndim()),

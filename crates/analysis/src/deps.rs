@@ -14,7 +14,7 @@ use snowflake_core::{AffineMap, ShapeMap, Stencil};
 use snowflake_grid::Region;
 
 use crate::conflict::{access_conflict, self_conflict};
-use crate::verify::Diagnostic;
+use crate::verify::Finding;
 
 /// A stencil paired with its domain resolved against concrete shapes —
 /// the unit the analysis and the backends operate on.
@@ -150,9 +150,9 @@ pub fn writes_disjoint(rs: &ResolvedStencil) -> bool {
 /// between their accesses (attributed to `a`), which no caller may read as
 /// independence: the scheduler orders such a pair, and the verifier
 /// reports it.
-pub fn depends(a: &ResolvedStencil, b: &ResolvedStencil) -> Result<Option<Hazard>, Diagnostic> {
+pub fn depends(a: &ResolvedStencil, b: &ResolvedStencil) -> Result<Option<Hazard>, Finding> {
     // The first cell `a`'s access `ma` and `b`'s access `mb` both touch.
-    let witness = |ma: &AffineMap, mb: &AffineMap| -> Result<Option<Vec<i64>>, Diagnostic> {
+    let witness = |ma: &AffineMap, mb: &AffineMap| -> Result<Option<Vec<i64>>, Finding> {
         for r1 in &a.regions {
             for r2 in &b.regions {
                 let cell =

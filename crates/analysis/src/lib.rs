@@ -28,34 +28,30 @@
 //!   barrier grouping used by the OpenMP backend, and dead-stencil
 //!   elimination.
 //! * [`verify`] — the certification layer: bounds proofs and schedule
-//!   certificates, reported as typed [`Diagnostic`]s carrying the witness
-//!   cells of the same conflict test and hazard search.
+//!   certificates, carrying the witness cells of the same conflict test
+//!   and hazard search. It also defines the one finding vocabulary both
+//!   analyses report in: a [`Finding`] of a [`Rule`] at a [`Severity`].
 //! * [`lint`] — the semantic layer above both: liveness dataflow,
 //!   domain-coverage proofs, halo sufficiency and weight sanity, each
-//!   finding reported as a typed [`Lint`] with a witness cell.
+//!   finding a [`Finding`] with a witness cell.
 //!
-//! [`Lint`]: lint::Lint
+//! `snowflake-backends::verify::verify_ops` runs the two analyses as one
+//! plan check.
 
 pub mod conflict;
 pub mod deps;
 pub mod dio;
 pub mod lint;
 pub mod math;
-pub mod report;
 pub mod schedule;
 pub mod verify;
 
 pub use conflict::{access_conflict, regions_overlap, self_conflict};
 pub use deps::{depends, is_parallel_safe, writes_disjoint, DepKind, Hazard, ResolvedStencil};
 pub use lint::{
-    apply_policy, check_coverage, lint_group, lint_program, Coverage, Lint, LintConfig, LintReport,
-    LintRule, PolicyOutcome, Severity,
+    apply_policy, check_coverage, lint_program, Coverage, LintConfig, LintReport, PolicyOutcome,
 };
-pub use report::{report, report_group};
 pub use schedule::{
-    dead_stencils, dependence_dag, fusible_pairs, greedy_phases, reorder_minimize_barriers,
-    Schedule,
+    dead_stencils, dependence_dag, greedy_phases, reorder_minimize_barriers, Schedule,
 };
-pub use verify::{
-    certify_schedule, verify_bounds, Diagnostic, DiagnosticKind, ScheduleCertificate,
-};
+pub use verify::{certify_schedule, verify_bounds, Finding, Rule, ScheduleCertificate, Severity};

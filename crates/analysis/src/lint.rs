@@ -24,13 +24,12 @@
 //!   and interpolation partition-of-unity, and a crude spectral-radius
 //!   estimate for in-place smoothers.
 //!
-//! Every negative verdict is a typed [`Lint`] mirroring the verifier's
-//! [`Diagnostic`](crate::verify::Diagnostic) shape: rule, severity,
-//! stencil, grid, optional witness cell, human-readable detail.
+//! Every negative verdict is a [`Finding`], the one finding type of the
+//! plan check (see [`crate::verify`]): rule, severity, stencil, grid,
+//! optional witness cell, human-readable detail. The ten lint rules are
+//! [`Rule::LINTS`]; four deny by default, six warn.
 
 use std::collections::BTreeSet;
-use std::fmt;
-use std::str::FromStr;
 
 use snowflake_core::{AffineMap, Expr, ShapeMap, StencilGroup};
 use snowflake_grid::Region;
@@ -39,195 +38,7 @@ use crate::conflict::access_range;
 use crate::deps::{reads_after_write, ResolvedStencil};
 use crate::dio::{intersect, StridedRange};
 use crate::math::coord;
-
-/// The lint rule taxonomy.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum LintRule {
-    /// A write fully overwritten before any read can observe it.
-    DeadStore,
-    /// A grid written but never read afterwards (and not a declared
-    /// program output).
-    WriteNeverRead,
-    /// A grid read before any write (and not a declared program input).
-    ReadBeforeWrite,
-    /// A stencil that copies its output grid onto itself unchanged.
-    RedundantCopy,
-    /// A colored domain union leaves cells of its bounding region
-    /// uncovered.
-    CoverageGap,
-    /// Two member rectangles of a colored domain union write the same
-    /// cell.
-    DoubleCover,
-    /// An interior stencil reads a ghost cell no earlier stencil wrote.
-    HaloGap,
-    /// A read's net coefficient cancels to exactly zero.
-    ZeroWeight,
-    /// A restriction/interpolation stencil whose source weights do not
-    /// sum to one.
-    PartitionOfUnity,
-    /// An in-place smoother whose update weights suggest divergence
-    /// (absolute row sum of the iteration weights exceeds one).
-    SmootherDivergence,
-}
-
-impl LintRule {
-    /// Every rule, in reporting order.
-    pub const ALL: [LintRule; 10] = [
-        LintRule::DeadStore,
-        LintRule::WriteNeverRead,
-        LintRule::ReadBeforeWrite,
-        LintRule::RedundantCopy,
-        LintRule::CoverageGap,
-        LintRule::DoubleCover,
-        LintRule::HaloGap,
-        LintRule::ZeroWeight,
-        LintRule::PartitionOfUnity,
-        LintRule::SmootherDivergence,
-    ];
-
-    /// The severity a finding of this rule carries by default.
-    pub fn default_severity(self) -> Severity {
-        match self {
-            LintRule::CoverageGap
-            | LintRule::DoubleCover
-            | LintRule::HaloGap
-            | LintRule::ReadBeforeWrite => Severity::Deny,
-            LintRule::DeadStore
-            | LintRule::WriteNeverRead
-            | LintRule::RedundantCopy
-            | LintRule::ZeroWeight
-            | LintRule::PartitionOfUnity
-            | LintRule::SmootherDivergence => Severity::Warn,
-        }
-    }
-}
-
-impl fmt::Display for LintRule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            LintRule::DeadStore => "dead-store",
-            LintRule::WriteNeverRead => "write-never-read",
-            LintRule::ReadBeforeWrite => "read-before-write",
-            LintRule::RedundantCopy => "redundant-copy",
-            LintRule::CoverageGap => "coverage-gap",
-            LintRule::DoubleCover => "double-cover",
-            LintRule::HaloGap => "halo-gap",
-            LintRule::ZeroWeight => "zero-weight",
-            LintRule::PartitionOfUnity => "partition-of-unity",
-            LintRule::SmootherDivergence => "smoother-divergence",
-        };
-        f.write_str(s)
-    }
-}
-
-impl FromStr for LintRule {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        LintRule::ALL
-            .into_iter()
-            .find(|r| r.to_string() == s)
-            .ok_or_else(|| {
-                let names: Vec<String> = LintRule::ALL.iter().map(ToString::to_string).collect();
-                format!(
-                    "unknown lint rule {s:?} (expected one of: {})",
-                    names.join(", ")
-                )
-            })
-    }
-}
-
-/// How severe a finding is: `Deny` findings fail a `--deny`-mode run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Suspicious but plausibly intentional.
-    Warn,
-    /// Almost certainly a program bug.
-    Deny,
-}
-
-impl fmt::Display for Severity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Severity::Warn => "warn",
-            Severity::Deny => "deny",
-        })
-    }
-}
-
-/// A single lint finding: the rule, its severity, where it points, and —
-/// whenever the Diophantine machinery can construct one — a concrete
-/// witness grid cell realizing the problem.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Lint {
-    /// Which rule fired.
-    pub rule: LintRule,
-    /// How severe the finding is (defaults to the rule's severity).
-    pub severity: Severity,
-    /// The offending stencil (empty when not attributable to one).
-    pub stencil: String,
-    /// The grid the finding concerns (empty when not applicable).
-    pub grid: String,
-    /// A concrete witness grid cell.
-    pub witness: Option<Vec<i64>>,
-    /// Human-readable description.
-    pub detail: String,
-}
-
-impl Lint {
-    /// Construct a finding with the rule's default severity; attach
-    /// location data with the builder methods.
-    pub fn new(rule: LintRule, detail: impl Into<String>) -> Self {
-        Lint {
-            rule,
-            severity: rule.default_severity(),
-            stencil: String::new(),
-            grid: String::new(),
-            witness: None,
-            detail: detail.into(),
-        }
-    }
-
-    /// Attach the offending stencil's name.
-    #[must_use]
-    pub fn stencil(mut self, name: &str) -> Self {
-        self.stencil = name.to_string();
-        self
-    }
-
-    /// Attach the concerned grid's name.
-    #[must_use]
-    pub fn grid(mut self, name: &str) -> Self {
-        self.grid = name.to_string();
-        self
-    }
-
-    /// Attach a witness grid cell.
-    #[must_use]
-    pub fn witness(mut self, cell: Vec<i64>) -> Self {
-        self.witness = Some(cell);
-        self
-    }
-}
-
-impl fmt::Display for Lint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{} {}]", self.severity, self.rule)?;
-        if !self.stencil.is_empty() {
-            write!(f, " stencil {:?}", self.stencil)?;
-        }
-        if !self.grid.is_empty() {
-            write!(f, " grid {:?}", self.grid)?;
-        }
-        write!(f, ": {}", self.detail)?;
-        if let Some(w) = &self.witness {
-            write!(f, " (witness cell {w:?})")?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for Lint {}
+use crate::verify::{Finding, Rule, Severity};
 
 /// What the lint engine may assume about the program's environment.
 #[derive(Clone, Debug, Default)]
@@ -292,24 +103,14 @@ pub struct LintReport {
     /// Number of rules the configuration allowed to run.
     pub rules_run: u64,
     /// The findings, in program order.
-    pub lints: Vec<Lint>,
-}
-
-impl LintReport {
-    /// Number of deny-severity findings.
-    pub fn deny_count(&self) -> u64 {
-        self.lints
-            .iter()
-            .filter(|l| l.severity == Severity::Deny)
-            .count() as u64
-    }
+    pub lints: Vec<Finding>,
 }
 
 /// The result of applying a `--deny`/`--allow` rule policy to findings.
 #[derive(Clone, Debug, Default)]
 pub struct PolicyOutcome {
     /// Findings kept, with severities adjusted per the policy.
-    pub lints: Vec<Lint>,
+    pub lints: Vec<Finding>,
     /// Number of findings removed by `allow` rules.
     pub suppressed: u64,
 }
@@ -317,7 +118,7 @@ pub struct PolicyOutcome {
 /// Apply a rule policy: findings of `allow`ed rules are suppressed
 /// (counted, not kept); findings of `deny`ed rules are escalated to
 /// [`Severity::Deny`]. `allow` wins when a rule appears in both.
-pub fn apply_policy(lints: Vec<Lint>, deny: &[LintRule], allow: &[LintRule]) -> PolicyOutcome {
+pub fn apply_policy(lints: Vec<Finding>, deny: &[Rule], allow: &[Rule]) -> PolicyOutcome {
     let mut out = PolicyOutcome::default();
     for mut l in lints {
         if allow.contains(&l.rule) {
@@ -517,7 +318,7 @@ fn first_image_cell(rs: &ResolvedStencil) -> Option<Vec<i64>> {
 }
 
 /// Liveness dataflow over the flattened, ordered stencil list.
-fn liveness_pass(flat: &[FlatStencil], config: &LintConfig, lints: &mut Vec<Lint>) {
+fn liveness_pass(flat: &[FlatStencil], config: &LintConfig, lints: &mut Vec<Finding>) {
     // read-before-write: the first touch of a non-input grid must write it
     // (an in-place first touch still reads the uninitialized pre-state).
     let mut touched: BTreeSet<String> = BTreeSet::new();
@@ -531,8 +332,8 @@ fn liveness_pass(flat: &[FlatStencil], config: &LintConfig, lints: &mut Vec<Lint
                         .map(|rg| coord(rg.start))
                         .collect()
                 });
-                let mut l = Lint::new(
-                    LintRule::ReadBeforeWrite,
+                let mut l = Finding::new(
+                    Rule::ReadBeforeWrite,
                     format!("grid {g:?} is read before any stencil writes it and is not a declared input"),
                 )
                 .stencil(f.rs.stencil.name())
@@ -550,7 +351,7 @@ fn liveness_pass(flat: &[FlatStencil], config: &LintConfig, lints: &mut Vec<Lint
     // dead-store / write-never-read: scan forward from every write.
     for (i, f) in flat.iter().enumerate() {
         let (g, _) = f.rs.write();
-        let mut verdict: Option<LintRule> = Some(LintRule::WriteNeverRead);
+        let mut verdict: Option<Rule> = Some(Rule::WriteNeverRead);
         for later in &flat[i + 1..] {
             if reads_after_write(&f.rs, &later.rs) {
                 verdict = None;
@@ -561,26 +362,26 @@ fn liveness_pass(flat: &[FlatStencil], config: &LintConfig, lints: &mut Vec<Lint
             // surviving cells still makes this store live (treating it as
             // live is the conservative direction).
             if lg == g && write_covered_by(&f.rs, &later.rs) {
-                verdict = Some(LintRule::DeadStore);
+                verdict = Some(Rule::DeadStore);
                 break;
             }
         }
         let fire = match verdict {
-            Some(LintRule::DeadStore) => true,
-            Some(LintRule::WriteNeverRead) => !config.is_output(&g),
+            Some(Rule::DeadStore) => true,
+            Some(Rule::WriteNeverRead) => !config.is_output(&g),
             _ => false,
         };
         if fire {
             let rule = verdict.unwrap();
             let detail = match rule {
-                LintRule::DeadStore => format!(
+                Rule::DeadStore => format!(
                     "every cell this stencil writes to {g:?} is overwritten before any read"
                 ),
                 _ => format!(
                     "the value written to {g:?} is never read and {g:?} is not a declared output"
                 ),
             };
-            let mut l = Lint::new(rule, detail)
+            let mut l = Finding::new(rule, detail)
                 .stencil(f.rs.stencil.name())
                 .grid(&g);
             if let Some(w) = first_image_cell(&f.rs) {
@@ -593,13 +394,13 @@ fn liveness_pass(flat: &[FlatStencil], config: &LintConfig, lints: &mut Vec<Lint
 
 /// Redundant self-copy: the expression simplifies to a read of the
 /// output grid through the output map — the stencil does nothing.
-fn copy_pass(flat: &[FlatStencil], lints: &mut Vec<Lint>) {
+fn copy_pass(flat: &[FlatStencil], lints: &mut Vec<Finding>) {
     for f in flat {
         let s = &f.rs.stencil;
         if let Expr::Read { grid, map } = s.expr().simplify() {
             if grid == s.output() && &map == s.out_map() {
-                let mut l = Lint::new(
-                    LintRule::RedundantCopy,
+                let mut l = Finding::new(
+                    Rule::RedundantCopy,
                     format!("stencil copies grid {grid:?} onto itself unchanged"),
                 )
                 .stencil(s.name())
@@ -617,7 +418,7 @@ fn copy_pass(flat: &[FlatStencil], lints: &mut Vec<Lint>) {
 /// the same grid in place over strided (colored) domains, their combined
 /// union should exactly tile its stride-1 bounding region — the GSRB
 /// red∪black = interior certificate, and the off-by-one catcher.
-fn coverage_pass(flat: &[FlatStencil], num_ops: usize, lints: &mut Vec<Lint>) {
+fn coverage_pass(flat: &[FlatStencil], num_ops: usize, lints: &mut Vec<Finding>) {
     for op in 0..num_ops {
         let mut by_grid: Vec<(String, Vec<&FlatStencil>)> = Vec::new();
         for f in flat.iter().filter(|f| f.op == op) {
@@ -659,8 +460,8 @@ fn coverage_pass(flat: &[FlatStencil], num_ops: usize, lints: &mut Vec<Lint>) {
             let cov = check_coverage(&declared, &owned);
             if let Some(cell) = cov.gap {
                 lints.push(
-                    Lint::new(
-                        LintRule::CoverageGap,
+                    Finding::new(
+                        Rule::CoverageGap,
                         format!(
                             "colored sweep {{{}}} leaves cells of its bounding region uncovered",
                             names.join(", ")
@@ -673,8 +474,8 @@ fn coverage_pass(flat: &[FlatStencil], num_ops: usize, lints: &mut Vec<Lint>) {
             }
             if let Some(cell) = cov.double {
                 lints.push(
-                    Lint::new(
-                        LintRule::DoubleCover,
+                    Finding::new(
+                        Rule::DoubleCover,
                         format!(
                             "colored sweep {{{}}} writes a cell from two member rectangles",
                             names.join(", ")
@@ -695,7 +496,7 @@ fn halo_pass(
     flat: &[FlatStencil],
     shapes_of: &[&ShapeMap],
     config: &LintConfig,
-    lints: &mut Vec<Lint>,
+    lints: &mut Vec<Finding>,
 ) {
     for (i, f) in flat.iter().enumerate() {
         let shapes = shapes_of[f.op];
@@ -740,8 +541,8 @@ fn halo_pass(
                             .collect();
                         if let Some(cell) = gap_witness(&slab, &usable) {
                             lints.push(
-                                Lint::new(
-                                    LintRule::HaloGap,
+                                Finding::new(
+                                    Rule::HaloGap,
                                     format!(
                                         "reads ghost cells of {g:?} on face dim {d} = {face} \
                                          that no earlier stencil writes"
@@ -832,7 +633,7 @@ const WEIGHT_EPS: f64 = 1e-9;
 
 /// Weight sanity: cancelling coefficients, partition of unity for
 /// grid-transfer stencils, and the smoother row-sum estimate.
-fn weight_pass(flat: &[FlatStencil], lints: &mut Vec<Lint>) {
+fn weight_pass(flat: &[FlatStencil], lints: &mut Vec<Finding>) {
     for f in flat {
         let s = &f.rs.stencil;
         let Some((c0, ws)) = linear_weights(s.expr()) else {
@@ -843,8 +644,8 @@ fn weight_pass(flat: &[FlatStencil], lints: &mut Vec<Lint>) {
         }
         for (g, m, w) in &ws {
             if *w == 0.0 {
-                let mut l = Lint::new(
-                    LintRule::ZeroWeight,
+                let mut l = Finding::new(
+                    Rule::ZeroWeight,
                     format!("the net coefficient on the read of {g:?} at {m:?} cancels to zero"),
                 )
                 .stencil(s.name())
@@ -868,8 +669,8 @@ fn weight_pass(flat: &[FlatStencil], lints: &mut Vec<Lint>) {
                 .sum();
             let has_src = ws.iter().any(|(g, _, _)| g != s.output());
             if has_src && (src_sum - 1.0).abs() > WEIGHT_EPS && (c0.abs() <= WEIGHT_EPS) {
-                let mut l = Lint::new(
-                    LintRule::PartitionOfUnity,
+                let mut l = Finding::new(
+                    Rule::PartitionOfUnity,
                     format!("grid-transfer source weights sum to {src_sum} (expected 1)"),
                 )
                 .stencil(s.name())
@@ -893,8 +694,8 @@ fn weight_pass(flat: &[FlatStencil], lints: &mut Vec<Lint>) {
                 .map(|(_, _, w)| w.abs())
                 .sum();
             if row_sum > 1.0 + WEIGHT_EPS {
-                let mut l = Lint::new(
-                    LintRule::SmootherDivergence,
+                let mut l = Finding::new(
+                    Rule::SmootherDivergence,
                     format!(
                         "in-place update weights on {:?} have absolute row sum {row_sum:.3} > 1 \
                          (estimated divergent smoother)",
@@ -944,7 +745,7 @@ pub fn lint_program(
         rules_run += 3; // dead-store, write-never-read, read-before-write
     }
     // A group reused across ops reports each finding once.
-    let mut seen: Vec<Lint> = Vec::new();
+    let mut seen: Vec<Finding> = Vec::new();
     for l in lints {
         if !seen.contains(&l) {
             seen.push(l);
@@ -954,16 +755,6 @@ pub fn lint_program(
         rules_run,
         lints: seen,
     })
-}
-
-/// Lint a single group against its shapes (order-independent rules plus,
-/// with [`LintConfig::ordered`], intra-group liveness).
-pub fn lint_group(
-    group: &StencilGroup,
-    shapes: &ShapeMap,
-    config: &LintConfig,
-) -> snowflake_core::Result<LintReport> {
-    lint_program(&[(group.clone(), shapes.clone())], config)
 }
 
 #[cfg(test)]
@@ -1029,10 +820,10 @@ mod tests {
         let ops = vec![(StencilGroup::from_stencils(vec![a, b]), shapes(8))];
         let report =
             lint_program(&ops, &LintConfig::default().ordered().with_outputs(["y"])).unwrap();
-        let dead: Vec<&Lint> = report
+        let dead: Vec<&Finding> = report
             .lints
             .iter()
-            .filter(|l| l.rule == LintRule::DeadStore)
+            .filter(|l| l.rule == Rule::DeadStore)
             .collect();
         assert_eq!(dead.len(), 1);
         assert_eq!(dead[0].stencil, "store");
@@ -1054,7 +845,7 @@ mod tests {
         )
         .unwrap();
         assert!(
-            report.lints.iter().all(|l| l.rule != LintRule::DeadStore),
+            report.lints.iter().all(|l| l.rule != Rule::DeadStore),
             "{:?}",
             report.lints
         );
@@ -1073,10 +864,10 @@ mod tests {
                 .with_outputs(["y"]),
         )
         .unwrap();
-        let rbw: Vec<&Lint> = report
+        let rbw: Vec<&Finding> = report
             .lints
             .iter()
-            .filter(|l| l.rule == LintRule::ReadBeforeWrite)
+            .filter(|l| l.rule == Rule::ReadBeforeWrite)
             .collect();
         assert_eq!(rbw.len(), 1);
         assert_eq!(rbw[0].grid, "tmp");
@@ -1087,16 +878,9 @@ mod tests {
     fn redundant_copy_detected() {
         let a =
             Stencil::new(Expr::read_at("x", &[0, 0]), "x", RectDomain::interior(2)).named("noop");
-        let report = lint_group(
-            &StencilGroup::from_stencils(vec![a]),
-            &shapes(8),
-            &LintConfig::default(),
-        )
-        .unwrap();
-        assert!(report
-            .lints
-            .iter()
-            .any(|l| l.rule == LintRule::RedundantCopy));
+        let ops = vec![(StencilGroup::from_stencils(vec![a]), shapes(8))];
+        let report = lint_program(&ops, &LintConfig::default()).unwrap();
+        assert!(report.lints.iter().any(|l| l.rule == Rule::RedundantCopy));
     }
 
     #[test]
@@ -1114,7 +898,7 @@ mod tests {
             Stencil::new(e, "x", u)
         };
         let group = StencilGroup::from_stencils(vec![lap(red), lap(black)]);
-        let report = lint_group(&group, &shapes(10), &LintConfig::default()).unwrap();
+        let report = lint_program(&[(group, shapes(10))], &LintConfig::default()).unwrap();
         assert!(report.lints.is_empty(), "{:?}", report.lints);
         assert_eq!(report.rules_run, 7);
     }
@@ -1122,20 +906,12 @@ mod tests {
     #[test]
     fn policy_escalates_and_suppresses() {
         let lints = vec![
-            Lint::new(LintRule::DeadStore, "a"),
-            Lint::new(LintRule::CoverageGap, "b"),
+            Finding::new(Rule::DeadStore, "a"),
+            Finding::new(Rule::CoverageGap, "b"),
         ];
-        let out = apply_policy(lints, &[LintRule::DeadStore], &[LintRule::CoverageGap]);
+        let out = apply_policy(lints, &[Rule::DeadStore], &[Rule::CoverageGap]);
         assert_eq!(out.suppressed, 1);
         assert_eq!(out.lints.len(), 1);
         assert_eq!(out.lints[0].severity, Severity::Deny);
-    }
-
-    #[test]
-    fn rule_names_round_trip() {
-        for r in LintRule::ALL {
-            assert_eq!(r.to_string().parse::<LintRule>().unwrap(), r);
-        }
-        assert!("no-such-rule".parse::<LintRule>().is_err());
     }
 }

@@ -127,25 +127,6 @@ pub fn reorder_minimize_barriers(stencils: &[ResolvedStencil]) -> Schedule {
     Schedule { phases }
 }
 
-/// Fusion candidates (§VII "mark stencils for fusion"): pairs of stencils
-/// in the same phase of `schedule` whose resolved regions are identical —
-/// a backend may merge their bodies into one loop nest, halving traversal
-/// overhead and improving locality. (Same-phase membership already implies
-/// independence.)
-pub fn fusible_pairs(stencils: &[ResolvedStencil], schedule: &Schedule) -> Vec<(usize, usize)> {
-    let mut out = Vec::new();
-    for phase in &schedule.phases {
-        for (a_pos, &i) in phase.iter().enumerate() {
-            for &j in phase.iter().skip(a_pos + 1) {
-                if stencils[i].regions == stencils[j].regions {
-                    out.push((i, j));
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Dead-stencil elimination: returns a keep-mask over the group.
 ///
 /// A stencil is *dead* when its output grid is not in `live_outputs` and no
@@ -320,24 +301,6 @@ mod tests {
         let reordered = reorder_minimize_barriers(&stencils);
         assert!(reordered.num_barriers() < greedy.num_barriers());
         assert_eq!(reordered.phases, vec![vec![0, 2], vec![1, 3]]);
-    }
-
-    #[test]
-    fn fusible_pairs_require_identical_regions() {
-        // Two independent stencils over the same interior: fusible.
-        // A third over a shifted domain: not fusible with them.
-        let a = Stencil::new(lap("x"), "y", RectDomain::interior(2));
-        let b = Stencil::new(lap("x"), "z", RectDomain::interior(2));
-        let c = Stencil::new(
-            lap("x"),
-            "rhs",
-            RectDomain::new(&[2, 2], &[-2, -2], &[1, 1]),
-        );
-        let stencils = vec![rs(a), rs(b), rs(c)];
-        let sched = greedy_phases(&stencils);
-        assert_eq!(sched.phases.len(), 1);
-        let pairs = fusible_pairs(&stencils, &sched);
-        assert_eq!(pairs, vec![(0, 1)]);
     }
 
     #[test]

@@ -1,12 +1,15 @@
-//! Plan-time static verification: typed diagnostics with witness points.
+//! Plan-time static verification, and the one finding vocabulary of the
+//! plan check.
 //!
-//! Every negative verdict carries a typed [`Diagnostic`] naming the
-//! stencil, grid, dimension and — whenever the finite-domain Diophantine
-//! machinery can produce one — a concrete **witness grid cell** where the
-//! violation happens. The verifier asks the same questions the scheduler
-//! does, through the same functions: [`access_conflict`] and [`depends`]
-//! return witness cells, and report rank mismatches as
-//! [`DiagnosticKind::RankMismatch`] errors in release builds too.
+//! Both analyses of the plan check (this verifier and the linter of
+//! [`crate::lint`]) report [`Finding`]s: a [`Rule`] from one taxonomy, a
+//! [`Severity`], the stencil, grid and dimension, and, whenever the
+//! finite-domain Diophantine machinery can produce one, a concrete
+//! **witness grid cell** where the violation happens. Every verifier rule
+//! denies. The verifier asks the same questions the scheduler does,
+//! through the same functions: [`access_conflict`] and [`depends`] return
+//! witness cells, and report rank mismatches as [`Rule::RankMismatch`]
+//! findings in release builds too.
 //!
 //! Two verifier entry points live here:
 //!
@@ -32,9 +35,10 @@ use crate::conflict::{access_conflict, self_conflict};
 use crate::deps::{depends, is_parallel_safe, ResolvedStencil};
 use crate::math::coord;
 
-/// The taxonomy of verifier findings.
+/// The one rule taxonomy of the plan check: the verifier's seven safety
+/// rules, then the linter's ten semantic rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DiagnosticKind {
+pub enum Rule {
     /// Two objects that must share a rank do not (the release-mode
     /// replacement for the `debug_assert_eq!` rank checks).
     RankMismatch,
@@ -54,48 +58,134 @@ pub enum DiagnosticKind {
     /// Generated code parallelizes (or would parallelize) a loop the
     /// certificate does not cover.
     CodegenAudit,
+    /// A write fully overwritten before any read can observe it.
+    DeadStore,
+    /// A grid written but never read afterwards (and not a declared
+    /// program output).
+    WriteNeverRead,
+    /// A grid read before any write (and not a declared program input).
+    ReadBeforeWrite,
+    /// A stencil that copies its output grid onto itself unchanged.
+    RedundantCopy,
+    /// A colored domain union leaves cells of its bounding region
+    /// uncovered.
+    CoverageGap,
+    /// Two member rectangles of a colored domain union write the same
+    /// cell.
+    DoubleCover,
+    /// An interior stencil reads a ghost cell no earlier stencil wrote.
+    HaloGap,
+    /// A read's net coefficient cancels to exactly zero.
+    ZeroWeight,
+    /// A restriction/interpolation stencil whose source weights do not
+    /// sum to one.
+    PartitionOfUnity,
+    /// An in-place smoother whose update weights suggest divergence
+    /// (absolute row sum of the iteration weights exceeds one).
+    SmootherDivergence,
 }
 
-impl fmt::Display for DiagnosticKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            DiagnosticKind::RankMismatch => "rank-mismatch",
-            DiagnosticKind::OutOfBounds => "out-of-bounds",
-            DiagnosticKind::UnknownGrid => "unknown-grid",
-            DiagnosticKind::PhaseHazard => "phase-hazard",
-            DiagnosticKind::WriteOverlap => "write-overlap",
-            DiagnosticKind::ParallelSafeMismatch => "parallel-safe-mismatch",
-            DiagnosticKind::CodegenAudit => "codegen-audit",
-        };
-        f.write_str(s)
+impl Rule {
+    /// The linter's rules, in reporting order.
+    pub const LINTS: [Rule; 10] = [
+        Rule::DeadStore,
+        Rule::WriteNeverRead,
+        Rule::ReadBeforeWrite,
+        Rule::RedundantCopy,
+        Rule::CoverageGap,
+        Rule::DoubleCover,
+        Rule::HaloGap,
+        Rule::ZeroWeight,
+        Rule::PartitionOfUnity,
+        Rule::SmootherDivergence,
+    ];
+
+    /// The severity a finding of this rule carries by default. Every
+    /// verifier rule denies.
+    pub fn default_severity(self) -> Severity {
+        match self {
+            Rule::DeadStore
+            | Rule::WriteNeverRead
+            | Rule::RedundantCopy
+            | Rule::ZeroWeight
+            | Rule::PartitionOfUnity
+            | Rule::SmootherDivergence => Severity::Warn,
+            _ => Severity::Deny,
+        }
     }
 }
 
-/// A single verifier finding: what went wrong, where, and (when the
-/// Diophantine solver can construct one) a concrete grid cell realizing
-/// the violation.
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Rule::RankMismatch => "rank-mismatch",
+            Rule::OutOfBounds => "out-of-bounds",
+            Rule::UnknownGrid => "unknown-grid",
+            Rule::PhaseHazard => "phase-hazard",
+            Rule::WriteOverlap => "write-overlap",
+            Rule::ParallelSafeMismatch => "parallel-safe-mismatch",
+            Rule::CodegenAudit => "codegen-audit",
+            Rule::DeadStore => "dead-store",
+            Rule::WriteNeverRead => "write-never-read",
+            Rule::ReadBeforeWrite => "read-before-write",
+            Rule::RedundantCopy => "redundant-copy",
+            Rule::CoverageGap => "coverage-gap",
+            Rule::DoubleCover => "double-cover",
+            Rule::HaloGap => "halo-gap",
+            Rule::ZeroWeight => "zero-weight",
+            Rule::PartitionOfUnity => "partition-of-unity",
+            Rule::SmootherDivergence => "smoother-divergence",
+        })
+    }
+}
+
+/// How severe a finding is: a `Deny` finding refuses a checked plan and
+/// fails a `snowlint` run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Severity {
+    /// Suspicious but plausibly intentional.
+    Warn,
+    /// Almost certainly a program bug.
+    Deny,
+}
+
+impl fmt::Display for Severity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Severity::Warn => "warn",
+            Severity::Deny => "deny",
+        })
+    }
+}
+
+/// A single finding of either analysis: the rule, its severity, where it
+/// points, and (when the Diophantine solver can construct one) a concrete
+/// grid cell realizing it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Diagnostic {
-    /// What class of violation this is.
-    pub kind: DiagnosticKind,
+pub struct Finding {
+    /// Which rule fired.
+    pub rule: Rule,
+    /// How severe the finding is (defaults to the rule's severity).
+    pub severity: Severity,
     /// The offending stencil (empty when not attributable to one).
     pub stencil: String,
-    /// The grid the violation touches (empty when not applicable).
+    /// The grid the finding touches (empty when not applicable).
     pub grid: String,
-    /// The dimension in which the violation was found, when localized.
+    /// The dimension in which the finding was localized, if any.
     pub dim: Option<usize>,
-    /// A concrete witness grid cell realizing the violation.
+    /// A concrete witness grid cell.
     pub witness: Option<Vec<i64>>,
     /// Human-readable description of the finding.
     pub detail: String,
 }
 
-impl Diagnostic {
-    /// Construct a diagnostic with just a kind and a description; attach
+impl Finding {
+    /// Construct a finding with the rule's default severity; attach
     /// location data with the builder methods.
-    pub fn new(kind: DiagnosticKind, detail: impl Into<String>) -> Self {
-        Diagnostic {
-            kind,
+    pub fn new(rule: Rule, detail: impl Into<String>) -> Self {
+        Finding {
+            rule,
+            severity: rule.default_severity(),
             stencil: String::new(),
             grid: String::new(),
             dim: None,
@@ -133,9 +223,9 @@ impl Diagnostic {
     }
 }
 
-impl fmt::Display for Diagnostic {
+impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}]", self.kind)?;
+        write!(f, "[{} {}]", self.severity, self.rule)?;
         if !self.stencil.is_empty() {
             write!(f, " stencil {:?}", self.stencil)?;
         }
@@ -153,11 +243,11 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-impl std::error::Error for Diagnostic {}
+impl std::error::Error for Finding {}
 
-pub(crate) fn rank_mismatch(context: &str, expected: usize, got: usize) -> Diagnostic {
-    Diagnostic::new(
-        DiagnosticKind::RankMismatch,
+pub(crate) fn rank_mismatch(context: &str, expected: usize, got: usize) -> Finding {
+    Finding::new(
+        Rule::RankMismatch,
         format!("{context}: expected rank {expected}, got {got}"),
     )
 }
@@ -171,7 +261,7 @@ pub(crate) fn rank_mismatch(context: &str, expected: usize, got: usize) -> Diagn
 /// Returns the number of `(access, rectangle)` pairs proved in-bounds, or
 /// the list of violations — each with the dimension and a concrete
 /// witness cell outside the grid.
-pub fn verify_bounds(rs: &ResolvedStencil, shapes: &ShapeMap) -> Result<u64, Vec<Diagnostic>> {
+pub fn verify_bounds(rs: &ResolvedStencil, shapes: &ShapeMap) -> Result<u64, Vec<Finding>> {
     let name = rs.stencil.name().to_string();
     let mut diags = Vec::new();
     let mut proved = 0u64;
@@ -181,8 +271,8 @@ pub fn verify_bounds(rs: &ResolvedStencil, shapes: &ShapeMap) -> Result<u64, Vec
     for (grid, map) in &accesses {
         let Some(shape) = shapes.get(grid) else {
             diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::UnknownGrid,
+                Finding::new(
+                    Rule::UnknownGrid,
                     format!("accessed grid {grid:?} has no allocated shape"),
                 )
                 .stencil(&name)
@@ -235,8 +325,8 @@ pub fn verify_bounds(rs: &ResolvedStencil, shapes: &ShapeMap) -> Result<u64, Vec
                     .collect();
                 let cell = map.apply(&point);
                 diags.push(
-                    Diagnostic::new(
-                        DiagnosticKind::OutOfBounds,
+                    Finding::new(
+                        Rule::OutOfBounds,
                         format!(
                             "access {a}*i{d}{b:+} over [{lo}..={last}] spans \
                              [{mn}, {mx}] but the grid extent is {extent}"
@@ -287,12 +377,12 @@ pub struct ScheduleCertificate {
 ///    iterations of one rectangle — surfaced separately as
 ///    [`WriteOverlap`].
 ///
-/// [`WriteOverlap`]: DiagnosticKind::WriteOverlap
+/// [`WriteOverlap`]: Rule::WriteOverlap
 pub fn certify_schedule(
     resolved: &[ResolvedStencil],
     phases: &[Vec<usize>],
     parallel_claims: &[bool],
-) -> Result<ScheduleCertificate, Vec<Diagnostic>> {
+) -> Result<ScheduleCertificate, Vec<Finding>> {
     let mut diags = Vec::new();
     let n = resolved.len();
 
@@ -301,8 +391,8 @@ pub fn certify_schedule(
     for phase in phases {
         for &k in phase {
             if k >= n {
-                diags.push(Diagnostic::new(
-                    DiagnosticKind::PhaseHazard,
+                diags.push(Finding::new(
+                    Rule::PhaseHazard,
                     format!("schedule references stencil index {k} but only {n} exist"),
                 ));
             } else {
@@ -313,8 +403,8 @@ pub fn certify_schedule(
     for (k, &count) in seen.iter().enumerate() {
         if count != 1 {
             diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::PhaseHazard,
+                Finding::new(
+                    Rule::PhaseHazard,
                     format!("stencil is scheduled {count} times (must be exactly once)"),
                 )
                 .stencil(resolved[k].stencil.name()),
@@ -343,8 +433,8 @@ pub fn certify_schedule(
                     match depends(&resolved[x], &resolved[y]) {
                         Err(e) => diags.push(e),
                         Ok(Some(h)) => {
-                            let d = Diagnostic::new(
-                                DiagnosticKind::PhaseHazard,
+                            let d = Finding::new(
+                                Rule::PhaseHazard,
                                 format!(
                                     "{:?} and {:?} share a barrier phase but have a {:?} hazard",
                                     resolved[x].stencil.name(),
@@ -374,8 +464,8 @@ pub fn certify_schedule(
             match depends(&resolved[i], &resolved[j]) {
                 Err(e) => diags.push(e),
                 Ok(Some(h)) if phase_of[i] > phase_of[j] => {
-                    let d = Diagnostic::new(
-                        DiagnosticKind::PhaseHazard,
+                    let d = Finding::new(
+                        Rule::PhaseHazard,
                         format!(
                             "{:?} (phase {}) must complete before {:?} (phase {}): {:?} hazard",
                             resolved[i].stencil.name(),
@@ -407,8 +497,8 @@ pub fn certify_schedule(
         let collapsed = rs.regions.iter().find(|r| self_conflict(r, &wmap, &wmap));
         if let Some(region) = collapsed {
             diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::WriteOverlap,
+                Finding::new(
+                    Rule::WriteOverlap,
                     "distinct iterations write the same cell but the stencil is \
                      flagged parallel-safe",
                 )
@@ -428,8 +518,8 @@ pub fn certify_schedule(
         match overlap {
             Some(Err(e)) => diags.push(e.stencil(rs.stencil.name())),
             Some(Ok(cell)) => diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::WriteOverlap,
+                Finding::new(
+                    Rule::WriteOverlap,
                     "domain-union rectangles write overlapping cells but the \
                      stencil is flagged parallel-safe",
                 )
@@ -438,8 +528,8 @@ pub fn certify_schedule(
                 .witness(cell),
             ),
             None if !is_parallel_safe(rs) => diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::ParallelSafeMismatch,
+                Finding::new(
+                    Rule::ParallelSafeMismatch,
                     "flagged parallel-safe but the analysis finds a \
                      loop-carried dependence over the domain union",
                 )
@@ -491,10 +581,10 @@ mod tests {
         let r2 = Region::new(vec![0], vec![4], vec![1]);
         let id2 = AffineMap::identity(2);
         let err = access_conflict(&r1, &id2, &r2, &id2).unwrap_err();
-        assert_eq!(err.kind, DiagnosticKind::RankMismatch);
+        assert_eq!(err.rule, Rule::RankMismatch);
         let id1 = AffineMap::identity(1);
         let err = access_conflict(&r1, &id1, &r1, &id2).unwrap_err();
-        assert_eq!(err.kind, DiagnosticKind::RankMismatch);
+        assert_eq!(err.rule, Rule::RankMismatch);
     }
 
     #[test]
@@ -546,7 +636,7 @@ mod tests {
         let diags = verify_bounds(&rs, &shapes(n)).unwrap_err();
         let oob: Vec<_> = diags
             .iter()
-            .filter(|d| d.kind == DiagnosticKind::OutOfBounds)
+            .filter(|d| d.rule == Rule::OutOfBounds)
             .collect();
         assert_eq!(oob.len(), 1, "{diags:?}");
         let d = oob[0];
@@ -579,7 +669,7 @@ mod tests {
         assert!(
             diags
                 .iter()
-                .any(|d| d.kind == DiagnosticKind::PhaseHazard && d.witness.is_some()),
+                .any(|d| d.rule == Rule::PhaseHazard && d.witness.is_some()),
             "{diags:?}"
         );
     }
@@ -592,7 +682,7 @@ mod tests {
         let phases = vec![vec![1], vec![0]];
         let diags = certify_schedule(&rs, &phases, &[true, true]).unwrap_err();
         assert!(
-            diags.iter().any(|d| d.kind == DiagnosticKind::PhaseHazard),
+            diags.iter().any(|d| d.rule == Rule::PhaseHazard),
             "{diags:?}"
         );
     }
@@ -605,8 +695,7 @@ mod tests {
         let phases = vec![vec![0]];
         let err = certify_schedule(&rs, &phases, &[true]).unwrap_err();
         assert!(
-            err.iter()
-                .any(|d| d.kind == DiagnosticKind::ParallelSafeMismatch),
+            err.iter().any(|d| d.rule == Rule::ParallelSafeMismatch),
             "{err:?}"
         );
         // The honest claim certifies.
@@ -622,7 +711,7 @@ mod tests {
         let err = certify_schedule(&rs, &[vec![0]], &[true]).unwrap_err();
         let wo: Vec<_> = err
             .iter()
-            .filter(|d| d.kind == DiagnosticKind::WriteOverlap)
+            .filter(|d| d.rule == Rule::WriteOverlap)
             .collect();
         assert_eq!(wo.len(), 1, "{err:?}");
         let w = wo[0].witness.as_ref().expect("witness cell");

@@ -20,7 +20,7 @@
 //! source-tree order of a tape, the per-element operation sequence every
 //! executor follows — so `checked` ≡ `seq` exactly on every grid, and on
 //! tape kernels `checked` ≡ `interp` too. The sanitizer only observes.
-//! Static and dynamic analyses must agree: any plan `verify_plan`
+//! Static and dynamic analyses must agree: any plan `verify_ops`
 //! certifies must run here with zero violations, and every seeded
 //! violation the verifier witnesses must also trip these checks.
 

@@ -28,8 +28,9 @@
 //! callables: a fixed operator list is compiled up front (structurally
 //! identical ops share one executable) into a flat table, dispatched by
 //! index with zero per-call hashing or locking, and timed per op into a
-//! [`RunReport`]. A gated build ([`plan::Gates`]) runs the static verifier
-//! and the linter once over the operator list before any compile.
+//! [`RunReport`]. A checked build ([`SolverPlan::build_checked`]) runs the
+//! plan check ([`verify::verify_ops`]: the static verifier and the linter
+//! as one analysis) once over the operator list before any compile.
 //! [`registry`] constructs any backend by name from one [`BackendOptions`]
 //! bag, so drivers select implementations with a string instead of
 //! duplicated match arms.
@@ -40,7 +41,6 @@ pub mod codegen_c;
 pub mod codegen_ocl;
 pub mod exec;
 pub mod interp;
-pub mod lint;
 pub mod metrics;
 pub mod oclsim;
 pub mod omp;
@@ -58,20 +58,16 @@ use snowflake_grid::GridSet;
 pub use checked::CheckedBackend;
 pub use cjit::CJitBackend;
 pub use interp::InterpreterBackend;
-pub use lint::{lint_plan, lint_stats};
 pub use metrics::{
-    BackendStats, CacheStats, KernelCounters, LintStats, OpSample, RunReport, TuneStats,
-    VerifyStats,
+    BackendStats, CacheStats, KernelCounters, OpSample, RunReport, TuneStats, VerifyStats,
 };
 pub use oclsim::OclSimBackend;
 pub use omp::OmpBackend;
-pub use plan::{Gates, PlanError, SolverPlan};
+pub use plan::{PlanError, SolverPlan};
 pub use registry::{available_backends, backend_from_name, BackendOptions};
 pub use seq::SequentialBackend;
 pub use tune::TileTuner;
-pub use verify::{
-    verify_op, verify_ops, verify_plan, witness_count, OpCertificate, PlanCertificate,
-};
+pub use verify::{verify_op, verify_ops, witness_count, OpCertificate, PlanCertificate};
 
 /// A compiled stencil group, ready to run against a [`GridSet`].
 pub trait Executable: Send + Sync {

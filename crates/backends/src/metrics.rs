@@ -11,8 +11,8 @@
 //!   executable's compile-time [`crate::Executable::work`];
 //! * the **compile-time vs run-time split** (`compile_seconds` vs
 //!   `run_seconds`);
-//! * the plan's build-time [`CacheStats`], the gates' [`VerifyStats`] and
-//!   [`LintStats`], and the tuner's [`TuneStats`], stamped by
+//! * the plan's build-time [`CacheStats`], the plan check's
+//!   [`VerifyStats`] and the tuner's [`TuneStats`], stamped by
 //!   [`crate::SolverPlan::stamp`].
 //!
 //! Reports serialize to JSON via [`RunReport::to_json`] (schema documented
@@ -104,8 +104,10 @@ impl std::ops::AddAssign for KernelCounters {
     }
 }
 
-/// Static-verifier counters: what the plan's verify gate proved (all zero
-/// when the plan was built without it).
+/// Plan-check counters: what a checked plan build proved and linted (all
+/// zero when the plan was built unchecked). A plan with a deny-level
+/// finding is refused before any report exists, so only warnings are
+/// counted.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct VerifyStats {
     /// Stencils resolved and re-analyzed by the verifier.
@@ -114,21 +116,10 @@ pub struct VerifyStats {
     pub accesses_proved: u64,
     /// Barrier phases proved pairwise hazard-free.
     pub phases_certified: u64,
-    /// Witness diagnostics found (always zero on a certified run — a
-    /// plan with witnesses is refused before execution).
-    pub witnesses: u64,
-}
-
-/// Lint-engine counters: what the plan's lint gate found (all zero when
-/// the plan was built without it).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LintStats {
-    /// Lint rules the configuration allowed to run.
+    /// Lint rules run over the operator list.
     pub rules_run: u64,
-    /// Findings reported (after policy filtering).
-    pub lints: u64,
-    /// Findings suppressed by `allow` rules.
-    pub suppressed: u64,
+    /// Warn-level lint findings.
+    pub warnings: u64,
 }
 
 /// A structured, accumulating profile of one executable (or one solver).
@@ -151,12 +142,10 @@ pub struct RunReport {
     pub kernels: KernelCounters,
     /// Plan-build reuse counters.
     pub cache: CacheStats,
-    /// Static-verification counters (zero unless the plan was verified).
+    /// Plan-check counters (zero unless the plan was built checked).
     pub verify: VerifyStats,
     /// Tile auto-tuner counters (zero unless tuning was requested).
     pub tune: TuneStats,
-    /// Semantic-lint counters (zero unless the plan was linted).
-    pub lint: LintStats,
 }
 
 impl RunReport {
@@ -211,21 +200,17 @@ impl RunReport {
         let _ = write!(
             s,
             ",\"verify\":{{\"stencils_checked\":{},\"accesses_proved\":{},\
-             \"phases_certified\":{},\"witnesses\":{}}}",
+             \"phases_certified\":{},\"rules_run\":{},\"warnings\":{}}}",
             self.verify.stencils_checked,
             self.verify.accesses_proved,
             self.verify.phases_certified,
-            self.verify.witnesses
+            self.verify.rules_run,
+            self.verify.warnings
         );
         let _ = write!(
             s,
             ",\"tune\":{{\"disk_hits\":{},\"disk_misses\":{},\"candidates_timed\":{}}}",
             self.tune.disk_hits, self.tune.disk_misses, self.tune.candidates_timed
-        );
-        let _ = write!(
-            s,
-            ",\"lint\":{{\"rules_run\":{},\"lints\":{},\"suppressed\":{}}}",
-            self.lint.rules_run, self.lint.lints, self.lint.suppressed
         );
         s.push_str(",\"ops\":[");
         for (i, (op, row)) in self.ops.iter().enumerate() {
@@ -310,17 +295,13 @@ mod tests {
             stencils_checked: 14,
             accesses_proved: 96,
             phases_certified: 9,
-            witnesses: 0,
+            rules_run: 7,
+            warnings: 2,
         };
         r.tune = TuneStats {
             disk_hits: 1,
             disk_misses: 1,
             candidates_timed: 5,
-        };
-        r.lint = LintStats {
-            rules_run: 10,
-            lints: 2,
-            suppressed: 1,
         };
         r.compile_seconds = 0.125;
         r
@@ -352,9 +333,8 @@ mod tests {
             r#""sequential_tasks":4},"#,
             r#""cache":{"hits":5,"misses":2,"disk_hits":1,"disk_misses":1},"#,
             r#""verify":{"stencils_checked":14,"accesses_proved":96,"#,
-            r#""phases_certified":9,"witnesses":0},"#,
+            r#""phases_certified":9,"rules_run":7,"warnings":2},"#,
             r#""tune":{"disk_hits":1,"disk_misses":1,"candidates_timed":5},"#,
-            r#""lint":{"rules_run":10,"lints":2,"suppressed":1},"#,
             r#""ops":[{"op":1,"calls":2,"seconds":0.5},{"op":4,"calls":2,"seconds":1}]}"#,
         );
         assert_eq!(sample_report().to_json(), golden);
@@ -368,9 +348,8 @@ mod tests {
             r#""sequential_tasks":0},"#,
             r#""cache":{"hits":0,"misses":0,"disk_hits":0,"disk_misses":0},"#,
             r#""verify":{"stencils_checked":0,"accesses_proved":0,"#,
-            r#""phases_certified":0,"witnesses":0},"#,
-            r#""tune":{"disk_hits":0,"disk_misses":0,"candidates_timed":0},"#,
-            r#""lint":{"rules_run":0,"lints":0,"suppressed":0},"ops":[]}"#,
+            r#""phases_certified":0,"rules_run":0,"warnings":0},"#,
+            r#""tune":{"disk_hits":0,"disk_misses":0,"candidates_timed":0},"ops":[]}"#,
         );
         assert_eq!(RunReport::new().to_json(), golden);
     }

@@ -18,45 +18,32 @@
 //!    [`SolverPlan::run_with_report`] adds one clock read around the call
 //!    and books it to the op's row of the [`RunReport`].
 //!
-//! A *gated* build ([`SolverPlan::build_gated`]) first runs the static
-//! verifier and the linter, each once, over the whole operator list. A
-//! finding refuses the plan with a typed [`PlanError`] before any compile;
-//! otherwise the gates' counters are stored and [`SolverPlan::stamp`]
-//! writes them into `RunReport.verify` / `RunReport.lint`.
+//! A *checked* build ([`SolverPlan::build_checked`]) first runs the plan
+//! check ([`verify_ops`]: the static verifier and the linter as one
+//! analysis) once over the whole operator list. A deny-level finding of
+//! either refuses the plan with [`PlanError::Refused`] before any compile;
+//! otherwise the certificate's counters are stored and
+//! [`SolverPlan::stamp`] writes them into `RunReport.verify`.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
-use snowflake_analysis::{lint_program, Diagnostic, Lint, LintConfig, Severity};
+use snowflake_analysis::Finding;
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
 
-use crate::lint::lint_stats;
-use crate::metrics::{CacheStats, KernelCounters, LintStats, RunReport, VerifyStats};
+use crate::metrics::{CacheStats, KernelCounters, RunReport, VerifyStats};
 use crate::verify::verify_ops;
 use crate::{Backend, Executable};
-
-/// The analyses a gated plan build runs over its operator list before
-/// compiling anything.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Gates {
-    /// Statically verify every operator (bounds, schedule, generated C);
-    /// any diagnostic refuses the plan.
-    pub verify: bool,
-    /// Semantically lint the operator list (inventory mode); deny-level
-    /// findings refuse the plan, the rest are counted.
-    pub lint: bool,
-}
 
 /// Why a plan build failed.
 #[derive(Clone, Debug)]
 pub enum PlanError {
-    /// The verify gate refused the plan.
-    Unverified(Vec<Diagnostic>),
-    /// The lint gate refused the plan (the deny-level findings).
-    Denied(Vec<Lint>),
+    /// The plan check refused the plan: every deny-level finding of the
+    /// verifier and the linter.
+    Refused(Vec<Finding>),
     /// Lowering, compilation or stencil resolution failed.
     Core(CoreError),
 }
@@ -64,17 +51,13 @@ pub enum PlanError {
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::Unverified(diags) => {
+            PlanError::Refused(findings) => {
                 write!(
                     f,
-                    "plan verification failed with {} diagnostic(s):",
-                    diags.len()
+                    "plan verification failed with {} finding(s):",
+                    findings.len()
                 )?;
-                diags.iter().try_for_each(|d| write!(f, "\n  {d}"))
-            }
-            PlanError::Denied(lints) => {
-                write!(f, "lint failed with {} finding(s):", lints.len())?;
-                lints.iter().try_for_each(|l| write!(f, "\n  {l}"))
+                findings.iter().try_for_each(|d| write!(f, "\n  {d}"))
             }
             PlanError::Core(e) => e.fmt(f),
         }
@@ -108,7 +91,6 @@ pub struct SolverPlan {
     build_seconds: f64,
     reuse: CacheStats,
     verify: VerifyStats,
-    lint: LintStats,
 }
 
 impl SolverPlan {
@@ -145,46 +127,24 @@ impl SolverPlan {
             build_seconds: t0.elapsed().as_secs_f64(),
             reuse,
             verify: VerifyStats::default(),
-            lint: LintStats::default(),
         })
     }
 
-    /// As [`SolverPlan::build`], behind `gates`: the verifier (with the
-    /// backend's lowering options) and the linter each run once over
-    /// `ops`, and refuse the plan before any compile.
-    pub fn build_gated(
+    /// As [`SolverPlan::build`], behind the plan check: [`verify_ops`]
+    /// (with the backend's lowering options) runs once over `ops` and
+    /// refuses the plan before any compile.
+    pub fn build_checked(
         backend: Box<dyn Backend>,
         ops: &[(StencilGroup, ShapeMap)],
-        gates: Gates,
     ) -> std::result::Result<Self, PlanError> {
-        let mut verify = VerifyStats::default();
-        if gates.verify {
-            let cert = verify_ops(ops, &backend.lower_options()).map_err(PlanError::Unverified)?;
-            verify = cert.stats();
-        }
-        let mut lint = LintStats::default();
-        if gates.lint {
-            let report = lint_program(ops, &LintConfig::default())?;
-            let denied: Vec<Lint> = report
-                .lints
-                .iter()
-                .filter(|l| l.severity == Severity::Deny)
-                .cloned()
-                .collect();
-            if !denied.is_empty() {
-                return Err(PlanError::Denied(denied));
-            }
-            lint = lint_stats(&report, 0);
-        }
+        let cert = verify_ops(ops, &backend.lower_options()).map_err(PlanError::Refused)?;
         let mut plan = Self::build(backend, ops)?;
-        plan.verify = verify;
-        plan.lint = lint;
+        plan.verify = cert.stats();
         Ok(plan)
     }
 
     /// The `(group, shapes)` descriptors the plan was built from, in op
-    /// order — the input the gates and `crate::verify::verify_plan`
-    /// analyze.
+    /// order: the input [`verify_ops`] analyzes.
     pub fn descriptors(&self) -> &[(StencilGroup, ShapeMap)] {
         &self.descs
     }
@@ -260,15 +220,14 @@ impl SolverPlan {
     }
 
     /// Stamp plan-level facts into a report: `plan_ops`, the build-time
-    /// cache snapshot (with disk counters), the tuner counters, the gate
-    /// counters and the backend name. Build time is *not* added here so
-    /// callers can report it exactly once.
+    /// cache snapshot (with disk counters), the tuner counters, the plan
+    /// check's counters and the backend name. Build time is *not* added
+    /// here so callers can report it exactly once.
     pub fn stamp(&self, report: &mut RunReport) {
         report.plan_ops = self.ops.len() as u64;
         report.cache = self.cache_stats();
         report.tune = self.backend.stats().tune;
         report.verify = self.verify;
-        report.lint = self.lint;
         report.set_backend(self.backend_name());
     }
 }
@@ -424,24 +383,16 @@ mod tests {
 
     #[test]
     fn refusals_render_every_finding_and_convert_to_core_errors() {
-        use snowflake_analysis::{DiagnosticKind, LintRule};
-        let unverified = PlanError::Unverified(vec![
-            Diagnostic::new(DiagnosticKind::OutOfBounds, "first").stencil("a"),
-            Diagnostic::new(DiagnosticKind::PhaseHazard, "second").stencil("b"),
+        use snowflake_analysis::Rule;
+        let refused = PlanError::Refused(vec![
+            Finding::new(Rule::OutOfBounds, "first").stencil("a"),
+            Finding::new(Rule::CoverageGap, "second").grid("g"),
         ]);
-        let msg = unverified.to_string();
-        assert!(msg.contains("2 diagnostic(s)"), "{msg}");
-        assert!(msg.contains("out-of-bounds"), "{msg}");
-        assert!(msg.contains("phase-hazard"), "{msg}");
-        let denied = PlanError::Denied(vec![
-            Lint::new(LintRule::DeadStore, "first").stencil("a"),
-            Lint::new(LintRule::CoverageGap, "second").grid("g"),
-        ]);
-        let msg = denied.to_string();
+        let msg = refused.to_string();
         assert!(msg.contains("2 finding(s)"), "{msg}");
-        assert!(msg.contains("dead-store"), "{msg}");
-        assert!(msg.contains("coverage-gap"), "{msg}");
-        assert_eq!(CoreError::from(denied), CoreError::Backend(msg));
+        assert!(msg.contains("[deny out-of-bounds] stencil \"a\""), "{msg}");
+        assert!(msg.contains("[deny coverage-gap] grid \"g\""), "{msg}");
+        assert_eq!(CoreError::from(refused), CoreError::Backend(msg));
         let core = CoreError::Backend("cc missing".into());
         assert_eq!(CoreError::from(PlanError::from(core.clone())), core);
     }

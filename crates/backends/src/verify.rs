@@ -1,11 +1,11 @@
-//! Plan-time certification of compiled plans (the backend half of the
-//! static verifier; the source-level proofs live in
-//! `snowflake-analysis::verify`, on the analysis crate's one conflict test
-//! and hazard search).
+//! The plan check: the static verifier and the linter run as one
+//! analysis over a plan's operator list (the source-level proofs and the
+//! lint passes live in `snowflake-analysis`, on the analysis crate's one
+//! conflict test and hazard search).
 //!
-//! [`verify_plan`] re-proves, from the original stencil descriptions and
-//! *independently* of the lowering pipeline, that every operator of a
-//! [`SolverPlan`] is in-bounds and race-free:
+//! [`verify_ops`] re-proves, from the original stencil descriptions and
+//! *independently* of the lowering pipeline, that every operator is
+//! in-bounds and race-free:
 //!
 //! 1. **Source bounds** — every read/write of every stencil stays inside
 //!    its grid's allocated extents (ghost zones included), via
@@ -27,24 +27,31 @@
 //!    purely on the `parallel_safe` flag, so step 2's flag re-derivation is
 //!    its audit.
 //!
-//! A successful run returns a [`PlanCertificate`]; any failure returns the
-//! full list of typed [`Diagnostic`]s, each carrying a witness cell when
-//! the finite-domain solver can construct one. A plan built with the
-//! verify gate ([`crate::plan::Gates`]) runs [`verify_ops`] over its
-//! operator list before compiling anything.
+//! It then lints the operator list once in inventory mode (the
+//! order-free lint rules; the solver dispatches its ops dynamically, so
+//! the order-sensitive liveness rules belong to `snowlint`'s ordered
+//! programs).
+//!
+//! A clean run returns a [`PlanCertificate`] that also counts the lint
+//! rules run and the warn-level findings; otherwise it returns every
+//! deny-level [`Finding`] of both analyses, each carrying a witness cell
+//! when the finite-domain solver can construct one. A checked plan build
+//! ([`SolverPlan::build_checked`]) runs [`verify_ops`] before compiling
+//! anything.
 //!
 //! [`AccessClass`]: snowflake_ir::AccessClass
 //! [`LoweredKernel`]: snowflake_ir::LoweredKernel
+//! [`SolverPlan::build_checked`]: crate::plan::SolverPlan::build_checked
 
 use snowflake_analysis::{
-    certify_schedule, dead_stencils, verify_bounds, Diagnostic, DiagnosticKind, ResolvedStencil,
+    certify_schedule, dead_stencils, lint_program, verify_bounds, Finding, LintConfig,
+    ResolvedStencil, Rule, Severity,
 };
 use snowflake_core::{CoreError, ShapeMap, StencilGroup};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, SpecForm};
 
 use crate::codegen_c::emit_c;
 use crate::metrics::VerifyStats;
-use crate::plan::SolverPlan;
 use crate::specialize::specialize_lowered;
 
 /// What was proved about one compiled operator (one `(group, shapes)`
@@ -64,58 +71,51 @@ pub struct OpCertificate {
     pub pragmas_audited: u64,
 }
 
-impl OpCertificate {
-    /// This certificate as metrics-schema counters (`witnesses` is zero
-    /// by construction — a certificate only exists when no diagnostic was
-    /// found).
-    pub fn stats(&self) -> VerifyStats {
-        VerifyStats {
-            stencils_checked: self.stencils_checked,
-            accesses_proved: self.accesses_proved,
-            phases_certified: self.phases_certified,
-            witnesses: 0,
-        }
-    }
-}
-
-/// A certificate for a whole plan: one [`OpCertificate`] per operator, in
-/// plan order.
+/// A certificate for a whole operator list: one [`OpCertificate`] per
+/// operator, in plan order, plus the lint pass's counters.
 #[derive(Clone, Debug, Default)]
 pub struct PlanCertificate {
     /// Per-operator certificates.
     pub ops: Vec<OpCertificate>,
+    /// Lint rules run over the operator list.
+    pub rules_run: u64,
+    /// Warn-level lint findings (a deny-level one refuses the plan).
+    pub warnings: u64,
 }
 
 impl PlanCertificate {
-    /// Aggregate the per-op certificates into the metrics-schema counters.
+    /// Aggregate the certificate into the metrics-schema counters.
     pub fn stats(&self) -> VerifyStats {
-        let mut v = VerifyStats::default();
+        let mut v = VerifyStats {
+            rules_run: self.rules_run,
+            warnings: self.warnings,
+            ..VerifyStats::default()
+        };
         for c in &self.ops {
-            let s = c.stats();
-            v.stencils_checked += s.stencils_checked;
-            v.accesses_proved += s.accesses_proved;
-            v.phases_certified += s.phases_certified;
+            v.stencils_checked += c.stencils_checked;
+            v.accesses_proved += c.accesses_proved;
+            v.phases_certified += c.phases_certified;
         }
         v
     }
 }
 
-/// Number of diagnostics carrying a concrete witness cell.
-pub fn witness_count(diags: &[Diagnostic]) -> u64 {
-    diags.iter().filter(|d| d.witness.is_some()).count() as u64
+/// Number of findings carrying a concrete witness cell.
+pub fn witness_count(findings: &[Finding]) -> u64 {
+    findings.iter().filter(|d| d.witness.is_some()).count() as u64
 }
 
-/// Map a resolution/lowering error into the diagnostic taxonomy.
-fn resolve_diagnostic(stencil: &str, e: &CoreError) -> Diagnostic {
-    let kind = match e {
-        CoreError::UnknownGrid { .. } => DiagnosticKind::UnknownGrid,
+/// Map a resolution/lowering error into the rule taxonomy.
+fn resolve_finding(stencil: &str, e: &CoreError) -> Finding {
+    let rule = match e {
+        CoreError::UnknownGrid { .. } => Rule::UnknownGrid,
         CoreError::AccessOutOfBounds { .. } | CoreError::DomainOutOfBounds { .. } => {
-            DiagnosticKind::OutOfBounds
+            Rule::OutOfBounds
         }
-        CoreError::DimMismatch { .. } => DiagnosticKind::RankMismatch,
-        _ => DiagnosticKind::CodegenAudit,
+        CoreError::DimMismatch { .. } => Rule::RankMismatch,
+        _ => Rule::CodegenAudit,
     };
-    Diagnostic::new(kind, e.to_string()).stencil(stencil)
+    Finding::new(rule, e.to_string()).stencil(stencil)
 }
 
 /// Verify one operator: certify the group against the shapes it will run
@@ -124,7 +124,7 @@ pub fn verify_op(
     group: &StencilGroup,
     shapes: &ShapeMap,
     opts: &LowerOptions,
-) -> std::result::Result<OpCertificate, Vec<Diagnostic>> {
+) -> std::result::Result<OpCertificate, Vec<Finding>> {
     let mut diags = Vec::new();
     let mut cert = OpCertificate::default();
 
@@ -133,7 +133,7 @@ pub fn verify_op(
     for s in group.stencils() {
         match ResolvedStencil::resolve(s, shapes) {
             Ok(rs) => resolved.push(rs),
-            Err(e) => diags.push(resolve_diagnostic(s.name(), &e)),
+            Err(e) => diags.push(resolve_finding(s.name(), &e)),
         }
     }
     if !diags.is_empty() {
@@ -155,7 +155,7 @@ pub fn verify_op(
     let mut lowered = match lower_group(group, shapes, opts) {
         Ok(l) => l,
         Err(e) => {
-            diags.push(resolve_diagnostic("<lowering>", &e));
+            diags.push(resolve_finding("<lowering>", &e));
             return Err(diags);
         }
     };
@@ -173,8 +173,8 @@ pub fn verify_op(
         None => resolved.clone(),
     };
     if kept.len() != lowered.kernels.len() {
-        diags.push(Diagnostic::new(
-            DiagnosticKind::CodegenAudit,
+        diags.push(Finding::new(
+            Rule::CodegenAudit,
             format!(
                 "lowering produced {} kernels but {} stencils survive elimination",
                 lowered.kernels.len(),
@@ -186,8 +186,8 @@ pub fn verify_op(
     for (k, rs) in lowered.kernels.iter().zip(&kept) {
         if k.name != rs.stencil.name() {
             diags.push(
-                Diagnostic::new(
-                    DiagnosticKind::CodegenAudit,
+                Finding::new(
+                    Rule::CodegenAudit,
                     format!(
                         "kernel {:?} does not match stencil {:?} at the same table position",
                         k.name,
@@ -239,7 +239,7 @@ pub fn verify_op(
 fn verify_kernel_cursors(
     kernel: &LoweredKernel,
     lowered: &Lowered,
-) -> std::result::Result<u64, Vec<Diagnostic>> {
+) -> std::result::Result<u64, Vec<Finding>> {
     let mut diags = Vec::new();
     let mut proved = 0u64;
     // Distinct accesses: the output cursor plus every distinct read of the
@@ -270,8 +270,8 @@ fn verify_kernel_cursors(
             }
             if class.scale.len() != region.ndim() || class.strides.len() != region.ndim() {
                 diags.push(
-                    Diagnostic::new(
-                        DiagnosticKind::RankMismatch,
+                    Finding::new(
+                        Rule::RankMismatch,
                         format!(
                             "cursor class of rank {} addressed by a region of rank {}",
                             class.scale.len(),
@@ -310,8 +310,8 @@ fn verify_kernel_cursors(
             }
             if mn < 0 {
                 diags.push(
-                    Diagnostic::new(
-                        DiagnosticKind::OutOfBounds,
+                    Finding::new(
+                        Rule::OutOfBounds,
                         format!(
                             "lowered {what} cursor reaches flat index {mn} (< 0) on grid \
                              {grid_name:?}"
@@ -323,8 +323,8 @@ fn verify_kernel_cursors(
                 );
             } else if mx >= grid_len {
                 diags.push(
-                    Diagnostic::new(
-                        DiagnosticKind::OutOfBounds,
+                    Finding::new(
+                        Rule::OutOfBounds,
                         format!(
                             "lowered {what} cursor reaches flat index {mx} but grid \
                              {grid_name:?} has {grid_len} cells"
@@ -354,14 +354,13 @@ fn verify_kernel_cursors(
 /// `#pragma omp single`, and a sequential kernel has exactly one
 /// `#pragma omp single` and no worksharing loop. Returns the number of
 /// pragmas matched.
-fn audit_c_pragmas(lowered: &Lowered) -> std::result::Result<u64, Vec<Diagnostic>> {
+fn audit_c_pragmas(lowered: &Lowered) -> std::result::Result<u64, Vec<Finding>> {
     audit_c_source(lowered, &emit_c(lowered, "snowflake_verify_audit"))
 }
 
-fn audit_c_source(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Diagnostic>> {
+fn audit_c_source(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Finding>> {
     let mut diags = Vec::new();
-    let audit =
-        |what: &str| Diagnostic::new(DiagnosticKind::CodegenAudit, format!("generated C {what}"));
+    let audit = |what: &str| Finding::new(Rule::CodegenAudit, format!("generated C {what}"));
     // Count directives only where they start a line: names, which may
     // contain anything, are rendered inside one-line comments.
     let count = |text: &str, directive: &str| {
@@ -442,31 +441,51 @@ fn audit_c_source(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<
     }
 }
 
-/// Certify every operator of an operator list lowered with `opts`. Zero
-/// diagnostics ⇒ certificate.
+/// The plan check: certify every operator of an operator list lowered
+/// with `opts`, then lint the list once in inventory mode. Returns the
+/// certificate, or every deny-level finding of both analyses.
 pub fn verify_ops(
     ops: &[(StencilGroup, ShapeMap)],
     opts: &LowerOptions,
-) -> std::result::Result<PlanCertificate, Vec<Diagnostic>> {
+) -> std::result::Result<PlanCertificate, Vec<Finding>> {
     let mut certs = Vec::new();
-    let mut diags = Vec::new();
+    let mut denied = Vec::new();
     for (group, shapes) in ops {
         match verify_op(group, shapes, opts) {
             Ok(c) => certs.push(c),
-            Err(ds) => diags.extend(ds),
+            Err(ds) => denied.extend(ds),
         }
     }
-    if diags.is_empty() {
-        Ok(PlanCertificate { ops: certs })
-    } else {
-        Err(diags)
+    // The linter resolves every stencil it reads; an op that does not
+    // resolve is already among the verifier's findings, so the lint runs
+    // over the rest.
+    let resolvable: Vec<(StencilGroup, ShapeMap)> = ops
+        .iter()
+        .filter(|(group, shapes)| group.validate(shapes).is_ok())
+        .cloned()
+        .collect();
+    let (mut rules_run, mut warnings) = (0, 0);
+    match lint_program(&resolvable, &LintConfig::default()) {
+        Ok(report) => {
+            rules_run = report.rules_run;
+            for l in report.lints {
+                match l.severity {
+                    Severity::Deny => denied.push(l),
+                    Severity::Warn => warnings += 1,
+                }
+            }
+        }
+        Err(e) => denied.push(resolve_finding("", &e)),
     }
-}
-
-/// Certify every operator of a compiled plan, using the lowering options
-/// of the plan's own backend.
-pub fn verify_plan(plan: &SolverPlan) -> std::result::Result<PlanCertificate, Vec<Diagnostic>> {
-    verify_ops(plan.descriptors(), &plan.lower_options())
+    if denied.is_empty() {
+        Ok(PlanCertificate {
+            ops: certs,
+            rules_run,
+            warnings,
+        })
+    } else {
+        Err(denied)
+    }
 }
 
 #[cfg(test)]
@@ -557,7 +576,7 @@ mod tests {
         assert_eq!(audit_c_source(&lowered, &src), Ok(4));
         let rejected = |bad: &str| {
             let diags = audit_c_source(&lowered, bad).expect_err(bad);
-            assert!(diags.iter().all(|d| d.kind == DiagnosticKind::CodegenAudit));
+            assert!(diags.iter().all(|d| d.rule == Rule::CodegenAudit));
             diags
         };
         let single = "#pragma omp single nowait";
@@ -580,10 +599,10 @@ mod tests {
     #[test]
     fn witnesses_are_counted_per_diagnostic() {
         let diags = vec![
-            Diagnostic::new(DiagnosticKind::OutOfBounds, "first")
+            Finding::new(Rule::OutOfBounds, "first")
                 .stencil("a")
                 .witness(vec![-1]),
-            Diagnostic::new(DiagnosticKind::PhaseHazard, "second").stencil("b"),
+            Finding::new(Rule::PhaseHazard, "second").stencil("b"),
         ];
         assert_eq!(witness_count(&diags), 1);
     }

@@ -14,7 +14,7 @@
 use roofline::{measure_dot_bandwidth, Roofline, StencilKind};
 use snowflake_backends::{BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_usize, arg_value, check_args, figure_impls_or_exit, gates_from_args, or_exit, print_table,
+    arg_flag, arg_usize, arg_value, check_args, figure_impls_or_exit, or_exit, print_table,
     write_metrics_json, KernelBench, MetricsRow,
 };
 
@@ -29,13 +29,13 @@ fn main() {
             "--metrics-json",
             "--backend",
         ],
-        &["--verify", "--lint"],
+        &["--verify"],
     ));
     let n = or_exit(arg_usize(&args, "--size", 64));
     let reps = or_exit(arg_usize(&args, "--reps", 5));
     let stream_elems = or_exit(arg_usize(&args, "--stream-elems", 1 << 22));
     let metrics_path = arg_value(&args, "--metrics-json");
-    let gates = gates_from_args(&args);
+    let verify = arg_flag(&args, "--verify");
     let opts = BackendOptions::default();
 
     println!("Figure 7 — performance for {n}^3 (10^9 stencils/s)");
@@ -53,7 +53,7 @@ fn main() {
     for kind in StencilKind::all() {
         let mut row = vec![kind.label().to_string()];
         for (label, backend) in &impls {
-            match KernelBench::build_named_opts(kind, backend.as_deref(), n, &opts, gates) {
+            match KernelBench::build_named_opts(kind, backend.as_deref(), n, &opts, verify) {
                 Ok(mut kb) => {
                     let rate = kb.stencils_per_sec(reps);
                     row.push(format!("{:.3}", rate / 1e9));
@@ -75,7 +75,7 @@ fn main() {
                     row.push("skipped".to_string());
                 }
                 Err(refused) => {
-                    // A plan refused by --verify or --lint is not a skip.
+                    // A plan refused by --verify is not a skip.
                     eprintln!("error: {label} on {kind:?}: {refused}");
                     std::process::exit(1);
                 }

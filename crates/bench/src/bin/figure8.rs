@@ -15,7 +15,7 @@
 use roofline::{measure_dot_bandwidth, Roofline, StencilKind};
 use snowflake_backends::{BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_usize, arg_value, check_args, figure_impls_or_exit, gates_from_args, or_exit, print_table,
+    arg_flag, arg_usize, arg_value, check_args, figure_impls_or_exit, or_exit, print_table,
     write_metrics_json, KernelBench, MetricsRow,
 };
 
@@ -24,12 +24,12 @@ fn main() {
     or_exit(check_args(
         &args,
         &["--max-size", "--reps", "--metrics-json", "--backend"],
-        &["--verify", "--lint"],
+        &["--verify"],
     ));
     let max = or_exit(arg_usize(&args, "--max-size", 128));
     let reps = or_exit(arg_usize(&args, "--reps", 5));
     let metrics_path = arg_value(&args, "--metrics-json");
-    let gates = gates_from_args(&args);
+    let verify = arg_flag(&args, "--verify");
     let opts = BackendOptions::default();
 
     let mut sizes = vec![32usize, 64, 128, 256];
@@ -51,7 +51,7 @@ fn main() {
         let mut row = vec![format!("{n}^3")];
         for (label, backend) in &impls {
             let kind = StencilKind::VcGsrb;
-            match KernelBench::build_named_opts(kind, backend.as_deref(), n, &opts, gates) {
+            match KernelBench::build_named_opts(kind, backend.as_deref(), n, &opts, verify) {
                 Ok(mut kb) => {
                     let secs = kb.seconds_per_sweep(reps);
                     row.push(format!("{secs:.3e}"));
@@ -71,7 +71,7 @@ fn main() {
                     row.push("skipped".to_string());
                 }
                 Err(refused) => {
-                    // A plan refused by --verify or --lint is not a skip.
+                    // A plan refused by --verify is not a skip.
                     eprintln!("error: {label} at {n}^3: {refused}");
                     std::process::exit(1);
                 }

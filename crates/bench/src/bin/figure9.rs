@@ -19,11 +19,11 @@
 //! [`RunReport`] profiles (schema in README.md), including `plan_ops` and
 //! the disk-cache hit/miss counters.
 //!
-//! `--verify` statically certifies the plan and `--lint` semantically
-//! lints it, each once over the operator list before anything compiles
-//! (a finding refuses the run with exit 1); the counters surface in each
-//! report's `verify` and `lint` objects — see `snowlint` for the
-//! standalone lint driver.
+//! `--verify` runs the plan check once over the operator list before
+//! anything compiles: the static verifier certifies the plan and the
+//! linter lints it, and a deny-level finding of either refuses the run
+//! with exit 1. The counters surface in each report's `verify` object;
+//! see `snowlint` for the standalone lint driver over ordered programs.
 //!
 //! `--tune` enables the persisted tile auto-tuner on backends that support
 //! it (`omp`), whose cache directory is the `SNOWFLAKE_TUNE_DIR` chain; it
@@ -36,8 +36,8 @@ use std::time::Instant;
 use hpgmg::{HandSolver, Problem, Smoother, SnowSolver, SolveOptions};
 use snowflake_backends::{backend_from_name, BackendOptions, PlanError, RunReport};
 use snowflake_bench::{
-    arg_flag, arg_size, arg_usize, arg_value, check_args, gates_from_args, or_exit, print_table,
-    write_metrics_json, MetricsRow, UsageError, Who,
+    arg_flag, arg_size, arg_usize, arg_value, check_args, or_exit, print_table, write_metrics_json,
+    MetricsRow, UsageError, Who,
 };
 
 fn main() {
@@ -51,7 +51,7 @@ fn main() {
             "--metrics-json",
             "--backend",
         ],
-        &["--smoke", "--fcycle", "--verify", "--lint", "--tune"],
+        &["--smoke", "--fcycle", "--verify", "--tune"],
     ));
     let smoke = arg_flag(&args, "--smoke");
     let n = or_exit(arg_size(&args, "--size", if smoke { 8 } else { 64 }));
@@ -66,7 +66,7 @@ fn main() {
         })),
     };
     let fmg = arg_flag(&args, "--fcycle");
-    let gates = gates_from_args(&args);
+    let verify = arg_flag(&args, "--verify");
     let metrics_path = arg_value(&args, "--metrics-json");
     let backend_opts = BackendOptions::default().with_tune(arg_flag(&args, "--tune"));
     let problem = Problem::poisson_vc(n);
@@ -128,22 +128,21 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        match SnowSolver::with_gates(problem, backend, smoother, gates) {
+        match SnowSolver::build(problem, backend, smoother, verify) {
             Ok(mut solver) => {
-                // The gates ran once, at plan build; print their counters.
-                let mut gated = RunReport::new();
-                solver.plan().stamp(&mut gated);
-                if gates.verify {
-                    let v = gated.verify;
+                // The plan check ran once, at plan build; print its counters.
+                if verify {
+                    let mut checked = RunReport::new();
+                    solver.plan().stamp(&mut checked);
+                    let v = checked.verify;
                     println!(
-                        "({label} certified: {} stencils, {} accesses proved, {} phases)",
-                        v.stencils_checked, v.accesses_proved, v.phases_certified
-                    );
-                }
-                if gates.lint {
-                    println!(
-                        "({label} linted: {} rules run, {} finding(s))",
-                        gated.lint.rules_run, gated.lint.lints
+                        "({label} certified: {} stencils, {} accesses proved, {} phases; \
+                         linted: {} rules run, {} warning(s))",
+                        v.stencils_checked,
+                        v.accesses_proved,
+                        v.phases_certified,
+                        v.rules_run,
+                        v.warnings
                     );
                 }
                 solver.solve(1).expect("warm-up");
@@ -185,7 +184,7 @@ fn main() {
                 ]);
             }
             Err(refused) => {
-                // A plan refused by --verify or --lint is not a skip.
+                // A plan refused by --verify is not a skip.
                 eprintln!("error: {label}: {refused}");
                 std::process::exit(1);
             }

@@ -27,9 +27,9 @@ use hpgmg::cycle::{self, Step};
 use hpgmg::snow::operator_list;
 use hpgmg::stencils::Names;
 use hpgmg::{BottomSolve, InterpKind, Problem, Smoother};
-use snowflake_analysis::{apply_policy, lint_program, Lint, LintConfig, LintRule, Severity};
+use snowflake_analysis::{apply_policy, lint_program, Finding, LintConfig, Rule, Severity};
 use snowflake_backends::metrics::json;
-use snowflake_bench::{arg_flag, arg_size, arg_usize, arg_value, check_args, or_exit};
+use snowflake_bench::{arg_flag, arg_size, arg_usize, arg_value, check_args, or_exit, UsageError};
 use snowflake_core::{bc, Expr, ShapeMap, Stencil, StencilGroup};
 
 /// One named program: ops in execution order plus its lint environment.
@@ -172,32 +172,55 @@ fn arg_values(args: &[String], flag: &str) -> Vec<String> {
     out
 }
 
-/// Parse `--deny`/`--allow` rule lists; `all` expands to every rule.
-fn parse_rules(values: &[String], flag: &str) -> Result<Vec<LintRule>, String> {
+/// Parse `--deny`/`--allow` rule lists; `all` expands to every lint rule.
+fn parse_rules(values: &[String], flag: &str) -> Result<Vec<Rule>, String> {
     let mut rules = Vec::new();
     for v in values {
         if v == "all" {
-            rules.extend(LintRule::ALL);
-        } else {
-            rules.push(
-                v.parse::<LintRule>()
-                    .map_err(|e| format!("{flag} {v}: {e}"))?,
-            );
+            rules.extend(Rule::LINTS);
+            continue;
         }
+        let rule = Rule::LINTS
+            .into_iter()
+            .find(|r| r.to_string() == *v)
+            .ok_or_else(|| {
+                let names: Vec<String> = Rule::LINTS.iter().map(ToString::to_string).collect();
+                format!(
+                    "{flag} {v}: unknown lint rule {v:?} (expected one of: {})",
+                    names.join(", ")
+                )
+            })?;
+        rules.push(rule);
     }
     Ok(rules)
+}
+
+/// The example programs' grid size, `--size` (default 8). They are
+/// written for at least 6 points per side (a 4×4 interior); a smaller
+/// size is a usage error, not a silent resize.
+fn example_size(args: &[String]) -> Result<usize, UsageError> {
+    let n = arg_usize(args, "--size", 8)?;
+    if n >= 6 {
+        Ok(n)
+    } else {
+        Err(UsageError::BadValue {
+            flag: "--size".to_string(),
+            value: n.to_string(),
+            expected: "at least 6 for --program examples",
+        })
+    }
 }
 
 /// One linted program's outcome.
 struct Outcome {
     name: String,
     rules_run: u64,
-    lints: Vec<Lint>,
+    lints: Vec<Finding>,
     suppressed: u64,
 }
 
 /// Render the outcomes as the `snowlint --json` document.
-fn render_json(outcomes: &[Outcome], deny: &[LintRule], allow: &[LintRule]) -> String {
+fn render_json(outcomes: &[Outcome], deny: &[Rule], allow: &[Rule]) -> String {
     use std::fmt::Write as _;
     let mut s = String::from("{\"tool\":\"snowlint\",\"schema\":1,\"deny\":[");
     for (i, r) in deny.iter().enumerate() {
@@ -276,7 +299,7 @@ fn main() {
             "usage: snowlint [--program hpgmg|examples] [--size N] [--json] [--out PATH]\n\
              \x20      [--deny <rule|all>]... [--allow <rule>]...\n\
              rules: {}",
-            LintRule::ALL
+            Rule::LINTS
                 .iter()
                 .map(ToString::to_string)
                 .collect::<Vec<_>>()
@@ -303,7 +326,7 @@ fn main() {
 
     let targets = match arg_value(&args, "--program").as_deref() {
         None | Some("hpgmg") => vec![hpgmg_target(or_exit(arg_size(&args, "--size", 8)))],
-        Some("examples") => example_targets(or_exit(arg_usize(&args, "--size", 8)).max(6)),
+        Some("examples") => example_targets(or_exit(example_size(&args))),
         Some(other) => {
             eprintln!("error: unknown --program {other:?} (hpgmg, examples)");
             std::process::exit(2);
@@ -382,7 +405,7 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn lint_target(t: &LintTarget) -> (u64, Vec<Lint>) {
+    fn lint_target(t: &LintTarget) -> (u64, Vec<Finding>) {
         let report = lint_program(&t.ops, &t.config).expect("lintable");
         (report.rules_run, report.lints)
     }
@@ -436,16 +459,16 @@ mod tests {
                 name: "with \"quotes\"".to_string(),
                 rules_run: 7,
                 lints: vec![
-                    Lint::new(LintRule::DeadStore, "a \"quoted\" detail")
+                    Finding::new(Rule::DeadStore, "a \"quoted\" detail")
                         .stencil("s")
                         .grid("g")
                         .witness(vec![1, -2, 3]),
-                    Lint::new(LintRule::CoverageGap, "no cell"),
+                    Finding::new(Rule::CoverageGap, "no cell"),
                 ],
                 suppressed: 2,
             },
         ];
-        let doc = render_json(&outcomes, &[LintRule::DeadStore], &[LintRule::ZeroWeight]);
+        let doc = render_json(&outcomes, &[Rule::DeadStore], &[Rule::ZeroWeight]);
         let golden = concat!(
             r#"{"tool":"snowlint","schema":1,"deny":["dead-store"],"allow":["zero-weight"],"#,
             r#""programs":[{"name":"hpgmg","rules_run":10,"suppressed":0,"lints":[]},"#,
@@ -461,9 +484,37 @@ mod tests {
     #[test]
     fn policy_flags_parse_and_expand() {
         let all = parse_rules(&["all".to_string()], "--deny").unwrap();
-        assert_eq!(all.len(), LintRule::ALL.len());
+        assert_eq!(all, Rule::LINTS);
         let one = parse_rules(&["halo-gap".to_string()], "--deny").unwrap();
-        assert_eq!(one, vec![LintRule::HaloGap]);
-        assert!(parse_rules(&["bogus".to_string()], "--deny").is_err());
+        assert_eq!(one, vec![Rule::HaloGap]);
+        // Every lint rule's name round-trips; verifier rules are not lint
+        // policy.
+        for r in Rule::LINTS {
+            assert_eq!(parse_rules(&[r.to_string()], "--allow").unwrap(), vec![r]);
+        }
+        for bad in ["bogus", "out-of-bounds"] {
+            let err = parse_rules(&[bad.to_string()], "--deny").unwrap_err();
+            assert!(err.contains("unknown lint rule"), "{err}");
+        }
+    }
+
+    #[test]
+    fn example_size_below_six_is_a_usage_error() {
+        let args = |v: &str| vec!["--size".to_string(), v.to_string()];
+        assert_eq!(example_size(&[]), Ok(8));
+        assert_eq!(example_size(&args("6")), Ok(6));
+        assert_eq!(example_size(&args("7")), Ok(7));
+        for small in ["5", "0"] {
+            let err = example_size(&args(small)).unwrap_err();
+            assert_eq!(
+                err,
+                UsageError::BadValue {
+                    flag: "--size".into(),
+                    value: small.into(),
+                    expected: "at least 6 for --program examples",
+                }
+            );
+        }
+        assert!(example_size(&args("banana")).is_err());
     }
 }

@@ -27,8 +27,8 @@ use hpgmg::stencils::{apply_op_group, gsrb_smooth_group, jacobi_group, Coeff, Na
 use roofline::StencilKind;
 use snowflake_backends::metrics::json;
 use snowflake_backends::{
-    backend_from_name, Backend, BackendOptions, CJitBackend, Gates, KernelCounters, PlanError,
-    RunReport, SolverPlan,
+    backend_from_name, Backend, BackendOptions, CJitBackend, KernelCounters, PlanError, RunReport,
+    SolverPlan,
 };
 use snowflake_core::Result;
 use snowflake_grid::GridSet;
@@ -143,7 +143,8 @@ enum KernelRunner {
         problem: Problem,
         kind: StencilKind,
     },
-    /// A one-operator plan, built through the same gates as the solver's.
+    /// A one-operator plan, built through the same plan check as the
+    /// solver's.
     Snow { grids: GridSet, plan: SolverPlan },
 }
 
@@ -164,28 +165,22 @@ impl KernelBench {
     /// [`available_backends`]: snowflake_backends::available_backends
     pub fn build_named(kind: StencilKind, backend: Option<&str>, n: usize) -> Result<KernelBench> {
         let opts = BackendOptions::default();
-        Ok(Self::build_named_opts(
-            kind,
-            backend,
-            n,
-            &opts,
-            Gates::default(),
-        )?)
+        Ok(Self::build_named_opts(kind, backend, n, &opts, false)?)
     }
 
     /// As [`KernelBench::build_named`], threading explicit
     /// [`BackendOptions`] and building the operator as a one-op
-    /// [`SolverPlan`] behind `gates` (`--verify`/`--lint`): a refused plan
-    /// is a [`PlanError`] carrying the findings, so gated figures refuse
-    /// to run it, and the gate counters are stamped into every report
-    /// [`KernelBench::sweep_with_report`] fills. The hand baseline has no
-    /// plan, so gates do not apply to it.
+    /// [`SolverPlan`], checked when `verify` is set (`--verify`): a
+    /// refused plan is a [`PlanError`] carrying the findings, so checked
+    /// figures refuse to run it, and the plan check's counters are stamped
+    /// into every report [`KernelBench::sweep_with_report`] fills. The
+    /// hand baseline has no plan, so the check does not apply to it.
     pub fn build_named_opts(
         kind: StencilKind,
         backend: Option<&str>,
         n: usize,
         opts: &BackendOptions,
-        gates: Gates,
+        verify: bool,
     ) -> std::result::Result<KernelBench, PlanError> {
         let problem = match kind {
             StencilKind::VcGsrb => Problem::poisson_vc(n),
@@ -234,7 +229,12 @@ impl KernelBench {
                 grids.insert(&names.beta_x, lvl.beta_x);
                 grids.insert(&names.beta_y, lvl.beta_y);
                 grids.insert(&names.beta_z, lvl.beta_z);
-                let plan = SolverPlan::build_gated(backend, &[(group, grids.shapes())], gates)?;
+                let ops = [(group, grids.shapes())];
+                let plan = if verify {
+                    SolverPlan::build_checked(backend, &ops)?
+                } else {
+                    SolverPlan::build(backend, &ops)?
+                };
                 Ok(KernelBench {
                     stencils_per_sweep,
                     runner: KernelRunner::Snow { grids, plan },
@@ -245,7 +245,7 @@ impl KernelBench {
 
     /// Execute one sweep of the operator, profiling into `report`.
     ///
-    /// Snowflake runners stamp their plan (gate counters included) and
+    /// Snowflake runners stamp their plan (plan-check counters included) and
     /// delegate to [`SolverPlan::run_with_report`]; the hand-optimized
     /// baseline has no compiled schedule to introspect, so it is reported
     /// as one call of op 0 under the backend name `"hand"`.
@@ -385,7 +385,7 @@ pub fn or_exit<T>(parsed: std::result::Result<T, UsageError>) -> T {
 /// Check that every argument after the program name is one the binary
 /// takes: a `valued` flag with the value after it, or a bare `switch`.
 /// Anything else is [`UsageError::Unknown`], so a misspelt `--verfy`
-/// cannot silently run an ungated plan, and a valued flag with nothing
+/// cannot silently run an unchecked plan, and a valued flag with nothing
 /// after it is [`UsageError::MissingValue`] rather than its default.
 pub fn check_args(
     args: &[String],
@@ -415,14 +415,6 @@ pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
 /// Is a bare boolean flag (e.g. `--verify`) present?
 pub fn arg_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
-}
-
-/// The plan gates a figure run asked for: `--verify` and `--lint`.
-pub fn gates_from_args(args: &[String]) -> Gates {
-    Gates {
-        verify: arg_flag(args, "--verify"),
-        lint: arg_flag(args, "--lint"),
-    }
 }
 
 /// Parse a usize flag with default; a present-but-malformed value is a
@@ -526,44 +518,27 @@ mod tests {
         }
     }
 
-    fn gated_report(kind: StencilKind, backend: Option<&str>, gates: Gates) -> RunReport {
+    fn checked_report(kind: StencilKind, backend: Option<&str>) -> RunReport {
         let opts = BackendOptions::default();
-        let mut kb = KernelBench::build_named_opts(kind, backend, 8, &opts, gates).unwrap();
+        let mut kb = KernelBench::build_named_opts(kind, backend, 8, &opts, true).unwrap();
         let mut report = RunReport::new();
         kb.sweep_with_report(&mut report);
         report
     }
 
     #[test]
-    fn verified_build_stamps_certificate_counters_into_reports() {
-        let gates = Gates {
-            verify: true,
-            lint: false,
-        };
-        let stats = gated_report(StencilKind::VcGsrb, Some("seq"), gates).verify;
-        assert!(stats.stencils_checked > 0);
-        assert!(stats.accesses_proved > 0);
-        assert_eq!(stats.witnesses, 0);
-        // The hand baseline has no plan to certify.
-        let hand = gated_report(StencilKind::Cc7pt, None, gates);
-        assert_eq!(hand.verify, Default::default());
-    }
-
-    #[test]
-    fn linted_build_stamps_lint_counters_into_reports() {
-        let gates = Gates {
-            verify: false,
-            lint: true,
-        };
-        // Every figure-7 kernel must lint clean with zero findings.
+    fn checked_build_stamps_plan_check_counters_into_reports() {
+        // Every figure-7 kernel certifies and lints with zero findings.
         for kind in StencilKind::all() {
-            let stats = gated_report(kind, Some("seq"), gates).lint;
+            let stats = checked_report(kind, Some("seq")).verify;
+            assert!(stats.stencils_checked > 0, "{kind:?}");
+            assert!(stats.accesses_proved > 0, "{kind:?}");
             assert_eq!(stats.rules_run, 7, "{kind:?}: one inventory-mode lint");
-            assert_eq!(stats.lints, 0, "{kind:?}");
+            assert_eq!(stats.warnings, 0, "{kind:?}");
         }
-        // The hand baseline has no DSL program to lint.
-        let hand = gated_report(StencilKind::Cc7pt, None, gates);
-        assert_eq!(hand.lint, Default::default());
+        // The hand baseline has no plan to check.
+        let hand = checked_report(StencilKind::Cc7pt, None);
+        assert_eq!(hand.verify, Default::default());
     }
 
     #[test]

@@ -132,6 +132,13 @@ pub fn parse(src: &str) -> Result<Script, ParseError> {
                 if rects.is_empty() {
                     return Err(err("domain needs at least one rectangle".into()));
                 }
+                if let Some(r) = rects.iter().find(|r| r.ndim() != rects[0].ndim()) {
+                    return Err(err(format!(
+                        "domain {name:?} unions rectangles of rank {} and {}",
+                        rects[0].ndim(),
+                        r.ndim()
+                    )));
+                }
                 script
                     .domains
                     .insert(name.to_string(), DomainUnion::new(rects));
@@ -177,9 +184,21 @@ pub fn parse(src: &str) -> Result<Script, ParseError> {
                     .ok_or_else(|| err(format!("unknown domain {dom_name:?}")))?
                     .clone();
                 let expr = ExprParser::new(body, &script).parse().map_err(&err)?;
+                let nd = domain.ndim();
+                if let Some(got) = expr.ndim().filter(|&got| got != nd) {
+                    return Err(err(format!(
+                        "expression rank {got} != rank {nd} of domain {dom_name:?}"
+                    )));
+                }
                 let mut stencil = Stencil::new(expr, out, domain).named(name);
                 if let Some(src) = out_map_src {
                     let map = parse_out_map(src, &script).map_err(&err)?;
+                    if map.ndim() != nd {
+                        return Err(err(format!(
+                            "output map rank {} != rank {nd} of domain {dom_name:?}",
+                            map.ndim()
+                        )));
+                    }
                     stencil = stencil.with_out_map(map);
                 }
                 script.stencils.push((name.to_string(), stencil));

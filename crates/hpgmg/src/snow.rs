@@ -13,7 +13,7 @@
 //! index, performing **zero** hashing or locking per call. With metrics
 //! on, the plan books every dispatch to its op's row of the report.
 
-use snowflake_backends::{Backend, Gates, PlanError, RunReport, SolverPlan};
+use snowflake_backends::{Backend, PlanError, RunReport, SolverPlan};
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{Grid, GridSet};
 
@@ -151,23 +151,19 @@ impl SnowSolver {
         backend: Box<dyn Backend>,
         smoother: Smoother,
     ) -> Result<Self> {
-        Ok(Self::with_gates(
-            problem,
-            backend,
-            smoother,
-            Gates::default(),
-        )?)
+        Ok(Self::build(problem, backend, smoother, false)?)
     }
 
-    /// As [`SnowSolver::with_smoother`], building the plan behind `gates`:
-    /// the verifier and the linter each run once over the whole operator
-    /// list before any compile, a finding refuses the solver, and the
-    /// counters land in every report the solver stamps.
-    pub fn with_gates(
+    /// As [`SnowSolver::with_smoother`], building the plan checked when
+    /// `verify` is set: the plan check (verifier and linter as one
+    /// analysis) runs once over the whole operator list before any
+    /// compile, a deny-level finding refuses the solver, and the
+    /// certificate's counters land in every report the solver stamps.
+    pub fn build(
         problem: Problem,
         backend: Box<dyn Backend>,
         smoother: Smoother,
-        gates: Gates,
+        verify: bool,
     ) -> std::result::Result<Self, PlanError> {
         // The hand solver's hierarchy, manufactured rhs included, moved
         // into named grids.
@@ -194,7 +190,11 @@ impl SnowSolver {
         );
         // Plan build doubles as the paper's untimed warm-up: every
         // operator is compiled here, so solve timings exclude compilation.
-        let plan = SolverPlan::build_gated(backend, &list, gates)?;
+        let plan = if verify {
+            SolverPlan::build_checked(backend, &list)?
+        } else {
+            SolverPlan::build(backend, &list)?
+        };
         Ok(SnowSolver {
             problem,
             sizes,
@@ -323,8 +323,8 @@ impl SnowSolver {
     }
 
     /// The compiled plan itself: its build counters
-    /// ([`SolverPlan::cache_stats`]) and the descriptors the gates and
-    /// `snowflake_backends::verify_plan` analyze.
+    /// ([`SolverPlan::cache_stats`]) and the descriptors the plan check
+    /// (`snowflake_backends::verify_ops`) analyzes.
     pub fn plan(&self) -> &SolverPlan {
         &self.plan
     }

@@ -8,9 +8,7 @@
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use snowflake::analysis::{
-    apply_policy, check_coverage, lint_program, LintConfig, LintRule, Severity,
-};
+use snowflake::analysis::{apply_policy, check_coverage, lint_program, LintConfig, Rule, Severity};
 use snowflake::core::ShapeMap;
 use snowflake::prelude::*;
 
@@ -104,10 +102,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Lint one ordered fixture program and return its findings.
-fn lint_fixture(
-    ops: &[(StencilGroup, ShapeMap)],
-    config: &LintConfig,
-) -> Vec<(LintRule, Vec<i64>)> {
+fn lint_fixture(ops: &[(StencilGroup, ShapeMap)], config: &LintConfig) -> Vec<(Rule, Vec<i64>)> {
     let report = lint_program(ops, config).expect("fixture must be lintable");
     report
         .lints
@@ -158,7 +153,7 @@ fn fixture_dead_store_is_the_only_finding() {
     );
     assert_eq!(findings.len(), 1, "{findings:?}");
     let (rule, witness) = &findings[0];
-    assert_eq!(*rule, LintRule::DeadStore);
+    assert_eq!(*rule, Rule::DeadStore);
     // The witness is a cell the dead store wrote: somewhere in the interior.
     assert!(witness.iter().all(|&c| (1..7).contains(&c)), "{witness:?}");
 }
@@ -194,7 +189,7 @@ fn fixture_coverage_gap_is_the_only_finding() {
     );
     assert_eq!(findings.len(), 1, "{findings:?}");
     let (rule, witness) = &findings[0];
-    assert_eq!(*rule, LintRule::CoverageGap);
+    assert_eq!(*rule, Rule::CoverageGap);
     assert_eq!(witness[0], 8, "the clipped row is the gap: {witness:?}");
     assert_eq!(witness[1] % 2, 1, "gap cells are black (odd parity)");
 }
@@ -222,7 +217,7 @@ fn fixture_halo_gap_is_the_only_finding() {
     );
     assert_eq!(findings.len(), 1, "{findings:?}");
     let (rule, witness) = &findings[0];
-    assert_eq!(*rule, LintRule::HaloGap);
+    assert_eq!(*rule, Rule::HaloGap);
     assert_eq!(witness[0], 0, "the unwritten ghost face: {witness:?}");
 }
 
@@ -260,7 +255,7 @@ fn fixture_bad_restriction_weights_is_the_only_finding() {
     );
     assert_eq!(findings.len(), 1, "{findings:?}");
     let (rule, _) = &findings[0];
-    assert_eq!(*rule, LintRule::PartitionOfUnity);
+    assert_eq!(*rule, Rule::PartitionOfUnity);
 }
 
 // ---------------------------------------------------------------------------
@@ -296,12 +291,12 @@ fn allow_policy_suppresses_and_deny_policy_escalates() {
     assert_eq!(report.lints[0].severity, Severity::Warn);
 
     // --allow dead-store: suppressed, counted.
-    let allowed = apply_policy(report.lints.clone(), &[], &[LintRule::DeadStore]);
+    let allowed = apply_policy(report.lints.clone(), &[], &[Rule::DeadStore]);
     assert!(allowed.lints.is_empty());
     assert_eq!(allowed.suppressed, 1);
 
     // --deny dead-store: escalated to deny severity.
-    let denied = apply_policy(report.lints.clone(), &[LintRule::DeadStore], &[]);
+    let denied = apply_policy(report.lints.clone(), &[Rule::DeadStore], &[]);
     assert_eq!(denied.lints.len(), 1);
     assert_eq!(denied.lints[0].severity, Severity::Deny);
     assert_eq!(denied.suppressed, 0);

@@ -1,15 +1,15 @@
 //! The plan counters a solver stamps into its `RunReport`, asserted on the
 //! report value in the process that ran the solve: the cjit artifact cache
 //! serves a rebuilt plan, the omp tile tuner serves a fresh backend, the
-//! plan gates leave clean certificates on every backend, every plan op
+//! plan check leaves clean certificates on every backend, every plan op
 //! that ran has a row in the op table, and each op's schedule dispatches
 //! the pinned work.
 
 use std::path::{Path, PathBuf};
 
 use snowflake::backends::{
-    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, Gates,
-    OclSimBackend, OmpBackend, RunReport, SequentialBackend,
+    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, OclSimBackend,
+    OmpBackend, RunReport, SequentialBackend,
 };
 use snowflake::hpgmg::{snow::operator_list, Problem, Smoother, SnowSolver};
 
@@ -31,11 +31,12 @@ fn runnable_backends() -> impl Iterator<Item = &'static str> {
         .filter(|&name| name != "cjit" || CJitBackend::available())
 }
 
-/// Build the 8³ variable-coefficient solver on `name` behind `gates`, run
-/// one metered V-cycle and return its report with the residual norm.
-fn metered_vcycle(name: &str, opts: &BackendOptions, gates: Gates) -> (RunReport, f64) {
+/// Build the 8³ variable-coefficient solver on `name`, checked when
+/// `verify` is set, run one metered V-cycle and return its report with the
+/// residual norm.
+fn metered_vcycle(name: &str, opts: &BackendOptions, verify: bool) -> (RunReport, f64) {
     let backend = backend_from_name(name, opts).unwrap();
-    let mut solver = SnowSolver::with_gates(Problem::poisson_vc(8), backend, Smoother::GsRb, gates)
+    let mut solver = SnowSolver::build(Problem::poisson_vc(8), backend, Smoother::GsRb, verify)
         .unwrap_or_else(|e| panic!("{name}: {e}"));
     solver.enable_metrics();
     solver.vcycle(0).unwrap();
@@ -51,13 +52,13 @@ fn cjit_plan_rebuild_is_served_from_the_artifact_cache() {
     }
     let dir = scratch_dir("cjit");
     let opts = BackendOptions::default().with_cache_dir(&dir);
-    let (cold, cold_norm) = metered_vcycle("cjit", &opts, Gates::default());
+    let (cold, cold_norm) = metered_vcycle("cjit", &opts, false);
     assert!(cold.cache.disk_misses > 0, "{:?}", cold.cache);
     assert_eq!(cold.cache.disk_hits, 0, "fresh cache directory");
 
     // A rebuilt solver over the same directory stands in for a second
     // process: every artifact is dlopened, no compiler runs.
-    let (warm, warm_norm) = metered_vcycle("cjit", &opts, Gates::default());
+    let (warm, warm_norm) = metered_vcycle("cjit", &opts, false);
     assert!(warm.cache.disk_hits > 0, "{:?}", warm.cache);
     assert_eq!(warm.cache.disk_misses, 0, "{:?}", warm.cache);
     assert!(
@@ -87,14 +88,14 @@ fn omp_tuner_decisions_are_served_to_a_fresh_backend() {
     let opts = BackendOptions::default()
         .with_tune(true)
         .with_tune_dir(&dir);
-    let (cold, cold_norm) = metered_vcycle("omp", &opts, Gates::default());
+    let (cold, cold_norm) = metered_vcycle("omp", &opts, false);
     assert!(cold.tune.disk_misses > 0, "{:?}", cold.tune);
     assert!(cold.tune.candidates_timed > 0, "{:?}", cold.tune);
     assert_eq!(cold.tune.disk_hits, 0, "fresh tuner directory");
     let records = tuner_records(&dir);
     assert_eq!(records.len() as u64, cold.tune.disk_misses);
 
-    let (warm, warm_norm) = metered_vcycle("omp", &opts, Gates::default());
+    let (warm, warm_norm) = metered_vcycle("omp", &opts, false);
     assert_eq!(
         warm.tune.disk_hits, cold.tune.disk_misses,
         "{:?}",
@@ -115,7 +116,7 @@ fn omp_tuner_decisions_are_served_to_a_fresh_backend() {
         };
         std::fs::write(path, stale).unwrap();
     }
-    let (retuned, _) = metered_vcycle("omp", &opts, Gates::default());
+    let (retuned, _) = metered_vcycle("omp", &opts, false);
     assert_eq!(retuned.tune.disk_hits, 0, "{:?}", retuned.tune);
     assert_eq!(retuned.tune.disk_misses, cold.tune.disk_misses);
     assert!(retuned.tune.candidates_timed > 0);
@@ -128,28 +129,24 @@ fn omp_tuner_decisions_are_served_to_a_fresh_backend() {
 
 #[test]
 fn gated_solve_stamps_clean_certificates_on_every_backend() {
-    let gates = Gates {
-        verify: true,
-        lint: true,
-    };
     for name in runnable_backends() {
-        let (report, _) = metered_vcycle(name, &BackendOptions::default(), gates);
+        let (report, _) = metered_vcycle(name, &BackendOptions::default(), true);
         assert_eq!(report.backend, name);
         assert!(
             report.verify.stencils_checked > 0,
             "{name}: {:?}",
             report.verify
         );
-        assert_eq!(report.verify.witnesses, 0, "{name}");
-        assert!(report.lint.rules_run > 0, "{name}: {:?}", report.lint);
-        assert_eq!(report.lint.lints, 0, "{name}");
+        assert!(report.verify.phases_certified > 0, "{name}");
+        assert!(report.verify.rules_run > 0, "{name}: {:?}", report.verify);
+        assert_eq!(report.verify.warnings, 0, "{name}");
     }
 }
 
 #[test]
 fn metered_solve_books_every_op_call_on_every_backend() {
     for name in runnable_backends() {
-        let (report, _) = metered_vcycle(name, &BackendOptions::default(), Gates::default());
+        let (report, _) = metered_vcycle(name, &BackendOptions::default(), false);
         assert!(!report.ops.is_empty(), "{name}: empty op table");
         for (op, row) in &report.ops {
             assert!(row.calls > 0, "{name}: op {op} has a row but no calls");

@@ -1,23 +1,19 @@
-//! Plan gates: a gated `SolverPlan` build runs the static verifier and the
-//! linter once over its whole operator list, before any compile. A finding
-//! refuses the plan with a typed `PlanError`; a clean plan carries the
-//! gates' counters into every report it stamps.
+//! The plan check: a checked `SolverPlan` build runs the static verifier
+//! and the linter, as one analysis, once over its whole operator list
+//! before any compile. Deny-level findings of either refuse the plan with
+//! one typed `PlanError::Refused`; a clean plan carries the check's
+//! counters into every report it stamps.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use snowflake::analysis::{
-    certify_schedule, is_parallel_safe, DiagnosticKind, LintConfig, LintRule, ResolvedStencil,
+    certify_schedule, is_parallel_safe, lint_program, LintConfig, ResolvedStencil, Rule,
 };
-use snowflake::backends::{lint_plan, lint_stats, verify_plan, Gates, PlanError};
+use snowflake::backends::{verify_ops, PlanError};
 use snowflake::core::{Result, ShapeMap};
 use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
 use snowflake::prelude::*;
-
-const BOTH: Gates = Gates {
-    verify: true,
-    lint: true,
-};
 
 /// A backend that counts its compiles and otherwise defers to `inner`.
 struct Counting {
@@ -87,12 +83,13 @@ fn non_injective_write_is_serialized_and_certified() {
     let rs = ResolvedStencil::resolve(&race[0].0.stencils()[0], &race[0].1).unwrap();
     assert!(!is_parallel_safe(&rs), "the analysis serializes the kernel");
 
-    // The gated plan certifies with no parallel kernel, and every backend
+    // The checked plan certifies with no parallel kernel, and every backend
     // that runs a task schedule agrees bitwise: the last write wins.
     for name in ["seq", "omp", "oclsim", "checked"] {
         let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
-        let plan = SolverPlan::build_gated(backend, &race, BOTH).unwrap();
-        let cert = verify_plan(&plan).expect("the serialized race certifies");
+        let plan = SolverPlan::build_checked(backend, &race).unwrap();
+        let cert = verify_ops(plan.descriptors(), &plan.lower_options())
+            .expect("the serialized race certifies");
         assert_eq!(cert.ops[0].parallel_kernels, 0, "{name}");
         let mut grids = GridSet::new();
         grids.insert("x", Grid::new(&[8]));
@@ -109,29 +106,24 @@ fn non_injective_write_is_serialized_and_certified() {
     assert!(
         diags
             .iter()
-            .any(|d| d.kind == DiagnosticKind::WriteOverlap
-                && d.witness.as_deref() == Some(&[3][..])),
+            .any(|d| d.rule == Rule::WriteOverlap && d.witness.as_deref() == Some(&[3][..])),
         "{diags:?}"
     );
 }
 
 #[test]
 fn gated_builds_refuse_before_any_compile() {
-    // A coverage gap: the lint gate refuses it (deny by default).
+    // A coverage gap: only the linter objects (deny by default).
     let gap = vec![(coverage_gap(), shapes(&["x"], &[10, 10]))];
     let (backend, compiles) = Counting::seq();
-    let lint_only = Gates {
-        verify: false,
-        lint: true,
-    };
-    let refused = SolverPlan::build_gated(backend, &gap, lint_only).err();
-    let Some(PlanError::Denied(lints)) = &refused else {
-        panic!("a coverage gap must be refused by the lint gate: {refused:?}");
+    let refused = SolverPlan::build_checked(backend, &gap).err();
+    let Some(PlanError::Refused(lints)) = &refused else {
+        panic!("a coverage gap must be refused by the plan check: {refused:?}");
     };
     assert!(
         lints
             .iter()
-            .any(|l| l.rule == LintRule::CoverageGap && l.witness.is_some()),
+            .any(|l| l.rule == Rule::CoverageGap && l.witness.is_some()),
         "{lints:?}"
     );
     let msg = refused.unwrap().to_string();
@@ -139,7 +131,7 @@ fn gated_builds_refuse_before_any_compile() {
     assert!(msg.contains("witness"), "{msg}");
     assert_eq!(compiles.load(Ordering::SeqCst), 0, "refused before compile");
 
-    // A read of an unallocated grid: refused by the verify gate, with the
+    // A read of an unallocated grid: only the verifier objects, with the
     // grid named in the error text.
     let ghost = StencilGroup::from(Stencil::new(
         Expr::read_at("ghost", &[0]),
@@ -147,57 +139,114 @@ fn gated_builds_refuse_before_any_compile() {
         RectDomain::all(1),
     ));
     let (backend, compiles) = Counting::seq();
-    let verify_only = Gates {
-        verify: true,
-        lint: false,
-    };
-    let Err(err) = SolverPlan::build_gated(backend, &[(ghost, shapes(&["y"], &[8]))], verify_only)
-    else {
+    let Err(err) = SolverPlan::build_checked(backend, &[(ghost, shapes(&["y"], &[8]))]) else {
         panic!("a group reading an unallocated grid must be refused");
     };
-    assert!(matches!(err, PlanError::Unverified(_)), "{err:?}");
+    assert!(
+        matches!(&err, PlanError::Refused(f) if f.iter().all(|d| d.rule == Rule::UnknownGrid)),
+        "{err:?}"
+    );
     let msg = err.to_string();
     assert!(msg.contains("verification failed"), "got: {msg}");
     assert!(msg.contains("ghost"), "got: {msg}");
     assert_eq!(compiles.load(Ordering::SeqCst), 0, "refused before compile");
 }
 
+/// A program that trips both analyses, an out-of-bounds read and a
+/// coverage gap, is refused once, and the refusal lists both rules.
+#[test]
+fn one_refusal_lists_the_findings_of_both_analyses() {
+    // x[p + (0, 2)] over the interior reads one column past the grid.
+    let far = StencilGroup::from(
+        Stencil::new(Expr::read_at("x", &[0, 2]), "y", RectDomain::interior(2)).named("far"),
+    );
+    let shapes = shapes(&["x", "y"], &[10, 10]);
+    let ops = [(coverage_gap(), shapes.clone()), (far, shapes)];
+    let (backend, compiles) = Counting::seq();
+    let Err(PlanError::Refused(findings)) = SolverPlan::build_checked(backend, &ops) else {
+        panic!("an out-of-bounds read and a coverage gap must be refused");
+    };
+    let oob = findings
+        .iter()
+        .find(|d| d.rule == Rule::OutOfBounds)
+        .unwrap_or_else(|| panic!("the verifier's finding: {findings:?}"));
+    assert_eq!(oob.stencil, "far", "{oob}");
+    assert!(oob.detail.contains("\"x\""), "{oob}");
+    assert!(
+        findings
+            .iter()
+            .any(|d| d.rule == Rule::CoverageGap && d.witness.is_some()),
+        "the linter's finding: {findings:?}"
+    );
+    assert_eq!(compiles.load(Ordering::SeqCst), 0, "refused before compile");
+}
+
+/// A warn-level finding does not refuse the plan: it builds, runs and is
+/// counted in the report.
+#[test]
+fn warn_level_finding_builds_runs_and_is_counted() {
+    // The x[0,1] reads cancel: a zero net weight, a warning.
+    let cancel =
+        Expr::read_at("x", &[0, 0]) + Expr::read_at("x", &[0, 1]) - Expr::read_at("x", &[0, 1]);
+    let group = StencilGroup::from(Stencil::new(cancel, "y", RectDomain::interior(2)));
+    let ops = [(group, shapes(&["x", "y"], &[8, 8]))];
+    let (backend, compiles) = Counting::seq();
+    let plan = SolverPlan::build_checked(backend, &ops).expect("a warning does not refuse");
+    assert_eq!(compiles.load(Ordering::SeqCst), 1);
+    let lint = lint_program(&ops, &LintConfig::default()).unwrap();
+    assert_eq!(
+        lint.lints.iter().map(|l| l.rule).collect::<Vec<_>>(),
+        [Rule::ZeroWeight]
+    );
+
+    let mut grids = GridSet::new();
+    grids.insert("x", Grid::from_fn(&[8, 8], |p| (p[0] * 8 + p[1]) as f64));
+    grids.insert("y", Grid::new(&[8, 8]));
+    let mut report = RunReport::new();
+    plan.stamp(&mut report);
+    plan.run_with_report(0, &mut grids, &mut report).unwrap();
+    assert_eq!(report.verify.warnings, 1);
+    assert_eq!(report.verify.rules_run, 7);
+    assert_eq!(report.runs, 1);
+    assert_eq!(grids.get("y").unwrap().get(&[3, 5]), 29.0);
+}
+
 #[test]
 fn certified_hpgmg_build_stamps_one_pass_of_gate_counters() {
     let (backend, compiles) = Counting::seq();
     let mut solver =
-        SnowSolver::with_gates(Problem::poisson_vc(8), backend, Smoother::GsRb, BOTH).unwrap();
+        SnowSolver::build(Problem::poisson_vc(8), backend, Smoother::GsRb, true).unwrap();
     let plan = solver.plan();
     assert_eq!(
         compiles.load(Ordering::SeqCst),
         plan.cache_stats().misses,
-        "the gates compile nothing themselves"
+        "the plan check compiles nothing itself"
     );
-    let cert = verify_plan(plan).expect("the HPGMG plan certifies");
-    let lint = lint_plan(plan, &LintConfig::default()).unwrap();
+    let cert =
+        verify_ops(plan.descriptors(), &plan.lower_options()).expect("the HPGMG plan certifies");
+    let lint = lint_program(plan.descriptors(), &LintConfig::default()).unwrap();
     solver.enable_metrics();
     solver.vcycle(0).unwrap();
     let report = solver.take_metrics().unwrap();
     assert_eq!(
         report.verify,
         cert.stats(),
-        "one verifier pass over the plan"
+        "one plan-check pass over the plan"
     );
-    assert_eq!(report.lint, lint_stats(&lint, 0), "one linter pass");
+    assert_eq!(report.verify.rules_run, lint.rules_run, "one linter pass");
     assert_eq!(
-        report.lint.rules_run, 7,
+        report.verify.rules_run, 7,
         "the inventory-mode rules ran once"
     );
-    assert_eq!(report.lint.lints, 0);
+    assert_eq!(report.verify.warnings, 0);
+    assert!(lint.lints.is_empty(), "{:?}", lint.lints);
     assert!(report.verify.stencils_checked > 0 && report.verify.accesses_proved > 0);
-    assert_eq!(report.verify.witnesses, 0);
 
-    // Ungated builds carry zero gate counters.
-    let mut ungated = SnowSolver::new(Problem::poisson_vc(8), Counting::seq().0).unwrap();
-    ungated.enable_metrics();
-    let report = ungated.take_metrics().unwrap();
+    // Unchecked builds carry zero plan-check counters.
+    let mut unchecked = SnowSolver::new(Problem::poisson_vc(8), Counting::seq().0).unwrap();
+    unchecked.enable_metrics();
+    let report = unchecked.take_metrics().unwrap();
     assert_eq!(report.verify, Default::default());
-    assert_eq!(report.lint, Default::default());
 }
 
 #[test]
@@ -216,12 +265,12 @@ fn gated_plans_keep_every_registry_backend_name_and_run() {
         grids.insert("x", Grid::from_fn(&[8, 8], |p| (p[0] * 8 + p[1]) as f64));
         grids.insert("y", Grid::new(&[8, 8]));
         let ops = [(group.clone(), grids.shapes())];
-        let plan = SolverPlan::build_gated(backend, &ops, BOTH).unwrap();
+        let plan = SolverPlan::build_checked(backend, &ops).unwrap();
         assert_eq!(plan.backend_name(), name);
         let mut report = RunReport::new();
         plan.stamp(&mut report);
         assert_eq!(report.backend, name);
-        assert_eq!(report.lint.rules_run, 7, "{name}");
+        assert_eq!(report.verify.rules_run, 7, "{name}");
         assert!(report.verify.stencils_checked > 0, "{name}");
         plan.run(0, &mut grids).unwrap();
         assert_eq!(grids.get("y").unwrap().get(&[3, 5]), 58.0, "{name}");

@@ -122,3 +122,40 @@ fn script_analysis_sees_the_dependence() {
         .collect();
     assert_eq!(greedy_phases(&resolved).phases.len(), 2);
 }
+
+/// Rank disagreements in a script are typed parse errors naming the
+/// offending line, never panics in the DSL constructors.
+#[test]
+fn rank_mismatches_are_parse_errors_with_their_line() {
+    let cases = [
+        // A union of a 2-D and a 1-D rectangle.
+        (
+            "grid u v\ndomain d = (1,1):(-1,-1):(1,1) + (1):(-1):(1)",
+            2,
+            "rank 2 and 1",
+        ),
+        // A 3-D read on a 2-D domain.
+        (
+            "grid u v\ndomain d = (1,1):(-1,-1):(1,1)\nstencil s: v[d] = u[0,0,0]",
+            3,
+            "expression rank 3",
+        ),
+        // A 1-D output map on a 2-D domain.
+        (
+            "grid u v\ndomain d = (1,1):(-1,-1):(1,1)\n\nstencil s: v[d @ 2p+0] = u[0,0]",
+            4,
+            "output map rank 1",
+        ),
+    ];
+    for (src, line, what) in cases {
+        let err = std::panic::catch_unwind(|| parser::parse(src))
+            .unwrap_or_else(|_| panic!("parse panicked on {src:?}"))
+            .expect_err(src);
+        assert_eq!(err.line, line, "{err}");
+        assert!(err.message.contains(what), "{err}");
+        assert!(
+            err.to_string().starts_with(&format!("line {line}: ")),
+            "{err}"
+        );
+    }
+}

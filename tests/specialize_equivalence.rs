@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use snowflake::backends::specialize::specialize_lowered;
-use snowflake::backends::{verify_plan, CJitBackend, CheckedBackend};
+use snowflake::backends::{verify_ops, CJitBackend, CheckedBackend};
 use snowflake::hpgmg::{Problem, SnowSolver};
 use snowflake::ir::spec::SpecForm;
 use snowflake::ir::{lower_group, LowerOptions};
@@ -154,8 +154,9 @@ fn every_hpgmg_plan_kernel_is_linear_or_a_tape() {
 fn verify_certifies_hpgmg_plan() {
     let solver = SnowSolver::new(Problem::poisson_vc(8), Box::new(SequentialBackend::new()))
         .expect("plan build");
-    let cert =
-        verify_plan(solver.plan()).unwrap_or_else(|diags| panic!("plan must certify: {diags:?}"));
+    let plan = solver.plan();
+    let cert = verify_ops(plan.descriptors(), &plan.lower_options())
+        .unwrap_or_else(|diags| panic!("plan must certify: {diags:?}"));
     let stats = cert.stats();
     assert!(stats.stencils_checked > 0);
     assert!(stats.accesses_proved > 0);

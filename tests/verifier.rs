@@ -9,9 +9,9 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 use snowflake::analysis::{
     access_conflict, certify_schedule, depends, greedy_phases, is_parallel_safe, verify_bounds,
-    DiagnosticKind, ResolvedStencil,
+    ResolvedStencil, Rule,
 };
-use snowflake::backends::{verify_plan, witness_count};
+use snowflake::backends::{verify_ops, witness_count};
 use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
 use snowflake::prelude::*;
 
@@ -94,7 +94,7 @@ fn rank_mismatch_is_a_typed_diagnostic() {
     let r1d = Region::new(vec![0], vec![4], vec![1]);
     let err =
         access_conflict(&r2d, &AffineMap::identity(2), &r1d, &AffineMap::identity(1)).unwrap_err();
-    assert_eq!(err.kind, DiagnosticKind::RankMismatch);
+    assert_eq!(err.rule, Rule::RankMismatch);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +198,7 @@ fn seeded_oob_read_yields_a_witness() {
     let diags = verify_bounds(&rs, &sh).unwrap_err();
     assert_eq!(witness_count(&diags), 1);
     let d = &diags[0];
-    assert_eq!(d.kind, DiagnosticKind::OutOfBounds);
+    assert_eq!(d.rule, Rule::OutOfBounds);
     assert_eq!(d.dim, Some(0));
     assert_eq!(d.witness.as_deref(), Some(&[-1i64][..]));
 }
@@ -217,7 +217,7 @@ fn seeded_race_yields_a_witness() {
     let diags = certify_schedule(&[ra, rb], &[vec![0, 1]], &[true, true]).unwrap_err();
     assert!(diags
         .iter()
-        .any(|d| d.kind == DiagnosticKind::PhaseHazard && d.witness.is_some()));
+        .any(|d| d.rule == Rule::PhaseHazard && d.witness.is_some()));
     assert!(witness_count(&diags) >= 1);
 }
 
@@ -232,7 +232,7 @@ fn write_overlap_witness_is_written_by_two_rectangles() {
     let diags = certify_schedule(std::slice::from_ref(&rs), &[vec![0]], &[true]).unwrap_err();
     let overlap: Vec<_> = diags
         .iter()
-        .filter(|d| d.kind == DiagnosticKind::WriteOverlap)
+        .filter(|d| d.rule == Rule::WriteOverlap)
         .collect();
     assert_eq!(overlap.len(), 1, "{diags:?}");
     let cell = overlap[0].witness.as_ref().expect("witness cell");
@@ -267,13 +267,14 @@ fn hpgmg_plans_certify_on_every_stock_backend() {
                 }
                 Err(e) => panic!("{name}: {e}"),
             };
-        let cert = verify_plan(solver.plan())
+        let plan = solver.plan();
+        let cert = verify_ops(plan.descriptors(), &plan.lower_options())
             .unwrap_or_else(|diags| panic!("{name}: {} diagnostics: {:?}", diags.len(), diags));
         let stats = cert.stats();
         assert!(stats.stencils_checked > 0, "{name}: no stencils checked");
         assert!(stats.accesses_proved > 0, "{name}: no accesses proved");
         assert!(stats.phases_certified > 0, "{name}: no phases certified");
-        assert_eq!(stats.witnesses, 0);
+        assert_eq!(stats.warnings, 0, "{name}: the plan lints without warnings");
     }
 }
 
