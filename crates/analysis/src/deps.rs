@@ -27,13 +27,12 @@ pub struct ResolvedStencil {
 }
 
 impl ResolvedStencil {
-    /// Resolve a stencil against shapes (validating it in the process).
+    /// Resolve a stencil against shapes, keeping the regions
+    /// [`Stencil::validate`] proved every access in bounds over.
     pub fn resolve(stencil: &Stencil, shapes: &ShapeMap) -> snowflake_core::Result<Self> {
-        stencil.validate(shapes)?;
-        let regions = stencil.resolve(shapes)?;
         Ok(ResolvedStencil {
             stencil: stencil.clone(),
-            regions,
+            regions: stencil.validate(shapes)?,
         })
     }
 

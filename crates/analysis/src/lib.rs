@@ -27,10 +27,11 @@
 //! * [`schedule`] — group-level planning: dependence DAG, the greedy
 //!   barrier grouping used by the OpenMP backend, and dead-stencil
 //!   elimination.
-//! * [`verify`] — the certification layer: bounds proofs and schedule
-//!   certificates, carrying the witness cells of the same conflict test
-//!   and hazard search. It also defines the one finding vocabulary both
-//!   analyses report in: a [`Finding`] of a [`Rule`] at a [`Severity`].
+//! * [`verify`] — the certification layer: schedule certificates,
+//!   carrying the witness cells of the same conflict test and hazard
+//!   search (bounds are proved once, by `Stencil::validate`). It also
+//!   defines the one finding vocabulary both analyses report in: a
+//!   [`Finding`] of a [`Rule`] at a [`Severity`].
 //! * [`lint`] — the semantic layer above both: liveness dataflow,
 //!   domain-coverage proofs, halo sufficiency and weight sanity, each
 //!   finding a [`Finding`] with a witness cell.
@@ -54,4 +55,4 @@ pub use lint::{
 pub use schedule::{
     dead_stencils, dependence_dag, greedy_phases, reorder_minimize_barriers, Schedule,
 };
-pub use verify::{certify_schedule, verify_bounds, Finding, Rule, ScheduleCertificate, Severity};
+pub use verify::{certify_schedule, Finding, Rule, ScheduleCertificate, Severity};

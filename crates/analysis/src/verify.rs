@@ -11,29 +11,25 @@
 //! witness cells, and report rank mismatches as [`Rule::RankMismatch`]
 //! findings in release builds too.
 //!
-//! Two verifier entry points live here:
-//!
-//! * [`verify_bounds`] — prove every access of a resolved stencil stays
-//!   inside its grid's allocated extents (ghost zones included), or
-//!   return an out-of-bounds witness.
-//! * [`certify_schedule`] — re-derive the dependence structure of a
-//!   phased schedule and prove each phase pairwise hazard-free and every
-//!   `parallel_safe` claim justified.
+//! The verifier's entry point here is [`certify_schedule`]: re-derive the
+//! dependence structure of a phased schedule and prove each phase pairwise
+//! hazard-free and every `parallel_safe` claim justified. Source-level
+//! bounds are proved once, by the front end every compile runs
+//! ([`Stencil::validate`], reached through [`ResolvedStencil::resolve`]),
+//! whose refusal carries the dimension and a witness cell.
 //!
 //! The lowered-form checks (cursor algebra over [`AccessClass`] regions,
 //! codegen audit) build on these in `snowflake-backends::verify`.
 //!
 //! [`access_conflict`]: crate::conflict::access_conflict
 //! [`depends`]: crate::deps::depends
+//! [`Stencil::validate`]: snowflake_core::Stencil::validate
 //! [`AccessClass`]: ../snowflake_ir/struct.AccessClass.html
 
 use std::fmt;
 
-use snowflake_core::ShapeMap;
-
 use crate::conflict::{access_conflict, self_conflict};
 use crate::deps::{depends, is_parallel_safe, ResolvedStencil};
-use crate::math::coord;
 
 /// The one rule taxonomy of the plan check: the verifier's seven safety
 /// rules, then the linter's ten semantic rules.
@@ -252,104 +248,6 @@ pub(crate) fn rank_mismatch(context: &str, expected: usize, got: usize) -> Findi
     )
 }
 
-/// Prove every access of a resolved stencil stays inside its grid's
-/// allocated extents (ghost zones included): for each access map, each
-/// member rectangle and each dimension, the extreme image points
-/// `a·lo + b` and `a·last + b` must land in `[0, extent)`. Exact because
-/// affine images of strided ranges attain their extrema at the endpoints.
-///
-/// Returns the number of `(access, rectangle)` pairs proved in-bounds, or
-/// the list of violations — each with the dimension and a concrete
-/// witness cell outside the grid.
-pub fn verify_bounds(rs: &ResolvedStencil, shapes: &ShapeMap) -> Result<u64, Vec<Finding>> {
-    let name = rs.stencil.name().to_string();
-    let mut diags = Vec::new();
-    let mut proved = 0u64;
-
-    let mut accesses = vec![rs.write()];
-    accesses.extend(rs.reads());
-    for (grid, map) in &accesses {
-        let Some(shape) = shapes.get(grid) else {
-            diags.push(
-                Finding::new(
-                    Rule::UnknownGrid,
-                    format!("accessed grid {grid:?} has no allocated shape"),
-                )
-                .stencil(&name)
-                .grid(grid),
-            );
-            continue;
-        };
-        for region in &rs.regions {
-            let nd = region.ndim();
-            if map.ndim() != nd || shape.len() != nd {
-                diags.push(
-                    rank_mismatch(
-                        "access map / region / grid shape",
-                        nd,
-                        if map.ndim() != nd {
-                            map.ndim()
-                        } else {
-                            shape.len()
-                        },
-                    )
-                    .stencil(&name)
-                    .grid(grid),
-                );
-                continue;
-            }
-            if region.is_empty() {
-                proved += 1; // vacuously in-bounds
-                continue;
-            }
-            let mut ok = true;
-            for (d, &extent_d) in shape.iter().enumerate() {
-                let n = region.extent(d) as i128;
-                let lo = region.lo[d] as i128;
-                let last = lo + (n - 1) * region.stride[d] as i128;
-                let a = map.scale[d] as i128;
-                let b = map.offset[d] as i128;
-                let (v_lo, v_last) = (a * lo + b, a * last + b);
-                let (mn, mx) = (v_lo.min(v_last), v_lo.max(v_last));
-                let extent = extent_d as i128;
-                if mn >= 0 && mx < extent {
-                    continue;
-                }
-                ok = false;
-                // Witness: the iteration point attaining the violating
-                // extreme (other dimensions pinned at their lows).
-                let bad_lo = if mn < 0 { mn } else { mx };
-                let p_d = if (a * lo + b) == bad_lo { lo } else { last };
-                let point: Vec<i64> = (0..nd)
-                    .map(|e| if e == d { coord(p_d) } else { region.lo[e] })
-                    .collect();
-                let cell = map.apply(&point);
-                diags.push(
-                    Finding::new(
-                        Rule::OutOfBounds,
-                        format!(
-                            "access {a}*i{d}{b:+} over [{lo}..={last}] spans \
-                             [{mn}, {mx}] but the grid extent is {extent}"
-                        ),
-                    )
-                    .stencil(&name)
-                    .grid(grid)
-                    .dim(d)
-                    .witness(cell),
-                );
-            }
-            if ok {
-                proved += 1;
-            }
-        }
-    }
-    if diags.is_empty() {
-        Ok(proved)
-    } else {
-        Err(diags)
-    }
-}
-
 /// A certified phased schedule: every phase is pairwise hazard-free,
 /// phase order respects the re-derived dependence structure, and every
 /// `parallel_safe` claim was independently re-proved.
@@ -554,7 +452,9 @@ pub fn certify_schedule(
 mod tests {
     use super::*;
     use crate::schedule::greedy_phases;
-    use snowflake_core::{weights2, AffineMap, Component, DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_core::{
+        weights2, AffineMap, Component, DomainUnion, Expr, RectDomain, ShapeMap, Stencil,
+    };
     use snowflake_grid::Region;
 
     fn shapes(n: usize) -> ShapeMap {
@@ -602,48 +502,6 @@ mod tests {
         assert!(cell[0] % 2 == 1 && (1..15).contains(&cell[0]), "{cell:?}");
         // Disjoint colors: proven, no witness.
         assert_eq!(access_conflict(&red, &id, &black, &id).unwrap(), None);
-    }
-
-    #[test]
-    fn in_bounds_interior_stencil_is_proved() {
-        let s = Stencil::new(laplacian("x"), "y", RectDomain::interior(2));
-        let rs = resolved(s, 16);
-        let proved = verify_bounds(&rs, &shapes(16)).unwrap();
-        // 1 write + 5 reads over 1 rectangle (dedup keeps 5 distinct reads).
-        assert_eq!(proved, 6);
-    }
-
-    #[test]
-    fn oob_access_yields_a_witness_outside_the_grid() {
-        // Reading x[p+1] over the FULL domain walks off the right edge.
-        // `Stencil::validate` would reject this, so build the resolved
-        // form by hand — exactly what the verifier must catch if a
-        // lowering bug ever produced it.
-        let s = Stencil::new(
-            Expr::read_at("x", &[0, 1]),
-            "y",
-            RectDomain::interior(2), // placeholder domain; regions overridden
-        );
-        let n = 8usize;
-        let rs = ResolvedStencil {
-            stencil: s,
-            regions: vec![Region::new(
-                vec![0, 0],
-                vec![n as i64, n as i64],
-                vec![1, 1],
-            )],
-        };
-        let diags = verify_bounds(&rs, &shapes(n)).unwrap_err();
-        let oob: Vec<_> = diags
-            .iter()
-            .filter(|d| d.rule == Rule::OutOfBounds)
-            .collect();
-        assert_eq!(oob.len(), 1, "{diags:?}");
-        let d = oob[0];
-        assert_eq!(d.grid, "x");
-        assert_eq!(d.dim, Some(1));
-        let w = d.witness.as_ref().expect("witness");
-        assert_eq!(w[1], n as i64, "witness column must be one past the edge");
     }
 
     #[test]

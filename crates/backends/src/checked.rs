@@ -28,28 +28,20 @@ use std::collections::HashMap;
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{LowerOptions, Lowered, LoweredKernel};
+use snowflake_ir::{Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
 use crate::{Backend, Executable};
 
 /// The sanitizer backend ("checked" in the registry).
-#[derive(Clone, Debug, Default)]
-pub struct CheckedBackend {
-    /// Lowering options (dead-stencil elimination etc.).
-    pub options: LowerOptions,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct CheckedBackend;
 
 impl CheckedBackend {
-    /// Backend with default options.
+    /// The sanitizer has no knobs; `new` exists for construction
+    /// uniformity with every other backend.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the lowering options (builder style).
-    pub fn with_options(mut self, options: LowerOptions) -> Self {
-        self.options = options;
-        self
+        CheckedBackend
     }
 }
 
@@ -59,12 +51,8 @@ impl Backend for CheckedBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let lowered = crate::exec::lower(group, shapes, &self.options)?;
+        let lowered = crate::exec::lower(group, shapes)?;
         Ok(Box::new(CheckedExecutable { lowered }))
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.options.clone()
     }
 }
 
@@ -338,7 +326,7 @@ mod tests {
         let mut shapes = ShapeMap::new();
         shapes.insert("x".into(), vec![6, 6]);
         shapes.insert("y".into(), vec![6, 6]);
-        let mut lowered = lower(&group, &shapes, &LowerOptions::default()).unwrap();
+        let mut lowered = lower(&group, &shapes).unwrap();
         lowered.kernels[0].out_delta += 1_000;
         let exe = CheckedExecutable { lowered };
         let mut gs = GridSet::new();
@@ -365,7 +353,7 @@ mod tests {
         let mut shapes = ShapeMap::new();
         shapes.insert("x".into(), vec![4, 4]);
         shapes.insert("y".into(), vec![4, 4]);
-        let mut lowered = lower(&group, &shapes, &LowerOptions::default()).unwrap();
+        let mut lowered = lower(&group, &shapes).unwrap();
         // The greedy schedule correctly separates the WAW pair; force them
         // into one phase to seed the race.
         assert_eq!(lowered.phases.len(), 2);
@@ -384,7 +372,7 @@ mod tests {
             Stencil::new(Expr::read_at("x", &[0, 0]), "y", RectDomain::all(2))
                 .with_out_map(AffineMap::scaled(vec![0, 0], vec![1, 1])),
         );
-        let mut lowered = lower(&race, &shapes, &LowerOptions::default()).unwrap();
+        let mut lowered = lower(&race, &shapes).unwrap();
         assert!(!lowered.kernels[0].parallel_safe);
         lowered.kernels[0].parallel_safe = true;
         let exe = CheckedExecutable { lowered };

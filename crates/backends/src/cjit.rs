@@ -58,8 +58,6 @@ const OPT_FLAGS: [&str; 3] = ["-O3", "-march=native", "-ffp-contract=off"];
 /// JIT-compile generated C through the system compiler.
 #[derive(Clone, Debug)]
 pub struct CJitBackend {
-    /// Lowering options.
-    pub options: LowerOptions,
     /// C compiler binary (default `cc`, override with `$SNOWFLAKE_CC`).
     pub cc: String,
     /// Persistent artifact cache directory; `None` resolves to a non-empty
@@ -75,7 +73,6 @@ pub struct CJitBackend {
 impl Default for CJitBackend {
     fn default() -> Self {
         CJitBackend {
-            options: LowerOptions::default(),
             cc: default_cc(),
             cache_dir: None,
             disk_hits: Arc::new(AtomicU64::new(0)),
@@ -100,15 +97,6 @@ impl CJitBackend {
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
-    }
-
-    /// `(hits, misses)` of the persistent artifact cache, accumulated
-    /// across this backend and all its clones.
-    pub fn disk_stats(&self) -> (u64, u64) {
-        (
-            self.disk_hits.load(Ordering::Relaxed),
-            self.disk_misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Is a working default C compiler (`$SNOWFLAKE_CC`, else `cc`)
@@ -305,17 +293,14 @@ impl Backend for CJitBackend {
         "cjit"
     }
 
+    /// The persistent artifact cache's hits and misses, accumulated
+    /// across this backend and all its clones.
     fn stats(&self) -> BackendStats {
-        let (disk_hits, disk_misses) = self.disk_stats();
         BackendStats {
-            disk_hits,
-            disk_misses,
+            disk_hits: self.disk_hits.load(Ordering::Relaxed),
+            disk_misses: self.disk_misses.load(Ordering::Relaxed),
             ..BackendStats::default()
         }
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.options.clone()
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
@@ -325,7 +310,7 @@ impl Backend for CJitBackend {
                 self.cc
             )));
         }
-        let mut lowered = lower_group(group, shapes, &self.options)?;
+        let mut lowered = lower_group(group, shapes, &LowerOptions::default())?;
         crate::specialize::specialize_lowered(&mut lowered);
         let source = emit_c(&lowered, "snowflake_run");
         let lib = self.build(&source)?;

@@ -52,12 +52,8 @@ pub(crate) const UNTILED: i64 = i64::MAX >> 1;
 /// Lower `group` for these executors: lowering, the executor limits (so
 /// `run_fused_region` can use fixed-size scratch arrays) and the
 /// closed-form pass.
-pub(crate) fn lower(
-    group: &StencilGroup,
-    shapes: &ShapeMap,
-    options: &LowerOptions,
-) -> Result<Lowered> {
-    let mut lowered = lower_group(group, shapes, options)?;
+pub(crate) fn lower(group: &StencilGroup, shapes: &ShapeMap) -> Result<Lowered> {
+    let mut lowered = lower_group(group, shapes, &LowerOptions::default())?;
     if let Some(k) = lowered
         .kernels
         .iter()
@@ -476,7 +472,7 @@ mod tests {
     }
 
     fn lowered(group: &StencilGroup, gs: &GridSet) -> Lowered {
-        lower(group, &gs.shapes(), &LowerOptions::default()).unwrap()
+        lower(group, &gs.shapes()).unwrap()
     }
 
     fn run_one(group: &StencilGroup, gs: &mut GridSet) {

@@ -30,11 +30,10 @@ impl Backend for InterpreterBackend {
     }
 
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        group.validate(shapes)?;
         let mut stencils = Vec::with_capacity(group.len());
         let mut points = 0u64;
         for s in group.stencils() {
-            let regions = s.resolve(shapes)?;
+            let regions = s.validate(shapes)?;
             points += regions.iter().map(|r| r.num_points()).sum::<u64>();
             stencils.push((s.clone(), regions));
         }

@@ -86,6 +86,12 @@ pub trait Executable: Send + Sync {
 /// A micro-compiler: turns a stencil group plus concrete shapes into an
 /// [`Executable`]. Mirrors the paper's `Stencil.compile()` /
 /// `StencilGroup.compile()` returning a callable.
+///
+/// Every compile starts from the same front end: `Stencil::validate`
+/// proves each access in bounds and resolves the domains, and the
+/// lowering backends lower with `LowerOptions::default()`, which is
+/// exactly the lowering the plan check ([`verify::verify_ops`])
+/// certifies.
 pub trait Backend: Send + Sync {
     /// Human-readable backend name ("omp", "oclsim", …).
     fn name(&self) -> &'static str;
@@ -99,16 +105,6 @@ pub trait Backend: Send + Sync {
     /// via this default.
     fn stats(&self) -> BackendStats {
         BackendStats::default()
-    }
-
-    /// The lowering options this backend compiles with. The static
-    /// verifier ([`verify::verify_op`]) replays these so it certifies
-    /// the *exact* schedule the backend executes (dead-stencil
-    /// elimination and phase reordering change the phases). Backends with
-    /// configurable lowering override this; the default covers backends
-    /// that always lower with defaults (e.g. the interpreter).
-    fn lower_options(&self) -> snowflake_ir::LowerOptions {
-        snowflake_ir::LowerOptions::default()
     }
 }
 

@@ -15,7 +15,6 @@
 //! environment (see DESIGN.md, substitutions).
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
-use snowflake_ir::LowerOptions;
 
 use crate::exec::{fit_tile, Schedule};
 use crate::{Backend, Executable};
@@ -26,26 +25,20 @@ use crate::{Backend, Executable};
 const WORK_GROUP: [i64; 2] = [4, 64];
 
 /// OpenCL execution-model simulator backend.
-#[derive(Clone, Debug, Default)]
-pub struct OclSimBackend {
-    /// Lowering options.
-    pub options: LowerOptions,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OclSimBackend;
 
 impl OclSimBackend {
-    /// Backend with default options.
+    /// The simulator's work-group tile is fixed; `new` exists for
+    /// construction uniformity with every other backend.
     pub fn new() -> Self {
-        Self::default()
+        OclSimBackend
     }
 }
 
 impl Backend for OclSimBackend {
     fn name(&self) -> &'static str {
         "oclsim"
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.options.clone()
     }
 
     /// Every phase is one "kernel launch batch"; the phase barrier is the
@@ -57,8 +50,9 @@ impl Backend for OclSimBackend {
             multicolor: false,
             parallel: true,
         };
-        let lowered = crate::exec::lower(group, shapes, &self.options)?;
-        Ok(Box::new(schedule.build(lowered)?))
+        Ok(Box::new(
+            schedule.build(crate::exec::lower(group, shapes)?)?,
+        ))
     }
 }
 

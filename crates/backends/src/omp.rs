@@ -17,7 +17,7 @@
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::{LowerOptions, Lowered};
+use snowflake_ir::Lowered;
 
 use crate::exec::{fit_tile, Phased, Schedule, UNTILED};
 use crate::metrics::BackendStats;
@@ -59,8 +59,6 @@ impl Default for OmpOptions {
 /// The OpenMP-like backend.
 #[derive(Clone, Debug, Default)]
 pub struct OmpBackend {
-    /// Lowering options.
-    pub options: LowerOptions,
     /// Scheduling options.
     pub omp: OmpOptions,
     /// Persisted tile-decision cache (used only when `omp.tune`).
@@ -128,7 +126,6 @@ impl OmpBackend {
         let mut best: Option<(f64, Vec<i64>, Box<dyn Executable>)> = None;
         for tile in candidates {
             let backend = OmpBackend {
-                options: self.options.clone(),
                 omp: OmpOptions {
                     tile: Some(tile.clone()),
                     ..self.omp.clone()
@@ -187,7 +184,7 @@ impl OmpBackend {
     /// tuned or default tile, fusion and multicolor reordering as set, and
     /// parallel execution.
     fn schedule(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Phased> {
-        let lowered = crate::exec::lower(group, shapes, &self.options)?;
+        let lowered = crate::exec::lower(group, shapes)?;
         let threads = rayon::current_num_threads().max(1);
         // Tuner consult only fills the gap left by an unset explicit tile;
         // `autotune_tile`'s probe compiles carry `tile: Some(..)` and so
@@ -237,10 +234,6 @@ fn tune_candidates(ndim: usize, regions: &[Region], threads: usize) -> Vec<Vec<i
 impl Backend for OmpBackend {
     fn name(&self) -> &'static str {
         "omp"
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.options.clone()
     }
 
     fn stats(&self) -> BackendStats {

@@ -131,13 +131,12 @@ impl SolverPlan {
     }
 
     /// As [`SolverPlan::build`], behind the plan check: [`verify_ops`]
-    /// (with the backend's lowering options) runs once over `ops` and
-    /// refuses the plan before any compile.
+    /// runs once over `ops` and refuses the plan before any compile.
     pub fn build_checked(
         backend: Box<dyn Backend>,
         ops: &[(StencilGroup, ShapeMap)],
     ) -> std::result::Result<Self, PlanError> {
-        let cert = verify_ops(ops, &backend.lower_options()).map_err(PlanError::Refused)?;
+        let cert = verify_ops(ops).map_err(PlanError::Refused)?;
         let mut plan = Self::build(backend, ops)?;
         plan.verify = cert.stats();
         Ok(plan)
@@ -147,12 +146,6 @@ impl SolverPlan {
     /// order: the input [`verify_ops`] analyzes.
     pub fn descriptors(&self) -> &[(StencilGroup, ShapeMap)] {
         &self.descs
-    }
-
-    /// Lowering options of the compiling backend (what the verifier must
-    /// replay to certify the exact schedule the backend executes).
-    pub fn lower_options(&self) -> snowflake_ir::LowerOptions {
-        self.backend.lower_options()
     }
 
     /// Number of operator slots (`plan_ops`). Structurally identical

@@ -8,28 +8,19 @@
 //! order — the canonical semantics.
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
-use snowflake_ir::LowerOptions;
 
 use crate::exec::{Schedule, UNTILED};
 use crate::{Backend, Executable};
 
 /// Single-threaded compiled backend.
-#[derive(Clone, Debug, Default)]
-pub struct SequentialBackend {
-    /// Lowering options (dead-stencil elimination etc.).
-    pub options: LowerOptions,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SequentialBackend;
 
 impl SequentialBackend {
-    /// Backend with default options.
+    /// The sequential backend has no knobs; `new` exists for construction
+    /// uniformity with every other backend.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set the lowering options (builder style).
-    pub fn with_options(mut self, options: LowerOptions) -> Self {
-        self.options = options;
-        self
+        SequentialBackend
     }
 }
 
@@ -49,12 +40,9 @@ impl Backend for SequentialBackend {
             multicolor: false,
             parallel: false,
         };
-        let lowered = crate::exec::lower(group, shapes, &self.options)?;
-        Ok(Box::new(schedule.build(lowered)?))
-    }
-
-    fn lower_options(&self) -> LowerOptions {
-        self.options.clone()
+        Ok(Box::new(
+            schedule.build(crate::exec::lower(group, shapes)?)?,
+        ))
     }
 }
 

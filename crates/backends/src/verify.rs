@@ -3,17 +3,22 @@
 //! lint passes live in `snowflake-analysis`, on the analysis crate's one
 //! conflict test and hazard search).
 //!
-//! [`verify_ops`] re-proves, from the original stencil descriptions and
-//! *independently* of the lowering pipeline, that every operator is
-//! in-bounds and race-free:
+//! [`verify_ops`] re-proves, from the original stencil descriptions, that
+//! every operator is in-bounds and race-free. The source-level bounds
+//! proof is the one every compile runs; the schedule certificate, the
+//! lowered cursor proof and the C audit check what the lowering produced
+//! *independently* of how it produced it:
 //!
 //! 1. **Source bounds** — every read/write of every stencil stays inside
-//!    its grid's allocated extents (ghost zones included), via
-//!    `verify_bounds`.
-//! 2. **Schedule certification** — the dependence DAG is re-derived and
-//!    each barrier phase of the lowering is proved pairwise hazard-free;
-//!    every `parallel_safe` claim on a [`LoweredKernel`] is re-justified
-//!    (red/black colorings must write disjoint cells).
+//!    its grid's allocated extents (ghost zones included), by the front
+//!    end's one bounds proof ([`Stencil::validate`], reached through
+//!    [`ResolvedStencil::resolve`]); a refusal becomes a finding with its
+//!    grid, dimension and witness cell.
+//! 2. **Schedule certification** — the group is lowered as every backend
+//!    lowers it (`LowerOptions::default()`), the dependence DAG is
+//!    re-derived and each barrier phase of the lowering is proved pairwise
+//!    hazard-free; every `parallel_safe` claim on a [`LoweredKernel`] is
+//!    re-justified (red/black colorings must write disjoint cells).
 //! 3. **Lowered cursor bounds** — the flat indices the compiled kernels
 //!    actually touch ([`AccessClass`] cursor algebra over their `regions`)
 //!    are proved to stay inside the dense grid allocations.
@@ -40,12 +45,12 @@
 //! anything.
 //!
 //! [`AccessClass`]: snowflake_ir::AccessClass
+//! [`Stencil::validate`]: snowflake_core::Stencil::validate
 //! [`LoweredKernel`]: snowflake_ir::LoweredKernel
 //! [`SolverPlan::build_checked`]: crate::plan::SolverPlan::build_checked
 
 use snowflake_analysis::{
-    certify_schedule, dead_stencils, lint_program, verify_bounds, Finding, LintConfig,
-    ResolvedStencil, Rule, Severity,
+    certify_schedule, lint_program, Finding, LintConfig, ResolvedStencil, Rule, Severity,
 };
 use snowflake_core::{CoreError, ShapeMap, StencilGroup};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, SpecForm};
@@ -105,35 +110,60 @@ pub fn witness_count(findings: &[Finding]) -> u64 {
     findings.iter().filter(|d| d.witness.is_some()).count() as u64
 }
 
-/// Map a resolution/lowering error into the rule taxonomy.
-fn resolve_finding(stencil: &str, e: &CoreError) -> Finding {
-    let rule = match e {
-        CoreError::UnknownGrid { .. } => Rule::UnknownGrid,
-        CoreError::AccessOutOfBounds { .. } | CoreError::DomainOutOfBounds { .. } => {
-            Rule::OutOfBounds
+/// Map a front-end error (resolution, validation or lowering) into the
+/// rule taxonomy: the stencil, grid, dimension and witness cell go in the
+/// finding's fields, and its detail is the error's own detail.
+fn resolve_finding(e: &CoreError) -> Finding {
+    match e {
+        CoreError::AccessOutOfBounds {
+            stencil,
+            grid,
+            dim,
+            witness,
+            detail,
+        } => {
+            let finding = Finding::new(Rule::OutOfBounds, detail.as_str())
+                .stencil(stencil)
+                .grid(grid)
+                .dim(*dim);
+            match witness {
+                Some(cell) => finding.witness(cell.clone()),
+                None => finding,
+            }
         }
-        CoreError::DimMismatch { .. } => Rule::RankMismatch,
-        _ => Rule::CodegenAudit,
-    };
-    Finding::new(rule, e.to_string()).stencil(stencil)
+        CoreError::DomainOutOfBounds { stencil, detail } => {
+            Finding::new(Rule::OutOfBounds, format!("domain {detail}")).stencil(stencil)
+        }
+        CoreError::UnknownGrid { stencil, grid } => {
+            Finding::new(Rule::UnknownGrid, "the grid has no allocated shape")
+                .stencil(stencil)
+                .grid(grid)
+        }
+        // The rank-mismatch context already names the stencil.
+        CoreError::DimMismatch { .. } => Finding::new(Rule::RankMismatch, e.to_string()),
+        _ => Finding::new(Rule::CodegenAudit, e.to_string()),
+    }
 }
 
 /// Verify one operator: certify the group against the shapes it will run
-/// on, lowering with the same options the executing backend uses.
+/// on, lowered as every backend lowers it.
 pub fn verify_op(
     group: &StencilGroup,
     shapes: &ShapeMap,
-    opts: &LowerOptions,
 ) -> std::result::Result<OpCertificate, Vec<Finding>> {
     let mut diags = Vec::new();
     let mut cert = OpCertificate::default();
 
-    // 1. Re-resolve every stencil from source (full validation).
+    // 1. Re-resolve every stencil from source: the front end's bounds
+    // proof covers every distinct read and the write over every region.
     let mut resolved = Vec::new();
     for s in group.stencils() {
         match ResolvedStencil::resolve(s, shapes) {
-            Ok(rs) => resolved.push(rs),
-            Err(e) => diags.push(resolve_finding(s.name(), &e)),
+            Ok(rs) => {
+                cert.accesses_proved += ((rs.reads().len() + 1) * rs.regions.len()) as u64;
+                resolved.push(rs);
+            }
+            Err(e) => diags.push(resolve_finding(&e)),
         }
     }
     if !diags.is_empty() {
@@ -141,49 +171,24 @@ pub fn verify_op(
     }
     cert.stencils_checked = resolved.len() as u64;
 
-    // 2. Source-level bounds proofs.
-    for rs in &resolved {
-        match verify_bounds(rs, shapes) {
-            Ok(n) => cert.accesses_proved += n,
-            Err(ds) => diags.extend(ds),
-        }
-    }
-
-    // 3. Lower and specialize exactly as the backends do and cross-check
-    // the kernel table position-for-position against the surviving
-    // stencils.
-    let mut lowered = match lower_group(group, shapes, opts) {
+    // 2. Lower and specialize exactly as the backends do and cross-check
+    // the kernel table position-for-position against the stencils.
+    let mut lowered = match lower_group(group, shapes, &LowerOptions::default()) {
         Ok(l) => l,
-        Err(e) => {
-            diags.push(resolve_finding("<lowering>", &e));
-            return Err(diags);
-        }
+        Err(e) => return Err(vec![resolve_finding(&e)]),
     };
     specialize_lowered(&mut lowered);
-    let kept: Vec<ResolvedStencil> = match &opts.live_outputs {
-        Some(live) => {
-            let keep = dead_stencils(&resolved, live);
-            resolved
-                .iter()
-                .zip(&keep)
-                .filter(|&(_, &k)| k)
-                .map(|(r, _)| r.clone())
-                .collect()
-        }
-        None => resolved.clone(),
-    };
-    if kept.len() != lowered.kernels.len() {
-        diags.push(Finding::new(
+    if resolved.len() != lowered.kernels.len() {
+        return Err(vec![Finding::new(
             Rule::CodegenAudit,
             format!(
-                "lowering produced {} kernels but {} stencils survive elimination",
+                "lowering produced {} kernels for {} stencils",
                 lowered.kernels.len(),
-                kept.len()
+                resolved.len()
             ),
-        ));
-        return Err(diags);
+        )]);
     }
-    for (k, rs) in lowered.kernels.iter().zip(&kept) {
+    for (k, rs) in lowered.kernels.iter().zip(&resolved) {
         if k.name != rs.stencil.name() {
             diags.push(
                 Finding::new(
@@ -199,15 +204,15 @@ pub fn verify_op(
         }
     }
 
-    // 4. Certify the lowered schedule against the claimed flags.
+    // 3. Certify the lowered schedule against the claimed flags.
     let claims: Vec<bool> = lowered.kernels.iter().map(|k| k.parallel_safe).collect();
-    match certify_schedule(&kept, &lowered.phases, &claims) {
+    match certify_schedule(&resolved, &lowered.phases, &claims) {
         Ok(sc) => cert.phases_certified += sc.phases_certified,
         Err(ds) => diags.extend(ds),
     }
     cert.parallel_kernels = claims.iter().filter(|&&c| c).count() as u64;
 
-    // 5. Lowered-form flat-cursor bounds.
+    // 4. Lowered-form flat-cursor bounds.
     for kernel in &lowered.kernels {
         match verify_kernel_cursors(kernel, &lowered) {
             Ok(n) => cert.accesses_proved += n,
@@ -215,7 +220,7 @@ pub fn verify_op(
         }
     }
 
-    // 6. Audit the generated C.
+    // 5. Audit the generated C.
     match audit_c_pragmas(&lowered) {
         Ok(n) => cert.pragmas_audited = n,
         Err(ds) => diags.extend(ds),
@@ -441,17 +446,16 @@ fn audit_c_source(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<
     }
 }
 
-/// The plan check: certify every operator of an operator list lowered
-/// with `opts`, then lint the list once in inventory mode. Returns the
-/// certificate, or every deny-level finding of both analyses.
+/// The plan check: certify every operator of an operator list, then lint
+/// the list once in inventory mode. Returns the certificate, or every
+/// deny-level finding of both analyses.
 pub fn verify_ops(
     ops: &[(StencilGroup, ShapeMap)],
-    opts: &LowerOptions,
 ) -> std::result::Result<PlanCertificate, Vec<Finding>> {
     let mut certs = Vec::new();
     let mut denied = Vec::new();
     for (group, shapes) in ops {
-        match verify_op(group, shapes, opts) {
+        match verify_op(group, shapes) {
             Ok(c) => certs.push(c),
             Err(ds) => denied.extend(ds),
         }
@@ -475,7 +479,7 @@ pub fn verify_ops(
                 }
             }
         }
-        Err(e) => denied.push(resolve_finding("", &e)),
+        Err(e) => denied.push(resolve_finding(&e)),
     }
     if denied.is_empty() {
         Ok(PlanCertificate {
@@ -492,6 +496,7 @@ pub fn verify_ops(
 mod tests {
     use super::*;
     use snowflake_core::{DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_grid::Region;
 
     fn shapes2(n: usize) -> ShapeMap {
         let mut m = ShapeMap::new();
@@ -511,7 +516,7 @@ mod tests {
     #[test]
     fn laplacian_group_earns_a_certificate() {
         let group = StencilGroup::from(Stencil::new(laplacian2(), "y", RectDomain::interior(2)));
-        let cert = verify_op(&group, &shapes2(8), &LowerOptions::default()).unwrap();
+        let cert = verify_op(&group, &shapes2(8)).unwrap();
         assert_eq!(cert.stencils_checked, 1);
         assert!(cert.accesses_proved >= 6);
         assert_eq!(cert.phases_certified, 1);
@@ -531,7 +536,7 @@ mod tests {
         let group = StencilGroup::new()
             .with(Stencil::new(update.clone(), "x", red).named("red"))
             .with(Stencil::new(update, "x", black).named("black"));
-        let cert = verify_op(&group, &shapes2(10), &LowerOptions::default()).unwrap();
+        let cert = verify_op(&group, &shapes2(10)).unwrap();
         assert_eq!(cert.stencils_checked, 2);
         assert_eq!(cert.phases_certified, 2);
         // Both colorings are parallel-safe: their writes are disjoint.
@@ -539,24 +544,31 @@ mod tests {
     }
 
     #[test]
-    fn dead_elimination_path_still_certifies() {
-        let mut shapes = shapes2(8);
-        shapes.insert("z".into(), vec![8, 8]);
-        let group = StencilGroup::new()
-            .with(Stencil::new(Expr::read_at("x", &[0, 0]), "y", RectDomain::all(2)).named("dead"))
-            .with(
-                Stencil::new(Expr::read_at("x", &[0, 0]) * 2.0, "z", RectDomain::all(2))
-                    .named("live"),
-            );
-        let opts = LowerOptions {
-            live_outputs: Some(vec!["z".to_string()]),
-            ..Default::default()
-        };
-        let cert = verify_op(&group, &shapes, &opts).unwrap();
-        // Only the surviving stencil is scheduled, but both were
-        // bounds-checked at source level.
-        assert_eq!(cert.stencils_checked, 2);
-        assert_eq!(cert.phases_certified, 1);
+    fn widened_kernel_region_trips_the_lowered_cursor_proof() {
+        // y[p] = x[p - 1] over the interior certifies; widening the lowered
+        // region to include p = 0 (which the front end refuses at source
+        // level) moves the read cursor to flat index -1.
+        let group = StencilGroup::from(
+            Stencil::new(Expr::read_at("x", &[-1]), "y", RectDomain::interior(1)).named("left"),
+        );
+        let mut shapes = ShapeMap::new();
+        shapes.insert("x".into(), vec![8]);
+        shapes.insert("y".into(), vec![8]);
+        let mut lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
+        specialize_lowered(&mut lowered);
+        assert_eq!(verify_kernel_cursors(&lowered.kernels[0], &lowered), Ok(2));
+
+        let mut widened = lowered.kernels[0].clone();
+        widened.regions = vec![Region::new(vec![0], vec![7], vec![1])];
+        let diags = verify_kernel_cursors(&widened, &lowered).unwrap_err();
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        let d = &diags[0];
+        assert_eq!(
+            (d.rule, d.stencil.as_str(), d.grid.as_str()),
+            (Rule::OutOfBounds, "left", "x")
+        );
+        // The witness is the iteration point at the cursor's low extreme.
+        assert_eq!(d.witness.as_deref(), Some(&[0i64][..]), "{d}");
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! The tuner cache directory is `SNOWFLAKE_TUNE_DIR` when set (CI pins it
 //! so the cold/warm runs share one cache), otherwise a scratch directory
 //! under the system temp dir.
+//!
+//! Every listed backend must build and solve (cjit is listed only when a
+//! C compiler is available): a failure prints its error and exits 1.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -16,6 +19,7 @@ use hpgmg::{HandSolver, Problem, SnowSolver, SolveOptions};
 use snowflake_backends::metrics::json;
 use snowflake_backends::{backend_from_name, BackendOptions, CJitBackend};
 use snowflake_bench::{arg_size, arg_usize, arg_value, check_args, or_exit, print_table};
+use snowflake_core::{CoreError, Result};
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -32,38 +36,36 @@ fn median(samples: &mut [f64]) -> f64 {
 
 /// One backend's solver measurement, rendered into the artifact.
 struct BackendRow {
-    name: String,
-    /// `None` when the backend is unavailable (e.g. cjit without a cc).
-    measured: Option<Measured>,
-}
-
-struct Measured {
+    name: &'static str,
     solve_seconds_median: f64,
     dof_per_sec: f64,
     report_json: String,
 }
 
 fn measure_backend(
-    name: &str,
+    name: &'static str,
     opts: &BackendOptions,
     problem: Problem,
     cycles: usize,
     reps: usize,
     dof: f64,
-) -> Option<Measured> {
-    let backend = backend_from_name(name, opts).ok()?;
-    let mut solver = SnowSolver::new(problem, backend).ok()?;
-    solver.solve(1).ok()?; // untimed warm-up (pays page faults + JIT)
+) -> Result<BackendRow> {
+    let backend = backend_from_name(name, opts)?;
+    let mut solver = SnowSolver::new(problem, backend)?;
+    solver.solve(1)?; // untimed warm-up (pays page faults + JIT)
     solver.enable_metrics();
     let mut times = Vec::with_capacity(reps);
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        solver.solve(SolveOptions::cycles(cycles)).ok()?;
+        solver.solve(SolveOptions::cycles(cycles))?;
         times.push(t0.elapsed().as_secs_f64());
     }
-    let report = solver.take_metrics()?;
+    let report = solver
+        .take_metrics()
+        .ok_or_else(|| CoreError::Backend("the solver kept no metrics".into()))?;
     let solve_seconds_median = median(&mut times);
-    Some(Measured {
+    Ok(BackendRow {
+        name,
         solve_seconds_median,
         dof_per_sec: dof / solve_seconds_median,
         report_json: report.to_json(),
@@ -123,21 +125,22 @@ fn main() {
     };
 
     // Every stock backend; omp additionally exercises the persisted tuner.
+    // A backend that fails to build or solve fails the run.
     let mut names = vec!["seq", "omp", "oclsim"];
     if CJitBackend::available() {
         names.push("cjit");
     }
     let rows: Vec<BackendRow> = names
-        .iter()
+        .into_iter()
         .map(|name| {
             let mut opts = BackendOptions::default();
-            if *name == "omp" {
+            if name == "omp" {
                 opts = opts.with_tune(true).with_tune_dir(tune_dir.clone());
             }
-            BackendRow {
-                name: (*name).to_string(),
-                measured: measure_backend(name, &opts, problem, cycles, reps, dof),
-            }
+            measure_backend(name, &opts, problem, cycles, reps, dof).unwrap_or_else(|e| {
+                eprintln!("error: backend {name}: {e}");
+                std::process::exit(1);
+            })
         })
         .collect();
 
@@ -155,20 +158,14 @@ fn main() {
         if i > 0 {
             doc.push(',');
         }
-        match &row.measured {
-            Some(m) => doc.push_str(&format!(
-                "{{\"name\":{},\"solve_seconds_median\":{},\"dof_per_sec\":{},\
-                 \"report\":{}}}",
-                json::escape(&row.name),
-                json::number(m.solve_seconds_median),
-                json::number(m.dof_per_sec),
-                m.report_json
-            )),
-            None => doc.push_str(&format!(
-                "{{\"name\":{},\"skipped\":true}}",
-                json::escape(&row.name)
-            )),
-        }
+        doc.push_str(&format!(
+            "{{\"name\":{},\"solve_seconds_median\":{},\"dof_per_sec\":{},\
+             \"report\":{}}}",
+            json::escape(row.name),
+            json::number(row.solve_seconds_median),
+            json::number(row.dof_per_sec),
+            row.report_json
+        ));
     }
     doc.push_str("],");
     doc.push_str(&format!(
@@ -194,13 +191,12 @@ fn main() {
 
     let table: Vec<Vec<String>> = rows
         .iter()
-        .map(|row| match &row.measured {
-            Some(m) => vec![
-                row.name.clone(),
-                format!("{:.3}", m.dof_per_sec / 1e6),
-                format!("{:.4}", m.solve_seconds_median),
-            ],
-            None => vec![row.name.clone(), "skipped".into(), "skipped".into()],
+        .map(|row| {
+            vec![
+                row.name.to_string(),
+                format!("{:.3}", row.dof_per_sec / 1e6),
+                format!("{:.4}", row.solve_seconds_median),
+            ]
         })
         .collect();
     print_table(

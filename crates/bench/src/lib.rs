@@ -291,15 +291,8 @@ impl KernelBench {
 
     /// Measure stencils/second (best of `reps` sweeps after warm-up).
     pub fn stencils_per_sec(&mut self, reps: usize) -> f64 {
-        // `time_best` needs a closure capturing self mutably.
-        self.sweep();
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t0 = Instant::now();
-            self.sweep();
-            best = best.min(t0.elapsed().as_secs_f64());
-        }
-        self.stencils_per_sweep as f64 / best
+        let stencils = self.stencils_per_sweep as f64;
+        stencils / time_best(reps, || self.sweep())
     }
 
     /// Measure seconds per sweep (Figure 8 presentation).

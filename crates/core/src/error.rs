@@ -23,6 +23,11 @@ pub enum CoreError {
     AccessOutOfBounds {
         stencil: String,
         grid: String,
+        /// The dimension in which the access leaves the grid.
+        dim: usize,
+        /// The grid cell the violating domain point accesses; `None` when
+        /// that cell's index does not fit in an `i64`.
+        witness: Option<Vec<i64>>,
         detail: String,
     },
     /// A stencil references a grid absent from the shape map / grid set.
@@ -62,11 +67,20 @@ impl fmt::Display for CoreError {
             CoreError::AccessOutOfBounds {
                 stencil,
                 grid,
+                dim,
+                witness,
                 detail,
-            } => write!(
-                f,
-                "stencil {stencil:?}: access to grid {grid:?} out of bounds: {detail}"
-            ),
+            } => {
+                write!(
+                    f,
+                    "stencil {stencil:?}: access to grid {grid:?} out of bounds in dim {dim}: \
+                     {detail}"
+                )?;
+                match witness {
+                    Some(cell) => write!(f, " (witness cell {cell:?})"),
+                    None => Ok(()),
+                }
+            }
             CoreError::UnknownGrid { stencil, grid } => {
                 write!(f, "stencil {stencil:?} references unknown grid {grid:?}")
             }

@@ -172,11 +172,20 @@ impl Stencil {
         })
     }
 
-    /// Validate the stencil against concrete shapes: every grid exists,
-    /// ranks agree, and every read/write stays in bounds for every point of
-    /// the resolved domain.
-    #[allow(clippy::needless_range_loop)] // d indexes several parallel arrays
-    pub fn validate(&self, shapes: &ShapeMap) -> Result<()> {
+    /// Validate the stencil against concrete shapes and return its resolved
+    /// domain: every grid exists, ranks agree, and every read and write
+    /// stays in bounds for every point of the domain.
+    ///
+    /// This is the one source-level bounds proof. For each access, member
+    /// rectangle and dimension, the extreme images `a·lo + b` and
+    /// `a·last + b` must land in `[0, extent)`; this is exact because an
+    /// affine image of a strided range attains its extrema at the
+    /// endpoints, and the arithmetic is done in `i128`, so no scale or
+    /// offset can wrap an image back into range. A refusal is a
+    /// [`CoreError::AccessOutOfBounds`] naming the dimension and a witness:
+    /// the cell accessed by a domain point whose image leaves the grid
+    /// (omitted when that cell's index does not fit in an `i64`).
+    pub fn validate(&self, shapes: &ShapeMap) -> Result<Vec<Region>> {
         // Rank consistency.
         if let Err((a, b)) = self.expr.consistent_ndim() {
             return Err(CoreError::DimMismatch {
@@ -199,46 +208,56 @@ impl Stencil {
             }
         }
         let regions = self.resolve(shapes)?;
-        // Bounds-check every access over every region.
-        let mut err: Option<CoreError> = None;
-        {
-            let mut check = |grid: &str, map: &AffineMap, what: &str| {
-                if err.is_some() {
-                    return;
-                }
-                let shape = &shapes[grid];
-                for region in &regions {
-                    if region.is_empty() {
-                        continue;
-                    }
-                    for d in 0..self.ndim() {
-                        let lo = region.lo[d];
-                        let last = region.lo[d] + (region.extent(d) - 1) * region.stride[d];
-                        let a = map.scale[d];
-                        let b = map.offset[d];
-                        let (v1, v2) = (a * lo + b, a * last + b);
-                        let (mn, mx) = (v1.min(v2), v1.max(v2));
-                        if mn < 0 || mx >= shape[d] as i64 {
-                            err = Some(CoreError::AccessOutOfBounds {
-                                stencil: self.name.clone(),
-                                grid: grid.to_string(),
-                                detail: format!(
-                                    "{what} dim {d}: indices span [{mn}, {mx}] but extent is {}",
-                                    shape[d]
-                                ),
-                            });
-                            return;
-                        }
-                    }
-                }
-            };
-            self.expr.visit_reads(&mut |g, m| check(g, m, "read"));
-            check(&self.output, &self.out_map, "write");
+        let mut accesses = Vec::new();
+        self.expr
+            .visit_reads(&mut |g, m| accesses.push(("read", g.to_string(), m.clone())));
+        accesses.push(("write", self.output.clone(), self.out_map.clone()));
+        for (what, grid, map) in &accesses {
+            for region in regions.iter().filter(|r| !r.is_empty()) {
+                self.check_access(what, grid, map, region, &shapes[grid])?;
+            }
         }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
+        Ok(regions)
+    }
+
+    /// Prove one access over one non-empty region in bounds, dimension by
+    /// dimension.
+    fn check_access(
+        &self,
+        what: &str,
+        grid: &str,
+        map: &AffineMap,
+        region: &Region,
+        shape: &[usize],
+    ) -> Result<()> {
+        let image = |d: usize, p: i128| i128::from(map.scale[d]) * p + i128::from(map.offset[d]);
+        for (d, &extent) in shape.iter().enumerate() {
+            let lo = i128::from(region.lo[d]);
+            let last = lo + i128::from(region.extent(d) - 1) * i128::from(region.stride[d]);
+            let (first, final_) = (image(d, lo), image(d, last));
+            let (mn, mx) = (first.min(final_), first.max(final_));
+            if mn >= 0 && mx < extent as i128 {
+                continue;
+            }
+            // The domain point attaining the violating extreme, other
+            // dimensions pinned at their lows.
+            let bad = if mn < 0 { mn } else { mx };
+            let mut point: Vec<i128> = region.lo.iter().map(|&c| i128::from(c)).collect();
+            point[d] = if first == bad { lo } else { last };
+            let witness = point
+                .iter()
+                .enumerate()
+                .map(|(e, &p)| i64::try_from(image(e, p)).ok())
+                .collect();
+            return Err(CoreError::AccessOutOfBounds {
+                stencil: self.name.clone(),
+                grid: grid.to_string(),
+                dim: d,
+                witness,
+                detail: format!("{what} spans [{mn}, {mx}] but the extent is {extent}"),
+            });
         }
+        Ok(())
     }
 }
 
@@ -300,7 +319,6 @@ impl StencilGroup {
     }
 
     /// Validate every stencil.
-    #[allow(clippy::needless_range_loop)] // d indexes several parallel arrays
     pub fn validate(&self, shapes: &ShapeMap) -> Result<()> {
         for s in &self.stencils {
             s.validate(shapes)?;
@@ -373,7 +391,29 @@ mod tests {
             RectDomain::new(&[0, 0], &[0, 0], &[1, 1]),
         );
         let e = s.validate(&shapes2(8)).unwrap_err();
-        assert!(matches!(e, CoreError::AccessOutOfBounds { .. }), "{e}");
+        let CoreError::AccessOutOfBounds {
+            grid, dim, witness, ..
+        } = &e
+        else {
+            panic!("{e}");
+        };
+        assert_eq!((grid.as_str(), *dim), ("x", 0), "{e}");
+        assert_eq!(witness.as_deref(), Some(&[-1, 0][..]), "{e}");
+    }
+
+    #[test]
+    fn validate_never_wraps_an_image_into_range() {
+        // x[2^62·i + 5] at i = 4 is cell 2^64 + 5: an i64 product wraps it
+        // to cell 5, inside the grid.
+        let mut m = ShapeMap::new();
+        m.insert("x".into(), vec![10]);
+        let far = Expr::read_mapped("x", AffineMap::scaled(vec![1 << 62], vec![5]));
+        let s = Stencil::new(far, "x", RectDomain::new(&[4], &[5], &[1]));
+        let e = s.validate(&m).unwrap_err();
+        let CoreError::AccessOutOfBounds { dim, witness, .. } = &e else {
+            panic!("{e}");
+        };
+        assert_eq!((*dim, witness), (0, &None), "{e}");
     }
 
     #[test]

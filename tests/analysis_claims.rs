@@ -132,11 +132,14 @@ fn dead_stencil_elimination_through_lowering() {
         .unwrap()
         .run(&mut full)
         .unwrap();
-    let be = SequentialBackend::new().with_options(LowerOptions {
-        live_outputs: Some(vec!["z".to_string()]),
-        ..Default::default()
-    });
-    be.compile(&group, &dce.shapes())
+    let survivors: StencilGroup = group
+        .stencils()
+        .iter()
+        .filter(|s| lowered.kernels.iter().any(|k| k.name == s.name()))
+        .cloned()
+        .collect();
+    SequentialBackend::new()
+        .compile(&survivors, &dce.shapes())
         .unwrap()
         .run(&mut dce)
         .unwrap();

@@ -39,8 +39,8 @@ fn child_build() {
     shapes.insert("x".into(), vec![8, 8]);
     shapes.insert("y".into(), vec![8, 8]);
     backend.compile(&group, &shapes).unwrap();
-    let (hits, misses) = backend.disk_stats();
-    println!("disk-stats {hits} {misses}");
+    let stats = backend.stats();
+    println!("disk-stats {} {}", stats.disk_hits, stats.disk_misses);
 }
 
 /// Write the wrapper compiler at `path`, reporting `banner` as its version.

@@ -41,10 +41,6 @@ impl Backend for Counting {
         self.compiles.fetch_add(1, Ordering::SeqCst);
         self.inner.compile(group, shapes)
     }
-
-    fn lower_options(&self) -> snowflake::ir::LowerOptions {
-        self.inner.lower_options()
-    }
 }
 
 fn shapes(names: &[&str], shape: &[usize]) -> ShapeMap {
@@ -88,8 +84,7 @@ fn non_injective_write_is_serialized_and_certified() {
     for name in ["seq", "omp", "oclsim", "checked"] {
         let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
         let plan = SolverPlan::build_checked(backend, &race).unwrap();
-        let cert = verify_ops(plan.descriptors(), &plan.lower_options())
-            .expect("the serialized race certifies");
+        let cert = verify_ops(plan.descriptors()).expect("the serialized race certifies");
         assert_eq!(cert.ops[0].parallel_kernels, 0, "{name}");
         let mut grids = GridSet::new();
         grids.insert("x", Grid::new(&[8]));
@@ -171,7 +166,15 @@ fn one_refusal_lists_the_findings_of_both_analyses() {
         .find(|d| d.rule == Rule::OutOfBounds)
         .unwrap_or_else(|| panic!("the verifier's finding: {findings:?}"));
     assert_eq!(oob.stencil, "far", "{oob}");
-    assert!(oob.detail.contains("\"x\""), "{oob}");
+    assert_eq!(oob.grid, "x", "{oob}");
+    assert_eq!(oob.dim, Some(1), "{oob}");
+    let witness = oob.witness.as_ref().expect("a witness cell");
+    assert_eq!(witness[1], 10, "one column past the grid: {oob}");
+    assert_eq!(
+        oob.to_string().matches("stencil \"far\"").count(),
+        1,
+        "the rendered finding names the stencil once: {oob}"
+    );
     assert!(
         findings
             .iter()
@@ -222,8 +225,7 @@ fn certified_hpgmg_build_stamps_one_pass_of_gate_counters() {
         plan.cache_stats().misses,
         "the plan check compiles nothing itself"
     );
-    let cert =
-        verify_ops(plan.descriptors(), &plan.lower_options()).expect("the HPGMG plan certifies");
+    let cert = verify_ops(plan.descriptors()).expect("the HPGMG plan certifies");
     let lint = lint_program(plan.descriptors(), &LintConfig::default()).unwrap();
     solver.enable_metrics();
     solver.vcycle(0).unwrap();
@@ -240,7 +242,16 @@ fn certified_hpgmg_build_stamps_one_pass_of_gate_counters() {
     );
     assert_eq!(report.verify.warnings, 0);
     assert!(lint.lints.is_empty(), "{:?}", lint.lints);
-    assert!(report.verify.stencils_checked > 0 && report.verify.accesses_proved > 0);
+    // The counters of the HPGMG V-cycle plan: 67 stencils, their source
+    // accesses plus the lowered cursors, and 17 barrier phases.
+    assert_eq!(
+        (
+            report.verify.stencils_checked,
+            report.verify.accesses_proved,
+            report.verify.phases_certified
+        ),
+        (67, 1004, 17)
+    );
 
     // Unchecked builds carry zero plan-check counters.
     let mut unchecked = SnowSolver::new(Problem::poisson_vc(8), Counting::seq().0).unwrap();

@@ -123,7 +123,7 @@ fn every_hpgmg_plan_kernel_is_linear_or_a_tape() {
         let plan = solver.plan();
         let mut smoother_kernels = 0;
         for (group, shapes) in plan.descriptors() {
-            let mut lowered = lower_group(group, shapes, &plan.lower_options()).unwrap();
+            let mut lowered = lower_group(group, shapes, &LowerOptions::default()).unwrap();
             specialize_lowered(&mut lowered);
             for kernel in &lowered.kernels {
                 let smoother = kernel.name.starts_with("gsrb_");
@@ -148,14 +148,15 @@ fn every_hpgmg_plan_kernel_is_linear_or_a_tape() {
 }
 
 /// §VI's `--verify` flag certifies every op of the plan: the closed-form
-/// pass runs after lowering, and the verifier replays the lowering, so the
-/// certificate covers exactly the schedule the backend executes.
+/// pass runs after lowering, and the verifier lowers as every backend
+/// does, so the certificate covers exactly the schedule the backend
+/// executes.
 #[test]
 fn verify_certifies_hpgmg_plan() {
     let solver = SnowSolver::new(Problem::poisson_vc(8), Box::new(SequentialBackend::new()))
         .expect("plan build");
     let plan = solver.plan();
-    let cert = verify_ops(plan.descriptors(), &plan.lower_options())
+    let cert = verify_ops(plan.descriptors())
         .unwrap_or_else(|diags| panic!("plan must certify: {diags:?}"));
     let stats = cert.stats();
     assert!(stats.stencils_checked > 0);

@@ -8,10 +8,11 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use snowflake::analysis::{
-    access_conflict, certify_schedule, depends, greedy_phases, is_parallel_safe, verify_bounds,
-    ResolvedStencil, Rule,
+    access_conflict, certify_schedule, depends, greedy_phases, is_parallel_safe, ResolvedStencil,
+    Rule,
 };
-use snowflake::backends::{verify_ops, witness_count};
+use snowflake::backends::{verify_ops, witness_count, PlanError};
+use snowflake::core::CoreError;
 use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
 use snowflake::prelude::*;
 
@@ -157,7 +158,8 @@ fn gsrb_red_black_coloring_certifies() {
 
 /// Dirichlet ghost faces write the boundary ring and read one cell
 /// inward; every access — including the ghost-cell writes themselves —
-/// must prove in-bounds against the allocated extents.
+/// must prove in-bounds against the allocated extents, and a face read
+/// pointing outward instead is refused at the cell past the ring.
 #[test]
 fn dirichlet_ghost_faces_prove_in_bounds() {
     let face = |dom: RectDomain, off: [i64; 2]| {
@@ -170,38 +172,164 @@ fn dirichlet_ghost_faces_prove_in_bounds() {
         face(RectDomain::new(&[-1, 1], &[-1, -1], &[0, 1]), [-1, 0]),
     ];
     let sh = shapes(&["x"], &[9, 9]);
-    let mut proved = 0;
     for f in &faces {
-        let rs = ResolvedStencil::resolve(f, &sh).unwrap();
-        proved += verify_bounds(&rs, &sh).unwrap();
+        // One pinned row or column of the ring, corners excluded.
+        let regions = f.validate(&sh).unwrap();
+        assert_eq!(regions.len(), 1);
+        assert_eq!(regions[0].num_points(), 7);
     }
-    // 4 faces x (1 write + 1 read) x 1 rectangle each.
-    assert_eq!(proved, 8);
+    let outward = face(RectDomain::new(&[1, 0], &[-1, 0], &[1, 0]), [0, -1]);
+    let err = outward.validate(&sh).unwrap_err();
+    let CoreError::AccessOutOfBounds { dim, witness, .. } = &err else {
+        panic!("an outward face read must be out of bounds: {err}");
+    };
+    assert_eq!(*dim, 1, "{err}");
+    assert_eq!(witness.as_deref(), Some(&[1, -1][..]), "{err}");
+}
+
+// ---------------------------------------------------------------------------
+// The front end's bounds proof vs brute force
+// ---------------------------------------------------------------------------
+
+/// Per-dimension `(scale, offset)` of an access, sliced to the rank.
+fn affine(dims: &[(i64, i64)], ndim: usize) -> AffineMap {
+    let (scale, offset) = dims[..ndim].iter().copied().unzip();
+    AffineMap::scaled(scale, offset)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// `Stencil::validate` accepts a stencil exactly when enumerating every
+    /// point of its resolved domain keeps every read and the write inside
+    /// the grids. A refusal names a dimension in which its witness cell
+    /// lies outside the named grid, and the witness is the image of a
+    /// domain point under one of that grid's accesses.
+    #[test]
+    fn bounds_proof_matches_brute_force_enumeration(
+        ndim in 1usize..4,
+        extents in proptest::collection::vec((3usize..8, 3usize..8), 3),
+        out in proptest::collection::vec((-1i64..3, -3i64..4), 3),
+        reads in proptest::collection::vec(
+            proptest::collection::vec((-1i64..3, -3i64..4), 3),
+            1..4),
+        rects in proptest::collection::vec(
+            proptest::collection::vec((0i64..3, -3i64..1, 0i64..3), 3),
+            1..3),
+    ) {
+        let mut sh = snowflake::core::ShapeMap::new();
+        sh.insert("x".into(), extents[..ndim].iter().map(|e| e.0).collect());
+        sh.insert("y".into(), extents[..ndim].iter().map(|e| e.1).collect());
+        let expr = reads
+            .iter()
+            .map(|r| Expr::read_mapped("x", affine(r, ndim)))
+            .reduce(|a, b| a + b)
+            .expect("at least one read");
+        let domain = DomainUnion::new(
+            rects
+                .iter()
+                .map(|r| {
+                    let r = &r[..ndim];
+                    let lo: Vec<i64> = r.iter().map(|d| d.0).collect();
+                    let hi: Vec<i64> = r.iter().map(|d| d.1).collect();
+                    let stride: Vec<i64> = r.iter().map(|d| d.2).collect();
+                    RectDomain::new(&lo, &hi, &stride)
+                })
+                .collect(),
+        );
+        let s = Stencil::new(expr, "y", domain).with_out_map(affine(&out, ndim));
+        let regions = s.resolve(&sh).expect("every generated domain resolves");
+
+        let mut accesses: Vec<(&str, AffineMap)> = reads
+            .iter()
+            .map(|r| ("x", affine(r, ndim)))
+            .collect();
+        accesses.push(("y", affine(&out, ndim)));
+        let in_bounds = regions.iter().all(|r| {
+            r.points().all(|p| {
+                accesses.iter().all(|(g, m)| {
+                    let cell = m.apply(&p);
+                    cell.iter().zip(&sh[*g]).all(|(&c, &n)| c >= 0 && c < n as i64)
+                })
+            })
+        });
+
+        match s.validate(&sh) {
+            Ok(proved) => {
+                prop_assert!(in_bounds, "validate accepted an out-of-bounds access");
+                prop_assert_eq!(proved, regions);
+            }
+            Err(CoreError::AccessOutOfBounds { grid, dim, witness, .. }) => {
+                prop_assert!(!in_bounds, "validate refused an in-bounds stencil");
+                let cell = witness.expect("small images always fit a witness");
+                let extent = sh[&grid][dim] as i64;
+                prop_assert!(
+                    cell[dim] < 0 || cell[dim] >= extent,
+                    "witness {cell:?} is inside grid {grid:?} in dim {dim}"
+                );
+                let reached = regions.iter().any(|r| {
+                    r.points().any(|p| {
+                        accesses.iter().any(|(g, m)| *g == grid && m.apply(&p) == cell)
+                    })
+                });
+                prop_assert!(reached, "witness {cell:?} is no image of a domain point");
+            }
+            Err(e) => prop_assert!(false, "unexpected refusal: {e}"),
+        }
+    }
+}
+
+/// `x[2^62·i + 5]` at `i = 4` reads cell `2^64 + 5`. Multiplied in `i64`
+/// that wraps to cell 5, inside the 10-cell grid. Checked and unchecked
+/// builds both refuse it with a typed out-of-bounds error before anything
+/// runs, and neither reports the wrapped cell as a witness.
+#[test]
+fn wrapping_scale_is_refused_by_checked_and_unchecked_builds() {
+    let far = Stencil::new(
+        Expr::read_mapped("x", AffineMap::scaled(vec![1 << 62], vec![5])),
+        "y",
+        RectDomain::new(&[4], &[5], &[1]),
+    )
+    .named("far");
+    let ops = [(StencilGroup::from(far), shapes(&["x", "y"], &[10]))];
+    for &name in available_backends() {
+        if name == "cjit" && !CJitBackend::available() {
+            continue;
+        }
+        let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
+        match SolverPlan::build(backend, &ops) {
+            Err(CoreError::AccessOutOfBounds {
+                stencil,
+                grid,
+                dim,
+                witness,
+                ..
+            }) => {
+                assert_eq!(
+                    (stencil.as_str(), grid.as_str(), dim),
+                    ("far", "x", 0),
+                    "{name}"
+                );
+                assert_eq!(witness, None, "{name}: a wrapped cell is no witness");
+            }
+            Err(e) => panic!("{name}: expected an out-of-bounds refusal, got {e}"),
+            Ok(_) => panic!("{name}: the plan built"),
+        }
+
+        let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
+        let Err(PlanError::Refused(findings)) = SolverPlan::build_checked(backend, &ops) else {
+            panic!("{name}: the checked build must refuse the plan");
+        };
+        assert_eq!(findings.len(), 1, "{name}: {findings:?}");
+        let f = &findings[0];
+        assert_eq!(f.rule, Rule::OutOfBounds, "{name}: {f}");
+        assert_eq!((f.grid.as_str(), f.dim), ("x", Some(0)), "{name}: {f}");
+        assert_eq!(f.witness, None, "{name}: a wrapped cell is no witness");
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Negative tests: seeded violations must produce witnesses
 // ---------------------------------------------------------------------------
-
-/// A read pushed past the allocation must yield an `OutOfBounds`
-/// diagnostic with the exact offending cell.
-#[test]
-fn seeded_oob_read_yields_a_witness() {
-    let s = Stencil::new(Expr::read_at("x", &[-1]), "y", RectDomain::interior(1));
-    let sh = shapes(&["x", "y"], &[8]);
-    let mut rs = ResolvedStencil::resolve(&s, &sh).unwrap();
-    // Widen the resolved iteration space to include point 0, where the
-    // x[-1] read lands on cell -1 (the DSL front end would refuse this
-    // domain; the verifier must catch it independently).
-    rs.regions[0] = Region::new(vec![0], vec![7], vec![1]);
-
-    let diags = verify_bounds(&rs, &sh).unwrap_err();
-    assert_eq!(witness_count(&diags), 1);
-    let d = &diags[0];
-    assert_eq!(d.rule, Rule::OutOfBounds);
-    assert_eq!(d.dim, Some(0));
-    assert_eq!(d.witness.as_deref(), Some(&[-1i64][..]));
-}
 
 /// Two stencils with a write-write hazard forced into one barrier phase
 /// must fail certification with a witness cell.
@@ -268,7 +396,7 @@ fn hpgmg_plans_certify_on_every_stock_backend() {
                 Err(e) => panic!("{name}: {e}"),
             };
         let plan = solver.plan();
-        let cert = verify_ops(plan.descriptors(), &plan.lower_options())
+        let cert = verify_ops(plan.descriptors())
             .unwrap_or_else(|diags| panic!("{name}: {} diagnostics: {:?}", diags.len(), diags));
         let stats = cert.stats();
         assert!(stats.stencils_checked > 0, "{name}: no stencils checked");
