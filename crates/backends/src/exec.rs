@@ -14,13 +14,19 @@
 //!   step by 1 runs the fused fixed-arity loop (see [`crate::specialize`]);
 //! * every other linear kernel runs chunked axpy passes, one point per
 //!   chunk when it is not parallel-safe;
-//! * a tape kernel runs over a lane buffer allocated once per region:
-//!   `TAPE_LANES` points at a time, gathered across rows, when it is
-//!   parallel-safe; one lane (one point, in canonical order) when it is
-//!   not.
+//! * a tape kernel runs its fused program, which `Schedule::build` makes
+//!   once per kernel (`run_forms`), over lanes allocated once per region:
+//!   in place, chunk by chunk within each row, when the kernel is
+//!   parallel-safe and its rows have at least `IN_PLACE_ROW` points;
+//!   packed, `TAPE_LANES` points at a time gathered across rows, when
+//!   they are shorter; one point at a time, in canonical order, when it
+//!   is not parallel-safe.
 //!
 //! Every kernel carries a closed form; the per-element arithmetic is the
-//! record's (the bitwise contract of [`snowflake_ir::spec`]).
+//! record's (the bitwise contract of [`snowflake_ir::spec`]). A prototype
+//! that built a tape's program per region instead of per kernel measured
+//! the `vc` bottom solve (4³, each colour four 8-point regions) 1.55–1.99×
+//! slower on `seq`.
 //!
 //! Execution order within a region is canonical row-major, which defines
 //! the semantics of kernels that are *not* parallel-safe (lexicographic
@@ -33,12 +39,13 @@ use rayon::prelude::*;
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
-use snowflake_ir::spec::{SpecForm, SpecLinear};
+use snowflake_ir::spec::SpecLinear;
 use snowflake_ir::{intersect_box, lower_group, tile_region, LowerOptions, Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
 use crate::specialize::{
-    lin_strided, lin_unit, specialize_lowered, TapeLanes, CHUNK, MAX_FUSED_ARITY, TAPE_LANES,
+    lin_strided, lin_unit, specialize_lowered, FusedTape, RunForm, TapeLanes, CHUNK,
+    MAX_FUSED_ARITY, TAPE_LANES,
 };
 use crate::view::GridPtrs;
 use crate::{check_and_ptrs, Executable};
@@ -134,6 +141,7 @@ impl Schedule<'_> {
             phases.push(tasks);
         }
         Ok(Phased {
+            forms: run_forms(&lowered),
             lowered,
             phases,
             parallel: self.parallel,
@@ -217,6 +225,16 @@ fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task
     tasks
 }
 
+/// Each kernel's [`RunForm`], built once when the plan is built: a tape's
+/// fused program does not depend on the region it runs over.
+pub(crate) fn run_forms(lowered: &Lowered) -> Vec<RunForm> {
+    lowered
+        .kernels
+        .iter()
+        .map(|k| RunForm::of(&k.form))
+        .collect()
+}
+
 /// Execute the kernels `kernels` of `lowered` *fused* over one shared
 /// region: a single traversal of the iteration space, with every kernel's
 /// row evaluated back-to-back while the data is cache-resident (§VII's
@@ -234,6 +252,7 @@ fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task
 ///   any interleaving of their iterations is legal.
 pub(crate) unsafe fn run_fused_region(
     lowered: &Lowered,
+    forms: &[RunForm],
     kernels: &[usize],
     view: &GridPtrs<'_>,
     region: &Region,
@@ -243,7 +262,7 @@ pub(crate) unsafe fn run_fused_region(
     }
     // A lone kernel keeps its row state on the stack: a heap allocation
     // per region made omp's `cc` V-cycle up to 15% slower in perfbench.
-    let row = |&k: &usize| Row::new(&lowered.kernels[k], region);
+    let row = |&k: &usize| Row::new(&lowered.kernels[k], &forms[k], region);
     let mut one: [Row<'_>; 1];
     let mut many: Vec<Row<'_>>;
     let rows: &mut [Row<'_>] = if let [k] = kernels {
@@ -305,12 +324,12 @@ enum RowShape<'k> {
     /// for a sequential kernel, so each point is written before the next
     /// one's reads).
     Axpy(&'k SpecLinear, usize),
-    /// A tape over its lane buffer (one lane when sequential).
+    /// A tape's fused program over its lanes (one lane when sequential).
     Tape(TapeLanes<'k>),
 }
 
 impl<'k> Row<'k> {
-    fn new(kernel: &'k LoweredKernel, region: &Region) -> Self {
+    fn new(kernel: &'k LoweredKernel, form: &'k RunForm, region: &Region) -> Self {
         let last = region.ndim() - 1;
         let mut class_grid = [0usize; MAX_CLASSES];
         let mut inner_step = [0isize; MAX_CLASSES];
@@ -318,29 +337,29 @@ impl<'k> Row<'k> {
             class_grid[c] = cl.grid;
             inner_step[c] = cl.step(last, region.stride[last]);
         }
-        let shape = match &kernel.form {
+        let shape = match form {
             // The output class is one of the classes, so this covers its
             // step.
-            SpecForm::Linear(sl)
+            RunForm::Linear(sl)
                 if kernel.parallel_safe
                     && sl.arity() <= MAX_FUSED_ARITY
                     && inner_step[..kernel.classes.len()].iter().all(|&st| st == 1) =>
             {
                 RowShape::Fused(sl)
             }
-            SpecForm::Linear(sl) => {
-                RowShape::Axpy(sl, if kernel.parallel_safe { CHUNK } else { 1 })
-            }
-            SpecForm::Tape(tape) => {
-                // A region's point count is bounded by its grids' sizes.
+            RunForm::Linear(sl) => RowShape::Axpy(sl, if kernel.parallel_safe { CHUNK } else { 1 }),
+            RunForm::Tape(prog) => {
+                // A region's point counts are bounded by its grids' sizes.
                 #[allow(clippy::cast_possible_truncation)]
-                let points = region.num_points() as usize;
-                let width = if kernel.parallel_safe {
-                    TAPE_LANES.min(points)
+                let (row, points) = (region.extent(last) as usize, region.num_points() as usize);
+                let (width, in_place) = if !kernel.parallel_safe {
+                    (1, true)
+                } else if FusedTape::reads_in_place(row) {
+                    (TAPE_LANES.min(row), true)
                 } else {
-                    1
+                    (TAPE_LANES.min(points), false)
                 };
-                RowShape::Tape(TapeLanes::new(tape, kernel.out_grid, width))
+                RowShape::Tape(TapeLanes::new(prog, kernel.out_grid, width, in_place))
             }
         };
         Row {
@@ -403,6 +422,8 @@ struct Task {
 /// order on the calling thread otherwise.
 pub(crate) struct Phased {
     lowered: Lowered,
+    /// One [`RunForm`] per kernel of `lowered`.
+    forms: Vec<RunForm>,
     phases: Vec<Vec<Task>>,
     pub(crate) parallel: bool,
 }
@@ -415,7 +436,9 @@ impl Executable for Phased {
             for region in &task.regions {
                 // SAFETY: tasks within a phase are mutually independent
                 // and bounds are proven by validation (see the type docs).
-                unsafe { run_fused_region(&self.lowered, &task.kernels, &view, region) };
+                unsafe {
+                    run_fused_region(&self.lowered, &self.forms, &task.kernels, &view, region);
+                };
             }
         };
         for phase in &self.phases {
@@ -456,7 +479,7 @@ mod tests {
     use snowflake_grid::{Grid, GridSet};
     use snowflake_ir::spec::SpecForm;
 
-    use crate::specialize::{CHUNK, TAPE_LANES};
+    use crate::specialize::{CHUNK, IN_PLACE_ROW, TAPE_LANES};
 
     fn setup(n: usize) -> (GridSet, ShapeMap) {
         let mut gs = GridSet::new();
@@ -477,11 +500,12 @@ mod tests {
 
     fn run_one(group: &StencilGroup, gs: &mut GridSet) {
         let lowered = lowered(group, gs);
+        let forms = run_forms(&lowered);
         let (ptrs, lens) = crate::check_and_ptrs(&lowered, gs).unwrap();
         let view = GridPtrs::new(&ptrs, &lens);
         for (ki, k) in lowered.kernels.iter().enumerate() {
             for r in &k.regions {
-                unsafe { run_fused_region(&lowered, &[ki], &view, r) };
+                unsafe { run_fused_region(&lowered, &forms, &[ki], &view, r) };
             }
         }
     }
@@ -663,10 +687,23 @@ mod tests {
 
     #[test]
     fn tape_rows_handle_chunk_boundaries() {
-        // Lanes fill across rows, so rows shorter than, equal to and
-        // longer than TAPE_LANES straddle chunk seams at every offset;
-        // unit-stride and stride-2 rows both gather and scatter.
-        for n in [7, TAPE_LANES - 1, TAPE_LANES, TAPE_LANES + 3] {
+        // Packed lanes fill across rows, so rows shorter than, equal to and
+        // longer than TAPE_LANES straddle chunk seams at every offset; rows
+        // on both sides of IN_PLACE_ROW switch between packed and in-place
+        // chunks, and the longest rows read in place over several chunks.
+        // Unit-stride and stride-2 rows both gather and scatter; `c` is
+        // read twice (gathered), `x` once (in place on long rows).
+        for n in [
+            7,
+            IN_PLACE_ROW - 1,
+            IN_PLACE_ROW,
+            2 * IN_PLACE_ROW - 1,
+            2 * IN_PLACE_ROW,
+            TAPE_LANES - 1,
+            TAPE_LANES,
+            TAPE_LANES + 3,
+            2 * TAPE_LANES + 5,
+        ] {
             for stride in [1usize, 2] {
                 let shape = [5usize, n + 2];
                 let mut gs = GridSet::new();
@@ -677,7 +714,8 @@ mod tests {
                 c.fill_random(8, 0.5, 1.5);
                 gs.insert("c", c);
                 gs.insert("y", Grid::new(&shape));
-                let e = Expr::read_at("c", &[0, 0]) * Expr::read_at("x", &[0, 1]);
+                let e = Expr::read_at("c", &[0, 0]) * Expr::read_at("x", &[0, 1])
+                    - Expr::read_at("c", &[0, 0]);
                 let dom = RectDomain::new(&[1, 1], &[-1, -1], &[1, stride as i64]);
                 run_one(&StencilGroup::from(Stencil::new(e, "y", dom)), &mut gs);
                 let (xg, cg) = (gs.get("x").unwrap().clone(), gs.get("c").unwrap().clone());
@@ -685,13 +723,57 @@ mod tests {
                 for i in 1..4 {
                     for j in 1..=n {
                         let want = if (j - 1) % stride == 0 {
-                            cg.get(&[i, j]) * xg.get(&[i, j + 1])
+                            cg.get(&[i, j]) * xg.get(&[i, j + 1]) - cg.get(&[i, j])
                         } else {
                             0.0
                         };
                         assert_eq!(y.get(&[i, j]), want, "n={n} stride={stride} ({i},{j})");
                     }
                 }
+            }
+        }
+    }
+
+    /// A raw lowering, before the closed-form pass, runs every kernel as a
+    /// tape: a bare read (no instruction, so its program is the exact copy
+    /// `-(-read)`) and a linear one give the values their linear records
+    /// give.
+    #[test]
+    fn unspecialized_tapes_run_as_fused_programs() {
+        let n = 2 * IN_PLACE_ROW + 2;
+        let (mut gs, _) = setup(n);
+        let x = gs.get("x").unwrap().clone();
+        let group = StencilGroup::new()
+            .with(Stencil::new(
+                Expr::read_at("x", &[0, 1]),
+                "y",
+                RectDomain::interior(2),
+            ))
+            .with(Stencil::new(
+                Expr::read_at("x", &[0, -1]) * 0.5 - Expr::read_at("x", &[1, 0]),
+                "beta",
+                RectDomain::interior(2),
+            ));
+        let lowered = lower_group(&group, &gs.shapes(), &LowerOptions::default()).unwrap();
+        assert!(lowered
+            .kernels
+            .iter()
+            .all(|k| matches!(k.form, SpecForm::Tape(_))));
+        let forms = run_forms(&lowered);
+        let (ptrs, lens) = crate::check_and_ptrs(&lowered, &mut gs).unwrap();
+        let view = GridPtrs::new(&ptrs, &lens);
+        for (ki, k) in lowered.kernels.iter().enumerate() {
+            for r in &k.regions {
+                unsafe { run_fused_region(&lowered, &forms, &[ki], &view, r) };
+            }
+        }
+        drop(ptrs);
+        let (y, beta) = (gs.get("y").unwrap(), gs.get("beta").unwrap());
+        for i in 1..n - 1 {
+            for j in 1..n - 1 {
+                assert_eq!(y.get(&[i, j]).to_bits(), x.get(&[i, j + 1]).to_bits());
+                let want = x.get(&[i, j - 1]) * 0.5 - x.get(&[i + 1, j]);
+                assert_eq!(beta.get(&[i, j]), want, "({i},{j})");
             }
         }
     }

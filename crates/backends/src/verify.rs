@@ -134,6 +134,14 @@ fn resolve_finding(e: &CoreError) -> Finding {
         CoreError::DomainOutOfBounds { stencil, detail } => {
             Finding::new(Rule::OutOfBounds, format!("domain {detail}")).stencil(stencil)
         }
+        // An address the executors cannot form is out of their bounds.
+        CoreError::AddressOverflow {
+            stencil,
+            grid,
+            detail,
+        } => Finding::new(Rule::OutOfBounds, detail.as_str())
+            .stencil(stencil)
+            .grid(grid),
         CoreError::UnknownGrid { stencil, grid } => {
             Finding::new(Rule::UnknownGrid, "the grid has no allocated shape")
                 .stencil(stencil)
@@ -240,7 +248,8 @@ pub fn verify_op(
 /// The flat index at iteration point `p` is
 /// `delta + Σ_d scale[d]·p[d]·strides[d]`; each dimension's term is
 /// monotone in `p[d]`, so the extremes occur at the region's first/last
-/// coordinate and two evaluations per dimension bound the whole range.
+/// coordinate and two evaluations per dimension bound the whole range. A
+/// refusal's witness is the grid cell accessed at the offending extreme.
 fn verify_kernel_cursors(
     kernel: &LoweredKernel,
     lowered: &Lowered,
@@ -313,35 +322,34 @@ fn verify_kernel_cursors(
                     hi_pt.push(region.lo[d]);
                 }
             }
-            if mn < 0 {
-                diags.push(
-                    Finding::new(
-                        Rule::OutOfBounds,
-                        format!(
-                            "lowered {what} cursor reaches flat index {mn} (< 0) on grid \
-                             {grid_name:?}"
-                        ),
-                    )
-                    .stencil(&kernel.name)
-                    .grid(grid_name)
-                    .witness(lo_pt),
-                );
+            let (detail, pt) = if mn < 0 {
+                (format!("reaches flat index {mn} (< 0)"), lo_pt)
             } else if mx >= grid_len {
-                diags.push(
-                    Finding::new(
-                        Rule::OutOfBounds,
-                        format!(
-                            "lowered {what} cursor reaches flat index {mx} but grid \
-                             {grid_name:?} has {grid_len} cells"
-                        ),
-                    )
-                    .stencil(&kernel.name)
-                    .grid(grid_name)
-                    .witness(hi_pt),
-                );
+                (
+                    format!("reaches flat index {mx} but the grid has {grid_len} cells"),
+                    hi_pt,
+                )
             } else {
                 proved += 1;
-            }
+                continue;
+            };
+            let finding = Finding::new(
+                Rule::OutOfBounds,
+                format!("lowered {what} cursor on grid {grid_name:?} {detail}"),
+            )
+            .stencil(&kernel.name)
+            .grid(grid_name);
+            // The witness is the cell read or written at that point.
+            let offsets = offsets_of(delta, &class.strides);
+            let cell: Option<Vec<i64>> = (0..pt.len())
+                .map(|d| {
+                    i64::try_from(i128::from(class.scale[d]) * i128::from(pt[d]) + offsets[d]).ok()
+                })
+                .collect();
+            diags.push(match cell {
+                Some(cell) => finding.witness(cell),
+                None => finding,
+            });
         }
     }
     if diags.is_empty() {
@@ -349,6 +357,23 @@ fn verify_kernel_cursors(
     } else {
         Err(diags)
     }
+}
+
+/// The per-dimension offsets of a flat `delta` over row-major `strides`,
+/// each rounded to the nearest multiple of its stride: they add back up to
+/// `delta`, and they are the source offsets whenever each is below half
+/// its grid's extent.
+fn offsets_of(delta: isize, strides: &[usize]) -> Vec<i128> {
+    let mut rest = delta as i128;
+    strides
+        .iter()
+        .map(|&s| {
+            let s = (s as i128).max(1);
+            let q = (2 * rest + s).div_euclid(2 * s);
+            rest -= q * s;
+            q
+        })
+        .collect()
 }
 
 /// Audit the C micro-compiler's output against the pragma contract of
@@ -567,8 +592,25 @@ mod tests {
             (d.rule, d.stencil.as_str(), d.grid.as_str()),
             (Rule::OutOfBounds, "left", "x")
         );
-        // The witness is the iteration point at the cursor's low extreme.
-        assert_eq!(d.witness.as_deref(), Some(&[0i64][..]), "{d}");
+        // The witness is the cell read at the cursor's low extreme, p = 0.
+        assert_eq!(d.witness.as_deref(), Some(&[-1i64][..]), "{d}");
+
+        // In two dimensions the flat delta -8 splits back into the source
+        // offset (-1, 0): widened to row 0, the low extreme p = (0, 1)
+        // reads cell (-1, 1), one row above the grid.
+        let group = StencilGroup::from(
+            Stencil::new(Expr::read_at("x", &[-1, 0]), "y", RectDomain::interior(2)).named("up"),
+        );
+        let lowered = lower_group(&group, &shapes2(8), &LowerOptions::default()).unwrap();
+        let mut widened = lowered.kernels[0].clone();
+        widened.regions = vec![Region::new(vec![0, 1], vec![7, 7], vec![1, 1])];
+        let diags = verify_kernel_cursors(&widened, &lowered).unwrap_err();
+        assert_eq!(
+            diags[0].witness.as_deref(),
+            Some(&[-1i64, 1][..]),
+            "{}",
+            diags[0]
+        );
     }
 
     #[test]

@@ -91,6 +91,25 @@ impl<'a> GridPtrs<'a> {
         std::slice::from_raw_parts_mut(self.ptrs[grid].offset(start), len)
     }
 
+    /// Raw pointer to element `start` of grid `grid`, the first of `len`
+    /// elements `step` apart.
+    ///
+    /// # Safety
+    /// Those `len` elements must be in bounds; accesses through the
+    /// pointer carry the obligations of [`GridPtrs::read`] and
+    /// [`GridPtrs::write`].
+    #[inline(always)]
+    pub unsafe fn at(&self, grid: usize, start: isize, step: isize, len: usize) -> *mut f64 {
+        debug_assert!(
+            len == 0 || {
+                let last = start + (len as isize - 1) * step;
+                start.min(last) >= 0 && (start.max(last) as usize) < self.lens[grid]
+            },
+            "range out of bounds: grid {grid} start {start} step {step} len {len}"
+        );
+        self.ptrs[grid].offset(start)
+    }
+
     /// Write element `idx` of grid `grid`.
     ///
     /// # Safety

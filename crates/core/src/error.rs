@@ -30,6 +30,13 @@ pub enum CoreError {
         witness: Option<Vec<i64>>,
         detail: String,
     },
+    /// An access inside its grid whose flat address arithmetic (offset ×
+    /// stride, or a cursor over the domain) does not fit `isize`.
+    AddressOverflow {
+        stencil: String,
+        grid: String,
+        detail: String,
+    },
     /// A stencil references a grid absent from the shape map / grid set.
     UnknownGrid { stencil: String, grid: String },
     /// A stride was negative (stride 0 means "pinned", > 0 steps).
@@ -81,6 +88,14 @@ impl fmt::Display for CoreError {
                     None => Ok(()),
                 }
             }
+            CoreError::AddressOverflow {
+                stencil,
+                grid,
+                detail,
+            } => write!(
+                f,
+                "stencil {stencil:?}: address arithmetic on grid {grid:?} overflows: {detail}"
+            ),
             CoreError::UnknownGrid { stencil, grid } => {
                 write!(f, "stencil {stencil:?} references unknown grid {grid:?}")
             }

@@ -16,6 +16,7 @@ use std::collections::HashMap;
 
 use snowflake_core::{AffineMap, CoreError, Expr, ShapeMap, StencilGroup};
 use snowflake_grid::grid::row_major_strides;
+use snowflake_grid::Region;
 
 use snowflake_analysis::{
     dead_stencils, greedy_phases, is_parallel_safe, reorder_minimize_barriers, ResolvedStencil,
@@ -111,11 +112,12 @@ pub fn lower_group(
     // Lower each kernel.
     let mut kernels = Vec::with_capacity(resolved.len());
     for rs in &resolved {
-        let mut table = ClassTable::new(&grid_names, &grid_shapes);
+        let mut table = ClassTable::new(rs.stencil.name(), &grid_names, &grid_shapes);
         let expr = rs.stencil.expr().simplify();
         let tape = lower_tape(&expr, &mut table)?;
         let (out_grid_name, out_map) = rs.write();
         let (out_class, out_delta) = table.intern(&out_grid_name, &out_map)?;
+        table.check_cursors(&rs.regions)?;
         let classes = table.finish();
         let out_grid = classes[out_class as usize].grid;
         let parallel_safe = is_parallel_safe(rs);
@@ -143,21 +145,73 @@ pub fn lower_group(
 
 /// Accumulates cursor classes while lowering one stencil.
 struct ClassTable<'a> {
+    stencil: &'a str,
     grid_names: &'a [String],
     grid_shapes: &'a [Vec<usize>],
     classes: Vec<AccessClass>,
     lookup: HashMap<(usize, Vec<i64>), u32>,
+    /// Largest `|delta|` interned so far.
+    max_delta: u128,
 }
 
 impl<'a> ClassTable<'a> {
-    /// An empty table over the dense grid table and the grids' shapes.
-    fn new(grid_names: &'a [String], grid_shapes: &'a [Vec<usize>]) -> Self {
+    /// An empty table for stencil `stencil` over the dense grid table and
+    /// the grids' shapes.
+    fn new(stencil: &'a str, grid_names: &'a [String], grid_shapes: &'a [Vec<usize>]) -> Self {
         ClassTable {
+            stencil,
             grid_names,
             grid_shapes,
             classes: Vec::new(),
             lookup: HashMap::new(),
+            max_delta: 0,
         }
+    }
+
+    /// The refusal of an access to grid `gi` whose flat address arithmetic
+    /// does not fit `isize`.
+    fn overflow(&self, gi: usize, detail: String) -> CoreError {
+        CoreError::AddressOverflow {
+            stencil: self.stencil.to_string(),
+            grid: self.grid_names[gi].clone(),
+            detail,
+        }
+    }
+
+    /// Refuse the stencil unless the executors' cursor arithmetic fits
+    /// `isize` over every region: they compute `scale·p·stride` per
+    /// dimension, sum the terms, add a delta and step the cursor by
+    /// `scale·region_stride·stride`. The bound sums the magnitudes of every
+    /// such term (in `i128`), so no partial result can overflow either.
+    fn check_cursors(&self, regions: &[Region]) -> Result<(), CoreError> {
+        for class in &self.classes {
+            for r in regions.iter().filter(|r| !r.is_empty()) {
+                let mut bound = Some(self.max_delta);
+                for (d, (&s, &stride)) in class.scale.iter().zip(&class.strides).enumerate() {
+                    let last = i128::from(r.lo[d])
+                        + (i128::from(r.extent(d)) - 1) * i128::from(r.stride[d]);
+                    let s = i128::from(s);
+                    let reach = (s * i128::from(r.lo[d])).unsigned_abs()
+                        + (s * last).unsigned_abs()
+                        + (s * i128::from(r.stride[d])).unsigned_abs();
+                    bound = bound.and_then(|b| {
+                        reach
+                            .checked_mul(stride.max(1) as u128)
+                            .and_then(|t| t.checked_add(b))
+                    });
+                }
+                if bound.is_none_or(|b| b > isize::MAX as u128) {
+                    return Err(self.overflow(
+                        class.grid,
+                        format!(
+                            "cursor of scale {:?} over region {:?}..{:?} leaves isize",
+                            class.scale, r.lo, r.hi
+                        ),
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Intern the `(grid, scale)` class of an access; returns
@@ -185,12 +239,19 @@ impl<'a> ClassTable<'a> {
             });
             id
         });
-        // Offsets are stencil radii and strides are row-major products of
-        // validated extents; both fit isize on every supported target.
-        #[allow(clippy::cast_possible_truncation)]
-        let delta: isize = (0..map.ndim())
-            .map(|d| map.offset[d] as isize * strides[d] as isize)
-            .sum();
+        // A validated access may still have an offset of any size: compute
+        // the flat delta exactly and refuse it when it leaves isize.
+        let delta = (0..map.ndim())
+            .try_fold(0i128, |acc, d| {
+                i128::from(map.offset[d])
+                    .checked_mul(strides[d] as i128)
+                    .and_then(|t| acc.checked_add(t))
+            })
+            .and_then(|delta| isize::try_from(delta).ok())
+            .ok_or_else(|| {
+                self.overflow(gi, format!("flat offset of {:?} leaves isize", map.offset))
+            })?;
+        self.max_delta = self.max_delta.max(delta.unsigned_abs() as u128);
         Ok((class, delta))
     }
 
@@ -297,7 +358,7 @@ fn lower_tape(expr: &Expr, table: &mut ClassTable<'_>) -> Result<SpecTape, CoreE
 pub(crate) fn test_tape(expr: &Expr) -> (SpecTape, Vec<AccessClass>) {
     let names = ["x".to_string(), "y".to_string()];
     let shapes = [vec![4, 8], vec![4, 8]];
-    let mut table = ClassTable::new(&names, &shapes);
+    let mut table = ClassTable::new("test", &names, &shapes);
     let tape = lower_tape(expr, &mut table).unwrap();
     (tape, table.finish())
 }

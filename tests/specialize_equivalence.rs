@@ -10,7 +10,7 @@
 //! statically which form every HPGMG plan kernel carries.
 
 use proptest::prelude::*;
-use snowflake::backends::specialize::specialize_lowered;
+use snowflake::backends::specialize::{specialize_lowered, FusedTape};
 use snowflake::backends::{verify_ops, CJitBackend, CheckedBackend};
 use snowflake::hpgmg::{Problem, SnowSolver};
 use snowflake::ir::spec::SpecForm;
@@ -105,6 +105,29 @@ fn interp_is_a_bitwise_oracle_on_vc_vcycles() {
             norms, want_norms,
             "{name}: residual histories differ from interp"
         );
+        assert_grids_eq(&got, &want, &format!("{name} vs interp"));
+    }
+}
+
+/// The same oracle at 32³, whose finest colour rows have 16 points: long
+/// enough that the tape kernels read their single-use operands in place,
+/// where at 8³ every row is packed across rows. One V-cycle; every grid
+/// must match `interp` bit for bit on each pure-Rust backend.
+#[test]
+fn interp_is_a_bitwise_oracle_on_long_vc_rows() {
+    let problem = Problem::poisson_vc(32);
+    assert!(FusedTape::reads_in_place(problem.n / 2));
+    let (want_norms, want) = solve(problem, Box::new(InterpreterBackend::new()), 1);
+    let backends: Vec<Box<dyn Backend>> = vec![
+        Box::new(SequentialBackend::new()),
+        Box::new(OmpBackend::new()),
+        Box::new(OclSimBackend::new()),
+        Box::new(CheckedBackend::new()),
+    ];
+    for backend in backends {
+        let name = backend.name();
+        let (norms, got) = solve(problem, backend, 1);
+        assert_eq!(norms, want_norms, "{name}: residual histories differ");
         assert_grids_eq(&got, &want, &format!("{name} vs interp"));
     }
 }

@@ -327,6 +327,60 @@ fn wrapping_scale_is_refused_by_checked_and_unchecked_builds() {
     }
 }
 
+/// `x[(2^62+2)·i + i64::MIN, j]` at `i = 2` reads row 4 of a 10×10 grid,
+/// so the front end's bounds proof rightly accepts it, but its flat offset
+/// `i64::MIN × 10` leaves `isize`. Moving the huge term to the inner
+/// dimension keeps the offset in range while the cursor term
+/// `(2^62+2)·2` leaves it. Neither may panic (debug) or wrap (release):
+/// every backend refuses both with a typed error, and the checked build
+/// refuses them with one finding each.
+#[test]
+fn lowering_overflow_is_a_typed_refusal() {
+    let big = (1i64 << 62) + 2;
+    let outer = AffineMap::scaled(vec![big, 1], vec![i64::MIN, 0]);
+    let inner = AffineMap::scaled(vec![1, big], vec![0, i64::MIN]);
+    for (map, domain) in [
+        (outer, RectDomain::new(&[2, 0], &[3, 0], &[1, 1])),
+        (inner, RectDomain::new(&[0, 2], &[0, 3], &[1, 1])),
+    ] {
+        let s = Stencil::new(Expr::read_mapped("x", map), "y", domain).named("huge");
+        let sh = shapes(&["x", "y"], &[10, 10]);
+        assert!(
+            s.validate(&sh).is_ok(),
+            "every read lands in row or column 4"
+        );
+        let ops = [(StencilGroup::from(s), sh)];
+        for &name in available_backends() {
+            if name == "cjit" && !CJitBackend::available() {
+                continue;
+            }
+            // `interp` walks the source tree and forms no flat address.
+            if name == "interp" {
+                continue;
+            }
+            let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
+            match SolverPlan::build(backend, &ops) {
+                Err(CoreError::AddressOverflow { stencil, grid, .. }) => {
+                    assert_eq!((stencil.as_str(), grid.as_str()), ("huge", "x"), "{name}");
+                }
+                Err(e) => panic!("{name}: expected an address-overflow refusal, got {e}"),
+                Ok(_) => panic!("{name}: the plan built"),
+            }
+            let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
+            let Err(PlanError::Refused(findings)) = SolverPlan::build_checked(backend, &ops) else {
+                panic!("{name}: the checked build must refuse the plan");
+            };
+            assert_eq!(findings.len(), 1, "{name}: {findings:?}");
+            let f = &findings[0];
+            assert_eq!(
+                (f.rule, f.grid.as_str()),
+                (Rule::OutOfBounds, "x"),
+                "{name}: {f}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Negative tests: seeded violations must produce witnesses
 // ---------------------------------------------------------------------------
