@@ -159,25 +159,46 @@ pub fn verify_op(
     group: &StencilGroup,
     shapes: &ShapeMap,
 ) -> std::result::Result<OpCertificate, Vec<Finding>> {
-    let mut diags = Vec::new();
-    let mut cert = OpCertificate::default();
+    certify_op(group, shapes, &resolve_op(group, shapes)?)
+}
 
-    // 1. Re-resolve every stencil from source: the front end's bounds
-    // proof covers every distinct read and the write over every region.
+/// Step 1 of [`verify_op`]: re-resolve every stencil from source. The
+/// front end's bounds proof covers every distinct read and the write over
+/// every region; every stencil that does not resolve is a finding.
+fn resolve_op(
+    group: &StencilGroup,
+    shapes: &ShapeMap,
+) -> std::result::Result<Vec<ResolvedStencil>, Vec<Finding>> {
     let mut resolved = Vec::new();
+    let mut diags = Vec::new();
     for s in group.stencils() {
         match ResolvedStencil::resolve(s, shapes) {
-            Ok(rs) => {
-                cert.accesses_proved += ((rs.reads().len() + 1) * rs.regions.len()) as u64;
-                resolved.push(rs);
-            }
+            Ok(rs) => resolved.push(rs),
             Err(e) => diags.push(resolve_finding(&e)),
         }
     }
-    if !diags.is_empty() {
-        return Err(diags);
+    if diags.is_empty() {
+        Ok(resolved)
+    } else {
+        Err(diags)
     }
-    cert.stencils_checked = resolved.len() as u64;
+}
+
+/// Steps 2–5 of [`verify_op`], over a group whose stencils all resolved.
+fn certify_op(
+    group: &StencilGroup,
+    shapes: &ShapeMap,
+    resolved: &[ResolvedStencil],
+) -> std::result::Result<OpCertificate, Vec<Finding>> {
+    let mut diags = Vec::new();
+    let mut cert = OpCertificate {
+        stencils_checked: resolved.len() as u64,
+        accesses_proved: resolved
+            .iter()
+            .map(|rs| ((rs.reads().len() + 1) * rs.regions.len()) as u64)
+            .sum(),
+        ..OpCertificate::default()
+    };
 
     // 2. Lower and specialize exactly as the backends do and cross-check
     // the kernel table position-for-position against the stencils.
@@ -196,7 +217,7 @@ pub fn verify_op(
             ),
         )]);
     }
-    for (k, rs) in lowered.kernels.iter().zip(&resolved) {
+    for (k, rs) in lowered.kernels.iter().zip(resolved) {
         if k.name != rs.stencil.name() {
             diags.push(
                 Finding::new(
@@ -214,7 +235,7 @@ pub fn verify_op(
 
     // 3. Certify the lowered schedule against the claimed flags.
     let claims: Vec<bool> = lowered.kernels.iter().map(|k| k.parallel_safe).collect();
-    match certify_schedule(&resolved, &lowered.phases, &claims) {
+    match certify_schedule(resolved, &lowered.phases, &claims) {
         Ok(sc) => cert.phases_certified += sc.phases_certified,
         Err(ds) => diags.extend(ds),
     }
@@ -479,20 +500,20 @@ pub fn verify_ops(
 ) -> std::result::Result<PlanCertificate, Vec<Finding>> {
     let mut certs = Vec::new();
     let mut denied = Vec::new();
+    // The linter resolves every stencil it reads; an op that does not
+    // resolve is already among the verifier's findings, so the lint runs
+    // over the rest.
+    let mut resolvable: Vec<(StencilGroup, ShapeMap)> = Vec::new();
     for (group, shapes) in ops {
-        match verify_op(group, shapes) {
+        let certified = resolve_op(group, shapes).and_then(|resolved| {
+            resolvable.push((group.clone(), shapes.clone()));
+            certify_op(group, shapes, &resolved)
+        });
+        match certified {
             Ok(c) => certs.push(c),
             Err(ds) => denied.extend(ds),
         }
     }
-    // The linter resolves every stencil it reads; an op that does not
-    // resolve is already among the verifier's findings, so the lint runs
-    // over the rest.
-    let resolvable: Vec<(StencilGroup, ShapeMap)> = ops
-        .iter()
-        .filter(|(group, shapes)| group.validate(shapes).is_ok())
-        .cloned()
-        .collect();
     let (mut rules_run, mut warnings) = (0, 0);
     match lint_program(&resolvable, &LintConfig::default()) {
         Ok(report) => {

@@ -131,12 +131,21 @@ mod tests {
     use super::*;
     use snowflake_grid::{Grid, GridSet};
 
+    /// Every grid's storage, in insertion order.
+    fn raw_ptrs(set: &mut GridSet) -> Vec<*mut f64> {
+        let names = set.names().to_vec();
+        names
+            .iter()
+            .map(|n| set.get_mut(n).unwrap().as_mut_ptr())
+            .collect()
+    }
+
     #[test]
     fn read_write_roundtrip() {
         let mut set = GridSet::new();
         set.insert("a", Grid::new(&[4]));
         set.insert("b", Grid::new(&[4]));
-        let ptrs = set.raw_ptrs();
+        let ptrs = raw_ptrs(&mut set);
         let lens = vec![4usize, 4];
         let view = GridPtrs::new(&ptrs, &lens);
         unsafe {
@@ -156,7 +165,7 @@ mod tests {
     fn debug_bounds_check_fires() {
         let mut set = GridSet::new();
         set.insert("a", Grid::new(&[4]));
-        let ptrs = set.raw_ptrs();
+        let ptrs = raw_ptrs(&mut set);
         let lens = vec![4usize];
         let view = GridPtrs::new(&ptrs, &lens);
         unsafe {

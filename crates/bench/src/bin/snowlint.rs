@@ -40,8 +40,8 @@ struct LintTarget {
 }
 
 /// The stock HPGMG program: the Snowflake solver's own operator list
-/// ([`hpgmg::snow::operator_list`], variable-coefficient Poisson as
-/// figure9) in its default V-cycle order ([`cycle::vcycle`]), followed by
+/// ([`hpgmg::snow::operator_list`], variable-coefficient Poisson as in
+/// the evaluation's `vc` rows) in its default V-cycle order ([`cycle::vcycle`]), followed by
 /// the final residual the host reads.
 fn hpgmg_target(n: usize) -> LintTarget {
     let problem = Problem::poisson_vc(n);

@@ -66,10 +66,25 @@ impl AffineMap {
     }
 
     /// Apply the map to a point.
+    ///
+    /// Each index is formed in `i128`, where `scale · p + offset` cannot
+    /// overflow, so a map whose intermediate product leaves `i64` still
+    /// lands on the cell it names. [`Stencil::validate`] proves that every
+    /// in-domain index is a cell of its grid, so the result fits `i64`.
+    ///
+    /// # Panics
+    /// Panics if an index does not fit `i64`, which only a point outside
+    /// every validated domain can reach.
+    ///
+    /// [`Stencil::validate`]: crate::Stencil::validate
     pub fn apply(&self, p: &[i64]) -> Vec<i64> {
         debug_assert_eq!(p.len(), self.ndim());
         (0..p.len())
-            .map(|d| self.scale[d] * p[d] + self.offset[d])
+            .map(|d| {
+                let index =
+                    i128::from(self.scale[d]) * i128::from(p[d]) + i128::from(self.offset[d]);
+                i64::try_from(index).expect("affine index outside i64")
+            })
             .collect()
     }
 

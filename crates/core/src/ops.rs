@@ -6,11 +6,11 @@
 //! 2nd and 4th order for the Laplacian and first derivatives, in any
 //! supported dimension, as ordinary [`WeightArray`]s — nothing about the
 //! analysis or the backends changes, which is precisely the claim.
+//!
+//! [`WeightArray`]: crate::WeightArray
 
-use crate::error::CoreError;
 use crate::expr::Expr;
-use crate::weights::{SparseArray, WeightArray};
-use crate::Result;
+use crate::weights::SparseArray;
 
 /// Central-difference accuracy order (of the truncation error).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,22 +116,6 @@ pub fn derivative(ndim: usize, axis: usize, order: Order) -> SparseArray {
     s
 }
 
-/// A dense averaging (box-filter) weight array of the given odd width per
-/// dimension — handy for smoothing/test kernels.
-pub fn box_filter(ndim: usize, width: usize) -> Result<WeightArray> {
-    if width.is_multiple_of(2) {
-        return Err(CoreError::EvenWeightExtent { extent: width });
-    }
-    // ndim is a stencil rank (1-3 in practice); the cast cannot truncate.
-    #[allow(clippy::cast_possible_truncation)]
-    let count: usize = width.pow(ndim as u32);
-    let w = 1.0 / count as f64;
-    WeightArray::from_flat(
-        vec![width; ndim],
-        (0..count).map(|_| Expr::Const(w)).collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,22 +218,6 @@ mod tests {
                 "{order:?}: ratio {ratio}, expected ~{expect_ratio}"
             );
         }
-    }
-
-    #[test]
-    fn box_filter_normalizes() {
-        let w = box_filter(2, 3).unwrap();
-        let s = w.to_sparse();
-        assert_eq!(s.len(), 9);
-        let total: f64 = s
-            .iter()
-            .map(|(_, e)| match e {
-                Expr::Const(c) => *c,
-                _ => unreachable!(),
-            })
-            .sum();
-        assert!((total - 1.0).abs() < 1e-15);
-        assert!(box_filter(2, 4).is_err());
     }
 
     #[test]

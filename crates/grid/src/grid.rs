@@ -158,12 +158,6 @@ impl Grid {
         }
     }
 
-    /// Maximum absolute value over all elements (the max-norm used by
-    /// HPGMG's convergence checks).
-    pub fn norm_max(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
     /// Euclidean (L2) norm over all elements.
     pub fn norm_l2(&self) -> f64 {
         self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
@@ -242,7 +236,6 @@ mod tests {
     fn norms() {
         let mut g = Grid::new(&[2, 2]);
         g.as_mut_slice().copy_from_slice(&[3.0, -4.0, 0.0, 0.0]);
-        assert_eq!(g.norm_max(), 4.0);
         assert!((g.norm_l2() - 5.0).abs() < 1e-15);
     }
 

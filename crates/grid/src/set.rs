@@ -69,21 +69,6 @@ impl GridSet {
         Some(&mut self.grids[i])
     }
 
-    /// Borrow a grid by dense index.
-    pub fn by_index(&self, idx: usize) -> &Grid {
-        &self.grids[idx]
-    }
-
-    /// Mutably borrow a grid by dense index.
-    pub fn by_index_mut(&mut self, idx: usize) -> &mut Grid {
-        &mut self.grids[idx]
-    }
-
-    /// Shape of a named grid, if present.
-    pub fn shape_of(&self, name: &str) -> Option<&[usize]> {
-        self.get(name).map(|g| g.shape())
-    }
-
     /// Map of name → shape for all grids (what stencil compilation needs).
     pub fn shapes(&self) -> HashMap<String, Vec<usize>> {
         self.names
@@ -121,16 +106,6 @@ impl GridSet {
         self.grids.swap(ia, ib);
         Ok(())
     }
-
-    /// Raw mutable pointers to every grid's storage, in dense-index order.
-    ///
-    /// Used by kernel executors. The executors guarantee (via the
-    /// Diophantine analysis and compile-time bounds checks) that concurrent
-    /// accesses through these pointers never race and never go out of
-    /// bounds.
-    pub fn raw_ptrs(&mut self) -> Vec<*mut f64> {
-        self.grids.iter_mut().map(|g| g.as_mut_ptr()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +138,6 @@ mod tests {
         s.insert("x", Grid::new(&[2, 2]));
         s.get_mut("x").unwrap().set(&[1, 1], 3.0);
         assert_eq!(s.get("x").unwrap().get(&[1, 1]), 3.0);
-        assert_eq!(s.by_index(0).get(&[1, 1]), 3.0);
     }
 
     #[test]
@@ -224,18 +198,5 @@ mod tests {
                 name: "ghost".into()
             }
         );
-    }
-
-    #[test]
-    fn raw_ptrs_order_matches_indices() {
-        let mut s = GridSet::new();
-        s.insert("a", Grid::new(&[2]));
-        s.insert("b", Grid::new(&[2]));
-        s.get_mut("b").unwrap().set(&[0], 9.0);
-        let ptrs = s.raw_ptrs();
-        unsafe {
-            assert_eq!(*ptrs[1], 9.0);
-            assert_eq!(*ptrs[0], 0.0);
-        }
     }
 }

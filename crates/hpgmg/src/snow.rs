@@ -223,8 +223,8 @@ impl SnowSolver {
 
     /// Start collecting an execution profile. Every subsequent stencil
     /// dispatch (smooths, residuals, transfers) accumulates into one
-    /// [`RunReport`], as a call of its plan op's row; read it with [`SnowSolver::metrics`] or drain it
-    /// with [`SnowSolver::take_metrics`].
+    /// [`RunReport`], as a call of its plan op's row; drain it with
+    /// [`SnowSolver::take_metrics`].
     ///
     /// The fresh report is pre-stamped with the plan facts: the one-time
     /// plan build lands in `compile_seconds`, `plan_ops` counts operator
@@ -237,11 +237,6 @@ impl SnowSolver {
             self.plan.stamp(&mut report);
             self.report = Some(report);
         }
-    }
-
-    /// The profile collected since [`SnowSolver::enable_metrics`], if any.
-    pub fn metrics(&self) -> Option<&RunReport> {
-        self.report.as_ref()
     }
 
     /// Take the collected profile, restarting collection from empty (or
@@ -327,11 +322,6 @@ impl SnowSolver {
     /// (`snowflake_backends::verify_ops`) analyzes.
     pub fn plan(&self) -> &SolverPlan {
         &self.plan
-    }
-
-    /// Seconds the one-time plan build spent compiling.
-    pub fn plan_build_seconds(&self) -> f64 {
-        self.plan.build_seconds()
     }
 }
 

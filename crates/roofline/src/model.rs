@@ -68,25 +68,9 @@ impl Roofline {
         Roofline { bytes_per_sec }
     }
 
-    /// Model from a measured STREAM result.
-    pub fn from_stream(r: &crate::stream::StreamResult) -> Self {
-        Roofline::new(r.bytes_per_sec)
-    }
-
     /// Speed-of-light bound in stencils/second for an operator.
     pub fn bound_stencils_per_sec(&self, kind: StencilKind) -> f64 {
         self.bytes_per_sec / kind.bytes_per_stencil()
-    }
-
-    /// Bound expressed as the minimum time for one sweep of `points`
-    /// stencil applications (the Figure 8 presentation).
-    pub fn bound_sweep_seconds(&self, kind: StencilKind, points: u64) -> f64 {
-        points as f64 / self.bound_stencils_per_sec(kind)
-    }
-
-    /// Fraction of the roofline achieved by a measured rate.
-    pub fn fraction(&self, kind: StencilKind, measured_stencils_per_sec: f64) -> f64 {
-        measured_stencils_per_sec / self.bound_stencils_per_sec(kind)
     }
 }
 
@@ -113,21 +97,6 @@ mod tests {
         let g = Roofline::new(127e9);
         let bound = g.bound_stencils_per_sec(StencilKind::VcGsrb);
         assert!((bound - 1.984e9).abs() / 1.984e9 < 0.01);
-    }
-
-    #[test]
-    fn sweep_time_scales_with_points() {
-        let r = Roofline::new(10e9);
-        let t1 = r.bound_sweep_seconds(StencilKind::VcGsrb, 1 << 20);
-        let t2 = r.bound_sweep_seconds(StencilKind::VcGsrb, 1 << 21);
-        assert!((t2 / t1 - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fraction_of_roofline() {
-        let r = Roofline::new(24e9);
-        // 24 GB/s / 24 B = 1e9 stencils/s bound.
-        assert!((r.fraction(StencilKind::Cc7pt, 0.5e9) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -38,11 +38,6 @@ pub fn dot_pass(a: &[f64], b: &[f64]) -> f64 {
     a.par_iter().zip(b.par_iter()).map(|(&x, &y)| x * y).sum()
 }
 
-/// Sequential dot pass (for the single-thread roofline and tests).
-pub fn dot_pass_seq(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
-}
-
 /// Measure read bandwidth with the modified-STREAM dot kernel.
 ///
 /// `n` is the per-array element count (use an array size far larger than
@@ -78,7 +73,6 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0];
         assert_eq!(dot_pass(&a, &b), 32.0);
-        assert_eq!(dot_pass_seq(&a, &b), 32.0);
     }
 
     #[test]
@@ -87,7 +81,7 @@ mod tests {
         let a: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.25).collect();
         let b: Vec<f64> = (0..n).map(|i| (i % 13) as f64 * 0.5).collect();
         let p = dot_pass(&a, &b);
-        let s = dot_pass_seq(&a, &b);
+        let s: f64 = a.iter().zip(&b).map(|(&x, &y)| x * y).sum();
         assert!((p - s).abs() < 1e-6 * s.abs().max(1.0));
     }
 

@@ -381,6 +381,30 @@ fn lowering_overflow_is_a_typed_refusal() {
     }
 }
 
+/// The same huge inner map on `interp`, which walks the source tree and
+/// forms no flat address, so its plan builds. Its run evaluates
+/// `(2^62+2)·2 + i64::MIN` per point: formed in `i64` that product
+/// overflows (a panic in debug builds, a wrap in release), while the
+/// exact index is 4. Every written cell must hold `x` at column 4.
+#[test]
+fn interp_evaluates_a_huge_affine_map_exactly() {
+    let big = (1i64 << 62) + 2;
+    let inner = AffineMap::scaled(vec![1, big], vec![0, i64::MIN]);
+    let domain = RectDomain::new(&[0, 2], &[0, 3], &[1, 1]);
+    let s = Stencil::new(Expr::read_mapped("x", inner), "y", domain).named("huge");
+    let sh = shapes(&["x", "y"], &[10, 10]);
+    let backend = backend_from_name("interp", &BackendOptions::default()).unwrap();
+    let plan = SolverPlan::build(backend, &[(StencilGroup::from(s), sh)]).unwrap();
+    let mut grids = GridSet::new();
+    grids.insert("x", Grid::from_fn(&[10, 10], |p| (10 * p[0] + p[1]) as f64));
+    grids.insert("y", Grid::new(&[10, 10]));
+    plan.run(0, &mut grids).unwrap();
+    let y = grids.get("y").unwrap();
+    for i in 0..10 {
+        assert_eq!(y.get(&[i, 2]), (10 * i + 4) as f64, "row {i}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Negative tests: seeded violations must produce witnesses
 // ---------------------------------------------------------------------------
