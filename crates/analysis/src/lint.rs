@@ -257,13 +257,6 @@ pub struct Coverage {
     pub double: Option<Vec<i64>>,
 }
 
-impl Coverage {
-    /// Do the parts tile the declared region exactly?
-    pub fn is_exact(&self) -> bool {
-        self.gap.is_none() && self.double.is_none()
-    }
-}
-
 /// Prove (or refute, with witness cells) that `parts` exactly tile
 /// `declared`: every declared cell covered, no cell covered twice.
 ///
@@ -784,7 +777,12 @@ mod tests {
         }
         let declared = rg(&[1, 1, 1], &[9, 9, 9], &[1, 1, 1]);
         let cov = check_coverage(&declared, &parts);
-        assert!(cov.is_exact(), "gap={:?} double={:?}", cov.gap, cov.double);
+        assert!(
+            cov.gap.is_none() && cov.double.is_none(),
+            "gap={:?} double={:?}",
+            cov.gap,
+            cov.double
+        );
     }
 
     #[test]
@@ -817,7 +815,7 @@ mod tests {
             .named("store");
         let b = Stencil::new(Expr::read_at("y", &[0, 0]), "tmp", RectDomain::interior(2))
             .named("clobber");
-        let ops = vec![(StencilGroup::from_stencils(vec![a, b]), shapes(8))];
+        let ops = vec![(StencilGroup::new().with(a).with(b), shapes(8))];
         let report =
             lint_program(&ops, &LintConfig::default().ordered().with_outputs(["y"])).unwrap();
         let dead: Vec<&Finding> = report
@@ -838,7 +836,7 @@ mod tests {
             Stencil::new(Expr::read_at("tmp", &[0, 0]), "y", RectDomain::interior(2)).named("use");
         let b = Stencil::new(Expr::read_at("x", &[0, 0]), "tmp", RectDomain::interior(2))
             .named("clobber");
-        let ops = vec![(StencilGroup::from_stencils(vec![a, r, b]), shapes(8))];
+        let ops = vec![(StencilGroup::new().with(a).with(r).with(b), shapes(8))];
         let report = lint_program(
             &ops,
             &LintConfig::default().ordered().with_outputs(["y", "tmp"]),
@@ -855,7 +853,7 @@ mod tests {
     fn read_before_write_detected() {
         let a =
             Stencil::new(Expr::read_at("tmp", &[0, 0]), "y", RectDomain::interior(2)).named("use");
-        let ops = vec![(StencilGroup::from_stencils(vec![a]), shapes(8))];
+        let ops = vec![(StencilGroup::from(a), shapes(8))];
         let report = lint_program(
             &ops,
             &LintConfig::default()
@@ -878,7 +876,7 @@ mod tests {
     fn redundant_copy_detected() {
         let a =
             Stencil::new(Expr::read_at("x", &[0, 0]), "x", RectDomain::interior(2)).named("noop");
-        let ops = vec![(StencilGroup::from_stencils(vec![a]), shapes(8))];
+        let ops = vec![(StencilGroup::from(a), shapes(8))];
         let report = lint_program(&ops, &LintConfig::default()).unwrap();
         assert!(report.lints.iter().any(|l| l.rule == Rule::RedundantCopy));
     }
@@ -897,7 +895,7 @@ mod tests {
                 * 0.25;
             Stencil::new(e, "x", u)
         };
-        let group = StencilGroup::from_stencils(vec![lap(red), lap(black)]);
+        let group = StencilGroup::new().with(lap(red)).with(lap(black));
         let report = lint_program(&[(group, shapes(10))], &LintConfig::default()).unwrap();
         assert!(report.lints.is_empty(), "{:?}", report.lints);
         assert_eq!(report.rules_run, 7);

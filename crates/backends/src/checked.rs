@@ -108,7 +108,7 @@ fn point_at(p: &[i64], last: usize, region: &Region, i: i64) -> Vec<i64> {
 
 /// Run one kernel over one region with checked reads, checked writes and
 /// shadow write-set tracking. Traversal order mirrors one kernel's
-/// `exec::run_fused_region` exactly.
+/// `exec::run_region` exactly.
 fn run_region_checked(
     lowered: &Lowered,
     ki: usize,

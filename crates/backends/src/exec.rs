@@ -2,11 +2,11 @@
 //!
 //! The schedule-building backends (sequential, OpenMP-like,
 //! OpenCL-simulator) differ only in their fixed `Schedule` choices:
-//! how a parallel-safe kernel is tiled, whether same-region kernels fuse,
-//! whether a union's rectangles interleave tile by tile, and whether a
-//! phase's tasks run on the thread pool. `Schedule::build` cuts the
-//! lowered kernels into `Task`s per barrier phase with those choices, and
-//! the one `Phased` executor runs every task through `run_fused_region`.
+//! how a parallel-safe kernel is tiled, whether a union's rectangles
+//! interleave tile by tile, and whether a phase's tasks run on the thread
+//! pool. `Schedule::build` cuts the lowered kernels into `Task`s per
+//! barrier phase with those choices, and the one `Phased` executor runs
+//! every task through `run_region`.
 //! The loop nest walks the region in row-major order, keeping one linear
 //! *cursor* per access class, and hands every row to one dispatch:
 //!
@@ -57,7 +57,7 @@ pub const MAX_CLASSES: usize = 16;
 pub(crate) const UNTILED: i64 = i64::MAX >> 1;
 
 /// Lower `group` for these executors: lowering, the executor limits (so
-/// `run_fused_region` can use fixed-size scratch arrays) and the
+/// `run_region` can use fixed-size scratch arrays) and the
 /// closed-form pass.
 pub(crate) fn lower(group: &StencilGroup, shapes: &ShapeMap) -> Result<Lowered> {
     let mut lowered = lower_group(group, shapes, &LowerOptions::default())?;
@@ -80,11 +80,7 @@ pub(crate) fn lower(group: &StencilGroup, shapes: &ShapeMap) -> Result<Lowered> 
 pub(crate) struct Schedule<'a> {
     /// The tile extents of a parallel-safe kernel, one per dimension.
     pub(crate) tile: &'a dyn Fn(&LoweredKernel) -> Result<Vec<i64>>,
-    /// Fuse consecutive same-phase parallel-safe kernels with identical
-    /// resolved regions into one traversal (all same-phase kernels are
-    /// mutually independent, so fusion is always legal).
-    pub(crate) fuse: bool,
-    /// Interleave the rectangles of an unfused kernel's union tile by tile
+    /// Interleave the rectangles of a kernel's union tile by tile
     /// (multicolor reordering).
     pub(crate) multicolor: bool,
     /// Run each phase's tasks on the thread pool.
@@ -92,46 +88,30 @@ pub(crate) struct Schedule<'a> {
 }
 
 impl Schedule<'_> {
-    /// Cut `lowered` into tasks per barrier phase: fused, tiled and
-    /// multicolor tasks for parallel-safe kernels, and one ordered task
-    /// walking its regions in union order for a kernel that is not.
+    /// Cut `lowered` into tasks per barrier phase: tiled and multicolor
+    /// tasks for parallel-safe kernels, and one ordered task walking its
+    /// regions in union order for a kernel that is not.
     pub(crate) fn build(&self, lowered: Lowered) -> Result<Phased> {
         let mut phases = Vec::with_capacity(lowered.phases.len());
         for phase in &lowered.phases {
-            let mut groups: Vec<Vec<usize>> = Vec::new();
+            let mut tasks = Vec::new();
             for &ki in phase {
                 let kernel = &lowered.kernels[ki];
-                let fused = self.fuse
-                    && kernel.parallel_safe
-                    && groups.last().is_some_and(|g| {
-                        let head = &lowered.kernels[g[0]];
-                        head.parallel_safe && head.regions == kernel.regions
-                    });
-                if fused {
-                    groups.last_mut().expect("checked").push(ki);
-                } else {
-                    groups.push(vec![ki]);
-                }
-            }
-
-            let mut tasks = Vec::new();
-            for kernels in groups {
-                let kernel = &lowered.kernels[kernels[0]];
                 if !kernel.parallel_safe {
                     tasks.push(Task {
-                        kernels,
+                        kernel: ki,
                         regions: kernel.regions.clone(),
                     });
                     continue;
                 }
                 let tile = (self.tile)(kernel)?;
-                if self.multicolor && kernel.regions.len() > 1 && kernels.len() == 1 {
-                    tasks.extend(multicolor_tasks(kernels[0], &kernel.regions, &tile));
+                if self.multicolor && kernel.regions.len() > 1 {
+                    tasks.extend(multicolor_tasks(ki, &kernel.regions, &tile));
                 } else {
                     for region in &kernel.regions {
                         for t in tile_region(region, &tile) {
                             tasks.push(Task {
-                                kernels: kernels.clone(),
+                                kernel: ki,
                                 regions: vec![t],
                             });
                         }
@@ -188,15 +168,19 @@ fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task
             hi[d] = hi[d].max(r.hi[d]);
         }
     }
-    // Box extents in *index units*: tile[d] points of the coarsest stride.
-    let stride0: Vec<i64> = (0..nd)
-        .map(|d| regions.iter().map(|r| r.stride[d]).max().unwrap())
+    // Box extents in *index units*: tile[d] points of the coarsest stride,
+    // saturating (an untiled dimension spans the whole box).
+    let step: Vec<i64> = (0..nd)
+        .map(|d| {
+            let stride = regions.iter().map(|r| r.stride[d]).max().unwrap();
+            tile[d].saturating_mul(stride)
+        })
         .collect();
     let mut tasks = Vec::new();
     let mut box_lo = lo.clone();
     'boxes: loop {
         let box_hi: Vec<i64> = (0..nd)
-            .map(|d| (box_lo[d] + tile[d].saturating_mul(stride0[d])).min(hi[d]))
+            .map(|d| box_lo[d].saturating_add(step[d]).min(hi[d]))
             .collect();
         let subs: Vec<Region> = regions
             .iter()
@@ -204,14 +188,14 @@ fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task
             .collect();
         if !subs.is_empty() {
             tasks.push(Task {
-                kernels: vec![kernel],
+                kernel,
                 regions: subs,
             });
         }
         // Advance the box odometer.
         let mut d = nd - 1;
         loop {
-            box_lo[d] += tile[d].saturating_mul(stride0[d]);
+            box_lo[d] = box_lo[d].saturating_add(step[d]);
             if box_lo[d] < hi[d] {
                 break;
             }
@@ -235,43 +219,26 @@ pub(crate) fn run_forms(lowered: &Lowered) -> Vec<RunForm> {
         .collect()
 }
 
-/// Execute the kernels `kernels` of `lowered` *fused* over one shared
-/// region: a single traversal of the iteration space, with every kernel's
-/// row evaluated back-to-back while the data is cache-resident (§VII's
-/// "mark stencils for fusion", taken to execution). One kernel is the
-/// unfused case.
+/// Execute kernel `k` of `lowered` over one region.
 ///
 /// # Safety
 /// The caller must guarantee:
-/// * `view` holds valid pointers for every grid the kernels address, with
-///   the shapes they were lowered for (so all accesses are in bounds —
+/// * `view` holds valid pointers for every grid the kernel addresses, with
+///   the shapes it was lowered for (so all accesses are in bounds —
 ///   established by `Stencil::validate`);
 /// * no other thread concurrently accesses any cell this invocation
-///   touches (established by the dependence analysis / barrier phases);
-/// * several kernels are mutually independent (same barrier phase), so
-///   any interleaving of their iterations is legal.
-pub(crate) unsafe fn run_fused_region(
+///   touches (established by the dependence analysis / barrier phases).
+pub(crate) unsafe fn run_region(
     lowered: &Lowered,
     forms: &[RunForm],
-    kernels: &[usize],
+    k: usize,
     view: &GridPtrs<'_>,
     region: &Region,
 ) {
-    if region.is_empty() || kernels.is_empty() {
+    if region.is_empty() {
         return;
     }
-    // A lone kernel keeps its row state on the stack: a heap allocation
-    // per region made omp's `cc` V-cycle up to 15% slower in perfbench.
-    let row = |&k: &usize| Row::new(&lowered.kernels[k], &forms[k], region);
-    let mut one: [Row<'_>; 1];
-    let mut many: Vec<Row<'_>>;
-    let rows: &mut [Row<'_>] = if let [k] = kernels {
-        one = [row(k)];
-        &mut one
-    } else {
-        many = kernels.iter().map(row).collect();
-        &mut many
-    };
+    let mut row = Row::new(&lowered.kernels[k], &forms[k], region);
     let nd = region.ndim();
     let last = nd - 1;
     let e_last = region.extent(last);
@@ -280,9 +247,7 @@ pub(crate) unsafe fn run_fused_region(
     // row interior is the hot path).
     let mut p: Vec<i64> = region.lo.clone();
     'rows: loop {
-        for row in rows.iter_mut() {
-            row.run(view, &p, e_last);
-        }
+        row.run(view, &p, e_last);
         if nd == 1 {
             break;
         }
@@ -299,10 +264,8 @@ pub(crate) unsafe fn run_fused_region(
             d -= 1;
         }
     }
-    for row in rows.iter_mut() {
-        if let RowShape::Tape(lanes) = &mut row.shape {
-            lanes.flush(view);
-        }
+    if let RowShape::Tape(lanes) = &mut row.shape {
+        lanes.flush(view);
     }
 }
 
@@ -373,7 +336,7 @@ impl<'k> Row<'k> {
     /// Execute the `count` points of the row starting at point `p`.
     ///
     /// # Safety
-    /// As [`run_fused_region`], with `p` a row start of the region this
+    /// As [`run_region`], with `p` a row start of the region this
     /// state was built for.
     #[inline(always)]
     unsafe fn run(&mut self, view: &GridPtrs<'_>, p: &[i64], count: i64) {
@@ -406,11 +369,11 @@ impl<'k> Row<'k> {
     }
 }
 
-/// One schedulable unit of a phase: `kernels` (several only when fused)
-/// run over each of `regions` in turn — one tile, one tile's worth of
-/// every color, or the whole union of a sequential kernel in union order.
+/// One schedulable unit of a phase: `kernel` runs over each of `regions`
+/// in turn — one tile, one tile's worth of every color, or the whole union
+/// of a sequential kernel in union order.
 struct Task {
-    kernels: Vec<usize>,
+    kernel: usize,
     regions: Vec<Region>,
 }
 
@@ -437,7 +400,7 @@ impl Executable for Phased {
                 // SAFETY: tasks within a phase are mutually independent
                 // and bounds are proven by validation (see the type docs).
                 unsafe {
-                    run_fused_region(&self.lowered, &self.forms, &task.kernels, &view, region);
+                    run_region(&self.lowered, &self.forms, task.kernel, &view, region);
                 };
             }
         };
@@ -453,7 +416,7 @@ impl Executable for Phased {
     }
 
     /// One dispatch per task, classified by the analysis' verdict on its
-    /// first kernel; the other kernels of a fused task ride along.
+    /// kernel.
     fn work(&self) -> KernelCounters {
         let mut work = KernelCounters {
             points: self.lowered.num_points(),
@@ -461,8 +424,7 @@ impl Executable for Phased {
         };
         for task in self.phases.iter().flatten() {
             work.tiles += 1;
-            work.fused += task.kernels.len() as u64 - 1;
-            if self.lowered.kernels[task.kernels[0]].parallel_safe {
+            if self.lowered.kernels[task.kernel].parallel_safe {
                 work.parallel_tasks += 1;
             } else {
                 work.sequential_tasks += 1;
@@ -505,7 +467,7 @@ mod tests {
         let view = GridPtrs::new(&ptrs, &lens);
         for (ki, k) in lowered.kernels.iter().enumerate() {
             for r in &k.regions {
-                unsafe { run_fused_region(&lowered, &forms, &[ki], &view, r) };
+                unsafe { run_region(&lowered, &forms, ki, &view, r) };
             }
         }
     }
@@ -764,7 +726,7 @@ mod tests {
         let view = GridPtrs::new(&ptrs, &lens);
         for (ki, k) in lowered.kernels.iter().enumerate() {
             for r in &k.regions {
-                unsafe { run_fused_region(&lowered, &forms, &[ki], &view, r) };
+                unsafe { run_region(&lowered, &forms, ki, &view, r) };
             }
         }
         drop(ptrs);

@@ -11,7 +11,7 @@
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
 //! | [`seq::SequentialBackend`] | sequential C | closed-form kernels (linear records and register tapes), single thread |
 //! | [`omp::OmpBackend`] | C + OpenMP | rayon task farm; greedy barrier phases, arbitrary-dimension tiling, multicolor reordering |
-//! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | the shared schedule builder with a fixed 4×64 tall-skinny tile rolled through the remaining dimension, no fusion or multicolor; work-groups executed on CPU threads |
+//! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | the shared schedule builder with a fixed 4×64 tall-skinny tile rolled through the remaining dimension, no multicolor; work-groups executed on CPU threads |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |
 //! | [`checked::CheckedBackend`] | — (sanitizer) | instrumented interpreter over the lowered form: range-checks every access, tracks per-phase shadow write-sets, bitwise-identical to `seq` |
 //!
@@ -77,7 +77,7 @@ pub trait Executable: Send + Sync {
     /// shapes the group was compiled for.
     fn run(&self, grids: &mut GridSet) -> Result<()>;
 
-    /// What one run dispatches: points, tiles, fused kernels and the
+    /// What one run dispatches: points, tiles and the
     /// parallel/sequential split. A static property of the compiled
     /// schedule, read once when a [`plan::SolverPlan`] is built.
     fn work(&self) -> KernelCounters;

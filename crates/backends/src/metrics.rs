@@ -6,9 +6,9 @@
 //!   ran: calls and seconds), timed by [`crate::SolverPlan::run_with_report`]
 //!   with one clock read around each call;
 //! * **kernel counters** ([`KernelCounters`]: points executed, tile/task
-//!   dispatches, kernels that rode along in fused traversals, and
-//!   parallel-safe vs sequential-fallback dispatches), each call adding its
-//!   executable's compile-time [`crate::Executable::work`];
+//!   dispatches, and parallel-safe vs sequential-fallback dispatches),
+//!   each call adding its executable's compile-time
+//!   [`crate::Executable::work`];
 //! * the **compile-time vs run-time split** (`compile_seconds` vs
 //!   `run_seconds`);
 //! * the plan's build-time [`CacheStats`], the plan check's
@@ -85,9 +85,6 @@ pub struct KernelCounters {
     pub points: u64,
     /// Tile/task dispatches.
     pub tiles: u64,
-    /// Kernels that rode along in a fused traversal (beyond the first
-    /// kernel of each fusion group).
-    pub fused: u64,
     /// Dispatches of kernels the analysis proved parallel-safe.
     pub parallel_tasks: u64,
     /// Sequential-fallback dispatches (kernels run in canonical order).
@@ -98,7 +95,6 @@ impl std::ops::AddAssign for KernelCounters {
     fn add_assign(&mut self, rhs: Self) {
         self.points += rhs.points;
         self.tiles += rhs.tiles;
-        self.fused += rhs.fused;
         self.parallel_tasks += rhs.parallel_tasks;
         self.sequential_tasks += rhs.sequential_tasks;
     }
@@ -188,9 +184,9 @@ impl RunReport {
         let k = &self.kernels;
         let _ = write!(
             s,
-            ",\"kernels\":{{\"points\":{},\"tiles\":{},\"fused\":{},\
+            ",\"kernels\":{{\"points\":{},\"tiles\":{},\
              \"parallel_tasks\":{},\"sequential_tasks\":{}}}",
-            k.points, k.tiles, k.fused, k.parallel_tasks, k.sequential_tasks
+            k.points, k.tiles, k.parallel_tasks, k.sequential_tasks
         );
         let _ = write!(
             s,
@@ -276,7 +272,6 @@ mod tests {
         let work = KernelCounters {
             points: 250,
             tiles: 3,
-            fused: 1,
             parallel_tasks: 2,
             sequential_tasks: 1,
         };
@@ -318,7 +313,6 @@ mod tests {
         assert_eq!(r.run_seconds, 1.5);
         assert_eq!(r.kernels.points, 1000);
         assert_eq!(r.kernels.tiles, 12);
-        assert_eq!(r.kernels.fused, 4);
         assert_eq!(r.kernels.sequential_tasks, 4);
     }
 
@@ -329,7 +323,7 @@ mod tests {
         let golden = concat!(
             r#"{"backend":"omp","runs":4,"plan_ops":7,"compile_seconds":0.125,"#,
             r#""run_seconds":1.5,"#,
-            r#""kernels":{"points":1000,"tiles":12,"fused":4,"parallel_tasks":8,"#,
+            r#""kernels":{"points":1000,"tiles":12,"parallel_tasks":8,"#,
             r#""sequential_tasks":4},"#,
             r#""cache":{"hits":5,"misses":2,"disk_hits":1,"disk_misses":1},"#,
             r#""verify":{"stencils_checked":14,"accesses_proved":96,"#,
@@ -344,7 +338,7 @@ mod tests {
     fn empty_report_serializes_every_block_with_zeros() {
         let golden = concat!(
             r#"{"backend":"","runs":0,"plan_ops":0,"compile_seconds":0,"run_seconds":0,"#,
-            r#""kernels":{"points":0,"tiles":0,"fused":0,"parallel_tasks":0,"#,
+            r#""kernels":{"points":0,"tiles":0,"parallel_tasks":0,"#,
             r#""sequential_tasks":0},"#,
             r#""cache":{"hits":0,"misses":0,"disk_hits":0,"disk_misses":0},"#,
             r#""verify":{"stencils_checked":0,"accesses_proved":0,"#,

@@ -7,7 +7,7 @@
 //! decomposition — one task per work-group tile, each task marching
 //! through the outer dimension — so the *shape* of the GPU schedule (many
 //! small independent blocks, long strided walks per block) is observable
-//! on CPU hardware. The GPU model has no fusion or multicolor reordering,
+//! on CPU hardware. The GPU model has no multicolor reordering,
 //! and a kernel that is not parallel-safe runs as one task (a single
 //! "work-item", as a real port would be forced to do). The true OpenCL
 //! *source* for the same decomposition is emitted by
@@ -46,7 +46,6 @@ impl Backend for OclSimBackend {
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
         let schedule = Schedule {
             tile: &|kernel| fit_tile(&WORK_GROUP, kernel.ndim),
-            fuse: false,
             multicolor: false,
             parallel: true,
         };

@@ -34,13 +34,9 @@ pub struct OmpOptions {
     /// Interleave the rectangles of a union domain tile-by-tile (multicolor
     /// reordering). Only applied to kernels proven parallel-safe.
     pub multicolor_reorder: bool,
-    /// Fuse same-phase kernels with identical resolved regions into one
-    /// traversal (§VII "mark stencils for fusion", executed). Defaults to
-    /// on: same-phase kernels are mutually independent by construction.
-    pub fuse: bool,
     /// Consult the persisted tile auto-tuner when no explicit tile is set:
-    /// time candidate tile shapes once per (program, shapes, threads) and
-    /// serve the winner from disk thereafter. Off by default (plan builds
+    /// time candidate tile shapes once per (program, shapes, threads,
+    /// options) and serve the winner from disk thereafter. Off by default (plan builds
     /// stay deterministic-cost unless asked).
     pub tune: bool,
 }
@@ -50,7 +46,6 @@ impl Default for OmpOptions {
         OmpOptions {
             tile: None,
             multicolor_reorder: true,
-            fuse: true,
             tune: false,
         }
     }
@@ -83,12 +78,6 @@ impl OmpBackend {
         self
     }
 
-    /// Enable or disable same-region kernel fusion.
-    pub fn with_fusion(mut self, on: bool) -> Self {
-        self.omp.fuse = on;
-        self
-    }
-
     /// Enable or disable the persisted tile auto-tuner (builder style).
     pub fn with_tune(mut self, on: bool) -> Self {
         self.omp.tune = on;
@@ -108,22 +97,21 @@ impl OmpBackend {
     /// PATUS-style auto-tuner.
     ///
     /// Runs mutate `grids`, so pass scratch copies. Returns the winning
-    /// tile and its compiled executable (already warm); an empty
-    /// candidate list is an error.
-    pub fn autotune_tile(
+    /// tile; an empty candidate list is an error.
+    fn autotune_tile(
         &self,
         group: &StencilGroup,
         grids: &mut GridSet,
         candidates: &[Vec<i64>],
         reps: usize,
-    ) -> Result<(Vec<i64>, Box<dyn Executable>)> {
+    ) -> Result<Vec<i64>> {
         if candidates.is_empty() {
             return Err(CoreError::Backend(
                 "tile auto-tuning needs at least one candidate tile".into(),
             ));
         }
         let shapes = grids.shapes();
-        let mut best: Option<(f64, Vec<i64>, Box<dyn Executable>)> = None;
+        let mut best: Option<(f64, &Vec<i64>)> = None;
         for tile in candidates {
             let backend = OmpBackend {
                 omp: OmpOptions {
@@ -140,12 +128,11 @@ impl OmpBackend {
                 exe.run(grids)?;
                 t = t.min(t0.elapsed().as_secs_f64());
             }
-            if best.as_ref().map(|(bt, _, _)| t < *bt).unwrap_or(true) {
-                best = Some((t, tile.clone(), exe));
+            if best.is_none_or(|(bt, _)| t < bt) {
+                best = Some((t, tile));
             }
         }
-        let (_, tile, exe) = best.expect("candidates checked non-empty");
-        Ok((tile, exe))
+        Ok(best.expect("candidates checked non-empty").1.clone())
     }
 
     /// Resolve the tuned tile for `group` at these shapes: serve the
@@ -163,7 +150,7 @@ impl OmpBackend {
             return Ok(None);
         };
         let candidates = tune_candidates(kernel.ndim, &kernel.regions, threads);
-        let key = crate::tune::TileTuner::key(group, shapes, threads, &candidates);
+        let key = crate::tune::TileTuner::key(group, shapes, threads, &candidates, &self.omp);
         if let Some(tile) = self.tuner.lookup(key, threads) {
             return Ok(Some(tile));
         }
@@ -175,14 +162,14 @@ impl OmpBackend {
             g.fill_random(0x5eed + i as u64, 0.5, 1.5);
             scratch.insert(name, g);
         }
-        let (tile, _) = self.autotune_tile(group, &mut scratch, &candidates, 2)?;
+        let tile = self.autotune_tile(group, &mut scratch, &candidates, 2)?;
         self.tuner.store(key, threads, &tile, candidates.len());
         Ok(Some(tile))
     }
 
     /// Build the task schedule with this backend's choices: the explicit,
-    /// tuned or default tile, fusion and multicolor reordering as set, and
-    /// parallel execution.
+    /// tuned or default tile, multicolor reordering as set, and parallel
+    /// execution.
     fn schedule(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Phased> {
         let lowered = crate::exec::lower(group, shapes)?;
         let threads = rayon::current_num_threads().max(1);
@@ -199,7 +186,6 @@ impl OmpBackend {
                 Some(t) => fit_tile(t, kernel.ndim),
                 None => Ok(default_tile(kernel.ndim, &kernel.regions, threads)),
             },
-            fuse: self.omp.fuse,
             multicolor: self.omp.multicolor_reorder,
             parallel: true,
         }
@@ -500,86 +486,6 @@ mod tests {
     }
 
     #[test]
-    fn fusion_matches_unfused_on_interpolation_style_group() {
-        // Eight independent stencils over one shared region (the multigrid
-        // interpolation pattern): fusion must not change results.
-        use snowflake_core::AffineMap;
-        let mut group = StencilGroup::new();
-        for di in [-1i64, 0] {
-            for dj in [-1i64, 0] {
-                let map = AffineMap::scaled(vec![2, 2], vec![di, dj]);
-                group.push(
-                    Stencil::new(
-                        Expr::read_mapped("fine", map.clone()) + Expr::read_at("coarse", &[0, 0]),
-                        "fine",
-                        RectDomain::interior(2),
-                    )
-                    .with_out_map(map),
-                );
-            }
-        }
-        let make = || {
-            let mut gs = GridSet::new();
-            let mut fine = Grid::new(&[18, 18]);
-            fine.fill_random(4, 0.0, 1.0);
-            gs.insert("fine", fine);
-            let mut coarse = Grid::new(&[10, 10]);
-            coarse.fill_random(5, 0.0, 1.0);
-            gs.insert("coarse", coarse);
-            gs
-        };
-        let mut fused = make();
-        let mut unfused = make();
-        let shapes = fused.shapes();
-        OmpBackend::new()
-            .with_fusion(true)
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut fused)
-            .unwrap();
-        OmpBackend::new()
-            .with_fusion(false)
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut unfused)
-            .unwrap();
-        assert_eq!(
-            fused
-                .get("fine")
-                .unwrap()
-                .max_abs_diff(unfused.get("fine").unwrap()),
-            0.0
-        );
-    }
-
-    #[test]
-    fn fusion_on_gsrb_boundary_faces_matches_interpreter() {
-        // The six boundary faces of a GSRB sweep do NOT share regions, so
-        // fusion must leave them alone; results stay identical.
-        let group = vc_gsrb_group_2d();
-        let n = 14;
-        let mut a = mk_grids(n);
-        let mut b = mk_grids(n);
-        let shapes = a.shapes();
-        OmpBackend::new()
-            .with_fusion(true)
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut a)
-            .unwrap();
-        OmpBackend::new()
-            .with_fusion(false)
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut b)
-            .unwrap();
-        assert_eq!(
-            a.get("mesh").unwrap().max_abs_diff(b.get("mesh").unwrap()),
-            0.0
-        );
-    }
-
-    #[test]
     fn autotuner_returns_candidate_and_correct_results() {
         let n = 16;
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
@@ -591,13 +497,18 @@ mod tests {
         gs.insert("y", Grid::new(&[n, n]));
         let mut scratch = gs.clone();
         let candidates = vec![vec![2i64, 2], vec![4, 8], vec![16, 16]];
-        let (tile, exe) = OmpBackend::new()
+        let tile = OmpBackend::new()
             .autotune_tile(&group, &mut scratch, &candidates, 2)
             .unwrap();
         assert!(candidates.contains(&tile), "winner must be a candidate");
-        // The tuned executable computes the same answer as seq.
+        // The winning tile computes the same answer as seq.
         let mut tuned = gs.clone();
-        exe.run(&mut tuned).unwrap();
+        OmpBackend::new()
+            .with_tile(tile)
+            .compile(&group, &gs.shapes())
+            .unwrap()
+            .run(&mut tuned)
+            .unwrap();
         crate::SequentialBackend::new()
             .compile(&group, &gs.shapes())
             .unwrap()
@@ -652,6 +563,30 @@ mod tests {
             a.get("mesh").unwrap().max_abs_diff(c.get("mesh").unwrap()),
             0.0
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn tuner_decisions_are_keyed_on_the_schedule_options() {
+        // A decision timed with multicolor reordering on is not served to
+        // a build with it off: the two time different task shapes.
+        let dir =
+            std::env::temp_dir().join(format!("snowflake-omp-tune-mc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let group = vc_gsrb_group_2d();
+        let shapes = mk_grids(18).shapes();
+        let tuned = |multicolor| {
+            let omp = OmpBackend::new()
+                .with_multicolor(multicolor)
+                .with_tune(true)
+                .with_tune_dir(dir.clone());
+            omp.compile(&group, &shapes).unwrap();
+            let s = omp.stats().tune;
+            (s.disk_hits, s.disk_misses)
+        };
+        assert_eq!(tuned(true), (0, 1), "cold: timed and stored");
+        assert_eq!(tuned(false), (0, 1), "other options: a miss");
+        assert_eq!(tuned(false), (1, 0), "same options: served");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

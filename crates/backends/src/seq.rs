@@ -3,7 +3,7 @@
 //! The counterpart of the paper's plain-C micro-compiler: full lowering
 //! (constant folding, closed-form extraction, cursor addressing) with no
 //! parallel scheduling. Its `exec::Schedule` leaves kernels
-//! untiled and unfused and runs every phase on the calling thread:
+//! untiled and runs every phase on the calling thread:
 //! kernels in program order, regions in union order, points in row-major
 //! order — the canonical semantics.
 
@@ -36,7 +36,6 @@ impl Backend for SequentialBackend {
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
         let schedule = Schedule {
             tile: &|kernel| Ok(vec![UNTILED; kernel.ndim]),
-            fuse: false,
             multicolor: false,
             parallel: false,
         };

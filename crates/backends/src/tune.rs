@@ -2,11 +2,11 @@
 //! steady-state cost.
 //!
 //! The paper leaves tile sizes "tunable at compile time"; the OpenMP-like
-//! backend already carries a PATUS-style empirical tuner
-//! ([`crate::omp::OmpBackend::autotune_tile`]) that times candidate tile
-//! shapes and keeps the winner. This module makes that decision *sticky*:
-//! the winning tile for each `(kernel-group signature, grid shapes,
-//! thread count, candidate list, executor sources)` key is persisted as a
+//! backend already carries a PATUS-style empirical tuner (the private
+//! `OmpBackend::autotune_tile`) that times candidate tile shapes and keeps
+//! the winner. This module makes that decision *sticky*: the winning tile
+//! for each `(kernel-group signature, grid shapes, thread count, candidate
+//! list, schedule options, executor sources)` key is persisted as a
 //! one-line text record in an FNV-keyed directory chain (the same
 //! resolution scheme as the C JIT's artifact cache), so the first plan
 //! build of a given configuration pays for the timing runs once and every
@@ -33,6 +33,7 @@ use std::sync::Arc;
 use snowflake_core::{ShapeMap, StencilGroup};
 
 use crate::metrics::TuneStats;
+use crate::omp::OmpOptions;
 
 /// Tile entries meaning "untiled" (`i64::MAX >> 1` in memory) are encoded
 /// as `0` on disk: `0` is never a legal tile extent, and the record stays
@@ -95,22 +96,25 @@ impl TileTuner {
     }
 
     /// Structural tuning key: FNV-1a over the group's debug rendering,
-    /// the sorted shape bindings, the thread count and the candidate tiles
-    /// timed, salted with the executor sources of this build. Equal
-    /// programs at equal sizes and parallelism, tuned over the same
-    /// candidates by the same executor, share one decision.
+    /// the sorted shape bindings, the thread count, the candidate tiles
+    /// timed and the schedule options they were timed under, salted with
+    /// the executor sources of this build. Equal programs at equal sizes
+    /// and parallelism, tuned over the same candidates and options by the
+    /// same executor, share one decision.
     pub fn key(
         group: &StencilGroup,
         shapes: &ShapeMap,
         threads: usize,
         candidates: &[Vec<i64>],
+        options: &OmpOptions,
     ) -> u64 {
         let mut entries: Vec<(&String, &Vec<usize>)> = shapes.iter().collect();
         entries.sort();
         let mut h = fnv1a(CODE_SALT, format!("{group:?}").as_bytes());
         h = fnv1a(h, format!("{entries:?}").as_bytes());
         h = fnv1a(h, format!("threads={threads}").as_bytes());
-        fnv1a(h, format!("candidates={candidates:?}").as_bytes())
+        h = fnv1a(h, format!("candidates={candidates:?}").as_bytes());
+        fnv1a(h, format!("{options:?}").as_bytes())
     }
 
     /// Look up a persisted decision. Counts a disk hit when found.
@@ -256,6 +260,13 @@ mod tests {
         vec![vec![4, UNTILED], vec![2, UNTILED]]
     }
 
+    fn opts() -> OmpOptions {
+        OmpOptions {
+            tune: true,
+            ..OmpOptions::default()
+        }
+    }
+
     #[test]
     fn code_salt_covers_the_thread_pool_that_runs_the_tiles() {
         let backend_only = fnv1a(
@@ -277,7 +288,7 @@ mod tests {
     #[test]
     fn store_then_lookup_round_trips_with_untiled_encoding() {
         let tuner = tmp_tuner("roundtrip");
-        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
+        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands(), &opts());
         assert_eq!(tuner.lookup(key, 4), None, "cold cache");
         tuner.store(key, 4, &[8, UNTILED, 64], 3);
         assert_eq!(tuner.lookup(key, 4), Some(vec![8, UNTILED, 64]));
@@ -296,32 +307,58 @@ mod tests {
 
     #[test]
     fn key_separates_programs_shapes_and_threads() {
-        let k = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
-        assert_ne!(k, TileTuner::key(&group(3.0), &shapes(16), 4, &cands()));
-        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(32), 4, &cands()));
-        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(16), 8, &cands()));
-        assert_eq!(k, TileTuner::key(&group(2.0), &shapes(16), 4, &cands()));
+        let k = TileTuner::key(&group(2.0), &shapes(16), 4, &cands(), &opts());
+        assert_ne!(
+            k,
+            TileTuner::key(&group(3.0), &shapes(16), 4, &cands(), &opts())
+        );
+        assert_ne!(
+            k,
+            TileTuner::key(&group(2.0), &shapes(32), 4, &cands(), &opts())
+        );
+        assert_ne!(
+            k,
+            TileTuner::key(&group(2.0), &shapes(16), 8, &cands(), &opts())
+        );
+        let unicolor = OmpOptions {
+            multicolor_reorder: false,
+            ..opts()
+        };
+        assert_ne!(
+            k,
+            TileTuner::key(&group(2.0), &shapes(16), 4, &cands(), &unicolor)
+        );
+        assert_eq!(
+            k,
+            TileTuner::key(&group(2.0), &shapes(16), 4, &cands(), &opts())
+        );
     }
 
     #[test]
     fn key_changes_with_the_candidate_list() {
-        let k = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
+        let k = TileTuner::key(&group(2.0), &shapes(16), 4, &cands(), &opts());
         let mut more = cands();
         more.push(vec![1, UNTILED]);
-        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(16), 4, &more));
-        let mut reordered = cands();
-        reordered.reverse();
-        assert_ne!(k, TileTuner::key(&group(2.0), &shapes(16), 4, &reordered));
         assert_ne!(
             k,
-            TileTuner::key(&group(2.0), &shapes(16), 4, &cands()[..1])
+            TileTuner::key(&group(2.0), &shapes(16), 4, &more, &opts())
+        );
+        let mut reordered = cands();
+        reordered.reverse();
+        assert_ne!(
+            k,
+            TileTuner::key(&group(2.0), &shapes(16), 4, &reordered, &opts())
+        );
+        assert_ne!(
+            k,
+            TileTuner::key(&group(2.0), &shapes(16), 4, &cands()[..1], &opts())
         );
     }
 
     #[test]
     fn record_is_one_text_line() {
         let tuner = tmp_tuner("record");
-        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
+        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands(), &opts());
         tuner.store(key, 4, &[8, UNTILED, 64], 3);
         let path = tuner.artifact_path(key, 4);
         assert!(path.to_string_lossy().ends_with("-t4.txt"), "{path:?}");
@@ -332,7 +369,7 @@ mod tests {
     #[test]
     fn thread_count_mismatch_and_garbage_are_misses() {
         let tuner = tmp_tuner("mismatch");
-        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands());
+        let key = TileTuner::key(&group(2.0), &shapes(16), 4, &cands(), &opts());
         tuner.store(key, 4, &[8, 8], 2);
         assert_eq!(tuner.lookup(key, 8), None, "different thread count");
         // Corrupt, truncated, negative or old-version records: each must

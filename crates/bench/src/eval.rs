@@ -5,15 +5,15 @@
 //! [`evaluate`] measures and fills both documents; [`Evaluation::tables`]
 //! renders every list of rows in them as a text table, and
 //! [`Evaluation::write`] writes all of it. Every time is a [`time_reps`]
-//! median (the best is kept where a bound is derived from it), and every
-//! Snowflake plan is built through `SolverPlan::build_checked`, so a plan
-//! the plan check refuses fails the evaluation.
+//! median (the best is kept where a bound is derived from it), or a
+//! [`time_pairs`] median for an ablation, and every Snowflake plan is
+//! built through `SolverPlan::build_checked`, so a plan the plan check
+//! refuses fails the evaluation.
 
 use std::convert::Infallible;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
-use hpgmg::stencils::{interpolate_group, Names};
 use hpgmg::{HandSolver, Problem, Smoother, SnowSolver};
 use roofline::stream::dot_pass;
 use roofline::{Roofline, StencilKind};
@@ -22,9 +22,8 @@ use snowflake_backends::{
     available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, OmpBackend,
     PlanError, RunReport, TileTuner,
 };
-use snowflake_grid::{Grid, GridSet};
 
-use crate::{time_reps, KernelBench, Timing};
+use crate::{time_pairs, time_reps, KernelBench, Timing};
 
 /// Elements per array of the Figure 6 dot-bandwidth sweep: 1 MiB to
 /// 64 MiB footprints, from cache-resident to DRAM.
@@ -35,15 +34,16 @@ pub const STREAM_ELEMS: [usize; 4] = [1 << 16, 1 << 18, 1 << 20, 1 << 22];
 pub struct Config {
     /// A CI-sized run (`--smoke`).
     smoke: bool,
-    /// Finest-grid sizes of the solver rows.
+    /// Finest-grid sizes of the solver and ablation rows.
     solve_sizes: Vec<usize>,
     /// V-cycles of the solve that measures the residual reduction.
     cycles: usize,
-    /// Interior size of Figure 7 and of the ablations.
+    /// Interior size of Figure 7.
     kernel_size: usize,
     /// Interior sizes of Figure 8.
     sweep_sizes: Vec<usize>,
-    /// Timed calls per measurement, after one untimed warm-up.
+    /// Timed calls per measurement, after one untimed warm-up (pairs of
+    /// calls for an ablation).
     reps: usize,
     /// `hand` and the Snowflake backends: every implementation measured.
     implementations: Vec<&'static str>,
@@ -208,8 +208,15 @@ pub fn evaluate(config: &Config) -> Result<Evaluation, String> {
     for &n in &config.sweep_sizes {
         figure8.extend(kernel(StencilKind::VcGsrb, n)?);
     }
-    let ablation =
-        ablation_rows(config.kernel_size, config.reps).map_err(|e| format!("ablation: {e}"))?;
+    let mut ablation = Vec::new();
+    for problem in ["vc", "cc"] {
+        for &n in &config.solve_sizes {
+            ablation.extend(
+                ablation_rows(problem, n, config.reps)
+                    .map_err(|e| format!("ablation {problem} {n}^3: {e}"))?,
+            );
+        }
+    }
     let roofline = StencilKind::all()
         .into_iter()
         .map(|kind| {
@@ -279,11 +286,7 @@ fn solve_row(
     config: &Config,
     hand: &mut f64,
 ) -> Result<Value, PlanError> {
-    let spec = if problem == "vc" {
-        Problem::poisson_vc(n)
-    } else {
-        Problem::poisson_cc(n)
-    };
+    let spec = poisson(problem, n);
     let (vcycle, norms, ops, build, report): (Timing, _, _, _, _) = if imp == "hand" {
         let mut solver = HandSolver::new(spec);
         let Ok(vcycle) = time_reps(config.reps, || {
@@ -361,53 +364,46 @@ fn kernel_row(
     ]))
 }
 
-/// The §IV-A and §VII ablations on the omp backend, at interior size `n`:
-/// multicolor reordering off and the tile tuner on (VC GSRB), and fusion
-/// off on the eight same-region interpolation stencils, each timed beside
-/// the default backend.
-fn ablation_rows(n: usize, reps: usize) -> Result<Vec<Value>, PlanError> {
-    let gsrb = |backend| KernelBench::build(StencilKind::VcGsrb, Some(backend), n);
-    let interpolation = |backend| {
-        let (fine, coarse) = (Names::level(0), Names::level(1));
-        let mut grids = GridSet::new();
-        let mut x = Grid::new(&[n + 2; 3]);
-        x.fill_random(1, -1.0, 1.0);
-        grids.insert(&fine.x, x);
-        let mut xc = Grid::new(&[n / 2 + 2; 3]);
-        xc.fill_random(2, -1.0, 1.0);
-        grids.insert(&coarse.x, xc);
-        let group = interpolate_group(&coarse, &fine);
-        KernelBench::plan(group, grids, backend, (n * n * n) as u64)
-    };
-    let omp = || -> Box<dyn Backend> { Box::new(OmpBackend::new()) };
+/// The `vc` or `cc` Poisson problem at finest size `n`.
+fn poisson(problem: &str, n: usize) -> Problem {
+    if problem == "vc" {
+        Problem::poisson_vc(n)
+    } else {
+        Problem::poisson_cc(n)
+    }
+}
+
+/// The §IV-A ablations of the omp backend on one problem at finest size
+/// `n`: multicolor reordering off, and the tile tuner on, each timed
+/// against the default backend in `reps` alternating pairs of whole
+/// V-cycles (see [`time_pairs`]). Every plan is built checked.
+fn ablation_rows(problem: &str, n: usize, reps: usize) -> Result<Vec<Value>, PlanError> {
+    let solver =
+        |backend| SnowSolver::build(poisson(problem, n), backend, Smoother::default(), true);
+    let mut default = solver(Box::new(OmpBackend::new()))?;
     let tuned = backend_from_name("omp", &BackendOptions::default().with_tune(true))?;
-    let cells = [
+    let cells: [(&str, Box<dyn Backend>); 2] = [
         (
             "omp multicolor off",
-            "VC GSRB",
-            gsrb(omp())?,
-            gsrb(Box::new(OmpBackend::new().with_multicolor(false)))?,
+            Box::new(OmpBackend::new().with_multicolor(false)),
         ),
-        (
-            "omp fusion off",
-            "interpolation",
-            interpolation(omp())?,
-            interpolation(Box::new(OmpBackend::new().with_fusion(false)))?,
-        ),
-        ("omp tuner on", "VC GSRB", gsrb(omp())?, gsrb(tuned)?),
+        ("omp tuner on", tuned),
     ];
     cells
         .into_iter()
-        .map(|(cell, kernel, mut default, mut variant)| {
-            let default = time_reps(reps, || default.sweep())?.median;
-            let variant = time_reps(reps, || variant.sweep())?.median;
+        .map(|(cell, backend)| {
+            let mut variant = solver(backend)?;
+            let (base, var, slower) = time_pairs(reps, || default.vcycle(0), || variant.vcycle(0))?;
             Ok(Value::Object(vec![
                 ("cell", str(cell)),
-                ("kernel", str(kernel)),
+                ("problem", str(problem)),
                 ("n", Value::Int(n)),
-                ("default_seconds_median", Value::Num(default)),
-                ("variant_seconds_median", Value::Num(variant)),
-                ("variant_over_default", Value::Num(variant / default)),
+                ("pairs", Value::Int(reps.max(1))),
+                ("default_seconds_median", Value::Num(base.median)),
+                ("variant_seconds_median", Value::Num(var.median)),
+                ("variant_over_default", Value::Num(var.median / base.median)),
+                ("variant_slower_pairs", Value::Int(slower)),
+                ("default_seconds_iqr", Value::Num(base.iqr)),
             ]))
         })
         .collect()

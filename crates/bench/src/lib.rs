@@ -3,9 +3,9 @@
 //! `bench_summary`, the one evaluation command ([`eval`]: every
 //! experiment of the paper's §V into `BENCH_solver.json`,
 //! `BENCH_kernels.json` and `results/`), and the `snowlint` driver. The
-//! library holds the kernels under test ([`KernelBench`]), the one timing
-//! helper ([`time_reps`]) and the command-line helpers both binaries
-//! share.
+//! library holds the kernels under test ([`KernelBench`]), the timing
+//! helpers ([`time_reps`], and [`time_pairs`] for ablations) and the
+//! command-line helpers both binaries share.
 
 use std::fmt;
 use std::time::Instant;
@@ -14,18 +14,48 @@ use hpgmg::problem::{LevelData, Problem};
 use hpgmg::stencils::{apply_op_group, gsrb_smooth_group, jacobi_group, Coeff, Names};
 use roofline::StencilKind;
 use snowflake_backends::{Backend, KernelCounters, PlanError, RunReport, SolverPlan};
-use snowflake_core::{Result, StencilGroup};
+use snowflake_core::Result;
 use snowflake_grid::GridSet;
 
 pub mod eval;
 
-/// The best and the median of a set of timed calls, in seconds.
+/// The best, the median and the interquartile range of a set of timed
+/// calls, in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Timing {
     /// Fastest call.
     pub best: f64,
     /// Median call.
     pub median: f64,
+    /// Third quartile minus first quartile.
+    pub iqr: f64,
+}
+
+impl Timing {
+    /// Summarize a non-empty set of samples; quartiles interpolate
+    /// linearly between order statistics.
+    fn of(mut samples: Vec<f64>) -> Timing {
+        samples.sort_by(f64::total_cmp);
+        let last = samples.len() - 1;
+        // The `q`-th quartile lies `q·last/4` order statistics in.
+        let quartile = |q: usize| {
+            let (lo, quarters) = (q * last / 4, q * last % 4);
+            let hi = (lo + 1).min(last);
+            samples[lo] + quarters as f64 / 4.0 * (samples[hi] - samples[lo])
+        };
+        Timing {
+            best: samples[0],
+            median: quartile(2),
+            iqr: quartile(3) - quartile(1),
+        }
+    }
+}
+
+/// Seconds one call of `f` takes.
+fn timed<E>(f: &mut impl FnMut() -> std::result::Result<(), E>) -> std::result::Result<f64, E> {
+    let t0 = Instant::now();
+    f()?;
+    Ok(t0.elapsed().as_secs_f64())
 }
 
 /// Time `f`: one untimed warm-up call (the paper's protocol), then `reps`
@@ -35,27 +65,40 @@ pub fn time_reps<E>(
     mut f: impl FnMut() -> std::result::Result<(), E>,
 ) -> std::result::Result<Timing, E> {
     f()?;
-    let mut samples = Vec::with_capacity(reps.max(1));
-    for _ in 0..reps.max(1) {
-        let t0 = Instant::now();
-        f()?;
-        samples.push(t0.elapsed().as_secs_f64());
-    }
-    samples.sort_by(f64::total_cmp);
-    let n = samples.len();
-    let median = if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        0.5 * (samples[n / 2 - 1] + samples[n / 2])
-    };
-    Ok(Timing {
-        best: samples[0],
-        median,
-    })
+    let samples = (0..reps.max(1))
+        .map(|_| timed(&mut f))
+        .collect::<std::result::Result<_, E>>()?;
+    Ok(Timing::of(samples))
 }
 
-/// A standalone-kernel benchmark instance (Figure 7/8 and ablation rows):
-/// one operator on one implementation at one size.
+/// Time `a` against `b` in `reps` pairs (at least one), after one untimed
+/// warm-up call of each: even pairs call `a` first, odd pairs `b` first,
+/// so a host that drifts during the run slows both sides alike. Returns
+/// both timings and the number of pairs whose `b` call took longer. The
+/// first error stops the timing.
+pub fn time_pairs<E>(
+    reps: usize,
+    mut a: impl FnMut() -> std::result::Result<(), E>,
+    mut b: impl FnMut() -> std::result::Result<(), E>,
+) -> std::result::Result<(Timing, Timing, usize), E> {
+    a()?;
+    b()?;
+    let (mut ta, mut tb) = (Vec::new(), Vec::new());
+    for pair in 0..reps.max(1) {
+        if pair % 2 == 0 {
+            ta.push(timed(&mut a)?);
+            tb.push(timed(&mut b)?);
+        } else {
+            tb.push(timed(&mut b)?);
+            ta.push(timed(&mut a)?);
+        }
+    }
+    let b_slower = ta.iter().zip(&tb).filter(|(a, b)| b > a).count();
+    Ok((Timing::of(ta), Timing::of(tb), b_slower))
+}
+
+/// A standalone-kernel benchmark instance (Figure 7/8 rows): one operator
+/// on one implementation at one size.
 pub struct KernelBench {
     /// Interior points updated per sweep (stencil applications).
     pub stencils_per_sweep: u64,
@@ -77,7 +120,10 @@ enum KernelRunner {
 impl KernelBench {
     /// Build one of Figure 7's operators at interior size `n` (the paper
     /// uses 256): on the hand-optimized baseline when `backend` is `None`,
-    /// otherwise as a checked one-op plan ([`KernelBench::plan`]).
+    /// otherwise as a one-op [`SolverPlan`], through the plan check: a
+    /// refused plan is a [`PlanError`] carrying the findings, and the
+    /// check's counters are stamped into every report
+    /// [`KernelBench::sweep_with_report`] fills.
     pub fn build(
         kind: StencilKind,
         backend: Option<Box<dyn Backend>>,
@@ -120,19 +166,6 @@ impl KernelBench {
         grids.insert(&names.beta_x, lvl.beta_x);
         grids.insert(&names.beta_y, lvl.beta_y);
         grids.insert(&names.beta_z, lvl.beta_z);
-        Self::plan(group, grids, backend, points)
-    }
-
-    /// Build `group` over `grids` on `backend` as a one-op
-    /// [`SolverPlan`], through the plan check: a refused plan is a
-    /// [`PlanError`] carrying the findings, and the check's counters are
-    /// stamped into every report [`KernelBench::sweep_with_report`] fills.
-    pub fn plan(
-        group: StencilGroup,
-        grids: GridSet,
-        backend: Box<dyn Backend>,
-        points: u64,
-    ) -> std::result::Result<KernelBench, PlanError> {
         let plan = SolverPlan::build_checked(backend, &[(group, grids.shapes())])?;
         Ok(KernelBench {
             stencils_per_sweep: points,
@@ -334,6 +367,52 @@ mod tests {
             }
         });
         assert_eq!((err, calls), (Err("third call"), 3));
+    }
+
+    #[test]
+    fn time_pairs_alternates_which_side_runs_first() {
+        let calls = std::cell::RefCell::new(String::new());
+        let side = |name| {
+            let calls = &calls;
+            move || {
+                calls.borrow_mut().push(name);
+                Ok::<(), ()>(())
+            }
+        };
+        let (a, _, b_slower) = time_pairs(5, side('a'), side('b')).unwrap();
+        // The warm-up pair, then `a` first in even pairs and `b` first in
+        // odd ones.
+        assert_eq!(
+            *calls.borrow(),
+            ["ab", "ab", "ba", "ab", "ba", "ab"].concat()
+        );
+        assert!(b_slower <= 5);
+        assert!(0.0 <= a.best && a.best <= a.median);
+        // The first error stops the timing.
+        let mut b_calls = 0;
+        let err = time_pairs(
+            3,
+            || Ok(()),
+            || {
+                b_calls += 1;
+                if b_calls == 2 {
+                    Err("second b call")
+                } else {
+                    Ok(())
+                }
+            },
+        );
+        assert_eq!((err, b_calls), (Err("second b call"), 2));
+    }
+
+    #[test]
+    fn timing_quantiles_interpolate_between_samples() {
+        let t = Timing::of(vec![4.0, 1.0, 3.0, 2.0]);
+        assert_eq!((t.best, t.median, t.iqr), (1.0, 2.5, 1.5));
+        let t = Timing::of(vec![5.0, 1.0, 3.0, 2.0, 4.0]);
+        assert_eq!((t.best, t.median, t.iqr), (1.0, 3.0, 2.0));
+        let one = Timing::of(vec![7.0]);
+        assert_eq!((one.best, one.median, one.iqr), (7.0, 7.0, 0.0));
     }
 
     #[test]

@@ -367,25 +367,44 @@ fn kernels_document_schema() {
         row_keys(ablation),
         [
             "cell",
-            "kernel",
+            "problem",
             "n",
+            "pairs",
             "default_seconds_median",
             "variant_seconds_median",
-            "variant_over_default"
+            "variant_over_default",
+            "variant_slower_pairs",
+            "default_seconds_iqr"
         ]
     );
-    let cells: Vec<(&str, &str)> = ablation
+    let cells: Vec<(&str, &str, f64)> = ablation
         .iter()
-        .map(|r| (r.get("cell").str(), r.get("kernel").str()))
+        .map(|r| {
+            (
+                r.get("cell").str(),
+                r.get("problem").str(),
+                r.get("n").num(),
+            )
+        })
         .collect();
     assert_eq!(
         cells,
         [
-            ("omp multicolor off", "VC GSRB"),
-            ("omp fusion off", "interpolation"),
-            ("omp tuner on", "VC GSRB"),
+            ("omp multicolor off", "vc", 8.0),
+            ("omp tuner on", "vc", 8.0),
+            ("omp multicolor off", "cc", 8.0),
+            ("omp tuner on", "cc", 8.0),
         ]
     );
+    let reps = doc.get("reps").num();
+    for row in ablation {
+        assert_eq!(row.get("pairs").num(), reps);
+        assert!(row.get("variant_slower_pairs").num() <= reps);
+        assert!(row.get("default_seconds_iqr").num() >= 0.0);
+        let ratio =
+            row.get("variant_seconds_median").num() / row.get("default_seconds_median").num();
+        assert_eq!(row.get("variant_over_default").num(), ratio);
+    }
 }
 
 #[test]

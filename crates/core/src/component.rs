@@ -89,30 +89,6 @@ impl Component {
         }
         acc.unwrap_or(Expr::Const(0.0))
     }
-
-    /// Expand with every read index multiplied by `scale` (per dimension):
-    /// `Σ_o W[o] · grid[scale · p + o]`. This is how restriction reads the
-    /// fine grid from a coarse iteration space — the "multiplicative
-    /// offsets" competing DSLs lack.
-    pub fn expand_scaled(&self, scale: &[i64]) -> Expr {
-        assert_eq!(scale.len(), self.ndim(), "scale rank mismatch");
-        let mut acc: Option<Expr> = None;
-        for (offset, w) in self.weights.iter() {
-            let read = Expr::Read {
-                grid: self.grid.clone(),
-                map: AffineMap::scaled(scale.to_vec(), offset.to_vec()),
-            };
-            let term = match w {
-                Expr::Const(c) if *c == 1.0 => read,
-                _ => Expr::Mul(Box::new(w.clone()), Box::new(read)),
-            };
-            acc = Some(match acc {
-                None => term,
-                Some(a) => Expr::Add(Box::new(a), Box::new(term)),
-            });
-        }
-        acc.unwrap_or(Expr::Const(0.0))
-    }
 }
 
 #[cfg(test)]
@@ -154,16 +130,6 @@ mod tests {
             _ => idx[0] as f64,             // x[3] = 3
         });
         assert_eq!(v, 36.0);
-    }
-
-    #[test]
-    fn expand_scaled_restriction_read() {
-        // coarse[p] = (fine[2p] + fine[2p+1]) / 2 in 1-D.
-        let c = Component::new("fine", weights1![0.0, 1.0, 1.0]);
-        // weights1 center is the middle of [0,1,1]: offsets -1,0,1 -> entries 0 (dropped),1@0,1@1.
-        let e = c.expand_scaled(&[2]) * 0.5;
-        let v = e.eval(&[3], &mut |_, idx| idx[0] as f64);
-        assert_eq!(v, (6.0 + 7.0) / 2.0);
     }
 
     #[test]

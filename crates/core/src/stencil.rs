@@ -274,11 +274,6 @@ impl StencilGroup {
         Self::default()
     }
 
-    /// Group from a vector of stencils.
-    pub fn from_stencils(stencils: Vec<Stencil>) -> Self {
-        StencilGroup { stencils }
-    }
-
     /// Append a stencil (serial order).
     pub fn push(&mut self, s: Stencil) {
         self.stencils.push(s);

@@ -498,7 +498,7 @@ mod tests {
                 .unwrap();
             let cov = check_coverage(&interior, &parts);
             assert!(
-                cov.is_exact(),
+                cov.gap.is_none() && cov.double.is_none(),
                 "n={n}: gap {:?} double {:?}",
                 cov.gap,
                 cov.double

@@ -481,3 +481,38 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn multicolor_union_with_a_coarse_untiled_stride_matches_seq() {
+    // Three colours of stride 3 along the untiled inner dimension: the
+    // multicolor box step there saturates, and stepping past it must
+    // neither overflow nor drop a colour.
+    let colours = (0..3)
+        .map(|k| RectDomain::new(&[1, 1 + k], &[-1, -1], &[1, 3]))
+        .collect();
+    let e = Expr::read_at("x", &[0, 1]) * 0.5 + Expr::read_at("x", &[0, -1]) * 0.25;
+    let group = StencilGroup::from(Stencil::new(e, "y", DomainUnion::new(colours)));
+    let make = || {
+        let mut gs = GridSet::new();
+        let mut x = Grid::new(&[20, 20]);
+        x.fill_random(11, -1.0, 1.0);
+        gs.insert("x", x);
+        gs.insert("y", Grid::new(&[20, 20]));
+        gs
+    };
+    let (mut want, mut got) = (make(), make());
+    let shapes = want.shapes();
+    let run = |backend: &dyn Backend, grids: &mut GridSet| {
+        backend
+            .compile(&group, &shapes)
+            .unwrap()
+            .run(grids)
+            .unwrap();
+    };
+    run(&SequentialBackend::new(), &mut want);
+    run(&OmpBackend::new(), &mut got);
+    assert_eq!(
+        got.get("y").unwrap().as_slice(),
+        want.get("y").unwrap().as_slice()
+    );
+}

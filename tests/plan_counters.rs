@@ -158,25 +158,25 @@ fn metered_solve_books_every_op_call_on_every_backend() {
 }
 
 /// Each op of the 16³ GSRB operator list, the same for the `vc` and `cc`
-/// problems: its points, then tiles and fused kernels for `seq` (one task
-/// per region), `oclsim` (4×64 tiles over the two fastest dimensions, the
-/// outer one rolled through) and `omp` with an explicit 3×4×5 tile
-/// (fusion and multicolor reordering on). Every kernel is parallel-safe.
-const WORK_16: [[u64; 7]; 14] = [
-    [7168, 20, 0, 52, 0, 280, 0],
-    [5632, 7, 0, 22, 0, 224, 0],
-    [1512, 2, 0, 5, 0, 36, 0],
-    [512, 1, 0, 2, 0, 12, 0],
-    [4096, 8, 0, 16, 0, 12, 84],
-    [4480, 14, 0, 26, 0, 44, 84],
-    [1280, 20, 0, 28, 0, 68, 0],
-    [896, 7, 0, 12, 0, 44, 0],
-    [280, 2, 0, 3, 0, 10, 0],
-    [64, 1, 0, 1, 0, 2, 0],
-    [512, 8, 0, 8, 0, 2, 14],
-    [608, 14, 0, 14, 0, 12, 14],
-    [256, 20, 0, 20, 0, 22, 0],
-    [160, 7, 0, 7, 0, 12, 0],
+/// problems: its points, then its tiles for `seq` (one task per region),
+/// `oclsim` (4×64 tiles over the two fastest dimensions, the outer one
+/// rolled through) and `omp` with an explicit 3×4×5 tile (multicolor
+/// reordering on). Every kernel is parallel-safe.
+const WORK_16: [[u64; 4]; 14] = [
+    [7168, 20, 52, 280],
+    [5632, 7, 22, 224],
+    [1512, 2, 5, 36],
+    [512, 1, 2, 12],
+    [4096, 8, 16, 96],
+    [4480, 14, 26, 128],
+    [1280, 20, 28, 68],
+    [896, 7, 12, 44],
+    [280, 2, 3, 10],
+    [64, 1, 1, 2],
+    [512, 8, 8, 16],
+    [608, 14, 14, 26],
+    [256, 20, 20, 22],
+    [160, 7, 7, 12],
 ];
 
 #[test]
@@ -192,16 +192,15 @@ fn schedules_dispatch_the_pinned_work_per_op() {
         for (op, ((group, shapes), want)) in list.iter().zip(&WORK_16).enumerate() {
             for (b, backend) in backends.iter().enumerate() {
                 let work = backend.compile(group, shapes).unwrap().work();
-                let (tiles, fused) = (want[1 + 2 * b], want[2 + 2 * b]);
+                let tiles = want[1 + b];
                 assert_eq!(
                     [
                         work.points,
                         work.tiles,
-                        work.fused,
                         work.parallel_tasks,
                         work.sequential_tasks
                     ],
-                    [want[0], tiles, fused, tiles, 0],
+                    [want[0], tiles, tiles, 0],
                     "{} op {op}",
                     backend.name()
                 );
