@@ -69,12 +69,6 @@ pub fn access_conflict(
     Ok(Some(cell))
 }
 
-/// Do two regions share an iteration point? (Identity-map conflict.)
-pub fn regions_overlap(r1: &Region, r2: &Region) -> bool {
-    let id = AffineMap::identity(r1.ndim());
-    access_conflict(r1, &id, r2, &id) != Ok(None)
-}
-
 /// Can a write through `wmap` at iteration `p1` alias a read through `rmap`
 /// at a **different** iteration `p2`, both ranging over the *same* region?
 ///
@@ -211,15 +205,6 @@ mod tests {
         let id = AffineMap::identity(1);
         assert!(!conflicts(&e, &id, &f, &id));
         assert!(!self_conflict(&e, &id, &translate(&[1])));
-    }
-
-    #[test]
-    fn regions_overlap_basic() {
-        let a = region(&[0, 0], &[4, 4], &[1, 1]);
-        let b = region(&[3, 3], &[6, 6], &[1, 1]);
-        let c = region(&[4, 0], &[6, 4], &[1, 1]);
-        assert!(regions_overlap(&a, &b));
-        assert!(!regions_overlap(&a, &c));
     }
 
     // --- self_conflict ----------------------------------------------------

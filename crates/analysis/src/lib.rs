@@ -24,9 +24,8 @@
 //! * [`deps`] — stencil-level questions: is a stencil parallel-safe over
 //!   its domain union? does stencil B depend on stencil A (RAW/WAR/WAW)?
 //!   [`depends`] is the one hazard search, returning a witness cell.
-//! * [`schedule`] — group-level planning: dependence DAG, the greedy
-//!   barrier grouping used by the OpenMP backend, and dead-stencil
-//!   elimination.
+//! * [`schedule`] — group-level planning: the dependence DAG and the
+//!   greedy barrier grouping every backend runs.
 //! * [`verify`] — the certification layer: schedule certificates,
 //!   carrying the witness cells of the same conflict test and hazard
 //!   search (bounds are proved once, by `Stencil::validate`). It also
@@ -47,12 +46,10 @@ pub mod math;
 pub mod schedule;
 pub mod verify;
 
-pub use conflict::{access_conflict, regions_overlap, self_conflict};
+pub use conflict::{access_conflict, self_conflict};
 pub use deps::{depends, is_parallel_safe, writes_disjoint, DepKind, Hazard, ResolvedStencil};
 pub use lint::{
     apply_policy, check_coverage, lint_program, Coverage, LintConfig, LintReport, PolicyOutcome,
 };
-pub use schedule::{
-    dead_stencils, dependence_dag, greedy_phases, reorder_minimize_barriers, Schedule,
-};
+pub use schedule::{dependence_dag, greedy_phases, Schedule};
 pub use verify::{certify_schedule, Finding, Rule, ScheduleCertificate, Severity};

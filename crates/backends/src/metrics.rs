@@ -16,13 +16,14 @@
 //!   [`crate::SolverPlan::stamp`].
 //!
 //! Reports serialize to JSON via [`RunReport::to_json`] (schema documented
-//! in README.md), with the string and number helpers in [`json`]. Tests
+//! in README.md), built as a value of the one JSON writer, [`json`]. Tests
 //! read the counters off the `RunReport` value itself, never back out of
 //! the JSON. Everything here is plain data, and the plain `SolverPlan::run`
 //! path never touches it.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+
+use json::Value;
 
 /// Plan-build reuse counters: `hits` are ops that shared the executable
 /// of a structurally identical earlier op, `misses` are ops that compiled.
@@ -168,69 +169,122 @@ impl RunReport {
         self.kernels += work;
     }
 
+    /// The report as a JSON value (schema documented in README.md).
+    pub fn to_value(&self) -> Value {
+        let int = |x: u64| Value::Int(x.into());
+        let k = &self.kernels;
+        let (c, v, t) = (&self.cache, &self.verify, &self.tune);
+        let ops = self.ops.iter().map(|(&op, row)| {
+            Value::Object(vec![
+                ("op", int(op as u64)),
+                ("calls", int(row.calls)),
+                ("seconds", Value::Num(row.seconds)),
+            ])
+        });
+        Value::Object(vec![
+            ("backend", Value::Str(self.backend.clone())),
+            ("runs", int(self.runs)),
+            ("plan_ops", int(self.plan_ops)),
+            ("compile_seconds", Value::Num(self.compile_seconds)),
+            ("run_seconds", Value::Num(self.run_seconds)),
+            (
+                "kernels",
+                Value::Object(vec![
+                    ("points", int(k.points)),
+                    ("tiles", int(k.tiles)),
+                    ("parallel_tasks", int(k.parallel_tasks)),
+                    ("sequential_tasks", int(k.sequential_tasks)),
+                ]),
+            ),
+            (
+                "cache",
+                Value::Object(vec![
+                    ("hits", int(c.hits)),
+                    ("misses", int(c.misses)),
+                    ("disk_hits", int(c.disk_hits)),
+                    ("disk_misses", int(c.disk_misses)),
+                ]),
+            ),
+            (
+                "verify",
+                Value::Object(vec![
+                    ("stencils_checked", int(v.stencils_checked)),
+                    ("accesses_proved", int(v.accesses_proved)),
+                    ("phases_certified", int(v.phases_certified)),
+                    ("rules_run", int(v.rules_run)),
+                    ("warnings", int(v.warnings)),
+                ]),
+            ),
+            (
+                "tune",
+                Value::Object(vec![
+                    ("disk_hits", int(t.disk_hits)),
+                    ("disk_misses", int(t.disk_misses)),
+                    ("candidates_timed", int(t.candidates_timed)),
+                ]),
+            ),
+            ("ops", Value::List(ops.collect())),
+        ])
+    }
+
     /// Serialize to the JSON schema documented in README.md.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256);
-        s.push('{');
-        let _ = write!(
-            s,
-            "\"backend\":{},\"runs\":{},\"plan_ops\":{},\"compile_seconds\":{},\"run_seconds\":{}",
-            json::escape(&self.backend),
-            self.runs,
-            self.plan_ops,
-            json::number(self.compile_seconds),
-            json::number(self.run_seconds),
-        );
-        let k = &self.kernels;
-        let _ = write!(
-            s,
-            ",\"kernels\":{{\"points\":{},\"tiles\":{},\
-             \"parallel_tasks\":{},\"sequential_tasks\":{}}}",
-            k.points, k.tiles, k.parallel_tasks, k.sequential_tasks
-        );
-        let _ = write!(
-            s,
-            ",\"cache\":{{\"hits\":{},\"misses\":{},\"disk_hits\":{},\"disk_misses\":{}}}",
-            self.cache.hits, self.cache.misses, self.cache.disk_hits, self.cache.disk_misses
-        );
-        let _ = write!(
-            s,
-            ",\"verify\":{{\"stencils_checked\":{},\"accesses_proved\":{},\
-             \"phases_certified\":{},\"rules_run\":{},\"warnings\":{}}}",
-            self.verify.stencils_checked,
-            self.verify.accesses_proved,
-            self.verify.phases_certified,
-            self.verify.rules_run,
-            self.verify.warnings
-        );
-        let _ = write!(
-            s,
-            ",\"tune\":{{\"disk_hits\":{},\"disk_misses\":{},\"candidates_timed\":{}}}",
-            self.tune.disk_hits, self.tune.disk_misses, self.tune.candidates_timed
-        );
-        s.push_str(",\"ops\":[");
-        for (i, (op, row)) in self.ops.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"op\":{op},\"calls\":{},\"seconds\":{}}}",
-                row.calls,
-                json::number(row.seconds)
-            );
-        }
-        s.push_str("]}");
-        s
+        self.to_value().to_json()
     }
 }
 
-/// The JSON writer helpers the report and the bench binaries share:
-/// string quoting and number rendering. Nothing here parses JSON; the
+/// The one JSON writer: the report, the evaluation documents and the
+/// `snowlint --json` document are each built as a [`json::Value`] and
+/// rendered by [`json::Value::to_json`]. Nothing here parses JSON; the
 /// documents are checked against golden strings in tests.
 pub mod json {
-    /// Escape and quote a string for JSON output.
-    pub fn escape(s: &str) -> String {
+    /// A JSON value whose objects keep their key order.
+    #[derive(Debug)]
+    pub enum Value {
+        /// `null`.
+        Null,
+        /// `true` or `false`.
+        Bool(bool),
+        /// An integer: wide enough for every `u64` count and `i64` cell.
+        Int(i128),
+        /// A measurement; non-finite numbers render as `null`, as JSON
+        /// has no NaN or infinity.
+        Num(f64),
+        /// A string.
+        Str(String),
+        /// An array.
+        List(Vec<Value>),
+        /// An object.
+        Object(Vec<(&'static str, Value)>),
+    }
+
+    impl Value {
+        /// The JSON text, without whitespace.
+        pub fn to_json(&self) -> String {
+            match self {
+                Value::Null => "null".into(),
+                Value::Bool(b) => b.to_string(),
+                Value::Int(i) => i.to_string(),
+                Value::Num(x) if x.is_finite() => format!("{x}"),
+                Value::Num(_) => "null".into(),
+                Value::Str(s) => escape(s),
+                Value::List(items) => {
+                    let items: Vec<String> = items.iter().map(Value::to_json).collect();
+                    format!("[{}]", items.join(","))
+                }
+                Value::Object(fields) => {
+                    let fields: Vec<String> = fields
+                        .iter()
+                        .map(|(k, v)| format!("{}:{}", escape(k), v.to_json()))
+                        .collect();
+                    format!("{{{}}}", fields.join(","))
+                }
+            }
+        }
+    }
+
+    /// Escape and quote a string.
+    fn escape(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
         out.push('"');
         for c in s.chars() {
@@ -248,16 +302,6 @@ pub mod json {
         }
         out.push('"');
         out
-    }
-
-    /// Render a finite f64; non-finite values become `null`, as JSON has
-    /// no NaN or infinity.
-    pub fn number(x: f64) -> String {
-        if x.is_finite() {
-            format!("{x}")
-        } else {
-            "null".to_string()
-        }
     }
 }
 
@@ -349,16 +393,22 @@ mod tests {
     }
 
     #[test]
-    fn escape_and_number_render_json_literals() {
+    fn strings_numbers_and_integers_render_json_literals() {
+        let json = |v: Value| v.to_json();
         let nasty = "line1\nline2\t\"quoted\" \\ end\u{1}";
         assert_eq!(
-            json::escape(nasty),
+            json(Value::Str(nasty.into())),
             r#""line1\nline2\t\"quoted\" \\ end\u0001""#
         );
-        assert_eq!(json::escape("Snowflake/omp"), r#""Snowflake/omp""#);
-        assert_eq!(json::number(0.125), "0.125");
-        assert_eq!(json::number(1.25e8), "125000000");
-        assert_eq!(json::number(f64::NAN), "null");
-        assert_eq!(json::number(f64::INFINITY), "null");
+        assert_eq!(
+            json(Value::Str("Snowflake/omp".into())),
+            r#""Snowflake/omp""#
+        );
+        assert_eq!(json(Value::Num(0.125)), "0.125");
+        assert_eq!(json(Value::Num(1.25e8)), "125000000");
+        assert_eq!(json(Value::Num(f64::NAN)), "null");
+        assert_eq!(json(Value::Num(f64::INFINITY)), "null");
+        assert_eq!(json(Value::Int(-3)), "-3");
+        assert_eq!(json(Value::Int(u64::MAX.into())), "18446744073709551615");
     }
 }

@@ -444,25 +444,10 @@ impl FusedTape {
         }
     }
 
-    /// Number of fused instructions.
-    pub fn num_instrs(&self) -> usize {
-        self.instrs.len()
-    }
-
     /// Whether a parallel-safe kernel's rows of `row` points read in place
     /// (each chunk within one row) rather than packed across rows.
     pub fn reads_in_place(row: usize) -> bool {
         row >= IN_PLACE_ROW
-    }
-
-    /// Number of reads gathered into lanes per point on rows of `row`
-    /// points: only the multi-use reads in place, every read when packed.
-    pub fn gathered(&self, row: usize) -> usize {
-        if Self::reads_in_place(row) {
-            self.shared.len()
-        } else {
-            self.read_classes.len()
-        }
     }
 
     /// The register the program's last instruction writes: the value.
@@ -803,7 +788,7 @@ mod tests {
             instrs: vec![ins(TapeOp::Mul, 0, 1), ins(TapeOp::Add, 2, 2)],
             out: 3,
         };
-        assert_eq!(FusedTape::of(&tape).num_instrs(), 2);
+        assert_eq!(FusedTape::of(&tape).instrs.len(), 2);
         let chain = SpecTape {
             instrs: vec![
                 ins(TapeOp::Mul, 0, 1),
@@ -814,10 +799,54 @@ mod tests {
             ..tape
         };
         assert_eq!(
-            FusedTape::of(&chain).num_instrs(),
+            FusedTape::of(&chain).instrs.len(),
             2,
             "a pair absorbs nothing more"
         );
+    }
+
+    /// HPGMG's variable-coefficient GSRB update (a = 0, b = 1, h⁻² = 64)
+    /// on a 64³ interior: the fused program has fewer instructions than the
+    /// tape's 22, and on a long row only the one multi-use read — the
+    /// centre `x` — is gathered into lanes; the 14 single-use reads are
+    /// taken in place. Short rows still gather all 15.
+    #[test]
+    fn vc_gsrb_update_fuses_and_reads_in_place() {
+        let rd = |g: &str, o: [i64; 3]| Expr::read_at(g, &o);
+        let x = |o: [i64; 3]| rd("x", o);
+        let flux = rd("beta_x", [1, 0, 0]) * (x([1, 0, 0]) - x([0, 0, 0]))
+            - rd("beta_x", [0, 0, 0]) * (x([0, 0, 0]) - x([-1, 0, 0]))
+            + rd("beta_y", [0, 1, 0]) * (x([0, 1, 0]) - x([0, 0, 0]))
+            - rd("beta_y", [0, 0, 0]) * (x([0, 0, 0]) - x([0, -1, 0]))
+            + rd("beta_z", [0, 0, 1]) * (x([0, 0, 1]) - x([0, 0, 0]))
+            - rd("beta_z", [0, 0, 0]) * (x([0, 0, 0]) - x([0, 0, -1]));
+        let ax =
+            Expr::Const(0.0) * rd("alpha", [0, 0, 0]) * x([0, 0, 0]) - Expr::Const(64.0) * flux;
+        let update = x([0, 0, 0]) + rd("dinv", [0, 0, 0]) * (rd("rhs", [0, 0, 0]) - ax);
+        let (red, _) = DomainUnion::red_black(3);
+        let group = StencilGroup::from(Stencil::new(update, "x", red));
+        let mut shapes = ShapeMap::new();
+        for g in ["x", "rhs", "dinv", "alpha", "beta_x", "beta_y", "beta_z"] {
+            shapes.insert(g.into(), vec![66, 66, 66]);
+        }
+        let mut lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
+        specialize_lowered(&mut lowered);
+        let SpecForm::Tape(tape) = &lowered.kernels[0].form else {
+            panic!("the variable-coefficient update must be a tape");
+        };
+        assert_eq!(tape.instrs.len(), 22);
+        let fused = FusedTape::of(tape);
+        assert!(
+            fused.instrs.len() < 22,
+            "{} instructions",
+            fused.instrs.len()
+        );
+        // A 64³ colour row has 32 points: only the shared reads gather.
+        assert!(FusedTape::reads_in_place(32));
+        assert_eq!(fused.shared.len(), 1);
+        // Packed rows gather every read.
+        assert!(!FusedTape::reads_in_place(2));
+        assert_eq!(fused.read_classes.len(), 15);
     }
 
     #[test]

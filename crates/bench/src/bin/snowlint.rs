@@ -28,7 +28,7 @@ use hpgmg::snow::operator_list;
 use hpgmg::stencils::Names;
 use hpgmg::{BottomSolve, InterpKind, Problem, Smoother};
 use snowflake_analysis::{apply_policy, lint_program, Finding, LintConfig, Rule, Severity};
-use snowflake_backends::metrics::json;
+use snowflake_backends::metrics::json::Value;
 use snowflake_bench::{arg_flag, arg_size, arg_usize, arg_value, check_args, or_exit, UsageError};
 use snowflake_core::{bc, Expr, ShapeMap, Stencil, StencilGroup};
 
@@ -221,70 +221,42 @@ struct Outcome {
 
 /// Render the outcomes as the `snowlint --json` document.
 fn render_json(outcomes: &[Outcome], deny: &[Rule], allow: &[Rule]) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::from("{\"tool\":\"snowlint\",\"schema\":1,\"deny\":[");
-    for (i, r) in deny.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&json::escape(&r.to_string()));
-    }
-    s.push_str("],\"allow\":[");
-    for (i, r) in allow.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&json::escape(&r.to_string()));
-    }
-    s.push_str("],\"programs\":[");
-    for (i, o) in outcomes.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "{{\"name\":{},\"rules_run\":{},\"suppressed\":{},\"lints\":[",
-            json::escape(&o.name),
-            o.rules_run,
-            o.suppressed
-        );
-        for (j, l) in o.lints.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"rule\":{},\"severity\":{},\"stencil\":{},\"grid\":{},\"witness\":",
-                json::escape(&l.rule.to_string()),
-                json::escape(&l.severity.to_string()),
-                json::escape(&l.stencil),
-                json::escape(&l.grid)
-            );
-            match &l.witness {
-                Some(cell) => {
-                    s.push('[');
-                    for (k, c) in cell.iter().enumerate() {
-                        if k > 0 {
-                            s.push(',');
-                        }
-                        let _ = write!(s, "{c}");
-                    }
-                    s.push(']');
-                }
-                None => s.push_str("null"),
-            }
-            let _ = write!(s, ",\"detail\":{}}}", json::escape(&l.detail));
-        }
-        s.push_str("]}");
-    }
-    let denied: u64 = outcomes
-        .iter()
-        .flat_map(|o| &o.lints)
-        .filter(|l| l.severity == Severity::Deny)
-        .count() as u64;
-    let total: u64 = outcomes.iter().map(|o| o.lints.len() as u64).sum();
-    let _ = write!(s, "],\"total\":{total},\"denied\":{denied}}}");
-    s
+    let str = |s: &str| Value::Str(s.to_string());
+    let int = |n: u64| Value::Int(n.into());
+    let rules = |rules: &[Rule]| Value::List(rules.iter().map(|r| str(&r.to_string())).collect());
+    let lint = |l: &Finding| {
+        let witness = l.witness.as_ref().map_or(Value::Null, |cell| {
+            Value::List(cell.iter().map(|&c| Value::Int(c.into())).collect())
+        });
+        Value::Object(vec![
+            ("rule", str(&l.rule.to_string())),
+            ("severity", str(&l.severity.to_string())),
+            ("stencil", str(&l.stencil)),
+            ("grid", str(&l.grid)),
+            ("witness", witness),
+            ("detail", str(&l.detail)),
+        ])
+    };
+    let programs = outcomes.iter().map(|o| {
+        Value::Object(vec![
+            ("name", str(&o.name)),
+            ("rules_run", int(o.rules_run)),
+            ("suppressed", int(o.suppressed)),
+            ("lints", Value::List(o.lints.iter().map(lint).collect())),
+        ])
+    });
+    let lints = || outcomes.iter().flat_map(|o| &o.lints);
+    let denied = lints().filter(|l| l.severity == Severity::Deny).count();
+    Value::Object(vec![
+        ("tool", str("snowlint")),
+        ("schema", Value::Int(1)),
+        ("deny", rules(deny)),
+        ("allow", rules(allow)),
+        ("programs", Value::List(programs.collect())),
+        ("total", int(lints().count() as u64)),
+        ("denied", int(denied as u64)),
+    ])
+    .to_json()
 }
 
 fn main() {

@@ -4,11 +4,12 @@
 //!
 //! [`evaluate`] measures and fills both documents; [`Evaluation::tables`]
 //! renders every list of rows in them as a text table, and
-//! [`Evaluation::write`] writes all of it. Every time is a [`time_reps`]
-//! median (the best is kept where a bound is derived from it), or a
-//! [`time_pairs`] median for an ablation, and every Snowflake plan is
-//! built through `SolverPlan::build_checked`, so a plan the plan check
-//! refuses fails the evaluation.
+//! [`Evaluation::write`] writes all of it. Every time is a median over
+//! [`time_rounds`] (the best is kept where a bound is derived from it):
+//! a kernel alone, or the V-cycles of every implementation of a Figure 9
+//! cell, or an ablation's default and variant, in rounds. Every Snowflake
+//! plan is built through `SolverPlan::build_checked`, so a plan the plan
+//! check refuses fails the evaluation.
 
 use std::convert::Infallible;
 use std::hint::black_box;
@@ -17,13 +18,13 @@ use std::path::{Path, PathBuf};
 use hpgmg::{HandSolver, Problem, Smoother, SnowSolver};
 use roofline::stream::dot_pass;
 use roofline::{Roofline, StencilKind};
-use snowflake_backends::metrics::json;
+use snowflake_backends::metrics::json::Value;
 use snowflake_backends::{
     available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, OmpBackend,
     PlanError, RunReport, TileTuner,
 };
 
-use crate::{time_pairs, time_reps, KernelBench, Timing};
+use crate::{time, time_rounds, KernelBench, Timing};
 
 /// Elements per array of the Figure 6 dot-bandwidth sweep: 1 MiB to
 /// 64 MiB footprints, from cache-resident to DRAM.
@@ -86,74 +87,32 @@ fn with_hand(backends: &[&'static str]) -> Vec<&'static str> {
         .collect()
 }
 
-/// A value of the documents: JSON whose objects keep their key order.
-#[derive(Debug)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` or `false`.
-    Bool(bool),
-    /// A count or size.
-    Int(usize),
-    /// A measurement; non-finite numbers render as `null`.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// JSON rendered elsewhere (a [`RunReport`]), kept verbatim.
-    Raw(String),
-    /// An array.
-    List(Vec<Value>),
-    /// An object.
-    Object(Vec<(&'static str, Value)>),
-}
-
-impl Value {
-    /// The JSON text.
-    pub fn to_json(&self) -> String {
-        match self {
-            Value::Null => "null".into(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Num(x) => json::number(*x),
-            Value::Str(s) => json::escape(s),
-            Value::Raw(raw) => raw.clone(),
-            Value::List(items) => {
-                let items: Vec<String> = items.iter().map(Value::to_json).collect();
-                format!("[{}]", items.join(","))
-            }
-            Value::Object(fields) => {
-                let fields: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", json::escape(k), v.to_json()))
-                    .collect();
-                format!("{{{}}}", fields.join(","))
+/// A table cell of a value: scalars only.
+fn cell(value: &Value) -> Option<String> {
+    Some(match value {
+        Value::Null => "-".into(),
+        Value::Bool(b) => b.to_string(),
+        Value::Int(i) => i.to_string(),
+        Value::Str(s) => s.clone(),
+        Value::Num(x) => {
+            let a = x.abs();
+            let decimals = [100.0, 10.0, 1.0].iter().filter(|&&t| a < t).count() + 1;
+            if a != 0.0 && !(1e-3..1e6).contains(&a) {
+                format!("{x:.3e}")
+            } else {
+                format!("{x:.decimals$}")
             }
         }
-    }
-
-    /// A table cell: scalars only.
-    fn cell(&self) -> Option<String> {
-        Some(match self {
-            Value::Null => "-".into(),
-            Value::Bool(b) => b.to_string(),
-            Value::Int(i) => i.to_string(),
-            Value::Str(s) => s.clone(),
-            Value::Num(x) => {
-                let a = x.abs();
-                let decimals = [100.0, 10.0, 1.0].iter().filter(|&&t| a < t).count() + 1;
-                if a != 0.0 && !(1e-3..1e6).contains(&a) {
-                    format!("{x:.3e}")
-                } else {
-                    format!("{x:.decimals$}")
-                }
-            }
-            Value::Raw(_) | Value::List(_) | Value::Object(_) => return None,
-        })
-    }
+        Value::List(_) | Value::Object(_) => return None,
+    })
 }
 
 fn str(s: &str) -> Value {
     Value::Str(s.to_string())
+}
+
+fn int(n: usize) -> Value {
+    Value::Int(n as i128)
 }
 
 /// Everything one run measured: `BENCH_solver.json` and
@@ -175,19 +134,14 @@ pub fn evaluate(config: &Config) -> Result<Evaluation, String> {
         vec![
             ("artifact", str(artifact)),
             ("smoke", Value::Bool(config.smoke)),
-            ("reps", Value::Int(config.reps)),
+            ("reps", int(config.reps)),
         ]
     };
     let (stream, model) = stream_rows(config.reps);
     let mut figure9 = Vec::new();
     for problem in ["vc", "cc"] {
         for &n in &config.solve_sizes {
-            let mut hand = f64::NAN;
-            for &imp in &config.implementations {
-                let row = solve_row(problem, n, imp, config, &mut hand)
-                    .map_err(|e| format!("{problem} {n}^3 on {imp}: {e}"))?;
-                figure9.push(row);
-            }
+            figure9.extend(solve_rows(problem, n, config)?);
         }
     }
     let kernel = |kind: StencilKind, n: usize| -> Result<Vec<Value>, String> {
@@ -233,7 +187,7 @@ pub fn evaluate(config: &Config) -> Result<Evaluation, String> {
         .collect();
 
     let mut solver = header("bench_solver");
-    solver.push(("cycles", Value::Int(config.cycles)));
+    solver.push(("cycles", int(config.cycles)));
     solver.push(("figure9", Value::List(figure9)));
     solver.push(("tuner", tuner_block()));
     let mut kernels = header("bench_kernels");
@@ -259,14 +213,14 @@ fn stream_rows(reps: usize) -> (Vec<Value>, Roofline) {
         .map(|&n| {
             let a: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
             let b: Vec<f64> = (0..n).map(|i| 0.5 + (i % 5) as f64).collect();
-            let Ok(dot) = time_reps(reps, || {
+            let Ok(dot) = time(reps, || {
                 black_box(dot_pass(&a, &b));
                 Ok::<(), Infallible>(())
             });
             let bytes = (2 * n * std::mem::size_of::<f64>()) as f64;
             best = bytes / dot.best;
             Value::Object(vec![
-                ("elems", Value::Int(n)),
+                ("elems", int(n)),
                 ("bytes", Value::Num(bytes)),
                 ("gbs_best", Value::Num(bytes / dot.best / 1e9)),
                 ("gbs_median", Value::Num(bytes / dot.median / 1e9)),
@@ -276,60 +230,92 @@ fn stream_rows(reps: usize) -> (Vec<Value>, Roofline) {
     (rows, Roofline::new(best))
 }
 
-/// One implementation's solve: the median V-cycle, and the residual
-/// reduction and report of a solve from a zero guess. `hand` holds the
-/// hand baseline's median once its row is measured.
-fn solve_row(
-    problem: &str,
-    n: usize,
-    imp: &str,
-    config: &Config,
-    hand: &mut f64,
-) -> Result<Value, PlanError> {
-    let spec = poisson(problem, n);
-    let (vcycle, norms, ops, build, report): (Timing, _, _, _, _) = if imp == "hand" {
-        let mut solver = HandSolver::new(spec);
-        let Ok(vcycle) = time_reps(config.reps, || {
-            solver.vcycle(0);
-            Ok::<(), Infallible>(())
-        });
-        *hand = vcycle.median;
-        let norms = solver.solve(config.cycles);
-        (vcycle, norms, Value::Null, Value::Null, Value::Null)
-    } else {
-        let backend = backend_from_name(imp, &BackendOptions::default())?;
-        let mut solver = SnowSolver::build(spec, backend, Smoother::default(), true)?;
-        let vcycle = time_reps(config.reps, || solver.vcycle(0))?;
-        solver.enable_metrics();
-        let norms = solver.solve(config.cycles)?;
-        let report = solver.take_metrics().unwrap_or_default();
-        let plan = solver.plan();
-        (
-            vcycle,
-            norms,
-            Value::Int(plan.len()),
-            Value::Num(plan.build_seconds()),
-            Value::Raw(report.to_json()),
-        )
-    };
-    Ok(Value::Object(vec![
-        ("problem", str(problem)),
-        ("n", Value::Int(n)),
-        ("impl", str(imp)),
-        ("vcycle_seconds_median", Value::Num(vcycle.median)),
-        (
-            "dof_per_sec",
-            Value::Num((n * n * n) as f64 / vcycle.median),
-        ),
-        ("speedup_vs_hand", Value::Num(*hand / vcycle.median)),
-        (
-            "residual_reduction",
-            Value::Num(norms[norms.len() - 1] / norms[0]),
-        ),
-        ("plan_ops", ops),
-        ("plan_build_seconds", build),
-        ("report", report),
-    ]))
+/// One implementation of Figure 9's V-cycle (a handful live at once, so
+/// the variants' sizes do not matter).
+#[allow(clippy::large_enum_variant)]
+enum Solver {
+    Hand(HandSolver),
+    Snow(SnowSolver),
+}
+
+impl Solver {
+    fn vcycle(&mut self) -> Result<(), PlanError> {
+        match self {
+            Solver::Hand(solver) => solver.vcycle(0),
+            Solver::Snow(solver) => solver.vcycle(0)?,
+        }
+        Ok(())
+    }
+}
+
+/// Figure 9 on one problem at finest size `n`: every implementation is
+/// built first and their V-cycles are timed against each other in rounds
+/// (see [`time_rounds`]); then each runs a solve from a zero guess for its
+/// residual reduction and report. One row per implementation.
+fn solve_rows(problem: &str, n: usize, config: &Config) -> Result<Vec<Value>, String> {
+    let on = |imp: &str, e: PlanError| format!("{problem} {n}^3 on {imp}: {e}");
+    let mut solvers = config
+        .implementations
+        .iter()
+        .map(|&imp| {
+            let spec = poisson(problem, n);
+            if imp == "hand" {
+                return Ok((imp, Solver::Hand(HandSolver::new(spec))));
+            }
+            let snow = backend_from_name(imp, &BackendOptions::default())
+                .map_err(PlanError::from)
+                .and_then(|backend| SnowSolver::build(spec, backend, Smoother::default(), true))
+                .map_err(|e| on(imp, e))?;
+            Ok((imp, Solver::Snow(snow)))
+        })
+        .collect::<Result<Vec<_>, String>>()?;
+    let mut calls: Vec<_> = solvers
+        .iter_mut()
+        .map(|(imp, solver)| || solver.vcycle().map_err(|e| on(imp, e)))
+        .collect();
+    let samples = time_rounds(config.reps, &mut calls)?;
+    let medians: Vec<f64> = samples.iter().map(|s| Timing::of(s).median).collect();
+    // `hand` is always the first implementation (see `with_hand`).
+    let hand = medians[0];
+    solvers
+        .into_iter()
+        .zip(medians)
+        .map(|((imp, solver), median)| {
+            let (norms, ops, build, report) = match solver {
+                Solver::Hand(mut solver) => {
+                    let norms = solver.solve(config.cycles);
+                    (norms, Value::Null, Value::Null, Value::Null)
+                }
+                Solver::Snow(mut solver) => {
+                    solver.enable_metrics();
+                    let norms = solver.solve(config.cycles).map_err(|e| on(imp, e.into()))?;
+                    let report = solver.take_metrics().unwrap_or_default();
+                    let plan = solver.plan();
+                    (
+                        norms,
+                        int(plan.len()),
+                        Value::Num(plan.build_seconds()),
+                        report.to_value(),
+                    )
+                }
+            };
+            Ok(Value::Object(vec![
+                ("problem", str(problem)),
+                ("n", int(n)),
+                ("impl", str(imp)),
+                ("vcycle_seconds_median", Value::Num(median)),
+                ("dof_per_sec", Value::Num((n * n * n) as f64 / median)),
+                ("speedup_vs_hand", Value::Num(hand / median)),
+                (
+                    "residual_reduction",
+                    Value::Num(norms[norms.len() - 1] / norms[0]),
+                ),
+                ("plan_ops", ops),
+                ("plan_build_seconds", build),
+                ("report", report),
+            ]))
+        })
+        .collect()
 }
 
 /// One sweep of one of Figure 7's operators on one implementation, beside
@@ -346,21 +332,21 @@ fn kernel_row(
         name => Some(backend_from_name(name, &BackendOptions::default())?),
     };
     let mut bench = KernelBench::build(kind, backend, n)?;
-    let sweep = time_reps(reps, || bench.sweep())?;
+    let sweep = time(reps, || bench.sweep())?;
     let mut report = RunReport::new();
     bench.sweep_with_report(&mut report)?;
     let points = (n * n * n) as f64;
     Ok(Value::Object(vec![
         ("kernel", str(kind.label())),
         ("impl", str(imp)),
-        ("n", Value::Int(n)),
+        ("n", int(n)),
         ("seconds_median", Value::Num(sweep.median)),
         ("stencils_per_sec", Value::Num(points / sweep.median)),
         (
             "roofline_stencils_per_sec",
             Value::Num(model.bound_stencils_per_sec(kind)),
         ),
-        ("report", Value::Raw(report.to_json())),
+        ("report", report.to_value()),
     ]))
 }
 
@@ -375,8 +361,8 @@ fn poisson(problem: &str, n: usize) -> Problem {
 
 /// The §IV-A ablations of the omp backend on one problem at finest size
 /// `n`: multicolor reordering off, and the tile tuner on, each timed
-/// against the default backend in `reps` alternating pairs of whole
-/// V-cycles (see [`time_pairs`]). Every plan is built checked.
+/// against the default backend in `reps` rounds of one whole V-cycle each
+/// (alternating pairs; see [`time_rounds`]). Every plan is built checked.
 fn ablation_rows(problem: &str, n: usize, reps: usize) -> Result<Vec<Value>, PlanError> {
     let solver =
         |backend| SnowSolver::build(poisson(problem, n), backend, Smoother::default(), true);
@@ -393,16 +379,23 @@ fn ablation_rows(problem: &str, n: usize, reps: usize) -> Result<Vec<Value>, Pla
         .into_iter()
         .map(|(cell, backend)| {
             let mut variant = solver(backend)?;
-            let (base, var, slower) = time_pairs(reps, || default.vcycle(0), || variant.vcycle(0))?;
+            let mut calls = [&mut default, &mut variant].map(|solver| || solver.vcycle(0));
+            let samples = time_rounds(reps, &mut calls)?;
+            let slower = samples[0]
+                .iter()
+                .zip(&samples[1])
+                .filter(|(base, var)| var > base)
+                .count();
+            let (base, var) = (Timing::of(&samples[0]), Timing::of(&samples[1]));
             Ok(Value::Object(vec![
                 ("cell", str(cell)),
                 ("problem", str(problem)),
-                ("n", Value::Int(n)),
-                ("pairs", Value::Int(reps.max(1))),
+                ("n", int(n)),
+                ("pairs", int(reps.max(1))),
                 ("default_seconds_median", Value::Num(base.median)),
                 ("variant_seconds_median", Value::Num(var.median)),
                 ("variant_over_default", Value::Num(var.median / base.median)),
-                ("variant_slower_pairs", Value::Int(slower)),
+                ("variant_slower_pairs", int(slower)),
                 ("default_seconds_iqr", Value::Num(base.iqr)),
             ]))
         })
@@ -506,13 +499,13 @@ fn table(rows: &[Value]) -> String {
         return String::new();
     };
     let columns: Vec<usize> = (0..first.len())
-        .filter(|&c| rows.iter().all(|row| row[c].1.cell().is_some()))
+        .filter(|&c| rows.iter().all(|row| cell(&row[c].1).is_some()))
         .collect();
     let mut lines: Vec<Vec<String>> = vec![columns.iter().map(|&c| first[c].0.into()).collect()];
     lines.extend(rows.iter().map(|row| {
         columns
             .iter()
-            .map(|&c| row[c].1.cell().unwrap_or_default())
+            .map(|&c| cell(&row[c].1).unwrap_or_default())
             .collect()
     }));
     let width: Vec<usize> = (0..lines[0].len())

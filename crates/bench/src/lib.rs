@@ -3,9 +3,8 @@
 //! `bench_summary`, the one evaluation command ([`eval`]: every
 //! experiment of the paper's §V into `BENCH_solver.json`,
 //! `BENCH_kernels.json` and `results/`), and the `snowlint` driver. The
-//! library holds the kernels under test ([`KernelBench`]), the timing
-//! helpers ([`time_reps`], and [`time_pairs`] for ablations) and the
-//! command-line helpers both binaries share.
+//! library holds the kernels under test ([`KernelBench`]), the timer
+//! ([`time_rounds`]) and the command-line helpers both binaries share.
 
 use std::fmt;
 use std::time::Instant;
@@ -34,7 +33,8 @@ pub struct Timing {
 impl Timing {
     /// Summarize a non-empty set of samples; quartiles interpolate
     /// linearly between order statistics.
-    fn of(mut samples: Vec<f64>) -> Timing {
+    fn of(samples: &[f64]) -> Timing {
+        let mut samples = samples.to_vec();
         samples.sort_by(f64::total_cmp);
         let last = samples.len() - 1;
         // The `q`-th quartile lies `q·last/4` order statistics in.
@@ -58,43 +58,37 @@ fn timed<E>(f: &mut impl FnMut() -> std::result::Result<(), E>) -> std::result::
     Ok(t0.elapsed().as_secs_f64())
 }
 
-/// Time `f`: one untimed warm-up call (the paper's protocol), then `reps`
-/// timed calls (at least one). The first error stops the timing.
-pub fn time_reps<E>(
+/// Time `calls` against each other in rounds: one untimed warm-up call of
+/// each (the paper's protocol), then `reps` rounds (at least one) that run
+/// every call once, round `r` starting at call `r mod k` of the `k`, so a
+/// host that drifts during the run slows every call alike. One call is a
+/// plain repetition and two are alternating pairs. Returns each call's
+/// seconds in round order. The first error stops the timing.
+pub fn time_rounds<E>(
     reps: usize,
-    mut f: impl FnMut() -> std::result::Result<(), E>,
-) -> std::result::Result<Timing, E> {
-    f()?;
-    let samples = (0..reps.max(1))
-        .map(|_| timed(&mut f))
-        .collect::<std::result::Result<_, E>>()?;
-    Ok(Timing::of(samples))
-}
-
-/// Time `a` against `b` in `reps` pairs (at least one), after one untimed
-/// warm-up call of each: even pairs call `a` first, odd pairs `b` first,
-/// so a host that drifts during the run slows both sides alike. Returns
-/// both timings and the number of pairs whose `b` call took longer. The
-/// first error stops the timing.
-pub fn time_pairs<E>(
-    reps: usize,
-    mut a: impl FnMut() -> std::result::Result<(), E>,
-    mut b: impl FnMut() -> std::result::Result<(), E>,
-) -> std::result::Result<(Timing, Timing, usize), E> {
-    a()?;
-    b()?;
-    let (mut ta, mut tb) = (Vec::new(), Vec::new());
-    for pair in 0..reps.max(1) {
-        if pair % 2 == 0 {
-            ta.push(timed(&mut a)?);
-            tb.push(timed(&mut b)?);
-        } else {
-            tb.push(timed(&mut b)?);
-            ta.push(timed(&mut a)?);
+    calls: &mut [impl FnMut() -> std::result::Result<(), E>],
+) -> std::result::Result<Vec<Vec<f64>>, E> {
+    for call in calls.iter_mut() {
+        call()?;
+    }
+    let k = calls.len();
+    let mut samples = vec![Vec::new(); k];
+    for round in 0..reps.max(1) {
+        for i in 0..k {
+            let c = (round + i) % k;
+            samples[c].push(timed(&mut calls[c])?);
         }
     }
-    let b_slower = ta.iter().zip(&tb).filter(|(a, b)| b > a).count();
-    Ok((Timing::of(ta), Timing::of(tb), b_slower))
+    Ok(samples)
+}
+
+/// [`time_rounds`] of the one call `f`: a warm-up, then `reps` timed
+/// repetitions.
+pub fn time<E>(
+    reps: usize,
+    f: impl FnMut() -> std::result::Result<(), E>,
+) -> std::result::Result<Timing, E> {
+    Ok(Timing::of(&time_rounds(reps, &mut [f])?[0]))
 }
 
 /// A standalone-kernel benchmark instance (Figure 7/8 rows): one operator
@@ -347,71 +341,56 @@ mod tests {
     }
 
     #[test]
-    fn time_reps_warms_up_then_times_each_rep() {
-        let mut calls = 0;
-        let t = time_reps(4, || {
-            calls += 1;
-            Ok::<(), ()>(())
-        })
-        .unwrap();
-        assert_eq!(calls, 5, "one warm-up and four timed calls");
-        assert!(0.0 <= t.best && t.best <= t.median);
-        // The first error stops the timing.
-        let mut calls = 0;
-        let err = time_reps(4, || {
-            calls += 1;
-            if calls == 3 {
-                Err("third call")
-            } else {
-                Ok(())
-            }
-        });
-        assert_eq!((err, calls), (Err("third call"), 3));
-    }
-
-    #[test]
-    fn time_pairs_alternates_which_side_runs_first() {
-        let calls = std::cell::RefCell::new(String::new());
-        let side = |name| {
-            let calls = &calls;
+    fn time_rounds_warms_up_then_rotates_the_first_call() {
+        let log = std::cell::RefCell::new(String::new());
+        let call = |name| {
+            let log = &log;
             move || {
-                calls.borrow_mut().push(name);
+                log.borrow_mut().push(name);
                 Ok::<(), ()>(())
             }
         };
-        let (a, _, b_slower) = time_pairs(5, side('a'), side('b')).unwrap();
-        // The warm-up pair, then `a` first in even pairs and `b` first in
-        // odd ones.
-        assert_eq!(
-            *calls.borrow(),
-            ["ab", "ab", "ba", "ab", "ba", "ab"].concat()
-        );
-        assert!(b_slower <= 5);
-        assert!(0.0 <= a.best && a.best <= a.median);
-        // The first error stops the timing.
-        let mut b_calls = 0;
-        let err = time_pairs(
-            3,
-            || Ok(()),
-            || {
-                b_calls += 1;
-                if b_calls == 2 {
+        // The warm-up round, then four rounds, round r starting at call
+        // r mod k: one call repeats, two alternate, three rotate.
+        for (k, order) in [
+            (1, "a|a|a|a|a"),
+            (2, "ab|ab|ba|ab|ba"),
+            (3, "abc|abc|bca|cab|abc"),
+        ] {
+            log.borrow_mut().clear();
+            let mut calls: Vec<_> = "abc".chars().take(k).map(call).collect();
+            let samples = time_rounds(4, &mut calls).unwrap();
+            assert_eq!(*log.borrow(), order.replace('|', ""), "k = {k}");
+            assert!(samples.iter().all(|s| s.len() == 4));
+            let t = Timing::of(&samples[0]);
+            assert!(0.0 <= t.best && t.best <= t.median);
+        }
+        // The first error stops the timing: here the second call of `b`,
+        // the first timed one.
+        log.borrow_mut().clear();
+        let fail_second_b = |name| {
+            let log = &log;
+            move || {
+                log.borrow_mut().push(name);
+                if log.borrow().matches('b').count() == 2 {
                     Err("second b call")
                 } else {
                     Ok(())
                 }
-            },
-        );
-        assert_eq!((err, b_calls), (Err("second b call"), 2));
+            }
+        };
+        let mut calls: Vec<_> = "abc".chars().map(fail_second_b).collect();
+        assert_eq!(time_rounds(3, &mut calls), Err("second b call"));
+        assert_eq!(*log.borrow(), "abcab");
     }
 
     #[test]
     fn timing_quantiles_interpolate_between_samples() {
-        let t = Timing::of(vec![4.0, 1.0, 3.0, 2.0]);
+        let t = Timing::of(&[4.0, 1.0, 3.0, 2.0]);
         assert_eq!((t.best, t.median, t.iqr), (1.0, 2.5, 1.5));
-        let t = Timing::of(vec![5.0, 1.0, 3.0, 2.0, 4.0]);
+        let t = Timing::of(&[5.0, 1.0, 3.0, 2.0, 4.0]);
         assert_eq!((t.best, t.median, t.iqr), (1.0, 3.0, 2.0));
-        let one = Timing::of(vec![7.0]);
+        let one = Timing::of(&[7.0]);
         assert_eq!((one.best, one.median, one.iqr), (7.0, 7.0, 0.0));
     }
 

@@ -30,9 +30,8 @@
 //! paper benchmarks (2nd order, 2 pre/post GSRB smooths, 10 V-cycles).
 //!
 //! [`stencils`] holds the reusable stencil-group builders (also used by the
-//! benchmark harness for the standalone Figure 7 kernels), [`problem`] the
-//! analytic test problem with an exactly-known discrete solution, and
-//! [`verify`] convergence/agreement checks.
+//! benchmark harness for the standalone Figure 7 kernels) and [`problem`]
+//! the analytic test problem with an exactly-known discrete solution.
 
 pub mod bottom;
 pub mod cheby;
@@ -41,7 +40,6 @@ pub mod hand;
 pub mod problem;
 pub mod snow;
 pub mod stencils;
-pub mod verify;
 
 pub use hand::HandSolver;
 pub use problem::{LevelData, Problem};

@@ -412,35 +412,6 @@ mod tests {
         assert_eq!(tape.num_reads(), 15);
     }
 
-    /// The fused program of the variable-coefficient update: fewer
-    /// instructions than the tape's 22, and on a long row only the one
-    /// multi-use read — the centre `x` — is gathered into lanes; the 14
-    /// single-use reads are taken in place. Short rows still gather all 15.
-    #[test]
-    fn vc_gsrb_update_fuses_and_reads_in_place() {
-        use snowflake_backends::specialize::FusedTape;
-        use snowflake_ir::{lower_group, LowerOptions, SpecForm};
-        let names = Names::level(0);
-        let group = gsrb_smooth_group(&names, Coeff::Variable, 0.0, 1.0, 64.0);
-        let mut lowered = lower_group(&group, &shapes(0, 64), &LowerOptions::default()).unwrap();
-        snowflake_backends::specialize::specialize_lowered(&mut lowered);
-        let SpecForm::Tape(tape) = &lowered.kernels[6].form else {
-            panic!("the variable-coefficient update must be a tape");
-        };
-        assert_eq!(tape.instrs.len(), 22);
-        let fused = FusedTape::of(tape);
-        assert!(
-            fused.num_instrs() < 22,
-            "{} instructions",
-            fused.num_instrs()
-        );
-        // A 64³ colour row has 32 points.
-        assert!(FusedTape::reads_in_place(32));
-        assert_eq!(fused.gathered(32), 1);
-        assert!(!FusedTape::reads_in_place(2));
-        assert_eq!(fused.gathered(2), 15);
-    }
-
     #[test]
     fn interpolation_stencils_share_one_phase() {
         let mut m = shapes(0, 8);

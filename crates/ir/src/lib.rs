@@ -9,11 +9,10 @@
 //! analysis). This crate produces that description:
 //!
 //! * [`lower`] — lowers a whole [`snowflake_core::StencilGroup`] against
-//!   concrete shapes: validation, optional dead-stencil elimination,
-//!   barrier phases, and each stencil's [`snowflake_core::Expr`] to a
-//!   register tape whose reads are *cursor-class + constant-delta*
-//!   addresses, so inner loops advance a handful of linear cursors instead
-//!   of re-linearizing indices.
+//!   concrete shapes: validation, the greedy barrier phases, and each
+//!   stencil's [`snowflake_core::Expr`] to a register tape whose reads are
+//!   *cursor-class + constant-delta* addresses, so inner loops advance a
+//!   handful of linear cursors instead of re-linearizing indices.
 //! * [`kernel`] — a lowered stencil: output access, regions, closed form,
 //!   parallel-safety verdict and point count.
 //! * [`tile`] — region tiling and region∩box intersection, the substrate

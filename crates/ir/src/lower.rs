@@ -1,11 +1,11 @@
 //! Whole-group lowering: the front half of the JIT micro-compiler.
 //!
 //! `lower_group` validates a [`StencilGroup`] against concrete shapes, runs
-//! the Diophantine analysis (parallel-safety per stencil, greedy barrier
-//! phases across stencils, optional dead-stencil elimination) and lowers
-//! each surviving stencil to a [`LoweredKernel`]: its constant-folded
-//! expression becomes a register tape ([`SpecTape`]) whose reads are
-//! addressed as *cursor class + constant delta*. All reads sharing a
+//! the Diophantine analysis (parallel-safety per stencil, the paper's
+//! greedy barrier phases across stencils) and lowers every stencil to a
+//! [`LoweredKernel`]: its constant-folded expression becomes a register
+//! tape ([`SpecTape`]) whose reads are addressed as *cursor class +
+//! constant delta*. All reads sharing a
 //! `(grid, scale)` pair use one linear cursor that the executor advances
 //! incrementally as the loop nest walks the region, so the inner loop does
 //! no index arithmetic beyond `cursor + delta`. The result is the entire
@@ -18,26 +18,17 @@ use snowflake_core::{AffineMap, CoreError, Expr, ShapeMap, StencilGroup};
 use snowflake_grid::grid::row_major_strides;
 use snowflake_grid::Region;
 
-use snowflake_analysis::{
-    dead_stencils, greedy_phases, is_parallel_safe, reorder_minimize_barriers, ResolvedStencil,
-};
+use snowflake_analysis::{greedy_phases, is_parallel_safe, ResolvedStencil};
 
 use crate::kernel::{AccessClass, LoweredKernel};
 use crate::spec::{SpecForm, SpecTape, TapeInstr, TapeOp};
 
-/// Options controlling lowering.
+/// Lowering has no options: every group lowers to the paper's greedy
+/// barrier schedule with every stencil kept. The struct and
+/// [`lower_group`]'s third parameter remain so existing callers that pass
+/// `&LowerOptions::default()` keep compiling.
 #[derive(Clone, Debug, Default)]
-pub struct LowerOptions {
-    /// When `Some`, stencils whose writes can never reach these grids (via
-    /// later reads) are eliminated. `None` disables dead-stencil
-    /// elimination (every stencil is kept).
-    pub live_outputs: Option<Vec<String>>,
-    /// Reorder independent stencils (list-scheduling the dependence DAG)
-    /// to widen phases and reduce barriers, instead of the paper's
-    /// program-order greedy grouping. Always legal; defaults to off so the
-    /// default schedule matches the paper's backend.
-    pub reorder: bool,
-}
+pub struct LowerOptions {}
 
 /// A fully lowered stencil group.
 #[derive(Clone, Debug)]
@@ -47,12 +38,10 @@ pub struct Lowered {
     /// The shapes the group was lowered against (executables verify the
     /// runtime `GridSet` matches).
     pub grid_shapes: Vec<Vec<usize>>,
-    /// Lowered kernels in program order (dead stencils removed).
+    /// Lowered kernels in program order, one per stencil.
     pub kernels: Vec<LoweredKernel>,
     /// Barrier phases over `kernels` (indices into `kernels`).
     pub phases: Vec<Vec<usize>>,
-    /// Number of stencils removed by dead-stencil elimination.
-    pub eliminated: usize,
 }
 
 impl Lowered {
@@ -66,7 +55,7 @@ impl Lowered {
 pub fn lower_group(
     group: &StencilGroup,
     shapes: &ShapeMap,
-    opts: &LowerOptions,
+    _opts: &LowerOptions,
 ) -> Result<Lowered, CoreError> {
     // Dense grid table in first-appearance order.
     let grid_names = group.grids();
@@ -89,25 +78,8 @@ pub fn lower_group(
         resolved.push(ResolvedStencil::resolve(s, shapes)?);
     }
 
-    // Dead-stencil elimination (optional).
-    let keep = match &opts.live_outputs {
-        Some(live) => dead_stencils(&resolved, live),
-        None => vec![true; resolved.len()],
-    };
-    let eliminated = keep.iter().filter(|&&k| !k).count();
-    let resolved: Vec<ResolvedStencil> = resolved
-        .into_iter()
-        .zip(&keep)
-        .filter_map(|(r, &k)| k.then_some(r))
-        .collect();
-
-    // Barrier phases: the paper's greedy program-order grouping, or the
-    // §VII reordering optimization when requested.
-    let schedule = if opts.reorder {
-        reorder_minimize_barriers(&resolved)
-    } else {
-        greedy_phases(&resolved)
-    };
+    // Barrier phases: the paper's greedy program-order grouping.
+    let schedule = greedy_phases(&resolved);
 
     // Lower each kernel.
     let mut kernels = Vec::with_capacity(resolved.len());
@@ -139,7 +111,6 @@ pub fn lower_group(
         grid_shapes,
         kernels,
         phases: schedule.phases,
-        eliminated,
     })
 }
 
@@ -414,50 +385,6 @@ mod tests {
         assert_eq!(low.phases.len(), 2, "colors need a barrier between them");
         // Together the two colors cover the full interior.
         assert_eq!(low.num_points(), 64);
-    }
-
-    #[test]
-    fn dead_elimination_drops_kernels_and_reindexes_phases() {
-        let g = StencilGroup::new()
-            .with(Stencil::new(lap("x"), "y", RectDomain::interior(2)))
-            .with(Stencil::new(lap("x"), "z", RectDomain::interior(2)));
-        let low = lower_group(
-            &g,
-            &shapes(8),
-            &LowerOptions {
-                live_outputs: Some(vec!["z".to_string()]),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(low.eliminated, 1);
-        assert_eq!(low.kernels.len(), 1);
-        assert_eq!(
-            low.kernels[0].out_grid,
-            low.grid_names.iter().position(|g| g == "z").unwrap()
-        );
-        assert_eq!(low.phases, vec![vec![0]]);
-    }
-
-    #[test]
-    fn reordering_produces_fewer_or_equal_phases() {
-        // Interleaved independent chains: A B A' B'.
-        let g = StencilGroup::new()
-            .with(Stencil::new(lap("x"), "y", RectDomain::interior(2)))
-            .with(Stencil::new(lap("y"), "rhs", RectDomain::interior(2)))
-            .with(Stencil::new(lap("x"), "z", RectDomain::interior(2)));
-        let plain = lower_group(&g, &shapes(8), &LowerOptions::default()).unwrap();
-        let reordered = lower_group(
-            &g,
-            &shapes(8),
-            &LowerOptions {
-                reorder: true,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(reordered.phases.len() <= plain.phases.len());
-        assert_eq!(reordered.phases, vec![vec![0, 2], vec![1]]);
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! scheduling → execution).
 
 use snowflake::analysis::{
-    dead_stencils, dependence_dag, greedy_phases, is_parallel_safe, DepKind, ResolvedStencil,
+    dependence_dag, greedy_phases, is_parallel_safe, DepKind, ResolvedStencil,
 };
-use snowflake::ir::{lower_group, LowerOptions};
 use snowflake::prelude::*;
 
 fn shapes3(n: usize, names: &[&str]) -> snowflake::core::ShapeMap {
@@ -92,63 +91,6 @@ fn red_black_parallel_within_serial_between() {
     assert_eq!(hazard.kind, DepKind::ReadAfterWrite);
 }
 
-/// §III/§VII: dead-stencil elimination drops stencils whose writes can
-/// never be observed, through the full lowering pipeline.
-#[test]
-fn dead_stencil_elimination_through_lowering() {
-    let lap = Expr::read_at("x", &[1, 0, 0]) + Expr::read_at("x", &[-1, 0, 0]);
-    let group = StencilGroup::new()
-        .with(Stencil::new(lap.clone(), "scratch", RectDomain::interior(3)).named("dead"))
-        .with(Stencil::new(lap.clone(), "y", RectDomain::interior(3)).named("live"))
-        .with(
-            Stencil::new(Expr::read_at("y", &[0, 0, 0]), "z", RectDomain::interior(3))
-                .named("consumer"),
-        );
-    let shapes = shapes3(8, &["x", "y", "z", "scratch"]);
-    let lowered = lower_group(
-        &group,
-        &shapes,
-        &LowerOptions {
-            live_outputs: Some(vec!["z".to_string()]),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    assert_eq!(lowered.eliminated, 1);
-    assert_eq!(lowered.kernels.len(), 2);
-    assert!(lowered.kernels.iter().all(|k| k.name != "dead"));
-
-    // And the eliminated program still computes the same z.
-    let mut full = GridSet::new();
-    let mut x = Grid::new(&[8, 8, 8]);
-    x.fill_random(5, -1.0, 1.0);
-    full.insert("x", x);
-    for g in ["y", "z", "scratch"] {
-        full.insert(g, Grid::new(&[8, 8, 8]));
-    }
-    let mut dce = full.clone();
-    SequentialBackend::new()
-        .compile(&group, &full.shapes())
-        .unwrap()
-        .run(&mut full)
-        .unwrap();
-    let survivors: StencilGroup = group
-        .stencils()
-        .iter()
-        .filter(|s| lowered.kernels.iter().any(|k| k.name == s.name()))
-        .cloned()
-        .collect();
-    SequentialBackend::new()
-        .compile(&survivors, &dce.shapes())
-        .unwrap()
-        .run(&mut dce)
-        .unwrap();
-    assert_eq!(
-        full.get("z").unwrap().max_abs_diff(dce.get("z").unwrap()),
-        0.0
-    );
-}
-
 /// The dependence DAG over a whole GSRB sweep has the structure §IV-A's
 /// task scheduler relies on: faces→color edges, no face→face edges.
 #[test]
@@ -190,50 +132,4 @@ fn gsrb_dag_structure() {
         );
     }
     assert!(dag[13].iter().any(|&(i, _)| (7..13).contains(&i)));
-}
-
-/// Liveness-driven elimination composes with scheduling: phases index the
-/// surviving kernels.
-#[test]
-fn dead_elimination_keeps_schedule_consistent() {
-    let group = StencilGroup::new()
-        .with(Stencil::new(
-            Expr::read_at("x", &[0, 0, 0]),
-            "a",
-            RectDomain::interior(3),
-        ))
-        .with(Stencil::new(
-            Expr::read_at("x", &[0, 0, 0]),
-            "b",
-            RectDomain::interior(3),
-        ))
-        .with(Stencil::new(
-            Expr::read_at("b", &[0, 0, 0]),
-            "c",
-            RectDomain::interior(3),
-        ));
-    let shapes = shapes3(6, &["x", "a", "b", "c"]);
-    let resolved: Vec<_> = group
-        .stencils()
-        .iter()
-        .map(|s| ResolvedStencil::resolve(s, &shapes).unwrap())
-        .collect();
-    let keep = dead_stencils(&resolved, &["c".to_string()]);
-    assert_eq!(keep, vec![false, true, true]);
-    let lowered = lower_group(
-        &group,
-        &shapes,
-        &LowerOptions {
-            live_outputs: Some(vec!["c".to_string()]),
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    // Kernel indices in phases must stay within the surviving set.
-    for phase in &lowered.phases {
-        for &k in phase {
-            assert!(k < lowered.kernels.len());
-        }
-    }
-    assert_eq!(lowered.phases.concat().len(), lowered.kernels.len());
 }

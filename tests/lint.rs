@@ -1,7 +1,7 @@
 //! Integration tests for the semantic lint engine (`analysis::lint` +
 //! `backends::lint` + the `snowlint` driver's program shapes): the
 //! domain-coverage prover must agree with brute-force enumeration on
-//! random strided-rect unions, and four seeded-defect fixture programs
+//! random strided-rect unions, and five seeded-defect fixture programs
 //! must each yield exactly their expected rule with a concrete witness
 //! cell.
 
@@ -156,6 +156,38 @@ fn fixture_dead_store_is_the_only_finding() {
     assert_eq!(*rule, Rule::DeadStore);
     // The witness is a cell the dead store wrote: somewhere in the interior.
     assert!(witness.iter().all(|&c| (1..7).contains(&c)), "{witness:?}");
+}
+
+#[test]
+fn fixture_write_never_read_is_the_only_finding() {
+    // `dead` writes a grid nothing reads and no one declared an output;
+    // `live` feeds `consumer`, which writes the one output.
+    let lap = Expr::read_at("x", &[1, 0, 0]) + Expr::read_at("x", &[-1, 0, 0]);
+    let group = StencilGroup::new()
+        .with(Stencil::new(lap.clone(), "scratch", RectDomain::interior(3)).named("dead"))
+        .with(Stencil::new(lap, "y", RectDomain::interior(3)).named("live"))
+        .with(
+            Stencil::new(Expr::read_at("y", &[0, 0, 0]), "z", RectDomain::interior(3))
+                .named("consumer"),
+        );
+    let mut shapes = ShapeMap::new();
+    for g in ["x", "y", "z", "scratch"] {
+        shapes.insert(g.to_string(), vec![8, 8, 8]);
+    }
+    let config = LintConfig::default()
+        .ordered()
+        .with_inputs(["x"])
+        .with_outputs(["z"]);
+    let report = lint_program(&[(group, shapes)], &config).expect("fixture must be lintable");
+    let found: Vec<_> = report
+        .lints
+        .iter()
+        .map(|l| (l.rule, l.stencil.as_str(), l.witness.as_deref()))
+        .collect();
+    assert_eq!(
+        found,
+        vec![(Rule::WriteNeverRead, "dead", Some(&[1, 1, 1][..]))]
+    );
 }
 
 #[test]

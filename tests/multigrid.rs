@@ -4,8 +4,85 @@
 //! compilation through the cache.
 
 use snowflake::backends::{Backend, CJitBackend, OclSimBackend, OmpBackend, SequentialBackend};
-use snowflake::hpgmg::verify::{assert_reports_match, verify_hand, verify_snow};
 use snowflake::hpgmg::{HandSolver, Problem, Smoother, SnowSolver, SolveOptions};
+
+/// Outcome of one solver run.
+#[derive(Clone, Debug)]
+struct VerifyReport {
+    /// Residual norms per V-cycle (initial first).
+    norms: Vec<f64>,
+    /// Final max-norm error against the exact discrete solution.
+    error: f64,
+    /// Geometric-mean residual contraction factor per cycle.
+    contraction: f64,
+}
+
+impl VerifyReport {
+    fn from_norms(norms: Vec<f64>, error: f64) -> Self {
+        let cycles = norms.len() - 1;
+        let contraction = if cycles == 0 || norms[0] == 0.0 {
+            0.0
+        } else {
+            (norms[cycles] / norms[0]).powf(1.0 / cycles as f64)
+        };
+        VerifyReport {
+            norms,
+            error,
+            contraction,
+        }
+    }
+}
+
+/// Run the hand-optimized solver.
+fn verify_hand(problem: Problem, cycles: usize) -> VerifyReport {
+    let mut s = HandSolver::new(problem);
+    let norms = s.solve(cycles);
+    let error = s.error_norm();
+    VerifyReport::from_norms(norms, error)
+}
+
+/// Run the Snowflake solver on a backend.
+fn verify_snow(
+    problem: Problem,
+    cycles: usize,
+    backend: Box<dyn Backend>,
+) -> snowflake::core::Result<VerifyReport> {
+    let mut s = SnowSolver::new(problem, backend)?;
+    let norms = s.solve(cycles)?;
+    let error = s.error_norm();
+    Ok(VerifyReport::from_norms(norms, error))
+}
+
+/// Assert two reports describe the same convergence history.
+fn assert_reports_match(a: &VerifyReport, b: &VerifyReport, tol: f64) {
+    assert_eq!(a.norms.len(), b.norms.len());
+    for (x, y) in a.norms.iter().zip(&b.norms) {
+        let denom = x.abs().max(y.abs()).max(1e-300);
+        assert!(
+            ((x - y) / denom).abs() < tol,
+            "residual histories diverge: {x} vs {y}"
+        );
+    }
+}
+
+#[test]
+fn contraction_factor_reported() {
+    let r = verify_hand(Problem::poisson_cc(8), 3);
+    assert!(
+        r.contraction > 0.0 && r.contraction < 0.2,
+        "V(2,2) GSRB should contract by ~10x/cycle, got {}",
+        r.contraction
+    );
+    assert_eq!(r.norms.len(), 4);
+}
+
+#[test]
+fn hand_and_snow_histories_match() {
+    let p = Problem::poisson_vc(8);
+    let a = verify_hand(p, 2);
+    let b = verify_snow(p, 2, Box::new(SequentialBackend::new())).unwrap();
+    assert_reports_match(&a, &b, 1e-9);
+}
 
 #[test]
 fn hand_solver_converges_at_multigrid_rates() {
