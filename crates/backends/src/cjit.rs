@@ -11,6 +11,9 @@
 //! after a run, and unloading it under them (the last artifact dropped
 //! releasing libgomp) would crash the next parallel region.
 //!
+//! The OpenCL backend ([`crate::oclsim`]) compiles its OpenCL-as-C unit
+//! through this same pipeline, toolchain probe and artifact cache.
+//!
 //! The backend degrades gracefully: [`CJitBackend::available`] reports
 //! whether a working C compiler exists, and `compile` returns a
 //! `CoreError::Backend` otherwise, so callers (benchmarks, examples) can
@@ -41,12 +44,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
-use snowflake_ir::{lower_group, LowerOptions, Lowered};
+use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel};
 
-use crate::codegen_c::emit_c;
+use crate::codegen_c::{emit_c, nests};
 use crate::metrics::{BackendStats, KernelCounters};
 use crate::tune::{fnv1a, persist_atomic, FNV_OFFSET};
-use crate::{check_and_ptrs, Backend, Executable};
+use crate::{check_and_ptrs, dispatch_work, Backend, Executable};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -54,6 +57,10 @@ static COUNTER: AtomicU64 = AtomicU64::new(0);
 /// no-FMA evaluation the bitwise specialization contract assumes (gcc
 /// already disables contraction under `-std=c99`; clang does not).
 const OPT_FLAGS: [&str; 3] = ["-O3", "-march=native", "-ffp-contract=off"];
+
+/// The entry point every generated unit exports, with signature
+/// `void snowflake_run(double** g)`.
+const ENTRY: &str = "snowflake_run";
 
 /// JIT-compile generated C through the system compiler.
 #[derive(Clone, Debug)]
@@ -207,6 +214,40 @@ impl CJitBackend {
         let _ = std::fs::remove_file(&so_path);
         Ok(lib)
     }
+
+    /// The compile path of every backend that runs generated C: lower
+    /// and specialize `group`, emit the unit `emit(lowered, entry)`, build
+    /// it (through the artifact cache) and load its entry point. The
+    /// executable runs `dispatches(kernel)` dispatches per kernel.
+    pub(crate) fn compile_with(
+        &self,
+        group: &StencilGroup,
+        shapes: &ShapeMap,
+        emit: fn(&Lowered, &str) -> String,
+        dispatches: fn(&LoweredKernel) -> u64,
+    ) -> Result<Box<dyn Executable>> {
+        if !toolchain(&self.cc).available {
+            return Err(CoreError::Backend(format!(
+                "C compiler {:?} not available",
+                self.cc
+            )));
+        }
+        let mut lowered = lower_group(group, shapes, &LowerOptions::default())?;
+        crate::specialize::specialize_lowered(&mut lowered);
+        let lib = self.build(&emit(&lowered, ENTRY))?;
+        // SAFETY: every emitter defines the entry point with exactly this
+        // signature.
+        let entry: EntryFn = unsafe {
+            *lib.get::<EntryFn>(format!("{ENTRY}\0").as_bytes())
+                .map_err(|e| CoreError::Backend(format!("dlsym: {e}")))?
+        };
+        Ok(Box::new(CJitExecutable {
+            _lib: lib,
+            entry,
+            work: dispatch_work(&lowered, dispatches),
+            lowered,
+        }))
+    }
 }
 
 /// The compiler a new backend uses: `$SNOWFLAKE_CC`, else `cc`.
@@ -286,6 +327,8 @@ struct CJitExecutable {
     _lib: libloading::Library,
     entry: EntryFn,
     lowered: Lowered,
+    /// What one run dispatches, fixed by the emitted source.
+    work: KernelCounters,
 }
 
 impl Backend for CJitBackend {
@@ -303,28 +346,9 @@ impl Backend for CJitBackend {
         }
     }
 
+    /// One dispatch per emitted loop nest: a tiled color union is one.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        if !toolchain(&self.cc).available {
-            return Err(CoreError::Backend(format!(
-                "C compiler {:?} not available",
-                self.cc
-            )));
-        }
-        let mut lowered = lower_group(group, shapes, &LowerOptions::default())?;
-        crate::specialize::specialize_lowered(&mut lowered);
-        let source = emit_c(&lowered, "snowflake_run");
-        let lib = self.build(&source)?;
-        // SAFETY: the symbol exists in the generated translation unit with
-        // exactly this signature.
-        let entry: EntryFn = unsafe {
-            *lib.get::<EntryFn>(b"snowflake_run\0")
-                .map_err(|e| CoreError::Backend(format!("dlsym: {e}")))?
-        };
-        Ok(Box::new(CJitExecutable {
-            _lib: lib,
-            entry,
-            lowered,
-        }))
+        self.compile_with(group, shapes, emit_c, |k| nests(k).len() as u64)
     }
 }
 
@@ -338,10 +362,8 @@ impl Executable for CJitExecutable {
         Ok(())
     }
 
-    /// The generated C runs one loop nest per [`crate::codegen_c::nests`]
-    /// entry: a tiled color union is one dispatch.
     fn work(&self) -> KernelCounters {
-        crate::dispatch_work(&self.lowered, |k| crate::codegen_c::nests(k).len() as u64)
+        self.work
     }
 }
 

@@ -52,26 +52,44 @@ pub fn emit_c(lowered: &Lowered, func: &str) -> String {
         lowered.phases
     );
     out.push_str("#include <stddef.h>\n\n");
+    let bind: String = (0..lowered.grid_names.len())
+        .map(|i| format!("        double* restrict g{i} = g[{i}];\n"))
+        .collect();
+    emit_team(&mut out, lowered, func, &bind, |out, _, kernel| {
+        emit_kernel(out, kernel);
+    });
+    out
+}
+
+/// The function shape of both generated units (this module's C and
+/// [`crate::codegen_ocl`]'s driver): `void <func>(double** g)`, whose body
+/// is one `#pragma omp parallel` region opened by `prologue`, with each
+/// phase's kernels in order behind their [`kernel_marker`]s, written by
+/// `kernel(out, index, kernel)`, and one `#pragma omp barrier` between
+/// consecutive phases. The plan check audits this contract.
+pub(crate) fn emit_team(
+    out: &mut String,
+    lowered: &Lowered,
+    func: &str,
+    prologue: &str,
+    mut kernel: impl FnMut(&mut String, usize, &LoweredKernel),
+) {
     let _ = writeln!(
         out,
         "void {func}(double** g)\n{{\n#pragma omp parallel\n    {{"
     );
-    for i in 0..lowered.grid_names.len() {
-        let _ = writeln!(out, "        double* restrict g{i} = g[{i}];");
-    }
+    out.push_str(prologue);
     for (pi, phase) in lowered.phases.iter().enumerate() {
         if pi > 0 {
             out.push_str("        #pragma omp barrier\n");
         }
         let _ = writeln!(out, "\n        /* ===== phase {pi} ===== */");
         for &ki in phase {
-            let kernel = &lowered.kernels[ki];
-            let _ = writeln!(out, "        {}", kernel_marker(ki, kernel));
-            emit_kernel(&mut out, kernel);
+            let _ = writeln!(out, "        {}", kernel_marker(ki, &lowered.kernels[ki]));
+            kernel(out, ki, &lowered.kernels[ki]);
         }
     }
     out.push_str("    }\n}\n");
-    out
 }
 
 /// `text` as it may appear inside a C comment: quoted and escaped like a

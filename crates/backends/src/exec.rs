@@ -1,10 +1,9 @@
 //! The shared schedule builder and kernel executor of the CPU backends.
 //!
-//! The schedule-building backends (sequential, OpenMP-like,
-//! OpenCL-simulator) differ only in their fixed `Schedule` choices:
-//! how a parallel-safe kernel is tiled, whether a union's rectangles
-//! interleave tile by tile, and whether a phase's tasks run on the thread
-//! pool. `Schedule::build` cuts the lowered kernels into `Task`s per
+//! The schedule-building backends (sequential and OpenMP-like) differ
+//! only in their fixed `Schedule` choices: how a parallel-safe kernel is
+//! tiled, whether a union's rectangles interleave tile by tile, and
+//! whether a phase's tasks run on the thread pool. `Schedule::build` cuts the lowered kernels into `Task`s per
 //! barrier phase with those choices, and the one `Phased` executor runs
 //! every task through `run_region`.
 //! The loop nest walks the region in row-major order, keeping one linear
@@ -377,8 +376,8 @@ struct Task {
     regions: Vec<Region>,
 }
 
-/// The one executor of the schedule-building backends (`seq`, `omp`,
-/// `oclsim`): the lowered program plus the tasks of each barrier phase.
+/// The one executor of the schedule-building backends (`seq`, `omp`):
+/// the lowered program plus the tasks of each barrier phase.
 /// Phases run in order; the tasks of one phase are mutually independent
 /// (greedy grouping, iteration-disjoint tiles, a sequential kernel as one
 /// ordered task), so they run on the thread pool when `parallel`, and in

@@ -11,17 +11,18 @@
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
 //! | [`seq::SequentialBackend`] | sequential C | closed-form kernels (linear records and register tapes), single thread |
 //! | [`omp::OmpBackend`] | C + OpenMP | rayon task farm; greedy barrier phases, arbitrary-dimension tiling, multicolor reordering |
-//! | [`oclsim::OclSimBackend`] | C + OpenCL (execution model) | the shared schedule builder with a fixed 4×64 tall-skinny tile rolled through the remaining dimension, no multicolor; work-groups executed on CPU threads |
+//! | [`oclsim::OclSimBackend`] | C + OpenCL | emits OpenCL kernels with 4×64 tall-skinny work-groups rolled through the remaining dimension, plus a C driver that launches them (see [`codegen_ocl`]); compiled through cjit's toolchain, work-groups run on an OpenMP team |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |
 //! | [`checked::CheckedBackend`] | — (sanitizer) | instrumented interpreter over the lowered form: range-checks every access, tracks per-phase shadow write-sets, bitwise-identical to `seq` |
 //!
 //! [`codegen_c`] and [`codegen_ocl`] emit C/OpenMP and OpenCL source from
-//! the lowered IR; `cjit` executes the former, while the latter documents
-//! the GPU path (no OpenCL runtime is assumed to exist).
+//! the lowered IR; `cjit` compiles and runs the former, `oclsim` the
+//! latter as C (no OpenCL runtime is assumed to exist). Both need a C
+//! compiler ([`CJitBackend::available`]).
 //!
-//! `seq`, `omp` and `oclsim` differ only in their fixed `exec::Schedule`
-//! choices: one builder cuts the lowered kernels into tasks per barrier
-//! phase, and one executor (`exec::Phased`) runs every schedule.
+//! `seq` and `omp` differ only in their fixed `exec::Schedule` choices:
+//! one builder cuts the lowered kernels into tasks per barrier phase, and
+//! one executor (`exec::Phased`) runs every schedule.
 //!
 //! All backends implement [`Backend`] and produce [`Executable`]s.
 //! [`plan::SolverPlan`] is the one execution path, the paper's cached
@@ -64,7 +65,7 @@ pub use metrics::{
 pub use oclsim::OclSimBackend;
 pub use omp::OmpBackend;
 pub use plan::{PlanError, SolverPlan};
-pub use registry::{available_backends, backend_from_name, BackendOptions};
+pub use registry::{available_backends, backend_available, backend_from_name, BackendOptions};
 pub use seq::SequentialBackend;
 pub use tune::TileTuner;
 pub use verify::{verify_op, verify_ops, witness_count, OpCertificate, PlanCertificate};
@@ -99,10 +100,11 @@ pub trait Backend: Send + Sync {
     /// Compile the group for the given shapes.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>>;
 
-    /// Counters this backend keeps across its compiles: the C JIT's
-    /// on-disk artifact cache and the OpenMP-like backend's persisted
-    /// tile tuner (see [`tune::TileTuner`]). Everything else reports zeros
-    /// via this default.
+    /// Counters this backend keeps across its compiles: the on-disk
+    /// artifact cache of the compiled backends (cjit, oclsim) and the
+    /// OpenMP-like backend's persisted tile tuner (see
+    /// [`tune::TileTuner`]). Everything else reports zeros via this
+    /// default.
     fn stats(&self) -> BackendStats {
         BackendStats::default()
     }
@@ -120,7 +122,8 @@ pub(crate) fn env_dir(var: &str) -> Option<std::path::PathBuf> {
 /// kernel, classified by the analysis' verdict on each kernel: one per
 /// region of a parallel-safe kernel and one per sequential kernel (one
 /// task on every Rust backend) for `checked`'s loop, as for `seq`'s
-/// tasks; one per emitted loop nest for `cjit`.
+/// tasks; one per emitted loop nest for `cjit`; one per launched
+/// work-group, and one per sequential kernel, for `oclsim`.
 pub(crate) fn dispatch_work(
     lowered: &snowflake_ir::Lowered,
     dispatches: impl Fn(&snowflake_ir::LoweredKernel) -> u64,

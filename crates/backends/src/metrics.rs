@@ -29,17 +29,18 @@ use json::Value;
 /// of a structurally identical earlier op, `misses` are ops that compiled.
 ///
 /// `disk_hits`/`disk_misses` count the persistent artifact cache of the
-/// C JIT backend (a compile that loaded a previously-built `.so` instead
-/// of invoking `cc`); they stay zero for the pure-Rust backends.
+/// compiled backends, cjit and oclsim (a compile that loaded a
+/// previously-built `.so` instead of invoking `cc`); they stay zero for
+/// the pure-Rust backends.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Ops served by an earlier op's executable.
     pub hits: u64,
     /// Ops that required a compile.
     pub misses: u64,
-    /// Compiles served from the on-disk artifact cache (cjit only).
+    /// Compiles served from the on-disk artifact cache (cjit, oclsim).
     pub disk_hits: u64,
-    /// Compiles that had to invoke the C compiler (cjit only).
+    /// Compiles that had to invoke the C compiler (cjit, oclsim).
     pub disk_misses: u64,
 }
 
@@ -57,13 +58,14 @@ pub struct TuneStats {
 }
 
 /// Counters a backend keeps across its own compiles (see
-/// [`crate::Backend::stats`]): the C JIT's on-disk artifact cache and the
-/// OpenMP-like backend's tile tuner. Zero for every other backend.
+/// [`crate::Backend::stats`]): the compiled backends' on-disk artifact
+/// cache and the OpenMP-like backend's tile tuner. Zero for every other
+/// backend.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BackendStats {
-    /// Compiles served from the on-disk artifact cache (cjit).
+    /// Compiles served from the on-disk artifact cache (cjit, oclsim).
     pub disk_hits: u64,
-    /// Compiles that had to invoke the C compiler (cjit).
+    /// Compiles that had to invoke the C compiler (cjit, oclsim).
     pub disk_misses: u64,
     /// Tile auto-tuner counters (omp).
     pub tune: TuneStats,

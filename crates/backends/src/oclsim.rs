@@ -1,38 +1,49 @@
-//! The OpenCL-style backend (§IV-B), executed on CPU threads.
+//! The OpenCL backend (§IV-B), compiled as C and run on CPU threads.
 //!
 //! The paper's OpenCL micro-compiler uses a **tall-skinny blocking**: the
-//! iteration space is cut into two-dimensional tiles over the fastest two
-//! dimensions, and each work-group "rolls" its tile upward through the
-//! remaining (outer) dimension(s). This backend reproduces exactly that
-//! decomposition — one task per work-group tile, each task marching
-//! through the outer dimension — so the *shape* of the GPU schedule (many
-//! small independent blocks, long strided walks per block) is observable
-//! on CPU hardware. The GPU model has no multicolor reordering,
-//! and a kernel that is not parallel-safe runs as one task (a single
-//! "work-item", as a real port would be forced to do). The true OpenCL
-//! *source* for the same decomposition is emitted by
-//! [`crate::codegen_ocl`]; no GPU runtime is assumed to exist in this
-//! environment (see DESIGN.md, substitutions).
+//! iteration space is cut into work-groups over the fastest two
+//! dimensions, and each work-item "rolls" upward through the remaining
+//! (outer) dimension(s). [`crate::codegen_ocl`] emits those kernels as
+//! OpenCL C and their host launch protocol as a C driver; this backend
+//! compiles the shim, the kernels and the driver as one C99 translation
+//! unit through cjit's pipeline (the toolchain probe, the same flags with
+//! `-ffp-contract=off`, the persistent artifact cache and `-z nodelete`
+//! loading) and runs the driver. Each op is one OpenMP team; each region
+//! of a parallel-safe kernel is a worksharing loop over its 4×64
+//! work-groups, and a kernel that is not parallel-safe is one work-item
+//! per region, launched in union order by one thread. No GPU or OpenCL
+//! runtime is assumed to exist (see DESIGN.md, substitutions).
+//!
+//! Like cjit, the backend needs a C compiler: without one, `compile`
+//! returns `CoreError::Backend`.
+
+use std::path::PathBuf;
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 
-use crate::exec::{fit_tile, Schedule};
-use crate::{Backend, Executable};
+use crate::codegen_ocl::{launches, ocl_unit};
+use crate::metrics::BackendStats;
+use crate::{Backend, CJitBackend, Executable};
 
-/// The work-group tile: 4 points along the second-fastest dimension (the
-/// "tall" edge) by 64 along the fastest, unit-stride one (the "skinny"
-/// edge kept wide for coalescing — 64 work-items in the paper's terms).
-const WORK_GROUP: [i64; 2] = [4, 64];
-
-/// OpenCL execution-model simulator backend.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OclSimBackend;
+/// The OpenCL backend: `codegen_ocl`'s program, compiled by cjit's
+/// toolchain.
+#[derive(Clone, Debug, Default)]
+pub struct OclSimBackend {
+    /// The compiler, artifact cache and cache counters it builds with.
+    jit: CJitBackend,
+}
 
 impl OclSimBackend {
-    /// The simulator's work-group tile is fixed; `new` exists for
-    /// construction uniformity with every other backend.
+    /// Backend with default options (cjit's compiler and cache chain).
     pub fn new() -> Self {
-        OclSimBackend
+        Self::default()
+    }
+
+    /// Pin the persistent artifact cache to `dir` (builder style).
+    pub fn with_cache_dir(self, dir: impl Into<PathBuf>) -> Self {
+        OclSimBackend {
+            jit: self.jit.with_cache_dir(dir),
+        }
     }
 }
 
@@ -41,17 +52,15 @@ impl Backend for OclSimBackend {
         "oclsim"
     }
 
-    /// Every phase is one "kernel launch batch"; the phase barrier is the
-    /// inter-launch dependency the OpenCL queue would enforce.
+    /// The artifact cache's hits and misses, as for cjit.
+    fn stats(&self) -> BackendStats {
+        self.jit.stats()
+    }
+
+    /// One dispatch per launched work-group, and one per sequential
+    /// kernel.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        let schedule = Schedule {
-            tile: &|kernel| fit_tile(&WORK_GROUP, kernel.ndim),
-            multicolor: false,
-            parallel: true,
-        };
-        Ok(Box::new(
-            schedule.build(crate::exec::lower(group, shapes)?)?,
-        ))
+        self.jit.compile_with(group, shapes, ocl_unit, launches)
     }
 }
 
@@ -59,11 +68,63 @@ impl Backend for OclSimBackend {
 mod tests {
     use super::*;
     use crate::{RunReport, SequentialBackend, SolverPlan};
-    use snowflake_core::{weights3, Component, DomainUnion, Expr, RectDomain, Stencil};
+    use snowflake_core::{weights3, Component, CoreError, DomainUnion, Expr, RectDomain, Stencil};
     use snowflake_grid::{Grid, GridSet};
+
+    fn require_cc() -> bool {
+        if !CJitBackend::available() {
+            eprintln!("skipping: no C compiler");
+            return false;
+        }
+        true
+    }
+
+    /// Run `group` on `grids` with `seq` and with `oclsim` (through a plan,
+    /// 20 times, so a nondeterministic interleaving has room to show) and
+    /// require every grid to come out bitwise identical on every run;
+    /// `check` sees what the plan's one op dispatched on each run.
+    fn assert_oclsim_matches_seq(
+        group: &StencilGroup,
+        grids: &GridSet,
+        check: impl Fn(&RunReport),
+    ) {
+        let shapes = grids.shapes();
+        let mut want = grids.clone();
+        SequentialBackend::new()
+            .compile(group, &shapes)
+            .unwrap()
+            .run(&mut want)
+            .unwrap();
+        let ops = [(group.clone(), shapes.clone())];
+        let plan = SolverPlan::build(Box::new(OclSimBackend::new()), &ops).unwrap();
+        for _ in 0..20 {
+            let mut got = grids.clone();
+            let mut report = RunReport::new();
+            plan.run_with_report(0, &mut got, &mut report).unwrap();
+            for name in shapes.keys() {
+                let bits = |g: &GridSet| -> Vec<u64> {
+                    let v = g.get(name).unwrap().as_slice();
+                    v.iter().map(|x| x.to_bits()).collect()
+                };
+                let (a, b) = (bits(&want), bits(&got));
+                let first_diff = a.iter().zip(&b).position(|(a, b)| a != b);
+                assert_eq!(first_diff, None, "grid {name:?}: oclsim diverged from seq");
+            }
+            check(&report);
+        }
+    }
+
+    fn random_grid(shape: &[usize], seed: u64) -> Grid {
+        let mut g = Grid::new(shape);
+        g.fill_random(seed, -1.0, 1.0);
+        g
+    }
 
     #[test]
     fn oclsim_matches_seq_on_3d_laplacian() {
+        if !require_cc() {
+            return;
+        }
         let n = 20;
         let lap = Component::new(
             "x",
@@ -74,86 +135,91 @@ mod tests {
             ],
         );
         let group = StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(3)));
-        let mut a = GridSet::new();
-        let mut x = Grid::new(&[n, n, n]);
-        x.fill_random(11, -1.0, 1.0);
-        a.insert("x", x);
-        a.insert("y", Grid::new(&[n, n, n]));
-        let mut b = a.clone();
-        let shapes = a.shapes();
-        SequentialBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut a)
-            .unwrap();
-        OclSimBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut b)
-            .unwrap();
-        assert_eq!(a.get("y").unwrap().max_abs_diff(b.get("y").unwrap()), 0.0);
+        let mut grids = GridSet::new();
+        grids.insert("x", random_grid(&[n, n, n], 11));
+        grids.insert("y", Grid::new(&[n, n, n]));
+        // 18 × 18 work-items per plane: 5 tall × 1 wide work-groups.
+        assert_oclsim_matches_seq(&group, &grids, |report| {
+            assert_eq!(report.kernels.parallel_tasks, 5)
+        });
     }
 
     #[test]
     fn oclsim_red_black_in_place() {
-        let n = 12;
+        if !require_cc() {
+            return;
+        }
         let avg = Expr::read_at("x", &[0, 1]) * 0.5 + Expr::read_at("x", &[0, -1]) * 0.5;
         let (red, black) = DomainUnion::red_black(2);
         let group = StencilGroup::new()
             .with(Stencil::new(avg.clone(), "x", red))
             .with(Stencil::new(avg, "x", black));
-        let mut a = GridSet::new();
-        let mut x = Grid::new(&[n, n]);
-        x.fill_random(2, 0.0, 1.0);
-        a.insert("x", x);
-        let mut b = a.clone();
-        let shapes = a.shapes();
-        SequentialBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut a)
-            .unwrap();
-        OclSimBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut b)
-            .unwrap();
-        assert_eq!(a.get("x").unwrap().max_abs_diff(b.get("x").unwrap()), 0.0);
+        let mut grids = GridSet::new();
+        grids.insert("x", random_grid(&[12, 12], 2));
+        assert_oclsim_matches_seq(&group, &grids, |_| {});
     }
 
-    /// A kernel that is not parallel-safe runs as one task walking its
-    /// regions in union order, so the second region reads what the first
-    /// one wrote, exactly as in `seq`.
+    /// An in-place kernel that is not parallel-safe runs each region as one
+    /// work-item rolling all of its dimensions in row-major order, and the
+    /// regions in union order, so each point reads what the points before
+    /// it wrote, exactly as in `seq`. A kernel body that computes one point
+    /// per work-item (launched with a single work-item, it updates one
+    /// column) diverges at the first point. Here, 1-D `x[p] = x[p - 1]`
+    /// over a union whose second piece reads the first piece's last write.
     #[test]
     fn sequential_kernel_over_a_union_runs_as_one_ordered_task() {
+        if !require_cc() {
+            return;
+        }
         let n = 65_536usize;
         let half = (n / 2) as i64;
         let union = RectDomain::new(&[1], &[half], &[1]) + RectDomain::new(&[half], &[0], &[1]);
         let group = StencilGroup::from(Stencil::new(Expr::read_at("x", &[-1]), "x", union));
-        let mut base = GridSet::new();
-        let mut x = Grid::new(&[n]);
-        x.fill_random(5, 0.0, 1.0);
-        base.insert("x", x);
-        let shapes = base.shapes();
-        let mut want = base.clone();
-        SequentialBackend::new()
-            .compile(&group, &shapes)
-            .unwrap()
-            .run(&mut want)
-            .unwrap();
-        let plan = SolverPlan::build(Box::new(OclSimBackend::new()), &[(group, shapes)]).unwrap();
-        for _ in 0..20 {
-            let mut got = base.clone();
-            let mut report = RunReport::new();
-            plan.run_with_report(0, &mut got, &mut report).unwrap();
-            let (got, want) = (got.get("x").unwrap(), want.get("x").unwrap());
-            let first_diff = got
-                .as_slice()
-                .iter()
-                .zip(want.as_slice())
-                .position(|(a, b)| a != b);
-            assert_eq!(first_diff, None, "oclsim diverged from seq");
+        let mut grids = GridSet::new();
+        grids.insert("x", random_grid(&[n], 5));
+        assert_oclsim_matches_seq(&group, &grids, |report| {
             assert_eq!(report.kernels.sequential_tasks, 1);
+            assert_eq!(report.kernels.parallel_tasks, 0);
+        });
+    }
+
+    /// The same in 2-D: a lexicographic Gauss-Seidel over two row blocks,
+    /// the lower block listed first.
+    #[test]
+    fn lexicographic_gauss_seidel_over_a_union_matches_seq_bitwise() {
+        if !require_cc() {
+            return;
         }
+        let x = |i: i64, j: i64| Expr::read_at("x", &[i, j]);
+        let update = x(0, 0) * 0.2 + (x(-1, 0) + x(0, -1) + x(1, 0) + x(0, 1)) * 0.2;
+        let rows = RectDomain::new(&[9, 1], &[-1, -1], &[1, 1])
+            + RectDomain::new(&[1, 1], &[9, -1], &[1, 1]);
+        let group = StencilGroup::from(Stencil::new(update, "x", rows).named("lex"));
+        let mut grids = GridSet::new();
+        grids.insert("x", random_grid(&[17, 70], 6));
+        assert_oclsim_matches_seq(&group, &grids, |report| {
+            assert_eq!(report.kernels.sequential_tasks, 1)
+        });
+    }
+
+    #[test]
+    fn missing_compiler_is_a_typed_backend_error() {
+        let backend = OclSimBackend {
+            jit: CJitBackend::new().with_cc("/nonexistent/snowflake-cc"),
+        };
+        let group = StencilGroup::from(Stencil::new(
+            Expr::read_at("x", &[0, 0]) * 2.0,
+            "y",
+            RectDomain::interior(2),
+        ));
+        let mut grids = GridSet::new();
+        grids.insert("x", Grid::new(&[8, 8]));
+        grids.insert("y", Grid::new(&[8, 8]));
+        match backend.compile(&group, &grids.shapes()) {
+            Err(CoreError::Backend(msg)) => assert!(msg.contains("not available"), "{msg}"),
+            Err(other) => panic!("expected CoreError::Backend, got {other:?}"),
+            Ok(_) => panic!("compiled without a compiler"),
+        }
+        assert_eq!(backend.stats(), BackendStats::default());
     }
 }

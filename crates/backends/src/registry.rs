@@ -3,11 +3,11 @@
 //!
 //! [`backend_from_name`] builds any of the six backends from a string: each
 //! from its defaults plus the three knobs drivers set through
-//! [`BackendOptions`] (the cjit artifact cache directory and the omp tile
-//! tuner). Other knobs are the backends' own `with_*` builders. Unknown
-//! names are a structured [`CoreError::UnknownBackend`] listing
-//! [`available_backends`], never a panic — a figure binary can print the
-//! error verbatim and exit cleanly.
+//! [`BackendOptions`] (the artifact cache directory of the two compiled
+//! backends, cjit and oclsim, and the omp tile tuner). Other knobs are the
+//! backends' own `with_*` builders. Unknown names are a structured
+//! [`CoreError::UnknownBackend`] listing [`available_backends`], never a
+//! panic — a figure binary can print the error verbatim and exit cleanly.
 
 use std::path::PathBuf;
 
@@ -26,12 +26,19 @@ pub fn available_backends() -> &'static [&'static str] {
     &NAMES
 }
 
+/// Can the backend registered under `name` compile on this machine? The
+/// compiled backends, cjit and oclsim, need a working C compiler
+/// ([`CJitBackend::available`]); every other backend always can.
+pub fn backend_available(name: &str) -> bool {
+    !matches!(name, "cjit" | "oclsim") || CJitBackend::available()
+}
+
 /// The construction knobs drivers set by name: each applies to the one
 /// backend that understands it, and every other setting is that
 /// backend's default.
 #[derive(Clone, Debug, Default)]
 pub struct BackendOptions {
-    /// Persistent artifact cache directory override (cjit).
+    /// Persistent artifact cache directory override (cjit and oclsim).
     pub cache_dir: Option<PathBuf>,
     /// Consult the persisted tile auto-tuner at compile time (omp).
     pub tune: bool,
@@ -41,7 +48,7 @@ pub struct BackendOptions {
 }
 
 impl BackendOptions {
-    /// Pin the cjit artifact cache directory (builder style).
+    /// Pin the cjit and oclsim artifact cache directory (builder style).
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
         self
@@ -64,8 +71,8 @@ impl BackendOptions {
 ///
 /// Returns [`CoreError::UnknownBackend`] (listing every valid name) when
 /// `name` is not registered. Construction always succeeds for registered
-/// names — an unusable toolchain (cjit without `cc`) surfaces later, from
-/// `compile`, exactly as when the backend is built directly.
+/// names — an unusable toolchain (cjit or oclsim without `cc`) surfaces
+/// later, from `compile`, exactly as when the backend is built directly.
 pub fn backend_from_name(name: &str, opts: &BackendOptions) -> Result<Box<dyn Backend>> {
     match name {
         "interp" => Ok(Box::new(InterpreterBackend)),
@@ -74,14 +81,14 @@ pub fn backend_from_name(name: &str, opts: &BackendOptions) -> Result<Box<dyn Ba
             tuner: crate::tune::TileTuner::new(opts.tune_dir.clone()),
             ..OmpBackend::new().with_tune(opts.tune)
         })),
-        "oclsim" => Ok(Box::new(OclSimBackend::new())),
-        "cjit" => {
-            let backend = CJitBackend::new();
-            Ok(Box::new(match &opts.cache_dir {
-                Some(dir) => backend.with_cache_dir(dir.clone()),
-                None => backend,
-            }))
-        }
+        "oclsim" => Ok(Box::new(match &opts.cache_dir {
+            Some(dir) => OclSimBackend::new().with_cache_dir(dir.clone()),
+            None => OclSimBackend::new(),
+        })),
+        "cjit" => Ok(Box::new(match &opts.cache_dir {
+            Some(dir) => CJitBackend::new().with_cache_dir(dir.clone()),
+            None => CJitBackend::new(),
+        })),
         "checked" => Ok(Box::new(CheckedBackend::new())),
         _ => Err(CoreError::UnknownBackend {
             name: name.to_string(),

@@ -22,15 +22,17 @@
 //! 3. **Lowered cursor bounds** — the flat indices the compiled kernels
 //!    actually touch ([`AccessClass`] cursor algebra over their `regions`)
 //!    are proved to stay inside the dense grid allocations.
-//! 4. **Codegen audit** — the C micro-compiler's emitted source, after the
-//!    closed-form pass (the text cjit compiles), is scanned against its
-//!    pragma contract: one `#pragma omp parallel` region per function, one
-//!    `#pragma omp barrier` between consecutive phases, one worksharing
-//!    `#pragma omp for` per emitted loop nest of a parallel-safe kernel and
-//!    no `single`, exactly one `#pragma omp single` and no worksharing loop
-//!    for a sequential kernel. The rayon backend dispatches parallel tasks
-//!    purely on the `parallel_safe` flag, so step 2's flag re-derivation is
-//!    its audit.
+//! 4. **Codegen audit** — the two generated units the compiled backends
+//!    run, after the closed-form pass, are scanned against one pragma
+//!    contract: cjit's C and oclsim's OpenCL unit (its driver launches the
+//!    kernels). Each has one `#pragma omp parallel` region per function,
+//!    one `#pragma omp barrier` between consecutive phases, and per kernel
+//!    either one worksharing `#pragma omp for` per dispatch of a
+//!    parallel-safe kernel (an emitted loop nest in the C, a region's
+//!    NDRange in the driver) and no `single`, or exactly one `#pragma omp
+//!    single` and no worksharing loop for a sequential kernel. The rayon
+//!    backend dispatches parallel tasks purely on the `parallel_safe`
+//!    flag, so step 2's flag re-derivation is its audit.
 //!
 //! It then lints the operator list once in inventory mode (the
 //! order-free lint rules; the solver dispatches its ops dynamically, so
@@ -55,7 +57,8 @@ use snowflake_analysis::{
 use snowflake_core::{CoreError, ShapeMap, StencilGroup};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, SpecForm};
 
-use crate::codegen_c::emit_c;
+use crate::codegen_c::{emit_c, nests};
+use crate::codegen_ocl::ocl_unit;
 use crate::metrics::VerifyStats;
 use crate::specialize::specialize_lowered;
 
@@ -72,7 +75,7 @@ pub struct OpCertificate {
     /// Kernels whose `parallel_safe` claim was independently re-derived.
     pub parallel_kernels: u64,
     /// OpenMP pragmas (`parallel`, `barrier`, `for`, `single`) matched
-    /// against the certificate in the generated C.
+    /// against the certificate in the generated C and OpenCL units.
     pub pragmas_audited: u64,
 }
 
@@ -249,10 +252,16 @@ fn certify_op(
         }
     }
 
-    // 5. Audit the generated C.
-    match audit_c_pragmas(&lowered) {
-        Ok(n) => cert.pragmas_audited = n,
-        Err(ds) => diags.extend(ds),
+    // 5. Audit the generated C and OpenCL units.
+    let audits = [
+        audit_c(&lowered, &emit_c(&lowered, "snowflake_verify_audit")),
+        audit_ocl(&lowered, &ocl_unit(&lowered, "snowflake_verify_audit")),
+    ];
+    for audit in audits {
+        match audit {
+            Ok(n) => cert.pragmas_audited += n,
+            Err(ds) => diags.extend(ds),
+        }
     }
 
     if diags.is_empty() {
@@ -397,21 +406,36 @@ fn offsets_of(delta: isize, strides: &[usize]) -> Vec<i128> {
         .collect()
 }
 
-/// Audit the C micro-compiler's output against the pragma contract of
-/// [`crate::codegen_c`]: the function is exactly one `#pragma omp
-/// parallel` region with one `#pragma omp barrier` between consecutive
-/// phases; in its own section of the source, a parallel-safe kernel has
-/// one worksharing `#pragma omp for` per emitted loop nest and no
-/// `#pragma omp single`, and a sequential kernel has exactly one
-/// `#pragma omp single` and no worksharing loop. Returns the number of
-/// pragmas matched.
-fn audit_c_pragmas(lowered: &Lowered) -> std::result::Result<u64, Vec<Finding>> {
-    audit_c_source(lowered, &emit_c(lowered, "snowflake_verify_audit"))
+/// Audit the C micro-compiler's source against the pragma contract of
+/// [`audit_c_source`], with one worksharing loop per loop nest of
+/// [`crate::codegen_c`]. Returns the number of pragmas matched.
+fn audit_c(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Finding>> {
+    audit_c_source(lowered, src, "C", |k| nests(k).len())
 }
 
-fn audit_c_source(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Finding>> {
+/// Audit oclsim's OpenCL unit the same way, with one worksharing loop per
+/// non-empty region (one NDRange launch) of a parallel-safe kernel.
+fn audit_ocl(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Finding>> {
+    audit_c_source(lowered, src, "OpenCL unit", |k| {
+        k.regions.iter().filter(|r| !r.is_empty()).count()
+    })
+}
+
+/// Scan the generated `unit` against the pragma contract: the function
+/// is exactly one `#pragma omp parallel` region with one `#pragma omp
+/// barrier` between consecutive phases; in its own section of the source
+/// (from its kernel marker to the next), a parallel-safe kernel has
+/// `dispatches(kernel)` worksharing `#pragma omp for` and no `#pragma omp
+/// single`, and a sequential kernel has exactly one `#pragma omp single`
+/// and no worksharing loop. Returns the number of pragmas matched.
+fn audit_c_source(
+    lowered: &Lowered,
+    src: &str,
+    unit: &str,
+    dispatches: impl Fn(&LoweredKernel) -> usize,
+) -> std::result::Result<u64, Vec<Finding>> {
     let mut diags = Vec::new();
-    let audit = |what: &str| Finding::new(Rule::CodegenAudit, format!("generated C {what}"));
+    let audit = |what: &str| Finding::new(Rule::CodegenAudit, format!("generated {unit} {what}"));
     // Count directives only where they start a line: names, which may
     // contain anything, are rendered inside one-line comments.
     let count = |text: &str, directive: &str| {
@@ -464,7 +488,7 @@ fn audit_c_source(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<
         let fors = count(section, "#pragma omp for");
         let singles = count(section, "#pragma omp single");
         let (want_fors, want_singles) = if kernel.parallel_safe {
-            (crate::codegen_c::nests(kernel).len(), 0)
+            (dispatches(kernel), 0)
         } else {
             (0, 1)
         };
@@ -648,9 +672,9 @@ mod tests {
         assert_eq!(lowered.phases.len(), 2);
         let src = emit_c(&lowered, "f");
         // parallel + barrier + one `for` + one `single`
-        assert_eq!(audit_c_source(&lowered, &src), Ok(4));
+        assert_eq!(audit_c(&lowered, &src), Ok(4));
         let rejected = |bad: &str| {
-            let diags = audit_c_source(&lowered, bad).expect_err(bad);
+            let diags = audit_c(&lowered, bad).expect_err(bad);
             assert!(diags.iter().all(|d| d.rule == Rule::CodegenAudit));
             diags
         };
@@ -669,6 +693,35 @@ mod tests {
         // A second team, or a missing barrier between the phases.
         rejected(&src.replace("#pragma omp barrier", "#pragma omp parallel"));
         rejected(&src.replace("#pragma omp barrier", ""));
+    }
+
+    #[test]
+    fn codegen_audit_rejects_an_opencl_driver_missing_a_phase_barrier() {
+        // A red-black smooth, then a Laplacian of its result: three phases,
+        // two two-region parallel-safe kernels and a one-region one.
+        let update = Expr::read_at("x", &[0, 0]) * 0.5 + Expr::read_at("x", &[0, 1]) * 0.25;
+        let (red, black) = DomainUnion::red_black(2);
+        let group = StencilGroup::new()
+            .with(Stencil::new(update.clone(), "x", red).named("red"))
+            .with(Stencil::new(update, "x", black).named("black"))
+            .with(Stencil::new(laplacian2(), "y", RectDomain::interior(2)).named("lap"));
+        let mut lowered = lower_group(&group, &shapes2(10), &LowerOptions::default()).unwrap();
+        specialize_lowered(&mut lowered);
+        assert_eq!(lowered.phases.len(), 3);
+        let src = ocl_unit(&lowered, "f");
+        // parallel + 2 barriers + 2 + 2 + 1 region launches (a color
+        // union that cjit runs as one nest launches per region)
+        assert_eq!(audit_ocl(&lowered, &src), Ok(8));
+        let barrier = "        #pragma omp barrier\n";
+        let one_removed = src.replacen(barrier, "", 1);
+        assert_eq!(one_removed.len() + barrier.len(), src.len());
+        let diags = audit_ocl(&lowered, &one_removed)
+            .expect_err("a driver missing a phase barrier must be refused");
+        assert!(
+            diags.iter().all(|d| d.rule == Rule::CodegenAudit),
+            "{diags:?}"
+        );
+        assert!(diags[0].detail.contains("OpenCL unit"), "{diags:?}");
     }
 
     #[test]

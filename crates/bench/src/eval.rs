@@ -20,7 +20,7 @@ use roofline::stream::dot_pass;
 use roofline::{Roofline, StencilKind};
 use snowflake_backends::metrics::json::Value;
 use snowflake_backends::{
-    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, OmpBackend,
+    available_backends, backend_available, backend_from_name, Backend, BackendOptions, OmpBackend,
     PlanError, RunReport, TileTuner,
 };
 
@@ -78,12 +78,11 @@ impl Config {
     }
 }
 
-/// `hand`, then `backends` (without `cjit` when no C compiler is
-/// available).
+/// `hand`, then `backends` (without `cjit` and `oclsim` when no C
+/// compiler is available).
 fn with_hand(backends: &[&'static str]) -> Vec<&'static str> {
-    let cc = CJitBackend::available();
     std::iter::once("hand")
-        .chain(backends.iter().copied().filter(|&b| cc || b != "cjit"))
+        .chain(backends.iter().copied().filter(|&b| backend_available(b)))
         .collect()
 }
 

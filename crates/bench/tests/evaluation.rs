@@ -6,7 +6,7 @@ use std::process::Command;
 use std::sync::OnceLock;
 
 use roofline::StencilKind;
-use snowflake_backends::{available_backends, CJitBackend};
+use snowflake_backends::{available_backends, backend_available};
 use snowflake_bench::eval::{evaluate, Config, Evaluation, STREAM_ELEMS};
 
 /// The `--smoke` evaluation, run once and shared by every test.
@@ -16,14 +16,14 @@ fn smoke() -> &'static Evaluation {
 }
 
 /// Every implementation column of the smoke run: the hand baseline, then
-/// every registered backend (cjit only with a C compiler).
+/// every registered backend (cjit and oclsim only with a C compiler).
 fn implementations() -> Vec<&'static str> {
     std::iter::once("hand")
         .chain(
             available_backends()
                 .iter()
                 .copied()
-                .filter(|&b| b != "cjit" || CJitBackend::available()),
+                .filter(|&b| backend_available(b)),
         )
         .collect()
 }

@@ -13,7 +13,7 @@
 //!   piecewise-constant interpolation, grid zeroing) is a
 //!   [`snowflake_core::StencilGroup`] compiled by an arbitrary backend.
 //!   The single source runs unchanged on the interpreter, sequential,
-//!   OpenMP-like, OpenCL-simulator and C-JIT backends — the paper's
+//!   OpenMP-like, OpenCL and C-JIT backends — the paper's
 //!   performance-portability claim.
 //!
 //! Both run the same algorithm because it is written once: [`cycle`] holds

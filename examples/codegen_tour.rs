@@ -5,7 +5,8 @@
 //!     cargo run --release --example codegen_tour
 
 use snowflake::analysis::{dependence_dag, greedy_phases, is_parallel_safe, ResolvedStencil};
-use snowflake::backends::{codegen_c::emit_c, codegen_ocl::emit_ocl};
+use snowflake::backends::codegen_c::emit_c;
+use snowflake::backends::codegen_ocl::{emit_ocl, emit_ocl_driver};
 use snowflake::hpgmg::stencils::{gsrb_smooth_group, Coeff, Names};
 use snowflake::ir::{lower_group, LowerOptions};
 use snowflake_core::ShapeMap;
@@ -66,10 +67,17 @@ fn main() {
     }
     println!("  ... ({} lines total)", c_src.lines().count());
 
-    println!("\n=== Generated OpenCL (tall-skinny blocking), excerpt ===");
+    println!("\n=== Generated OpenCL (tall-skinny blocking, oclsim backend input), excerpt ===");
     let ocl_src = emit_ocl(&lowered);
     for line in ocl_src.lines().take(24) {
         println!("  {line}");
     }
     println!("  ... ({} lines total)", ocl_src.lines().count());
+
+    println!("\n=== Its host driver (C99 + OpenMP), excerpt ===");
+    let driver = emit_ocl_driver(&lowered, "snowflake_run");
+    for line in driver.lines().take(20) {
+        println!("  {line}");
+    }
+    println!("  ... ({} lines total)", driver.lines().count());
 }

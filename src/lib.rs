@@ -11,9 +11,9 @@
 //! * [`analysis`] — finite-domain Diophantine dependence analysis (§III).
 //! * [`ir`] — the platform-agnostic middle end (§IV, front half).
 //! * [`backends`] — the micro-compilers (§IV, back half): interpreter,
-//!   sequential, OpenMP-like (rayon), OpenCL-simulator, and a real C JIT
-//!   that emits C99+OpenMP, invokes the system compiler and `dlopen`s the
-//!   result.
+//!   sequential, OpenMP-like (rayon), and two real JITs that invoke the
+//!   system compiler and `dlopen` the result: C99+OpenMP, and OpenCL
+//!   kernels with a C host driver compiled as C.
 //! * [`grid`] — the N-dimensional mesh substrate.
 //! * [`hpgmg`] — the paper's evaluation driver: a full geometric-multigrid
 //!   benchmark in both hand-optimized and Snowflake-driven forms (§V).
@@ -53,8 +53,9 @@ pub use snowflake_ir as ir;
 /// Everything a typical program needs, in one import.
 pub mod prelude {
     pub use snowflake_backends::{
-        available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, Executable,
-        InterpreterBackend, OclSimBackend, OmpBackend, RunReport, SequentialBackend, SolverPlan,
+        available_backends, backend_available, backend_from_name, Backend, BackendOptions,
+        CJitBackend, Executable, InterpreterBackend, OclSimBackend, OmpBackend, RunReport,
+        SequentialBackend, SolverPlan,
     };
     pub use snowflake_core::{
         weights1, weights2, weights3, AffineMap, Component, DomainUnion, Expr, RectDomain,

@@ -105,9 +105,9 @@ fn snowflake_matches_hand_on_every_backend() {
     let mut backends: Vec<Box<dyn Backend>> = vec![
         Box::new(SequentialBackend::new()),
         Box::new(OmpBackend::new()),
-        Box::new(OclSimBackend::new()),
     ];
     if CJitBackend::available() {
+        backends.push(Box::new(OclSimBackend::new()));
         backends.push(Box::new(CJitBackend::new()));
     }
     for backend in backends {
@@ -130,10 +130,12 @@ fn convergence_is_backend_independent_bitwise_among_compiled_backends() {
     let problem = Problem::poisson_vc(8);
     let a = verify_snow(problem, 2, Box::new(SequentialBackend::new())).unwrap();
     let b = verify_snow(problem, 2, Box::new(OmpBackend::new())).unwrap();
-    let c = verify_snow(problem, 2, Box::new(OclSimBackend::new())).unwrap();
     let bits = |norms: &[f64]| norms.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&a.norms), bits(&b.norms), "seq vs omp");
-    assert_eq!(bits(&a.norms), bits(&c.norms), "seq vs oclsim");
+    if CJitBackend::available() {
+        let c = verify_snow(problem, 2, Box::new(OclSimBackend::new())).unwrap();
+        assert_eq!(bits(&a.norms), bits(&c.norms), "seq vs oclsim");
+    }
 }
 
 #[test]

@@ -1,15 +1,15 @@
 //! The plan counters a solver stamps into its `RunReport`, asserted on the
-//! report value in the process that ran the solve: the cjit artifact cache
-//! serves a rebuilt plan, the omp tile tuner serves a fresh backend, the
-//! plan check leaves clean certificates on every backend, every plan op
-//! that ran has a row in the op table, and each op's schedule dispatches
-//! the pinned work.
+//! report value in the process that ran the solve: the artifact cache of
+//! the compiled backends (cjit, oclsim) serves a rebuilt plan, the omp
+//! tile tuner serves a fresh backend, the plan check leaves clean
+//! certificates on every backend, every plan op that ran has a row in the
+//! op table, and each op's schedule dispatches the pinned work.
 
 use std::path::{Path, PathBuf};
 
 use snowflake::backends::{
-    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, OclSimBackend,
-    OmpBackend, RunReport, SequentialBackend,
+    available_backends, backend_available, backend_from_name, Backend, BackendOptions, CJitBackend,
+    OclSimBackend, OmpBackend, RunReport, SequentialBackend,
 };
 use snowflake::hpgmg::{snow::operator_list, Problem, Smoother, SnowSolver};
 
@@ -23,12 +23,13 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The registry backends this host can run (cjit needs a C compiler).
+/// The registry backends this host can run (cjit and oclsim need a C
+/// compiler).
 fn runnable_backends() -> impl Iterator<Item = &'static str> {
     available_backends()
         .iter()
         .copied()
-        .filter(|&name| name != "cjit" || CJitBackend::available())
+        .filter(|&name| backend_available(name))
 }
 
 /// Build the 8³ variable-coefficient solver on `name`, checked when
@@ -44,21 +45,23 @@ fn metered_vcycle(name: &str, opts: &BackendOptions, verify: bool) -> (RunReport
     (solver.take_metrics().unwrap(), norm)
 }
 
-#[test]
-fn cjit_plan_rebuild_is_served_from_the_artifact_cache() {
-    if !CJitBackend::available() {
-        eprintln!("skipping: no C compiler for cjit");
+/// Build the solver on compiled backend `name` twice over one fresh
+/// artifact cache directory: the cold build compiles, the warm one is
+/// served from the cache alone and computes the same bits.
+fn assert_plan_rebuild_is_served_from_the_artifact_cache(name: &str) {
+    if !backend_available(name) {
+        eprintln!("skipping: no C compiler for {name}");
         return;
     }
-    let dir = scratch_dir("cjit");
+    let dir = scratch_dir(name);
     let opts = BackendOptions::default().with_cache_dir(&dir);
-    let (cold, cold_norm) = metered_vcycle("cjit", &opts, false);
+    let (cold, cold_norm) = metered_vcycle(name, &opts, false);
     assert!(cold.cache.disk_misses > 0, "{:?}", cold.cache);
     assert_eq!(cold.cache.disk_hits, 0, "fresh cache directory");
 
     // A rebuilt solver over the same directory stands in for a second
     // process: every artifact is dlopened, no compiler runs.
-    let (warm, warm_norm) = metered_vcycle("cjit", &opts, false);
+    let (warm, warm_norm) = metered_vcycle(name, &opts, false);
     assert!(warm.cache.disk_hits > 0, "{:?}", warm.cache);
     assert_eq!(warm.cache.disk_misses, 0, "{:?}", warm.cache);
     assert!(
@@ -69,6 +72,16 @@ fn cjit_plan_rebuild_is_served_from_the_artifact_cache() {
     );
     assert_eq!(warm_norm.to_bits(), cold_norm.to_bits());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cjit_plan_rebuild_is_served_from_the_artifact_cache() {
+    assert_plan_rebuild_is_served_from_the_artifact_cache("cjit");
+}
+
+#[test]
+fn oclsim_plan_rebuild_is_served_from_the_artifact_cache() {
+    assert_plan_rebuild_is_served_from_the_artifact_cache("oclsim");
 }
 
 /// The tuner records in `dir`.
@@ -159,8 +172,8 @@ fn metered_solve_books_every_op_call_on_every_backend() {
 
 /// Each op of the 16³ GSRB operator list, the same for the `vc` and `cc`
 /// problems: its points, then its tiles for `seq` (one task per region),
-/// `oclsim` (4×64 tiles over the two fastest dimensions, the outer one
-/// rolled through) and `omp` with an explicit 3×4×5 tile (multicolor
+/// `oclsim` (one per launched 4×64 work-group over the two fastest
+/// dimensions, the outer one rolled through) and `omp` with an explicit 3×4×5 tile (multicolor
 /// reordering on). Every kernel is parallel-safe.
 const WORK_16: [[u64; 4]; 14] = [
     [7168, 20, 52, 280],
@@ -181,18 +194,21 @@ const WORK_16: [[u64; 4]; 14] = [
 
 #[test]
 fn schedules_dispatch_the_pinned_work_per_op() {
-    let backends: [Box<dyn Backend>; 3] = [
-        Box::new(SequentialBackend::new()),
-        Box::new(OclSimBackend::new()),
-        Box::new(OmpBackend::new().with_tile(vec![3, 4, 5])),
+    // (WORK_16 column, backend)
+    let mut backends: Vec<(usize, Box<dyn Backend>)> = vec![
+        (1, Box::new(SequentialBackend::new())),
+        (3, Box::new(OmpBackend::new().with_tile(vec![3, 4, 5]))),
     ];
+    if CJitBackend::available() {
+        backends.push((2, Box::new(OclSimBackend::new())));
+    }
     for problem in [Problem::poisson_vc(16), Problem::poisson_cc(16)] {
         let (list, _) = operator_list(&problem, Smoother::GsRb);
         assert_eq!(list.len(), WORK_16.len());
         for (op, ((group, shapes), want)) in list.iter().zip(&WORK_16).enumerate() {
-            for (b, backend) in backends.iter().enumerate() {
+            for (column, backend) in &backends {
                 let work = backend.compile(group, shapes).unwrap().work();
-                let tiles = want[1 + b];
+                let tiles = want[*column];
                 assert_eq!(
                     [
                         work.points,

@@ -5,7 +5,8 @@
 //! artifact cache serves a second process-equivalent compile from disk.
 
 use snowflake::backends::{
-    available_backends, backend_from_name, Backend, BackendOptions, CJitBackend, SolverPlan,
+    available_backends, backend_available, backend_from_name, Backend, BackendOptions, CJitBackend,
+    SolverPlan,
 };
 use snowflake::core::{Expr, RectDomain, ShapeMap, Stencil, StencilGroup};
 use snowflake::grid::{Grid, GridSet};
@@ -113,7 +114,7 @@ fn registry_round_trips_every_backend_name() {
         RectDomain::all(2),
     ));
     for name in available_backends() {
-        if *name == "cjit" && !CJitBackend::available() {
+        if !backend_available(name) {
             continue;
         }
         let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
