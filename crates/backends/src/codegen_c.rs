@@ -206,21 +206,41 @@ fn emit_kernel(out: &mut String, kernel: &LoweredKernel) {
         index_string(kernel, kernel.out_class, kernel.out_delta),
         value_string(kernel)
     );
+    let inner = |member: &Region| {
+        let k = member.ndim() - 1;
+        let (lo, hi, step) = (member.lo[k], member.hi[k], member.stride[k]);
+        let header = format!("for (long i{k} = {lo}; i{k} < {hi}; i{k} += {step})");
+        (header, store.clone())
+    };
     if kernel.parallel_safe {
         for nest in nests(kernel) {
-            emit_nest(out, &nest, &store, true, 2);
+            emit_nest(out, &nest, true, 2, inner);
         }
     } else {
         out.push_str("        #pragma omp single nowait\n        {\n");
         for nest in nests(kernel) {
-            emit_nest(out, &nest, &store, false, 3);
+            emit_nest(out, &nest, false, 3, inner);
         }
         out.push_str("        }\n");
     }
 }
 
-fn emit_nest(out: &mut String, nest: &Nest, store: &str, parallel: bool, depth: usize) {
-    let indent = |n: usize| "    ".repeat(n);
+/// `n` levels of indentation.
+pub(crate) fn indent(n: usize) -> String {
+    "    ".repeat(n)
+}
+
+/// Write `nest` at indentation `depth`: its worksharing pragma when
+/// `parallel`, its outer loops `i0, i1, …`, and under each member's
+/// outer-congruence guard its innermost loop, `inner(member)` = (the
+/// loop's `for (…)` header, its one statement).
+pub(crate) fn emit_nest(
+    out: &mut String,
+    nest: &Nest,
+    parallel: bool,
+    depth: usize,
+    inner: impl Fn(&Region) -> (String, String),
+) {
     let outer = &nest.outer;
     let k = outer.ndim();
     if parallel {
@@ -260,15 +280,12 @@ fn emit_nest(out: &mut String, nest: &Nest, store: &str, parallel: bool, depth: 
         if parallel && k > 0 {
             let _ = writeln!(out, "{}#pragma omp simd", indent(level));
         }
+        let (header, stmt) = inner(member);
         let _ = writeln!(
             out,
-            "{}for (long i{k} = {}; i{k} < {}; i{k} += {}) {{\n{}{store}\n{}}}",
+            "{0}{header} {{\n{1}{stmt}\n{0}}}",
             indent(level),
-            member.lo[k],
-            member.hi[k],
-            member.stride[k],
-            indent(level + 1),
-            indent(level)
+            indent(level + 1)
         );
         if !guard.is_empty() {
             let _ = writeln!(out, "{}}}", indent(body));

@@ -2,28 +2,31 @@
 //!
 //! The paper's OpenCL micro-compiler renders each stencil as a kernel using
 //! a **tall-skinny blocking**: the NDRange covers the two fastest
-//! dimensions (wide along unit stride for coalescing), a work-group is
-//! [`WORK_GROUP`] = 4 (tall) × 64 (wide) work-items, and each work-item
-//! rolls upward through the remaining dimension(s) in a private loop.
-//!
-//! This module writes three parts of one program:
+//! dimensions (wide along unit stride for coalescing), a work-group is at
+//! most [`WORK_GROUP`] = 4 (tall) × 64 (wide) work-items, and each
+//! work-item rolls upward through the remaining dimension(s) in a private
+//! loop. This module writes three parts of one program:
 //!
 //! - [`emit_ocl`]: the kernels, valid OpenCL C 1.2 with the `cl_khr_fp64`
-//!   extension, one per region of every kernel. A parallel-safe kernel
-//!   computes one (wide, tall) point per work-item, behind a guard for the
-//!   work-items of the rounded-up global size. A kernel that is not
-//!   parallel-safe is one work-item that rolls every dimension in
-//!   canonical row-major order.
-//! - [`emit_ocl_driver`]: the host launch protocol, as C99 + OpenMP. Each
-//!   op runs on one `#pragma omp parallel` team with one `#pragma omp
-//!   barrier` between barrier phases (the `clFinish` of a real queue).
-//!   Each region of a parallel-safe kernel is one `#pragma omp for
-//!   schedule(static) nowait` over its work-groups; a sequential kernel's
-//!   regions are launched once each, in union order, under one `#pragma
-//!   omp single nowait`.
+//!   extension, one per region of every kernel, each annotated with its
+//!   NDRange and local size. A parallel-safe kernel computes one (wide,
+//!   tall) point per work-item, behind a guard for a rounded-up global
+//!   size, and rolls the other dimensions from `SF_LO` to `SF_HI`, which
+//!   under `__OPENCL_VERSION__` are the full range (`SF_ITEM` then adds no
+//!   parameter). A kernel that is not parallel-safe is one work-item that
+//!   rolls every dimension in canonical row-major order.
+//! - [`emit_ocl_driver`]: a CPU host, as C99 + OpenMP: one `#pragma omp
+//!   parallel` team per op, one `#pragma omp barrier` between phases (the
+//!   `clFinish` of a real queue). A parallel-safe kernel runs on cjit's
+//!   loop nests (`codegen_c::nests`, colour-union hulls and guards), a
+//!   row's work-items as the innermost, unit-stride loop and one rolled
+//!   plane per call, as a CPU OpenCL runtime runs a work-group. A
+//!   sequential kernel's regions run once each, in union order, under one
+//!   `#pragma omp single nowait`.
 //! - [`ocl_unit`]: a shim (`__kernel` → `static inline`, `__global` →
-//!   nothing, `get_global_id(d)` → the calling thread's current
-//!   work-item), the kernels and the driver as one C99 translation unit.
+//!   nothing; `get_global_id`, `SF_ITEM`, `SF_LO` and `SF_HI` → the
+//!   work-item and plane the driver passes), the kernels and the driver
+//!   as one C99 translation unit.
 //!
 //! [`crate::oclsim::OclSimBackend`] compiles that unit through cjit's
 //! toolchain and runs it, so the bitwise equivalence suites check this
@@ -32,28 +35,28 @@
 
 use std::fmt::Write as _;
 
-use snowflake_grid::Region;
 use snowflake_ir::{Lowered, LoweredKernel, SpecForm};
 
-use crate::codegen_c::{emit_team, index_string, value_string};
+use crate::codegen_c::{emit_nest, emit_team, indent, index_string, nests, value_string};
 
-/// Work-items per work-group: 4 along the second-fastest dimension (the
-/// "tall" edge) by 64 along the fastest, unit-stride one (the "skinny"
-/// edge, kept wide for coalescing). A 1-D kernel's work-groups are 64
-/// work-items.
+/// The largest GPU work-group the kernel annotations name: 4 work-items
+/// along the second-fastest dimension (the "tall" edge) by 64 along the
+/// fastest, unit-stride one (the "skinny" edge, kept wide for
+/// coalescing). A region narrower than an edge gets a group as narrow as
+/// the region.
 pub const WORK_GROUP: [i64; 2] = [4, 64];
 
 /// What makes the OpenCL kernels C99: each becomes a static function of
-/// the unit, and `get_global_id` reads the work-item the driver set for
-/// the calling thread.
+/// the unit, and the driver passes it the work-item and the plane of the
+/// rolled dimensions it computes.
 const SHIM: &str = "\
-/* OpenCL C as C99: kernels are static functions of this unit, and
- * get_global_id reads the calling thread's current work-item. */
+/* OpenCL C as C99: one kernel call per work-item and rolled plane. */
 #define __kernel static inline
 #define __global
-static long sf_global_id[2];
-#pragma omp threadprivate(sf_global_id)
-#define get_global_id(d) sf_global_id[d]
+#define get_global_id(d) sf_id##d
+#define SF_ITEM(...) __VA_ARGS__,
+#define SF_LO(d, lo) sf_plane##d
+#define SF_HI(d, hi) (sf_plane##d + 1)
 
 ";
 
@@ -74,32 +77,6 @@ fn kernel_grids(kernel: &LoweredKernel) -> Vec<usize> {
     grids
 }
 
-/// A parallel-safe region's launch, `[tall, wide]`: the work-group size
-/// and the number of work-groups, its extents rounded up to work-group
-/// multiples. A 1-D region's NDRange is one work-item tall.
-fn launch(region: &Region) -> ([i64; 2], [i64; 2]) {
-    let nd = region.ndim();
-    let (size, extent) = if nd >= 2 {
-        (WORK_GROUP, [region.extent(nd - 2), region.extent(nd - 1)])
-    } else {
-        ([1, WORK_GROUP[1]], [1, region.extent(0)])
-    };
-    (size, [0, 1].map(|d| (extent[d] + size[d] - 1) / size[d]))
-}
-
-/// The launches the driver makes for `kernel` per run: every work-group of
-/// every non-empty region of a parallel-safe kernel, and one (the whole
-/// sequential kernel under one `single`) otherwise.
-pub(crate) fn launches(kernel: &LoweredKernel) -> u64 {
-    if !kernel.parallel_safe {
-        return 1;
-    }
-    let groups = kernel.regions.iter().filter(|r| !r.is_empty());
-    groups
-        .map(|r| launch(r).1.iter().product::<i64>())
-        .sum::<i64>() as u64
-}
-
 /// Emit the OpenCL program (all kernels) for a lowered group.
 pub fn emit_ocl(lowered: &Lowered) -> String {
     let mut out = String::new();
@@ -107,14 +84,19 @@ pub fn emit_ocl(lowered: &Lowered) -> String {
         out,
         "// Generated by snowflake-backends::codegen_ocl.\n\
          // Grids: {:?}; kernel argument gI is grid I.\n\
-         // Host launch protocol (emit_ocl_driver writes it as C):\n\
+         // Host launch protocol (emit_ocl_driver writes a CPU host as C):\n\
          //   for each phase in {:?}:\n\
-         //     launch every region as annotated below on {}x{} (tall x wide)\n\
-         //     work-groups, then clFinish() as the barrier.\n\
+         //     launch every region on the NDRange and local size annotated\n\
+         //     below, then clFinish() as the barrier.\n\
+         // On a device, SF_ITEM adds no parameter and each work-item rolls\n\
+         // the full range SF_LO..SF_HI of the remaining dimensions.\n\
          #ifdef __OPENCL_VERSION__\n\
          #pragma OPENCL EXTENSION cl_khr_fp64 : enable\n\
+         #define SF_ITEM(...)\n\
+         #define SF_LO(d, lo) (lo)\n\
+         #define SF_HI(d, hi) (hi)\n\
          #endif\n",
-        lowered.grid_names, lowered.phases, WORK_GROUP[0], WORK_GROUP[1]
+        lowered.grid_names, lowered.phases
     );
     for (ki, kernel) in lowered.kernels.iter().enumerate() {
         let args: Vec<String> = kernel_grids(kernel)
@@ -132,61 +114,67 @@ pub fn emit_ocl(lowered: &Lowered) -> String {
                 continue;
             }
             let nd = region.ndim();
-            let _ = write!(out, "// kernel {:?} region {ri}: ", kernel.name);
-            let rolled = if !kernel.parallel_safe {
-                out.push_str("NOT parallel-safe: one work-item rolls the region\n");
-                0..nd
-            } else if nd >= 2 {
-                let (tall, wide) = (nd - 2, nd - 1);
-                let _ = writeln!(
-                    out,
-                    "NDRange = ({} /* dim {wide} */, {} /* dim {tall} */)",
-                    region.extent(wide),
-                    region.extent(tall)
-                );
-                0..tall
+            // Work-item id `j{d}` along NDRange dimension `n` is point
+            // `lo + j * stride` of region dimension `d`: the last two
+            // dimensions of a parallel-safe kernel, wide first. The
+            // dimensions before them are rolled.
+            let ids: Vec<usize> = if kernel.parallel_safe {
+                (nd.saturating_sub(2)..nd).rev().collect()
             } else {
-                let _ = writeln!(out, "NDRange = ({} /* dim 0 */)", region.extent(0));
-                0..0
+                Vec::new()
             };
-            let _ = writeln!(out, "__kernel void k{ki}_r{ri}({})\n{{", args.join(", "));
+            let rolled = nd - ids.len();
+            let _ = write!(out, "// kernel {:?} region {ri}: ", kernel.name);
+            let mut hidden = String::new();
             if kernel.parallel_safe {
-                // Work-item id `j{d}` along NDRange dimension `n` is point
-                // `lo + j * stride` of region dimension `d`.
-                let ids: Vec<(usize, usize)> = if nd >= 2 {
-                    vec![(nd - 1, 0), (nd - 2, 1)]
-                } else {
-                    vec![(0, 0)]
-                };
-                for &(d, n) in &ids {
-                    let _ = writeln!(out, "    const long j{d} = get_global_id({n});");
+                let (mut ndrange, mut local, mut params) = (vec![], vec![], vec![]);
+                for (n, (&d, edge)) in ids.iter().zip(WORK_GROUP.iter().rev()).enumerate() {
+                    ndrange.push(format!("{} /* dim {d} */", region.extent(d)));
+                    local.push(edge.min(&region.extent(d)).to_string());
+                    params.push(format!("long sf_id{n}"));
                 }
+                params.extend((0..rolled).map(|d| format!("long sf_plane{d}")));
+                let (ndrange, local) = (ndrange.join(", "), local.join(", "));
+                let _ = writeln!(out, "NDRange = ({ndrange}), local size ({local})");
+                hidden = format!("SF_ITEM({}) ", params.join(", "));
+            } else {
+                out.push_str("NOT parallel-safe: one work-item rolls the region\n");
+            }
+            let _ = writeln!(
+                out,
+                "__kernel void k{ki}_r{ri}({hidden}{})\n{{",
+                args.join(", ")
+            );
+            for (n, &d) in ids.iter().enumerate() {
+                let _ = writeln!(out, "    const long j{d} = get_global_id({n});");
+            }
+            if kernel.parallel_safe {
                 let guard: Vec<String> = ids
                     .iter()
-                    .map(|&(d, _)| format!("j{d} >= {}", region.extent(d)))
+                    .map(|&d| format!("j{d} >= {}", region.extent(d)))
                     .collect();
                 let _ = writeln!(out, "    if ({}) return;", guard.join(" || "));
-                for &(d, _) in &ids {
-                    let _ = writeln!(
-                        out,
-                        "    const long i{d} = {} + j{d} * {};",
-                        region.lo[d], region.stride[d]
-                    );
-                }
             }
-            let indent = |n: usize| "    ".repeat(n);
-            for d in rolled.clone() {
+            for &d in &ids {
+                let (lo, step) = (region.lo[d], region.stride[d]);
+                let _ = writeln!(out, "    const long i{d} = {lo} + j{d} * {step};");
+            }
+            for d in 0..rolled {
+                let (lo, hi) = (region.lo[d], region.hi[d]);
+                let (lo, hi) = if kernel.parallel_safe {
+                    (format!("SF_LO({d}, {lo})"), format!("SF_HI({d}, {hi})"))
+                } else {
+                    (lo.to_string(), hi.to_string())
+                };
                 let _ = writeln!(
                     out,
-                    "{}for (long i{d} = {}; i{d} < {}; i{d} += {}) {{ // rolled",
+                    "{}for (long i{d} = {lo}; i{d} < {hi}; i{d} += {}) {{ // rolled",
                     indent(1 + d),
-                    region.lo[d],
-                    region.hi[d],
                     region.stride[d]
                 );
             }
-            let _ = writeln!(out, "{}{store}", indent(1 + rolled.len()));
-            for d in rolled.rev() {
+            let _ = writeln!(out, "{}{store}", indent(1 + rolled));
+            for d in (0..rolled).rev() {
                 let _ = writeln!(out, "{}}}", indent(1 + d));
             }
             out.push_str("}\n\n");
@@ -196,11 +184,11 @@ pub fn emit_ocl(lowered: &Lowered) -> String {
 }
 
 /// Emit the host driver: `void <func>(double** g)`, where `g[i]` is the
-/// base pointer of grid `i` in the lowering's dense order, launching every
+/// base pointer of grid `i` in the lowering's dense order, running every
 /// kernel of [`emit_ocl`] under the protocol in the module docs. Each
-/// kernel's launches follow the same kernel marker comment as its loop
-/// nests in cjit's C, so the plan check audits both sources against one
-/// pragma contract.
+/// kernel's loops follow the same kernel marker comment as its loop nests
+/// in cjit's C, so the plan check audits both sources against one pragma
+/// contract.
 pub fn emit_ocl_driver(lowered: &Lowered, func: &str) -> String {
     let mut out = String::from("/* Host driver: one OpenMP team, one barrier between phases. */\n");
     emit_team(&mut out, lowered, func, "", |out, ki, kernel| {
@@ -208,34 +196,36 @@ pub fn emit_ocl_driver(lowered: &Lowered, func: &str) -> String {
             .iter()
             .map(|g| format!("g[{g}]"))
             .collect();
-        let args = args.join(", ");
-        let regions = kernel.regions.iter().enumerate();
-        let regions = regions.filter(|(_, r)| !r.is_empty());
         if !kernel.parallel_safe {
             out.push_str("        #pragma omp single nowait\n        {\n");
-            for (ri, _) in regions {
-                let _ = writeln!(out, "            k{ki}_r{ri}({args});");
+            for (ri, region) in kernel.regions.iter().enumerate() {
+                if !region.is_empty() {
+                    let _ = writeln!(out, "            k{ki}_r{ri}({});", args.join(", "));
+                }
             }
             out.push_str("        }\n");
             return;
         }
-        for (ri, region) in regions {
-            let ([tall, wide], [tall_groups, wide_groups]) = launch(region);
-            let _ = writeln!(
-                out,
-                "        #pragma omp for schedule(static) nowait collapse(2)\n\
-                 \x20       for (long wg1 = 0; wg1 < {tall_groups}; wg1++) {{\n\
-                 \x20           for (long wg0 = 0; wg0 < {wide_groups}; wg0++) {{\n\
-                 \x20               for (long l1 = 0; l1 < {tall}; l1++) {{\n\
-                 \x20                   sf_global_id[1] = wg1 * {tall} + l1;\n\
-                 \x20                   for (long l0 = 0; l0 < {wide}; l0++) {{\n\
-                 \x20                       sf_global_id[0] = wg0 * {wide} + l0;\n\
-                 \x20                       k{ki}_r{ri}({args});\n\
-                 \x20                   }}\n\
-                 \x20               }}\n\
-                 \x20           }}\n\
-                 \x20       }}"
-            );
+        for nest in nests(kernel) {
+            emit_nest(out, &nest, true, 2, |member| {
+                // The wide work-item runs innermost, the tall one is the
+                // member's row, and the outer loops are the rolled planes.
+                let ri = kernel.regions.iter().position(|r| std::ptr::eq(r, member));
+                let ri = ri.expect("nests are made of the kernel's regions");
+                let nd = member.ndim();
+                let mut call = vec![format!("j{}", nd - 1)];
+                if let Some(t) = nd.checked_sub(2) {
+                    let (lo, step) = (member.lo[t], member.stride[t]);
+                    call.push(format!("(i{t} - {lo}) / {step}"));
+                }
+                call.extend((0..nd.saturating_sub(2)).map(|d| format!("i{d}")));
+                call.extend(args.iter().cloned());
+                let (w, extent) = (nd - 1, member.extent(nd - 1));
+                (
+                    format!("for (long j{w} = 0; j{w} < {extent}; j{w}++)"),
+                    format!("k{ki}_r{ri}({});", call.join(", ")),
+                )
+            });
         }
     });
     out
@@ -283,7 +273,10 @@ mod tests {
         assert!(src.contains("get_global_id(0)"));
         assert!(src.contains("get_global_id(1)"));
         // The outer dim is rolled in a loop, not part of the NDRange.
-        assert!(src.contains("// rolled"));
+        assert!(
+            src.contains("for (long i0 = SF_LO(0, 1); i0 < SF_HI(0, 15); i0 += 1) { // rolled"),
+            "{src}"
+        );
         assert!(src.contains("cl_khr_fp64"));
     }
 
@@ -308,14 +301,28 @@ mod tests {
 
     const HEADER: &str = r#"// Generated by snowflake-backends::codegen_ocl.
 // Grids: ["x", "y"]; kernel argument gI is grid I.
-// Host launch protocol (emit_ocl_driver writes it as C):
+// Host launch protocol (emit_ocl_driver writes a CPU host as C):
 //   for each phase in [[0]]:
-//     launch every region as annotated below on 4x64 (tall x wide)
-//     work-groups, then clFinish() as the barrier.
+//     launch every region on the NDRange and local size annotated
+//     below, then clFinish() as the barrier.
+// On a device, SF_ITEM adds no parameter and each work-item rolls
+// the full range SF_LO..SF_HI of the remaining dimensions.
 #ifdef __OPENCL_VERSION__
 #pragma OPENCL EXTENSION cl_khr_fp64 : enable
+#define SF_ITEM(...)
+#define SF_LO(d, lo) (lo)
+#define SF_HI(d, hi) (hi)
 #endif
 
+"#;
+
+    const DRIVER_HEAD: &str = r#"/* Host driver: one OpenMP team, one barrier between phases. */
+void run(double** g)
+{
+#pragma omp parallel
+    {
+
+        /* ===== phase 0 ===== */
 "#;
 
     #[test]
@@ -328,8 +335,8 @@ mod tests {
         let group =
             StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2)).named("jacobi2d"));
         let lowered = lower_group(&group, &shapes_6x6(), &LowerOptions::default()).unwrap();
-        let kernels = r#"// kernel "jacobi2d" region 0: NDRange = (4 /* dim 1 */, 4 /* dim 0 */)
-__kernel void k0_r0(__global double* g0, __global double* g1)
+        let kernels = r#"// kernel "jacobi2d" region 0: NDRange = (4 /* dim 1 */, 4 /* dim 0 */), local size (4, 4)
+__kernel void k0_r0(SF_ITEM(long sf_id0, long sf_id1) __global double* g0, __global double* g1)
 {
     const long j1 = get_global_id(0);
     const long j0 = get_global_id(1);
@@ -341,55 +348,38 @@ __kernel void k0_r0(__global double* g0, __global double* g1)
 
 "#;
         assert_eq!(emit_ocl(&lowered), format!("{HEADER}{kernels}"));
-        // One work-group covers the 4×4 NDRange; its other work-items
-        // take the guard's early return.
-        let driver = r#"/* Host driver: one OpenMP team, one barrier between phases. */
-void run(double** g)
-{
-#pragma omp parallel
-    {
-
-        /* ===== phase 0 ===== */
-        /* kernel 0 "jacobi2d" (parallel-safe) */
-        #pragma omp for schedule(static) nowait collapse(2)
-        for (long wg1 = 0; wg1 < 1; wg1++) {
-            for (long wg0 = 0; wg0 < 1; wg0++) {
-                for (long l1 = 0; l1 < 4; l1++) {
-                    sf_global_id[1] = wg1 * 4 + l1;
-                    for (long l0 = 0; l0 < 64; l0++) {
-                        sf_global_id[0] = wg0 * 64 + l0;
-                        k0_r0(g[0], g[1]);
-                    }
-                }
+        // cjit's one nest: a row's four work-items innermost, the tall id
+        // from the row.
+        let driver = r#"        /* kernel 0 "jacobi2d" (parallel-safe) */
+        #pragma omp for schedule(static) nowait
+        for (long i0 = 1; i0 < 5; i0 += 1) {
+            #pragma omp simd
+            for (long j1 = 0; j1 < 4; j1++) {
+                k0_r0(j1, (i0 - 1) / 1, g[0], g[1]);
             }
         }
     }
 }
 "#;
-        assert_eq!(emit_ocl_driver(&lowered, "run"), driver);
-        assert_eq!(launches(&lowered.kernels[0]), 1);
+        assert_eq!(
+            emit_ocl_driver(&lowered, "run"),
+            format!("{DRIVER_HEAD}{driver}")
+        );
     }
 
+    /// A red colour over 6×6: two regions, the rows of one hull, each under
+    /// its congruence guard in the driver.
     #[test]
-    fn golden_snapshot_red_black_kernel() {
+    fn golden_snapshot_red_black_kernel_and_driver() {
         let (red, _) = DomainUnion::red_black(2);
         let avg = Expr::read_at("x", &[0, -1]) * 0.5 + Expr::read_at("x", &[0, 1]) * 0.5;
         let group = StencilGroup::from(Stencil::new(avg, "x", red).named("red_avg"));
         let mut shapes = shapes_6x6();
         shapes.remove("y");
         let lowered = lower_group(&group, &shapes, &LowerOptions::default()).unwrap();
-        let expected = r#"// Generated by snowflake-backends::codegen_ocl.
-// Grids: ["x"]; kernel argument gI is grid I.
-// Host launch protocol (emit_ocl_driver writes it as C):
-//   for each phase in [[0]]:
-//     launch every region as annotated below on 4x64 (tall x wide)
-//     work-groups, then clFinish() as the barrier.
-#ifdef __OPENCL_VERSION__
-#pragma OPENCL EXTENSION cl_khr_fp64 : enable
-#endif
-
-// kernel "red_avg" region 0: NDRange = (2 /* dim 1 */, 2 /* dim 0 */)
-__kernel void k0_r0(__global double* g0)
+        let header = HEADER.replace(r#"["x", "y"]"#, r#"["x"]"#);
+        let kernels = r#"// kernel "red_avg" region 0: NDRange = (2 /* dim 1 */, 2 /* dim 0 */), local size (2, 2)
+__kernel void k0_r0(SF_ITEM(long sf_id0, long sf_id1) __global double* g0)
 {
     const long j1 = get_global_id(0);
     const long j0 = get_global_id(1);
@@ -399,8 +389,8 @@ __kernel void k0_r0(__global double* g0)
     g0[i0*6 + i1] = ((g0[i0*6 + i1 + -1] * 0.5) + (g0[i0*6 + i1 + 1] * 0.5));
 }
 
-// kernel "red_avg" region 1: NDRange = (2 /* dim 1 */, 2 /* dim 0 */)
-__kernel void k0_r1(__global double* g0)
+// kernel "red_avg" region 1: NDRange = (2 /* dim 1 */, 2 /* dim 0 */), local size (2, 2)
+__kernel void k0_r1(SF_ITEM(long sf_id0, long sf_id1) __global double* g0)
 {
     const long j1 = get_global_id(0);
     const long j0 = get_global_id(1);
@@ -411,7 +401,30 @@ __kernel void k0_r1(__global double* g0)
 }
 
 "#;
-        assert_eq!(emit_ocl(&lowered), expected);
+        assert_eq!(emit_ocl(&lowered), format!("{header}{kernels}"));
+        let driver = r#"        /* kernel 0 "red_avg" (parallel-safe) */
+        #pragma omp for schedule(static) nowait
+        for (long i0 = 1; i0 < 5; i0 += 1) {
+            if ((i0 - 1) % 2 == 0) {
+                #pragma omp simd
+                for (long j1 = 0; j1 < 2; j1++) {
+                    k0_r0(j1, (i0 - 1) / 2, g[0]);
+                }
+            }
+            if ((i0 - 2) % 2 == 0) {
+                #pragma omp simd
+                for (long j1 = 0; j1 < 2; j1++) {
+                    k0_r1(j1, (i0 - 2) / 2, g[0]);
+                }
+            }
+        }
+    }
+}
+"#;
+        assert_eq!(
+            emit_ocl_driver(&lowered, "run"),
+            format!("{DRIVER_HEAD}{driver}")
+        );
     }
 
     /// An in-place lexicographic Gauss-Seidel over two row blocks, upper
@@ -452,14 +465,7 @@ __kernel void k0_r1(__global double* g0)
 
 "#;
         assert_eq!(emit_ocl(&lowered), format!("{header}{kernels}"));
-        let driver = r#"/* Host driver: one OpenMP team, one barrier between phases. */
-void run(double** g)
-{
-#pragma omp parallel
-    {
-
-        /* ===== phase 0 ===== */
-        /* kernel 0 "lex" (sequential: loop-carried dependence) */
+        let driver = r#"        /* kernel 0 "lex" (sequential: loop-carried dependence) */
         #pragma omp single nowait
         {
             k0_r0(g[0]);
@@ -468,29 +474,49 @@ void run(double** g)
     }
 }
 "#;
-        assert_eq!(emit_ocl_driver(&lowered, "run"), driver);
-        assert_eq!(launches(&lowered.kernels[0]), 1);
+        assert_eq!(
+            emit_ocl_driver(&lowered, "run"),
+            format!("{DRIVER_HEAD}{driver}")
+        );
     }
 
     #[test]
-    fn launches_count_rounded_up_work_groups() {
-        // 3-D interior of 70³: 68 × 68 NDRange per plane = 17 tall × 2
-        // wide groups, the outer dimension rolled.
-        let lowered = lowered_3d(70);
-        assert_eq!(launches(&lowered.kernels[0]), 17 * 2);
-        let unit = ocl_unit(&lowered, "run");
+    fn local_size_is_at_most_the_region() {
+        // 3-D interior of 70³: the full 4×64 group, over 68 work-items per
+        // row that the driver runs exactly, the outer dimension one plane
+        // per call.
+        let unit = ocl_unit(&lowered_3d(70), "run");
         assert!(
-            unit.contains("wg1 < 17;") && unit.contains("wg0 < 2;"),
+            unit.contains("NDRange = (68 /* dim 2 */, 68 /* dim 1 */), local size (64, 4)"),
             "{unit}"
         );
-        // 1-D: 64 work-items per group.
+        assert!(unit.contains("for (long j2 = 0; j2 < 68; j2++)"), "{unit}");
+        assert!(
+            unit.contains("k0_r0(j2, (i1 - 1) / 1, i0, g[0], g[1]);"),
+            "{unit}"
+        );
+        // A 3-D red colour at 66³: 32 work-items wide, so 32-wide groups.
         let mut shapes = ShapeMap::new();
-        shapes.insert("x".into(), vec![131]);
-        let s = Stencil::new(Expr::read_at("x", &[0]) * 2.0, "x", RectDomain::all(1));
+        shapes.insert("x".into(), vec![66, 66, 66]);
+        let (red, _) = DomainUnion::red_black(3);
+        let s = Stencil::new(Expr::read_at("x", &[0, 0, 1]) * 0.5, "x", red);
         let lowered =
             lower_group(&StencilGroup::from(s), &shapes, &LowerOptions::default()).unwrap();
-        assert_eq!(launches(&lowered.kernels[0]), 3);
-        assert!(ocl_unit(&lowered, "run").contains("for (long wg0 = 0; wg0 < 3; wg0++)"));
+        let src = emit_ocl(&lowered);
+        assert_eq!(src.matches("local size (32, 4)").count(), 4, "{src}");
+        // 1-D: at most 64 work-items per group.
+        for (n, local) in [(131, 64), (12, 12)] {
+            let mut shapes = ShapeMap::new();
+            shapes.insert("x".into(), vec![n]);
+            let s = Stencil::new(Expr::read_at("x", &[0]) * 2.0, "x", RectDomain::all(1));
+            let lowered =
+                lower_group(&StencilGroup::from(s), &shapes, &LowerOptions::default()).unwrap();
+            let unit = ocl_unit(&lowered, "run");
+            let annotation = format!("NDRange = ({n} /* dim 0 */), local size ({local})");
+            assert!(unit.contains(&annotation), "{unit}");
+            assert!(unit.contains("k0_r0(SF_ITEM(long sf_id0) __global double* g0)"));
+            assert!(unit.contains(&format!("for (long j0 = 0; j0 < {n}; j0++)")));
+        }
     }
 
     #[test]
@@ -514,10 +540,15 @@ void run(double** g)
         // The grid table is in first-use order: a, c, b.
         let unit = ocl_unit(&lowered, "run");
         assert!(
-            unit.contains("k0_r0(__global double* g0, __global double* g1)"),
+            unit.contains(
+                "k0_r0(SF_ITEM(long sf_id0, long sf_id1) __global double* g0, __global double* g1)"
+            ),
             "{unit}"
         );
-        assert!(unit.contains("k1_r0(__global double* g2)"), "{unit}");
-        assert!(unit.contains("k1_r0(g[2]);"), "{unit}");
+        assert!(
+            unit.contains("k1_r0(SF_ITEM(long sf_id0, long sf_id1) __global double* g2)"),
+            "{unit}"
+        );
+        assert!(unit.contains("k1_r0(j1, (i0 - 1) / 1, g[2]);"), "{unit}");
     }
 }

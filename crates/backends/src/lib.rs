@@ -11,7 +11,7 @@
 //! | [`interp::InterpreterBackend`] | the Python reference backend | walks the expression tree per point; slow, canonical semantics |
 //! | [`seq::SequentialBackend`] | sequential C | closed-form kernels (linear records and register tapes), single thread |
 //! | [`omp::OmpBackend`] | C + OpenMP | rayon task farm; greedy barrier phases, arbitrary-dimension tiling, multicolor reordering |
-//! | [`oclsim::OclSimBackend`] | C + OpenCL | emits OpenCL kernels with 4×64 tall-skinny work-groups rolled through the remaining dimension, plus a C driver that launches them (see [`codegen_ocl`]); compiled through cjit's toolchain, work-groups run on an OpenMP team |
+//! | [`oclsim::OclSimBackend`] | C + OpenCL | emits OpenCL kernels with the paper's tall-skinny blocking (a 2-D NDRange, the remaining dimensions rolled), plus a CPU driver (see [`codegen_ocl`]); compiled through cjit's toolchain, the driver walks cjit's loop nests with a row's work-items innermost, one plane per kernel call |
 //! | [`cjit::CJitBackend`] | C + OpenMP via a real C compiler | emits C99 (see [`codegen_c`]), invokes the system `cc`, `dlopen`s the result — the paper's actual JIT pipeline |
 //! | [`checked::CheckedBackend`] | — (sanitizer) | instrumented interpreter over the lowered form: range-checks every access, tracks per-phase shadow write-sets, bitwise-identical to `seq` |
 //!

@@ -4,15 +4,15 @@
 //! iteration space is cut into work-groups over the fastest two
 //! dimensions, and each work-item "rolls" upward through the remaining
 //! (outer) dimension(s). [`crate::codegen_ocl`] emits those kernels as
-//! OpenCL C and their host launch protocol as a C driver; this backend
-//! compiles the shim, the kernels and the driver as one C99 translation
-//! unit through cjit's pipeline (the toolchain probe, the same flags with
-//! `-ffp-contract=off`, the persistent artifact cache and `-z nodelete`
-//! loading) and runs the driver. Each op is one OpenMP team; each region
-//! of a parallel-safe kernel is a worksharing loop over its 4×64
-//! work-groups, and a kernel that is not parallel-safe is one work-item
-//! per region, launched in union order by one thread. No GPU or OpenCL
-//! runtime is assumed to exist (see DESIGN.md, substitutions).
+//! OpenCL C and a CPU host driver in C; this backend compiles the shim,
+//! the kernels and the driver as one C99 unit through cjit's pipeline
+//! (the toolchain probe, the same flags with `-ffp-contract=off`, the
+//! persistent artifact cache and `-z nodelete` loading) and runs the
+//! driver: one OpenMP team per op, on cjit's loop nests with a row's
+//! work-items innermost and one plane per kernel call, as a CPU OpenCL
+//! runtime runs work-groups. A kernel that is not parallel-safe is one
+//! work-item per region, launched in union order by one thread. No GPU
+//! or OpenCL runtime is assumed to exist (see DESIGN.md, substitutions).
 //!
 //! Like cjit, the backend needs a C compiler: without one, `compile`
 //! returns `CoreError::Backend`.
@@ -21,7 +21,8 @@ use std::path::PathBuf;
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 
-use crate::codegen_ocl::{launches, ocl_unit};
+use crate::codegen_c::nests;
+use crate::codegen_ocl::ocl_unit;
 use crate::metrics::BackendStats;
 use crate::{Backend, CJitBackend, Executable};
 
@@ -57,10 +58,16 @@ impl Backend for OclSimBackend {
         self.jit.stats()
     }
 
-    /// One dispatch per launched work-group, and one per sequential
-    /// kernel.
+    /// One dispatch per loop nest of a parallel-safe kernel, as in cjit,
+    /// and one per sequential kernel.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        self.jit.compile_with(group, shapes, ocl_unit, launches)
+        self.jit.compile_with(group, shapes, ocl_unit, |k| {
+            if k.parallel_safe {
+                nests(k).len() as u64
+            } else {
+                1
+            }
+        })
     }
 }
 
@@ -138,9 +145,9 @@ mod tests {
         let mut grids = GridSet::new();
         grids.insert("x", random_grid(&[n, n, n], 11));
         grids.insert("y", Grid::new(&[n, n, n]));
-        // 18 × 18 work-items per plane: 5 tall × 1 wide work-groups.
+        // One loop nest, as in cjit: 18 × 18 rows of 18 work-items.
         assert_oclsim_matches_seq(&group, &grids, |report| {
-            assert_eq!(report.kernels.parallel_tasks, 5)
+            assert_eq!(report.kernels.parallel_tasks, 1)
         });
     }
 
@@ -157,6 +164,64 @@ mod tests {
         let mut grids = GridSet::new();
         grids.insert("x", random_grid(&[12, 12], 2));
         assert_oclsim_matches_seq(&group, &grids, |_| {});
+    }
+
+    /// The ranks the shim's work-item and plane parameters must cover: a
+    /// 1-D kernel (one work-item id, nothing rolled), a 2-D one (two ids)
+    /// and a 4-D one (two ids, two rolled planes), each a rectangle and an
+    /// in-place red-black colour pair.
+    #[test]
+    fn kernels_of_every_rank_match_seq_bitwise() {
+        if !require_cc() {
+            return;
+        }
+        for shape in [vec![203], vec![23, 70], vec![6, 7, 8, 69]] {
+            let nd = shape.len();
+            let at = |d: usize, o: i64| {
+                let mut off = vec![0; nd];
+                off[d] = o;
+                Expr::read_at("x", &off)
+            };
+            let spread = (0..nd).fold(at(0, 0) * 0.5, |e, d| {
+                e + at(d, -1) * 0.125 + at(d, 1) * 0.25
+            });
+            let (red, black) = DomainUnion::red_black(nd);
+            let group = StencilGroup::new()
+                .with(Stencil::new(spread.clone(), "y", RectDomain::interior(nd)))
+                .with(Stencil::new(spread.clone(), "x", red))
+                .with(Stencil::new(spread, "x", black));
+            let mut grids = GridSet::new();
+            grids.insert("x", random_grid(&shape, 7));
+            grids.insert("y", Grid::new(&shape));
+            // One loop nest per kernel: a 1-D colour is one strided
+            // piece, and a wider one's pieces tile one hull.
+            assert_oclsim_matches_seq(&group, &grids, |report| {
+                assert_eq!(report.kernels.parallel_tasks, 3);
+                assert_eq!(report.kernels.sequential_tasks, 0);
+            });
+        }
+    }
+
+    /// A union whose pieces `tiled_hull` refuses to merge (two pieces of
+    /// one row congruence class beside the other class) keeps one nest
+    /// per piece, each calling its own region's kernel.
+    #[test]
+    fn union_of_unmerged_pieces_matches_seq_bitwise() {
+        if !require_cc() {
+            return;
+        }
+        let union = RectDomain::new(&[1, 0], &[6, 4], &[2, 1])
+            + RectDomain::new(&[7, 0], &[10, 4], &[2, 1])
+            + RectDomain::new(&[2, 0], &[9, 4], &[2, 1]);
+        let x = |i: i64, j: i64| Expr::read_at("x", &[i, j]);
+        let update = x(-1, 0) * 0.5 + x(1, 0) * 0.25 + x(0, 1);
+        let group = StencilGroup::from(Stencil::new(update, "y", union));
+        let mut grids = GridSet::new();
+        grids.insert("x", random_grid(&[11, 5], 8));
+        grids.insert("y", random_grid(&[11, 5], 9));
+        assert_oclsim_matches_seq(&group, &grids, |report| {
+            assert_eq!(report.kernels.parallel_tasks, 3)
+        });
     }
 
     /// An in-place kernel that is not parallel-safe runs each region as one

@@ -24,15 +24,14 @@
 //!    are proved to stay inside the dense grid allocations.
 //! 4. **Codegen audit** — the two generated units the compiled backends
 //!    run, after the closed-form pass, are scanned against one pragma
-//!    contract: cjit's C and oclsim's OpenCL unit (its driver launches the
-//!    kernels). Each has one `#pragma omp parallel` region per function,
-//!    one `#pragma omp barrier` between consecutive phases, and per kernel
-//!    either one worksharing `#pragma omp for` per dispatch of a
-//!    parallel-safe kernel (an emitted loop nest in the C, a region's
-//!    NDRange in the driver) and no `single`, or exactly one `#pragma omp
-//!    single` and no worksharing loop for a sequential kernel. The rayon
-//!    backend dispatches parallel tasks purely on the `parallel_safe`
-//!    flag, so step 2's flag re-derivation is its audit.
+//!    contract: cjit's C and oclsim's OpenCL unit (its driver runs the
+//!    kernels on the same loop nests). Each has one `#pragma omp parallel`
+//!    region per function, one `#pragma omp barrier` between consecutive
+//!    phases, and per kernel either one worksharing `#pragma omp for` per
+//!    loop nest of a parallel-safe kernel and no `single`, or exactly one
+//!    `#pragma omp single` and no worksharing loop for a sequential one.
+//!    The rayon backend dispatches parallel tasks purely on the
+//!    `parallel_safe` flag, so step 2's flag re-derivation is its audit.
 //!
 //! It then lints the operator list once in inventory mode (the
 //! order-free lint rules; the solver dispatches its ops dynamically, so
@@ -253,12 +252,12 @@ fn certify_op(
     }
 
     // 5. Audit the generated C and OpenCL units.
-    let audits = [
-        audit_c(&lowered, &emit_c(&lowered, "snowflake_verify_audit")),
-        audit_ocl(&lowered, &ocl_unit(&lowered, "snowflake_verify_audit")),
+    let units = [
+        ("C", emit_c(&lowered, "snowflake_verify_audit")),
+        ("OpenCL unit", ocl_unit(&lowered, "snowflake_verify_audit")),
     ];
-    for audit in audits {
-        match audit {
+    for (unit, src) in units {
+        match audit_c_source(&lowered, &src, unit) {
             Ok(n) => cert.pragmas_audited += n,
             Err(ds) => diags.extend(ds),
         }
@@ -406,33 +405,18 @@ fn offsets_of(delta: isize, strides: &[usize]) -> Vec<i128> {
         .collect()
 }
 
-/// Audit the C micro-compiler's source against the pragma contract of
-/// [`audit_c_source`], with one worksharing loop per loop nest of
-/// [`crate::codegen_c`]. Returns the number of pragmas matched.
-fn audit_c(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Finding>> {
-    audit_c_source(lowered, src, "C", |k| nests(k).len())
-}
-
-/// Audit oclsim's OpenCL unit the same way, with one worksharing loop per
-/// non-empty region (one NDRange launch) of a parallel-safe kernel.
-fn audit_ocl(lowered: &Lowered, src: &str) -> std::result::Result<u64, Vec<Finding>> {
-    audit_c_source(lowered, src, "OpenCL unit", |k| {
-        k.regions.iter().filter(|r| !r.is_empty()).count()
-    })
-}
-
 /// Scan the generated `unit` against the pragma contract: the function
 /// is exactly one `#pragma omp parallel` region with one `#pragma omp
 /// barrier` between consecutive phases; in its own section of the source
-/// (from its kernel marker to the next), a parallel-safe kernel has
-/// `dispatches(kernel)` worksharing `#pragma omp for` and no `#pragma omp
-/// single`, and a sequential kernel has exactly one `#pragma omp single`
-/// and no worksharing loop. Returns the number of pragmas matched.
+/// (from its kernel marker to the next), a parallel-safe kernel has one
+/// worksharing `#pragma omp for` per loop nest of [`crate::codegen_c`]
+/// and no `#pragma omp single`, and a sequential kernel has exactly one
+/// `#pragma omp single` and no worksharing loop. Returns the number of
+/// pragmas matched.
 fn audit_c_source(
     lowered: &Lowered,
     src: &str,
     unit: &str,
-    dispatches: impl Fn(&LoweredKernel) -> usize,
 ) -> std::result::Result<u64, Vec<Finding>> {
     let mut diags = Vec::new();
     let audit = |what: &str| Finding::new(Rule::CodegenAudit, format!("generated {unit} {what}"));
@@ -488,7 +472,7 @@ fn audit_c_source(
         let fors = count(section, "#pragma omp for");
         let singles = count(section, "#pragma omp single");
         let (want_fors, want_singles) = if kernel.parallel_safe {
-            (dispatches(kernel), 0)
+            (nests(kernel).len(), 0)
         } else {
             (0, 1)
         };
@@ -672,9 +656,9 @@ mod tests {
         assert_eq!(lowered.phases.len(), 2);
         let src = emit_c(&lowered, "f");
         // parallel + barrier + one `for` + one `single`
-        assert_eq!(audit_c(&lowered, &src), Ok(4));
+        assert_eq!(audit_c_source(&lowered, &src, "C"), Ok(4));
         let rejected = |bad: &str| {
-            let diags = audit_c(&lowered, bad).expect_err(bad);
+            let diags = audit_c_source(&lowered, bad, "C").expect_err(bad);
             assert!(diags.iter().all(|d| d.rule == Rule::CodegenAudit));
             diags
         };
@@ -709,13 +693,13 @@ mod tests {
         specialize_lowered(&mut lowered);
         assert_eq!(lowered.phases.len(), 3);
         let src = ocl_unit(&lowered, "f");
-        // parallel + 2 barriers + 2 + 2 + 1 region launches (a color
-        // union that cjit runs as one nest launches per region)
-        assert_eq!(audit_ocl(&lowered, &src), Ok(8));
+        // parallel + 2 barriers + one nest per kernel (each color union
+        // is one guarded nest, as in cjit's C)
+        assert_eq!(audit_c_source(&lowered, &src, "OpenCL unit"), Ok(6));
         let barrier = "        #pragma omp barrier\n";
         let one_removed = src.replacen(barrier, "", 1);
         assert_eq!(one_removed.len() + barrier.len(), src.len());
-        let diags = audit_ocl(&lowered, &one_removed)
+        let diags = audit_c_source(&lowered, &one_removed, "OpenCL unit")
             .expect_err("a driver missing a phase barrier must be refused");
         assert!(
             diags.iter().all(|d| d.rule == Rule::CodegenAudit),

@@ -172,23 +172,23 @@ fn metered_solve_books_every_op_call_on_every_backend() {
 
 /// Each op of the 16³ GSRB operator list, the same for the `vc` and `cc`
 /// problems: its points, then its tiles for `seq` (one task per region),
-/// `oclsim` (one per launched 4×64 work-group over the two fastest
-/// dimensions, the outer one rolled through) and `omp` with an explicit 3×4×5 tile (multicolor
+/// `oclsim` (one per loop nest, as cjit: a colour union whose pieces tile
+/// their hull is one) and `omp` with an explicit 3×4×5 tile (multicolor
 /// reordering on). Every kernel is parallel-safe.
 const WORK_16: [[u64; 4]; 14] = [
-    [7168, 20, 52, 280],
-    [5632, 7, 22, 224],
-    [1512, 2, 5, 36],
-    [512, 1, 2, 12],
-    [4096, 8, 16, 96],
-    [4480, 14, 26, 128],
-    [1280, 20, 28, 68],
-    [896, 7, 12, 44],
-    [280, 2, 3, 10],
+    [7168, 20, 14, 280],
+    [5632, 7, 7, 224],
+    [1512, 2, 2, 36],
+    [512, 1, 1, 12],
+    [4096, 8, 8, 96],
+    [4480, 14, 14, 128],
+    [1280, 20, 14, 68],
+    [896, 7, 7, 44],
+    [280, 2, 2, 10],
     [64, 1, 1, 2],
     [512, 8, 8, 16],
     [608, 14, 14, 26],
-    [256, 20, 20, 22],
+    [256, 20, 14, 22],
     [160, 7, 7, 12],
 ];
 

@@ -11,7 +11,7 @@
 //! OpenCL unit oclsim compiles for every HPGMG op is warning-clean C99.
 
 use proptest::prelude::*;
-use snowflake::backends::codegen_ocl::ocl_unit;
+use snowflake::backends::codegen_ocl::{emit_ocl, ocl_unit};
 use snowflake::backends::specialize::{specialize_lowered, FusedTape};
 use snowflake::backends::{verify_ops, CJitBackend, CheckedBackend};
 use snowflake::hpgmg::{snow::operator_list, Problem, Smoother, SnowSolver};
@@ -179,8 +179,12 @@ fn every_hpgmg_plan_kernel_is_linear_or_a_tape() {
 /// The OpenCL unit of every 16³ HPGMG op — the shim, the kernels with
 /// their closed forms and the driver — compiles under `-std=c99 -Wall
 /// -Wextra -Werror`: the OpenCL-only `#pragma` is guarded, every kernel
-/// takes only the grids it addresses, and the driver declares nothing it
-/// does not use.
+/// takes only the grids it addresses and the work-item and planes it
+/// uses, and the driver declares nothing it does not use. The kernels
+/// alone compile the same way down their OpenCL branch
+/// (`__OPENCL_VERSION__` defined, the three OpenCL names stubbed), so its
+/// macros give every rolled loop its bounds and every kernel its
+/// parameters.
 #[test]
 fn hpgmg_opencl_units_compile_without_warnings() {
     let jit = CJitBackend::new();
@@ -188,14 +192,17 @@ fn hpgmg_opencl_units_compile_without_warnings() {
         eprintln!("skipping: no C compiler");
         return;
     }
-    let mut flags = vec!["-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-c"];
+    let flags = ["-std=c99", "-Wall", "-Wextra", "-Werror", "-O2", "-c"];
     // Without OpenMP the compiler ignores, and warns about, every
     // `#pragma omp`; that is the only warning it may give.
-    flags.push(if jit.openmp_available() {
+    let unit_flags = [if jit.openmp_available() {
         "-fopenmp"
     } else {
         "-Wno-unknown-pragmas"
-    });
+    }];
+    // A C compiler does not know the OpenCL extension pragma.
+    let opencl_flags = ["-D__OPENCL_VERSION__=120", "-Wno-unknown-pragmas"];
+    let stub = "#define __kernel\n#define __global\nlong get_global_id(unsigned dim);\n";
     let dir = std::env::temp_dir().join(format!("snowflake-ocl-warnings-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     for problem in [Problem::poisson_vc(16), Problem::poisson_cc(16)] {
@@ -203,20 +210,31 @@ fn hpgmg_opencl_units_compile_without_warnings() {
         for (op, (group, shapes)) in ops.iter().enumerate() {
             let mut lowered = lower_group(group, shapes, &LowerOptions::default()).unwrap();
             specialize_lowered(&mut lowered);
-            let (src, obj) = (dir.join(format!("op{op}.c")), dir.join(format!("op{op}.o")));
-            std::fs::write(&src, ocl_unit(&lowered, "snowflake_run")).unwrap();
-            let out = std::process::Command::new(&jit.cc)
-                .args(&flags)
-                .arg("-o")
-                .arg(&obj)
-                .arg(&src)
-                .output()
-                .unwrap();
-            assert!(
-                out.status.success(),
-                "op {op} of {problem:?}:\n{}",
-                String::from_utf8_lossy(&out.stderr)
-            );
+            let sources = [
+                ("unit", ocl_unit(&lowered, "snowflake_run"), &unit_flags[..]),
+                (
+                    "opencl",
+                    format!("{stub}{}", emit_ocl(&lowered)),
+                    &opencl_flags,
+                ),
+            ];
+            for (what, text, extra) in sources {
+                let src = dir.join(format!("op{op}_{what}.c"));
+                std::fs::write(&src, text).unwrap();
+                let out = std::process::Command::new(&jit.cc)
+                    .args(flags)
+                    .args(extra)
+                    .arg("-o")
+                    .arg(dir.join(format!("op{op}_{what}.o")))
+                    .arg(&src)
+                    .output()
+                    .unwrap();
+                assert!(
+                    out.status.success(),
+                    "{what} of op {op} of {problem:?}:\n{}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
