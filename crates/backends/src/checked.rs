@@ -107,8 +107,8 @@ fn point_at(p: &[i64], last: usize, region: &Region, i: i64) -> Vec<i64> {
 }
 
 /// Run one kernel over one region with checked reads, checked writes and
-/// shadow write-set tracking. Traversal order mirrors one kernel's
-/// `exec::run_region` exactly.
+/// shadow write-set tracking, in canonical row-major order: the order
+/// `exec::run_nest` keeps for a kernel that is not parallel-safe.
 fn run_region_checked(
     lowered: &Lowered,
     ki: usize,
@@ -246,16 +246,9 @@ impl Executable for CheckedExecutable {
         Ok(())
     }
 
-    /// One dispatch per region of a parallel-safe kernel and one per
-    /// sequential kernel, as in `seq`.
+    /// One dispatch per loop nest, as in `seq` and `cjit`.
     fn work(&self) -> KernelCounters {
-        crate::dispatch_work(&self.lowered, |k| {
-            if k.parallel_safe {
-                k.regions.len() as u64
-            } else {
-                1
-            }
-        })
+        crate::dispatch_work(&self.lowered, |k| crate::exec::nests(k).len() as u64)
     }
 }
 
@@ -398,12 +391,13 @@ mod tests {
         let mut gs = GridSet::new();
         gs.insert("x", Grid::from_fn(&[8], |p| p[0] as f64));
         exe.run(&mut gs).unwrap();
-        // Over a two-rectangle union it is one dispatch, as in `seq`.
+        // Over a two-rectangle union it is one dispatch per loop nest, as
+        // in `seq`.
         let union = RectDomain::new(&[1], &[4], &[1]) + RectDomain::new(&[4], &[-1], &[1]);
         let group = StencilGroup::from(Stencil::new(Expr::read_at("x", &[-1]), "x", union));
         let work = |b: &dyn Backend| b.compile(&group, &shapes).unwrap().work();
         let checked = work(&CheckedBackend::new());
-        assert_eq!((checked.tiles, checked.sequential_tasks), (1, 1));
+        assert_eq!((checked.tiles, checked.sequential_tasks), (2, 2));
         assert_eq!(checked, work(&SequentialBackend::new()));
     }
 
@@ -418,8 +412,8 @@ mod tests {
         assert_eq!(report.ops.keys().collect::<Vec<_>>(), [&0]);
         assert_eq!(report.ops[&0].calls, 1);
         assert!(report.kernels.points > 0);
-        // Red and black are two strided rectangles each in 2-D: one
-        // dispatch per (kernel, region).
-        assert_eq!(report.kernels.tiles, 4);
+        // Red and black are two strided rectangles each in 2-D, which
+        // tile their hull: one dispatch per colour's loop nest.
+        assert_eq!(report.kernels.tiles, 2);
     }
 }

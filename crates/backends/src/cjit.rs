@@ -46,7 +46,8 @@ use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel};
 
-use crate::codegen_c::{emit_c, nests};
+use crate::codegen_c::emit_c;
+use crate::exec::nests;
 use crate::metrics::{BackendStats, KernelCounters};
 use crate::tune::{fnv1a, persist_atomic, FNV_OFFSET};
 use crate::{check_and_ptrs, dispatch_work, Backend, Executable};
@@ -528,7 +529,7 @@ mod tests {
         let grids = random_grids(&["x", "y"], &[12, 10]);
         let lowered = lower_group(&group, &grids.shapes(), &LowerOptions::default()).unwrap();
         let merged = lowered.kernels.iter().filter(|k| k.regions.len() == 2);
-        assert!(merged.map(crate::codegen_c::nests).all(|n| n.len() == 1));
+        assert!(merged.map(crate::exec::nests).all(|n| n.len() == 1));
         assert_cjit_matches_seq(&group, &grids);
     }
 

@@ -34,6 +34,8 @@ use snowflake_grid::Region;
 use snowflake_ir::spec::{SpecForm, TapeOp};
 use snowflake_ir::{Lowered, LoweredKernel};
 
+use crate::exec::{nests, Nest};
+
 /// Emit a complete C99 translation unit for a lowered group.
 ///
 /// The entry point has signature `void <func>(double** g)` where `g[i]` is
@@ -114,88 +116,6 @@ pub(crate) fn kernel_marker(index: usize, kernel: &LoweredKernel) -> String {
     )
 }
 
-/// One emitted loop nest: outer loops over `outer` (every dimension but
-/// the innermost), and inside them each member's innermost loop.
-pub(crate) struct Nest<'k> {
-    /// Outer iteration space: the members' hull, stepping by the gcd of
-    /// their strides and offsets (a lone member's own outer dimensions).
-    pub outer: Region,
-    /// Member regions in union order; each runs on the rows `outer`
-    /// shares with its own outer lattice.
-    pub members: Vec<&'k Region>,
-}
-
-/// The loop nests the generated C runs for `kernel`, in order: one nest
-/// for a parallel-safe union whose members tile their hull (see
-/// [`tiled_hull`]), otherwise one per non-empty region. `cjit`'s dispatch
-/// counters and the verifier's codegen audit read the same grouping.
-pub(crate) fn nests(kernel: &LoweredKernel) -> Vec<Nest<'_>> {
-    let members: Vec<&Region> = kernel.regions.iter().filter(|r| !r.is_empty()).collect();
-    if kernel.parallel_safe && members.len() > 1 {
-        if let Some(outer) = tiled_hull(&members) {
-            return vec![Nest { outer, members }];
-        }
-    }
-    members
-        .into_iter()
-        .map(|r| {
-            let k = r.ndim() - 1;
-            let outer = Region::new(
-                r.lo[..k].to_vec(),
-                r.hi[..k].to_vec(),
-                r.stride[..k].to_vec(),
-            );
-            Nest {
-                outer,
-                members: vec![r],
-            }
-        })
-        .collect()
-}
-
-/// The hull of the members' outer lattices (every dimension but the
-/// innermost), if the members tile it exactly: every hull row belongs to
-/// exactly one member and that member's congruence is the only one it
-/// satisfies, so an outer-congruence guard selects its member.
-///
-/// The hull steps by the gcd `g_d` of the strides and offsets, so each
-/// member lattice lies on it. Members whose congruence classes are
-/// pairwise disjoint (some dimension separates every pair) cannot share a
-/// row, and then equal row counts mean the members cover the hull.
-fn tiled_hull(members: &[&Region]) -> Option<Region> {
-    let k = members.first()?.ndim().checked_sub(1)?;
-    for (i, a) in members.iter().enumerate() {
-        for b in &members[i + 1..] {
-            if (0..k).all(|d| (a.lo[d] - b.lo[d]) % gcd(a.stride[d], b.stride[d]) == 0) {
-                return None;
-            }
-        }
-    }
-    let (mut lo, mut hi, mut step) = (Vec::new(), Vec::new(), Vec::new());
-    for d in 0..k {
-        let l = members.iter().map(|r| r.lo[d]).min()?;
-        let last = |r: &&Region| r.lo[d] + (r.extent(d) - 1) * r.stride[d];
-        lo.push(l);
-        hi.push(members.iter().map(last).max()? + 1);
-        step.push(
-            members
-                .iter()
-                .fold(0, |g, r| gcd(gcd(g, r.stride[d]), r.lo[d] - l)),
-        );
-    }
-    let hull = Region::new(lo, hi, step);
-    let rows = |r: &Region| (0..k).map(|d| r.extent(d)).product::<i64>();
-    (members.iter().map(|r| rows(r)).sum::<i64>() == rows(&hull)).then_some(hull)
-}
-
-fn gcd(a: i64, b: i64) -> i64 {
-    if b == 0 {
-        a.abs()
-    } else {
-        gcd(b, a % b)
-    }
-}
-
 /// Emit every nest of one kernel inside the group's parallel region:
 /// worksharing loops for a parallel-safe kernel, one `single` block for
 /// a sequential one.
@@ -239,7 +159,7 @@ pub(crate) fn emit_nest(
     nest: &Nest,
     parallel: bool,
     depth: usize,
-    inner: impl Fn(&Region) -> (String, String),
+    mut inner: impl FnMut(&Region) -> (String, String),
 ) {
     let outer = &nest.outer;
     let k = outer.ndim();
@@ -478,90 +398,6 @@ mod tests {
         assert_eq!(nests(&lowered.kernels[0]).len(), 2);
         assert_eq!(src.matches("#pragma omp for").count(), 2, "{src}");
         assert!(!src.contains("if ("), "{src}");
-    }
-
-    /// Every point of the union, visited the way the emitted nest visits
-    /// it: outer rows over the hull, each member's guard, its inner loop.
-    fn nest_points(nest: &Nest) -> Vec<Vec<i64>> {
-        let k = nest.outer.ndim();
-        let mut pts = Vec::new();
-        for row in nest.outer.points() {
-            for m in &nest.members {
-                if (0..k).all(|d| (row[d] - m.lo[d]) % m.stride[d] == 0) {
-                    let mut i = m.lo[k];
-                    while i < m.hi[k] {
-                        let mut p = row.clone();
-                        p.push(i);
-                        pts.push(p);
-                        i += m.stride[k];
-                    }
-                }
-            }
-        }
-        pts
-    }
-
-    #[test]
-    fn nests_visit_every_union_point_exactly_once() {
-        let r =
-            |lo: &[i64], hi: &[i64], s: &[i64]| Region::new(lo.to_vec(), hi.to_vec(), s.to_vec());
-        let (red, black) = DomainUnion::red_black(3);
-        // (union, nests it emits as)
-        let mut cases: Vec<(Vec<Region>, usize)> = Vec::new();
-        for color in DomainUnion::multicolor(3, 3)
-            .into_iter()
-            .chain([red, black])
-        {
-            cases.push((color.resolve(&[9, 9, 9]).unwrap(), 1));
-        }
-        cases.extend([
-            // The same congruence class in two bounded pieces, next to the
-            // other class: counts match but guards could not separate the
-            // pieces, so the union must not merge.
-            (
-                vec![
-                    r(&[1, 0], &[6, 4], &[2, 1]),
-                    r(&[7, 0], &[10, 4], &[2, 1]),
-                    r(&[2, 0], &[9, 4], &[2, 1]),
-                ],
-                3,
-            ),
-            // Row-disjoint but not tiling (a gap at row 6).
-            (
-                vec![r(&[1, 0], &[8, 3], &[2, 1]), r(&[2, 0], &[5, 3], &[2, 1])],
-                2,
-            ),
-            // Different strides tiling rows 0..12: 0 mod 2, 1 mod 4, 3 mod 4.
-            (
-                vec![
-                    r(&[0, 0], &[12, 5], &[2, 1]),
-                    r(&[1, 1], &[12, 5], &[4, 2]),
-                    r(&[3, 0], &[12, 5], &[4, 3]),
-                ],
-                1,
-            ),
-            // 1-D union: no outer dimension to guard on.
-            (vec![r(&[1], &[9], &[2]), r(&[2], &[9], &[2])], 2),
-        ]);
-        for (regions, want_nests) in cases {
-            let kernel = LoweredKernel {
-                name: "k".to_string(),
-                ndim: regions[0].ndim(),
-                classes: vec![],
-                out_class: 0,
-                out_delta: 0,
-                form: SpecForm::Tape(Default::default()),
-                regions: regions.clone(),
-                parallel_safe: true,
-                out_grid: 0,
-            };
-            assert_eq!(nests(&kernel).len(), want_nests, "{regions:?}");
-            let mut seen: Vec<Vec<i64>> = nests(&kernel).iter().flat_map(nest_points).collect();
-            let mut want: Vec<Vec<i64>> = regions.iter().flat_map(|r| r.points()).collect();
-            seen.sort();
-            want.sort();
-            assert_eq!(seen, want, "{regions:?}");
-        }
     }
 
     #[test]

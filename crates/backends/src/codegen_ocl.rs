@@ -18,7 +18,7 @@
 //! - [`emit_ocl_driver`]: a CPU host, as C99 + OpenMP: one `#pragma omp
 //!   parallel` team per op, one `#pragma omp barrier` between phases (the
 //!   `clFinish` of a real queue). A parallel-safe kernel runs on cjit's
-//!   loop nests (`codegen_c::nests`, colour-union hulls and guards), a
+//!   loop nests (`exec::nests`, colour-union hulls and guards), a
 //!   row's work-items as the innermost, unit-stride loop and one rolled
 //!   plane per call, as a CPU OpenCL runtime runs a work-group. A
 //!   sequential kernel's regions run once each, in union order, under one
@@ -37,7 +37,8 @@ use std::fmt::Write as _;
 
 use snowflake_ir::{Lowered, LoweredKernel, SpecForm};
 
-use crate::codegen_c::{emit_nest, emit_team, indent, index_string, nests, value_string};
+use crate::codegen_c::{emit_nest, emit_team, indent, index_string, value_string};
+use crate::exec::nests;
 
 /// The largest GPU work-group the kernel annotations name: 4 work-items
 /// along the second-fastest dimension (the "tall" edge) by 64 along the
@@ -206,12 +207,15 @@ pub fn emit_ocl_driver(lowered: &Lowered, func: &str) -> String {
             out.push_str("        }\n");
             return;
         }
+        // Nests hold the kernel's non-empty regions in union order.
+        let mut index = (0..kernel.regions.len()).filter(|&ri| !kernel.regions[ri].is_empty());
         for nest in nests(kernel) {
             emit_nest(out, &nest, true, 2, |member| {
                 // The wide work-item runs innermost, the tall one is the
                 // member's row, and the outer loops are the rolled planes.
-                let ri = kernel.regions.iter().position(|r| std::ptr::eq(r, member));
-                let ri = ri.expect("nests are made of the kernel's regions");
+                let ri = index
+                    .next()
+                    .expect("nests are made of the kernel's regions");
                 let nd = member.ndim();
                 let mut call = vec![format!("j{}", nd - 1)];
                 if let Some(t) = nd.checked_sub(2) {

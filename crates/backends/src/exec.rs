@@ -1,25 +1,38 @@
 //! The shared schedule builder and kernel executor of the CPU backends.
 //!
+//! The compiled backends run a kernel as the loop nests of `nests`: a
+//! parallel-safe colour union whose members' outer lattices tile their
+//! hull exactly (red-black and multicolor unions) is one nest, whose
+//! outer loops step over the hull and run each row with the member whose
+//! congruence guard it satisfies (the paper's multicolor reordering: one
+//! pass over memory serves every colour); any other union keeps one nest
+//! per member. The C generator emits these nests, the OpenCL driver and
+//! the executor below walk them, and `seq`, `checked` and `cjit` count
+//! one dispatch per nest.
+//!
 //! The schedule-building backends (sequential and OpenMP-like) differ
 //! only in their fixed `Schedule` choices: how a parallel-safe kernel is
-//! tiled, whether a union's rectangles interleave tile by tile, and
-//! whether a phase's tasks run on the thread pool. `Schedule::build` cuts the lowered kernels into `Task`s per
-//! barrier phase with those choices, and the one `Phased` executor runs
-//! every task through `run_region`.
-//! The loop nest walks the region in row-major order, keeping one linear
-//! *cursor* per access class, and hands every row to one dispatch:
+//! tiled, whether a tile box holds every member of a nest (multicolor
+//! reordering) or one member alone, and whether a phase's tasks run on
+//! the thread pool. `Schedule::build` cuts the lowered kernels into
+//! `Task`s per barrier phase with those choices, and the one `Phased`
+//! executor runs every task's nests through `run_nest`. A nest's rows lie
+//! along the innermost dimension (a lone region's: the innermost one with
+//! more than one point, so a boundary face runs as long strided rows, not
+//! as rows of one point). The walk keeps one linear *cursor* per access
+//! class and hands every row to one dispatch:
 //!
 //! * a parallel-safe linear kernel of at most 16 terms whose cursors all
 //!   step by 1 runs the fused fixed-arity loop (see [`crate::specialize`]);
 //! * every other linear kernel runs chunked axpy passes, one point per
 //!   chunk when it is not parallel-safe;
 //! * a tape kernel runs its fused program, which `Schedule::build` makes
-//!   once per kernel (`run_forms`), over lanes allocated once per region:
+//!   once per kernel (`run_forms`), over lanes allocated once per nest:
 //!   in place, chunk by chunk within each row, when the kernel is
 //!   parallel-safe and its rows have at least `IN_PLACE_ROW` points;
-//!   packed, `TAPE_LANES` points at a time gathered across rows, when
-//!   they are shorter; one point at a time, in canonical order, when it
-//!   is not parallel-safe.
+//!   packed, `TAPE_LANES` points at a time gathered across rows (and
+//!   across the members of a colour union), when they are shorter; one
+//!   point at a time, in canonical order, when it is not parallel-safe.
 //!
 //! Every kernel carries a closed form; the per-element arithmetic is the
 //! record's (the bitwise contract of [`snowflake_ir::spec`]). A prototype
@@ -29,17 +42,18 @@
 //!
 //! Execution order within a region is canonical row-major, which defines
 //! the semantics of kernels that are *not* parallel-safe (lexicographic
-//! Gauss-Seidel); parallel-safe kernels are order-independent by the
-//! Diophantine proof, so backends may split regions freely.
+//! Gauss-Seidel); such a kernel runs its regions in union order.
+//! Parallel-safe kernels are order-independent by the Diophantine proof,
+//! so backends may split and interleave regions freely.
 
 #![allow(clippy::needless_range_loop)] // cursor bumps index parallel fixed arrays
 
 use rayon::prelude::*;
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
-use snowflake_grid::{GridSet, Region};
+use snowflake_grid::{GridSet, Region, MAX_DIMS};
 use snowflake_ir::spec::SpecLinear;
-use snowflake_ir::{intersect_box, lower_group, tile_region, LowerOptions, Lowered, LoweredKernel};
+use snowflake_ir::{intersect_box, lower_group, LowerOptions, Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
 use crate::specialize::{
@@ -56,7 +70,7 @@ pub const MAX_CLASSES: usize = 16;
 pub(crate) const UNTILED: i64 = i64::MAX >> 1;
 
 /// Lower `group` for these executors: lowering, the executor limits (so
-/// `run_region` can use fixed-size scratch arrays) and the
+/// `run_nest` can use fixed-size scratch arrays) and the
 /// closed-form pass.
 pub(crate) fn lower(group: &StencilGroup, shapes: &ShapeMap) -> Result<Lowered> {
     let mut lowered = lower_group(group, shapes, &LowerOptions::default())?;
@@ -79,17 +93,18 @@ pub(crate) fn lower(group: &StencilGroup, shapes: &ShapeMap) -> Result<Lowered> 
 pub(crate) struct Schedule<'a> {
     /// The tile extents of a parallel-safe kernel, one per dimension.
     pub(crate) tile: &'a dyn Fn(&LoweredKernel) -> Result<Vec<i64>>,
-    /// Interleave the rectangles of a kernel's union tile by tile
-    /// (multicolor reordering).
+    /// Tile each loop nest's hull box, so a colour union's members share
+    /// every tile (multicolor reordering); otherwise tile each member
+    /// alone.
     pub(crate) multicolor: bool,
     /// Run each phase's tasks on the thread pool.
     pub(crate) parallel: bool,
 }
 
 impl Schedule<'_> {
-    /// Cut `lowered` into tasks per barrier phase: tiled and multicolor
-    /// tasks for parallel-safe kernels, and one ordered task walking its
-    /// regions in union order for a kernel that is not.
+    /// Cut `lowered` into tasks per barrier phase: one task per tile of a
+    /// parallel-safe kernel's nests (or of its members), and one ordered
+    /// task walking every nest in union order for a kernel that is not.
     pub(crate) fn build(&self, lowered: Lowered) -> Result<Phased> {
         let mut phases = Vec::with_capacity(lowered.phases.len());
         for phase in &lowered.phases {
@@ -99,23 +114,22 @@ impl Schedule<'_> {
                 if !kernel.parallel_safe {
                     tasks.push(Task {
                         kernel: ki,
-                        regions: kernel.regions.clone(),
+                        nests: nests(kernel),
                     });
                     continue;
                 }
                 let tile = (self.tile)(kernel)?;
-                if self.multicolor && kernel.regions.len() > 1 {
-                    tasks.extend(multicolor_tasks(ki, &kernel.regions, &tile));
+                let nests = if self.multicolor {
+                    nests(kernel)
                 } else {
-                    for region in &kernel.regions {
-                        for t in tile_region(region, &tile) {
-                            tasks.push(Task {
-                                kernel: ki,
-                                regions: vec![t],
-                            });
-                        }
-                    }
-                }
+                    let members = kernel.regions.iter().filter(|r| !r.is_empty());
+                    members.cloned().map(Nest::of).collect()
+                };
+                let tiles = nests.iter().flat_map(|n| tile_nest(n, &tile));
+                tasks.extend(tiles.map(|nest| Task {
+                    kernel: ki,
+                    nests: vec![nest],
+                }));
             }
             phases.push(tasks);
         }
@@ -155,13 +169,111 @@ pub(crate) fn fit_tile(tile: &[i64], ndim: usize) -> Result<Vec<i64>> {
     Ok(out)
 }
 
-/// Multicolor reordering: tile the union's bounding box and emit one task
-/// per box containing every color's slice of that box.
-fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task> {
-    let nd = regions[0].ndim();
+/// One loop nest: outer loops over `outer` (every dimension but the
+/// innermost), and inside them each member's innermost loop. The
+/// generated C and OpenCL driver emit it, and [`run_nest`] walks it.
+#[derive(Clone, Debug)]
+pub(crate) struct Nest {
+    /// Outer iteration space: the members' hull, stepping by the gcd of
+    /// their strides and offsets (a lone member's own outer dimensions).
+    pub outer: Region,
+    /// Member regions in union order; each runs on the rows `outer`
+    /// shares with its own outer lattice.
+    pub members: Vec<Region>,
+}
+
+impl Nest {
+    /// The one-member nest of `region`.
+    fn of(region: Region) -> Nest {
+        let k = region.ndim() - 1;
+        let outer = Region::new(
+            region.lo[..k].to_vec(),
+            region.hi[..k].to_vec(),
+            region.stride[..k].to_vec(),
+        );
+        Nest {
+            outer,
+            members: vec![region],
+        }
+    }
+}
+
+/// The loop nests that run `kernel`, in order: one nest for a
+/// parallel-safe union whose members tile their hull (see
+/// [`tiled_hull`]), otherwise one per non-empty region. The generated C,
+/// the OpenCL driver, the `seq` and `omp` schedules, the compiled
+/// backends' dispatch counters and the verifier's codegen audit read this
+/// grouping.
+pub(crate) fn nests(kernel: &LoweredKernel) -> Vec<Nest> {
+    let members: Vec<Region> = kernel
+        .regions
+        .iter()
+        .filter(|r| !r.is_empty())
+        .cloned()
+        .collect();
+    if kernel.parallel_safe && members.len() > 1 {
+        if let Some(outer) = tiled_hull(&members) {
+            return vec![Nest { outer, members }];
+        }
+    }
+    members.into_iter().map(Nest::of).collect()
+}
+
+/// The hull of the members' outer lattices (every dimension but the
+/// innermost), if the members tile it exactly: every hull row belongs to
+/// exactly one member and that member's congruence is the only one it
+/// satisfies, so an outer-congruence guard selects its member.
+///
+/// The hull steps by the gcd `g_d` of the strides and offsets, so each
+/// member lattice lies on it. Members whose congruence classes are
+/// pairwise disjoint (some dimension separates every pair) cannot share a
+/// row, and then equal row counts mean the members cover the hull.
+fn tiled_hull(members: &[Region]) -> Option<Region> {
+    let k = members.first()?.ndim().checked_sub(1)?;
+    for (i, a) in members.iter().enumerate() {
+        for b in &members[i + 1..] {
+            if (0..k).all(|d| (a.lo[d] - b.lo[d]) % gcd(a.stride[d], b.stride[d]) == 0) {
+                return None;
+            }
+        }
+    }
+    let (mut lo, mut hi, mut step) = (Vec::new(), Vec::new(), Vec::new());
+    for d in 0..k {
+        let l = members.iter().map(|r| r.lo[d]).min()?;
+        let last = |r: &Region| r.lo[d] + (r.extent(d) - 1) * r.stride[d];
+        lo.push(l);
+        hi.push(members.iter().map(last).max()? + 1);
+        step.push(
+            members
+                .iter()
+                .fold(0, |g, r| gcd(gcd(g, r.stride[d]), r.lo[d] - l)),
+        );
+    }
+    let hull = Region::new(lo, hi, step);
+    let rows = |r: &Region| (0..k).map(|d| r.extent(d)).product::<i64>();
+    (members.iter().map(rows).sum::<i64>() == rows(&hull)).then_some(hull)
+}
+
+fn gcd(a: i64, b: i64) -> i64 {
+    if b == 0 {
+        a.abs()
+    } else {
+        gcd(b, a % b)
+    }
+}
+
+/// Tile the bounding box of `nest`'s members with boxes of `tile[d]`
+/// points of the coarsest stride (saturating: an untiled dimension spans
+/// the box), and keep each box's member slices, in union order, as one
+/// sub-nest over the hull rows in the box. A one-member nest's tiles
+/// partition its member in row-major tile order; a colour union's keep
+/// every colour of a box in one tile (multicolor reordering).
+fn tile_nest(nest: &Nest, tile: &[i64]) -> Vec<Nest> {
+    let members = &nest.members;
+    let nd = members[0].ndim();
     let mut lo = vec![i64::MAX; nd];
     let mut hi = vec![i64::MIN; nd];
-    for r in regions {
+    for r in members {
         for d in 0..nd {
             lo[d] = lo[d].min(r.lo[d]);
             hi[d] = hi[d].max(r.hi[d]);
@@ -171,41 +283,32 @@ fn multicolor_tasks(kernel: usize, regions: &[Region], tile: &[i64]) -> Vec<Task
     // saturating (an untiled dimension spans the whole box).
     let step: Vec<i64> = (0..nd)
         .map(|d| {
-            let stride = regions.iter().map(|r| r.stride[d]).max().unwrap();
+            let stride = members.iter().map(|r| r.stride[d]).max().unwrap();
             tile[d].saturating_mul(stride)
         })
         .collect();
-    let mut tasks = Vec::new();
+    let mut tiles = Vec::new();
     let mut box_lo = lo.clone();
-    'boxes: loop {
+    loop {
         let box_hi: Vec<i64> = (0..nd)
             .map(|d| box_lo[d].saturating_add(step[d]).min(hi[d]))
             .collect();
-        let subs: Vec<Region> = regions
+        let subs: Vec<Region> = members
             .iter()
             .filter_map(|r| intersect_box(r, &box_lo, &box_hi))
             .collect();
         if !subs.is_empty() {
-            tasks.push(Task {
-                kernel,
-                regions: subs,
+            let outer = intersect_box(&nest.outer, &box_lo[..nd - 1], &box_hi[..nd - 1]);
+            tiles.push(Nest {
+                outer: outer.expect("a box holding member rows holds hull rows"),
+                members: subs,
             });
         }
-        // Advance the box odometer.
-        let mut d = nd - 1;
-        loop {
-            box_lo[d] = box_lo[d].saturating_add(step[d]);
-            if box_lo[d] < hi[d] {
-                break;
-            }
-            box_lo[d] = lo[d];
-            if d == 0 {
-                break 'boxes;
-            }
-            d -= 1;
+        if !advance(&mut box_lo, &lo, &hi, &step) {
+            break;
         }
     }
-    tasks
+    tiles
 }
 
 /// Each kernel's [`RunForm`], built once when the plan is built: a tape's
@@ -218,7 +321,23 @@ pub(crate) fn run_forms(lowered: &Lowered) -> Vec<RunForm> {
         .collect()
 }
 
-/// Execute kernel `k` of `lowered` over one region.
+/// The dimension a region's rows lie along: the innermost one with more
+/// than one point. Every dimension after it has one point, so walking the
+/// others in row-major order around these rows is row-major order.
+fn row_dim(region: &Region) -> usize {
+    let nd = region.ndim();
+    let long = |d: usize| region.lo[d] + region.stride[d] < region.hi[d];
+    (0..nd).rev().find(|&d| long(d)).unwrap_or(nd - 1)
+}
+
+/// Execute kernel `k` of `lowered` over one loop nest.
+///
+/// A lone member runs as rows along its [`row_dim`], in row-major order.
+/// A colour union walks its hull's rows in order, along the innermost
+/// dimension, and runs each row with the member whose congruence guard
+/// `(p_d − lo_d) % stride_d == 0` the row satisfies, the guard the
+/// generated C uses. Members that share their inner step share one row
+/// state, so packed tape lanes fill across members.
 ///
 /// # Safety
 /// The caller must guarantee:
@@ -227,48 +346,80 @@ pub(crate) fn run_forms(lowered: &Lowered) -> Vec<RunForm> {
 ///   established by `Stencil::validate`);
 /// * no other thread concurrently accesses any cell this invocation
 ///   touches (established by the dependence analysis / barrier phases).
-pub(crate) unsafe fn run_region(
+pub(crate) unsafe fn run_nest(
     lowered: &Lowered,
     forms: &[RunForm],
     k: usize,
     view: &GridPtrs<'_>,
-    region: &Region,
+    nest: &Nest,
 ) {
-    if region.is_empty() {
+    let (kernel, form, members) = (&lowered.kernels[k], &forms[k], &nest.members);
+    let Some(first) = members.first() else {
         return;
-    }
-    let mut row = Row::new(&lowered.kernels[k], &forms[k], region);
-    let nd = region.ndim();
-    let last = nd - 1;
-    let e_last = region.extent(last);
-
-    // Odometer over the outer dimensions; cursors recomputed per row (the
-    // row interior is the hot path).
-    let mut p: Vec<i64> = region.lo.clone();
-    'rows: loop {
-        row.run(view, &p, e_last);
-        if nd == 1 {
-            break;
-        }
-        let mut d = last - 1;
+    };
+    let nd = first.ndim();
+    let mut at = [0i64; MAX_DIMS];
+    let p = &mut at[..nd];
+    p.copy_from_slice(&first.lo);
+    if let [m] = &members[..] {
+        // Cursors are recomputed per row (the row interior is the hot
+        // path); the dimensions after `r` stay at their one point.
+        let r = row_dim(m);
+        let count = m.extent(r);
+        let mut row = Row::new(kernel, form, r, std::slice::from_ref(m));
         loop {
-            p[d] += region.stride[d];
-            if p[d] < region.hi[d] {
+            row.run(view, p, count);
+            if !advance(&mut p[..r], &m.lo[..r], &m.hi[..r], &m.stride[..r]) {
                 break;
             }
-            p[d] = region.lo[d];
-            if d == 0 {
-                break 'rows;
+        }
+        row.flush(view);
+        return;
+    }
+
+    // A colour union: the hull's rows, each run by its member.
+    let (outer, r) = (&nest.outer, nd - 1);
+    let counts: Vec<i64> = members.iter().map(|m| m.extent(r)).collect();
+    let shared = members.iter().all(|m| m.stride[r] == first.stride[r]);
+    let mut rows: Vec<Row> = if shared {
+        vec![Row::new(kernel, form, r, members)]
+    } else {
+        let state = |m| Row::new(kernel, form, r, std::slice::from_ref(m));
+        members.iter().map(state).collect()
+    };
+    p[..r].copy_from_slice(&outer.lo);
+    loop {
+        for (i, m) in members.iter().enumerate() {
+            if (0..r).all(|d| (p[d] - m.lo[d]) % m.stride[d] == 0) {
+                p[r] = m.lo[r];
+                rows[if shared { 0 } else { i }].run(view, p, counts[i]);
             }
-            d -= 1;
+        }
+        if !advance(&mut p[..r], &outer.lo, &outer.hi, &outer.stride) {
+            break;
         }
     }
-    if let RowShape::Tape(lanes) = &mut row.shape {
-        lanes.flush(view);
+    for row in &mut rows {
+        row.flush(view);
     }
 }
 
-/// One kernel's row state over one region.
+/// Step the row-major odometer `p` over the lattice `lo..hi` by `stride`
+/// (saturating, so an untiled box step ends its dimension); false once it
+/// wraps (at once when `p` is empty).
+#[inline(always)]
+fn advance(p: &mut [i64], lo: &[i64], hi: &[i64], stride: &[i64]) -> bool {
+    for d in (0..p.len()).rev() {
+        p[d] = p[d].saturating_add(stride[d]);
+        if p[d] < hi[d] {
+            return true;
+        }
+        p[d] = lo[d];
+    }
+    false
+}
+
+/// One kernel's row state over the rows of one nest.
 struct Row<'k> {
     kernel: &'k LoweredKernel,
     class_grid: [usize; MAX_CLASSES],
@@ -276,8 +427,8 @@ struct Row<'k> {
     shape: RowShape<'k>,
 }
 
-/// The loop shape a kernel's rows run in, fixed per region: the closed
-/// form picks the arithmetic, parallel safety and strides the loop.
+/// The loop shape a kernel's rows run in, fixed per nest: the closed form
+/// picks the arithmetic, parallel safety and strides the loop.
 enum RowShape<'k> {
     /// Parallel-safe linear of at most `MAX_FUSED_ARITY` terms with every
     /// cursor at unit stride: the fused loop over contiguous chunks.
@@ -291,13 +442,14 @@ enum RowShape<'k> {
 }
 
 impl<'k> Row<'k> {
-    fn new(kernel: &'k LoweredKernel, form: &'k RunForm, region: &Region) -> Self {
-        let last = region.ndim() - 1;
+    /// The state of the rows of `members`, which share their stride
+    /// along the row dimension `r`.
+    fn new(kernel: &'k LoweredKernel, form: &'k RunForm, r: usize, members: &[Region]) -> Self {
         let mut class_grid = [0usize; MAX_CLASSES];
         let mut inner_step = [0isize; MAX_CLASSES];
         for (c, cl) in kernel.classes.iter().enumerate() {
             class_grid[c] = cl.grid;
-            inner_step[c] = cl.step(last, region.stride[last]);
+            inner_step[c] = cl.step(r, members[0].stride[r]);
         }
         let shape = match form {
             // The output class is one of the classes, so this covers its
@@ -311,9 +463,11 @@ impl<'k> Row<'k> {
             }
             RunForm::Linear(sl) => RowShape::Axpy(sl, if kernel.parallel_safe { CHUNK } else { 1 }),
             RunForm::Tape(prog) => {
-                // A region's point counts are bounded by its grids' sizes.
+                let row = members.iter().map(|m| m.extent(r)).max().unwrap_or(0);
+                let points: u64 = members.iter().map(Region::num_points).sum();
+                // A nest's point counts are bounded by its grids' sizes.
                 #[allow(clippy::cast_possible_truncation)]
-                let (row, points) = (region.extent(last) as usize, region.num_points() as usize);
+                let (row, points) = (row as usize, points as usize);
                 let (width, in_place) = if !kernel.parallel_safe {
                     (1, true)
                 } else if FusedTape::reads_in_place(row) {
@@ -332,11 +486,21 @@ impl<'k> Row<'k> {
         }
     }
 
+    /// Write out what the rows left in packed lanes.
+    ///
+    /// # Safety
+    /// As [`run_nest`].
+    unsafe fn flush(&mut self, view: &GridPtrs<'_>) {
+        if let RowShape::Tape(lanes) = &mut self.shape {
+            lanes.flush(view);
+        }
+    }
+
     /// Execute the `count` points of the row starting at point `p`.
     ///
     /// # Safety
-    /// As [`run_region`], with `p` a row start of the region this
-    /// state was built for.
+    /// As [`run_nest`], with `p` a row start of the nest this state was
+    /// built for.
     #[inline(always)]
     unsafe fn run(&mut self, view: &GridPtrs<'_>, p: &[i64], count: i64) {
         let kernel = self.kernel;
@@ -368,12 +532,13 @@ impl<'k> Row<'k> {
     }
 }
 
-/// One schedulable unit of a phase: `kernel` runs over each of `regions`
-/// in turn — one tile, one tile's worth of every color, or the whole union
-/// of a sequential kernel in union order.
+/// One schedulable unit of a phase: `kernel` runs over each of `nests`
+/// in turn — one tile of a parallel-safe kernel (a sub-nest of one of its
+/// nests, or of one member), or every nest of a sequential kernel in
+/// union order.
 struct Task {
     kernel: usize,
-    regions: Vec<Region>,
+    nests: Vec<Nest>,
 }
 
 /// The one executor of the schedule-building backends (`seq`, `omp`):
@@ -395,11 +560,11 @@ impl Executable for Phased {
         let (ptrs, lens) = check_and_ptrs(&self.lowered, grids)?;
         let view = GridPtrs::new(&ptrs, &lens);
         let run_task = |task: &Task| {
-            for region in &task.regions {
+            for nest in &task.nests {
                 // SAFETY: tasks within a phase are mutually independent
                 // and bounds are proven by validation (see the type docs).
                 unsafe {
-                    run_region(&self.lowered, &self.forms, task.kernel, &view, region);
+                    run_nest(&self.lowered, &self.forms, task.kernel, &view, nest);
                 };
             }
         };
@@ -414,19 +579,20 @@ impl Executable for Phased {
         Ok(())
     }
 
-    /// One dispatch per task, classified by the analysis' verdict on its
-    /// kernel.
+    /// One dispatch per nest a task runs, classified by the analysis'
+    /// verdict on its kernel.
     fn work(&self) -> KernelCounters {
         let mut work = KernelCounters {
             points: self.lowered.num_points(),
             ..KernelCounters::default()
         };
         for task in self.phases.iter().flatten() {
-            work.tiles += 1;
+            let n = task.nests.len() as u64;
+            work.tiles += n;
             if self.lowered.kernels[task.kernel].parallel_safe {
-                work.parallel_tasks += 1;
+                work.parallel_tasks += n;
             } else {
-                work.sequential_tasks += 1;
+                work.sequential_tasks += n;
             }
         }
         work
@@ -436,7 +602,9 @@ impl Executable for Phased {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snowflake_core::{weights2, Component, Expr, RectDomain, ShapeMap, Stencil, StencilGroup};
+    use snowflake_core::{
+        weights2, Component, DomainUnion, Expr, RectDomain, ShapeMap, Stencil, StencilGroup,
+    };
     use snowflake_grid::{Grid, GridSet};
     use snowflake_ir::spec::SpecForm;
 
@@ -465,8 +633,8 @@ mod tests {
         let (ptrs, lens) = crate::check_and_ptrs(&lowered, gs).unwrap();
         let view = GridPtrs::new(&ptrs, &lens);
         for (ki, k) in lowered.kernels.iter().enumerate() {
-            for r in &k.regions {
-                unsafe { run_region(&lowered, &forms, ki, &view, r) };
+            for nest in nests(k) {
+                unsafe { run_nest(&lowered, &forms, ki, &view, &nest) };
             }
         }
     }
@@ -724,8 +892,8 @@ mod tests {
         let (ptrs, lens) = crate::check_and_ptrs(&lowered, &mut gs).unwrap();
         let view = GridPtrs::new(&ptrs, &lens);
         for (ki, k) in lowered.kernels.iter().enumerate() {
-            for r in &k.regions {
-                unsafe { run_region(&lowered, &forms, ki, &view, r) };
+            for nest in nests(k) {
+                unsafe { run_nest(&lowered, &forms, ki, &view, &nest) };
             }
         }
         drop(ptrs);
@@ -756,6 +924,139 @@ mod tests {
                     assert_eq!(y.get(&[i, j, k]), 2.0, "at ({i},{j},{k})");
                 }
             }
+        }
+    }
+
+    /// Every point of the union, visited the way the emitted nest visits
+    /// it: outer rows over the hull, each member's guard, its inner loop.
+    fn nest_points(nest: &Nest) -> Vec<Vec<i64>> {
+        let k = nest.outer.ndim();
+        let mut pts = Vec::new();
+        for row in nest.outer.points() {
+            for m in &nest.members {
+                if (0..k).all(|d| (row[d] - m.lo[d]) % m.stride[d] == 0) {
+                    let mut i = m.lo[k];
+                    while i < m.hi[k] {
+                        let mut p = row.clone();
+                        p.push(i);
+                        pts.push(p);
+                        i += m.stride[k];
+                    }
+                }
+            }
+        }
+        pts
+    }
+
+    #[test]
+    fn nests_visit_every_union_point_exactly_once() {
+        let r =
+            |lo: &[i64], hi: &[i64], s: &[i64]| Region::new(lo.to_vec(), hi.to_vec(), s.to_vec());
+        let (red, black) = DomainUnion::red_black(3);
+        // (union, nests it emits as)
+        let mut cases: Vec<(Vec<Region>, usize)> = Vec::new();
+        for color in DomainUnion::multicolor(3, 3)
+            .into_iter()
+            .chain([red, black])
+        {
+            cases.push((color.resolve(&[9, 9, 9]).unwrap(), 1));
+        }
+        cases.extend([
+            // The same congruence class in two bounded pieces, next to the
+            // other class: counts match but guards could not separate the
+            // pieces, so the union must not merge.
+            (
+                vec![
+                    r(&[1, 0], &[6, 4], &[2, 1]),
+                    r(&[7, 0], &[10, 4], &[2, 1]),
+                    r(&[2, 0], &[9, 4], &[2, 1]),
+                ],
+                3,
+            ),
+            // Row-disjoint but not tiling (a gap at row 6).
+            (
+                vec![r(&[1, 0], &[8, 3], &[2, 1]), r(&[2, 0], &[5, 3], &[2, 1])],
+                2,
+            ),
+            // Different strides tiling rows 0..12: 0 mod 2, 1 mod 4, 3 mod 4.
+            (
+                vec![
+                    r(&[0, 0], &[12, 5], &[2, 1]),
+                    r(&[1, 1], &[12, 5], &[4, 2]),
+                    r(&[3, 0], &[12, 5], &[4, 3]),
+                ],
+                1,
+            ),
+            // 1-D union: no outer dimension to guard on.
+            (vec![r(&[1], &[9], &[2]), r(&[2], &[9], &[2])], 2),
+        ]);
+        for (regions, want_nests) in cases {
+            let kernel = LoweredKernel {
+                name: "k".to_string(),
+                ndim: regions[0].ndim(),
+                classes: vec![],
+                out_class: 0,
+                out_delta: 0,
+                form: SpecForm::Tape(Default::default()),
+                regions: regions.clone(),
+                parallel_safe: true,
+                out_grid: 0,
+            };
+            assert_eq!(nests(&kernel).len(), want_nests, "{regions:?}");
+            let mut seen: Vec<Vec<i64>> = nests(&kernel).iter().flat_map(nest_points).collect();
+            let mut want: Vec<Vec<i64>> = regions.iter().flat_map(|r| r.points()).collect();
+            seen.sort();
+            want.sort();
+            assert_eq!(seen, want, "{regions:?}");
+        }
+    }
+
+    /// The points of `tiles`, each tile's members in order.
+    fn tile_points(tiles: &[Nest]) -> Vec<Vec<i64>> {
+        tiles
+            .iter()
+            .flat_map(|t| t.members.iter().flat_map(|m| m.points()))
+            .collect()
+    }
+
+    #[test]
+    fn one_member_tiles_partition_their_region() {
+        let r = |lo: &[i64], hi: &[i64], s: &[i64]| {
+            Nest::of(Region::new(lo.to_vec(), hi.to_vec(), s.to_vec()))
+        };
+        let nest = r(&[1, 1], &[17, 13], &[1, 2]);
+        let mut seen = tile_points(&tile_nest(&nest, &[4, 3]));
+        let want: Vec<Vec<i64>> = nest.members[0].points().collect();
+        seen.sort();
+        assert_eq!(seen, want);
+        // Oversized tiles leave the region whole.
+        let tiles = tile_nest(&nest, &[100, UNTILED]);
+        assert_eq!(tiles.len(), 1);
+        assert_eq!(tile_points(&tiles), want);
+        // A boundary face (extent 1 in dim 0) under a bulk tile shape
+        // clamps to whole-face rows, never to a storm of singletons.
+        let face = r(&[0, 0], &[1, 64], &[1, 1]);
+        let tiles = tile_nest(&face, &[16, 16]);
+        assert_eq!(tiles.len(), 4, "64-wide face / 16-wide tiles");
+        assert!(tiles.iter().all(|t| t.members[0].extent(0) == 1));
+        assert_eq!(
+            tile_points(&tiles),
+            face.members[0].points().collect::<Vec<_>>()
+        );
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn one_member_tiles_partition_strided_regions(
+            n0 in 1i64..12, n1 in 1i64..12,
+            s0 in 1i64..3, s1 in 1i64..3,
+            t0 in 1i64..6, t1 in 1i64..6,
+        ) {
+            let nest = Nest::of(Region::new(vec![0, 0], vec![n0, n1], vec![s0, s1]));
+            let mut seen = tile_points(&tile_nest(&nest, &[t0, t1]));
+            seen.sort();
+            let want: Vec<Vec<i64>> = nest.members[0].points().collect();
+            proptest::prop_assert_eq!(seen, want);
         }
     }
 }

@@ -21,8 +21,9 @@
 //! compiler ([`CJitBackend::available`]).
 //!
 //! `seq` and `omp` differ only in their fixed `exec::Schedule` choices:
-//! one builder cuts the lowered kernels into tasks per barrier phase, and
-//! one executor (`exec::Phased`) runs every schedule.
+//! one builder cuts the loop nests the generated C runs (`exec::nests`)
+//! into tasks per barrier phase, and one executor (`exec::Phased`) runs
+//! every schedule.
 //!
 //! All backends implement [`Backend`] and produce [`Executable`]s.
 //! [`plan::SolverPlan`] is the one execution path, the paper's cached
@@ -120,10 +121,9 @@ pub(crate) fn env_dir(var: &str) -> Option<std::path::PathBuf> {
 
 /// Work of a schedule that makes `dispatches(kernel)` dispatches per
 /// kernel, classified by the analysis' verdict on each kernel: one per
-/// region of a parallel-safe kernel and one per sequential kernel (one
-/// task on every Rust backend) for `checked`'s loop, as for `seq`'s
-/// tasks; one per emitted loop nest for `cjit`; one per launched
-/// work-group, and one per sequential kernel, for `oclsim`.
+/// loop nest (`exec::nests`) for `checked` and `cjit`, as for `seq`'s
+/// tasks; one per loop nest of a parallel-safe kernel, and one per
+/// sequential kernel, for `oclsim`.
 pub(crate) fn dispatch_work(
     lowered: &snowflake_ir::Lowered,
     dispatches: impl Fn(&snowflake_ir::LoweredKernel) -> u64,

@@ -21,8 +21,8 @@ use std::path::PathBuf;
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 
-use crate::codegen_c::nests;
 use crate::codegen_ocl::ocl_unit;
+use crate::exec::nests;
 use crate::metrics::BackendStats;
 use crate::{Backend, CJitBackend, Executable};
 

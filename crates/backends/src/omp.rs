@@ -11,9 +11,14 @@
 //! memory.
 //!
 //! This backend reproduces all three decisions on top of rayon's task
-//! pool: phases come from `snowflake-analysis`, tiles become rayon tasks,
-//! and kernels the Diophantine analysis could not prove parallel-safe run
-//! as single sequential tasks with canonical ordering.
+//! pool: phases come from `snowflake-analysis`, and tiles become rayon
+//! tasks. With multicolor reordering on (the default), each tile is a box
+//! of a loop nest's hull (`exec::nests`, the nests the generated C runs):
+//! a colour union's member slices in the box form one sub-nest, whose
+//! hull rows run in order, each with its colour's member. With it off,
+//! each member rectangle is tiled alone. Kernels the Diophantine analysis
+//! could not prove parallel-safe run as single sequential tasks with
+//! canonical ordering.
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::{GridSet, Region};
@@ -31,8 +36,10 @@ pub struct OmpOptions {
     /// inner dimensions whole: the pool claims tasks in guided blocks, so
     /// the surplus tasks even out uneven tiles and colors across threads.
     pub tile: Option<Vec<i64>>,
-    /// Interleave the rectangles of a union domain tile-by-tile (multicolor
-    /// reordering). Only applied to kernels proven parallel-safe.
+    /// Tile a colour union's hull, so every tile holds each colour's slice
+    /// and walks them in hull-row order (multicolor reordering); otherwise
+    /// tile each rectangle alone. Only applied to kernels proven
+    /// parallel-safe.
     pub multicolor_reorder: bool,
     /// Consult the persisted tile auto-tuner when no explicit tile is set:
     /// time candidate tile shapes once per (program, shapes, threads,

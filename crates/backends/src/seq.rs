@@ -2,10 +2,12 @@
 //!
 //! The counterpart of the paper's plain-C micro-compiler: full lowering
 //! (constant folding, closed-form extraction, cursor addressing) with no
-//! parallel scheduling. Its `exec::Schedule` leaves kernels
-//! untiled and runs every phase on the calling thread:
-//! kernels in program order, regions in union order, points in row-major
-//! order — the canonical semantics.
+//! parallel scheduling. Its `exec::Schedule` leaves kernels untiled and
+//! runs every phase on the calling thread: kernels in program order, one
+//! task per loop nest (`exec::nests`, the nests the generated C runs), so
+//! a colour union walks its hull's rows once, in order, each row with its
+//! colour's member. A sequential kernel runs its regions in union order
+//! and its points in row-major order — the canonical semantics.
 
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 
@@ -29,14 +31,14 @@ impl Backend for SequentialBackend {
         "seq"
     }
 
-    /// One task per region of a parallel-safe kernel and one per
-    /// sequential kernel, run serially. The greedy schedule groups
-    /// *consecutive* kernels, so walking the phases in order is exactly
-    /// program order.
+    /// One task per loop nest of a parallel-safe kernel (its one untiled
+    /// box) and one per sequential kernel, run serially. The greedy
+    /// schedule groups *consecutive* kernels, so walking the phases in
+    /// order is exactly program order.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
         let schedule = Schedule {
             tile: &|kernel| Ok(vec![UNTILED; kernel.ndim]),
-            multicolor: false,
+            multicolor: true,
             parallel: false,
         };
         Ok(Box::new(

@@ -111,7 +111,7 @@ impl RunForm {
 /// accumulation fully unrolls and the chunk loop vectorizes.
 ///
 /// # Safety
-/// As `exec::run_region`: `view` must hold valid pointers for the
+/// As `exec::run_nest`: `view` must hold valid pointers for the
 /// shapes the kernel was lowered against, and no other thread may touch
 /// the cells this row accesses. The kernel must be parallel-safe (the
 /// chunked read-all-then-write-all order requires order-independence).

@@ -44,19 +44,46 @@ const UNTILED: i64 = i64::MAX >> 1;
 /// encoding changes so stale records are ignored rather than misread.
 const VERSION: &str = "v2";
 
-/// FNV-1a of the executor and scheduler sources and of the closed-form
-/// records they run, fixed at compile time: a persisted decision was timed
-/// on one build's executor and thread pool, so any change to the code that
-/// runs the tiles invalidates it without a hand-bumped constant.
+/// `(path, source)` of each file named by its path from this file.
+macro_rules! sources {
+    ($($path:literal),* $(,)?) => {
+        [$(($path, include_str!($path))),*]
+    };
+}
+
+/// The sources of the code that cuts and runs the timed tiles, by path
+/// from this file: the schedule builder and executor, the row loops and
+/// the grid view they address through, the `Backend` plumbing around a
+/// run, the lowering, kernel and closed-form records, the tiling and box
+/// intersection that cut every tile, the region lattice and the rank
+/// bound, and the thread pool.
+const SALTED: [(&str, &str); 12] = sources![
+    "exec.rs",
+    "specialize.rs",
+    "omp.rs",
+    "view.rs",
+    "lib.rs",
+    "../../ir/src/lower.rs",
+    "../../ir/src/kernel.rs",
+    "../../ir/src/spec.rs",
+    "../../ir/src/tile.rs",
+    "../../grid/src/region.rs",
+    "../../grid/src/lib.rs",
+    "../../../shims/rayon/src/lib.rs",
+];
+
+/// FNV-1a of the [`SALTED`] sources, fixed at compile time: a persisted
+/// decision was timed on one build's executor and thread pool, so any
+/// change to the code that cuts or runs the tiles invalidates it without
+/// a hand-bumped constant.
 const CODE_SALT: u64 = {
-    let h = fnv1a(FNV_OFFSET, include_str!("exec.rs").as_bytes());
-    let h = fnv1a(h, include_str!("specialize.rs").as_bytes());
-    let h = fnv1a(h, include_str!("omp.rs").as_bytes());
-    let h = fnv1a(
-        h,
-        include_str!("../../../shims/rayon/src/lib.rs").as_bytes(),
-    );
-    fnv1a(h, include_str!("../../ir/src/spec.rs").as_bytes())
+    let mut h = FNV_OFFSET;
+    let mut i = 0;
+    while i < SALTED.len() {
+        h = fnv1a(h, SALTED[i].1.as_bytes());
+        i += 1;
+    }
+    h
 };
 
 #[derive(Debug, Default)]
@@ -267,22 +294,117 @@ mod tests {
         }
     }
 
+    /// Every source file that defines an item the `omp` schedule path
+    /// (`omp.rs`, `exec.rs`, `specialize.rs`) names through `crate::`,
+    /// `snowflake_ir::` or `snowflake_grid::` is salted, or is exempt here
+    /// with the reason. The input program's own types (`snowflake_core`)
+    /// are keyed by the group and shapes instead.
     #[test]
-    fn code_salt_covers_the_thread_pool_that_runs_the_tiles() {
-        let backend_only = fnv1a(
-            fnv1a(
-                fnv1a(FNV_OFFSET, include_str!("exec.rs").as_bytes()),
-                include_str!("specialize.rs").as_bytes(),
+    fn code_salt_covers_every_file_the_schedule_path_calls_into() {
+        const EXEMPT: [(&str, &str); 4] = [
+            ("metrics.rs", "counter types, filled outside the timed runs"),
+            ("tune.rs", "the tuner itself: its records carry VERSION"),
+            (
+                "../../grid/src/set.rs",
+                "grid container: runs address it through view.rs",
             ),
-            include_str!("omp.rs").as_bytes(),
+            (
+                "../../grid/src/grid.rs",
+                "grid storage: runs address it through view.rs",
+            ),
+        ];
+        // The files a crate's root item may be defined in.
+        let ir = sources![
+            "../../ir/src/kernel.rs",
+            "../../ir/src/lower.rs",
+            "../../ir/src/spec.rs",
+            "../../ir/src/tile.rs",
+        ];
+        let grid = sources![
+            "../../grid/src/error.rs",
+            "../../grid/src/grid.rs",
+            "../../grid/src/region.rs",
+            "../../grid/src/set.rs",
+            "../../grid/src/lib.rs",
+        ];
+        let ident = |c: char| c.is_alphanumeric() || c == '_';
+        let defines = |src: &str, name: &str| {
+            ["fn", "struct", "enum", "trait", "type", "const"]
+                .iter()
+                .any(|kind| {
+                    let def = format!("pub {kind} {name}");
+                    src.match_indices(&def)
+                        .any(|(at, _)| !src[at + def.len()..].starts_with(ident))
+                })
+        };
+        // The file an item path `head::…` of a crate resolves to: its
+        // module, else the file defining the root item `head`.
+        let src_dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+        let resolve = |prefix: &str, head: &str| -> String {
+            let (dir, files): (&str, &[(&str, &str)]) = match prefix {
+                "crate::" if src_dir.join(format!("{head}.rs")).exists() => {
+                    return format!("{head}.rs")
+                }
+                "crate::" => return "lib.rs".to_string(),
+                "snowflake_ir::" => ("../../ir/src/", &ir),
+                _ => ("../../grid/src/", &grid),
+            };
+            let module = format!("{dir}{head}.rs");
+            if files.iter().any(|(f, _)| *f == module) {
+                return module;
+            }
+            let file = files.iter().find(|(_, src)| defines(src, head));
+            file.unwrap_or_else(|| panic!("no file defines {head}"))
+                .0
+                .to_string()
+        };
+        let mut named = vec!["../../../shims/rayon/src/lib.rs".to_string()];
+        for src in [
+            include_str!("omp.rs"),
+            include_str!("exec.rs"),
+            include_str!("specialize.rs"),
+        ] {
+            let code = &src[..src.find("#[cfg(test)]").unwrap_or(src.len())];
+            for line in code.lines().filter(|l| !l.trim_start().starts_with("//")) {
+                for prefix in ["crate::", "snowflake_ir::", "snowflake_grid::"] {
+                    for (at, _) in line.match_indices(prefix) {
+                        let rest = &line[at + prefix.len()..];
+                        // A `{…}` list names several heads, up to the line's
+                        // end; a path names one.
+                        let heads = match rest.strip_prefix('{') {
+                            Some(list) => list.split(',').collect(),
+                            None => vec![rest],
+                        };
+                        for head in heads {
+                            let head = head.trim_start();
+                            let head = &head[..head.find(|c| !ident(c)).unwrap_or(head.len())];
+                            if !head.is_empty() {
+                                named.push(resolve(prefix, head));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        named.sort_unstable();
+        named.dedup();
+        assert!(
+            named.iter().any(|f| f == "../../ir/src/tile.rs"),
+            "{named:?}"
         );
-        assert_ne!(CODE_SALT, backend_only);
-        // The records the tiles run are part of the key too.
-        let without_records = fnv1a(
-            backend_only,
-            include_str!("../../../shims/rayon/src/lib.rs").as_bytes(),
-        );
-        assert_ne!(CODE_SALT, without_records);
+        for file in &named {
+            assert!(
+                SALTED.iter().chain(&EXEMPT).any(|(f, _)| f == file),
+                "the omp schedule path calls into {file}, which CODE_SALT does not hash"
+            );
+        }
+        for (file, why) in EXEMPT {
+            assert!(
+                named.iter().any(|f| f == file),
+                "stale exemption {file}: {why}"
+            );
+            assert!(!SALTED.iter().any(|(f, _)| *f == file), "{file}: {why}");
+        }
     }
 
     #[test]

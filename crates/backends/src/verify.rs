@@ -56,8 +56,9 @@ use snowflake_analysis::{
 use snowflake_core::{CoreError, ShapeMap, StencilGroup};
 use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel, SpecForm};
 
-use crate::codegen_c::{emit_c, nests};
+use crate::codegen_c::emit_c;
 use crate::codegen_ocl::ocl_unit;
+use crate::exec::nests;
 use crate::metrics::VerifyStats;
 use crate::specialize::specialize_lowered;
 

@@ -76,27 +76,6 @@ impl Region {
             },
         }
     }
-
-    /// Split the region along dimension `d` into chunks of at most
-    /// `max_points` points each (used for tiling / task decomposition).
-    pub fn split_dim(&self, d: usize, max_points: i64) -> Vec<Region> {
-        assert!(max_points > 0, "split chunk must be positive");
-        let n = self.extent(d);
-        if n == 0 {
-            return vec![];
-        }
-        let mut out = Vec::new();
-        let mut start_pt = 0i64;
-        while start_pt < n {
-            let len = max_points.min(n - start_pt);
-            let mut r = self.clone();
-            r.lo[d] = self.lo[d] + start_pt * self.stride[d];
-            r.hi[d] = (self.lo[d] + (start_pt + len - 1) * self.stride[d]) + 1;
-            out.push(r);
-            start_pt += len;
-        }
-        out
-    }
 }
 
 /// Row-major point iterator over a [`Region`].
@@ -169,30 +148,6 @@ mod tests {
         assert!(!reg.contains(&[2, 5])); // off-stride
         assert!(!reg.contains(&[3, 9])); // out of bounds
         assert!(!reg.contains(&[0, 1])); // below lo
-    }
-
-    #[test]
-    fn split_dim_partitions_points() {
-        let reg = r(&[1], &[12], &[2]); // 1,3,5,7,9,11 => 6 points
-        let chunks = reg.split_dim(0, 4);
-        assert_eq!(chunks.len(), 2);
-        let all: Vec<_> = chunks.iter().flat_map(|c| c.points()).collect();
-        let orig: Vec<_> = reg.points().collect();
-        assert_eq!(all, orig);
-    }
-
-    #[test]
-    fn split_preserves_stride_alignment() {
-        let reg = r(&[2, 0], &[20, 3], &[3, 1]); // dim0: 2,5,8,11,14,17
-        let chunks = reg.split_dim(0, 2);
-        let mut total = 0u64;
-        for c in &chunks {
-            for p in c.points() {
-                assert!(reg.contains(&p), "chunk leaked point {p:?}");
-                total += 1;
-            }
-        }
-        assert_eq!(total, reg.num_points());
     }
 
     #[test]

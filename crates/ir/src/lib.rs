@@ -15,9 +15,8 @@
 //!   handful of linear cursors instead of re-linearizing indices.
 //! * [`kernel`] — a lowered stencil: output access, regions, closed form,
 //!   parallel-safety verdict and point count.
-//! * [`tile`] — region tiling and region∩box intersection, the substrate
-//!   for the OpenMP backend's arbitrary-dimension blocking and multicolor
-//!   reordering and the OpenCL backend's tall-skinny blocking.
+//! * [`tile`] — region∩box intersection, the one cut of the OpenMP
+//!   backend's arbitrary-dimension blocking and multicolor reordering.
 //! * [`spec`] — the closed forms: register tapes of the source tree, and
 //!   the structure-of-arrays linear records a tape linearizes to — the one
 //!   arithmetic IR every executor and code generator runs.
@@ -30,4 +29,4 @@ pub mod tile;
 pub use kernel::{AccessClass, LoweredKernel};
 pub use lower::{lower_group, LowerOptions, Lowered};
 pub use spec::{SpecForm, SpecLinear, SpecTape};
-pub use tile::{intersect_box, tile_region};
+pub use tile::intersect_box;

@@ -1,41 +1,14 @@
-//! Region tiling and box intersection.
+//! Box intersection, the one cut of every tile.
 //!
 //! The OpenMP backend blocks iteration spaces with arbitrary-dimension
 //! tiles ("tiling is an arbitrary-dimension blocking algorithm" — §IV-A)
-//! and implements *multicolor reordering* by intersecting every color's
-//! strided region with a shared grid of tile boxes, so one cache-sized
-//! block of memory is visited once for all colors instead of once per
-//! color. The OpenCL backend's tall-skinny blocking reuses the same
-//! intersection with 2-D tiles.
+//! by intersecting every member of a loop nest with a shared grid of tile
+//! boxes: a lone rectangle's boxes are its tiles, and a colour union's
+//! (*multicolor reordering*) keep every colour of one cache-sized block of
+//! memory in one tile, so the block is visited once for all colours
+//! instead of once per colour.
 
 use snowflake_grid::Region;
-
-/// Split `region` into tiles of at most `tile[d]` *points* per dimension.
-///
-/// Tiles preserve the region's stride lattice, partition its points
-/// exactly, and are returned in row-major tile order.
-///
-/// # Panics
-/// Panics if `tile` rank mismatches or any entry is non-positive.
-#[allow(clippy::needless_range_loop)] // d indexes tile and region in parallel
-pub fn tile_region(region: &Region, tile: &[i64]) -> Vec<Region> {
-    assert_eq!(tile.len(), region.ndim(), "tile rank mismatch");
-    assert!(tile.iter().all(|&t| t > 0), "tile extents must be positive");
-    if region.is_empty() {
-        return vec![];
-    }
-    let mut tiles = vec![region.clone()];
-    for d in 0..region.ndim() {
-        // Clamp tile extents that exceed the region's own extent: tiles
-        // are sized for the bulk iteration space, and applying them
-        // unclamped to a narrow boundary face (extent 1 in some
-        // dimension) must degenerate to "whole face", never to a storm
-        // of singleton tiles.
-        let t = tile[d].min(region.extent(d)).max(1);
-        tiles = tiles.into_iter().flat_map(|r| r.split_dim(d, t)).collect();
-    }
-    tiles
-}
 
 /// Intersect a strided region with an axis-aligned half-open box
 /// `[box_lo, box_hi)`, preserving the stride lattice. Returns `None` when
@@ -73,56 +46,6 @@ mod tests {
 
     fn r(lo: &[i64], hi: &[i64], s: &[i64]) -> Region {
         Region::new(lo.to_vec(), hi.to_vec(), s.to_vec())
-    }
-
-    #[test]
-    fn tiles_partition_points_exactly() {
-        let reg = r(&[1, 1], &[17, 13], &[1, 2]);
-        let tiles = tile_region(&reg, &[4, 3]);
-        let mut seen = HashSet::new();
-        for t in &tiles {
-            for p in t.points() {
-                assert!(reg.contains(&p), "tile leaked {p:?}");
-                assert!(seen.insert(p.clone()), "duplicate point {p:?}");
-            }
-        }
-        assert_eq!(seen.len() as u64, reg.num_points());
-    }
-
-    #[test]
-    fn tile_larger_than_region_is_identity() {
-        let reg = r(&[0, 0], &[5, 5], &[1, 1]);
-        let tiles = tile_region(&reg, &[100, 100]);
-        assert_eq!(tiles.len(), 1);
-        assert_eq!(tiles[0], reg);
-    }
-
-    #[test]
-    fn one_wide_boundary_region_is_not_shattered() {
-        // A boundary face of a 64^2 grid: extent 1 in dim 0. A bulk tile
-        // shape (oversized for the face in dim 0) must clamp, producing
-        // whole-face-row tiles rather than per-point singletons.
-        let face = r(&[0, 0], &[1, 64], &[1, 1]);
-        let tiles = tile_region(&face, &[16, 16]);
-        assert_eq!(tiles.len(), 4, "64-wide face / 16-wide tiles");
-        let mut seen = HashSet::new();
-        for t in &tiles {
-            assert_eq!(t.extent(0), 1);
-            for p in t.points() {
-                assert!(seen.insert(p));
-            }
-        }
-        assert_eq!(seen.len() as u64, face.num_points());
-        // Fully-oversized tile on the degenerate dim alone: identity.
-        let tiles = tile_region(&face, &[1 << 40, 1 << 40]);
-        assert_eq!(tiles.len(), 1);
-        assert_eq!(tiles[0], face);
-    }
-
-    #[test]
-    fn empty_region_yields_no_tiles() {
-        let reg = r(&[3], &[3], &[1]);
-        assert!(tile_region(&reg, &[4]).is_empty());
     }
 
     #[test]
@@ -185,26 +108,6 @@ mod tests {
                     prop_assert_eq!(got, expect);
                 }
             }
-        }
-
-        #[test]
-        fn tiling_2d_partitions(
-            n0 in 1i64..12, n1 in 1i64..12,
-            s0 in 1i64..3, s1 in 1i64..3,
-            t0 in 1i64..6, t1 in 1i64..6,
-        ) {
-            let reg = r(&[0, 0], &[n0, n1], &[s0, s1]);
-            let tiles = tile_region(&reg, &[t0, t1]);
-            let mut count = 0u64;
-            let mut seen = HashSet::new();
-            for t in &tiles {
-                for p in t.points() {
-                    prop_assert!(reg.contains(&p));
-                    prop_assert!(seen.insert(p));
-                    count += 1;
-                }
-            }
-            prop_assert_eq!(count, reg.num_points());
         }
     }
 }

@@ -520,3 +520,145 @@ fn multicolor_union_with_a_coarse_untiled_stride_matches_seq() {
         want.get("y").unwrap().as_slice()
     );
 }
+
+/// Run `group` on `seq` and on `omp` with a 3×4×5 tile and require every
+/// grid to match `checked`'s bit for bit. Both walk loop nests: a colour
+/// union's hull rows, each with its member, and a lone region's rows
+/// along its innermost dimension with more than one point.
+fn nest_walks_match_checked(group: &StencilGroup, make: impl Fn() -> GridSet) {
+    let mut want = make();
+    let shapes = want.shapes();
+    snowflake::backends::CheckedBackend::new()
+        .compile(group, &shapes)
+        .unwrap()
+        .run(&mut want)
+        .unwrap();
+    let backends: [Box<dyn Backend>; 2] = [
+        Box::new(SequentialBackend::new()),
+        Box::new(OmpBackend::new().with_tile(vec![3, 4, 5])),
+    ];
+    let bits = |g: &Grid| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for backend in backends {
+        let mut got = make();
+        backend
+            .compile(group, &shapes)
+            .unwrap()
+            .run(&mut got)
+            .unwrap();
+        for name in want.names() {
+            assert!(
+                bits(got.get(name).unwrap()) == bits(want.get(name).unwrap()),
+                "{} deviates from checked on grid {name:?}",
+                backend.name()
+            );
+        }
+    }
+}
+
+/// Grids `names` of `shape`, each filled from its own seed.
+fn random_grids(shape: &[usize], names: &[&str]) -> GridSet {
+    let mut gs = GridSet::new();
+    for (seed, name) in names.iter().enumerate() {
+        let mut g = Grid::new(shape);
+        g.fill_random(31 + seed as u64, 0.5, 1.5);
+        gs.insert(name, g);
+    }
+    gs
+}
+
+#[test]
+fn red_black_unions_with_unequal_member_rows_walk_their_hulls() {
+    // Odd interiors (7 points a side): the members starting at 1 have one
+    // row and one point per row more than those starting at 2.
+    for nd in [2usize, 3, 4] {
+        let at = |d: usize, k: i64| {
+            let mut off = vec![0; nd];
+            off[d] = k;
+            Expr::read_at("x", &off)
+        };
+        let centre = Expr::read_at("x", &vec![0; nd]);
+        // A tape (variable coefficient) and a linear record.
+        let mut ax = Expr::read_at("c", &vec![0; nd]) * centre.clone();
+        let mut sum = Expr::Const(0.0);
+        for d in 0..nd {
+            ax = ax - at(d, 1) - at(d, -1);
+            sum = sum + at(d, 1) + at(d, -1);
+        }
+        let tape = centre + 0.2 * (Expr::read_at("rhs", &vec![0; nd]) - ax);
+        let linear = sum * 0.125;
+        let (red, black) = DomainUnion::red_black(nd);
+        for update in [tape, linear] {
+            let group = StencilGroup::new()
+                .with(Stencil::new(update.clone(), "x", red.clone()).named("red"))
+                .with(Stencil::new(update, "x", black.clone()).named("black"));
+            nest_walks_match_checked(&group, || random_grids(&vec![9; nd], &["x", "c", "rhs"]));
+        }
+    }
+}
+
+#[test]
+fn a_union_whose_pieces_do_not_tile_their_hull_walks_each_piece() {
+    // Two bounded pieces of one congruence class beside the other class:
+    // no guard separates the pieces, so each is its own loop nest.
+    let pieces = DomainUnion::new(vec![
+        RectDomain::new(&[1, 0], &[6, 4], &[2, 1]),
+        RectDomain::new(&[7, 0], &[10, 4], &[2, 1]),
+        RectDomain::new(&[2, 0], &[9, 4], &[2, 1]),
+    ]);
+    let e = Expr::read_at("c", &[0, 0]) * Expr::read_at("x", &[0, 1]) - Expr::read_at("x", &[1, 0]);
+    let group = StencilGroup::from(Stencil::new(e, "y", pieces));
+    let make = || random_grids(&[11, 6], &["x", "c", "y"]);
+    assert_eq!(
+        SequentialBackend::new()
+            .compile(&group, &make().shapes())
+            .unwrap()
+            .work()
+            .tiles,
+        3,
+        "one nest per piece"
+    );
+    nest_walks_match_checked(&group, make);
+}
+
+#[test]
+fn faces_with_trailing_extents_of_one_run_along_their_long_dimension() {
+    let shape = [7usize, 6, 5];
+    // Parallel-safe reflections onto a z-face (extents 5×4×1) and onto an
+    // edge (extents 5×1×1).
+    let faces = StencilGroup::new()
+        .with(Stencil::new(
+            Expr::Neg(Box::new(Expr::read_at("x", &[0, 0, 1]))),
+            "x",
+            RectDomain::new(&[1, 1, 0], &[-1, -1, 0], &[1, 1, 0]),
+        ))
+        .with(Stencil::new(
+            Expr::Neg(Box::new(Expr::read_at("x", &[0, 1, 1]))),
+            "x",
+            RectDomain::new(&[1, 0, 0], &[-1, 0, 0], &[1, 0, 0]),
+        ));
+    nest_walks_match_checked(&faces, || random_grids(&shape, &["x"]));
+    // x[p] = x[p − e_0] over an (n, 1, 1) region is not parallel-safe: it
+    // must still propagate x[0, 2, 3] in canonical order.
+    let carry = StencilGroup::from(Stencil::new(
+        Expr::read_at("x", &[-1, 0, 0]),
+        "x",
+        RectDomain::new(&[1, 2, 3], &[0, 2, 3], &[1, 0, 0]),
+    ));
+    let make = || random_grids(&shape, &["x"]);
+    let work = SequentialBackend::new()
+        .compile(&carry, &make().shapes())
+        .unwrap()
+        .work();
+    assert_eq!((work.tiles, work.sequential_tasks), (1, 1));
+    nest_walks_match_checked(&carry, make);
+    let mut grids = make();
+    SequentialBackend::new()
+        .compile(&carry, &grids.shapes())
+        .unwrap()
+        .run(&mut grids)
+        .unwrap();
+    let x = grids.get("x").unwrap();
+    for i in 1..shape[0] {
+        assert_eq!(x.get(&[i, 2, 3]), x.get(&[0, 2, 3]), "row {i}");
+    }
+}

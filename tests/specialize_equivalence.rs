@@ -203,8 +203,17 @@ fn hpgmg_opencl_units_compile_without_warnings() {
     // A C compiler does not know the OpenCL extension pragma.
     let opencl_flags = ["-D__OPENCL_VERSION__=120", "-Wno-unknown-pragmas"];
     let stub = "#define __kernel\n#define __global\nlong get_global_id(unsigned dim);\n";
+    /// Removes the scratch directory on every exit, a failed assert's
+    /// unwinding included.
+    struct RemoveOnDrop(std::path::PathBuf);
+    impl Drop for RemoveOnDrop {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
     let dir = std::env::temp_dir().join(format!("snowflake-ocl-warnings-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let _cleanup = RemoveOnDrop(dir.clone());
     for problem in [Problem::poisson_vc(16), Problem::poisson_cc(16)] {
         let (ops, _) = operator_list(&problem, Smoother::GsRb);
         for (op, (group, shapes)) in ops.iter().enumerate() {
@@ -237,7 +246,6 @@ fn hpgmg_opencl_units_compile_without_warnings() {
             }
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// §VI's `--verify` flag certifies every op of the plan: the closed-form
