@@ -248,7 +248,7 @@ impl Executable for CheckedExecutable {
 
     /// One dispatch per loop nest, as in `seq` and `cjit`.
     fn work(&self) -> KernelCounters {
-        crate::dispatch_work(&self.lowered, |k| crate::exec::nests(k).len() as u64)
+        crate::dispatch_work(&self.lowered)
     }
 }
 

@@ -44,10 +44,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use snowflake_core::{CoreError, Result, ShapeMap, StencilGroup};
 use snowflake_grid::GridSet;
-use snowflake_ir::{lower_group, LowerOptions, Lowered, LoweredKernel};
+use snowflake_ir::{lower_group, LowerOptions, Lowered};
 
 use crate::codegen_c::emit_c;
-use crate::exec::nests;
 use crate::metrics::{BackendStats, KernelCounters};
 use crate::tune::{fnv1a, persist_atomic, FNV_OFFSET};
 use crate::{check_and_ptrs, dispatch_work, Backend, Executable};
@@ -219,13 +218,12 @@ impl CJitBackend {
     /// The compile path of every backend that runs generated C: lower
     /// and specialize `group`, emit the unit `emit(lowered, entry)`, build
     /// it (through the artifact cache) and load its entry point. The
-    /// executable runs `dispatches(kernel)` dispatches per kernel.
+    /// executable runs one dispatch per loop nest of each kernel.
     pub(crate) fn compile_with(
         &self,
         group: &StencilGroup,
         shapes: &ShapeMap,
         emit: fn(&Lowered, &str) -> String,
-        dispatches: fn(&LoweredKernel) -> u64,
     ) -> Result<Box<dyn Executable>> {
         if !toolchain(&self.cc).available {
             return Err(CoreError::Backend(format!(
@@ -245,7 +243,7 @@ impl CJitBackend {
         Ok(Box::new(CJitExecutable {
             _lib: lib,
             entry,
-            work: dispatch_work(&lowered, dispatches),
+            work: dispatch_work(&lowered),
             lowered,
         }))
     }
@@ -349,7 +347,7 @@ impl Backend for CJitBackend {
 
     /// One dispatch per emitted loop nest: a tiled color union is one.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        self.compile_with(group, shapes, emit_c, |k| nests(k).len() as u64)
+        self.compile_with(group, shapes, emit_c)
     }
 }
 

@@ -119,21 +119,17 @@ pub(crate) fn env_dir(var: &str) -> Option<std::path::PathBuf> {
         .map(std::path::PathBuf::from)
 }
 
-/// Work of a schedule that makes `dispatches(kernel)` dispatches per
-/// kernel, classified by the analysis' verdict on each kernel: one per
-/// loop nest (`exec::nests`) for `checked` and `cjit`, as for `seq`'s
-/// tasks; one per loop nest of a parallel-safe kernel, and one per
-/// sequential kernel, for `oclsim`.
-pub(crate) fn dispatch_work(
-    lowered: &snowflake_ir::Lowered,
-    dispatches: impl Fn(&snowflake_ir::LoweredKernel) -> u64,
-) -> KernelCounters {
+/// Work of a schedule that makes one dispatch per loop nest
+/// (`exec::nests`) of each kernel, as `seq`'s tasks do, classified by the
+/// analysis' verdict on each kernel: the work of `checked`, `cjit` and
+/// `oclsim`.
+pub(crate) fn dispatch_work(lowered: &snowflake_ir::Lowered) -> KernelCounters {
     let mut work = KernelCounters {
         points: lowered.num_points(),
         ..KernelCounters::default()
     };
     for kernel in &lowered.kernels {
-        let n = dispatches(kernel);
+        let n = exec::nests(kernel).len() as u64;
         work.tiles += n;
         if kernel.parallel_safe {
             work.parallel_tasks += n;

@@ -22,7 +22,6 @@ use std::path::PathBuf;
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 
 use crate::codegen_ocl::ocl_unit;
-use crate::exec::nests;
 use crate::metrics::BackendStats;
 use crate::{Backend, CJitBackend, Executable};
 
@@ -58,16 +57,9 @@ impl Backend for OclSimBackend {
         self.jit.stats()
     }
 
-    /// One dispatch per loop nest of a parallel-safe kernel, as in cjit,
-    /// and one per sequential kernel.
+    /// One dispatch per loop nest of each kernel, as in cjit.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {
-        self.jit.compile_with(group, shapes, ocl_unit, |k| {
-            if k.parallel_safe {
-                nests(k).len() as u64
-            } else {
-                1
-            }
-        })
+        self.jit.compile_with(group, shapes, ocl_unit)
     }
 }
 
@@ -119,6 +111,12 @@ mod tests {
             }
             check(&report);
         }
+    }
+
+    /// The ordered dispatches `seq` books for `group`: one per loop nest.
+    fn seq_sequential_tasks(group: &StencilGroup, grids: &GridSet) -> u64 {
+        let exe = SequentialBackend::new().compile(group, &grids.shapes());
+        exe.unwrap().work().sequential_tasks
     }
 
     fn random_grid(shape: &[usize], seed: u64) -> Grid {
@@ -242,8 +240,9 @@ mod tests {
         let group = StencilGroup::from(Stencil::new(Expr::read_at("x", &[-1]), "x", union));
         let mut grids = GridSet::new();
         grids.insert("x", random_grid(&[n], 5));
+        let seq_tasks = seq_sequential_tasks(&group, &grids);
         assert_oclsim_matches_seq(&group, &grids, |report| {
-            assert_eq!(report.kernels.sequential_tasks, 1);
+            assert_eq!(report.kernels.sequential_tasks, seq_tasks);
             assert_eq!(report.kernels.parallel_tasks, 0);
         });
     }
@@ -262,8 +261,9 @@ mod tests {
         let group = StencilGroup::from(Stencil::new(update, "x", rows).named("lex"));
         let mut grids = GridSet::new();
         grids.insert("x", random_grid(&[17, 70], 6));
+        let seq_tasks = seq_sequential_tasks(&group, &grids);
         assert_oclsim_matches_seq(&group, &grids, |report| {
-            assert_eq!(report.kernels.sequential_tasks, 1)
+            assert_eq!(report.kernels.sequential_tasks, seq_tasks)
         });
     }
 

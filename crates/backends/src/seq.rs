@@ -32,7 +32,8 @@ impl Backend for SequentialBackend {
     }
 
     /// One task per loop nest of a parallel-safe kernel (its one untiled
-    /// box) and one per sequential kernel, run serially. The greedy
+    /// box) and one ordered task per sequential kernel, run serially; the
+    /// work is one dispatch per nest, as in cjit. The greedy
     /// schedule groups *consecutive* kernels, so walking the phases in
     /// order is exactly program order.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>> {

@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use hpgmg::cycle::{self, Step};
 use hpgmg::snow::operator_list;
 use hpgmg::stencils::Names;
-use hpgmg::{BottomSolve, InterpKind, Problem, Smoother};
+use hpgmg::{Problem, Smoother};
 use snowflake_analysis::{apply_policy, lint_program, Finding, LintConfig, Rule, Severity};
 use snowflake_backends::metrics::json::Value;
 use snowflake_bench::{arg_flag, arg_size, arg_usize, arg_value, check_args, or_exit, UsageError};
@@ -47,17 +47,14 @@ fn hpgmg_target(n: usize) -> LintTarget {
     let problem = Problem::poisson_vc(n);
     let levels = problem.level_sizes().len();
     let (list, index) = operator_list(&problem, Smoother::default());
-    let mut steps = cycle::vcycle(0, levels, BottomSolve::default());
+    let mut steps = cycle::vcycle(0, levels);
     steps.push(Step::Residual(0));
     // Repeating an identical op changes no lint verdict, so a run of
     // identical consecutive ops (the 24 bottom smooths) is cut to two, the
     // minimum exhibiting the overwrite-then-read pattern, which keeps the
     // dataflow scan small.
     let mut order: Vec<usize> = Vec::new();
-    for op in steps
-        .into_iter()
-        .filter_map(|step| index.op(step, InterpKind::default()))
-    {
+    for op in steps.into_iter().filter_map(|step| index.op(step)) {
         if order.len() < 2 || order[order.len() - 2..] != [op, op] {
             order.push(op);
         }
@@ -391,13 +388,11 @@ mod tests {
 
     #[test]
     fn hpgmg_program_uses_the_solvers_constant_interpolation() {
-        use hpgmg::stencils::{interpolate_group, interpolate_linear_group};
+        use hpgmg::stencils::interpolate_group;
         let ops = hpgmg_target(8).ops;
         let (fine, coarse) = (Names::level(0), Names::level(1));
         let constant = interpolate_group(&coarse, &fine);
-        let linear = interpolate_linear_group(&coarse, &fine);
         assert!(ops.iter().any(|(g, _)| *g == constant));
-        assert!(ops.iter().all(|(g, _)| *g != linear));
     }
 
     #[test]

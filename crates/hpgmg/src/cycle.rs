@@ -6,7 +6,7 @@
 //! baseline, the Snowflake solver and `snowlint` therefore run and lint
 //! the same operator order by construction.
 
-use crate::{BottomSolve, SolveOptions, BOTTOM_SMOOTHS, SMOOTHS_PER_LEG};
+use crate::{SolveOptions, BOTTOM_SMOOTHS, SMOOTHS_PER_LEG};
 
 /// One operation of a multigrid cycle, at a level (0 = finest).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,33 +23,16 @@ pub enum Step {
     Prolong(usize),
     /// `x_l = 0`.
     ClearX(usize),
-    /// BiCGStab solve of `A x_l = rhs_l` (the Krylov bottom solve).
-    Krylov(usize),
-}
-
-impl Step {
-    /// The level this step acts on.
-    pub(crate) fn level(self) -> usize {
-        match self {
-            Step::Smooth(l)
-            | Step::Residual(l)
-            | Step::Restrict(l)
-            | Step::RestrictRhs(l)
-            | Step::Prolong(l)
-            | Step::ClearX(l)
-            | Step::Krylov(l) => l,
-        }
-    }
 }
 
 /// The steps of one V-cycle from level `l` down, on a hierarchy of
-/// `levels` levels bottoming out with `bottom`: at each level
-/// [`SMOOTHS_PER_LEG`] pre-smooths, residual, restriction, the coarser
-/// levels, prolongation and [`SMOOTHS_PER_LEG`] post-smooths; at the
-/// coarsest level [`BOTTOM_SMOOTHS`] smooths or one Krylov solve.
-pub fn vcycle(l: usize, levels: usize, bottom: BottomSolve) -> Vec<Step> {
+/// `levels` levels: at each level [`SMOOTHS_PER_LEG`] pre-smooths,
+/// residual, restriction, the coarser levels, prolongation and
+/// [`SMOOTHS_PER_LEG`] post-smooths; at the coarsest level
+/// [`BOTTOM_SMOOTHS`] smooths.
+pub fn vcycle(l: usize, levels: usize) -> Vec<Step> {
     let mut steps = Vec::new();
-    push_vcycle(&mut steps, l, levels, bottom);
+    push_vcycle(&mut steps, l, levels);
     steps
 }
 
@@ -57,33 +40,26 @@ pub fn vcycle(l: usize, levels: usize, bottom: BottomSolve) -> Vec<Step> {
 /// restrict the right-hand side to every level, clear every `x`, solve the
 /// coarsest level, then prolong each solution up as the initial guess for
 /// a V-cycle at the next finer level.
-pub fn fcycle(levels: usize, bottom: BottomSolve) -> Vec<Step> {
+pub fn fcycle(levels: usize) -> Vec<Step> {
     let last = levels - 1;
     let mut steps: Vec<Step> = (0..last).map(Step::RestrictRhs).collect();
     steps.extend((0..levels).map(Step::ClearX));
-    push_bottom(&mut steps, last, bottom);
+    push_vcycle(&mut steps, last, levels);
     for l in (0..last).rev() {
         // x_l is zero, so "+=" realizes x_l = P(x_{l+1}).
         steps.push(Step::Prolong(l));
-        push_vcycle(&mut steps, l, levels, bottom);
+        push_vcycle(&mut steps, l, levels);
     }
     steps
 }
 
-fn push_bottom(steps: &mut Vec<Step>, l: usize, bottom: BottomSolve) {
-    match bottom {
-        BottomSolve::Smooths => steps.extend([Step::Smooth(l)].repeat(BOTTOM_SMOOTHS)),
-        BottomSolve::BiCgStab => steps.push(Step::Krylov(l)),
-    }
-}
-
-fn push_vcycle(steps: &mut Vec<Step>, l: usize, levels: usize, bottom: BottomSolve) {
+fn push_vcycle(steps: &mut Vec<Step>, l: usize, levels: usize) {
     if l + 1 == levels {
-        return push_bottom(steps, l, bottom);
+        return steps.extend([Step::Smooth(l)].repeat(BOTTOM_SMOOTHS));
     }
     steps.extend([Step::Smooth(l)].repeat(SMOOTHS_PER_LEG));
     steps.extend([Step::Residual(l), Step::Restrict(l)]);
-    push_vcycle(steps, l + 1, levels, bottom);
+    push_vcycle(steps, l + 1, levels);
     steps.push(Step::Prolong(l));
     steps.extend([Step::Smooth(l)].repeat(SMOOTHS_PER_LEG));
 }
@@ -93,8 +69,8 @@ fn push_vcycle(steps: &mut Vec<Step>, l: usize, levels: usize, bottom: BottomSol
 pub(crate) trait Executor {
     /// Failure of a step (`Infallible` for the hand baseline).
     type Error;
-    /// Level count and configured coarse-grid solver of the hierarchy.
-    fn hierarchy(&self) -> (usize, BottomSolve);
+    /// Level count of the hierarchy.
+    fn hierarchy(&self) -> usize;
     /// Execute one step.
     fn run(&mut self, step: Step) -> Result<(), Self::Error>;
     /// Compute the finest residual and return its interior max-norm.
@@ -110,14 +86,14 @@ pub(crate) fn run<E: Executor>(exec: &mut E, steps: Vec<Step>) -> Result<(), E::
 /// up to `opts.cycles` cycles (an F-cycle first when `opts.fmg`),
 /// recording the norm after each and stopping early at `opts.rtol`.
 pub(crate) fn solve<E: Executor>(exec: &mut E, opts: SolveOptions) -> Result<Vec<f64>, E::Error> {
-    let (levels, bottom) = exec.hierarchy();
+    let levels = exec.hierarchy();
     exec.run(Step::ClearX(0))?;
     let mut norms = vec![exec.finest_residual_norm()?];
     for c in 0..opts.cycles {
         let steps = if opts.fmg && c == 0 {
-            fcycle(levels, bottom)
+            fcycle(levels)
         } else {
-            vcycle(0, levels, bottom)
+            vcycle(0, levels)
         };
         run(exec, steps)?;
         norms.push(exec.finest_residual_norm()?);
@@ -134,19 +110,31 @@ mod tests {
 
     const LEVELS: usize = 5;
 
+    /// The level `step` acts on.
+    fn level(step: Step) -> usize {
+        match step {
+            Step::Smooth(l)
+            | Step::Residual(l)
+            | Step::Restrict(l)
+            | Step::RestrictRhs(l)
+            | Step::Prolong(l)
+            | Step::ClearX(l) => l,
+        }
+    }
+
     fn smooths_at(steps: &[Step], l: usize) -> usize {
         steps.iter().filter(|&&s| s == Step::Smooth(l)).count()
     }
 
     #[test]
     fn vcycle_visits_each_level_in_order() {
-        let steps = vcycle(0, LEVELS, BottomSolve::Smooths);
+        let steps = vcycle(0, LEVELS);
         for l in 0..LEVELS - 1 {
             assert_eq!(smooths_at(&steps, l), 2 * SMOOTHS_PER_LEG, "level {l}");
             let pos = |s: Step| steps.iter().position(|&t| t == s).unwrap();
             let last_pos = |s: Step| steps.iter().rposition(|&t| t == s).unwrap();
-            let first_coarser = steps.iter().position(|s| s.level() > l).unwrap();
-            let last_coarser = steps.iter().rposition(|s| s.level() > l).unwrap();
+            let first_coarser = steps.iter().position(|&s| level(s) > l).unwrap();
+            let last_coarser = steps.iter().rposition(|&s| level(s) > l).unwrap();
             // Pre-smooths → residual → restrict → coarser levels.
             let pre = &steps[pos(Step::Smooth(l))..pos(Step::Residual(l))];
             assert_eq!(pre, [Step::Smooth(l)].repeat(SMOOTHS_PER_LEG), "level {l}");
@@ -161,10 +149,10 @@ mod tests {
         let bottom: Vec<Step> = steps
             .iter()
             .copied()
-            .filter(|s| s.level() == LEVELS - 1)
+            .filter(|&s| level(s) == LEVELS - 1)
             .collect();
         assert_eq!(bottom, [Step::Smooth(LEVELS - 1)].repeat(BOTTOM_SMOOTHS));
-        let first = steps.iter().position(|s| s.level() == LEVELS - 1).unwrap();
+        let first = steps.iter().position(|&s| level(s) == LEVELS - 1).unwrap();
         assert_eq!(&steps[first..first + BOTTOM_SMOOTHS], &bottom[..]);
         // Every step is a smooth, residual, restriction or prolongation.
         assert_eq!(
@@ -174,50 +162,30 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_bottom_is_one_krylov_step() {
-        let steps = vcycle(0, LEVELS, BottomSolve::BiCgStab);
-        let bottom: Vec<Step> = steps
-            .iter()
-            .copied()
-            .filter(|s| s.level() == LEVELS - 1)
-            .collect();
-        assert_eq!(bottom, [Step::Krylov(LEVELS - 1)]);
-        assert!(!steps.contains(&Step::Smooth(LEVELS - 1)));
-        // A V-cycle from a coarser level starts at that level.
-        assert_eq!(vcycle(3, LEVELS, BottomSolve::BiCgStab)[0], Step::Smooth(3));
-        assert_eq!(
-            vcycle(LEVELS - 1, LEVELS, BottomSolve::BiCgStab),
-            [Step::Krylov(LEVELS - 1)]
-        );
-    }
-
-    #[test]
     fn fcycle_restricts_every_rhs_before_clearing_any_x() {
-        for bottom in [BottomSolve::Smooths, BottomSolve::BiCgStab] {
-            let steps = fcycle(LEVELS, bottom);
-            let restricts: Vec<usize> = (0..LEVELS - 1)
-                .map(|l| {
-                    steps
-                        .iter()
-                        .position(|&s| s == Step::RestrictRhs(l))
-                        .unwrap()
-                })
-                .collect();
-            let clears: Vec<usize> = (0..LEVELS)
-                .map(|l| steps.iter().position(|&s| s == Step::ClearX(l)).unwrap())
-                .collect();
-            assert!(restricts.iter().max() < clears.iter().min(), "{steps:?}");
-            // Fine to coarse, then bottom, then prolong + V-cycle per level
-            // from coarse to fine.
-            assert!(restricts.windows(2).all(|w| w[0] < w[1]));
-            let mut expect: Vec<Step> = (0..LEVELS - 1).map(Step::RestrictRhs).collect();
-            expect.extend((0..LEVELS).map(Step::ClearX));
-            expect.extend(vcycle(LEVELS - 1, LEVELS, bottom));
-            for l in (0..LEVELS - 1).rev() {
-                expect.push(Step::Prolong(l));
-                expect.extend(vcycle(l, LEVELS, bottom));
-            }
-            assert_eq!(steps, expect);
+        let steps = fcycle(LEVELS);
+        let restricts: Vec<usize> = (0..LEVELS - 1)
+            .map(|l| {
+                steps
+                    .iter()
+                    .position(|&s| s == Step::RestrictRhs(l))
+                    .unwrap()
+            })
+            .collect();
+        let clears: Vec<usize> = (0..LEVELS)
+            .map(|l| steps.iter().position(|&s| s == Step::ClearX(l)).unwrap())
+            .collect();
+        assert!(restricts.iter().max() < clears.iter().min(), "{steps:?}");
+        // Fine to coarse, then bottom, then prolong + V-cycle per level
+        // from coarse to fine.
+        assert!(restricts.windows(2).all(|w| w[0] < w[1]));
+        let mut expect: Vec<Step> = (0..LEVELS - 1).map(Step::RestrictRhs).collect();
+        expect.extend((0..LEVELS).map(Step::ClearX));
+        expect.extend(vcycle(LEVELS - 1, LEVELS));
+        for l in (0..LEVELS - 1).rev() {
+            expect.push(Step::Prolong(l));
+            expect.extend(vcycle(l, LEVELS));
         }
+        assert_eq!(steps, expect);
     }
 }

@@ -440,63 +440,6 @@ pub fn interpolate(coarse: &LevelData, fine: &mut LevelData) {
     }
 }
 
-/// Cell-centered trilinear interpolation and correction (see the
-/// Snowflake builder `interpolate_linear_group` for the weight algebra).
-/// Fills the coarse ghosts first so boundary children read fresh values.
-// Ghost-padded index math: every ii/jj/kk and fi/fj/fk stays inside the
-// padded box by construction, so the usize casts are exact.
-#[allow(clippy::cast_possible_truncation)]
-pub fn interpolate_linear(coarse: &mut LevelData, fine: &mut LevelData) {
-    apply_boundary(&mut coarse.x, coarse.n);
-    let nc = coarse.n;
-    let sc = nc + 2;
-    let sf = fine.n + 2;
-    let cx = coarse.x.as_slice();
-    let fx = fine.x.as_mut_slice();
-    for i in 1..=nc {
-        for j in 1..=nc {
-            for k in 1..=nc {
-                for ti in 0..2i64 {
-                    for tj in 0..2i64 {
-                        for tk in 0..2i64 {
-                            let mut v = 0.0;
-                            for ci in 0..2i64 {
-                                for cj in 0..2i64 {
-                                    for ck in 0..2i64 {
-                                        let mut w = 1.0f64;
-                                        let mut ii = i as i64;
-                                        let mut jj = j as i64;
-                                        let mut kk = k as i64;
-                                        for (t, c, x) in [
-                                            (ti, ci, &mut ii),
-                                            (tj, cj, &mut jj),
-                                            (tk, ck, &mut kk),
-                                        ] {
-                                            if c == 1 {
-                                                w *= 0.25;
-                                                *x += 2 * t - 1;
-                                            } else {
-                                                w *= 0.75;
-                                            }
-                                        }
-                                        v += w * cx[lin(sc, ii as usize, jj as usize, kk as usize)];
-                                    }
-                                }
-                            }
-                            let (fi, fj, fk) = (
-                                (2 * i as i64 - 1 + ti) as usize,
-                                (2 * j as i64 - 1 + tj) as usize,
-                                (2 * k as i64 - 1 + tk) as usize,
-                            );
-                            fx[lin(sf, fi, fj, fk)] += v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The hand-optimized multigrid solver.
 pub struct HandSolver {
     /// Problem configuration.
@@ -507,10 +450,6 @@ pub struct HandSolver {
     pub x_true: Grid,
     /// Smoother used by the cycles.
     pub smoother: crate::Smoother,
-    /// Coarse-grid solver.
-    pub bottom: crate::BottomSolve,
-    /// Prolongation operator.
-    pub interp: crate::InterpKind,
 }
 
 impl HandSolver {
@@ -535,8 +474,6 @@ impl HandSolver {
             levels,
             x_true,
             smoother: crate::Smoother::default(),
-            bottom: crate::BottomSolve::default(),
-            interp: crate::InterpKind::default(),
         }
     }
 
@@ -546,29 +483,17 @@ impl HandSolver {
         self
     }
 
-    /// Select the coarse-grid solver (builder style).
-    pub fn with_bottom(mut self, bottom: crate::BottomSolve) -> Self {
-        self.bottom = bottom;
-        self
-    }
-
-    /// Select the prolongation operator (builder style).
-    pub fn with_interp(mut self, interp: crate::InterpKind) -> Self {
-        self.interp = interp;
-        self
-    }
-
     /// One V-cycle from level `l` down (the step sequence of
     /// [`cycle::vcycle`]).
     pub fn vcycle(&mut self, l: usize) {
-        let steps = cycle::vcycle(l, self.levels.len(), self.bottom);
+        let steps = cycle::vcycle(l, self.levels.len());
         cycle::run(self, steps).unwrap_or_else(|e| match e {});
     }
 
     /// One full-multigrid F-cycle (the step sequence of
     /// [`cycle::fcycle`]).
     pub fn fcycle(&mut self) {
-        let steps = cycle::fcycle(self.levels.len(), self.bottom);
+        let steps = cycle::fcycle(self.levels.len());
         cycle::run(self, steps).unwrap_or_else(|e| match e {});
     }
 
@@ -604,8 +529,8 @@ fn fine_coarse(levels: &mut [LevelData], l: usize) -> (&mut LevelData, &mut Leve
 impl cycle::Executor for HandSolver {
     type Error = Infallible;
 
-    fn hierarchy(&self) -> (usize, crate::BottomSolve) {
-        (self.levels.len(), self.bottom)
+    fn hierarchy(&self) -> usize {
+        self.levels.len()
     }
 
     fn run(&mut self, step: Step) -> Result<(), Infallible> {
@@ -626,13 +551,9 @@ impl cycle::Executor for HandSolver {
             }
             Step::Prolong(l) => {
                 let (fine, coarse) = fine_coarse(&mut self.levels, l);
-                match self.interp {
-                    crate::InterpKind::Constant => interpolate(coarse, fine),
-                    crate::InterpKind::Linear => interpolate_linear(coarse, fine),
-                }
+                interpolate(coarse, fine);
             }
             Step::ClearX(l) => self.levels[l].x.fill(0.0),
-            Step::Krylov(l) => crate::bottom::solve_bottom(&mut self.levels[l], a, b),
         }
         Ok(())
     }
@@ -841,51 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn linear_interpolation_reproduces_affine_fields() {
-        // Trilinear prolongation must be exact on affine functions in the
-        // interior (away from the Dirichlet ghost influence).
-        let p = Problem::poisson_cc(8);
-        let mut solver = HandSolver::new(p);
-        let f = |x: f64, y: f64, z: f64| 1.0 + 2.0 * x - 0.5 * y + 3.0 * z;
-        {
-            let coarse = &mut solver.levels[1];
-            let mut cx = Grid::new(coarse.x.shape());
-            coarse.fill_interior(&mut cx, f);
-            coarse.x = cx;
-        }
-        solver.levels[0].x.fill(0.0);
-        let (fine, coarse) = solver.levels.split_at_mut(1);
-        interpolate_linear(&mut coarse[0], &mut fine[0]);
-        let lvl = &fine[0];
-        let h = lvl.h;
-        // Children whose 8 coarse corners are all interior: fine idx 3..=6.
-        for i in 3..=6usize {
-            for j in 3..=6usize {
-                for k in 3..=6usize {
-                    let want = f(
-                        (i as f64 - 0.5) * h,
-                        (j as f64 - 0.5) * h,
-                        (k as f64 - 0.5) * h,
-                    );
-                    let got = lvl.x.get(&[i, j, k]);
-                    assert!(
-                        (got - want).abs() < 1e-12,
-                        "at ({i},{j},{k}): {got} vs {want}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn linear_interp_fcycle_converges() {
-        let p = Problem::poisson_vc(16);
-        let mut solver = HandSolver::new(p).with_interp(crate::InterpKind::Linear);
-        let norms = solver.solve(crate::SolveOptions::cycles(4).with_fmg(true));
-        assert!(norms[4] / norms[0] < 1e-4, "{norms:?}");
-    }
-
-    #[test]
     fn fcycle_beats_single_vcycle() {
         let p = Problem::poisson_vc(16);
         let mut v = HandSolver::new(p);
@@ -914,21 +790,19 @@ mod tests {
         assert_eq!(solver.levels[0].rhs.max_abs_diff(&rhs_before), 0.0);
     }
 
-    const GOLDEN_VC: [u64; 7] = [
+    const GOLDEN_VC: [u64; 6] = [
         0xcc09eee06dfe77e7,
         0x1f9c706230c59607,
         0xe4194eb163604a74,
-        0x8b376fa7b048ff52,
-        0x0daf712d1bb4caa4,
+        0x0fe1d204e442046e,
         0xc06fce15209c00ab,
         0x47392a85d44e96d5,
     ];
-    const GOLDEN_CC: [u64; 7] = [
+    const GOLDEN_CC: [u64; 6] = [
         0xe142d533268f7b84,
         0x57b5208d582d75f6,
         0x8eaed40745f0b659,
-        0x93733c8951a69cd0,
-        0xc8537430178f0dcb,
+        0x0916cde99c2a9f95,
         0x9dce1b845ba189b0,
         0x19887b3b3cd7641f,
     ];
@@ -945,10 +819,9 @@ mod tests {
 
     /// Hashes of the hand solver's grids for `p`: the manufactured rhs,
     /// `x` after one V-cycle from a seeded guess, after one F-cycle, after
-    /// a 2-cycle FMG solve with Chebyshev smoothing and linear
-    /// interpolation, after a 2-cycle solve with the BiCGStab bottom, after
-    /// three Jacobi sweeps from the seeded guess, and `A x` of that guess.
-    fn golden_hashes(p: Problem) -> [u64; 7] {
+    /// a 2-cycle FMG solve with Chebyshev smoothing, after three Jacobi
+    /// sweeps from the seeded guess, and `A x` of that guess.
+    fn golden_hashes(p: Problem) -> [u64; 6] {
         let seeded = || {
             let mut s = HandSolver::new(p);
             s.levels[0].x.fill_random(7, -1.0, 1.0);
@@ -959,12 +832,8 @@ mod tests {
         v.vcycle(0);
         let mut f = HandSolver::new(p);
         f.fcycle();
-        let mut cheby = HandSolver::new(p)
-            .with_smoother(crate::Smoother::Chebyshev)
-            .with_interp(crate::InterpKind::Linear);
+        let mut cheby = HandSolver::new(p).with_smoother(crate::Smoother::Chebyshev);
         cheby.solve(crate::SolveOptions::cycles(2).with_fmg(true));
-        let mut krylov = HandSolver::new(p).with_bottom(crate::BottomSolve::BiCgStab);
-        krylov.solve(2);
         let mut jacobi = seeded();
         for _ in 0..3 {
             smooth_jacobi(&mut jacobi.levels[0], p.a, p.b);
@@ -979,7 +848,6 @@ mod tests {
             fnv1a(&v.levels[0].x),
             fnv1a(&f.levels[0].x),
             fnv1a(&cheby.levels[0].x),
-            fnv1a(&krylov.levels[0].x),
             fnv1a(&jacobi.levels[0].x),
             fnv1a(&ax),
         ]

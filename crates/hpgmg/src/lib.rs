@@ -33,7 +33,6 @@
 //! benchmark harness for the standalone Figure 7 kernels) and [`problem`]
 //! the analytic test problem with an exactly-known discrete solution.
 
-pub mod bottom;
 pub mod cheby;
 pub mod cycle;
 pub mod hand;
@@ -106,30 +105,6 @@ impl From<usize> for SolveOptions {
     fn from(cycles: usize) -> Self {
         SolveOptions::cycles(cycles)
     }
-}
-
-/// Which coarse-grid solver the V-cycle bottoms out with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum BottomSolve {
-    /// Repeated smoothing ([`BOTTOM_SMOOTHS`] sweeps) — simple and what
-    /// the pure-stencil path can express.
-    #[default]
-    Smooths,
-    /// BiCGStab Krylov solve (reference HPGMG's default): stencil operator
-    /// applications with host-side reductions (see [`bottom`]).
-    BiCgStab,
-}
-
-/// Which prolongation operator corrections use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum InterpKind {
-    /// Piecewise-constant injection (2nd-order V-cycles; the paper's
-    /// configuration).
-    #[default]
-    Constant,
-    /// Cell-centered trilinear interpolation (reference HPGMG's
-    /// higher-order prolongation for F-cycles).
-    Linear,
 }
 
 /// Which smoother the V-/F-cycles use.

@@ -8,7 +8,7 @@
 //!
 //! Execution is *plan-once-run-many*: construction assembles the full
 //! ordered operator list ([`operator_list`]: smooths, residuals, transfers
-//! — every group any cycle will ever dispatch) and compiles it into one
+//! — every group a cycle dispatches, and no other) and compiles it into one
 //! [`SolverPlan`]; the V-/F-cycle hot path then dispatches by stable
 //! index, performing **zero** hashing or locking per call. With metrics
 //! on, the plan books every dispatch to its op's row of the report.
@@ -19,12 +19,12 @@ use snowflake_grid::{Grid, GridSet};
 
 use crate::cycle::{self, Step};
 use crate::hand::HandSolver;
-use crate::problem::{interior_diff_max, interior_norm_max, LevelData, Problem};
+use crate::problem::{interior_diff_max, interior_norm_max, Problem};
 use crate::stencils::{
-    chebyshev_step_group, gsrb_smooth_group, interpolate_group, interpolate_linear_group,
-    residual_group, restrict_group, restrict_rhs_group, Coeff, Names,
+    chebyshev_step_group, gsrb_smooth_group, interpolate_group, residual_group, restrict_group,
+    restrict_rhs_group, Coeff, Names,
 };
-use crate::{BottomSolve, InterpKind, Smoother, SolveOptions};
+use crate::{Smoother, SolveOptions};
 
 /// Geometric multigrid with Snowflake-compiled operators.
 pub struct SnowSolver {
@@ -38,10 +38,6 @@ pub struct SnowSolver {
     pub x_true: Grid,
     /// Smoother used by the cycles.
     pub smoother: Smoother,
-    /// Coarse-grid solver.
-    pub bottom: BottomSolve,
-    /// Prolongation operator.
-    pub interp: InterpKind,
     /// The compiled operator schedule; all dispatch is by index into it.
     plan: SolverPlan,
     /// Execution profile, populated while metrics collection is enabled.
@@ -53,6 +49,7 @@ pub struct SnowSolver {
 /// Plan index of every operator a cycle dispatches, per level.
 #[derive(Default)]
 pub struct PlanOps {
+    /// GSRB smooth plan indices (empty unless GSRB).
     smooth: Vec<usize>,
     /// Chebyshev per-step plan indices (empty unless Chebyshev).
     cheby_steps: Vec<Vec<usize>>,
@@ -60,32 +57,29 @@ pub struct PlanOps {
     restrict: Vec<usize>,
     restrict_rhs: Vec<usize>,
     interpolate: Vec<usize>,
-    interpolate_linear: Vec<usize>,
 }
 
 impl PlanOps {
-    /// The one plan op that executes `step` with the GSRB smoother and
-    /// `interp` prolongation; `None` for the host steps (clear-x and the
-    /// Krylov bottom solve).
-    pub fn op(&self, step: Step, interp: InterpKind) -> Option<usize> {
-        Some(match step {
-            Step::Smooth(l) => self.smooth[l],
-            Step::Residual(l) => self.residual[l],
-            Step::Restrict(l) => self.restrict[l],
-            Step::RestrictRhs(l) => self.restrict_rhs[l],
-            Step::Prolong(l) => match interp {
-                InterpKind::Constant => self.interpolate[l],
-                InterpKind::Linear => self.interpolate_linear[l],
-            },
-            Step::ClearX(_) | Step::Krylov(_) => return None,
-        })
+    /// The one plan op that executes `step`; `None` for the host step
+    /// (clear-x) and for a Chebyshev plan's smooth, which runs its
+    /// per-level steps instead.
+    pub fn op(&self, step: Step) -> Option<usize> {
+        match step {
+            Step::Smooth(l) => self.smooth.get(l).copied(),
+            Step::Residual(l) => Some(self.residual[l]),
+            Step::Restrict(l) => Some(self.restrict[l]),
+            Step::RestrictRhs(l) => Some(self.restrict_rhs[l]),
+            Step::Prolong(l) => Some(self.interpolate[l]),
+            Step::ClearX(_) => None,
+        }
     }
 }
 
-/// The solver's full ordered operator list for `problem`: every group any
-/// cycle dispatches, each with the shapes of the whole grid hierarchy,
-/// plus the plan index of each. [`SnowSolver`] compiles exactly this list;
-/// `snowlint` lints it in V-cycle order.
+/// The solver's full ordered operator list for `problem`: every group a
+/// V-cycle or an F-cycle with `smoother` dispatches, and no other, each
+/// with the shapes of the whole grid hierarchy, plus the plan index of
+/// each. [`SnowSolver`] compiles exactly this list; `snowlint` lints it
+/// in V-cycle order.
 pub fn operator_list(
     problem: &Problem,
     smoother: Smoother,
@@ -112,18 +106,23 @@ pub fn operator_list(
     for (l, &n) in sizes.iter().enumerate() {
         let names = Names::level(l);
         let h2inv = (n * n) as f64;
-        ops.smooth
-            .push(push(gsrb_smooth_group(&names, coeff, a, b, h2inv)));
-        ops.cheby_steps.push(if smoother == Smoother::Chebyshev {
-            cheby_coeffs
-                .iter()
-                .map(|&(c1, c2)| push(chebyshev_step_group(&names, coeff, a, b, h2inv, c1, c2)))
-                .collect()
-        } else {
-            Vec::new()
-        });
-        ops.residual
-            .push(push(residual_group(&names, coeff, a, b, h2inv)));
+        match smoother {
+            Smoother::GsRb => ops
+                .smooth
+                .push(push(gsrb_smooth_group(&names, coeff, a, b, h2inv))),
+            Smoother::Chebyshev => ops.cheby_steps.push(
+                cheby_coeffs
+                    .iter()
+                    .map(|&(c1, c2)| push(chebyshev_step_group(&names, coeff, a, b, h2inv, c1, c2)))
+                    .collect(),
+            ),
+        }
+        // The coarsest level only smooths, so its residual is compiled
+        // only when it is also the finest (the solve loop's norm).
+        if l == 0 || l + 1 < sizes.len() {
+            ops.residual
+                .push(push(residual_group(&names, coeff, a, b, h2inv)));
+        }
         if l + 1 < sizes.len() {
             let coarse = Names::level(l + 1);
             ops.restrict.push(push(restrict_group(&names, &coarse)));
@@ -131,8 +130,6 @@ pub fn operator_list(
                 .push(push(restrict_rhs_group(&names, &coarse)));
             ops.interpolate
                 .push(push(interpolate_group(&coarse, &names)));
-            ops.interpolate_linear
-                .push(push(interpolate_linear_group(&coarse, &names)));
         }
     }
     (list, ops)
@@ -201,24 +198,10 @@ impl SnowSolver {
             grids,
             x_true,
             smoother,
-            bottom: BottomSolve::default(),
-            interp: InterpKind::default(),
             plan,
             report: None,
             ops,
         })
-    }
-
-    /// Select the coarse-grid solver (builder style).
-    pub fn with_bottom(mut self, bottom: BottomSolve) -> Self {
-        self.bottom = bottom;
-        self
-    }
-
-    /// Select the prolongation operator (builder style).
-    pub fn with_interp(mut self, interp: InterpKind) -> Self {
-        self.interp = interp;
-        self
     }
 
     /// Start collecting an execution profile. Every subsequent stencil
@@ -270,14 +253,14 @@ impl SnowSolver {
     /// One V-cycle from level `l` down (the step sequence of
     /// [`cycle::vcycle`]).
     pub fn vcycle(&mut self, l: usize) -> Result<()> {
-        let steps = cycle::vcycle(l, self.sizes.len(), self.bottom);
+        let steps = cycle::vcycle(l, self.sizes.len());
         cycle::run(self, steps)
     }
 
     /// One full-multigrid F-cycle (the step sequence of
     /// [`cycle::fcycle`]).
     pub fn fcycle(&mut self) -> Result<()> {
-        let steps = cycle::fcycle(self.sizes.len(), self.bottom);
+        let steps = cycle::fcycle(self.sizes.len());
         cycle::run(self, steps)
     }
 
@@ -328,20 +311,16 @@ impl SnowSolver {
 impl cycle::Executor for SnowSolver {
     type Error = CoreError;
 
-    fn hierarchy(&self) -> (usize, BottomSolve) {
-        (self.sizes.len(), self.bottom)
+    fn hierarchy(&self) -> usize {
+        self.sizes.len()
     }
 
     /// Stencil steps dispatch their plan op. Host steps run here: a
     /// Chebyshev smooth ping-pongs `x` and `tmp` between its plan ops, and
-    /// BiCGStab extracts the coarsest level into a scratch [`LevelData`]
-    /// for the host-side Krylov loop around hand operator applications —
-    /// reductions live in the host language, exactly as the paper's Python
-    /// host computed norms around compiled stencils. The coarsest grid is
-    /// a few hundred cells, so the copies are free.
+    /// clear-x zeroes `x`.
     fn run(&mut self, step: Step) -> Result<()> {
-        match (step, self.ops.op(step, self.interp)) {
-            (Step::Smooth(l), _) if self.smoother == Smoother::Chebyshev => {
+        match step {
+            Step::Smooth(l) if self.smoother == Smoother::Chebyshev => {
                 let names = Names::level(l);
                 for i in 0..self.ops.cheby_steps[l].len() {
                     self.run_op(self.ops.cheby_steps[l][i])?;
@@ -349,22 +328,12 @@ impl cycle::Executor for SnowSolver {
                 }
                 Ok(())
             }
-            (_, Some(op)) => self.run_op(op),
-            (Step::Krylov(l), None) => {
-                let names = Names::level(l);
-                let mut lvl = LevelData::build(&self.problem, self.sizes[l]);
-                lvl.x = self.grids.get(&names.x).expect("x").clone();
-                lvl.rhs = self.grids.get(&names.rhs).expect("rhs").clone();
-                crate::bottom::solve_bottom(&mut lvl, self.problem.a, self.problem.b);
-                *self.grids.get_mut(&names.x).expect("x") = lvl.x;
-                Ok(())
-            }
-            // The remaining host step: clear-x.
-            (_, None) => {
-                let x = &Names::level(step.level()).x;
+            Step::ClearX(l) => {
+                let x = &Names::level(l).x;
                 self.grids.get_mut(x).expect("x grid").fill(0.0);
                 Ok(())
             }
+            _ => self.run_op(self.ops.op(step).expect("a stencil step's plan op")),
         }
     }
 
@@ -465,59 +434,14 @@ mod tests {
     }
 
     #[test]
-    fn snow_linear_interp_matches_hand() {
-        let p = Problem::poisson_vc(8);
-        let mut hand_solver = crate::HandSolver::new(p).with_interp(crate::InterpKind::Linear);
-        let hn = hand_solver.solve(2);
-        let mut snow_solver = SnowSolver::new(p, Box::new(SequentialBackend::new()))
-            .unwrap()
-            .with_interp(crate::InterpKind::Linear);
-        let sn = snow_solver.solve(2).unwrap();
-        for (a, b) in hn.iter().zip(&sn) {
-            assert!(((a - b) / a.abs().max(1e-300)).abs() < 1e-7, "{a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn bicgstab_bottom_matches_or_beats_smooth_bottom() {
-        let p = Problem::poisson_vc(8);
-        let mut smooths = SnowSolver::new(p, Box::new(SequentialBackend::new())).unwrap();
-        let ns = smooths.solve(3).unwrap();
-        let mut krylov = SnowSolver::new(p, Box::new(SequentialBackend::new()))
-            .unwrap()
-            .with_bottom(crate::BottomSolve::BiCgStab);
-        let nk = krylov.solve(3).unwrap();
-        // An (essentially) exact bottom solve can only help convergence.
-        assert!(
-            nk[3] <= ns[3] * 1.5,
-            "BiCGStab bottom must not hurt: {nk:?} vs {ns:?}"
-        );
-        assert!(nk[3] / nk[0] < 1e-3);
-    }
-
-    #[test]
-    fn snow_and_hand_agree_with_bicgstab_bottom() {
-        let p = Problem::poisson_vc(8);
-        let mut hand_solver = crate::HandSolver::new(p).with_bottom(crate::BottomSolve::BiCgStab);
-        let hn = hand_solver.solve(2);
-        let mut snow_solver = SnowSolver::new(p, Box::new(SequentialBackend::new()))
-            .unwrap()
-            .with_bottom(crate::BottomSolve::BiCgStab);
-        let sn = snow_solver.solve(2).unwrap();
-        for (a, b) in hn.iter().zip(&sn) {
-            assert!(((a - b) / a.abs().max(1e-300)).abs() < 1e-7, "{a} vs {b}");
-        }
-    }
-
-    #[test]
     fn plan_compiles_each_group_once() {
         let s =
             SnowSolver::new(Problem::poisson_cc(8), Box::new(SequentialBackend::new())).unwrap();
-        // 2 levels × (smooth + residual) + 1 × (restrict + restrict_rhs +
-        // interp_pc + interp_linear) = 8 ops, all distinct.
-        assert_eq!(s.plan_ops(), 8);
+        // 2 smooths + 1 × (residual + restrict + restrict_rhs + interp) =
+        // 6 ops, all distinct.
+        assert_eq!(s.plan_ops(), 6);
         let built = s.plan().cache_stats();
-        assert_eq!(built.misses, 8, "one compile per distinct group");
+        assert_eq!(built.misses, 6, "one compile per distinct group");
         assert_eq!(built.hits, 0, "no duplicate ops in this configuration");
     }
 

@@ -270,59 +270,6 @@ pub fn chebyshev_step_group(
     group
 }
 
-/// Cell-centered trilinear interpolation and correction (the
-/// higher-order prolongation reference HPGMG uses for F-cycles):
-/// `fine.x[2p + t - 1] += Π_d (¾·coarse[p] + ¼·coarse[p + n_d])` with
-/// `n_d = ±1` toward the child's side. Eight scaled-output stencils, each
-/// a constant-coefficient linear form (fast path), preceded by the coarse
-/// boundary stencils so the ghost reads are fresh.
-pub fn interpolate_linear_group(coarse: &Names, fine: &Names) -> StencilGroup {
-    let mut group = StencilGroup::new();
-    for st in boundary_stencils(&coarse.x) {
-        group.push(st);
-    }
-    for ti in [0i64, 1] {
-        for tj in [0i64, 1] {
-            for tk in [0i64, 1] {
-                let out_map = AffineMap::scaled(vec![2, 2, 2], vec![ti - 1, tj - 1, tk - 1]);
-                // Tensor-product weights over the 2³ coarse corners.
-                let mut acc: Option<Expr> = None;
-                for ci in [0i64, 1] {
-                    for cj in [0i64, 1] {
-                        for ck in [0i64, 1] {
-                            let mut w = 1.0f64;
-                            let mut off = [0i64; 3];
-                            for (d, (t, c)) in
-                                [(ti, ci), (tj, cj), (tk, ck)].into_iter().enumerate()
-                            {
-                                if c == 1 {
-                                    w *= 0.25;
-                                    off[d] = 2 * t - 1; // toward the child
-                                } else {
-                                    w *= 0.75;
-                                }
-                            }
-                            let term = Expr::Const(w) * rd(&coarse.x, off);
-                            acc = Some(match acc {
-                                None => term,
-                                Some(e) => e + term,
-                            });
-                        }
-                    }
-                }
-                let expr =
-                    Expr::read_mapped(&fine.x, out_map.clone()) + acc.expect("eight corners");
-                group.push(
-                    Stencil::new(expr, &fine.x, RectDomain::interior(3))
-                        .with_out_map(out_map)
-                        .named(&format!("interp_lin_{ti}{tj}{tk}")),
-                );
-            }
-        }
-    }
-    group
-}
-
 /// Piecewise-constant interpolation and correction:
 /// `fine.x[2p + d] += coarse.x[p]` for `d ∈ {−1,0}³` — eight scaled-output
 /// stencils the analysis proves mutually independent (one phase).

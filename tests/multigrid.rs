@@ -4,6 +4,7 @@
 //! compilation through the cache.
 
 use snowflake::backends::{Backend, CJitBackend, OclSimBackend, OmpBackend, SequentialBackend};
+use snowflake::hpgmg::snow::operator_list;
 use snowflake::hpgmg::{HandSolver, Problem, Smoother, SnowSolver, SolveOptions};
 
 /// Outcome of one solver run.
@@ -155,13 +156,13 @@ fn solver_reaches_discrete_solution_to_machine_precision() {
 fn plan_amortizes_compilation_and_cycles_never_look_up() {
     let mut solver =
         SnowSolver::new(Problem::poisson_vc(16), Box::new(SequentialBackend::new())).unwrap();
-    // 3 levels: 3 smooth + 3 residual + 2 × (restrict + restrict_rhs +
-    // interp_pc + interp_linear) = 14 groups, compiled once at plan build.
-    assert_eq!(solver.plan_ops(), 14);
+    // 3 levels: 3 smooth + 2 × (residual + restrict + restrict_rhs +
+    // interp) = 11 groups, compiled once at plan build.
+    assert_eq!(solver.plan_ops(), 11);
     let built = solver.plan().cache_stats();
     assert_eq!(
         (built.hits, built.misses),
-        (0, 14),
+        (0, 11),
         "one compilation per distinct (group, shape)"
     );
     solver.solve(4).unwrap();
@@ -170,6 +171,34 @@ fn plan_amortizes_compilation_and_cycles_never_look_up() {
         built,
         "steady-state cycles must not compile"
     );
+}
+
+#[test]
+fn every_plan_op_runs() {
+    // The plan compiles exactly the ops a V-cycle and an F-cycle dispatch:
+    // a V-cycle reaches its ops through `PlanOps::op`, a Chebyshev smooth
+    // through its per-level steps, and the F-cycle adds the rhs
+    // restrictions.
+    for smoother in [Smoother::GsRb, Smoother::Chebyshev] {
+        for n in [8, 16] {
+            let problem = Problem::poisson_vc(n);
+            let compiled = operator_list(&problem, smoother).0.len();
+            let mut solver =
+                SnowSolver::with_smoother(problem, Box::new(SequentialBackend::new()), smoother)
+                    .unwrap();
+            assert_eq!(solver.plan_ops(), compiled);
+            solver.enable_metrics();
+            solver.vcycle(0).unwrap();
+            solver.fcycle().unwrap();
+            let report = solver.take_metrics().unwrap();
+            let reached: Vec<usize> = report.ops.keys().copied().collect();
+            assert_eq!(
+                reached,
+                (0..compiled).collect::<Vec<_>>(),
+                "{smoother:?} at {n}³"
+            );
+        }
+    }
 }
 
 #[test]

@@ -175,21 +175,18 @@ fn metered_solve_books_every_op_call_on_every_backend() {
 /// loop nest, as cjit: a colour union whose pieces tile their hull is one)
 /// and for `omp` with an explicit 3×4×5 tile (multicolor reordering on:
 /// one per tile of a nest's hull box). Every kernel is parallel-safe.
-const WORK_16: [[u64; 3]; 14] = [
+const WORK_16: [[u64; 3]; 11] = [
     [7168, 14, 280],
     [5632, 7, 224],
     [1512, 2, 36],
     [512, 1, 12],
     [4096, 8, 96],
-    [4480, 14, 128],
     [1280, 14, 68],
     [896, 7, 44],
     [280, 2, 10],
     [64, 1, 2],
     [512, 8, 16],
-    [608, 14, 26],
     [256, 14, 22],
-    [160, 7, 12],
 ];
 
 #[test]

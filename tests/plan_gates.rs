@@ -243,15 +243,15 @@ fn certified_hpgmg_build_stamps_one_pass_of_gate_counters() {
     );
     assert_eq!(report.verify.warnings, 0);
     assert!(lint.lints.is_empty(), "{:?}", lint.lints);
-    // The counters of the HPGMG V-cycle plan: 67 stencils, their source
-    // accesses plus the lowered cursors, and 17 barrier phases.
+    // The counters of the HPGMG V-cycle plan: 46 stencils, their source
+    // accesses plus the lowered cursors, and 13 barrier phases.
     assert_eq!(
         (
             report.verify.stencils_checked,
             report.verify.accesses_proved,
             report.verify.phases_certified
         ),
-        (67, 1004, 17)
+        (46, 765, 13)
     );
 
     // Unchecked builds carry zero plan-check counters.
