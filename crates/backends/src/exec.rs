@@ -20,12 +20,12 @@
 //! along the innermost dimension (a lone region's: the innermost one with
 //! more than one point, so a boundary face runs as long strided rows, not
 //! as rows of one point). The walk keeps one linear *cursor* per access
-//! class and hands every row to one dispatch:
+//! class and hands every row to one of two loops:
 //!
-//! * a parallel-safe linear kernel of at most 16 terms whose cursors all
-//!   step by 1 runs the fused fixed-arity loop (see [`crate::specialize`]);
-//! * every other linear kernel runs chunked axpy passes, one point per
-//!   chunk when it is not parallel-safe;
+//! * a linear kernel, parallel-safe or not and at any strides, runs the
+//!   one row loop `lin_row` (see [`crate::specialize`]): one fold per
+//!   point, each term read at its own step, the point written before the
+//!   next one's reads;
 //! * a tape kernel runs its fused program, which `Schedule::build` makes
 //!   once per kernel (`run_forms`), over lanes allocated once per nest:
 //!   in place, chunk by chunk within each row, when the kernel is
@@ -56,10 +56,7 @@ use snowflake_ir::spec::SpecLinear;
 use snowflake_ir::{intersect_box, lower_group, LowerOptions, Lowered, LoweredKernel};
 
 use crate::metrics::KernelCounters;
-use crate::specialize::{
-    lin_strided, lin_unit, specialize_lowered, FusedTape, RunForm, TapeLanes, CHUNK,
-    MAX_FUSED_ARITY, TAPE_LANES,
-};
+use crate::specialize::{lin_row, specialize_lowered, FusedTape, RunForm, TapeLanes, TAPE_LANES};
 use crate::view::GridPtrs;
 use crate::{check_and_ptrs, Executable};
 
@@ -427,16 +424,11 @@ struct Row<'k> {
     shape: RowShape<'k>,
 }
 
-/// The loop shape a kernel's rows run in, fixed per nest: the closed form
-/// picks the arithmetic, parallel safety and strides the loop.
+/// The loop a kernel's rows run in, fixed per nest by its closed form.
 enum RowShape<'k> {
-    /// Parallel-safe linear of at most `MAX_FUSED_ARITY` terms with every
-    /// cursor at unit stride: the fused loop over contiguous chunks.
-    Fused(&'k SpecLinear),
-    /// Any other linear: axpy passes over chunks of this many points (one
-    /// for a sequential kernel, so each point is written before the next
-    /// one's reads).
-    Axpy(&'k SpecLinear, usize),
+    /// A linear record: one fold per point at each term's own step
+    /// ([`lin_row`]), parallel-safe or not.
+    Linear(&'k SpecLinear),
     /// A tape's fused program over its lanes (one lane when sequential).
     Tape(TapeLanes<'k>),
 }
@@ -452,16 +444,7 @@ impl<'k> Row<'k> {
             inner_step[c] = cl.step(r, members[0].stride[r]);
         }
         let shape = match form {
-            // The output class is one of the classes, so this covers its
-            // step.
-            RunForm::Linear(sl)
-                if kernel.parallel_safe
-                    && sl.arity() <= MAX_FUSED_ARITY
-                    && inner_step[..kernel.classes.len()].iter().all(|&st| st == 1) =>
-            {
-                RowShape::Fused(sl)
-            }
-            RunForm::Linear(sl) => RowShape::Axpy(sl, if kernel.parallel_safe { CHUNK } else { 1 }),
+            RunForm::Linear(sl) => RowShape::Linear(sl),
             RunForm::Tape(prog) => {
                 let row = members.iter().map(|m| m.extent(r)).max().unwrap_or(0);
                 let points: u64 = members.iter().map(Region::num_points).sum();
@@ -519,11 +502,8 @@ impl<'k> Row<'k> {
         #[allow(clippy::cast_possible_truncation)]
         let total = count as usize;
         match &mut self.shape {
-            RowShape::Fused(sl) => lin_unit(sl, view, &cur, grids, total, out, out_idx),
-            RowShape::Axpy(sl, chunk) => {
-                lin_strided(
-                    sl, view, &cur, grids, steps, total, *chunk, out, out_idx, out_step,
-                );
+            RowShape::Linear(sl) => {
+                lin_row(sl, view, &cur, grids, steps, total, out, out_idx, out_step);
             }
             RowShape::Tape(lanes) => {
                 lanes.push_row(view, &cur, grids, steps, total, out_idx, out_step);
@@ -608,7 +588,7 @@ mod tests {
     use snowflake_grid::{Grid, GridSet};
     use snowflake_ir::spec::SpecForm;
 
-    use crate::specialize::{CHUNK, IN_PLACE_ROW, TAPE_LANES};
+    use crate::specialize::{IN_PLACE_ROW, TAPE_LANES};
 
     fn setup(n: usize) -> (GridSet, ShapeMap) {
         let mut gs = GridSet::new();
@@ -791,17 +771,17 @@ mod tests {
 
     #[test]
     fn vectorized_rows_handle_chunk_boundaries() {
-        // Rows shorter than, equal to, and longer than the CHUNK length
-        // must all agree with the reference (off-by-ones at chunk seams
-        // are the classic failure).
-        for n in [3usize, CHUNK, CHUNK + 1, 2 * CHUNK + 7] {
+        // Rows of 3, 128, 129 and 263 points must all agree with the
+        // reference (off-by-ones where a vectorized loop hands over to its
+        // remainder are the classic failure).
+        for n in [3usize, 128, 129, 263] {
             let shape = [3usize, n + 2];
             let mut gs = GridSet::new();
             let mut x = Grid::new(&shape);
             x.fill_random(n as u64, -1.0, 1.0);
             gs.insert("x", x);
             gs.insert("y", Grid::new(&shape));
-            // Linear kernel (unit path) over a full row.
+            // Linear kernel over a full row.
             let e = Expr::read_at("x", &[0, 1]) * 2.0 + Expr::read_at("x", &[0, -1]);
             let s = Stencil::new(e.clone(), "y", RectDomain::interior(2));
             run_one(&StencilGroup::from(s), &mut gs);

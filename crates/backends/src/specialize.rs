@@ -10,14 +10,13 @@
 //! arithmetic description the executors below, the `checked` sanitizer and
 //! the C generator share.
 //!
-//! Parallel safety and strides pick only the loop shape; there are two
-//! linear loops. A parallel-safe kernel whose cursors all step by 1 and
-//! whose record has at most `MAX_FUSED_ARITY` terms runs the fused loop
-//! (`lin_unit`), monomorphized over its term count. Every other linear
-//! row runs the axpy passes of `lin_strided` over chunks — contiguous
-//! slices for unit-stride terms, strided index chains otherwise — and a
-//! sequential kernel passes a chunk of one point, since a later point may
-//! read what an earlier one wrote. LLVM auto-vectorizes both loops.
+//! A linear record runs one row loop, `lin_row`, whatever the kernel's
+//! parallel safety and strides: for each point it folds `bias +
+//! Σ coef[t]·src[t][i·step[t]]` in term order into a register and writes
+//! the point before the next point's reads, so lexicographic Gauss-Seidel
+//! kernels run in it too. It is monomorphized over the term count up to
+//! `MAX_FUSED_ARITY`, and wider records run the same body with the count
+//! known at run time.
 //!
 //! A tape runs as its fused program ([`FusedTape`]), built once per kernel
 //! when the plan is built, since it does not depend on the region. An
@@ -41,10 +40,10 @@
 //!
 //! **Bitwise contract**: every executor here performs, per output element,
 //! the operation sequence of [`SpecForm::eval`] — the merged fold for a
-//! linear record, source-tree order for a tape. Chunking only reorders work
-//! *across* independent elements of parallel-safe kernels — never within
-//! one element — so all loop shapes agree bitwise with the per-point
-//! reference. `tests/specialize_equivalence.rs` asserts this against
+//! linear record, source-tree order for a tape. A tape's chunks only
+//! reorder work *across* independent elements of parallel-safe kernels —
+//! never within one element — so all loop shapes agree bitwise with the
+//! per-point reference. `tests/specialize_equivalence.rs` asserts this against
 //! `checked` on the full HPGMG V-cycles.
 
 #![allow(clippy::needless_range_loop)] // chunk indices address parallel fixed arrays
@@ -55,15 +54,11 @@ use snowflake_ir::Lowered;
 use crate::exec::MAX_CLASSES;
 use crate::view::GridPtrs;
 
-/// Row chunk length of the chunked linear executors: long enough to
-/// amortize per-term loop overhead, short enough that the accumulator
-/// scratch stays in L1.
-pub(crate) const CHUNK: usize = 128;
-
 /// Lanes per register of a parallel-safe tape kernel's buffer: its chunk
 /// length. The buffer holds a lane per read and per fused instruction — 29
-/// for the variable-coefficient GSRB update — so this is kept at half of
-/// `CHUNK` to leave the buffer and the streamed grid rows room in L1.
+/// for the variable-coefficient GSRB update — so this is kept small enough
+/// (15 KB of lanes there) to leave the buffer and the streamed grid rows
+/// room in L1.
 pub(crate) const TAPE_LANES: usize = 64;
 
 /// Shortest row of a parallel-safe tape kernel that reads in place; the
@@ -72,9 +67,9 @@ pub(crate) const TAPE_LANES: usize = 64;
 /// has 32 points, a 32³ one 16; the coarser levels pack.
 pub(crate) const IN_PLACE_ROW: usize = 16;
 
-/// Largest term count monomorphized into a fused fixed-arity inner loop;
-/// wider linear kernels run the axpy passes of [`lin_strided`] (bitwise
-/// identical, just less completely unrolled).
+/// Largest term count [`lin_row`] is monomorphized for; wider records run
+/// the same loop with the count known only at run time (bitwise identical,
+/// just not unrolled).
 pub(crate) const MAX_FUSED_ARITY: usize = 16;
 
 /// Swap every kernel's tape for its linear record when it linearizes,
@@ -105,134 +100,79 @@ impl RunForm {
     }
 }
 
-/// Execute one linear row of a parallel-safe kernel whose cursors all
-/// step by 1 and whose record has at most `MAX_FUSED_ARITY` terms.
-/// Monomorphizes the fused loop over the term count so the inner
-/// accumulation fully unrolls and the chunk loop vectorizes.
+/// Execute one linear row of `total` points: for each point `i`, fold
+/// `bias + Σ coef[t]·src[t][i·step[t]]` in term order into a register and
+/// write `out[i·out_step]`, before the next point's reads. Each term's row
+/// and the output row are taken through [`GridPtrs::at`] once, so a debug
+/// build range-checks every row. Records of at most `MAX_FUSED_ARITY`
+/// terms run the loop monomorphized over their term count, so the fold
+/// fully unrolls; wider ones run the same loop body with the count known
+/// only at run time.
 ///
 /// # Safety
-/// As `exec::run_nest`: `view` must hold valid pointers for the
-/// shapes the kernel was lowered against, and no other thread may touch
-/// the cells this row accesses. The kernel must be parallel-safe (the
-/// chunked read-all-then-write-all order requires order-independence).
-pub(crate) unsafe fn lin_unit(
-    sl: &SpecLinear,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    total: usize,
-    out_grid: usize,
-    out_start: isize,
-) {
-    macro_rules! arms {
-        ($($n:literal),*) => {
-            match sl.arity() {
-                $($n => lin_unit_fixed::<$n>(sl, view, cur, class_grid, total, out_grid, out_start),)*
-                n => unreachable!("fused linear loop of arity {n} > {MAX_FUSED_ARITY}"),
-            }
-        };
-    }
-    arms!(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16);
-}
-
-/// Fused fixed-arity unit-stride linear executor: one pass over the row
-/// reading all `N` source slices, accumulating in term order per element.
-unsafe fn lin_unit_fixed<const N: usize>(
-    sl: &SpecLinear,
-    view: &GridPtrs<'_>,
-    cur: &[isize; MAX_CLASSES],
-    class_grid: &[usize; MAX_CLASSES],
-    total: usize,
-    out_grid: usize,
-    out_start: isize,
-) {
-    debug_assert!(N <= MAX_FUSED_ARITY && sl.arity() == N);
-    let bias = sl.bias;
-    let mut coef = [0.0f64; N];
-    coef.copy_from_slice(&sl.coeffs[..N]);
-    let mut grid = [0usize; N];
-    let mut start = [0isize; N];
-    for t in 0..N {
-        let c = sl.classes[t] as usize;
-        grid[t] = class_grid[c];
-        start[t] = cur[c] + sl.deltas[t];
-    }
-    let mut acc = [0.0f64; CHUNK];
-    let mut done = 0usize;
-    while done < total {
-        let len = CHUNK.min(total - done);
-        {
-            // Shared source-row borrows; released before the write below
-            // (an in-place kernel's output row may alias a source row).
-            let rows: [&[f64]; N] =
-                std::array::from_fn(|t| view.row(grid[t], start[t] + done as isize, len));
-            for i in 0..len {
-                let mut v = bias;
-                for t in 0..N {
-                    v += coef[t] * *rows[t].get_unchecked(i);
-                }
-                acc[i] = v;
-            }
-        }
-        let dst = view.row_mut(out_grid, out_start + done as isize, len);
-        dst.copy_from_slice(&acc[..len]);
-        done += len;
-    }
-}
-
-/// Execute one linear row with arbitrary per-class strides (e.g. the
-/// stride-2 red/black color rows of a constant-coefficient GSRB smooth):
-/// per-term axpy passes over chunks of at most `chunk` points, borrowing
-/// a slice for a unit-stride term. A sequential kernel passes a chunk of
-/// one, so each point is written before the next one's reads.
-///
-/// # Safety
-/// As [`lin_unit`], except that a sequential kernel is allowed when
-/// `chunk == 1`; `chunk` must not exceed `CHUNK`.
+/// As `exec::run_nest`: `view` must hold valid pointers for the shapes the
+/// kernel was lowered against, and no other thread may touch the cells
+/// this row accesses. Since every point is written before the next one
+/// reads, a kernel that is not parallel-safe (lexicographic Gauss-Seidel)
+/// runs here too.
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn lin_strided(
+pub(crate) unsafe fn lin_row(
     sl: &SpecLinear,
     view: &GridPtrs<'_>,
     cur: &[isize; MAX_CLASSES],
     class_grid: &[usize; MAX_CLASSES],
     inner_step: &[isize; MAX_CLASSES],
     total: usize,
-    chunk: usize,
     out_grid: usize,
     out_start: isize,
     out_step: isize,
 ) {
-    let mut buf = [0.0f64; CHUNK];
-    let mut done = 0usize;
-    while done < total {
-        let len = chunk.min(total - done);
-        let acc = &mut buf[..len];
-        acc.fill(sl.bias);
-        for t in 0..sl.arity() {
-            let c = sl.classes[t] as usize;
-            let g = class_grid[c];
-            let k = sl.coeffs[t];
-            let st = inner_step[c];
-            let start = cur[c] + sl.deltas[t] + done as isize * st;
-            if st == 1 {
-                for (a, &s) in acc.iter_mut().zip(view.row(g, start, len)) {
-                    *a += k * s;
-                }
-            } else {
-                for (i, a) in acc.iter_mut().enumerate() {
-                    *a += k * view.read(g, start + i as isize * st);
+    // The row of term `t`.
+    let src = |t: usize| {
+        let c = sl.classes[t] as usize;
+        let step = inner_step[c];
+        Addr {
+            ptr: view.at(class_grid[c], cur[c] + sl.deltas[t], step, total),
+            step,
+        }
+    };
+    let out = Addr {
+        ptr: view.at(out_grid, out_start, out_step, total),
+        step: out_step,
+    };
+    macro_rules! arms {
+        ($($n:literal),*) => {
+            match sl.arity() {
+                $($n => {
+                    let coef: [f64; $n] = std::array::from_fn(|t| sl.coeffs[t]);
+                    let src: [Addr; $n] = std::array::from_fn(src);
+                    fold_row(sl.bias, &coef, &src, out, total);
+                })*
+                n => {
+                    debug_assert!(n > MAX_FUSED_ARITY);
+                    let src: Vec<Addr> = (0..n).map(src).collect();
+                    fold_row(sl.bias, &sl.coeffs, &src, out, total);
                 }
             }
+        };
+    }
+    arms!(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16);
+}
+
+/// The one loop of [`lin_row`], inlined into each arity.
+///
+/// # Safety
+/// `coef` and `src` have one entry per term, and every `src[t]` and `out`
+/// address `total` in-bounds elements at their steps (what `lin_row`
+/// range-checks in debug builds), with the obligations of `lin_row`.
+#[inline(always)]
+unsafe fn fold_row(bias: f64, coef: &[f64], src: &[Addr], out: Addr, total: usize) {
+    for i in 0..total {
+        let mut v = bias;
+        for (&k, s) in coef.iter().zip(src) {
+            v += k * *s.at(i);
         }
-        let out = out_start + done as isize * out_step;
-        if out_step == 1 {
-            view.row_mut(out_grid, out, len).copy_from_slice(acc);
-        } else {
-            for (i, &v) in acc.iter().enumerate() {
-                view.write(out_grid, out + i as isize * out_step, v);
-            }
-        }
-        done += len;
+        *out.at(i) = v;
     }
 }
 
@@ -642,7 +582,8 @@ mod tests {
     use super::*;
     use crate::{Backend, CheckedBackend, SequentialBackend};
     use snowflake_core::{
-        weights2, Component, DomainUnion, Expr, RectDomain, ShapeMap, Stencil, StencilGroup,
+        weights2, AffineMap, Component, DomainUnion, Expr, RectDomain, ShapeMap, Stencil,
+        StencilGroup,
     };
     use snowflake_grid::{Grid, GridSet};
     use snowflake_ir::{lower_group, LowerOptions, SpecForm};
@@ -677,12 +618,17 @@ mod tests {
     /// (Laplacian), strided linear (red-black constant coefficient),
     /// strided tape (red-black variable coefficient), a sequential in-place
     /// tape kernel, a unit-stride tape dividing by a read, a sequential
-    /// in-place linear kernel over a two-rectangle union (axpy passes one
-    /// point at a time), a constant fill (the fused loop at arity 0), a
+    /// in-place linear kernel over a two-rectangle union (each point reads
+    /// the one written just before it), a constant fill (arity 0), a
     /// sequential in-place tape whose single-use read is the cell it writes,
-    /// and a red-black tape doing the same in parallel. The rows run short
-    /// and long: at unit stride and at stride 2 they fall on both sides of
-    /// `IN_PLACE_ROW`, and the longest stride-2 rows span several chunks.
+    /// a red-black tape doing the same in parallel, a restriction (reads at
+    /// scale 2, unit-stride output), an interpolation (output at stride 2:
+    /// unit-stride reads of the coarse grid, and the HPGMG correction that
+    /// reads the cell it writes) and a 25-term record on stride-2 rows
+    /// (wider than `MAX_FUSED_ARITY`). The rows run short and long: at unit
+    /// stride and at stride 2 they fall on both sides of `IN_PLACE_ROW`,
+    /// the longest stride-2 rows span several tape chunks, and the longest
+    /// unit-stride rows exceed 128 and 256 points.
     #[test]
     fn every_loop_shape_matches_per_point_evaluation() {
         let lap = Component::new("x", weights2![[0, 1, 0], [1, -4, 1], [0, 1, 0]]);
@@ -694,6 +640,18 @@ mod tests {
         // A single-use read of the written cell, then a neighbour of the
         // other colour.
         let own = m(0, 0) * Expr::read_at("beta", &[0, 0]) - m(0, 1);
+        let to_fine = |o: [i64; 2]| AffineMap::scaled(vec![2, 2], o.to_vec());
+        let fine = |g: &str, o: [i64; 2]| Expr::read_mapped(g, to_fine(o));
+        let restrict = (fine("x", [-1, -1]) + fine("x", [-1, 0]))
+            + (fine("x", [0, -1]) + fine("x", [0, 0])) * 0.25
+            + 0.125;
+        let c = |j: i64| Expr::read_at("c", &[0, j]);
+        let mut wide = Expr::Const(0.5);
+        for i in -2i64..=2 {
+            for j in -2i64..=2 {
+                wide = wide + Expr::read_at("x", &[i, j]) * (1.0 + (i * 5 + j) as f64 * 0.0625);
+            }
+        }
         let groups: Vec<StencilGroup> = vec![
             StencilGroup::from(Stencil::new(lap, "y", RectDomain::interior(2))),
             StencilGroup::new()
@@ -732,7 +690,28 @@ mod tests {
             StencilGroup::new()
                 .with(Stencil::new(own.clone(), "mesh", red))
                 .with(Stencil::new(own, "mesh", black)),
+            StencilGroup::from(Stencil::new(restrict, "c", RectDomain::interior(2))),
+            StencilGroup::new()
+                .with(
+                    Stencil::new(c(0) * 0.5 - c(1) * 0.25, "y", RectDomain::interior(2))
+                        .with_out_map(to_fine([0, -1])),
+                )
+                .with(
+                    Stencil::new(
+                        fine("mesh", [-1, 0]) + c(0),
+                        "mesh",
+                        RectDomain::interior(2),
+                    )
+                    .with_out_map(to_fine([-1, 0])),
+                ),
+            StencilGroup::from(Stencil::new(
+                wide,
+                "y",
+                RectDomain::new(&[2, 2], &[-2, -2], &[2, 2]),
+            )),
         ];
+        // `c` is the coarse grid of the restriction and interpolation:
+        // its interior points `p` reach fine points `2p - 1` and `2p`.
         let grids_of = |n: usize| {
             let mut grids = GridSet::new();
             for (g, seed) in [("x", 1u64), ("y", 2), ("mesh", 3), ("rhs", 4), ("beta", 5)] {
@@ -740,10 +719,14 @@ mod tests {
                 grid.fill_random(seed, 0.5, 1.5);
                 grids.insert(g, grid);
             }
+            let mut coarse = Grid::new(&[6, (n - 2) / 2 + 2]);
+            coarse.fill_random(6, 0.5, 1.5);
+            grids.insert("c", coarse);
             grids
         };
         let grids = grids_of(18);
-        // The last two kernels take the paths no benchmark kernel does.
+        // The sequential union, the fill and the own-cell tape take paths no
+        // benchmark kernel does.
         let form = |group: &StencilGroup| {
             let mut lowered =
                 lower_group(group, &grids.shapes(), &LowerOptions::default()).unwrap();
@@ -757,14 +740,25 @@ mod tests {
         assert!(matches!(&fill.form, SpecForm::Linear(sl) if sl.arity() == 0));
         let own_cell = form(&groups[7]);
         assert!(!own_cell.parallel_safe && matches!(own_cell.form, SpecForm::Tape(_)));
+        let restriction = form(&groups[9]);
+        assert!(matches!(&restriction.form, SpecForm::Linear(sl) if sl.arity() == 4));
+        assert!(restriction.classes.iter().any(|cl| cl.step(1, 1) == 2));
+        let interpolation = form(&groups[10]);
+        assert!(matches!(&interpolation.form, SpecForm::Linear(sl) if sl.arity() == 2));
+        let out = &interpolation.classes[interpolation.out_class as usize];
+        assert_eq!(out.step(1, 1), 2, "the output steps by 2 along a row");
+        let wide = form(&groups[11]);
+        assert!(matches!(&wide.form, SpecForm::Linear(sl) if sl.arity() > MAX_FUSED_ARITY));
         // Interiors of IN_PLACE_ROW ± 1 points at unit stride, of 15 and 16
-        // points at stride 2, and of 2·TAPE_LANES + 6.
+        // points at stride 2, of 2·TAPE_LANES + 6, and of 263 (more than
+        // two 128-point spans).
         for interior in [
             IN_PLACE_ROW - 1,
             IN_PLACE_ROW + 1,
             2 * IN_PLACE_ROW - 2,
             2 * IN_PLACE_ROW,
             2 * TAPE_LANES + 6,
+            263,
         ] {
             let grids = grids_of(interior + 2);
             for group in &groups {
