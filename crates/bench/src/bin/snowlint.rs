@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use hpgmg::cycle::{self, Step};
 use hpgmg::snow::operator_list;
 use hpgmg::stencils::Names;
-use hpgmg::{Problem, Smoother};
+use hpgmg::Problem;
 use snowflake_analysis::{apply_policy, lint_program, Finding, LintConfig, Rule, Severity};
 use snowflake_backends::metrics::json::Value;
 use snowflake_bench::{arg_flag, arg_size, arg_usize, arg_value, check_args, or_exit, UsageError};
@@ -46,7 +46,7 @@ struct LintTarget {
 fn hpgmg_target(n: usize) -> LintTarget {
     let problem = Problem::poisson_vc(n);
     let levels = problem.level_sizes().len();
-    let (list, index) = operator_list(&problem, Smoother::default());
+    let (list, index) = operator_list(&problem);
     let mut steps = cycle::vcycle(0, levels);
     steps.push(Step::Residual(0));
     // Repeating an identical op changes no lint verdict, so a run of

@@ -15,7 +15,7 @@ use std::convert::Infallible;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 
-use hpgmg::{HandSolver, Problem, Smoother, SnowSolver};
+use hpgmg::{HandSolver, Problem, SnowSolver};
 use roofline::stream::dot_pass;
 use roofline::{Roofline, StencilKind};
 use snowflake_backends::metrics::json::Value;
@@ -27,7 +27,10 @@ use snowflake_backends::{
 use crate::{time, time_rounds, KernelBench, Timing};
 
 /// Elements per array of the Figure 6 dot-bandwidth sweep: 1 MiB to
-/// 64 MiB footprints, from cache-resident to DRAM.
+/// 64 MiB footprints (two arrays). The largest leaves the last-level cache
+/// only where that cache is under 64 MiB: on the 2 vCPU Xeon with a 300 MiB
+/// L3 that the checked-in results come from, every footprint is
+/// L3-resident, so the Roofline's bandwidth there is an L3 bandwidth.
 pub const STREAM_ELEMS: [usize; 4] = [1 << 16, 1 << 18, 1 << 20, 1 << 22];
 
 /// What one evaluation measures.
@@ -263,7 +266,7 @@ fn solve_rows(problem: &str, n: usize, config: &Config) -> Result<Vec<Value>, St
             }
             let snow = backend_from_name(imp, &BackendOptions::default())
                 .map_err(PlanError::from)
-                .and_then(|backend| SnowSolver::build(spec, backend, Smoother::default(), true))
+                .and_then(|backend| SnowSolver::build(spec, backend, true))
                 .map_err(|e| on(imp, e))?;
             Ok((imp, Solver::Snow(snow)))
         })
@@ -363,8 +366,7 @@ fn poisson(problem: &str, n: usize) -> Problem {
 /// against the default backend in `reps` rounds of one whole V-cycle each
 /// (alternating pairs; see [`time_rounds`]). Every plan is built checked.
 fn ablation_rows(problem: &str, n: usize, reps: usize) -> Result<Vec<Value>, PlanError> {
-    let solver =
-        |backend| SnowSolver::build(poisson(problem, n), backend, Smoother::default(), true);
+    let solver = |backend| SnowSolver::build(poisson(problem, n), backend, true);
     let mut default = solver(Box::new(OmpBackend::new()))?;
     let tuned = backend_from_name("omp", &BackendOptions::default().with_tune(true))?;
     let cells: [(&str, Box<dyn Backend>); 2] = [

@@ -79,9 +79,9 @@ impl GridSet {
     }
 
     /// Swap the *contents* of two same-shaped grids (O(1): the backing
-    /// buffers are exchanged). Used for ping-pong smoothers (Jacobi,
-    /// Chebyshev) where "previous" and "next" roles rotate between fixed
-    /// names.
+    /// buffers are exchanged). Used for ping-pong schemes (a Jacobi sweep,
+    /// an explicit time step) where "previous" and "next" roles rotate
+    /// between fixed names.
     ///
     /// Returns an error if either name is missing or the shapes differ;
     /// the set is left unchanged in both cases.

@@ -1,25 +1,23 @@
 //! The multigrid cycle as data.
 //!
-//! A V-cycle, an F-cycle and the solve loop are written once, here, as
-//! sequences of [`Step`]s. Each solver supplies one step executor (a
-//! `match` on `Step`) and its finest-level residual norm; the hand
-//! baseline, the Snowflake solver and `snowlint` therefore run and lint
-//! the same operator order by construction.
+//! A V-cycle and the solve loop are written once, here, as sequences of
+//! [`Step`]s. Each solver supplies one step executor (a `match` on
+//! `Step`) and its finest-level residual norm; the hand baseline, the
+//! Snowflake solver and `snowlint` therefore run and lint the same
+//! operator order by construction.
 
-use crate::{SolveOptions, BOTTOM_SMOOTHS, SMOOTHS_PER_LEG};
+use crate::{BOTTOM_SMOOTHS, SMOOTHS_PER_LEG};
 
 /// One operation of a multigrid cycle, at a level (0 = finest).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Step {
-    /// One application of the configured smoother to `x_l`.
+    /// One GSRB smooth of `x_l`.
     Smooth(usize),
     /// `res_l = rhs_l − A x_l`.
     Residual(usize),
     /// `rhs_{l+1} = R res_l` and `x_{l+1} = 0`.
     Restrict(usize),
-    /// `rhs_{l+1} = R rhs_l` (the F-cycle's right-hand-side hierarchy).
-    RestrictRhs(usize),
-    /// `x_l += P x_{l+1}` with the configured prolongation.
+    /// `x_l += P x_{l+1}` (piecewise-constant interpolation).
     Prolong(usize),
     /// `x_l = 0`.
     ClearX(usize),
@@ -31,37 +29,15 @@ pub enum Step {
 /// [`SMOOTHS_PER_LEG`] post-smooths; at the coarsest level
 /// [`BOTTOM_SMOOTHS`] smooths.
 pub fn vcycle(l: usize, levels: usize) -> Vec<Step> {
-    let mut steps = Vec::new();
-    push_vcycle(&mut steps, l, levels);
-    steps
-}
-
-/// The steps of one full-multigrid F-cycle (HPGMG's default cycle type):
-/// restrict the right-hand side to every level, clear every `x`, solve the
-/// coarsest level, then prolong each solution up as the initial guess for
-/// a V-cycle at the next finer level.
-pub fn fcycle(levels: usize) -> Vec<Step> {
-    let last = levels - 1;
-    let mut steps: Vec<Step> = (0..last).map(Step::RestrictRhs).collect();
-    steps.extend((0..levels).map(Step::ClearX));
-    push_vcycle(&mut steps, last, levels);
-    for l in (0..last).rev() {
-        // x_l is zero, so "+=" realizes x_l = P(x_{l+1}).
-        steps.push(Step::Prolong(l));
-        push_vcycle(&mut steps, l, levels);
-    }
-    steps
-}
-
-fn push_vcycle(steps: &mut Vec<Step>, l: usize, levels: usize) {
     if l + 1 == levels {
-        return steps.extend([Step::Smooth(l)].repeat(BOTTOM_SMOOTHS));
+        return [Step::Smooth(l)].repeat(BOTTOM_SMOOTHS);
     }
-    steps.extend([Step::Smooth(l)].repeat(SMOOTHS_PER_LEG));
+    let mut steps = [Step::Smooth(l)].repeat(SMOOTHS_PER_LEG);
     steps.extend([Step::Residual(l), Step::Restrict(l)]);
-    push_vcycle(steps, l + 1, levels);
+    steps.extend(vcycle(l + 1, levels));
     steps.push(Step::Prolong(l));
     steps.extend([Step::Smooth(l)].repeat(SMOOTHS_PER_LEG));
+    steps
 }
 
 /// A solver the shared cycles drive: one step executor plus the
@@ -83,23 +59,14 @@ pub(crate) fn run<E: Executor>(exec: &mut E, steps: Vec<Step>) -> Result<(), E::
 }
 
 /// The solve loop: zero `x_0`, record the initial residual norm, then run
-/// up to `opts.cycles` cycles (an F-cycle first when `opts.fmg`),
-/// recording the norm after each and stopping early at `opts.rtol`.
-pub(crate) fn solve<E: Executor>(exec: &mut E, opts: SolveOptions) -> Result<Vec<f64>, E::Error> {
+/// `cycles` V-cycles, recording the norm after each.
+pub(crate) fn solve<E: Executor>(exec: &mut E, cycles: usize) -> Result<Vec<f64>, E::Error> {
     let levels = exec.hierarchy();
     exec.run(Step::ClearX(0))?;
     let mut norms = vec![exec.finest_residual_norm()?];
-    for c in 0..opts.cycles {
-        let steps = if opts.fmg && c == 0 {
-            fcycle(levels)
-        } else {
-            vcycle(0, levels)
-        };
-        run(exec, steps)?;
+    for _ in 0..cycles {
+        run(exec, vcycle(0, levels))?;
         norms.push(exec.finest_residual_norm()?);
-        if opts.converged(&norms) {
-            break;
-        }
     }
     Ok(norms)
 }
@@ -116,7 +83,6 @@ mod tests {
             Step::Smooth(l)
             | Step::Residual(l)
             | Step::Restrict(l)
-            | Step::RestrictRhs(l)
             | Step::Prolong(l)
             | Step::ClearX(l) => l,
         }
@@ -159,33 +125,5 @@ mod tests {
             steps.len(),
             (LEVELS - 1) * (2 * SMOOTHS_PER_LEG + 3) + BOTTOM_SMOOTHS
         );
-    }
-
-    #[test]
-    fn fcycle_restricts_every_rhs_before_clearing_any_x() {
-        let steps = fcycle(LEVELS);
-        let restricts: Vec<usize> = (0..LEVELS - 1)
-            .map(|l| {
-                steps
-                    .iter()
-                    .position(|&s| s == Step::RestrictRhs(l))
-                    .unwrap()
-            })
-            .collect();
-        let clears: Vec<usize> = (0..LEVELS)
-            .map(|l| steps.iter().position(|&s| s == Step::ClearX(l)).unwrap())
-            .collect();
-        assert!(restricts.iter().max() < clears.iter().min(), "{steps:?}");
-        // Fine to coarse, then bottom, then prolong + V-cycle per level
-        // from coarse to fine.
-        assert!(restricts.windows(2).all(|w| w[0] < w[1]));
-        let mut expect: Vec<Step> = (0..LEVELS - 1).map(Step::RestrictRhs).collect();
-        expect.extend((0..LEVELS).map(Step::ClearX));
-        expect.extend(vcycle(LEVELS - 1, LEVELS));
-        for l in (0..LEVELS - 1).rev() {
-            expect.push(Step::Prolong(l));
-            expect.extend(vcycle(l, LEVELS));
-        }
-        assert_eq!(steps, expect);
     }
 }

@@ -356,40 +356,16 @@ pub fn smooth_jacobi(lvl: &mut LevelData, a: f64, b: f64) {
     std::mem::swap(&mut lvl.x, &mut lvl.res);
 }
 
-/// One degree-4 Chebyshev smooth (see [`crate::cheby`]):
-/// `x_{n+1} = x_n + c1*(x_n - x_{n-1}) + c2*dinv*(rhs - A x_n)`, fused into
-/// one pass per polynomial step. `lvl.tmp` carries `x_{n-1}` between steps
-/// (unused on the first step, where c1 = 0).
-pub fn smooth_chebyshev(lvl: &mut LevelData, a: f64, b: f64) {
-    let coeffs = crate::cheby::coefficients(crate::cheby::DEGREE, crate::cheby::EIG_MAX);
-    for (c1, c2) in coeffs {
-        apply_boundary(&mut lvl.x, lvl.n);
-        let beta = [&lvl.beta_x, &lvl.beta_y, &lvl.beta_z];
-        let op = Vc::new(lvl.n, lvl.h, &lvl.alpha, beta, a, b);
-        let (rhs, dinv) = (level_cells(&lvl.rhs, lvl.n), level_cells(&lvl.dinv, lvl.n));
-        let cells = Cells::All {
-            x: &lvl.x,
-            out: &mut lvl.tmp,
-        };
-        // `tmp` is read at c (x_{n-1}) before being overwritten (x_{n+1}).
-        // SAFETY (each update below): `sweep` passes interior cells only.
-        sweep(&op, cells, |c, xc, ax, tmp| unsafe {
-            *tmp = xc + c1 * (xc - *tmp) + c2 * at(dinv, c) * (at(rhs, c) - ax);
-        });
-        // tmp now holds x_{n+1}; x holds x_n — swap so x is current and
-        // tmp carries x_{n-1} for the next step.
-        std::mem::swap(&mut lvl.x, &mut lvl.tmp);
-    }
-}
-
-/// 8-cell-average restriction of any cell field (used for residuals in
-/// V-cycles and for the right-hand side in F-cycles).
-pub fn restrict_field(fine: &Grid, nf: usize, coarse: &mut Grid, nc: usize) {
-    debug_assert_eq!(nf, 2 * nc);
+/// Restriction: `coarse.rhs = R(fine.res)` (8-cell average) and
+/// `coarse.x = 0`.
+pub fn restrict(fine: &LevelData, coarse: &mut LevelData) {
+    coarse.x.fill(0.0);
+    let nc = coarse.n;
+    debug_assert_eq!(fine.n, 2 * nc);
     let sc = nc + 2;
-    let sf = nf + 2;
-    let fr = fine.as_slice();
-    let out = coarse.as_mut_slice();
+    let sf = fine.n + 2;
+    let fr = fine.res.as_slice();
+    let out = coarse.rhs.as_mut_slice();
     for i in 1..=nc {
         for j in 1..=nc {
             for k in 1..=nc {
@@ -406,13 +382,6 @@ pub fn restrict_field(fine: &Grid, nf: usize, coarse: &mut Grid, nc: usize) {
             }
         }
     }
-}
-
-/// Restriction: `coarse.rhs = R(fine.res)` (8-cell average) and
-/// `coarse.x = 0`.
-pub fn restrict(fine: &LevelData, coarse: &mut LevelData) {
-    coarse.x.fill(0.0);
-    restrict_field(&fine.res, fine.n, &mut coarse.rhs, coarse.n);
 }
 
 /// Piecewise-constant interpolation and correction:
@@ -448,8 +417,6 @@ pub struct HandSolver {
     pub levels: Vec<LevelData>,
     /// The exact discrete solution on the finest level.
     pub x_true: Grid,
-    /// Smoother used by the cycles.
-    pub smoother: crate::Smoother,
 }
 
 impl HandSolver {
@@ -473,27 +440,13 @@ impl HandSolver {
             problem,
             levels,
             x_true,
-            smoother: crate::Smoother::default(),
         }
-    }
-
-    /// Select the smoother (builder style).
-    pub fn with_smoother(mut self, smoother: crate::Smoother) -> Self {
-        self.smoother = smoother;
-        self
     }
 
     /// One V-cycle from level `l` down (the step sequence of
     /// [`cycle::vcycle`]).
     pub fn vcycle(&mut self, l: usize) {
         let steps = cycle::vcycle(l, self.levels.len());
-        cycle::run(self, steps).unwrap_or_else(|e| match e {});
-    }
-
-    /// One full-multigrid F-cycle (the step sequence of
-    /// [`cycle::fcycle`]).
-    pub fn fcycle(&mut self) {
-        let steps = cycle::fcycle(self.levels.len());
         cycle::run(self, steps).unwrap_or_else(|e| match e {});
     }
 
@@ -504,14 +457,10 @@ impl HandSolver {
         interior_norm_max(&self.levels[0].res, self.levels[0].n)
     }
 
-    /// Solve from a zero initial guess; returns the residual norm after
-    /// each cycle (prefixed by the initial norm).
-    ///
-    /// Accepts either a bare cycle count (`solver.solve(10)`) or a full
-    /// [`crate::SolveOptions`] (F-cycle start, early-exit tolerance) —
-    /// the same surface as [`crate::SnowSolver::solve`].
-    pub fn solve(&mut self, opts: impl Into<crate::SolveOptions>) -> Vec<f64> {
-        cycle::solve(self, opts.into()).unwrap_or_else(|e| match e {})
+    /// Solve from a zero initial guess with `cycles` V-cycles; returns the
+    /// residual norm after each cycle (prefixed by the initial norm).
+    pub fn solve(&mut self, cycles: usize) -> Vec<f64> {
+        cycle::solve(self, cycles).unwrap_or_else(|e| match e {})
     }
 
     /// Max-norm error against the exact discrete solution.
@@ -536,18 +485,11 @@ impl cycle::Executor for HandSolver {
     fn run(&mut self, step: Step) -> Result<(), Infallible> {
         let (a, b) = (self.problem.a, self.problem.b);
         match step {
-            Step::Smooth(l) => match self.smoother {
-                crate::Smoother::GsRb => smooth_gsrb(&mut self.levels[l], a, b),
-                crate::Smoother::Chebyshev => smooth_chebyshev(&mut self.levels[l], a, b),
-            },
+            Step::Smooth(l) => smooth_gsrb(&mut self.levels[l], a, b),
             Step::Residual(l) => residual(&mut self.levels[l], a, b),
             Step::Restrict(l) => {
                 let (fine, coarse) = fine_coarse(&mut self.levels, l);
                 restrict(fine, coarse);
-            }
-            Step::RestrictRhs(l) => {
-                let (fine, coarse) = fine_coarse(&mut self.levels, l);
-                restrict_field(&fine.rhs, fine.n, &mut coarse.rhs, coarse.n);
             }
             Step::Prolong(l) => {
                 let (fine, coarse) = fine_coarse(&mut self.levels, l);
@@ -691,118 +633,15 @@ mod tests {
         );
     }
 
-    #[test]
-    fn dinv_a_spectrum_is_within_chebyshev_bound() {
-        // Power iteration on D⁻¹A must stay below the EIG_MAX = 2 bound
-        // the Chebyshev smoother assumes (Gershgorin argument).
-        let p = Problem::poisson_vc(8);
-        let lvl = LevelData::build(&p, 8);
-        let shape = lvl.x.shape().to_vec();
-        let mut v = Grid::new(&shape);
-        v.fill_random(13, -1.0, 1.0);
-        let mut av = Grid::new(&shape);
-        let mut lambda = 0.0f64;
-        for _ in 0..40 {
-            apply_boundary(&mut v, 8);
-            apply_op(&mut av, &v, &lvl, p.a, p.b);
-            // w = dinv .* Av (interior), normalize, estimate Rayleigh-ish.
-            let mut norm = 0.0f64;
-            for i in 1..=8 {
-                for j in 1..=8 {
-                    for k in 1..=8 {
-                        let w = lvl.dinv.get(&[i, j, k]) * av.get(&[i, j, k]);
-                        av.set(&[i, j, k], w);
-                        norm = norm.max(w.abs());
-                    }
-                }
-            }
-            lambda = norm / interior_norm_max(&v, 8).max(1e-300);
-            // v = normalized(av) on the interior; ghosts refreshed above.
-            v.fill(0.0);
-            for i in 1..=8 {
-                for j in 1..=8 {
-                    for k in 1..=8 {
-                        v.set(&[i, j, k], av.get(&[i, j, k]) / norm);
-                    }
-                }
-            }
-        }
-        assert!(
-            lambda < crate::cheby::EIG_MAX,
-            "dominant eigenvalue estimate {lambda} exceeds the bound"
-        );
-        assert!(lambda > 1.0, "estimate should be near 2: {lambda}");
-    }
-
-    #[test]
-    fn chebyshev_vcycles_converge() {
-        let mut solver =
-            HandSolver::new(Problem::poisson_vc(16)).with_smoother(crate::Smoother::Chebyshev);
-        let norms = solver.solve(5);
-        assert!(
-            norms[5] / norms[0] < 1e-3,
-            "Chebyshev-smoothed multigrid should contract: {norms:?}"
-        );
-        for w in norms.windows(2) {
-            assert!(w[1] < w[0], "monotone: {norms:?}");
-        }
-    }
-
-    #[test]
-    fn chebyshev_smoother_reduces_residual_standalone() {
-        let p = Problem::poisson_cc(8);
-        let mut solver = HandSolver::new(p);
-        solver.levels[0].x.fill(0.0);
-        let r0 = solver.residual_norm();
-        for _ in 0..5 {
-            smooth_chebyshev(&mut solver.levels[0], p.a, p.b);
-        }
-        let r1 = solver.residual_norm();
-        assert!(r1 < r0, "Chebyshev must reduce the residual: {r0} -> {r1}");
-    }
-
-    #[test]
-    fn fcycle_beats_single_vcycle() {
-        let p = Problem::poisson_vc(16);
-        let mut v = HandSolver::new(p);
-        v.levels[0].x.fill(0.0);
-        v.vcycle(0);
-        let rv = v.residual_norm();
-        let mut f = HandSolver::new(p);
-        f.fcycle();
-        let rf = f.residual_norm();
-        // FMG seeds every level with an interpolated solution, so one
-        // F-cycle must beat one zero-guess V-cycle.
-        assert!(
-            rf < rv,
-            "F-cycle ({rf:.3e}) should beat one V-cycle ({rv:.3e})"
-        );
-    }
-
-    #[test]
-    fn fcycle_preserves_finest_rhs() {
-        // The F-cycle restricts rhs downward but must leave the finest rhs
-        // untouched.
-        let p = Problem::poisson_cc(8);
-        let mut solver = HandSolver::new(p);
-        let rhs_before = solver.levels[0].rhs.clone();
-        solver.fcycle();
-        assert_eq!(solver.levels[0].rhs.max_abs_diff(&rhs_before), 0.0);
-    }
-
-    const GOLDEN_VC: [u64; 6] = [
+    const GOLDEN_VC: [u64; 4] = [
         0xcc09eee06dfe77e7,
         0x1f9c706230c59607,
-        0xe4194eb163604a74,
-        0x0fe1d204e442046e,
         0xc06fce15209c00ab,
         0x47392a85d44e96d5,
     ];
-    const GOLDEN_CC: [u64; 6] = [
+    const GOLDEN_CC: [u64; 4] = [
         0xe142d533268f7b84,
         0x57b5208d582d75f6,
-        0x8eaed40745f0b659,
-        0x0916cde99c2a9f95,
         0x9dce1b845ba189b0,
         0x19887b3b3cd7641f,
     ];
@@ -818,10 +657,9 @@ mod tests {
     }
 
     /// Hashes of the hand solver's grids for `p`: the manufactured rhs,
-    /// `x` after one V-cycle from a seeded guess, after one F-cycle, after
-    /// a 2-cycle FMG solve with Chebyshev smoothing, after three Jacobi
-    /// sweeps from the seeded guess, and `A x` of that guess.
-    fn golden_hashes(p: Problem) -> [u64; 6] {
+    /// `x` after one V-cycle from a seeded guess, after three Jacobi sweeps
+    /// from the seeded guess, and `A x` of that guess.
+    fn golden_hashes(p: Problem) -> [u64; 4] {
         let seeded = || {
             let mut s = HandSolver::new(p);
             s.levels[0].x.fill_random(7, -1.0, 1.0);
@@ -830,10 +668,6 @@ mod tests {
         let rhs = fnv1a(&HandSolver::new(p).levels[0].rhs);
         let mut v = seeded();
         v.vcycle(0);
-        let mut f = HandSolver::new(p);
-        f.fcycle();
-        let mut cheby = HandSolver::new(p).with_smoother(crate::Smoother::Chebyshev);
-        cheby.solve(crate::SolveOptions::cycles(2).with_fmg(true));
         let mut jacobi = seeded();
         for _ in 0..3 {
             smooth_jacobi(&mut jacobi.levels[0], p.a, p.b);
@@ -846,8 +680,6 @@ mod tests {
         [
             rhs,
             fnv1a(&v.levels[0].x),
-            fnv1a(&f.levels[0].x),
-            fnv1a(&cheby.levels[0].x),
             fnv1a(&jacobi.levels[0].x),
             fnv1a(&ax),
         ]

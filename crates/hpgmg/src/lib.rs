@@ -17,9 +17,9 @@
 //!   performance-portability claim.
 //!
 //! Both run the same algorithm because it is written once: [`cycle`] holds
-//! the V-cycle, the F-cycle and the solve loop as sequences of
-//! [`cycle::Step`]s, and each solver only executes steps. The `snowlint`
-//! binary lints the Snowflake solver's own V-cycle: its operator groups
+//! the V-cycle and the solve loop as sequences of [`cycle::Step`]s, and
+//! each solver only executes steps. The `snowlint` binary lints the
+//! Snowflake solver's own V-cycle: its operator groups
 //! ([`snow::operator_list`]) in the order [`cycle::vcycle`] dispatches them.
 //!
 //! The solver is cell-centered geometric multigrid on `[0,1]³` for
@@ -27,13 +27,13 @@
 //! through ghost cells (`ghost = −inside`), V-cycles with GSRB pre/post
 //! smoothing, 8-cell-average restriction and piecewise-constant
 //! interpolation, and a smoother-based bottom solve — the configuration the
-//! paper benchmarks (2nd order, 2 pre/post GSRB smooths, 10 V-cycles).
+//! paper benchmarks (2nd order, 2 pre/post GSRB smooths, 10 V-cycles), and
+//! the only one either solver runs.
 //!
 //! [`stencils`] holds the reusable stencil-group builders (also used by the
 //! benchmark harness for the standalone Figure 7 kernels) and [`problem`]
 //! the analytic test problem with an exactly-known discrete solution.
 
-pub mod cheby;
 pub mod cycle;
 pub mod hand;
 pub mod problem;
@@ -43,79 +43,6 @@ pub mod stencils;
 pub use hand::HandSolver;
 pub use problem::{LevelData, Problem};
 pub use snow::SnowSolver;
-
-/// Options for one solver invocation (both [`HandSolver::solve`] and
-/// [`SnowSolver::solve`] take `impl Into<SolveOptions>`, so a bare cycle
-/// count still works: `solver.solve(10)`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SolveOptions {
-    /// Maximum V-cycles to run.
-    pub cycles: usize,
-    /// Start with a full-multigrid F-cycle (HPGMG's default cycle type)
-    /// instead of a zero-guess V-cycle.
-    pub fmg: bool,
-    /// Stop early once the residual norm has dropped below `rtol` times
-    /// the initial norm (`None` always runs all `cycles`).
-    pub rtol: Option<f64>,
-}
-
-impl Default for SolveOptions {
-    /// The paper's configuration: 10 V-cycles, no F-cycle start, no
-    /// early exit.
-    fn default() -> Self {
-        SolveOptions {
-            cycles: 10,
-            fmg: false,
-            rtol: None,
-        }
-    }
-}
-
-impl SolveOptions {
-    /// Run `cycles` V-cycles (builder entry point).
-    pub fn cycles(cycles: usize) -> Self {
-        SolveOptions {
-            cycles,
-            ..Self::default()
-        }
-    }
-
-    /// Start with an F-cycle (builder style).
-    pub fn with_fmg(mut self, on: bool) -> Self {
-        self.fmg = on;
-        self
-    }
-
-    /// Stop early at this relative residual tolerance (builder style).
-    pub fn with_rtol(mut self, rtol: f64) -> Self {
-        self.rtol = Some(rtol);
-        self
-    }
-
-    /// Has the residual history already met the tolerance?
-    fn converged(&self, norms: &[f64]) -> bool {
-        match (self.rtol, norms.first(), norms.last()) {
-            (Some(rtol), Some(&first), Some(&last)) => last <= rtol * first,
-            _ => false,
-        }
-    }
-}
-
-impl From<usize> for SolveOptions {
-    fn from(cycles: usize) -> Self {
-        SolveOptions::cycles(cycles)
-    }
-}
-
-/// Which smoother the V-/F-cycles use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum Smoother {
-    /// Gauss-Seidel red-black (the paper's and HPGMG's default).
-    #[default]
-    GsRb,
-    /// Degree-4 Chebyshev polynomial smoothing (see [`cheby`]).
-    Chebyshev,
-}
 
 /// Smallest level size (interior cells per side) at which the V-cycle
 /// bottoms out and switches to the smoother-based coarse solve.

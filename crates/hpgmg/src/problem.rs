@@ -113,8 +113,6 @@ pub struct LevelData {
     pub rhs: Grid,
     /// Residual scratch.
     pub res: Grid,
-    /// Second scratch grid (Chebyshev's x_{n-1}, ping-pong buffers).
-    pub tmp: Grid,
     /// Inverse diagonal of the operator.
     pub dinv: Grid,
     /// α samples at cell centers.
@@ -174,7 +172,6 @@ impl LevelData {
             x: Grid::new(&shape),
             rhs: Grid::new(&shape),
             res: Grid::new(&shape),
-            tmp: Grid::new(&shape),
             dinv,
             alpha,
             beta_x,

@@ -8,8 +8,8 @@
 //!
 //! Execution is *plan-once-run-many*: construction assembles the full
 //! ordered operator list ([`operator_list`]: smooths, residuals, transfers
-//! — every group a cycle dispatches, and no other) and compiles it into one
-//! [`SolverPlan`]; the V-/F-cycle hot path then dispatches by stable
+//! — every group a V-cycle dispatches, and no other) and compiles it into
+//! one [`SolverPlan`]; the V-cycle hot path then dispatches by stable
 //! index, performing **zero** hashing or locking per call. With metrics
 //! on, the plan books every dispatch to its op's row of the report.
 
@@ -21,10 +21,8 @@ use crate::cycle::{self, Step};
 use crate::hand::HandSolver;
 use crate::problem::{interior_diff_max, interior_norm_max, Problem};
 use crate::stencils::{
-    chebyshev_step_group, gsrb_smooth_group, interpolate_group, residual_group, restrict_group,
-    restrict_rhs_group, Coeff, Names,
+    gsrb_smooth_group, interpolate_group, residual_group, restrict_group, Coeff, Names,
 };
-use crate::{Smoother, SolveOptions};
 
 /// Geometric multigrid with Snowflake-compiled operators.
 pub struct SnowSolver {
@@ -36,8 +34,6 @@ pub struct SnowSolver {
     pub grids: GridSet,
     /// Exact discrete solution on the finest level.
     pub x_true: Grid,
-    /// Smoother used by the cycles.
-    pub smoother: Smoother,
     /// The compiled operator schedule; all dispatch is by index into it.
     plan: SolverPlan,
     /// Execution profile, populated while metrics collection is enabled.
@@ -49,26 +45,20 @@ pub struct SnowSolver {
 /// Plan index of every operator a cycle dispatches, per level.
 #[derive(Default)]
 pub struct PlanOps {
-    /// GSRB smooth plan indices (empty unless GSRB).
     smooth: Vec<usize>,
-    /// Chebyshev per-step plan indices (empty unless Chebyshev).
-    cheby_steps: Vec<Vec<usize>>,
     residual: Vec<usize>,
     restrict: Vec<usize>,
-    restrict_rhs: Vec<usize>,
     interpolate: Vec<usize>,
 }
 
 impl PlanOps {
     /// The one plan op that executes `step`; `None` for the host step
-    /// (clear-x) and for a Chebyshev plan's smooth, which runs its
-    /// per-level steps instead.
+    /// clear-x.
     pub fn op(&self, step: Step) -> Option<usize> {
         match step {
-            Step::Smooth(l) => self.smooth.get(l).copied(),
+            Step::Smooth(l) => Some(self.smooth[l]),
             Step::Residual(l) => Some(self.residual[l]),
             Step::Restrict(l) => Some(self.restrict[l]),
-            Step::RestrictRhs(l) => Some(self.restrict_rhs[l]),
             Step::Prolong(l) => Some(self.interpolate[l]),
             Step::ClearX(_) => None,
         }
@@ -76,14 +66,10 @@ impl PlanOps {
 }
 
 /// The solver's full ordered operator list for `problem`: every group a
-/// V-cycle or an F-cycle with `smoother` dispatches, and no other, each
-/// with the shapes of the whole grid hierarchy, plus the plan index of
-/// each. [`SnowSolver`] compiles exactly this list; `snowlint` lints it
-/// in V-cycle order.
-pub fn operator_list(
-    problem: &Problem,
-    smoother: Smoother,
-) -> (Vec<(StencilGroup, ShapeMap)>, PlanOps) {
+/// V-cycle dispatches, and no other, each with the shapes of the whole
+/// grid hierarchy, plus the plan index of each. [`SnowSolver`] compiles
+/// exactly this list; `snowlint` lints it in V-cycle order.
+pub fn operator_list(problem: &Problem) -> (Vec<(StencilGroup, ShapeMap)>, PlanOps) {
     let sizes = problem.level_sizes();
     let (a, b) = (problem.a, problem.b);
     let coeff = if problem.variable_coeff {
@@ -102,21 +88,11 @@ pub fn operator_list(
         list.len() - 1
     };
     let mut ops = PlanOps::default();
-    let cheby_coeffs = crate::cheby::coefficients(crate::cheby::DEGREE, crate::cheby::EIG_MAX);
     for (l, &n) in sizes.iter().enumerate() {
         let names = Names::level(l);
         let h2inv = (n * n) as f64;
-        match smoother {
-            Smoother::GsRb => ops
-                .smooth
-                .push(push(gsrb_smooth_group(&names, coeff, a, b, h2inv))),
-            Smoother::Chebyshev => ops.cheby_steps.push(
-                cheby_coeffs
-                    .iter()
-                    .map(|&(c1, c2)| push(chebyshev_step_group(&names, coeff, a, b, h2inv, c1, c2)))
-                    .collect(),
-            ),
-        }
+        ops.smooth
+            .push(push(gsrb_smooth_group(&names, coeff, a, b, h2inv)));
         // The coarsest level only smooths, so its residual is compiled
         // only when it is also the finest (the solve loop's norm).
         if l == 0 || l + 1 < sizes.len() {
@@ -126,8 +102,6 @@ pub fn operator_list(
         if l + 1 < sizes.len() {
             let coarse = Names::level(l + 1);
             ops.restrict.push(push(restrict_group(&names, &coarse)));
-            ops.restrict_rhs
-                .push(push(restrict_rhs_group(&names, &coarse)));
             ops.interpolate
                 .push(push(interpolate_group(&coarse, &names)));
         }
@@ -139,19 +113,10 @@ impl SnowSolver {
     /// Build the hierarchy (the data of [`HandSolver::new`])
     /// and pre-compile every operator group on `backend`.
     pub fn new(problem: Problem, backend: Box<dyn Backend>) -> Result<Self> {
-        Self::with_smoother(problem, backend, Smoother::default())
+        Ok(Self::build(problem, backend, false)?)
     }
 
-    /// As [`SnowSolver::new`], selecting the smoother.
-    pub fn with_smoother(
-        problem: Problem,
-        backend: Box<dyn Backend>,
-        smoother: Smoother,
-    ) -> Result<Self> {
-        Ok(Self::build(problem, backend, smoother, false)?)
-    }
-
-    /// As [`SnowSolver::with_smoother`], building the plan checked when
+    /// As [`SnowSolver::new`], building the plan checked when
     /// `verify` is set: the plan check (verifier and linter as one
     /// analysis) runs once over the whole operator list before any
     /// compile, a deny-level finding refuses the solver, and the
@@ -159,7 +124,6 @@ impl SnowSolver {
     pub fn build(
         problem: Problem,
         backend: Box<dyn Backend>,
-        smoother: Smoother,
         verify: bool,
     ) -> std::result::Result<Self, PlanError> {
         // The hand solver's hierarchy, manufactured rhs included, moved
@@ -172,7 +136,6 @@ impl SnowSolver {
             grids.insert(&names.x, lvl.x);
             grids.insert(&names.rhs, lvl.rhs);
             grids.insert(&names.res, lvl.res);
-            grids.insert(&names.tmp, lvl.tmp);
             grids.insert(&names.dinv, lvl.dinv);
             grids.insert(&names.alpha, lvl.alpha);
             grids.insert(&names.beta_x, lvl.beta_x);
@@ -180,7 +143,7 @@ impl SnowSolver {
             grids.insert(&names.beta_z, lvl.beta_z);
         }
 
-        let (list, ops) = operator_list(&problem, smoother);
+        let (list, ops) = operator_list(&problem);
         debug_assert_eq!(
             list.first().map(|(_, shapes)| shapes),
             Some(&grids.shapes())
@@ -197,7 +160,6 @@ impl SnowSolver {
             sizes,
             grids,
             x_true,
-            smoother,
             plan,
             report: None,
             ops,
@@ -257,13 +219,6 @@ impl SnowSolver {
         cycle::run(self, steps)
     }
 
-    /// One full-multigrid F-cycle (the step sequence of
-    /// [`cycle::fcycle`]).
-    pub fn fcycle(&mut self) -> Result<()> {
-        let steps = cycle::fcycle(self.sizes.len());
-        cycle::run(self, steps)
-    }
-
     /// Residual max-norm on the finest level.
     pub fn residual_norm(&mut self) -> Result<f64> {
         self.run_op(self.ops.residual[0])?;
@@ -271,16 +226,10 @@ impl SnowSolver {
         Ok(interior_norm_max(res, self.sizes[0]))
     }
 
-    /// Solve from a zero guess; returns residual norms (initial first).
-    ///
-    /// Accepts either a bare cycle count (`solver.solve(10)`) or a full
-    /// [`SolveOptions`] (F-cycle start, early-exit tolerance):
-    ///
-    /// ```ignore
-    /// solver.solve(SolveOptions::cycles(10).with_fmg(true).with_rtol(1e-8))
-    /// ```
-    pub fn solve(&mut self, opts: impl Into<SolveOptions>) -> Result<Vec<f64>> {
-        cycle::solve(self, opts.into())
+    /// Solve from a zero guess with `cycles` V-cycles; returns residual
+    /// norms (initial first).
+    pub fn solve(&mut self, cycles: usize) -> Result<Vec<f64>> {
+        cycle::solve(self, cycles)
     }
 
     /// Max-norm error against the exact discrete solution.
@@ -315,19 +264,10 @@ impl cycle::Executor for SnowSolver {
         self.sizes.len()
     }
 
-    /// Stencil steps dispatch their plan op. Host steps run here: a
-    /// Chebyshev smooth ping-pongs `x` and `tmp` between its plan ops, and
-    /// clear-x zeroes `x`.
+    /// Stencil steps dispatch their plan op; the host step clear-x zeroes
+    /// `x` here.
     fn run(&mut self, step: Step) -> Result<()> {
         match step {
-            Step::Smooth(l) if self.smoother == Smoother::Chebyshev => {
-                let names = Names::level(l);
-                for i in 0..self.ops.cheby_steps[l].len() {
-                    self.run_op(self.ops.cheby_steps[l][i])?;
-                    self.grids.swap_data(&names.x, &names.tmp)?;
-                }
-                Ok(())
-            }
             Step::ClearX(l) => {
                 let x = &Names::level(l).x;
                 self.grids.get_mut(x).expect("x grid").fill(0.0);
@@ -386,84 +326,14 @@ mod tests {
     }
 
     #[test]
-    fn snow_chebyshev_matches_hand_chebyshev() {
-        let p = Problem::poisson_vc(8);
-        let mut hand_solver = crate::HandSolver::new(p).with_smoother(crate::Smoother::Chebyshev);
-        let mut snow_solver = SnowSolver::with_smoother(
-            p,
-            Box::new(SequentialBackend::new()),
-            crate::Smoother::Chebyshev,
-        )
-        .unwrap();
-        hand_solver.levels[0].x.fill(0.0);
-        hand_solver.vcycle(0);
-        snow_solver.vcycle(0).unwrap();
-        let diff = interior_diff_max(
-            &hand_solver.levels[0].x,
-            snow_solver.grids.get("x_0").unwrap(),
-            8,
-        );
-        assert!(diff < 1e-10, "Chebyshev hand vs snowflake diverged: {diff}");
-    }
-
-    #[test]
-    fn snow_fcycle_matches_hand_fcycle() {
-        let p = Problem::poisson_vc(8);
-        let mut hand_solver = crate::HandSolver::new(p);
-        let mut snow_solver = SnowSolver::new(p, Box::new(SequentialBackend::new())).unwrap();
-        hand_solver.fcycle();
-        snow_solver.fcycle().unwrap();
-        let diff = interior_diff_max(
-            &hand_solver.levels[0].x,
-            snow_solver.grids.get("x_0").unwrap(),
-            8,
-        );
-        assert!(diff < 1e-10, "F-cycle hand vs snowflake diverged: {diff}");
-    }
-
-    #[test]
-    fn snow_chebyshev_converges() {
-        let mut s = SnowSolver::with_smoother(
-            Problem::poisson_cc(8),
-            Box::new(OmpBackend::new()),
-            crate::Smoother::Chebyshev,
-        )
-        .unwrap();
-        let norms = s.solve(5).unwrap();
-        assert!(norms[5] / norms[0] < 1e-3, "{norms:?}");
-    }
-
-    #[test]
     fn plan_compiles_each_group_once() {
         let s =
             SnowSolver::new(Problem::poisson_cc(8), Box::new(SequentialBackend::new())).unwrap();
-        // 2 smooths + 1 × (residual + restrict + restrict_rhs + interp) =
-        // 6 ops, all distinct.
-        assert_eq!(s.plan_ops(), 6);
+        // 2 smooths + 1 × (residual + restrict + interp) = 5 ops, all
+        // distinct.
+        assert_eq!(s.plan_ops(), 5);
         let built = s.plan().cache_stats();
-        assert_eq!(built.misses, 6, "one compile per distinct group");
+        assert_eq!(built.misses, 5, "one compile per distinct group");
         assert_eq!(built.hits, 0, "no duplicate ops in this configuration");
-    }
-
-    #[test]
-    fn solve_options_early_exit_truncates_the_norm_history() {
-        let p = Problem::poisson_cc(8);
-        let mut full = SnowSolver::new(p, Box::new(SequentialBackend::new())).unwrap();
-        let full_norms = full.solve(8).unwrap();
-        assert_eq!(full_norms.len(), 9);
-        let mut early = SnowSolver::new(p, Box::new(SequentialBackend::new())).unwrap();
-        let early_norms = early
-            .solve(SolveOptions::cycles(8).with_rtol(1e-4))
-            .unwrap();
-        assert!(
-            early_norms.len() < full_norms.len(),
-            "rtol must stop early: {early_norms:?}"
-        );
-        let last = early_norms.last().unwrap();
-        assert!(last / early_norms[0] <= 1e-4);
-        // The prefix matches the unbounded run bitwise.
-        for (a, b) in early_norms.iter().zip(&full_norms) {
-            assert_eq!(a, b);
-        }
     }
 }

@@ -18,8 +18,6 @@ pub struct Names {
     pub rhs: String,
     /// Residual grid name.
     pub res: String,
-    /// Scratch grid name (Chebyshev x_{n-1} / ping-pong).
-    pub tmp: String,
     /// Inverse-diagonal grid name.
     pub dinv: String,
     /// α grid name.
@@ -39,7 +37,6 @@ impl Names {
             x: format!("x_{l}"),
             rhs: format!("rhs_{l}"),
             res: format!("res_{l}"),
-            tmp: format!("tmp_{l}"),
             dinv: format!("dinv_{l}"),
             alpha: format!("alpha_{l}"),
             beta_x: format!("beta_x_{l}"),
@@ -49,12 +46,11 @@ impl Names {
     }
 
     /// Every grid name of the level.
-    pub(crate) fn all(self) -> [String; 9] {
+    pub(crate) fn all(self) -> [String; 8] {
         [
             self.x,
             self.rhs,
             self.res,
-            self.tmp,
             self.dinv,
             self.alpha,
             self.beta_x,
@@ -229,45 +225,6 @@ pub fn restrict_group(fine: &Names, coarse: &Names) -> StencilGroup {
             .named("restrict"),
         )
         .with(Stencil::new(Expr::Const(0.0), &coarse.x, RectDomain::all(3)).named("zero_coarse_x"))
-}
-
-/// F-cycle right-hand-side restriction: `coarse.rhs = R(fine.rhs)`.
-pub fn restrict_rhs_group(fine: &Names, coarse: &Names) -> StencilGroup {
-    StencilGroup::from(
-        Stencil::new(
-            restrict_expr(&fine.rhs),
-            &coarse.rhs,
-            RectDomain::interior(3),
-        )
-        .named("restrict_rhs"),
-    )
-}
-
-/// One Chebyshev polynomial step (see [`crate::cheby`]):
-/// `tmp = x + c1·(x − tmp) + c2·dinv·(rhs − A x)` over the interior, with
-/// boundary stencils first. The caller swaps `x` and `tmp` afterwards so
-/// `x` is current and `tmp` carries `x_{n−1}`.
-pub fn chebyshev_step_group(
-    n: &Names,
-    coeff: Coeff,
-    a: f64,
-    b: f64,
-    h2inv: f64,
-    c1: f64,
-    c2: f64,
-) -> StencilGroup {
-    let x0 = rd(&n.x, [0, 0, 0]);
-    let step = x0.clone()
-        + Expr::Const(c1) * (x0 - rd(&n.tmp, [0, 0, 0]))
-        + Expr::Const(c2)
-            * dinv_expr(n, coeff, a, b, h2inv)
-            * (rd(&n.rhs, [0, 0, 0]) - ax_expr(n, coeff, a, b, h2inv));
-    let mut group = StencilGroup::new();
-    for st in boundary_stencils(&n.x) {
-        group.push(st);
-    }
-    group.push(Stencil::new(step, &n.tmp, RectDomain::interior(3)).named("chebyshev_step"));
-    group
 }
 
 /// Piecewise-constant interpolation and correction:

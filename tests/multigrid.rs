@@ -5,7 +5,7 @@
 
 use snowflake::backends::{Backend, CJitBackend, OclSimBackend, OmpBackend, SequentialBackend};
 use snowflake::hpgmg::snow::operator_list;
-use snowflake::hpgmg::{HandSolver, Problem, Smoother, SnowSolver, SolveOptions};
+use snowflake::hpgmg::{HandSolver, Problem, SnowSolver};
 
 /// Outcome of one solver run.
 #[derive(Clone, Debug)]
@@ -156,13 +156,13 @@ fn solver_reaches_discrete_solution_to_machine_precision() {
 fn plan_amortizes_compilation_and_cycles_never_look_up() {
     let mut solver =
         SnowSolver::new(Problem::poisson_vc(16), Box::new(SequentialBackend::new())).unwrap();
-    // 3 levels: 3 smooth + 2 × (residual + restrict + restrict_rhs +
-    // interp) = 11 groups, compiled once at plan build.
-    assert_eq!(solver.plan_ops(), 11);
+    // 3 levels: 3 smooth + 2 × (residual + restrict + interp) = 9
+    // groups, compiled once at plan build.
+    assert_eq!(solver.plan_ops(), 9);
     let built = solver.plan().cache_stats();
     assert_eq!(
         (built.hits, built.misses),
-        (0, 11),
+        (0, 9),
         "one compilation per distinct (group, shape)"
     );
     solver.solve(4).unwrap();
@@ -175,29 +175,18 @@ fn plan_amortizes_compilation_and_cycles_never_look_up() {
 
 #[test]
 fn every_plan_op_runs() {
-    // The plan compiles exactly the ops a V-cycle and an F-cycle dispatch:
-    // a V-cycle reaches its ops through `PlanOps::op`, a Chebyshev smooth
-    // through its per-level steps, and the F-cycle adds the rhs
-    // restrictions.
-    for smoother in [Smoother::GsRb, Smoother::Chebyshev] {
-        for n in [8, 16] {
-            let problem = Problem::poisson_vc(n);
-            let compiled = operator_list(&problem, smoother).0.len();
-            let mut solver =
-                SnowSolver::with_smoother(problem, Box::new(SequentialBackend::new()), smoother)
-                    .unwrap();
-            assert_eq!(solver.plan_ops(), compiled);
-            solver.enable_metrics();
-            solver.vcycle(0).unwrap();
-            solver.fcycle().unwrap();
-            let report = solver.take_metrics().unwrap();
-            let reached: Vec<usize> = report.ops.keys().copied().collect();
-            assert_eq!(
-                reached,
-                (0..compiled).collect::<Vec<_>>(),
-                "{smoother:?} at {n}³"
-            );
-        }
+    // The plan compiles exactly the ops one V-cycle dispatches, each
+    // reached through `PlanOps::op`.
+    for n in [8, 16] {
+        let problem = Problem::poisson_vc(n);
+        let compiled = operator_list(&problem).0.len();
+        let mut solver = SnowSolver::new(problem, Box::new(SequentialBackend::new())).unwrap();
+        assert_eq!(solver.plan_ops(), compiled);
+        solver.enable_metrics();
+        solver.vcycle(0).unwrap();
+        let report = solver.take_metrics().unwrap();
+        let reached: Vec<usize> = report.ops.keys().copied().collect();
+        assert_eq!(reached, (0..compiled).collect::<Vec<_>>(), "{n}³");
     }
 }
 
@@ -207,52 +196,6 @@ fn dof_throughput_reported() {
         SnowSolver::new(Problem::poisson_cc(8), Box::new(SequentialBackend::new())).unwrap();
     assert_eq!(solver.dof(), 512);
     assert_eq!(solver.backend_name(), "seq");
-}
-
-#[test]
-fn chebyshev_smoother_is_backend_portable() {
-    // The Chebyshev-smoothed V-cycle runs identically on hand and on
-    // Snowflake backends (ping-pong buffers, per-step coefficient groups).
-    let p = Problem::poisson_vc(8);
-    let mut hand = HandSolver::new(p).with_smoother(Smoother::Chebyshev);
-    let hnorms = hand.solve(3);
-    for backend_name in ["seq", "omp"] {
-        let backend: Box<dyn Backend> = match backend_name {
-            "seq" => Box::new(SequentialBackend::new()),
-            _ => Box::new(OmpBackend::new()),
-        };
-        let mut snow = SnowSolver::with_smoother(p, backend, Smoother::Chebyshev).unwrap();
-        let snorms = snow.solve(3).unwrap();
-        for (a, b) in hnorms.iter().zip(&snorms) {
-            assert!(
-                ((a - b) / a.abs().max(1e-300)).abs() < 1e-7,
-                "{backend_name}: {a} vs {b}"
-            );
-        }
-    }
-}
-
-#[test]
-fn fcycle_start_accelerates_convergence() {
-    let p = Problem::poisson_vc(16);
-    let mut plain = HandSolver::new(p);
-    let nv = plain.solve(SolveOptions::cycles(3));
-    let mut fmg = HandSolver::new(p);
-    let nf = fmg.solve(SolveOptions::cycles(3).with_fmg(true));
-    assert!(
-        nf[1] < nv[1],
-        "F-cycle first step should beat a zero-guess V-cycle: {nf:?} vs {nv:?}"
-    );
-    assert!(
-        nf[3] <= nv[3] * 10.0,
-        "and not hurt the tail: {nf:?} vs {nv:?}"
-    );
-    // Snowflake F-cycle agrees with hand.
-    let mut snow = SnowSolver::new(p, Box::new(SequentialBackend::new())).unwrap();
-    let ns = snow.solve(SolveOptions::cycles(3).with_fmg(true)).unwrap();
-    for (a, b) in nf.iter().zip(&ns) {
-        assert!(((a - b) / a.abs().max(1e-300)).abs() < 1e-7, "{a} vs {b}");
-    }
 }
 
 #[test]

@@ -12,7 +12,7 @@ use snowflake::analysis::{
 };
 use snowflake::backends::{verify_ops, PlanError};
 use snowflake::core::{Result, ShapeMap};
-use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
+use snowflake::hpgmg::{Problem, SnowSolver};
 use snowflake::prelude::*;
 
 /// A backend that counts its compiles and otherwise defers to `inner`.
@@ -218,8 +218,7 @@ fn warn_level_finding_builds_runs_and_is_counted() {
 #[test]
 fn certified_hpgmg_build_stamps_one_pass_of_gate_counters() {
     let (backend, compiles) = Counting::seq();
-    let mut solver =
-        SnowSolver::build(Problem::poisson_vc(8), backend, Smoother::GsRb, true).unwrap();
+    let mut solver = SnowSolver::build(Problem::poisson_vc(8), backend, true).unwrap();
     let plan = solver.plan();
     assert_eq!(
         compiles.load(Ordering::SeqCst),
@@ -243,15 +242,15 @@ fn certified_hpgmg_build_stamps_one_pass_of_gate_counters() {
     );
     assert_eq!(report.verify.warnings, 0);
     assert!(lint.lints.is_empty(), "{:?}", lint.lints);
-    // The counters of the HPGMG V-cycle plan: 46 stencils, their source
-    // accesses plus the lowered cursors, and 13 barrier phases.
+    // The counters of the HPGMG V-cycle plan: 45 stencils, their source
+    // accesses plus the lowered cursors, and 12 barrier phases.
     assert_eq!(
         (
             report.verify.stencils_checked,
             report.verify.accesses_proved,
             report.verify.phases_certified
         ),
-        (46, 765, 13)
+        (45, 747, 12)
     );
 
     // Unchecked builds carry zero plan-check counters.

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use snowflake::backends::codegen_ocl::{emit_ocl, ocl_unit};
 use snowflake::backends::specialize::{specialize_lowered, FusedTape};
 use snowflake::backends::{verify_ops, CJitBackend, CheckedBackend};
-use snowflake::hpgmg::{snow::operator_list, Problem, Smoother, SnowSolver};
+use snowflake::hpgmg::{snow::operator_list, Problem, SnowSolver};
 use snowflake::ir::spec::SpecForm;
 use snowflake::ir::{lower_group, LowerOptions};
 use snowflake::prelude::*;
@@ -215,7 +215,7 @@ fn hpgmg_opencl_units_compile_without_warnings() {
     std::fs::create_dir_all(&dir).unwrap();
     let _cleanup = RemoveOnDrop(dir.clone());
     for problem in [Problem::poisson_vc(16), Problem::poisson_cc(16)] {
-        let (ops, _) = operator_list(&problem, Smoother::GsRb);
+        let (ops, _) = operator_list(&problem);
         for (op, (group, shapes)) in ops.iter().enumerate() {
             let mut lowered = lower_group(group, shapes, &LowerOptions::default()).unwrap();
             specialize_lowered(&mut lowered);

@@ -13,7 +13,7 @@ use snowflake::analysis::{
 };
 use snowflake::backends::{verify_ops, witness_count, PlanError};
 use snowflake::core::CoreError;
-use snowflake::hpgmg::{Problem, Smoother, SnowSolver};
+use snowflake::hpgmg::{Problem, SnowSolver};
 use snowflake::prelude::*;
 
 fn shapes(names: &[&str], shape: &[usize]) -> snowflake::core::ShapeMap {
@@ -468,7 +468,7 @@ fn hpgmg_plans_certify_on_every_stock_backend() {
             continue;
         }
         let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
-        let solver = SnowSolver::with_smoother(Problem::poisson_vc(8), backend, Smoother::GsRb)
+        let solver = SnowSolver::new(Problem::poisson_vc(8), backend)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let plan = solver.plan();
         let cert = verify_ops(plan.descriptors())
@@ -488,8 +488,7 @@ fn hpgmg_plans_certify_on_every_stock_backend() {
 fn checked_backend_matches_seq_bitwise_on_multigrid_smoke() {
     let run = |name: &str| {
         let backend = backend_from_name(name, &BackendOptions::default()).unwrap();
-        let mut solver =
-            SnowSolver::with_smoother(Problem::poisson_vc(8), backend, Smoother::GsRb).unwrap();
+        let mut solver = SnowSolver::new(Problem::poisson_vc(8), backend).unwrap();
         solver.solve(2).unwrap()
     };
     let seq = run("seq");
