@@ -468,7 +468,7 @@ impl<'k> TapeLanes<'k> {
     /// they fill up) when packed.
     ///
     /// # Safety
-    /// As [`lin_unit`], except that a sequential kernel is allowed when
+    /// As [`lin_row`], except that a sequential kernel is allowed when
     /// `width == 1`; [`TapeLanes::flush`] must run before the region's
     /// cells are used elsewhere.
     #[allow(clippy::too_many_arguments)]

@@ -14,6 +14,7 @@
 use std::convert::Infallible;
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 use hpgmg::{HandSolver, Problem, SnowSolver};
 use roofline::stream::dot_pass;
@@ -251,7 +252,9 @@ impl Solver {
 }
 
 /// Figure 9 on one problem at finest size `n`: every implementation is
-/// built first and their V-cycles are timed against each other in rounds
+/// built first, each set-up timed once (`setup_seconds`: the hierarchy,
+/// plus the checked plan build of a Snowflake backend), and their
+/// V-cycles are timed against each other in rounds
 /// (see [`time_rounds`]); then each runs a solve from a zero guess for its
 /// residual reduction and report. One row per implementation.
 fn solve_rows(problem: &str, n: usize, config: &Config) -> Result<Vec<Value>, String> {
@@ -260,20 +263,23 @@ fn solve_rows(problem: &str, n: usize, config: &Config) -> Result<Vec<Value>, St
         .implementations
         .iter()
         .map(|&imp| {
+            // Set-up: the hierarchy and, for a Snowflake backend, its plan.
             let spec = poisson(problem, n);
             if imp == "hand" {
-                return Ok((imp, Solver::Hand(HandSolver::new(spec))));
+                let t0 = Instant::now();
+                let hand = HandSolver::new(spec);
+                return Ok((imp, Solver::Hand(hand), t0.elapsed().as_secs_f64()));
             }
-            let snow = backend_from_name(imp, &BackendOptions::default())
-                .map_err(PlanError::from)
-                .and_then(|backend| SnowSolver::build(spec, backend, true))
-                .map_err(|e| on(imp, e))?;
-            Ok((imp, Solver::Snow(snow)))
+            let backend = backend_from_name(imp, &BackendOptions::default())
+                .map_err(|e| on(imp, e.into()))?;
+            let t0 = Instant::now();
+            let snow = SnowSolver::build(spec, backend, true).map_err(|e| on(imp, e))?;
+            Ok((imp, Solver::Snow(snow), t0.elapsed().as_secs_f64()))
         })
         .collect::<Result<Vec<_>, String>>()?;
     let mut calls: Vec<_> = solvers
         .iter_mut()
-        .map(|(imp, solver)| || solver.vcycle().map_err(|e| on(imp, e)))
+        .map(|(imp, solver, _)| || solver.vcycle().map_err(|e| on(imp, e)))
         .collect();
     let samples = time_rounds(config.reps, &mut calls)?;
     let medians: Vec<f64> = samples.iter().map(|s| Timing::of(s).median).collect();
@@ -282,7 +288,7 @@ fn solve_rows(problem: &str, n: usize, config: &Config) -> Result<Vec<Value>, St
     solvers
         .into_iter()
         .zip(medians)
-        .map(|((imp, solver), median)| {
+        .map(|((imp, solver, setup), median)| {
             let (norms, ops, build, report) = match solver {
                 Solver::Hand(mut solver) => {
                     let norms = solver.solve(config.cycles);
@@ -312,6 +318,7 @@ fn solve_rows(problem: &str, n: usize, config: &Config) -> Result<Vec<Value>, St
                     "residual_reduction",
                     Value::Num(norms[norms.len() - 1] / norms[0]),
                 ),
+                ("setup_seconds", Value::Num(setup)),
                 ("plan_ops", ops),
                 ("plan_build_seconds", build),
                 ("report", report),

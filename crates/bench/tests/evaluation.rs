@@ -231,6 +231,7 @@ fn solver_document_schema() {
             "dof_per_sec",
             "speedup_vs_hand",
             "residual_reduction",
+            "setup_seconds",
             "plan_ops",
             "plan_build_seconds",
             "report",
@@ -254,6 +255,7 @@ fn solver_document_schema() {
     for row in rows {
         let implementation = row.get("impl").str();
         let report = row.get("report");
+        assert!(row.get("setup_seconds").num() > 0.0, "{implementation}");
         if implementation == "hand" {
             assert_eq!(row.get("speedup_vs_hand").num(), 1.0);
             assert!(matches!(row.get("plan_ops"), Json::Null));

@@ -25,7 +25,7 @@ use rayon::prelude::*;
 use snowflake_grid::Grid;
 
 use crate::cycle::{self, Step};
-use crate::problem::{interior_diff_max, interior_norm_max, u_exact, LevelData, Problem};
+use crate::problem::{interior_diff_max, interior_norm_max, LevelData, Problem};
 
 /// Red cells have odd coordinate-parity (`(i+j+k) % 2 == 1`; the cell
 /// `(1,1,1)` is red), matching `DomainUnion::red_black(3)`.
@@ -430,8 +430,7 @@ impl HandSolver {
             .collect();
         // Manufactured discrete solution: rhs = A·u* with u* sampled.
         let fine = &mut levels[0];
-        let mut x_true = Grid::new(fine.x.shape());
-        fine.fill_interior(&mut x_true, u_exact);
+        let mut x_true = fine.exact_solution();
         apply_boundary(&mut x_true, fine.n);
         let mut rhs = Grid::new(fine.x.shape());
         apply_op(&mut rhs, &x_true, fine, problem.a, problem.b);

@@ -15,6 +15,12 @@
 //! centers (the reference HPGMG restricts face coefficients instead —
 //! both choices yield a valid coarse operator; ours keeps setup local to a
 //! level, see DESIGN.md).
+//!
+//! Set-up samples each field from per-axis tables: β and u* are products
+//! of one factor per axis ([`beta_wave`], [`u_wave`]), evaluated once per
+//! coordinate rather than once per cell, and every cell's product is taken
+//! in the order of the pointwise [`beta_at`] and [`u_exact`], so the grids
+//! are bitwise equal to sampling those functions cell by cell.
 
 use snowflake_grid::Grid;
 
@@ -77,22 +83,44 @@ impl Problem {
     }
 }
 
+/// `sin(π·t)`, the factor of [`u_exact`] along each axis.
+pub fn u_wave(t: f64) -> f64 {
+    (std::f64::consts::PI * t).sin()
+}
+
 /// The exact solution used for manufactured right-hand sides.
 pub fn u_exact(x: f64, y: f64, z: f64) -> f64 {
-    (std::f64::consts::PI * x).sin()
-        * (std::f64::consts::PI * y).sin()
-        * (std::f64::consts::PI * z).sin()
+    u_wave(x) * u_wave(y) * u_wave(z)
+}
+
+/// `cos(2π·t)`, the factor of [`beta_at`] along each axis.
+pub fn beta_wave(t: f64) -> f64 {
+    (2.0 * std::f64::consts::PI * t).cos()
 }
 
 /// The analytic β field (strictly positive, smooth, non-separable).
 pub fn beta_at(x: f64, y: f64, z: f64) -> f64 {
-    use std::f64::consts::PI;
-    1.0 + 0.45 * (2.0 * PI * x).cos() * (2.0 * PI * y).cos() * (2.0 * PI * z).cos()
+    1.0 + 0.45 * beta_wave(x) * beta_wave(y) * beta_wave(z)
 }
 
 /// The analytic α field (only read when `a != 0`).
 pub fn alpha_at(x: f64, y: f64, z: f64) -> f64 {
     1.0 + 0.25 * x * y * z
+}
+
+/// The `s³` grid (`s = a.len()`) whose cell `(i, j, k)` is
+/// `f(a[i], b[j], c[k])`, filled row by row.
+fn tabulate(a: &[f64], b: &[f64], c: &[f64], f: impl Fn(f64, f64, f64) -> f64) -> Grid {
+    let s = a.len();
+    let mut grid = Grid::new(&[s, s, s]);
+    for (plane, &x) in grid.as_mut_slice().chunks_exact_mut(s * s).zip(a) {
+        for (row, &y) in plane.chunks_exact_mut(s).zip(b) {
+            for (v, &z) in row.iter_mut().zip(c) {
+                *v = f(x, y, z);
+            }
+        }
+    }
+    grid
 }
 
 /// All storage for one multigrid level: `(n+2)³` arrays with a one-cell
@@ -126,43 +154,53 @@ pub struct LevelData {
 }
 
 impl LevelData {
-    /// Allocate and fill a level for `problem` at interior size `n`.
+    /// Allocate and fill a level for `problem` at interior size `n`. Every
+    /// field is sampled from per-axis tables of its coordinates (and of
+    /// [`beta_wave`]), with each cell's arithmetic in the order of the
+    /// pointwise [`beta_at`] and [`alpha_at`], so the grids hold exactly
+    /// their values.
     pub fn build(problem: &Problem, n: usize) -> Self {
         let h = 1.0 / n as f64;
         let s = n + 2;
         let shape = [s, s, s];
-        let cc = |i: usize| (i as f64 - 0.5) * h; // cell-center coordinate
-        let fc = |i: usize| (i as f64 - 1.0) * h; // face coordinate
+        let centre = cell_centres(n);
+        let face: Vec<f64> = (0..s).map(|i| (i as f64 - 1.0) * h).collect();
 
-        let beta = |x: f64, y: f64, z: f64| {
-            if problem.variable_coeff {
-                beta_at(x, y, z)
-            } else {
-                1.0
-            }
+        let (beta_x, beta_y, beta_z) = if problem.variable_coeff {
+            let wc: Vec<f64> = centre.iter().map(|&t| beta_wave(t)).collect();
+            let wf: Vec<f64> = face.iter().map(|&t| beta_wave(t)).collect();
+            // Multiplied left to right as in `beta_at`, so each cell holds
+            // exactly `beta_at`'s value.
+            let beta = |a: &[f64], b: &[f64], c: &[f64]| {
+                tabulate(a, b, c, |x, y, z| 1.0 + 0.45 * x * y * z)
+            };
+            (
+                beta(&wf, &wc, &wc),
+                beta(&wc, &wf, &wc),
+                beta(&wc, &wc, &wf),
+            )
+        } else {
+            let mut one = Grid::new(&shape);
+            one.fill(1.0);
+            (one.clone(), one.clone(), one)
         };
-        let beta_x = Grid::from_fn(&shape, |p| beta(fc(p[0]), cc(p[1]), cc(p[2])));
-        let beta_y = Grid::from_fn(&shape, |p| beta(cc(p[0]), fc(p[1]), cc(p[2])));
-        let beta_z = Grid::from_fn(&shape, |p| beta(cc(p[0]), cc(p[1]), fc(p[2])));
-        let alpha = Grid::from_fn(&shape, |p| alpha_at(cc(p[0]), cc(p[1]), cc(p[2])));
+        let alpha = tabulate(&centre, &centre, &centre, alpha_at);
 
         let h2inv = 1.0 / (h * h);
         let mut dinv = Grid::new(&shape);
-        for i in 1..=n {
-            for j in 1..=n {
-                for k in 1..=n {
-                    let diag = problem.a * alpha.get(&[i, j, k])
-                        + problem.b
-                            * h2inv
-                            * (beta_x.get(&[i + 1, j, k])
-                                + beta_x.get(&[i, j, k])
-                                + beta_y.get(&[i, j + 1, k])
-                                + beta_y.get(&[i, j, k])
-                                + beta_z.get(&[i, j, k + 1])
-                                + beta_z.get(&[i, j, k]));
-                    dinv.set(&[i, j, k], 1.0 / diag);
-                }
-            }
+        let (al, bx, by, bz) = (
+            alpha.as_slice(),
+            beta_x.as_slice(),
+            beta_y.as_slice(),
+            beta_z.as_slice(),
+        );
+        let d = dinv.as_mut_slice();
+        for c in interior(n) {
+            let diag = problem.a * al[c]
+                + problem.b
+                    * h2inv
+                    * (bx[c + s * s] + bx[c] + by[c + s] + by[c] + bz[c + 1] + bz[c]);
+            d[c] = 1.0 / diag;
         }
 
         LevelData {
@@ -180,24 +218,26 @@ impl LevelData {
         }
     }
 
-    /// Fill a grid's interior with a function of the cell-center position.
-    pub fn fill_interior(&self, grid: &mut Grid, f: impl Fn(f64, f64, f64) -> f64) {
-        let h = self.h;
-        for i in 1..=self.n {
-            for j in 1..=self.n {
-                for k in 1..=self.n {
-                    grid.set(
-                        &[i, j, k],
-                        f(
-                            (i as f64 - 0.5) * h,
-                            (j as f64 - 0.5) * h,
-                            (k as f64 - 0.5) * h,
-                        ),
-                    );
-                }
-            }
-        }
+    /// [`u_exact`] sampled at the level's interior cell centres, from a
+    /// per-axis table of [`u_wave`]; the ghost cells are zero.
+    pub fn exact_solution(&self) -> Grid {
+        let n = self.n;
+        // A zero factor at both ghost ends of the table zeroes every ghost
+        // cell (to +0: the interior factors are positive).
+        let w: Vec<f64> = cell_centres(n)
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| if (1..=n).contains(&i) { u_wave(t) } else { 0.0 })
+            .collect();
+        tabulate(&w, &w, &w, |x, y, z| x * y * z)
     }
+}
+
+/// Cell-centre coordinates `(i − ½)·h` of the `n + 2` cells along an axis
+/// of a level with `n` interior cells, ghosts included.
+fn cell_centres(n: usize) -> Vec<f64> {
+    let h = 1.0 / n as f64;
+    (0..n + 2).map(|i| (i as f64 - 0.5) * h).collect()
 }
 
 /// Flat indices of the `n³` interior cells of an `(n+2)³` grid, visiting
@@ -301,13 +341,48 @@ mod tests {
         assert_eq!(interior(3).collect::<Vec<_>>(), want);
     }
 
+    /// The tabulated fields hold, bit for bit, the pointwise functions at
+    /// every cell, ghosts included: β at its face coordinates, α and u* at
+    /// cell centres (u* on the interior; its ghosts are zero).
     #[test]
-    fn fill_interior_leaves_ghosts_zero() {
-        let lvl = LevelData::build(&Problem::poisson_cc(4), 4);
-        let mut g = Grid::new(&[6, 6, 6]);
-        lvl.fill_interior(&mut g, |_, _, _| 1.0);
-        assert_eq!(g.get(&[0, 3, 3]), 0.0);
-        assert_eq!(g.get(&[5, 3, 3]), 0.0);
-        assert_eq!(g.get(&[3, 3, 3]), 1.0);
+    fn tables_match_the_pointwise_fields_bitwise() {
+        for n in [4, 8, 64] {
+            let lvl = LevelData::build(&Problem::poisson_vc(n), n);
+            let u = lvl.exact_solution();
+            let cc = LevelData::build(&Problem::poisson_cc(n), n);
+            let h = 1.0 / n as f64;
+            let c = |i: usize| (i as f64 - 0.5) * h;
+            let f = |i: usize| (i as f64 - 1.0) * h;
+            let bits = |g: &Grid, p: [usize; 3]| g.get(&p).to_bits();
+            for i in 0..n + 2 {
+                for j in 0..n + 2 {
+                    for k in 0..n + 2 {
+                        let p = [i, j, k];
+                        let want = [
+                            beta_at(f(i), c(j), c(k)),
+                            beta_at(c(i), f(j), c(k)),
+                            beta_at(c(i), c(j), f(k)),
+                        ];
+                        let got = [&lvl.beta_x, &lvl.beta_y, &lvl.beta_z];
+                        for (axis, (g, w)) in got.iter().zip(want).enumerate() {
+                            assert_eq!(bits(g, p), w.to_bits(), "n={n} beta[{axis}] at {p:?}");
+                        }
+                        for g in [&cc.beta_x, &cc.beta_y, &cc.beta_z] {
+                            assert_eq!(bits(g, p), 1.0f64.to_bits(), "n={n} cc beta at {p:?}");
+                        }
+                        let alpha = alpha_at(c(i), c(j), c(k)).to_bits();
+                        assert_eq!(bits(&lvl.alpha, p), alpha, "n={n} alpha at {p:?}");
+                        assert_eq!(bits(&cc.alpha, p), alpha, "n={n} cc alpha at {p:?}");
+                        let inside = p.iter().all(|&q| (1..=n).contains(&q));
+                        let want = if inside {
+                            u_exact(c(i), c(j), c(k))
+                        } else {
+                            0.0
+                        };
+                        assert_eq!(bits(&u, p), want.to_bits(), "n={n} u* at {p:?}");
+                    }
+                }
+            }
+        }
     }
 }
