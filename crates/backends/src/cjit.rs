@@ -37,7 +37,8 @@
 //! `disk_hits`/`disk_misses` in [`crate::metrics::CacheStats`].
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -47,8 +48,7 @@ use snowflake_grid::GridSet;
 use snowflake_ir::{lower_group, LowerOptions, Lowered};
 
 use crate::codegen_c::emit_c;
-use crate::metrics::{BackendStats, KernelCounters};
-use crate::tune::{fnv1a, persist_atomic, FNV_OFFSET};
+use crate::metrics::{CacheStats, KernelCounters};
 use crate::{check_and_ptrs, dispatch_work, Backend, Executable};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -125,7 +125,7 @@ impl CJitBackend {
         if let Some(dir) = &self.cache_dir {
             return dir.clone();
         }
-        if let Some(dir) = crate::env_dir("SNOWFLAKE_CACHE_DIR") {
+        if let Some(dir) = configured_dir(std::env::var_os("SNOWFLAKE_CACHE_DIR")) {
             return dir;
         }
         std::env::current_exe()
@@ -249,6 +249,42 @@ impl CJitBackend {
     }
 }
 
+/// The directory a directory variable's value names; unset and empty
+/// values both mean "not configured" (never the working directory).
+fn configured_dir(value: Option<OsString>) -> Option<PathBuf> {
+    value.filter(|dir| !dir.is_empty()).map(PathBuf::from)
+}
+
+/// FNV-1a 64-bit offset basis: the initial `hash` of [`fnv1a`].
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a 64-bit round over `bytes`, continuing from `hash`: the
+/// artifact cache's key and the toolchain fingerprint.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// Write via a uniquely named staging file in the same directory, then
+/// rename: readers, and processes racing to insert the same artifact,
+/// never observe a torn file.
+fn persist_atomic(path: &Path, body: &[u8]) -> std::io::Result<()> {
+    let dir = path.parent().expect("artifact path has a parent");
+    std::fs::create_dir_all(dir)?;
+    let staging = dir.join(format!(
+        ".staging_{}_{}",
+        std::process::id(),
+        COUNTER.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&staging, body)?;
+    std::fs::rename(&staging, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&staging);
+    })
+}
+
 /// The compiler a new backend uses: `$SNOWFLAKE_CC`, else `cc`.
 fn default_cc() -> String {
     std::env::var("SNOWFLAKE_CC").unwrap_or_else(|_| "cc".to_string())
@@ -337,11 +373,11 @@ impl Backend for CJitBackend {
 
     /// The persistent artifact cache's hits and misses, accumulated
     /// across this backend and all its clones.
-    fn stats(&self) -> BackendStats {
-        BackendStats {
+    fn stats(&self) -> CacheStats {
+        CacheStats {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             disk_misses: self.disk_misses.load(Ordering::Relaxed),
-            ..BackendStats::default()
+            ..CacheStats::default()
         }
     }
 
@@ -372,6 +408,20 @@ mod tests {
     use crate::SequentialBackend;
     use snowflake_core::{weights2, Component, DomainUnion, Expr, RectDomain, Stencil};
     use snowflake_grid::Grid;
+
+    #[test]
+    fn empty_directory_variables_count_as_unset() {
+        assert_eq!(configured_dir(None), None);
+        assert_eq!(
+            configured_dir(Some(OsString::new())),
+            None,
+            "empty must not mean the working directory"
+        );
+        assert_eq!(
+            configured_dir(Some("cache".into())),
+            Some(PathBuf::from("cache"))
+        );
+    }
 
     fn require_cc() -> bool {
         if !CJitBackend::available() {

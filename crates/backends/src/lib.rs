@@ -50,7 +50,6 @@ pub mod plan;
 pub mod registry;
 pub mod seq;
 pub mod specialize;
-pub mod tune;
 pub mod verify;
 pub mod view;
 
@@ -60,15 +59,12 @@ use snowflake_grid::GridSet;
 pub use checked::CheckedBackend;
 pub use cjit::CJitBackend;
 pub use interp::InterpreterBackend;
-pub use metrics::{
-    BackendStats, CacheStats, KernelCounters, OpSample, RunReport, TuneStats, VerifyStats,
-};
+pub use metrics::{CacheStats, KernelCounters, OpSample, RunReport, TuneStats, VerifyStats};
 pub use oclsim::OclSimBackend;
 pub use omp::OmpBackend;
 pub use plan::{PlanError, SolverPlan};
 pub use registry::{available_backends, backend_available, backend_from_name, BackendOptions};
 pub use seq::SequentialBackend;
-pub use tune::TileTuner;
 pub use verify::{verify_op, verify_ops, witness_count, OpCertificate, PlanCertificate};
 
 /// A compiled stencil group, ready to run against a [`GridSet`].
@@ -101,22 +97,13 @@ pub trait Backend: Send + Sync {
     /// Compile the group for the given shapes.
     fn compile(&self, group: &StencilGroup, shapes: &ShapeMap) -> Result<Box<dyn Executable>>;
 
-    /// Counters this backend keeps across its compiles: the on-disk
-    /// artifact cache of the compiled backends (cjit, oclsim) and the
-    /// OpenMP-like backend's persisted tile tuner (see
-    /// [`tune::TileTuner`]). Everything else reports zeros via this
-    /// default.
-    fn stats(&self) -> BackendStats {
-        BackendStats::default()
+    /// The on-disk artifact cache counters this backend keeps across its
+    /// compiles (`disk_hits`/`disk_misses`; cjit and oclsim). The plan
+    /// fills in its own `hits`/`misses`; every other backend reports
+    /// zeros via this default.
+    fn stats(&self) -> CacheStats {
+        CacheStats::default()
     }
-}
-
-/// A directory named by environment variable `var`; unset and empty
-/// values both mean "not configured".
-pub(crate) fn env_dir(var: &str) -> Option<std::path::PathBuf> {
-    std::env::var_os(var)
-        .filter(|dir| !dir.is_empty())
-        .map(std::path::PathBuf::from)
 }
 
 /// Work of a schedule that makes one dispatch per loop nest
@@ -167,26 +154,4 @@ pub(crate) fn check_and_ptrs(
         ptrs.push(g.as_mut_ptr());
     }
     Ok((ptrs, lens))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_directory_variables_count_as_unset() {
-        // A variable name no other test reads, so setting it cannot race.
-        const VAR: &str = "SNOWFLAKE_ENV_DIR_UNIT_TEST";
-        std::env::remove_var(VAR);
-        assert_eq!(env_dir(VAR), None);
-        std::env::set_var(VAR, "");
-        assert_eq!(
-            env_dir(VAR),
-            None,
-            "empty must not mean the working directory"
-        );
-        std::env::set_var(VAR, "cache");
-        assert_eq!(env_dir(VAR), Some(std::path::PathBuf::from("cache")));
-        std::env::remove_var(VAR);
-    }
 }

@@ -11,9 +11,8 @@
 //!   [`crate::Executable::work`];
 //! * the **compile-time vs run-time split** (`compile_seconds` vs
 //!   `run_seconds`);
-//! * the plan's build-time [`CacheStats`], the plan check's
-//!   [`VerifyStats`] and the tuner's [`TuneStats`], stamped by
-//!   [`crate::SolverPlan::stamp`].
+//! * the plan's build-time [`CacheStats`] and the plan check's
+//!   [`VerifyStats`], stamped by [`crate::SolverPlan::stamp`].
 //!
 //! Reports serialize to JSON via [`RunReport::to_json`] (schema documented
 //! in README.md), built as a value of the one JSON writer, [`json`]. Tests
@@ -44,31 +43,14 @@ pub struct CacheStats {
     pub disk_misses: u64,
 }
 
-/// Tile auto-tuner counters (see `crate::tune`): how tile decisions for
-/// this plan were obtained.
+/// Inert: no backend searches for tiles (omp tiles with an explicit
+/// tile or its default), so nothing is ever timed. Kept, always zero,
+/// because the solver benchmark's compile ledger reads
+/// `candidates_timed`; it is not serialized.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TuneStats {
-    /// Tuning decisions served from the persistent on-disk tuner cache.
-    pub disk_hits: u64,
-    /// Tuning decisions that required timing candidates on a warm-up
-    /// region (then persisted).
-    pub disk_misses: u64,
-    /// Candidate tile shapes timed across all cache misses.
+    /// Candidate tile shapes timed: always 0.
     pub candidates_timed: u64,
-}
-
-/// Counters a backend keeps across its own compiles (see
-/// [`crate::Backend::stats`]): the compiled backends' on-disk artifact
-/// cache and the OpenMP-like backend's tile tuner. Zero for every other
-/// backend.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BackendStats {
-    /// Compiles served from the on-disk artifact cache (cjit, oclsim).
-    pub disk_hits: u64,
-    /// Compiles that had to invoke the C compiler (cjit, oclsim).
-    pub disk_misses: u64,
-    /// Tile auto-tuner counters (omp).
-    pub tune: TuneStats,
 }
 
 /// Accumulated calls and wall time of one plan op.
@@ -143,7 +125,7 @@ pub struct RunReport {
     pub cache: CacheStats,
     /// Plan-check counters (zero unless the plan was built checked).
     pub verify: VerifyStats,
-    /// Tile auto-tuner counters (zero unless tuning was requested).
+    /// Inert tile-search counters, always zero (see [`TuneStats`]).
     pub tune: TuneStats,
 }
 
@@ -175,7 +157,7 @@ impl RunReport {
     pub fn to_value(&self) -> Value {
         let int = |x: u64| Value::Int(x.into());
         let k = &self.kernels;
-        let (c, v, t) = (&self.cache, &self.verify, &self.tune);
+        let (c, v) = (&self.cache, &self.verify);
         let ops = self.ops.iter().map(|(&op, row)| {
             Value::Object(vec![
                 ("op", int(op as u64)),
@@ -215,14 +197,6 @@ impl RunReport {
                     ("phases_certified", int(v.phases_certified)),
                     ("rules_run", int(v.rules_run)),
                     ("warnings", int(v.warnings)),
-                ]),
-            ),
-            (
-                "tune",
-                Value::Object(vec![
-                    ("disk_hits", int(t.disk_hits)),
-                    ("disk_misses", int(t.disk_misses)),
-                    ("candidates_timed", int(t.candidates_timed)),
                 ]),
             ),
             ("ops", Value::List(ops.collect())),
@@ -339,11 +313,6 @@ mod tests {
             rules_run: 7,
             warnings: 2,
         };
-        r.tune = TuneStats {
-            disk_hits: 1,
-            disk_misses: 1,
-            candidates_timed: 5,
-        };
         r.compile_seconds = 0.125;
         r
     }
@@ -374,7 +343,6 @@ mod tests {
             r#""cache":{"hits":5,"misses":2,"disk_hits":1,"disk_misses":1},"#,
             r#""verify":{"stencils_checked":14,"accesses_proved":96,"#,
             r#""phases_certified":9,"rules_run":7,"warnings":2},"#,
-            r#""tune":{"disk_hits":1,"disk_misses":1,"candidates_timed":5},"#,
             r#""ops":[{"op":1,"calls":2,"seconds":0.5},{"op":4,"calls":2,"seconds":1}]}"#,
         );
         assert_eq!(sample_report().to_json(), golden);
@@ -388,8 +356,7 @@ mod tests {
             r#""sequential_tasks":0},"#,
             r#""cache":{"hits":0,"misses":0,"disk_hits":0,"disk_misses":0},"#,
             r#""verify":{"stencils_checked":0,"accesses_proved":0,"#,
-            r#""phases_certified":0,"rules_run":0,"warnings":0},"#,
-            r#""tune":{"disk_hits":0,"disk_misses":0,"candidates_timed":0},"ops":[]}"#,
+            r#""phases_certified":0,"rules_run":0,"warnings":0},"ops":[]}"#,
         );
         assert_eq!(RunReport::new().to_json(), golden);
     }

@@ -22,7 +22,7 @@ use std::path::PathBuf;
 use snowflake_core::{Result, ShapeMap, StencilGroup};
 
 use crate::codegen_ocl::ocl_unit;
-use crate::metrics::BackendStats;
+use crate::metrics::CacheStats;
 use crate::{Backend, CJitBackend, Executable};
 
 /// The OpenCL backend: `codegen_ocl`'s program, compiled by cjit's
@@ -53,7 +53,7 @@ impl Backend for OclSimBackend {
     }
 
     /// The artifact cache's hits and misses, as for cjit.
-    fn stats(&self) -> BackendStats {
+    fn stats(&self) -> CacheStats {
         self.jit.stats()
     }
 
@@ -285,6 +285,6 @@ mod tests {
             Err(other) => panic!("expected CoreError::Backend, got {other:?}"),
             Ok(_) => panic!("compiled without a compiler"),
         }
-        assert_eq!(backend.stats(), BackendStats::default());
+        assert_eq!(backend.stats(), CacheStats::default());
     }
 }

@@ -173,11 +173,10 @@ impl SolverPlan {
     /// Build-time reuse counters plus the backend's on-disk artifact
     /// counters. Steady-state dispatch never changes these.
     pub fn cache_stats(&self) -> CacheStats {
-        let backend = self.backend.stats();
         CacheStats {
-            disk_hits: backend.disk_hits,
-            disk_misses: backend.disk_misses,
-            ..self.reuse
+            hits: self.reuse.hits,
+            misses: self.reuse.misses,
+            ..self.backend.stats()
         }
     }
 
@@ -213,13 +212,12 @@ impl SolverPlan {
     }
 
     /// Stamp plan-level facts into a report: `plan_ops`, the build-time
-    /// cache snapshot (with disk counters), the tuner counters, the plan
-    /// check's counters and the backend name. Build time is *not* added
-    /// here so callers can report it exactly once.
+    /// cache snapshot (with disk counters), the plan check's counters and
+    /// the backend name. Build time is *not* added here so callers can
+    /// report it exactly once.
     pub fn stamp(&self, report: &mut RunReport) {
         report.plan_ops = self.ops.len() as u64;
         report.cache = self.cache_stats();
-        report.tune = self.backend.stats().tune;
         report.verify = self.verify;
         report.set_backend(self.backend_name());
     }

@@ -2,12 +2,12 @@
 //! duplicated `match` arms in every driver.
 //!
 //! [`backend_from_name`] builds any of the six backends from a string: each
-//! from its defaults plus the three knobs drivers set through
+//! from its defaults plus the one knob drivers set through
 //! [`BackendOptions`] (the artifact cache directory of the two compiled
-//! backends, cjit and oclsim, and the omp tile tuner). Other knobs are the
-//! backends' own `with_*` builders. Unknown names are a structured
-//! [`CoreError::UnknownBackend`] listing [`available_backends`], never a
-//! panic — a figure binary can print the error verbatim and exit cleanly.
+//! backends, cjit and oclsim). Other knobs are the backends' own `with_*`
+//! builders. Unknown names are a structured [`CoreError::UnknownBackend`]
+//! listing [`available_backends`], never a panic — a figure binary can
+//! print the error verbatim and exit cleanly.
 
 use std::path::PathBuf;
 
@@ -40,11 +40,6 @@ pub fn backend_available(name: &str) -> bool {
 pub struct BackendOptions {
     /// Persistent artifact cache directory override (cjit and oclsim).
     pub cache_dir: Option<PathBuf>,
-    /// Consult the persisted tile auto-tuner at compile time (omp).
-    pub tune: bool,
-    /// Tuner artifact directory override (`None` = `$SNOWFLAKE_TUNE_DIR`
-    /// / default chain; see `crate::tune`).
-    pub tune_dir: Option<PathBuf>,
 }
 
 impl BackendOptions {
@@ -54,15 +49,16 @@ impl BackendOptions {
         self
     }
 
-    /// Enable or disable the persisted tile auto-tuner (builder style).
-    pub fn with_tune(mut self, on: bool) -> Self {
-        self.tune = on;
+    /// Inert: returns `self` unchanged. omp tiles with its default tile
+    /// (or a `with_tile` tile) and searches none; kept because the solver
+    /// benchmark's compile ledger calls it.
+    pub fn with_tune(self, _on: bool) -> Self {
         self
     }
 
-    /// Pin the tuner artifact directory (builder style).
-    pub fn with_tune_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.tune_dir = Some(dir.into());
+    /// Inert, as [`BackendOptions::with_tune`]: nothing is written under
+    /// `_dir`.
+    pub fn with_tune_dir(self, _dir: impl Into<PathBuf>) -> Self {
         self
     }
 }
@@ -77,10 +73,7 @@ pub fn backend_from_name(name: &str, opts: &BackendOptions) -> Result<Box<dyn Ba
     match name {
         "interp" => Ok(Box::new(InterpreterBackend)),
         "seq" => Ok(Box::new(SequentialBackend::new())),
-        "omp" => Ok(Box::new(OmpBackend {
-            tuner: crate::tune::TileTuner::new(opts.tune_dir.clone()),
-            ..OmpBackend::new().with_tune(opts.tune)
-        })),
+        "omp" => Ok(Box::new(OmpBackend::new())),
         "oclsim" => Ok(Box::new(match &opts.cache_dir {
             Some(dir) => OclSimBackend::new().with_cache_dir(dir.clone()),
             None => OclSimBackend::new(),
@@ -122,33 +115,5 @@ mod tests {
             }
             other => panic!("expected UnknownBackend, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn tune_knobs_reach_the_omp_backend() {
-        let dir =
-            std::env::temp_dir().join(format!("snowflake-registry-tune-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = BackendOptions::default()
-            .with_tune(true)
-            .with_tune_dir(dir.clone());
-        let omp = backend_from_name("omp", &opts).unwrap();
-        let group = snowflake_core::StencilGroup::from(snowflake_core::Stencil::new(
-            snowflake_core::Expr::read_at("x", &[0, 0]) * 2.0,
-            "y",
-            snowflake_core::RectDomain::interior(2),
-        ));
-        let mut shapes = snowflake_core::ShapeMap::new();
-        shapes.insert("x".into(), vec![12, 12]);
-        shapes.insert("y".into(), vec![12, 12]);
-        omp.compile(&group, &shapes).unwrap();
-        let stats = omp.stats().tune;
-        assert_eq!(stats.disk_misses, 1, "tuner engaged through registry knobs");
-        assert!(stats.candidates_timed >= 2);
-        assert!(
-            dir.read_dir().unwrap().count() >= 1,
-            "artifact persisted in the pinned directory"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,7 +13,7 @@
 
 use std::convert::Infallible;
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use hpgmg::{HandSolver, Problem, SnowSolver};
@@ -21,8 +21,8 @@ use roofline::stream::dot_pass;
 use roofline::{Roofline, StencilKind};
 use snowflake_backends::metrics::json::Value;
 use snowflake_backends::{
-    available_backends, backend_available, backend_from_name, Backend, BackendOptions, OmpBackend,
-    PlanError, RunReport, TileTuner,
+    available_backends, backend_available, backend_from_name, BackendOptions, OmpBackend,
+    PlanError, RunReport,
 };
 
 use crate::{time, time_rounds, KernelBench, Timing};
@@ -121,8 +121,8 @@ fn int(n: usize) -> Value {
 /// Everything one run measured: `BENCH_solver.json` and
 /// `BENCH_kernels.json`.
 pub struct Evaluation {
-    /// `BENCH_solver.json`: the header, `figure9` (one row per problem,
-    /// size and implementation) and the tuner's persisted decisions.
+    /// `BENCH_solver.json`: the header and `figure9` (one row per problem,
+    /// size and implementation).
     pub solver: Value,
     /// `BENCH_kernels.json`: the header, `stream`, `roofline`, `figure7`,
     /// `figure8` and `ablation`.
@@ -168,8 +168,8 @@ pub fn evaluate(config: &Config) -> Result<Evaluation, String> {
     let mut ablation = Vec::new();
     for problem in ["vc", "cc"] {
         for &n in &config.solve_sizes {
-            ablation.extend(
-                ablation_rows(problem, n, config.reps)
+            ablation.push(
+                ablation_row(problem, n, config.reps)
                     .map_err(|e| format!("ablation {problem} {n}^3: {e}"))?,
             );
         }
@@ -192,7 +192,6 @@ pub fn evaluate(config: &Config) -> Result<Evaluation, String> {
     let mut solver = header("bench_solver");
     solver.push(("cycles", int(config.cycles)));
     solver.push(("figure9", Value::List(figure9)));
-    solver.push(("tuner", tuner_block()));
     let mut kernels = header("bench_kernels");
     kernels.extend([
         ("stream", Value::List(stream)),
@@ -368,72 +367,34 @@ fn poisson(problem: &str, n: usize) -> Problem {
     }
 }
 
-/// The §IV-A ablations of the omp backend on one problem at finest size
-/// `n`: multicolor reordering off, and the tile tuner on, each timed
-/// against the default backend in `reps` rounds of one whole V-cycle each
-/// (alternating pairs; see [`time_rounds`]). Every plan is built checked.
-fn ablation_rows(problem: &str, n: usize, reps: usize) -> Result<Vec<Value>, PlanError> {
-    let solver = |backend| SnowSolver::build(poisson(problem, n), backend, true);
-    let mut default = solver(Box::new(OmpBackend::new()))?;
-    let tuned = backend_from_name("omp", &BackendOptions::default().with_tune(true))?;
-    let cells: [(&str, Box<dyn Backend>); 2] = [
-        (
-            "omp multicolor off",
-            Box::new(OmpBackend::new().with_multicolor(false)),
-        ),
-        ("omp tuner on", tuned),
-    ];
-    cells
-        .into_iter()
-        .map(|(cell, backend)| {
-            let mut variant = solver(backend)?;
-            let mut calls = [&mut default, &mut variant].map(|solver| || solver.vcycle(0));
-            let samples = time_rounds(reps, &mut calls)?;
-            let slower = samples[0]
-                .iter()
-                .zip(&samples[1])
-                .filter(|(base, var)| var > base)
-                .count();
-            let (base, var) = (Timing::of(&samples[0]), Timing::of(&samples[1]));
-            Ok(Value::Object(vec![
-                ("cell", str(cell)),
-                ("problem", str(problem)),
-                ("n", int(n)),
-                ("pairs", int(reps.max(1))),
-                ("default_seconds_median", Value::Num(base.median)),
-                ("variant_seconds_median", Value::Num(var.median)),
-                ("variant_over_default", Value::Num(var.median / base.median)),
-                ("variant_slower_pairs", int(slower)),
-                ("default_seconds_iqr", Value::Num(base.iqr)),
-            ]))
-        })
-        .collect()
-}
-
-/// The tile tuner's artifact directory (the `SNOWFLAKE_TUNE_DIR` chain)
-/// and every `tile-*.txt` decision persisted there.
-fn tuner_block() -> Value {
-    let dir = TileTuner::new(None).dir().to_path_buf();
-    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .into_iter()
-        .flatten()
-        .filter_map(|entry| Some(entry.ok()?.path()))
-        .collect();
-    paths.sort();
-    let artifacts = paths.iter().filter_map(|path| {
-        let file = path.file_name()?.to_str()?;
-        let decision = std::fs::read_to_string(path).ok()?;
-        (file.starts_with("tile-") && file.ends_with(".txt")).then(|| {
-            Value::Object(vec![
-                ("file", str(file)),
-                ("decision", str(decision.trim())),
-            ])
-        })
-    });
-    Value::Object(vec![
-        ("dir", str(&dir.to_string_lossy())),
-        ("artifacts", Value::List(artifacts.collect())),
-    ])
+/// The §IV-A ablation of the omp backend on one problem at finest size
+/// `n`: multicolor reordering off, timed against the default backend in
+/// `reps` rounds of one whole V-cycle each (alternating pairs; see
+/// [`time_rounds`]). Both plans are built checked.
+fn ablation_row(problem: &str, n: usize, reps: usize) -> Result<Value, PlanError> {
+    let solver =
+        |backend: OmpBackend| SnowSolver::build(poisson(problem, n), Box::new(backend), true);
+    let mut default = solver(OmpBackend::new())?;
+    let mut variant = solver(OmpBackend::new().with_multicolor(false))?;
+    let mut calls = [&mut default, &mut variant].map(|solver| || solver.vcycle(0));
+    let samples = time_rounds(reps, &mut calls)?;
+    let slower = samples[0]
+        .iter()
+        .zip(&samples[1])
+        .filter(|(base, var)| var > base)
+        .count();
+    let (base, var) = (Timing::of(&samples[0]), Timing::of(&samples[1]));
+    Ok(Value::Object(vec![
+        ("cell", str("omp multicolor off")),
+        ("problem", str(problem)),
+        ("n", int(n)),
+        ("pairs", int(reps.max(1))),
+        ("default_seconds_median", Value::Num(base.median)),
+        ("variant_seconds_median", Value::Num(var.median)),
+        ("variant_over_default", Value::Num(var.median / base.median)),
+        ("variant_slower_pairs", int(slower)),
+        ("default_seconds_iqr", Value::Num(base.iqr)),
+    ]))
 }
 
 impl Evaluation {

@@ -216,7 +216,7 @@ fn solver_document_schema() {
     let doc = Json::parse(&smoke().solver.to_json());
     assert_eq!(
         doc.keys(),
-        ["artifact", "smoke", "reps", "cycles", "figure9", "tuner"]
+        ["artifact", "smoke", "reps", "cycles", "figure9"]
     );
     assert_eq!(doc.get("artifact").str(), "bench_solver");
     assert!(matches!(doc.get("smoke"), Json::Bool(true)));
@@ -273,7 +273,6 @@ fn solver_document_schema() {
                 "kernels",
                 "cache",
                 "verify",
-                "tune",
                 "ops",
             ]
         );
@@ -288,14 +287,6 @@ fn solver_document_schema() {
         );
         assert_eq!(verify.get("warnings").num(), 0.0, "{implementation}");
     }
-    let tuner = doc.get("tuner");
-    assert_eq!(tuner.keys(), ["dir", "artifacts"]);
-    let artifacts = tuner.get("artifacts").arr();
-    assert!(
-        !artifacts.is_empty(),
-        "the tuner cell persists its decision"
-    );
-    assert_eq!(row_keys(artifacts), ["file", "decision"]);
 }
 
 #[test]
@@ -393,9 +384,7 @@ fn kernels_document_schema() {
         cells,
         [
             ("omp multicolor off", "vc", 8.0),
-            ("omp tuner on", "vc", 8.0),
             ("omp multicolor off", "cc", 8.0),
-            ("omp tuner on", "cc", 8.0),
         ]
     );
     let reps = doc.get("reps").num();
